@@ -4,7 +4,8 @@ Each slot draws a fresh block-fading channel, computes the SINR table
 over the candidate pairs and both hops, then executes the best feasible
 action: reception (sources to relays, encode, push) or transmission
 (pop, relays to destination, decode).  Infeasible entries are excluded
-and selection repeats; an exhausted table idles the slot.
+and selection repeats; an exhausted table idles the slot.  Receivers see
+filter outputs sampled at symbol level (signal_model.sample_*).
 
 Half duplex is enforced by construction: one action per slot,
 system-wide.
@@ -12,6 +13,7 @@ system-wide.
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,21 +182,51 @@ def trace_row(outcome: SlotOutcome):
             outcome.note]
 
 
+class RngStreams(NamedTuple):
+    """One generator per purpose.  Trials of different scheme variants
+    built from the same seed then share channels, symbols and noise for
+    as long as they take the same actions (common random numbers)."""
+
+    channel: np.random.Generator   # fading, one draw per slot
+    data: np.random.Generator      # user symbols, one block per reception
+    noise: np.random.Generator     # receiver noise of both phases
+    design: np.random.Generator    # encoder design: random draw, ML calibration
+
+    @classmethod
+    def from_seed(cls, seed):
+        """Four independent children of seed (an int or a SeedSequence)."""
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        return cls(*(np.random.default_rng(s) for s in seed.spawn(4)))
+
+
 class SlotMachine:
     """Sequential slot-level simulator for one Monte-Carlo trial.
 
     With buffers disabled the machine degenerates to fixed two-phase
     relaying: groups are served round-robin and every reception slot is
     immediately followed by the paired transmission slot.
+
+    rng is an RngStreams, or one Generator that then feeds every stream.
     """
 
     def __init__(self, config: SystemConfig, rng, collect_trace=False):
         self.config = config
+        if not isinstance(rng, RngStreams):
+            rng = RngStreams(rng, rng, rng, rng)
         self.rng = rng
         self.codebook = sm.generate_codebook(config)
         setup_rng = np.random.default_rng([int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF,
                                            0x6E0])
         self.groups = nc.make_group_assignments(config, setup_rng)
+        # the unbuffered baseline serves the fixed groups in every pair mode
+        if config.pair_mode == PairMode.FIXED_GROUPS or not config.buffers_enabled:
+            short = [g for g, grp in enumerate(self.groups)
+                     if len(grp.relays) < config.group_size]
+            if short:
+                raise ValueError(f"groups {short} have fewer than "
+                                 f"m={config.group_size} relays (K > L): "
+                                 "their users would never be served")
         self.relay_group_ids = np.zeros(config.num_relays, dtype=int)
         for g, grp in enumerate(self.groups):
             for r in grp.relays:
@@ -214,7 +246,7 @@ class SlotMachine:
         self.receive_slots = 0
         self.transmit_slots = 0
         self._uid = 0
-        self._decoded_uids = set()
+        self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
         self._pending_pair = None
 
@@ -239,9 +271,10 @@ class SlotMachine:
         norms = np.sum(np.abs(rows) ** 2, axis=1)
         return rows / (sigma2 + norms)[:, None]
 
-    def _choose_encoder(self, state, users, relays, filters_sr, rng):
+    def _choose_encoder(self, state, users, relays, filters_sr):
         cfg = self.config
         scheme = cfg.nc_design
+        rng = self.rng.design
         if scheme == Scheme.XOR:
             return None
         if scheme == Scheme.RANDOM:
@@ -261,31 +294,24 @@ class SlotMachine:
             return encoder
         raise ValueError(f"unknown scheme {scheme}")
 
-    def _receive(self, state, entry, group_id):
+    def _receive(self, state, relays, group_id, filters_sr):
         """First phase: all sources transmit, the selected pair detects
-        and buffers its group, the destination stores direct estimates."""
+        and buffers its group, the destination stores direct estimates.
+        filters_sr is the slot's source-relay filter bank."""
         cfg = self.config
         sigma2 = cfg.noise_var
-        group = self.groups[group_id]
-        users = list(group.users)
-        relays = entry.relays
+        users = list(self.groups[group_id].users)
         m, P = cfg.group_size, cfg.packet_length
 
-        symbols = rx.hard_decision(self.rng.standard_normal((cfg.num_users, P)))
-        y_sd, y_sr = sm.synthesize_first_phase(symbols, state, sigma2, self.rng,
-                                               relays=relays)
-
-        filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
-        detected = np.empty((m, m, P))
-        for pos, r in enumerate(relays):
-            W = filters_sr[users, r, :]                      # (m, N)
-            soft = W.conj() @ y_sr[pos].samples              # (m, P)
-            detected[pos] = rx.hard_decision(soft)
-
+        symbols = rx.hard_decision(self.rng.data.standard_normal((cfg.num_users, P)))
         filters_sd = rx.source_dest_filter_bank(state, sigma2, cfg.receiver)
-        direct = rx.hard_decision(filters_sd[users].conj() @ y_sd.samples)
+        soft_sd, soft_sr = sm.sample_first_phase(symbols, state, users, relays,
+                                                 filters_sd, filters_sr, sigma2,
+                                                 self.rng.noise)
+        direct = rx.hard_decision(soft_sd)
+        detected = rx.hard_decision(soft_sr)                 # [relay, user, symbol]
 
-        encoder = self._choose_encoder(state, users, relays, filters_sr, self.rng)
+        encoder = self._choose_encoder(state, users, relays, filters_sr)
         if cfg.nc_design == Scheme.XOR:
             ncs = np.stack([nc.xor_encode(nc.symbol_to_bit(detected[pos]))
                             for pos in range(m)])
@@ -315,27 +341,23 @@ class SlotMachine:
         if packet.scheme == Scheme.XOR:
             # both relays carry the same code and (nominally) the same
             # symbol: the streams superpose on the combined channel
-            y = sm.synthesize_second_phase(packet.ncs, state, packet.relays,
-                                           sigma2, self.rng, h_eff=rows)
             combined = rows.sum(axis=0)
             note = ""
             if np.vdot(combined, combined).real < 1e-30:
                 combined = self.codebook.ncs_codes[packet.group_id].astype(complex)
                 note = "degenerate combined channel"
-            w = self._rd_filters(combined[None, :], sigma2)[0]
-            ncs_hat = rx.hard_decision(np.conj(w) @ y.samples)
+            w = self._rd_filters(combined[None, :], sigma2)
+            soft = sm.sample_filter_outputs(w, rows, packet.ncs, sigma2,
+                                            self.rng.noise)
+            ncs_hat = rx.hard_decision(soft[0])
             decoded = np.stack([nc.xor_decode(ncs_hat, direct, k) for k in range(m)])
         else:
             # one sub-slot per relay stream, independent noise each
             filters = self._rd_filters(rows, sigma2)
             gains = rx.effective_gains(filters, rows)
-            z = np.empty((m, P), dtype=np.complex128)
-            for pos in range(m):
-                y = sm.synthesize_second_phase(packet.ncs[pos:pos + 1], state,
-                                               packet.relays[pos:pos + 1],
-                                               sigma2, self.rng,
-                                               h_eff=rows[pos:pos + 1])
-                z[pos] = np.conj(filters[pos]) @ y.samples
+            z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
+                                         packet.ncs[:, None], sigma2,
+                                         self.rng.noise)[:, 0]
             decoder = None
             if packet.scheme == Scheme.MMSE_DESIGN:
                 decoder = nc.design_G_mmse(rows, filters, packet.encoder, sigma2)
@@ -348,9 +370,9 @@ class SlotMachine:
                                     for k in range(m)])
             note = "mmse fallback" if decoder is not None and decoder.fallback else ""
 
-        if packet.uid in self._decoded_uids:
+        if packet.uid <= self._last_scored_uid.get(packet.relays, -1):
             raise RuntimeError("packet scored twice")
-        self._decoded_uids.add(packet.uid)
+        self._last_scored_uid[packet.relays] = packet.uid
         errors = int(np.sum(decoded != packet.true_symbols))
         bits = m * P
         self.bit_errors += errors
@@ -371,7 +393,8 @@ class SlotMachine:
     def _advance_buffered(self):
         cfg = self.config
         sigma2 = cfg.noise_var
-        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids, self.rng)
+        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
+                                self.rng.channel)
         filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
         filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
         table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
@@ -386,7 +409,7 @@ class SlotMachine:
                                reselections=reselections)
         if entry.hop == Hop.SOURCE_RELAY:
             group_id = self._group_for_entry(entry)
-            self._receive(state, entry, group_id)
+            self._receive(state, entry.relays, group_id, filters_sr)
             self.receive_slots += 1
             return SlotOutcome(slot=self.slot, action="receive",
                                pair_id=entry.pair_id, relays=entry.relays,
@@ -406,15 +429,16 @@ class SlotMachine:
 
     def _advance_unbuffered(self):
         cfg = self.config
-        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids, self.rng)
+        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
+                                self.rng.channel)
         occ_before = self.bank.occupancies()
         if self._pending_pair is None:
             group_id = self._rr_group
             self._rr_group = (self._rr_group + 1) % cfg.num_groups
             relays = self.groups[group_id].relays
-            entry = rs.SinrEntry(pair_id=group_id, relays=relays,
-                                 hop=Hop.SOURCE_RELAY, sinr=0.0)
-            self._receive(state, entry, group_id)
+            filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var,
+                                                     cfg.receiver)
+            self._receive(state, relays, group_id, filters_sr)
             self._pending_pair = relays
             self.receive_slots += 1
             return SlotOutcome(slot=self.slot, action="receive",

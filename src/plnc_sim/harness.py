@@ -2,7 +2,8 @@
 
 Sweeps are split into fixed-size packet chunks whose seeds derive from
 (master seed, point index, chunk index), so the aggregate counts are
-bit-identical for any worker count.
+bit-identical for any worker count.  The seed leaves out the scheme
+variant: every variant of a point runs on the same random streams.
 """
 
 import csv
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_row
+from .buffer_protocol import TRACE_FIELDS, RngStreams, SlotMachine, trace_row
 from .config import Scheme, SystemConfig
 
 
@@ -66,9 +67,10 @@ def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
 
 def run_trial(config: SystemConfig, seed, n_packets, collect_trace=False) -> TrialResult:
     """Simulate slots until n_packets complete the full pipeline,
-    counting bit errors against the stored ground truth."""
-    rng = np.random.default_rng(seed)
-    machine = SlotMachine(config, rng, collect_trace=collect_trace)
+    counting bit errors against the stored ground truth.  seed is an
+    int or a SeedSequence; it is split into the per-purpose streams."""
+    machine = SlotMachine(config, RngStreams.from_seed(seed),
+                          collect_trace=collect_trace)
     machine.run_until(n_packets)
     return TrialResult(bit_errors=machine.bit_errors,
                        bits_total=machine.bits_decoded,
@@ -118,7 +120,7 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
                           snr_db=snr)
             for c_idx, n_pkts in enumerate(sizes):
                 tasks.append(((v_idx, p_idx, c_idx), cfg, entropy,
-                              (v_idx, p_idx, c_idx), n_pkts, collect_trace))
+                              (p_idx, c_idx), n_pkts, collect_trace))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,4 +1,5 @@
-"""Spreading codes, block-fading channels and chip-rate signal synthesis.
+"""Spreading codes, block-fading channels, and the two transmission
+phases: chip-rate synthesis, and direct sampling of filter outputs.
 
 Conventions used throughout:
   * codes are random +-1/sqrt(N) chips, unit Euclidean norm
@@ -151,3 +152,44 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
     y = np.tensordot(rows, b, axes=(0, 0))
     y = y + complex_gaussian(rng, y.shape, sigma2)
     return ReceivedVector(samples=y, hop=Hop.RELAY_DEST)
+
+
+def sample_filter_outputs(filters, h_eff, symbols, sigma2, rng):
+    """Outputs conj(W) @ y of filter banks W on observations
+    y = h_eff^T b + n, n ~ CN(0, sigma2 I_N), sampled at symbol level.
+
+    filters (..., M, N) hold one filter per row, h_eff (..., S, N) the
+    effective vectors of the S streams on the hop and symbols (S, P) or
+    (..., S, P) their symbols; leading axes broadcast and index
+    independent observations.  Every receiver is linear, so this equals
+    chip-rate synthesis followed by the filters in distribution: the
+    signal is conj(W) h_eff^T b and the noise CN(0, sigma2 conj(W) W^T).
+    With the reduced QR W^T = Q R that noise is R^H times CN(0, sigma2 I),
+    which holds even when two filter rows are parallel (codes equal up to
+    sign), where a Cholesky factor of the covariance does not exist.
+    Returns (..., M, P) complex.
+    """
+    signal = (filters.conj() @ np.swapaxes(h_eff, -1, -2)) @ symbols
+    r = np.linalg.qr(np.swapaxes(filters, -1, -2), mode="r")
+    white_shape = signal.shape[:-2] + (r.shape[-2], signal.shape[-1])
+    white = complex_gaussian(rng, white_shape, sigma2)
+    return signal + np.swapaxes(r.conj(), -1, -2) @ white
+
+
+def sample_first_phase(symbols, state: ChannelState, users, relays,
+                       filters_sd, filters_sr, sigma2, rng):
+    """Symbol-level counterpart of synthesize_first_phase followed by the
+    first-hop filter banks, for the group users only.
+
+    filters_sd (K, N) and filters_sr (K, L, N) are the destination's and
+    the relays' banks.  Returns the destination's direct outputs (m, P)
+    and every relay's m outputs, (len(relays), m, P), each observation
+    with independent noise.
+    """
+    users, relays = list(users), list(relays)
+    filters = np.concatenate([filters_sd[None, users],
+                              filters_sr[users][:, relays].swapaxes(0, 1)])
+    h_eff = np.concatenate([state.h_eff_sd[None],
+                            state.h_eff_sr[:, relays].swapaxes(0, 1)])
+    out = sample_filter_outputs(filters, h_eff, _check_bpsk(symbols), sigma2, rng)
+    return out[0], out[1:]

@@ -213,6 +213,30 @@ class TestSlotMachine:
         pair_ids = {o.pair_id for o in m.trace if o.action != "idle"}
         assert len(pair_ids) > 2   # selection ranges over the C(4,2) pairs
 
+    def test_rescoring_a_packet_raises(self):
+        m = machine(buffers_enabled=False)
+        m.advance()                                      # receive
+        relays = m._pending_pair
+        packet = m.bank.buffers[relays[0]].peek()
+        m.advance()                                      # transmit, scored
+        m.bank.push_pair(relays, packet)
+        m.dest.push(relays, np.ones_like(packet.true_symbols))
+        m._pending_pair = relays
+        with pytest.raises(RuntimeError, match="packet scored twice"):
+            m.advance()
+
+    def test_groups_without_relays_rejected(self):
+        # K=4, L=2, m=2: group 1 gets no relays, its users are never served
+        from plnc_sim import PairMode
+        with pytest.raises(ValueError, match="fewer than m=2 relays"):
+            machine(num_users=4, num_relays=2)
+        with pytest.raises(ValueError, match="fewer than m=2 relays"):
+            machine(num_users=4, num_relays=2, pair_mode=PairMode.ALL_PAIRS,
+                    buffers_enabled=False)
+        # free-form pairs serve the groups round robin on any relay pair
+        m = machine(num_users=4, num_relays=2, pair_mode=PairMode.ALL_PAIRS)
+        assert m.run_until(n_packets=4).packets_decoded == 4
+
     def test_trace_rows_match_header(self):
         m = machine().run_until(n_packets=5)
         for outcome in m.trace:

@@ -9,6 +9,7 @@ import pytest
 from plnc_sim import (DecoderKind, RunReport, Scheme, SystemConfig,
                       emit_report, parse_report, run_sweep, run_trial,
                       scheme_label, write_trace)
+from plnc_sim.buffer_protocol import TRACE_FIELDS
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
 
@@ -77,6 +78,28 @@ class TestRunSweep:
             if b.ber > a.ber + slack:
                 violations += 1
         assert violations <= 1
+
+    def test_variants_share_random_streams(self):
+        # the chunk seed leaves out the variant, so the buffered linear
+        # designs see the same channels and take the same actions
+        cfg = tiny_config()
+        schemes = [Scheme.RANDOM, Scheme.ML, Scheme.MMSE_DESIGN]
+        report = run_sweep(cfg, [6.0, 10.0], 6, schemes=schemes,
+                           buffer_modes=[True], chunk_packets=3,
+                           collect_trace=True)
+        cols = [3 + TRACE_FIELDS.index(f) for f in ("slot", "action", "pair_id")]
+        for snr in (6.0, 10.0):
+            labels = [scheme_label(s, True, cfg.receiver) for s in schemes]
+            stats = [report.slot_summary[f"{label}@{snr:g}dB"] for label in labels]
+            assert stats[1] == stats[0] and stats[2] == stats[0]
+            assert stats[0]["receive_slots"] and stats[0]["transmit_slots"]
+            actions = {label: [] for label in labels}
+            for row in report.trace_rows:
+                if row[1] == snr:
+                    actions[row[0]].append([row[2]] + [row[c] for c in cols])
+            assert len(actions[labels[0]]) == stats[0]["slots"]
+            assert actions[labels[1]] == actions[labels[0]]
+            assert actions[labels[2]] == actions[labels[0]]
 
     def test_parallel_settings_identical_counts(self):
         cfg = tiny_config()
