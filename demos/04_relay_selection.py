@@ -6,9 +6,9 @@ the best entries.
 """
 import numpy as np
 
-from plnc_sim import (PairMode, ReceiverKind, SystemConfig, build_sinr_table,
-                      candidate_pairs, draw_channel, generate_codebook,
-                      select_best)
+from plnc_sim import (Hop, PairMode, ReceiverKind, SystemConfig,
+                      build_sinr_table, candidate_pairs, draw_channel,
+                      generate_codebook, select_best)
 from plnc_sim.network_coding import make_group_assignments
 from plnc_sim.receivers import (relay_dest_filter_bank,
                                 source_relay_filter_bank)
@@ -28,14 +28,15 @@ Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
 cands = candidate_pairs(groups, cfg.num_relays, PairMode.FIXED_GROUPS)
 table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
 
+hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)     # table columns
 print("SINR table for this slot:")
-for e in table.entries:
-    print(f"  pair {e.pair_id} relays {e.relays} {e.hop.value:12s} "
-          f"SINR {e.sinr:8.3f}")
+for (pid, relays), row in zip(cands, table):
+    for hop, sinr in zip(hops, row):
+        print(f"  pair {pid} relays {relays} {hop:12s} SINR {sinr:8.3f}")
 
 print("\nexclusion chain (as if every winner were infeasible):")
-excluded = set()
-while (e := select_best(table, excluded)) is not None:
-    print(f"  -> pair {e.pair_id} {e.hop.value} ({e.sinr:.3f})")
-    excluded.add(e.key)
+excluded = np.zeros(table.shape, dtype=bool)
+while (best := select_best(table, excluded)) is not None:
+    print(f"  -> pair {cands[best[0]][0]} {hops[best[1]]} ({table[best]:.3f})")
+    excluded[best] = True
 print("  -> exhausted: the slot would idle")

@@ -4,31 +4,20 @@ pair selection, the relay buffer protocol and a Monte-Carlo BER harness.
 """
 
 from .config import (DecoderKind, Hop, PairMode, ReceiverKind, Role, Scheme,
-                     SystemConfig, read_config_file)
-from .signal_model import (ChannelState, CodeBook, ReceivedVector,
-                           complex_gaussian, draw_channel, generate_codebook,
+                     SystemConfig)
+from .signal_model import (complex_gaussian, draw_channel, generate_codebook,
                            synthesize_first_phase, synthesize_second_phase)
-from .receivers import (ReceiveFilter, effective_gains, filter_output,
-                        hard_decision, mmse_filter, rake_filter,
-                        relay_dest_filter_bank, source_dest_filter_bank,
-                        source_relay_filter_bank)
-from .network_coding import (CodingMatrix, GroupAssignment, bit_to_symbol,
-                             decode_joint, decode_with_direct, design_G_ml,
-                             design_G_ml_for_channel, design_G_mmse,
+from .receivers import hard_decision, source_relay_filter_bank
+from .network_coding import (CodingMatrix, bit_to_symbol, decode_joint,
+                             decode_with_direct, design_G_ml, design_G_mmse,
                              design_G_random, detect_ncs, encode_ncs,
                              enumerate_invertible_binary, linear_encode,
-                             make_group_assignments, ncs_levels,
-                             predicted_user_mse, select_G_mmse,
-                             slice_to_levels, symbol_to_bit, xor_decode,
-                             xor_encode)
-from .relay_selection import (SinrEntry, SinrTable, build_sinr_table,
-                              candidate_pairs, select_best,
-                              sinr_relay_destination, sinr_source_relay)
-from .buffer_protocol import (BufferBank, DestinationBuffer, PairPacket,
-                              RelayBuffer, SlotMachine, SlotOutcome,
-                              can_receive, can_transmit, decide_action)
-from .harness import (BerPoint, RunReport, TrialResult, emit_report,
-                      parse_report, run_sweep, run_trial, scheme_label,
-                      write_trace)
+                             ncs_levels, select_G_mmse, slice_to_levels,
+                             symbol_to_bit, xor_decode, xor_encode)
+from .relay_selection import build_sinr_table, candidate_pairs, select_best
+from .buffer_protocol import (BufferBank, DestinationBuffer, SlotMachine,
+                              decide_action)
+from .harness import (RunReport, emit_report, parse_report, run_sweep,
+                      run_trial, scheme_label, write_trace)
 
 __version__ = "0.1.0"

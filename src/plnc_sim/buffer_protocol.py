@@ -21,7 +21,7 @@ from . import network_coding as nc
 from . import receivers as rx
 from . import relay_selection as rs
 from . import signal_model as sm
-from .config import DecoderKind, Hop, PairMode, ReceiverKind, Scheme, SystemConfig
+from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
 
 
 @dataclass
@@ -78,10 +78,16 @@ class BufferBank:
         return tuple(b.occupancy for b in self.buffers)
 
     def can_receive(self, relays):
+        """True iff every buffer of the pair has occupancy below capacity."""
+        if not relays:
+            raise ValueError("empty relay tuple")
         return all(self.buffers[r].occupancy < self.buffers[r].capacity
                    for r in relays)
 
     def can_transmit(self, relays):
+        """True iff every buffer of the pair holds the pair's next packet."""
+        if not relays:
+            raise ValueError("empty relay tuple")
         heads = [self.buffers[r].peek() for r in relays]
         if any(h is None for h in heads):
             return False
@@ -103,16 +109,6 @@ class BufferBank:
         return packet
 
 
-def can_receive(bank: BufferBank, relays):
-    """True iff every buffer of the pair has occupancy below capacity."""
-    return bank.can_receive(relays)
-
-
-def can_transmit(bank: BufferBank, relays):
-    """True iff every buffer of the pair holds the pair's next packet."""
-    return bank.can_transmit(relays)
-
-
 class DestinationBuffer:
     """Direct-link detected symbols awaiting PLNC decoding, one FIFO per
     relay pair so estimates stay aligned with the pair's packets."""
@@ -130,41 +126,45 @@ class DestinationBuffer:
         return len(self._queues.get(key, ()))
 
 
-def decide_action(table: rs.SinrTable, bank: BufferBank):
+_HOPS = (Hop.SOURCE_RELAY, Hop.RELAY_DEST)    # table columns
+
+
+def decide_action(table, candidates, bank: BufferBank):
     """Max-SINR selection with exclusion-based re-selection until a
     feasible entry is found.
 
-    Returns (entry_or_None, n_reselections); None means every entry was
+    table is the (pairs, 2) array of rs.build_sinr_table over
+    candidates.  Returns (pair_id, relays, hop, sinr, n_reselections);
+    hop is None (pair_id -1, relays (), sinr nan) when every entry was
     infeasible and the slot idles.
     """
-    excluded = set()
+    excluded = np.zeros(table.shape, dtype=bool)
     reselections = 0
-    while True:
-        entry = rs.select_best(table, excluded)
-        if entry is None:
-            return None, reselections
-        if entry.hop == Hop.RELAY_DEST and bank.can_transmit(entry.relays):
-            return entry, reselections
-        if entry.hop == Hop.SOURCE_RELAY and bank.can_receive(entry.relays):
-            return entry, reselections
-        excluded.add(entry.key)
+    while (best := rs.select_best(table, excluded)) is not None:
+        row, col = best
+        pair_id, relays = candidates[row]
+        feasible = bank.can_transmit if col else bank.can_receive
+        if feasible(relays):
+            return pair_id, relays, _HOPS[col], float(table[row, col]), reselections
+        excluded[row, col] = True
         reselections += 1
+    return -1, (), None, float("nan"), reselections
 
 
 @dataclass
 class SlotOutcome:
     slot: int
     action: str                 # "receive" | "transmit" | "idle"
-    pair_id: int = -1
-    relays: tuple = ()
-    hop: str = ""
-    sinr: float = float("nan")
-    occupancy_before: tuple = ()
-    occupancy_after: tuple = ()
-    reselections: int = 0
-    decoded_bits: int = 0
-    bit_errors: int = 0
-    note: str = ""
+    pair_id: int                # -1 when idle and on unbuffered transmissions
+    relays: tuple
+    hop: str                    # Hop value, "" when idle
+    sinr: float                 # nan when idle and unbuffered
+    occupancy_before: tuple
+    occupancy_after: tuple
+    reselections: int
+    decoded_bits: int
+    bit_errors: int
+    note: str
 
 
 TRACE_FIELDS = ("slot", "action", "pair_id", "relays", "hop", "sinr",
@@ -220,7 +220,9 @@ class SlotMachine:
                                            0x6E0])
         self.groups = nc.make_group_assignments(config, setup_rng)
         # the unbuffered baseline serves the fixed groups in every pair mode
-        if config.pair_mode == PairMode.FIXED_GROUPS or not config.buffers_enabled:
+        self._pairs_are_groups = (config.pair_mode == PairMode.FIXED_GROUPS
+                                  or not config.buffers_enabled)
+        if self._pairs_are_groups:
             short = [g for g, grp in enumerate(self.groups)
                      if len(grp.relays) < config.group_size]
             if short:
@@ -252,11 +254,11 @@ class SlotMachine:
 
     # -- per-slot physics -------------------------------------------------
 
-    def _group_for_entry(self, entry):
-        if self.config.pair_mode == PairMode.FIXED_GROUPS:
-            return entry.pair_id
+    def _next_group(self):
+        """Round robin over the groups: the unbuffered baseline's next
+        group, and the group a free-form pair serves."""
         g = self._rr_group
-        self._rr_group = (self._rr_group + 1) % self.config.num_groups
+        self._rr_group = (g + 1) % self.config.num_groups
         return g
 
     def _rd_rows(self, state, relays, group_id):
@@ -264,12 +266,6 @@ class SlotMachine:
         NCS code (equals state.h_eff_rd rows in fixed-group mode)."""
         code = self.codebook.ncs_codes[group_id]
         return state.h_rd[list(relays)][:, None] * code[None, :]
-
-    def _rd_filters(self, rows, sigma2):
-        if self.config.receiver == ReceiverKind.RAKE:
-            return rows.copy()
-        norms = np.sum(np.abs(rows) ** 2, axis=1)
-        return rows / (sigma2 + norms)[:, None]
 
     def _choose_encoder(self, state, users, relays, filters_sr):
         cfg = self.config
@@ -281,7 +277,7 @@ class SlotMachine:
             return nc.design_G_random(cfg.group_size, rng)
         sigma2 = cfg.noise_var
         rows = state.h_eff_rd[list(relays)]
-        filters = self._rd_filters(rows, sigma2)
+        filters = rx.rank_one_filters(rows, sigma2, cfg.receiver)
         if scheme == Scheme.ML:
             training = rx.hard_decision(rng.standard_normal((cfg.group_size,
                                                              cfg.ml_training_len)))
@@ -346,14 +342,14 @@ class SlotMachine:
             if np.vdot(combined, combined).real < 1e-30:
                 combined = self.codebook.ncs_codes[packet.group_id].astype(complex)
                 note = "degenerate combined channel"
-            w = self._rd_filters(combined[None, :], sigma2)
+            w = rx.rank_one_filters(combined[None, :], sigma2, cfg.receiver)
             soft = sm.sample_filter_outputs(w, rows, packet.ncs, sigma2,
                                             self.rng.noise)
             ncs_hat = rx.hard_decision(soft[0])
             decoded = np.stack([nc.xor_decode(ncs_hat, direct, k) for k in range(m)])
         else:
             # one sub-slot per relay stream, independent noise each
-            filters = self._rd_filters(rows, sigma2)
+            filters = rx.rank_one_filters(rows, sigma2, cfg.receiver)
             gains = rx.effective_gains(filters, rows)
             z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
                                          packet.ncs[:, None], sigma2,
@@ -380,89 +376,71 @@ class SlotMachine:
         self.packets_decoded += 1
         return errors, bits, note
 
-    # -- slot drivers ------------------------------------------------------
+    # -- slot driver -------------------------------------------------------
 
     def advance(self) -> SlotOutcome:
-        outcome = (self._advance_buffered() if self.config.buffers_enabled
-                   else self._advance_unbuffered())
+        """One slot: draw the channel, choose the action, execute it."""
+        cfg = self.config
+        sigma2 = cfg.noise_var
+        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
+                                self.rng.channel)
+        filters_sr = None
+        if cfg.buffers_enabled:
+            filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
+            filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
+            table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
+                                        self.candidates)
+            pair_id, relays, hop, sinr, reselections = decide_action(
+                table, self.candidates, self.bank)
+        else:
+            # every reception slot is followed by the pair's transmission
+            pair_id, relays, hop = -1, self._pending_pair, Hop.RELAY_DEST
+            if relays is None:
+                pair_id = self._next_group()
+                relays, hop = self.groups[pair_id].relays, Hop.SOURCE_RELAY
+            self._pending_pair = relays if hop == Hop.SOURCE_RELAY else None
+            sinr, reselections = float("nan"), 0
+
+        occ_before = self.bank.occupancies()
+        errors = bits = 0
+        note = ""
+        if hop is None:
+            action = "idle"
+            self.idle_slots += 1
+        elif hop == Hop.SOURCE_RELAY:
+            action = "receive"
+            group_id = pair_id if self._pairs_are_groups else self._next_group()
+            if filters_sr is None:          # unbuffered: no table was built
+                filters_sr = rx.source_relay_filter_bank(state, sigma2,
+                                                         cfg.receiver)
+            self._receive(state, relays, group_id, filters_sr)
+            self.receive_slots += 1
+        else:
+            action = "transmit"
+            errors, bits, note = self._transmit(state, relays)
+            self.transmit_slots += 1
+        outcome = SlotOutcome(slot=self.slot, action=action, pair_id=pair_id,
+                              relays=relays, hop="" if hop is None else hop.value,
+                              sinr=sinr, occupancy_before=occ_before,
+                              occupancy_after=self.bank.occupancies(),
+                              reselections=reselections, decoded_bits=bits,
+                              bit_errors=errors, note=note)
         self.slot += 1
         if self.collect_trace:
             self.trace.append(outcome)
         return outcome
 
-    def _advance_buffered(self):
-        cfg = self.config
-        sigma2 = cfg.noise_var
-        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
-                                self.rng.channel)
-        filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
-        filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
-        table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
-                                    self.candidates)
-        occ_before = self.bank.occupancies()
-        entry, reselections = decide_action(table, self.bank)
-        if entry is None:
-            self.idle_slots += 1
-            return SlotOutcome(slot=self.slot, action="idle",
-                               occupancy_before=occ_before,
-                               occupancy_after=occ_before,
-                               reselections=reselections)
-        if entry.hop == Hop.SOURCE_RELAY:
-            group_id = self._group_for_entry(entry)
-            self._receive(state, entry.relays, group_id, filters_sr)
-            self.receive_slots += 1
-            return SlotOutcome(slot=self.slot, action="receive",
-                               pair_id=entry.pair_id, relays=entry.relays,
-                               hop=entry.hop.value, sinr=entry.sinr,
-                               occupancy_before=occ_before,
-                               occupancy_after=self.bank.occupancies(),
-                               reselections=reselections)
-        errors, bits, note = self._transmit(state, entry.relays)
-        self.transmit_slots += 1
-        return SlotOutcome(slot=self.slot, action="transmit",
-                           pair_id=entry.pair_id, relays=entry.relays,
-                           hop=entry.hop.value, sinr=entry.sinr,
-                           occupancy_before=occ_before,
-                           occupancy_after=self.bank.occupancies(),
-                           reselections=reselections, decoded_bits=bits,
-                           bit_errors=errors, note=note)
-
-    def _advance_unbuffered(self):
-        cfg = self.config
-        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
-                                self.rng.channel)
-        occ_before = self.bank.occupancies()
-        if self._pending_pair is None:
-            group_id = self._rr_group
-            self._rr_group = (self._rr_group + 1) % cfg.num_groups
-            relays = self.groups[group_id].relays
-            filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var,
-                                                     cfg.receiver)
-            self._receive(state, relays, group_id, filters_sr)
-            self._pending_pair = relays
-            self.receive_slots += 1
-            return SlotOutcome(slot=self.slot, action="receive",
-                               pair_id=group_id, relays=relays,
-                               hop=Hop.SOURCE_RELAY.value,
-                               occupancy_before=occ_before,
-                               occupancy_after=self.bank.occupancies())
-        relays = self._pending_pair
-        self._pending_pair = None
-        errors, bits, note = self._transmit(state, relays)
-        self.transmit_slots += 1
-        return SlotOutcome(slot=self.slot, action="transmit",
-                           relays=relays, hop=Hop.RELAY_DEST.value,
-                           occupancy_before=occ_before,
-                           occupancy_after=self.bank.occupancies(),
-                           decoded_bits=bits, bit_errors=errors, note=note)
-
     def run_until(self, n_packets, max_slots=None):
-        """Advance slots until n_packets have been decoded (with a
-        generous slot cap so pathological configs cannot spin forever)."""
+        """Advance slots until n_packets have been decoded.  Raises
+        RuntimeError when the slot cap (default 16 n_packets + 64, so
+        pathological configs cannot spin forever) is reached first."""
         if max_slots is None:
             max_slots = 16 * n_packets + 64
         while self.packets_decoded < n_packets and self.slot < max_slots:
             self.advance()
+        if self.packets_decoded < n_packets:
+            raise RuntimeError(f"decoded {self.packets_decoded} of {n_packets} "
+                               f"requested packets in {self.slot} slots")
         if self.packets_decoded > self.packets_pushed:
             raise RuntimeError("decoded more packets than were pushed")
         return self

@@ -26,8 +26,11 @@ def parse_snr_spec(spec):
         while value <= stop + 1e-9:
             out.append(round(value, 10))
             value += step
-        return out
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    else:
+        out = [float(tok) for tok in spec.split(",") if tok.strip()]
+    if not out:
+        raise ValueError(f"SNR spec {spec!r} gives no SNR points")
+    return out
 
 
 def parse_schemes(spec):
@@ -114,6 +117,8 @@ def main(argv=None) -> int:
         snr_list = parse_snr_spec(args.snr)
         if args.bits < 1:
             raise ValueError("--bits must be >= 1")
+        if args.workers < 1:
+            raise ValueError("--workers must be >= 1")
     except (ValueError, OSError) as exc:
         print(f"plnc-sim: config error: {exc}", file=sys.stderr)
         return 1

@@ -215,47 +215,34 @@ def design_G_ml_for_channel(h_eff_pair, filters_pair, training_symbols,
 # closed-form MMSE design
 # ---------------------------------------------------------------------------
 
-def _second_order_stats(G, h_eff_pair, filters_pair, sigma2,
-                        symbol_variances=None, literal_cross_terms=False):
+def _second_order_stats(G, h_eff_pair, filters_pair, sigma2):
     """Model second-order statistics of (true NCS, filter outputs).
 
     With z_j = w_j^H (h_j b_j + n_j) and independent noise across the
     relay sub-slots:
         P_ab[k, j] = E[b_k conj(z_j)] = C[k, j] conj(mu_j)
         R_b[j, i]  = mu_j conj(mu_i) C[j, i] + delta_ji sigma2 ||w_j||^2
-    where C = G^T diag(user symbol variances) G is the NCS correlation
-    induced by the shared user symbols and mu_j = w_j^H h_j.
-
-    literal_cross_terms reproduces the squared-entry variant of the
-    cross-correlation sum for comparison runs.
+    where C = G^T G is the NCS correlation induced by the shared
+    unit-variance user symbols and mu_j = w_j^H h_j.
     """
     g = G.entries if isinstance(G, CodingMatrix) else np.asarray(G, dtype=np.float64)
-    m = g.shape[0]
-    sig = np.ones(m) if symbol_variances is None else np.asarray(symbol_variances, float)
     mu = np.sum(np.asarray(filters_pair).conj() * np.asarray(h_eff_pair), axis=1)
     wnorm2 = np.sum(np.abs(np.asarray(filters_pair)) ** 2, axis=1)
-    if literal_cross_terms:
-        col_weight = (g * g * sig[:, None]).sum(axis=0)
-        C = np.tile(col_weight[:, None], (1, m))
-    else:
-        C = g.T @ (sig[:, None] * g)
+    C = g.T @ g
     P_ab = C * mu.conj()[None, :]
     R_b = (mu[:, None] * mu.conj()[None, :]) * C + sigma2 * np.diag(wnorm2)
     return mu, C, P_ab, R_b
 
 
-def design_G_mmse(h_eff_pair, filters_pair, encoder, sigma2,
-                  symbol_variances=None, literal_cross_terms=False) -> CodingMatrix:
+def design_G_mmse(h_eff_pair, filters_pair, encoder, sigma2) -> CodingMatrix:
     """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
     estimate at the destination; used in place of plain inversion.
 
     Falls back to plain gain normalization (diag(1/mu)) with the
     fallback flag set if R_b is numerically singular.
     """
-    mu, _, P_ab, R_b = _second_order_stats(G=encoder, h_eff_pair=h_eff_pair,
-                                           filters_pair=filters_pair, sigma2=sigma2,
-                                           symbol_variances=symbol_variances,
-                                           literal_cross_terms=literal_cross_terms)
+    mu, _, P_ab, R_b = _second_order_stats(encoder, h_eff_pair, filters_pair,
+                                           sigma2)
     try:
         if np.linalg.cond(R_b) > 1e12:
             raise np.linalg.LinAlgError("ill conditioned")
@@ -266,27 +253,6 @@ def design_G_mmse(h_eff_pair, filters_pair, encoder, sigma2,
         fallback = True
     return CodingMatrix(entries=entries, design=Scheme.MMSE_DESIGN,
                         role=Role.DECODER, fallback=fallback)
-
-
-def predicted_user_mse(encoder, h_eff_pair, filters_pair, sigma2,
-                       symbol_variances=None):
-    """Closed-form end-to-end MSE on the user symbols for one encoder
-    candidate when its MMSE refinement is followed by the system solve.
-
-    With x = T Gt z, T = (G^T)^-1, Gt = P_ab R_b^-1:
-        E||b - x||^2 = m - 2 Re tr(T Gt D G^T) + tr(T Gt R_b Gt^H T^H)
-    where D = diag(mu).
-    """
-    g = encoder.entries if isinstance(encoder, CodingMatrix) else np.asarray(encoder, float)
-    m = g.shape[0]
-    mu, _, P_ab, R_b = _second_order_stats(g, h_eff_pair, filters_pair, sigma2,
-                                           symbol_variances)
-    Gt = np.linalg.solve(R_b.conj().T, P_ab.conj().T).conj().T
-    T = np.linalg.inv(g.T)
-    TG = T @ Gt
-    cross = np.trace(TG @ (mu[:, None] * g.T)).real
-    quad = np.trace(TG @ R_b @ TG.conj().T).real
-    return float(m - 2.0 * cross + quad)
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +270,7 @@ def _data_patterns(m):
 
 
 def predicted_chain_error(encoder, h_eff_pair, filters_pair, sigma2,
-                          flip_probs=None, symbol_variances=None):
+                          flip_probs=None):
     """Closed-form error probability of the full decode chain for one
     encoder candidate.
 
@@ -319,8 +285,7 @@ def predicted_chain_error(encoder, h_eff_pair, filters_pair, sigma2,
     p = np.zeros((m, m)) if flip_probs is None else np.asarray(flip_probs, float)
     mu = np.sum(np.asarray(filters_pair).conj() * np.asarray(h_eff_pair), axis=1)
     noise_var = sigma2 * np.sum(np.abs(np.asarray(filters_pair)) ** 2, axis=1)
-    decoder = design_G_mmse(h_eff_pair, filters_pair, g, sigma2,
-                            symbol_variances=symbol_variances)
+    decoder = design_G_mmse(h_eff_pair, filters_pair, g, sigma2)
     A = np.linalg.inv(g.T).astype(np.complex128) @ decoder.entries
     per_user_noise = (np.abs(A) ** 2 @ noise_var).real
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
@@ -336,16 +301,14 @@ def predicted_chain_error(encoder, h_eff_pair, filters_pair, sigma2,
     return float(np.einsum("n,nup->", weights, err) / (m * B.shape[1]))
 
 
-def select_G_mmse(h_eff_pair, filters_pair, sigma2, symbol_variances=None,
-                  flip_probs=None):
+def select_G_mmse(h_eff_pair, filters_pair, sigma2, flip_probs=None):
     """Pick the binary encoder minimizing the predicted end-to-end error
     of the refined decode chain; ties break to the lowest candidate
     index."""
     m = np.asarray(h_eff_pair).shape[0]
     candidates = enumerate_invertible_binary(m)
     scores = np.array([predicted_chain_error(cand, h_eff_pair, filters_pair,
-                                             sigma2, flip_probs,
-                                             symbol_variances)
+                                             sigma2, flip_probs)
                        for cand in candidates])
     best = argmin_with_ties(scores)
     G = CodingMatrix(entries=candidates[best].copy(), design=Scheme.MMSE_DESIGN,

@@ -1,60 +1,9 @@
-"""RAKE and linear MMSE receive filters plus the BPSK slicer."""
-
-from dataclasses import dataclass
+"""RAKE and linear MMSE receive filter banks plus the BPSK slicer."""
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .config import ReceiverKind
-
-
-@dataclass
-class ReceiveFilter:
-    weights: np.ndarray          # (N,) complex
-    kind: ReceiverKind
-    target: tuple = ()           # link identity, e.g. ("sr", user, relay)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("filter weights must be finite")
-
-
-def rake_filter(h_eff, target=()) -> ReceiveFilter:
-    """Matched filter: weights equal the effective signature vector."""
-    h = np.asarray(h_eff, dtype=np.complex128)
-    if not np.any(h):
-        raise ValueError("degenerate channel: effective vector is zero")
-    return ReceiveFilter(weights=h.copy(), kind=ReceiverKind.RAKE, target=target)
-
-
-def mmse_filter(all_h_eff, target_index, sigma2, target=()) -> ReceiveFilter:
-    """Linear MMSE filter (sum_k h_k h_k^H + sigma2 I)^-1 h_target.
-
-    all_h_eff holds the effective vectors of every stream present on
-    this hop, one per row.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    H = np.atleast_2d(np.asarray(all_h_eff, dtype=np.complex128))
-    n = H.shape[1]
-    cov = H.T @ H.conj() + sigma2 * np.eye(n)
-    cov = 0.5 * (cov + cov.conj().T)
-    try:
-        factor = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("hop covariance is not positive definite") from exc
-    w = cho_solve(factor, H[target_index])
-    return ReceiveFilter(weights=w, kind=ReceiverKind.MMSE, target=target)
-
-
-def filter_output(filt, received):
-    """Inner product w^H y; y may be a single (N,) symbol or an (N, P)
-    packet, giving a scalar or a length-P vector."""
-    w = filt.weights if isinstance(filt, ReceiveFilter) else np.asarray(filt)
-    y = received.samples if hasattr(received, "samples") else np.asarray(received)
-    if w.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: filter {w.shape[0]}, signal {y.shape[0]}")
-    return np.tensordot(w.conj(), y, axes=(0, 0))
 
 
 def hard_decision(soft):
@@ -70,6 +19,8 @@ def _mmse_bank(H, sigma2):
     H is (S, N): one effective vector per stream sharing the hop.
     Returns (S, N) filters.
     """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be > 0")
     n = H.shape[1]
     cov = H.T @ H.conj() + sigma2 * np.eye(n)
     cov = 0.5 * (cov + cov.conj().T)
@@ -99,25 +50,29 @@ def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):
     return _mmse_bank(state.h_eff_sd, sigma2)
 
 
-def relay_dest_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Second-hop filters, one per relay NCS stream, (L, N).
+def rank_one_filters(rows, sigma2, kind: ReceiverKind):
+    """Filters for streams that each occupy an observation alone, one
+    per row of rows (S, N).
 
-    The protocol schedules one relay stream per sub-slot, so each MMSE
-    covariance contains that stream plus noise only.
+    The second hop schedules one relay stream per sub-slot (or the XOR
+    pair's combined stream), so each MMSE covariance holds that stream
+    plus noise only: (h h^H + s I)^-1 h = h / (s + ||h||^2).
     """
-    L, N = state.h_eff_rd.shape
+    norms = np.sum(np.abs(rows) ** 2, axis=-1)
+    if not np.all(norms > 0):
+        raise ValueError("degenerate channel: effective vector is zero")
     if kind == ReceiverKind.RAKE:
-        return state.h_eff_rd.copy()
-    W = np.empty((L, N), dtype=np.complex128)
-    for l in range(L):
-        h = state.h_eff_rd[l]
-        # rank-one covariance: (h h^H + s I)^-1 h = h / (s + ||h||^2)
-        W[l] = h / (sigma2 + np.vdot(h, h).real)
-    return W
+        return rows.copy()
+    return rows / (sigma2 + norms)[..., None]
+
+
+def relay_dest_filter_bank(state, sigma2, kind: ReceiverKind):
+    """Second-hop filters, one per relay NCS stream, (L, N)."""
+    return rank_one_filters(state.h_eff_rd, sigma2, kind)
 
 
 def effective_gains(filters, h_eff):
-    """w^H h for matching rows of two (S, N) arrays -> (S,) complex."""
+    """w^H h for matching rows of two (..., N) arrays -> (...,) complex."""
     return np.sum(filters.conj() * h_eff, axis=-1)
 
 

@@ -1,32 +1,9 @@
 """Per-pair SINR metrics for both hops and max-SINR pair selection."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .config import Hop, PairMode
-
-
-@dataclass(frozen=True)
-class SinrEntry:
-    pair_id: int
-    relays: tuple
-    hop: Hop
-    sinr: float
-
-    @property
-    def key(self):
-        return (self.pair_id, self.hop)
-
-
-@dataclass
-class SinrTable:
-    entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for e in self.entries:
-            if not (np.isfinite(e.sinr) and e.sinr >= 0.0):
-                raise ValueError(f"SINR must be finite and >= 0, got {e.sinr}")
+from . import receivers as rx
+from .config import PairMode
 
 
 def candidate_pairs(groups, num_relays, mode: PairMode):
@@ -43,68 +20,44 @@ def candidate_pairs(groups, num_relays, mode: PairMode):
     return pairs
 
 
-def _link_terms(filters, h_eff):
-    """|w^H h|^2 and ||w||^2 for matching leading indices."""
-    sig = np.abs(np.sum(np.conj(filters) * h_eff, axis=-1)) ** 2
-    wn = np.sum(np.abs(filters) ** 2, axis=-1)
-    return sig, wn
-
-
-def sinr_source_relay(pair_relays, state, filters_sr, sigma2):
-    """First-hop metric for one relay pair.
-
-    Numerator: desired-link output powers |w^H h|^2 summed over every
-    user at the pair's relays.  Denominator: the same quantity at all
-    non-selected relays plus the noise enhancement sigma2 ||w||^2 of
-    each selected filter, summed over users.
-    """
-    sig, wn = _link_terms(filters_sr, state.h_eff_sr)   # both (K, L)
-    sel = list(pair_relays)
-    others = [j for j in range(sig.shape[1]) if j not in pair_relays]
-    num = sig[:, sel].sum()
-    den = sig[:, others].sum() + sigma2 * wn[:, sel].sum()
-    return float(num / den)
-
-
-def sinr_relay_destination(pair_relays, state, filters_rd, sigma2):
-    """Second-hop mirror of sinr_source_relay on the relay NCS streams.
-
-    There is one filter per relay stream; a per-user sum would scale
-    numerator and denominator alike, so it is dropped.
-    """
-    sig, wn = _link_terms(filters_rd, state.h_eff_rd)   # both (L,)
-    sel = list(pair_relays)
-    others = [j for j in range(sig.shape[0]) if j not in pair_relays]
-    num = sig[sel].sum()
-    den = sig[others].sum() + sigma2 * wn[sel].sum()
-    return float(num / den)
-
-
 def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
-    """One entry per (candidate pair, hop)."""
-    entries = []
-    for pid, relays in candidates:
-        entries.append(SinrEntry(pid, relays, Hop.SOURCE_RELAY,
-                                 sinr_source_relay(relays, state, filters_sr, sigma2)))
-        entries.append(SinrEntry(pid, relays, Hop.RELAY_DEST,
-                                 sinr_relay_destination(relays, state, filters_rd, sigma2)))
-    return SinrTable(entries=entries)
+    """SINR metric of every (candidate pair, hop) as a (pairs, 2) array:
+    row i for candidates[i], column 0 source-relay, column 1
+    relay-destination.
 
-
-_HOP_ORDER = {Hop.SOURCE_RELAY: 0, Hop.RELAY_DEST: 1}
-
-
-def select_best(table: SinrTable, excluded=frozenset()):
-    """Highest-SINR entry over both hops, skipping the excluded set.
-
-    Ties break to the lowest pair index, then source-relay before
-    relay-destination.  Returns None when everything is excluded.
+    First hop: the numerator sums the desired-link output powers
+    |w^H h|^2 over every user at the pair's relays; the denominator sums
+    the same quantity at all non-selected relays plus the noise
+    enhancement sigma2 ||w||^2 of each selected filter.  The second hop
+    mirrors this on the relay NCS streams, one filter per stream (a
+    per-user sum would scale numerator and denominator alike, so it is
+    dropped).
     """
-    best = None
-    ordered = sorted(table.entries, key=lambda e: (e.pair_id, _HOP_ORDER[e.hop]))
-    for entry in ordered:
-        if entry.key in excluded:
-            continue
-        if best is None or entry.sinr > best.sinr:
-            best = entry
-    return best
+    # per-relay sums, (L, 2): column 0 over the K users, column 1 the stream
+    power = np.stack([
+        (np.abs(rx.effective_gains(filters_sr, state.h_eff_sr)) ** 2).sum(axis=0),
+        np.abs(rx.effective_gains(filters_rd, state.h_eff_rd)) ** 2], axis=1)
+    wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=0),
+                      np.sum(np.abs(filters_rd) ** 2, axis=-1)], axis=1)
+    member = np.zeros((len(candidates), power.shape[0]))
+    for row, (_, relays) in enumerate(candidates):
+        member[row, list(relays)] = 1.0
+    # sums over selected / other relays by 0-1 weights: no cancellation
+    return member @ power / ((1.0 - member) @ power + sigma2 * (member @ wnorm))
+
+
+def select_best(table, excluded=None):
+    """(row, column) of the highest-SINR entry of a build_sinr_table
+    array, skipping entries where the boolean mask excluded is True.
+
+    The row-major argmax breaks ties to the lowest pair, then
+    source-relay before relay-destination.  Returns None when every
+    entry is excluded.
+    """
+    if not np.all(np.isfinite(table) & (table >= 0.0)):
+        raise ValueError("SINR must be finite and >= 0")
+    if excluded is not None:
+        if excluded.all():
+            return None
+        table = np.where(excluded, -np.inf, table)
+    return divmod(int(np.argmax(table)), table.shape[1])

@@ -36,14 +36,11 @@ class CodeBook:
 @dataclass
 class ChannelState:
     """One coherence block: scalar link gains plus the derived effective
-    signature vectors (amplitude * code * coefficient)."""
+    signature vectors (code * coefficient; every amplitude is 1)."""
 
     h_sd: np.ndarray        # (K,) complex
     h_sr: np.ndarray        # (K, L) complex
     h_rd: np.ndarray        # (L,) complex
-    a_sd: np.ndarray        # (K,) real, all ones under equal power
-    a_sr: np.ndarray        # (K, L) real
-    a_rd: np.ndarray        # (L,) real
     h_eff_sd: np.ndarray    # (K, N) complex
     h_eff_sr: np.ndarray    # (K, L, N) complex
     h_eff_rd: np.ndarray    # (L, N) complex, built with each relay's group code
@@ -94,17 +91,13 @@ def draw_channel(config: SystemConfig, codebook: CodeBook,
     h_sd = complex_gaussian(rng, K)
     h_sr = complex_gaussian(rng, (K, L))
     h_rd = complex_gaussian(rng, L)
-    a_sd = np.ones(K)
-    a_sr = np.ones((K, L))
-    a_rd = np.ones(L)
 
-    h_eff_sd = (a_sd * h_sd)[:, None] * codebook.codes
-    h_eff_sr = (a_sr * h_sr)[:, :, None] * codebook.codes[:, None, :]
+    h_eff_sd = h_sd[:, None] * codebook.codes
+    h_eff_sr = h_sr[:, :, None] * codebook.codes[:, None, :]
     rd_codes = codebook.ncs_codes[np.asarray(relay_group_ids, dtype=int)]
-    h_eff_rd = (a_rd * h_rd)[:, None] * rd_codes
-    return ChannelState(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd,
-                        a_sd=a_sd, a_sr=a_sr, a_rd=a_rd,
-                        h_eff_sd=h_eff_sd, h_eff_sr=h_eff_sr, h_eff_rd=h_eff_rd)
+    h_eff_rd = h_rd[:, None] * rd_codes
+    return ChannelState(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd, h_eff_sd=h_eff_sd,
+                        h_eff_sr=h_eff_sr, h_eff_rd=h_eff_rd)
 
 
 def _check_bpsk(symbols):

@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from plnc_sim import (BufferBank, DecoderKind, Hop, ReceiverKind, Scheme,
-                      SinrEntry, SinrTable, SystemConfig, can_receive,
-                      can_transmit, decide_action, design_G_mmse,
-                      design_G_random, decode_joint, decode_with_direct,
-                      detect_ncs, draw_channel, emit_report,
+                      SystemConfig, build_sinr_table, decide_action,
+                      design_G_mmse, design_G_random, decode_joint,
+                      decode_with_direct, detect_ncs, draw_channel,
                       enumerate_invertible_binary, generate_codebook,
-                      run_sweep, run_trial, sinr_relay_destination,
-                      sinr_source_relay)
+                      run_sweep, run_trial)
 from plnc_sim.cli import main
 from plnc_sim.network_coding import (argmin_with_ties, design_G_ml,
                                      ml_calibration_outputs)
@@ -271,9 +269,9 @@ class TestCriterion8SinrOracle:
             Wsr = source_relay_filter_bank(state, sigma2, kind)
             Wrd = relay_dest_filter_bank(state, sigma2, kind)
             pair = (0, 1)
-            an_sr = sinr_source_relay(pair, state, Wsr, sigma2)
+            an_sr, an_rd = build_sinr_table(state, Wsr, Wrd, sigma2,
+                                            [(0, pair)])[0]
             em_sr = self.empirical_sr(pair, state, Wsr, sigma2, rng, T)
-            an_rd = sinr_relay_destination(pair, state, Wrd, sigma2)
             em_rd = self.empirical_rd(pair, state, Wrd, sigma2, rng, T)
             worst = max(worst, abs(an_sr - em_sr) / em_sr,
                         abs(an_rd - em_rd) / em_rd)
@@ -295,27 +293,26 @@ class TestCriterion9BufferFuzz:
         serial = 0
         violations = []
         for slot in range(100_000):
-            entries = [SinrEntry(pid, pairs[pid], hop, float(rng.random()))
-                       for pid in pairs
-                       for hop in (Hop.SOURCE_RELAY, Hop.RELAY_DEST)]
+            table = rng.random((3, 2))
             for pid, relays in pairs.items():
                 if all(bank.buffers[r].occupancy == 0 for r in relays):
-                    if not can_receive(bank, relays):
+                    if not bank.can_receive(relays):
                         violations.append((slot, pid, "empty not receivable"))
                 if all(bank.buffers[r].occupancy == J for r in relays):
-                    if not can_transmit(bank, relays):
+                    if not bank.can_transmit(relays):
                         violations.append((slot, pid, "full not transmittable"))
-            entry, _ = decide_action(SinrTable(entries), bank)
+            pair_id, relays, hop, _, _ = decide_action(table, list(pairs.items()),
+                                                       bank)
             before = bank.occupancies()
-            if entry is None:
+            if hop is None:
                 violations.append((slot, "idle with symmetric pairs"))
                 continue
-            if entry.hop == Hop.SOURCE_RELAY:
-                bank.push_pair(entry.relays, serial)
-                pushed[entry.pair_id].append(serial)
+            if hop == Hop.SOURCE_RELAY:
+                bank.push_pair(relays, serial)
+                pushed[pair_id].append(serial)
                 serial += 1
             else:
-                popped[entry.pair_id].append(bank.pop_pair(entry.relays))
+                popped[pair_id].append(bank.pop_pair(relays))
             after = bank.occupancies()
             if not all(0 <= o <= J for o in after):
                 violations.append((slot, "occupancy bound"))

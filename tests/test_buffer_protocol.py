@@ -1,12 +1,17 @@
 """Buffer bank feasibility rules and the slot state machine."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plnc_sim import (BufferBank, DecoderKind, DestinationBuffer, Hop, Scheme,
-                      SinrEntry, SinrTable, SlotMachine, SystemConfig,
-                      can_receive, can_transmit, decide_action)
+                      SlotMachine, SystemConfig, decide_action)
 from plnc_sim.buffer_protocol import TRACE_FIELDS, trace_row
+
+SR, RD = 0, 1                         # SINR table columns
 
 
 def push(bank, relays, tag):
@@ -16,27 +21,27 @@ def push(bank, relays, tag):
 class TestFeasibilityChecks:
     def test_can_transmit_cases(self):
         bank = BufferBank(2, capacity=4)
-        assert not can_transmit(bank, (0, 1))          # (0, 0)
+        assert not bank.can_transmit((0, 1))          # (0, 0)
         push(bank, (0, 1), "a")
-        assert can_transmit(bank, (0, 1))              # (1, 1)
+        assert bank.can_transmit((0, 1))              # (1, 1)
         bank.buffers[0].push("solo")
         bank.buffers[0].push("solo2")
         bank.buffers[0].push("solo3")
         assert bank.occupancies() == (4, 1)
         bank.pop_pair((0, 1))
         assert bank.occupancies() == (3, 0)
-        assert not can_transmit(bank, (0, 1))          # (3, 0): one empty
+        assert not bank.can_transmit((0, 1))          # (3, 0): one empty
 
     def test_can_receive_cases(self):
         bank = BufferBank(2, capacity=4)
-        assert can_receive(bank, (0, 1))               # (0, 0), J = 4
+        assert bank.can_receive((0, 1))               # (0, 0), J = 4
         for tag in "abc":
             push(bank, (0, 1), tag)
-        assert can_receive(bank, (0, 1))               # (3, 3)
+        assert bank.can_receive((0, 1))               # (3, 3)
         push(bank, (0, 1), "d")
-        assert not can_receive(bank, (0, 1))           # (4, 4)
+        assert not bank.can_receive((0, 1))           # (4, 4)
         tiny = BufferBank(2, capacity=1)
-        assert can_receive(tiny, (0, 1))               # J = 1, empty
+        assert tiny.can_receive((0, 1))               # J = 1, empty
 
     def test_fifo_order(self):
         bank = BufferBank(2, capacity=3)
@@ -60,8 +65,16 @@ class TestFeasibilityChecks:
         bank = BufferBank(3, capacity=2)
         push(bank, (0, 1), "ab")
         push(bank, (1, 2), "bc")
-        assert can_transmit(bank, (0, 1))
-        assert not can_transmit(bank, (1, 2))   # relay 1's head belongs to (0,1)
+        assert bank.can_transmit((0, 1))
+        assert not bank.can_transmit((1, 2))   # relay 1's head belongs to (0,1)
+
+    def test_empty_relay_tuple_rejected(self):
+        bank = BufferBank(2, capacity=2)
+        for call in (bank.can_receive, bank.can_transmit, bank.pop_pair,
+                     lambda relays: bank.push_pair(relays, "a")):
+            with pytest.raises(ValueError, match="empty relay tuple"):
+                call(())
+        assert bank.occupancies() == (0, 0)
 
     def test_destination_buffer_fifo(self):
         dest = DestinationBuffer()
@@ -72,58 +85,134 @@ class TestFeasibilityChecks:
         assert dest.pop((0, 1)) == "y"
 
 
-def table_for(sinrs):
-    """sinrs: {(pair_id, hop): value} over pairs (0,1) and (2,3)."""
-    relays = {0: (0, 1), 1: (2, 3)}
-    entries = [SinrEntry(pid, relays[pid], hop, val)
-               for (pid, hop), val in sinrs.items()]
-    return SinrTable(entries)
+PAIRS = [(0, (0, 1)), (1, (2, 3))]
+
+
+def table_for(sinrs, n_pairs=2):
+    """sinrs: {(pair_id, column): value} over pairs (0,1) and (2,3);
+    entries not given are 0.  Returns (table, candidates)."""
+    table = np.zeros((n_pairs, 2))
+    for key, value in sinrs.items():
+        table[key] = value
+    return table, PAIRS[:n_pairs]
 
 
 class TestDecideAction:
     def test_empty_buffers_force_reception(self):
         # best entry is second hop but nothing is buffered
         bank = BufferBank(4, capacity=2)
-        table = table_for({(0, Hop.RELAY_DEST): 9.0,
-                           (0, Hop.SOURCE_RELAY): 1.0,
-                           (1, Hop.SOURCE_RELAY): 2.0})
-        entry, reselections = decide_action(table, bank)
-        assert entry.hop == Hop.SOURCE_RELAY and entry.pair_id == 1
+        table, pairs = table_for({(0, RD): 9.0, (0, SR): 1.0, (1, SR): 2.0})
+        pair_id, relays, hop, sinr, reselections = decide_action(table, pairs, bank)
+        assert hop == Hop.SOURCE_RELAY and pair_id == 1
+        assert relays == (2, 3) and sinr == 2.0
         assert reselections == 1
 
     def test_full_buffers_force_transmission(self):
         bank = BufferBank(4, capacity=1)
         push(bank, (0, 1), "a")
         push(bank, (2, 3), "b")
-        table = table_for({(0, Hop.SOURCE_RELAY): 9.0,
-                           (1, Hop.SOURCE_RELAY): 8.0,
-                           (1, Hop.RELAY_DEST): 0.5})
-        entry, reselections = decide_action(table, bank)
-        assert entry.hop == Hop.RELAY_DEST and entry.pair_id == 1
+        table, pairs = table_for({(0, SR): 9.0, (1, SR): 8.0, (1, RD): 0.5})
+        pair_id, _, hop, sinr, reselections = decide_action(table, pairs, bank)
+        assert hop == Hop.RELAY_DEST and pair_id == 1 and sinr == 0.5
         assert reselections == 2
 
     def test_exhaustion_idles(self):
-        bank = BufferBank(4, capacity=1)
+        # relay 1 holds a packet of pair (0, 1) and is full: pair (1, 2)
+        # can neither receive nor transmit
+        bank = BufferBank(3, capacity=1)
         push(bank, (0, 1), "a")
-        table = table_for({(0, Hop.SOURCE_RELAY): 3.0})   # full, cannot receive
-        entry, reselections = decide_action(table, bank)
-        assert entry is None and reselections == 1
+        decision = decide_action(np.array([[3.0, 1.0]]), [(0, (1, 2))], bank)
+        pair_id, relays, hop, sinr, reselections = decision
+        assert hop is None and pair_id == -1 and relays == ()
+        assert np.isnan(sinr)
+        assert reselections == 2
 
     def test_alternation_under_j1(self):
         # scripted SINR sequence always prefers reception; J = 1 forces
         # receive/transmit alternation
         bank = BufferBank(2, capacity=1)
-        table = table_for({(0, Hop.SOURCE_RELAY): 5.0,
-                           (0, Hop.RELAY_DEST): 1.0})
+        table, pairs = table_for({(0, SR): 5.0, (0, RD): 1.0}, n_pairs=1)
         actions = []
         for _ in range(6):
-            entry, _ = decide_action(table, bank)
-            actions.append(entry.hop)
-            if entry.hop == Hop.SOURCE_RELAY:
+            _, _, hop, _, _ = decide_action(table, pairs, bank)
+            actions.append(hop)
+            if hop == Hop.SOURCE_RELAY:
                 push(bank, (0, 1), "p")
             else:
                 bank.pop_pair((0, 1))
         assert actions == [Hop.SOURCE_RELAY, Hop.RELAY_DEST] * 3
+
+
+def reference_decision(table, candidates, bank):
+    """Brute force: order every entry by (-SINR, pair, hop) and take the
+    first one whose buffers allow it, feasibility read off the buffers."""
+    def feasible(relays, col):
+        buffers = [bank.buffers[r] for r in relays]
+        if col == SR:
+            return all(b.occupancy < b.capacity for b in buffers)
+        heads = [b.peek() for b in buffers]
+        return heads[0] is not None and all(h is heads[0] for h in heads)
+
+    order = sorted((-table[row, col], pid, col, relays)
+                   for row, (pid, relays) in enumerate(candidates)
+                   for col in (SR, RD))
+    for rank, (neg_sinr, pid, col, relays) in enumerate(order):
+        if feasible(relays, col):
+            return pid, relays, (Hop.SOURCE_RELAY, Hop.RELAY_DEST)[col], -neg_sinr, rank
+    return None, len(order)
+
+
+@st.composite
+def selection_cases(draw):
+    """A small relay set with every relay pair as a candidate, a bank
+    state reached by random feasible pair pushes and pops, and a table
+    whose values come from a short list so ties are common."""
+    num_relays = draw(st.integers(2, 4))
+    bank = BufferBank(num_relays, capacity=draw(st.integers(1, 2)))
+    candidates = list(enumerate(combinations(range(num_relays), 2)))
+    ops = draw(st.lists(st.tuples(st.integers(0, len(candidates) - 1),
+                                  st.booleans()), max_size=12))
+    for row, is_push in ops:
+        relays = candidates[row][1]
+        if is_push and bank.can_receive(relays):
+            bank.push_pair(relays, object())
+        elif not is_push and bank.can_transmit(relays):
+            bank.pop_pair(relays)
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
+    table = np.array(draw(st.lists(values, min_size=2 * len(candidates),
+                                   max_size=2 * len(candidates)))
+                     ).reshape(len(candidates), 2)
+    return table, candidates, bank
+
+
+class TestSelectionProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(selection_cases())
+    def test_decide_action_matches_brute_force(self, case):
+        table, candidates, bank = case
+        before = bank.occupancies()
+        pair_id, relays, hop, sinr, reselections = decide_action(table, candidates,
+                                                                 bank)
+        expected = reference_decision(table, candidates, bank)
+        if expected[0] is None:
+            assert (pair_id, relays, hop) == (-1, (), None) and np.isnan(sinr)
+            assert reselections == expected[1]
+        else:
+            assert (pair_id, relays, hop, sinr, reselections) == expected
+        assert bank.occupancies() == before       # deciding changes nothing
+
+    def test_all_infeasible_table_idles(self):
+        # overlapping pairs at J = 1: (0, 1) holds a packet, (1, 2) and
+        # (0, 2) can neither receive nor transmit
+        bank = BufferBank(3, capacity=1)
+        bank.push_pair((0, 1), object())
+        candidates = [(0, (0, 2)), (1, (1, 2))]
+        table = np.ones((2, 2))
+        assert reference_decision(table, candidates, bank) == (None, 4)
+        pair_id, relays, hop, sinr, reselections = decide_action(table, candidates,
+                                                                 bank)
+        assert (pair_id, relays, hop, reselections) == (-1, (), None, 4)
+        assert np.isnan(sinr)
 
 
 class TestStateMachineFuzz:
@@ -138,22 +227,20 @@ class TestStateMachineFuzz:
         popped = {0: [], 1: []}
         serial = 0
         for slot in range(10_000):
-            entries = [SinrEntry(pid, pairs[pid], hop, float(rng.random()))
-                       for pid in pairs
-                       for hop in (Hop.SOURCE_RELAY, Hop.RELAY_DEST)]
-            entry, _ = decide_action(SinrTable(entries), bank)
+            pair_id, relays, hop, _, _ = decide_action(rng.random((2, 2)),
+                                                       list(pairs.items()), bank)
             occ_before = bank.occupancies()
-            if entry is None:
+            if hop is None:
                 # per-pair blocking is impossible here: empty implies
                 # receivable and full implies transmittable
                 raise AssertionError("idle cannot occur with uniform pairs")
-            if entry.hop == Hop.SOURCE_RELAY:
-                bank.push_pair(entry.relays, serial)
-                pushed[entry.pair_id].append(serial)
+            if hop == Hop.SOURCE_RELAY:
+                bank.push_pair(relays, serial)
+                pushed[pair_id].append(serial)
                 serial += 1
             else:
-                packet = bank.pop_pair(entry.relays)
-                popped[entry.pair_id].append(packet)
+                packet = bank.pop_pair(relays)
+                popped[pair_id].append(packet)
             occ = bank.occupancies()
             assert all(0 <= o <= J for o in occ)
             assert sum(abs(a - b) for a, b in zip(occ, occ_before)) == 2
@@ -164,10 +251,10 @@ class TestStateMachineFuzz:
     def test_deadlock_freedom_edges(self):
         bank = BufferBank(2, capacity=1)
         # all empty: reception must be eligible
-        assert can_receive(bank, (0, 1))
+        assert bank.can_receive((0, 1))
         push(bank, (0, 1), "x")
         # all full: transmission must be eligible
-        assert can_transmit(bank, (0, 1))
+        assert bank.can_transmit((0, 1))
 
 
 def machine(**kw):
@@ -236,6 +323,12 @@ class TestSlotMachine:
         # free-form pairs serve the groups round robin on any relay pair
         m = machine(num_users=4, num_relays=2, pair_mode=PairMode.ALL_PAIRS)
         assert m.run_until(n_packets=4).packets_decoded == 4
+
+    def test_run_until_slot_cap_raises(self):
+        # 3 slots cannot decode 3 packets: the shortfall must not pass silently
+        with pytest.raises(RuntimeError,
+                           match=r"decoded \d of 3 requested packets in 3 slots"):
+            machine().run_until(n_packets=3, max_slots=3)
 
     def test_trace_rows_match_header(self):
         m = machine().run_until(n_packets=5)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from plnc_sim import (DecoderKind, RunReport, Scheme, SystemConfig,
+from plnc_sim import (DecoderKind, PairMode, RunReport, Scheme, SystemConfig,
                       emit_report, parse_report, run_sweep, run_trial,
                       scheme_label, write_trace)
 from plnc_sim.buffer_protocol import TRACE_FIELDS
@@ -112,6 +112,49 @@ class TestRunSweep:
                 == (pb.scheme_label, pb.snr_db, pb.bits_total, pb.bit_errors)
 
 
+# (bits, errors, slots, idle slots) per variant of a fixed-seed sweep.
+# Pinned values: a refactor that changes the simulated stream of a fixed
+# seed fails here; change them only together with an intended RNG change.
+GOLDEN = {
+    PairMode.FIXED_GROUPS: {
+        "xor-buffered-mmse": (200, 46, 21, 0),
+        "xor-unbuffered-mmse": (200, 38, 20, 0),
+        "random-buffered-mmse": (200, 14, 21, 0),
+        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "ml-buffered-mmse": (200, 18, 21, 0),
+        "ml-unbuffered-mmse": (200, 30, 20, 0),
+        "mmse-buffered-mmse": (200, 10, 21, 0),
+        "mmse-unbuffered-mmse": (200, 11, 20, 0),
+    },
+    PairMode.ALL_PAIRS: {
+        "xor-buffered-mmse": (200, 34, 22, 0),
+        "xor-unbuffered-mmse": (200, 38, 20, 0),
+        "random-buffered-mmse": (200, 25, 22, 0),
+        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "ml-buffered-mmse": (200, 7, 22, 0),
+        "ml-unbuffered-mmse": (200, 30, 20, 0),
+        "mmse-buffered-mmse": (200, 6, 22, 0),
+        "mmse-unbuffered-mmse": (200, 11, 20, 0),
+    },
+}
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("pair_mode", list(PairMode))
+    def test_fixed_seed_counts_pinned(self, pair_mode):
+        cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=8,
+                           buffer_size=1, group_size=2, packet_length=10,
+                           pair_mode=pair_mode, rng_seed=2025)
+        report = run_sweep(cfg, [8.0], 10, schemes=list(Scheme),
+                           buffer_modes=[True, False])
+        got = {}
+        for p in report.points:
+            s = report.slot_summary[f"{p.scheme_label}@{p.snr_db:g}dB"]
+            idle = s["slots"] - s["receive_slots"] - s["transmit_slots"]
+            got[p.scheme_label] = (p.bits_total, p.bit_errors, s["slots"], idle)
+        assert got == GOLDEN[pair_mode]
+
+
 class TestReportIo:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()
@@ -215,6 +258,16 @@ class TestCli:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--snr", "14:2:0"], ["--snr", ","],
+                                      ["--workers", "0"], ["--workers", "-2"]])
+    def test_bad_snr_or_workers_exit_code(self, tmp_path, capsys, args):
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--bits", "100", "--schemes", "random",
+                     "--out", str(out)] + args)
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scheme_exit_code(self, tmp_path):
         assert main(["sweep", "--schemes", "nope",

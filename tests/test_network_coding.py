@@ -244,15 +244,6 @@ class TestMmseDesign:
         mse_plain = np.mean(np.abs(a - z / gains[:, None]) ** 2)
         assert mse_mmse <= mse_plain + 1e-12
 
-    def test_literal_cross_term_flag_changes_offdiagonal(self):
-        rng = np.random.default_rng(9)
-        h, w, _ = self._scenario(rng)
-        G = CodingMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]),
-                         Scheme.RANDOM, Role.ENCODER)
-        derived = design_G_mmse(h, w, G, 0.1)
-        literal = design_G_mmse(h, w, G, 0.1, literal_cross_terms=True)
-        assert not np.allclose(derived.entries, literal.entries)
-
     def test_selection_prefers_reliable_detections(self):
         # user 0 badly detected at relay 0: the chosen encoder must not
         # route that detection into relay 0's stream
@@ -269,18 +260,6 @@ class TestMmseDesign:
         p = predicted_chain_error(G, h, w, 0.1,
                                   flip_probs=np.full((2, 2), 0.01))
         assert 0.0 <= p <= 1.0
-
-    def test_predicted_user_mse_closed_form(self):
-        from plnc_sim import predicted_user_mse
-        # perfect equalization, vanishing noise: zero residual MSE
-        h = np.ones((2, 4), dtype=complex) / 2.0
-        w = np.ones((2, 4), dtype=complex) / 2.0
-        G = np.eye(2)
-        assert predicted_user_mse(G, h, w, sigma2=1e-12) < 1e-9
-        # identity encoder, equal gains: m * s||w||^2 / (|mu|^2 + s||w||^2)
-        s = 0.25
-        expected = 2 * s / (1.0 + s)
-        assert abs(predicted_user_mse(G, h, w, s) - expected) < 1e-12
 
 
 class TestJointDecoding:

@@ -1,25 +1,37 @@
-"""Receive filter construction, filter outputs and the slicer."""
+"""Receive filter banks, effective gains and the slicer."""
 
 import numpy as np
 import pytest
 
-from plnc_sim import (ReceiverKind, SystemConfig, draw_channel, filter_output,
-                      generate_codebook, hard_decision, mmse_filter,
-                      rake_filter, source_relay_filter_bank)
+from plnc_sim import (ReceiverKind, SystemConfig, draw_channel,
+                      generate_codebook, hard_decision,
+                      source_relay_filter_bank)
+from plnc_sim.receivers import _mmse_bank, effective_gains, rank_one_filters
 from plnc_sim.signal_model import complex_gaussian
+
+
+def rake(h):
+    """RAKE filter of one stream: the rank-one bank's RAKE row."""
+    return rank_one_filters(np.asarray(h, dtype=complex)[None, :], 1.0,
+                            ReceiverKind.RAKE)[0]
+
+
+def output(w, y):
+    """Inner product w^H y through the gains of the filter banks."""
+    return effective_gains(np.asarray(w, dtype=complex)[None, :],
+                           np.asarray(y)[None, :])[0]
 
 
 class TestRakeFilter:
     def test_matched_to_unit_code(self):
         s1 = np.ones(8) / np.sqrt(8)
-        filt = rake_filter(s1)
-        assert np.allclose(filt.weights, s1)
+        assert np.allclose(rake(s1), s1)
 
     def test_recovers_noiseless_symbol(self):
         rng = np.random.default_rng(0)
         h = complex_gaussian(rng, 16)
         for b in (1.0, -1.0):
-            out = filter_output(rake_filter(h), h * b)
+            out = output(rake(h), h * b)
             assert abs(out - np.vdot(h, h) * b) < 1e-12
             assert hard_decision(out) == b
 
@@ -27,20 +39,22 @@ class TestRakeFilter:
         rng = np.random.default_rng(1)
         h = complex_gaussian(rng, 8)
         c = 0.3 - 1.7j
-        assert np.allclose(rake_filter(c * h).weights, c * rake_filter(h).weights)
+        assert np.allclose(rake(c * h), c * rake(h))
 
     def test_zero_channel_rejected(self):
-        with pytest.raises(ValueError):
-            rake_filter(np.zeros(8, dtype=complex))
+        for kind in ReceiverKind:
+            with pytest.raises(ValueError):
+                rank_one_filters(np.zeros((1, 8), dtype=complex), 1.0, kind)
 
 
 class TestMmseFilter:
     def test_single_basis_stream(self):
-        # (e1 e1^H + I)^-1 e1 = e1 / 2
+        # (e1 e1^H + I)^-1 e1 = e1 / 2, from the full and rank-one solvers
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
-        filt = mmse_filter(e1[None, :], 0, sigma2=1.0)
-        assert np.allclose(filt.weights, e1 / 2.0, atol=1e-12)
+        assert np.allclose(_mmse_bank(e1[None, :], 1.0)[0], e1 / 2.0, atol=1e-12)
+        assert np.allclose(rank_one_filters(e1[None, :], 1.0, ReceiverKind.MMSE)[0],
+                           e1 / 2.0, atol=1e-12)
 
     def test_normal_equations_residual(self):
         # independent check: the weights must satisfy the linear system
@@ -48,46 +62,50 @@ class TestMmseFilter:
         rng = np.random.default_rng(2)
         H = complex_gaussian(rng, (5, 16))
         sigma2 = 0.2
-        filt = mmse_filter(H, 2, sigma2)
+        w = _mmse_bank(H, sigma2)[2]
         cov = sum(np.outer(h, h.conj()) for h in H) + sigma2 * np.eye(16)
-        assert np.linalg.norm(cov @ filt.weights - H[2]) < 1e-10
+        assert np.linalg.norm(cov @ w - H[2]) < 1e-10
         oracle = np.linalg.solve(cov, H[2])
-        assert np.allclose(filt.weights, oracle, atol=1e-10)
+        assert np.allclose(w, oracle, atol=1e-10)
+        # the rank-one formula solves the single-stream system
+        r = rank_one_filters(H, sigma2, ReceiverKind.MMSE)[2]
+        cov1 = np.outer(H[2], H[2].conj()) + sigma2 * np.eye(16)
+        assert np.allclose(r, np.linalg.solve(cov1, H[2]), atol=1e-10)
 
     def test_high_noise_limit_matches_rake_direction(self):
         rng = np.random.default_rng(3)
         H = complex_gaussian(rng, (4, 16))
-        w = mmse_filter(H, 1, sigma2=1e9).weights
+        w = _mmse_bank(H, sigma2=1e9)[1]
         cos = abs(np.vdot(w, H[1])) / (np.linalg.norm(w) * np.linalg.norm(H[1]))
         assert cos > 1.0 - 1e-6
 
     def test_requires_positive_noise(self):
         with pytest.raises(ValueError):
-            mmse_filter(np.ones((1, 4), dtype=complex), 0, sigma2=0.0)
+            _mmse_bank(np.ones((1, 4), dtype=complex), sigma2=0.0)
 
 
 class TestFilterOutput:
     def test_unit_vector_identity(self):
         s1 = np.ones(4) / 2.0
-        assert abs(filter_output(rake_filter(s1), s1) - 1.0) < 1e-12
+        assert abs(output(rake(s1), s1) - 1.0) < 1e-12
 
     def test_orthogonal_gives_zero(self):
         w = np.array([1.0, 1.0, 0, 0]) / np.sqrt(2)
         y = np.array([1.0, -1.0, 0, 0]) / np.sqrt(2)
-        assert abs(filter_output(rake_filter(w), y)) < 1e-12
+        assert abs(output(rake(w), y)) < 1e-12
 
     def test_conjugate_linearity(self):
         rng = np.random.default_rng(4)
         w = complex_gaussian(rng, 8)
         y = complex_gaussian(rng, 8)
         c = 1.2 + 0.8j
-        a = filter_output(rake_filter(c * w), y)
-        b = np.conj(c) * filter_output(rake_filter(w), y)
+        a = output(rake(c * w), y)
+        b = np.conj(c) * output(rake(w), y)
         assert abs(a - b) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            filter_output(rake_filter(np.ones(4, dtype=complex)), np.ones(5))
+            output(rake(np.ones(4, dtype=complex)), np.ones(5))
 
 
 class TestSlicer:
@@ -117,10 +135,7 @@ class TestReceiverProperties:
         b = np.where(rng.standard_normal(1000) >= 0, 1.0, -1.0)
         y = state.h_eff_sr[0, 0][:, None] * b
         for kind in (ReceiverKind.RAKE, ReceiverKind.MMSE):
-            if kind == ReceiverKind.RAKE:
-                w = rake_filter(state.h_eff_sr[0, 0]).weights
-            else:
-                w = mmse_filter(state.h_eff_sr[0, 0][None, :], 0, 1e-12).weights
+            w = source_relay_filter_bank(state, 1e-12, kind)[0, 0]
             detected = hard_decision(np.conj(w) @ y)
             assert np.array_equal(detected, b), f"{kind} not exact"
 

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from plnc_sim import (Hop, PairMode, ReceiverKind, SinrEntry, SinrTable,
-                      SystemConfig, build_sinr_table, candidate_pairs,
-                      draw_channel, generate_codebook, select_best,
-                      sinr_relay_destination, sinr_source_relay)
+from plnc_sim import (PairMode, ReceiverKind, SystemConfig, build_sinr_table,
+                      candidate_pairs, draw_channel, generate_codebook,
+                      select_best)
 from plnc_sim.network_coding import make_group_assignments
 from plnc_sim.receivers import (relay_dest_filter_bank,
                                 source_relay_filter_bank)
@@ -26,6 +25,23 @@ def scenario(snr_db=10.0, seed=0, **kw):
             ids[r] = g
     state = draw_channel(cfg, book, ids, np.random.default_rng(seed + 1))
     return cfg, book, groups, state
+
+
+def pair_sinr(pair, state, Wsr, Wrd, sigma2):
+    """(source-relay, relay-destination) metric of one relay pair, read
+    from its row of the array table."""
+    return build_sinr_table(state, Wsr, Wrd, sigma2, [(0, tuple(pair))])[0]
+
+
+# one hop's column; the other hop's filters do not enter it
+def sinr_source_relay(pair, state, Wsr, sigma2):
+    Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.RAKE)
+    return pair_sinr(pair, state, Wsr, Wrd, sigma2)[0]
+
+
+def sinr_relay_destination(pair, state, Wrd, sigma2):
+    Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.RAKE)
+    return pair_sinr(pair, state, Wsr, Wrd, sigma2)[1]
 
 
 class TestSinrFormulas:
@@ -114,72 +130,52 @@ def empirical_sinr_source_relay(pair, state, W, sigma2, rng, T):
 
 
 class TestSelection:
-    def entry(self, pid, hop, sinr):
-        return SinrEntry(pair_id=pid, relays=(pid, pid + 1), hop=hop, sinr=sinr)
-
     def test_single_entry(self):
-        table = SinrTable([self.entry(0, Hop.SOURCE_RELAY, 3.0)])
-        assert select_best(table).pair_id == 0
+        assert select_best(np.array([[3.0, 0.0]])) == (0, 0)
 
     def test_exclusion_picks_second_highest(self):
-        a = self.entry(0, Hop.SOURCE_RELAY, 3.0)
-        b = self.entry(1, Hop.RELAY_DEST, 5.0)
-        table = SinrTable([a, b])
-        assert select_best(table) is b
-        assert select_best(table, excluded={b.key}) is a
+        table = np.array([[3.0, 0.0], [0.0, 5.0]])
+        excluded = np.zeros(table.shape, dtype=bool)
+        assert select_best(table, excluded) == (1, 1)
+        excluded[1, 1] = True
+        assert select_best(table, excluded) == (0, 0)
 
     def test_exhaustion_returns_none(self):
-        a = self.entry(0, Hop.SOURCE_RELAY, 3.0)
-        table = SinrTable([a])
-        assert select_best(table, excluded={a.key}) is None
+        table = np.array([[3.0, 1.0]])
+        assert select_best(table, np.ones(table.shape, dtype=bool)) is None
 
     def test_tie_breaks_lowest_pair_then_first_hop(self):
-        entries = [self.entry(1, Hop.SOURCE_RELAY, 2.0),
-                   self.entry(0, Hop.RELAY_DEST, 2.0),
-                   self.entry(0, Hop.SOURCE_RELAY, 2.0)]
-        best = select_best(SinrTable(entries))
-        assert best.pair_id == 0 and best.hop == Hop.SOURCE_RELAY
+        assert select_best(np.array([[2.0, 2.0], [2.0, 0.0]])) == (0, 0)
+        assert select_best(np.array([[0.0, 2.0], [2.0, 2.0]])) == (0, 1)
 
     def test_argmax_oracle_random_tables(self):
         # brute-force argmax over 10^4 random tables
         rng = np.random.default_rng(5)
         for _ in range(10_000):
-            entries = [self.entry(pid, hop, float(rng.random()))
-                       for pid in range(3)
-                       for hop in (Hop.SOURCE_RELAY, Hop.RELAY_DEST)]
-            table = SinrTable(entries)
-            got = select_best(table)
-            oracle = max(entries, key=lambda e: e.sinr)
-            assert got.sinr == oracle.sinr
+            table = rng.random((3, 2))
+            assert table[select_best(table)] == table.max()
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
-        entries = [self.entry(pid, hop, float(rng.random()))
-                   for pid in range(3)
-                   for hop in (Hop.SOURCE_RELAY, Hop.RELAY_DEST)]
-        base = select_best(SinrTable(entries))
-        scaled = [SinrEntry(e.pair_id, e.relays, e.hop, 7.5 * e.sinr)
-                  for e in entries]
-        assert select_best(SinrTable(scaled)).key == base.key
+        table = rng.random((3, 2))
+        assert select_best(7.5 * table) == select_best(table)
 
     def test_exclusion_chain_monotone(self):
         rng = np.random.default_rng(7)
-        entries = [self.entry(pid, hop, float(rng.random()))
-                   for pid in range(4)
-                   for hop in (Hop.SOURCE_RELAY, Hop.RELAY_DEST)]
-        table = SinrTable(entries)
-        excluded = set()
+        table = rng.random((4, 2))
+        excluded = np.zeros(table.shape, dtype=bool)
         last = np.inf
-        while (e := select_best(table, excluded)) is not None:
-            assert e.sinr <= last
-            last = e.sinr
-            excluded.add(e.key)
+        while (best := select_best(table, excluded)) is not None:
+            assert table[best] <= last
+            last = table[best]
+            excluded[best] = True
+        assert excluded.all()
 
     def test_rejects_invalid_sinr(self):
         with pytest.raises(ValueError):
-            SinrTable([self.entry(0, Hop.SOURCE_RELAY, -1.0)])
+            select_best(np.array([[-1.0, 0.0]]))
         with pytest.raises(ValueError):
-            SinrTable([self.entry(0, Hop.SOURCE_RELAY, float("nan"))])
+            select_best(np.array([[float("nan"), 0.0]]))
 
 
 class TestCandidates:
@@ -201,6 +197,8 @@ class TestCandidates:
         Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
         cands = candidate_pairs(groups, cfg.num_relays, PairMode.FIXED_GROUPS)
         table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
-        assert len(table.entries) == 2 * len(cands)
-        hops = {e.hop for e in table.entries}
-        assert hops == {Hop.SOURCE_RELAY, Hop.RELAY_DEST}
+        assert table.shape == (len(cands), 2)   # column 0 first hop, 1 second
+        assert np.all(np.isfinite(table) & (table > 0))
+        for row, (_, relays) in enumerate(cands):
+            assert np.array_equal(table[row], pair_sinr(relays, state, Wsr, Wrd,
+                                                        sigma2))

@@ -59,9 +59,13 @@ class TestChannel:
         book = generate_codebook(cfg)
         state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
                              np.random.default_rng(1))
-        assert np.all(state.a_sd == state.a_sd[0])
-        assert np.all(state.a_sr == 1.0)
-        assert np.all(state.a_rd == 1.0)
+        # every link amplitude is 1: an effective vector's norm is |h|
+        assert np.allclose(np.linalg.norm(state.h_eff_sd, axis=-1),
+                           np.abs(state.h_sd), atol=1e-12)
+        assert np.allclose(np.linalg.norm(state.h_eff_sr, axis=-1),
+                           np.abs(state.h_sr), atol=1e-12)
+        assert np.allclose(np.linalg.norm(state.h_eff_rd, axis=-1),
+                           np.abs(state.h_rd), atol=1e-12)
 
     def test_effective_vector_identity(self):
         cfg = small_config()
@@ -70,9 +74,9 @@ class TestChannel:
                              np.random.default_rng(2))
         for k in range(cfg.num_users):
             for l in range(cfg.num_relays):
-                expected = state.a_sr[k, l] * book.codes[k] * state.h_sr[k, l]
+                expected = book.codes[k] * state.h_sr[k, l]
                 assert np.allclose(state.h_eff_sr[k, l], expected, atol=1e-12)
-        ratio = state.h_eff_sr[2, 3] / (state.a_sr[2, 3] * state.h_sr[2, 3])
+        ratio = state.h_eff_sr[2, 3] / state.h_sr[2, 3]
         assert np.allclose(ratio, book.codes[2], atol=1e-12)
 
 
