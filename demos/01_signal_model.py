@@ -27,11 +27,11 @@ P = 2000
 symbols = np.where(rng.standard_normal((cfg.num_users, P)) >= 0, 1.0, -1.0)
 y_sd, y_sr = synthesize_first_phase(symbols, state, cfg.noise_var, rng,
                                     relays=[0, 1])
-print(f"first phase: destination sees {y_sd.samples.shape}, "
-      f"relays 0/1 see {y_sr[0].samples.shape}")
+print(f"first phase: destination sees {y_sd.shape}, "
+      f"relays 0/1 see {y_sr[0].shape}")
 
 # received energy must match the sum of link gains (unit-norm codes)
-measured = np.mean(np.sum(np.abs(y_sd.samples) ** 2, axis=0))
+measured = np.mean(np.sum(np.abs(y_sd) ** 2, axis=0))
 expected = np.sum(np.abs(state.h_sd) ** 2) + cfg.spreading_gain * cfg.noise_var
 print(f"destination energy/symbol: measured {measured:.3f}, "
       f"budget {expected:.3f}")
@@ -39,4 +39,4 @@ print(f"destination energy/symbol: measured {measured:.3f}, "
 # second phase: the pair's network-coded symbols ride the group code
 ncs = np.array([[1.0], [-1.0]])
 y_rd = synthesize_second_phase(ncs, state, [0, 1], cfg.noise_var, rng)
-print(f"second phase: superposed pair transmission -> {y_rd.samples.shape}")
+print(f"second phase: superposed pair transmission -> {y_rd.shape}")

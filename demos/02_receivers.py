@@ -23,7 +23,7 @@ _, (y,) = synthesize_first_phase(symbols, state, cfg.noise_var, rng, relays=[0])
 for kind in (ReceiverKind.RAKE, ReceiverKind.MMSE):
     W = source_relay_filter_bank(state, cfg.noise_var, kind)
     w = W[0, 0]
-    soft = np.conj(w) @ y.samples
+    soft = np.conj(w) @ y
     errors = int(np.sum(hard_decision(soft) != symbols[0]))
     gains = np.abs(state.h_eff_sr[:, 0, :].conj() @ w) ** 2
     sinr = gains[0] / (gains[1:].sum() + cfg.noise_var * np.vdot(w, w).real)

@@ -6,9 +6,9 @@ three matrix designs, and both destination decoders.
 import numpy as np
 
 from plnc_sim import (decode_joint, decode_with_direct, design_G_mmse,
-                      design_G_random, detect_ncs, enumerate_invertible_binary,
-                      linear_encode, select_G_mmse, symbol_to_bit, xor_decode,
-                      xor_encode)
+                      design_G_random, detect_ncs, encode_ncs,
+                      enumerate_invertible_binary, select_G_mmse, symbol_to_bit,
+                      xor_decode, xor_encode)
 from plnc_sim.network_coding import design_G_ml_for_channel
 from plnc_sim.signal_model import complex_gaussian
 
@@ -24,8 +24,8 @@ print(f"destination recovers user 0 bit: {symbol_to_bit(float(recovered[0]))}")
 print("\n== linear combination ==")
 G = np.array([[1.0, 1.0], [1.0, 0.0]])
 b = np.array([1.0, -1.0])
-print(f"user symbols {b}, matrix columns give "
-      f"[{linear_encode(G, b, 0):+.0f}, {linear_encode(G, b, 1):+.0f}]")
+ncs = encode_ncs(G, np.broadcast_to(b[:, None], (2, 2, 1)))[:, 0]  # both relays detect b
+print(f"user symbols {b}, matrix columns give [{ncs[0]:+.0f}, {ncs[1]:+.0f}]")
 z = (G.T @ b).astype(complex)
 print(f"joint solve recovers {decode_joint(G, z, np.ones(2))}")
 est = detect_ncs(G, z, np.ones(2))
@@ -39,18 +39,21 @@ print(f"{len(pool)} invertible binary 2x2 matrices out of 16")
 sigma2 = 0.1
 h = complex_gaussian(rng, (2, 16))
 w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
+# every design works from the per-stream gains w^H h and noise powers
+gains = np.sum(w.conj() * h, axis=1)
+noise_var = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
 training = np.where(rng.standard_normal((2, 100)) >= 0, 1.0, -1.0)
 
 g_rand = design_G_random(2, rng)
 print(f"random draw:\n{g_rand.entries}")
 
-g_ml = design_G_ml_for_channel(h, w, training, sigma2, rng)
+g_ml = design_G_ml_for_channel(gains, noise_var, training, rng)
 print(f"exhaustive search on a 100-symbol calibration block:\n{g_ml.entries}")
 
 flips = np.array([[0.2, 1e-3], [1e-3, 1e-3]])   # user 0 badly detected at relay 0
-g_mmse, scores = select_G_mmse(h, w, sigma2, flip_probs=flips)
+g_mmse, scores = select_G_mmse(gains, noise_var, flip_probs=flips)
 print(f"statistics-based pick (knows relay 0 misdetects user 0):\n{g_mmse.entries}")
 print(f"predicted chain error per candidate: {scores.round(4)}")
 
-dec = design_G_mmse(h, w, g_mmse, sigma2)
+dec = design_G_mmse(g_mmse, gains, noise_var)
 print(f"closed-form decode refinement matrix:\n{dec.entries.round(3)}")

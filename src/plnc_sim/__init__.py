@@ -11,9 +11,9 @@ from .receivers import hard_decision, source_relay_filter_bank
 from .network_coding import (CodingMatrix, bit_to_symbol, decode_joint,
                              decode_with_direct, design_G_ml, design_G_mmse,
                              design_G_random, detect_ncs, encode_ncs,
-                             enumerate_invertible_binary, linear_encode,
-                             ncs_levels, select_G_mmse, slice_to_levels,
-                             symbol_to_bit, xor_decode, xor_encode)
+                             enumerate_invertible_binary, ncs_levels,
+                             select_G_mmse, slice_to_levels, symbol_to_bit,
+                             xor_decode, xor_encode)
 from .relay_selection import build_sinr_table, candidate_pairs, select_best
 from .buffer_protocol import (BufferBank, DestinationBuffer, SlotMachine,
                               decide_action)

@@ -155,7 +155,7 @@ def decide_action(table, candidates, bank: BufferBank):
 class SlotOutcome:
     slot: int
     action: str                 # "receive" | "transmit" | "idle"
-    pair_id: int                # -1 when idle and on unbuffered transmissions
+    pair_id: int                # -1 when idle; the group id when unbuffered
     relays: tuple
     hop: str                    # Hop value, "" when idle
     sinr: float                 # nan when idle and unbuffered
@@ -250,7 +250,7 @@ class SlotMachine:
         self._uid = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
-        self._pending_pair = None
+        self._pending_pair = None    # unbuffered: (group_id, relays) to transmit next
 
     # -- per-slot physics -------------------------------------------------
 
@@ -267,6 +267,16 @@ class SlotMachine:
         code = self.codebook.ncs_codes[group_id]
         return state.h_rd[list(relays)][:, None] * code[None, :]
 
+    def _stream_stats(self, rows):
+        """Filters for relay streams that each occupy a sub-slot alone,
+        one per row of rows, and the statistics every coding-matrix
+        design and decoder works from: the gains w^H h and the noise
+        powers sigma2 ||w||^2."""
+        sigma2 = self.config.noise_var
+        filters = rx.rank_one_filters(rows, sigma2, self.config.receiver)
+        noise_var = sigma2 * np.sum(np.abs(filters) ** 2, axis=1)
+        return filters, rx.effective_gains(filters, rows), noise_var
+
     def _choose_encoder(self, state, users, relays, filters_sr):
         cfg = self.config
         scheme = cfg.nc_design
@@ -275,18 +285,15 @@ class SlotMachine:
             return None
         if scheme == Scheme.RANDOM:
             return nc.design_G_random(cfg.group_size, rng)
-        sigma2 = cfg.noise_var
-        rows = state.h_eff_rd[list(relays)]
-        filters = rx.rank_one_filters(rows, sigma2, cfg.receiver)
+        _, gains, noise_var = self._stream_stats(state.h_eff_rd[list(relays)])
         if scheme == Scheme.ML:
             training = rx.hard_decision(rng.standard_normal((cfg.group_size,
                                                              cfg.ml_training_len)))
-            return nc.design_G_ml_for_channel(rows, filters, training, sigma2, rng)
+            return nc.design_G_ml_for_channel(gains, noise_var, training, rng)
         if scheme == Scheme.MMSE_DESIGN:
             flips = rx.detection_error_probs(users, relays, state, filters_sr,
-                                             sigma2)
-            encoder, _ = nc.select_G_mmse(rows, filters, sigma2,
-                                          flip_probs=flips)
+                                             cfg.noise_var)
+            encoder, _ = nc.select_G_mmse(gains, noise_var, flip_probs=flips)
             return encoder
         raise ValueError(f"unknown scheme {scheme}")
 
@@ -349,14 +356,13 @@ class SlotMachine:
             decoded = np.stack([nc.xor_decode(ncs_hat, direct, k) for k in range(m)])
         else:
             # one sub-slot per relay stream, independent noise each
-            filters = rx.rank_one_filters(rows, sigma2, cfg.receiver)
-            gains = rx.effective_gains(filters, rows)
+            filters, gains, noise_var = self._stream_stats(rows)
             z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
                                          packet.ncs[:, None], sigma2,
                                          self.rng.noise)[:, 0]
             decoder = None
             if packet.scheme == Scheme.MMSE_DESIGN:
-                decoder = nc.design_G_mmse(rows, filters, packet.encoder, sigma2)
+                decoder = nc.design_G_mmse(packet.encoder, gains, noise_var)
             if cfg.decoder == DecoderKind.JOINT:
                 decoded = nc.decode_joint(packet.encoder, z, gains, decoder)
             else:
@@ -394,11 +400,13 @@ class SlotMachine:
                 table, self.candidates, self.bank)
         else:
             # every reception slot is followed by the pair's transmission
-            pair_id, relays, hop = -1, self._pending_pair, Hop.RELAY_DEST
-            if relays is None:
+            if self._pending_pair is None:
                 pair_id = self._next_group()
                 relays, hop = self.groups[pair_id].relays, Hop.SOURCE_RELAY
-            self._pending_pair = relays if hop == Hop.SOURCE_RELAY else None
+                self._pending_pair = pair_id, relays
+            else:
+                (pair_id, relays), hop = self._pending_pair, Hop.RELAY_DEST
+                self._pending_pair = None
             sinr, reselections = float("nan"), 0
 
         occ_before = self.bank.occupancies()

@@ -27,7 +27,6 @@ class DecoderKind(str, Enum):
 
 class Hop(str, Enum):
     SOURCE_RELAY = "source_relay"
-    SOURCE_DEST = "source_dest"
     RELAY_DEST = "relay_dest"
 
 

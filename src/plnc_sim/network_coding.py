@@ -75,6 +75,11 @@ class CodingMatrix:
             raise ValueError("decoder entries must be finite")
 
 
+def _entries(M, dtype=None):
+    """Entries of a CodingMatrix, or M itself as an array."""
+    return np.asarray(M.entries if isinstance(M, CodingMatrix) else M, dtype=dtype)
+
+
 def bit_to_symbol(c):
     """BPSK map b = 1 - 2c."""
     return 1.0 - 2.0 * np.asarray(c, dtype=np.float64) if np.ndim(c) else 1.0 - 2.0 * c
@@ -95,33 +100,23 @@ def xor_encode(bits):
     return bit_to_symbol(np.bitwise_xor.reduce(arr, axis=0))
 
 
-def linear_encode(G, detected_symbols, relay_pos):
-    """Column relay_pos of G applied to one relay's detected symbols."""
-    g = G.entries if isinstance(G, CodingMatrix) else np.asarray(G, dtype=np.float64)
-    b = np.asarray(detected_symbols, dtype=np.float64)
-    return np.tensordot(g[:, relay_pos], b, axes=(0, 0))
-
-
 def encode_ncs(G, detected_by_relay):
     """NCS packet for the whole pair: relay l combines its own
     detections with column l.  detected_by_relay is (m, m, P) indexed
     [relay, user, symbol]; returns (m, P)."""
-    g = G.entries if isinstance(G, CodingMatrix) else np.asarray(G, dtype=np.float64)
     det = np.asarray(detected_by_relay, dtype=np.float64)
-    return np.einsum("kl,lkp->lp", g, det)
+    return np.einsum("kl,lkp->lp", _entries(G, np.float64), det)
 
 
 @lru_cache(maxsize=None)
 def enumerate_invertible_binary(m):
-    """All invertible m x m binary matrices in a fixed lexicographic
-    order of their flattened entries (6 matrices for m = 2)."""
-    out = []
-    for bits in product((0.0, 1.0), repeat=m * m):
-        cand = np.array(bits).reshape(m, m)
-        if abs(np.linalg.det(cand)) > 1e-9:
-            cand.setflags(write=False)
-            out.append(cand)
-    return tuple(out)
+    """All invertible m x m binary matrices, (n, m, m) read-only, in a
+    fixed lexicographic order of their flattened entries (6 matrices for
+    m = 2)."""
+    every = np.array(list(product((0.0, 1.0), repeat=m * m))).reshape(-1, m, m)
+    out = every[np.abs(np.linalg.det(every)) > 1e-9]
+    out.setflags(write=False)
+    return out
 
 
 def design_G_random(m, rng) -> CodingMatrix:
@@ -136,30 +131,27 @@ def design_G_random(m, rng) -> CodingMatrix:
 # exhaustive (training-based) design
 # ---------------------------------------------------------------------------
 
-def ml_calibration_outputs(h_eff_pair, filters_pair, training_symbols,
-                           sigma2, rng):
+def _training_block(training_symbols):
+    training = np.asarray(training_symbols, dtype=np.float64)
+    if training.ndim != 2 or training.shape[1] == 0:
+        raise ValueError("calibration block must be a non-empty (m, T) array")
+    return training
+
+
+def ml_calibration_outputs(gains, noise_var, training_symbols, rng):
     """Filter outputs a calibration block would produce under each
     candidate encoder.
 
     The known training symbols are encoded with every candidate and
-    sent through the current pair channel; the same noise draw is
-    shared by all candidates so the comparison is deterministic given
-    the stream.  Returns (gains, outputs) with outputs shaped
-    (n_candidates, m, T).
+    sent over relay streams with gains mu_j = w_j^H h_j and noise powers
+    noise_var_j = sigma2 ||w_j||^2; the same noise draw is shared by all
+    candidates so the comparison is deterministic given the stream.
+    Returns the outputs shaped (n_candidates, m, T).
     """
-    training = np.asarray(training_symbols, dtype=np.float64)
-    if training.ndim != 2 or training.shape[1] == 0:
-        raise ValueError("calibration block must be a non-empty (m, T) array")
-    m, T = training.shape
-    gains = np.sum(np.asarray(filters_pair).conj() * np.asarray(h_eff_pair), axis=1)
-    noise_power = sigma2 * np.sum(np.abs(np.asarray(filters_pair)) ** 2, axis=1)
-    eta = complex_gaussian(rng, (m, T)) * np.sqrt(noise_power)[:, None]
-    candidates = enumerate_invertible_binary(m)
-    outputs = np.empty((len(candidates), m, T), dtype=np.complex128)
-    for j, cand in enumerate(candidates):
-        ncs = cand.T @ training
-        outputs[j] = gains[:, None] * ncs + eta
-    return gains, outputs
+    training = _training_block(training_symbols)
+    eta = complex_gaussian(rng, training.shape) * np.sqrt(noise_var)[:, None]
+    ncs = np.swapaxes(enumerate_invertible_binary(training.shape[0]), 1, 2) @ training
+    return np.asarray(gains)[:, None] * ncs + eta
 
 
 def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):
@@ -183,30 +175,25 @@ def design_G_ml(outputs_by_candidate, gains, training_symbols):
     training symbols, summed over the block; ties break to the lowest
     candidate index.  Returns (matrix, per-candidate costs).
     """
-    training = np.asarray(training_symbols, dtype=np.float64)
-    if training.ndim != 2 or training.shape[1] == 0:
-        raise ValueError("calibration block must be a non-empty (m, T) array")
-    m = training.shape[0]
-    candidates = enumerate_invertible_binary(m)
+    training = _training_block(training_symbols)
+    candidates = enumerate_invertible_binary(training.shape[0])
     z = np.asarray(outputs_by_candidate)
     if z.shape[0] != len(candidates):
         raise ValueError(f"expected outputs for {len(candidates)} candidates")
-    costs = np.empty(len(candidates))
     norm = z / np.asarray(gains)[None, :, None]
-    for j, cand in enumerate(candidates):
-        recovered = np.linalg.solve(cand.T, norm[j])
-        costs[j] = np.sum(np.abs(training - recovered) ** 2)
+    recovered = np.linalg.solve(np.swapaxes(candidates, 1, 2), norm)
+    costs = np.sum((np.abs(training - recovered) ** 2).reshape(len(candidates), -1),
+                   axis=1)
     best = argmin_with_ties(costs)
     G = CodingMatrix(entries=candidates[best].copy(), design=Scheme.ML,
                      role=Role.ENCODER)
     return G, costs
 
 
-def design_G_ml_for_channel(h_eff_pair, filters_pair, training_symbols,
-                            sigma2, rng) -> CodingMatrix:
-    """Convenience wrapper: simulate the calibration block, then search."""
-    gains, outputs = ml_calibration_outputs(h_eff_pair, filters_pair,
-                                            training_symbols, sigma2, rng)
+def design_G_ml_for_channel(gains, noise_var, training_symbols, rng) -> CodingMatrix:
+    """Simulate the calibration block on the pair's relay streams, then
+    search."""
+    outputs = ml_calibration_outputs(gains, noise_var, training_symbols, rng)
     G, _ = design_G_ml(outputs, gains, training_symbols)
     return G
 
@@ -215,44 +202,52 @@ def design_G_ml_for_channel(h_eff_pair, filters_pair, training_symbols,
 # closed-form MMSE design
 # ---------------------------------------------------------------------------
 
-def _second_order_stats(G, h_eff_pair, filters_pair, sigma2):
-    """Model second-order statistics of (true NCS, filter outputs).
+def _mmse_decoders(encoders, gains, noise_var):
+    """Closed-form MMSE refinement P_ab R_b^-1 for a stack of encoders
+    (..., m, m) on one pair's relay streams.
 
-    With z_j = w_j^H (h_j b_j + n_j) and independent noise across the
-    relay sub-slots:
-        P_ab[k, j] = E[b_k conj(z_j)] = C[k, j] conj(mu_j)
-        R_b[j, i]  = mu_j conj(mu_i) C[j, i] + delta_ji sigma2 ||w_j||^2
-    where C = G^T G is the NCS correlation induced by the shared
-    unit-variance user symbols and mu_j = w_j^H h_j.
+    With z_j = mu_j a_j + eta_j, a = G^T b the NCS symbols of unit-variance
+    user symbols b, and noise eta_j ~ CN(0, noise_var_j) independent
+    across the relay sub-slots:
+        P_ab[k, j] = E[a_k conj(z_j)] = C[k, j] conj(mu_j)
+        R_b[j, i]  = mu_j conj(mu_i) C[j, i] + delta_ji noise_var_j
+    with C = G^T G.  An encoder whose R_b is numerically singular
+    (condition number above 1e12) gets plain gain normalization
+    diag(1/mu) instead, and so does the whole stack if the solve still
+    fails.  Returns (entries (..., m, m), fallback (...,) bool).
     """
-    g = G.entries if isinstance(G, CodingMatrix) else np.asarray(G, dtype=np.float64)
-    mu = np.sum(np.asarray(filters_pair).conj() * np.asarray(h_eff_pair), axis=1)
-    wnorm2 = np.sum(np.abs(np.asarray(filters_pair)) ** 2, axis=1)
-    C = g.T @ g
+    g = np.asarray(encoders, dtype=np.float64)
+    mu = np.asarray(gains)
+    C = np.swapaxes(g, -1, -2) @ g
     P_ab = C * mu.conj()[None, :]
-    R_b = (mu[:, None] * mu.conj()[None, :]) * C + sigma2 * np.diag(wnorm2)
-    return mu, C, P_ab, R_b
+    R_b = (mu[:, None] * mu.conj()[None, :]) * C + np.diag(noise_var)
+    fallback = np.linalg.cond(R_b) > 1e12
+    if np.any(fallback):        # swap singular members out of the batched solve
+        R_b = np.where(fallback[..., None, None], np.eye(g.shape[-1]), R_b)
+    try:
+        entries = np.linalg.solve(np.swapaxes(R_b.conj(), -1, -2),
+                                  np.swapaxes(P_ab.conj(), -1, -2))
+        entries = np.swapaxes(entries, -1, -2).conj()
+    except np.linalg.LinAlgError:
+        entries = np.zeros(R_b.shape, dtype=np.complex128)
+        fallback = np.ones_like(fallback)
+    if np.any(fallback):
+        entries = np.where(fallback[..., None, None], np.diag(1.0 / mu), entries)
+    return entries, fallback
 
 
-def design_G_mmse(h_eff_pair, filters_pair, encoder, sigma2) -> CodingMatrix:
+def design_G_mmse(encoder, gains, noise_var) -> CodingMatrix:
     """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
     estimate at the destination; used in place of plain inversion.
 
-    Falls back to plain gain normalization (diag(1/mu)) with the
-    fallback flag set if R_b is numerically singular.
+    gains and noise_var are the pair's relay-stream statistics
+    mu_j = w_j^H h_j and sigma2 ||w_j||^2.  Falls back to plain gain
+    normalization (diag(1/mu)) with the fallback flag set if R_b is
+    numerically singular.
     """
-    mu, _, P_ab, R_b = _second_order_stats(encoder, h_eff_pair, filters_pair,
-                                           sigma2)
-    try:
-        if np.linalg.cond(R_b) > 1e12:
-            raise np.linalg.LinAlgError("ill conditioned")
-        entries = np.linalg.solve(R_b.conj().T, P_ab.conj().T).conj().T
-        fallback = False
-    except np.linalg.LinAlgError:
-        entries = np.diag(1.0 / mu)
-        fallback = True
+    entries, fallback = _mmse_decoders(_entries(encoder), gains, noise_var)
     return CodingMatrix(entries=entries, design=Scheme.MMSE_DESIGN,
-                        role=Role.DECODER, fallback=fallback)
+                        role=Role.DECODER, fallback=bool(fallback))
 
 
 @lru_cache(maxsize=None)
@@ -269,25 +264,23 @@ def _data_patterns(m):
     return np.array(list(product((-1.0, 1.0), repeat=m))).T
 
 
-def predicted_chain_error(encoder, h_eff_pair, filters_pair, sigma2,
-                          flip_probs=None):
-    """Closed-form error probability of the full decode chain for one
-    encoder candidate.
+def predicted_chain_error(encoders, gains, noise_var, flip_probs=None):
+    """Closed-form error probability of the full decode chain for each
+    encoder of a stack (..., m, m); returns (...,).
 
-    Averages the per-user slicer error over all data patterns and all
-    relay-detection error patterns, the latter weighted by the given
-    per-(user, relay) detection error probabilities.  This is what lets
-    the statistics-based design account for interference and noise on
-    both hops, which a pilot-calibrated search cannot see.
+    Averages the per-user slicer error after the MMSE refinement over
+    all data patterns and all relay-detection error patterns, the
+    latter weighted by the given per-(user, relay) detection error
+    probabilities.  This is what lets the statistics-based design
+    account for interference and noise on both hops, which a
+    pilot-calibrated search cannot see.
     """
-    g = encoder.entries if isinstance(encoder, CodingMatrix) else np.asarray(encoder, float)
-    m = g.shape[0]
+    g = np.asarray(encoders, dtype=np.float64)
+    m = g.shape[-1]
     p = np.zeros((m, m)) if flip_probs is None else np.asarray(flip_probs, float)
-    mu = np.sum(np.asarray(filters_pair).conj() * np.asarray(h_eff_pair), axis=1)
-    noise_var = sigma2 * np.sum(np.abs(np.asarray(filters_pair)) ** 2, axis=1)
-    decoder = design_G_mmse(h_eff_pair, filters_pair, g, sigma2)
-    A = np.linalg.inv(g.T).astype(np.complex128) @ decoder.entries
-    per_user_noise = (np.abs(A) ** 2 @ noise_var).real
+    decoders, _ = _mmse_decoders(g, gains, noise_var)
+    A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
+    per_user_noise = (np.abs(A) ** 2 @ noise_var).real             # (..., m)
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
 
     masks = _flip_masks(m)                      # (n_masks, m, m)
@@ -295,21 +288,18 @@ def predicted_chain_error(encoder, h_eff_pair, filters_pair, sigma2,
     B = _data_patterns(m)                       # (m, n_pat)
     signs = 1.0 - 2.0 * masks                   # detection flip multipliers
     detected = B[None, :, None, :] * signs[:, :, :, None]   # (n_masks, m_u, m_r, n_pat)
-    ncs = np.einsum("kl,nklp->nlp", g, detected)            # (n_masks, m, n_pat)
-    mean = np.einsum("ul,nlp->nup", A @ np.diag(mu), ncs).real
-    err = _qfunc(B[None, :, :] * mean / sigma_real[None, :, None])
-    return float(np.einsum("n,nup->", weights, err) / (m * B.shape[1]))
+    ncs = np.einsum("...kl,nklp->...nlp", g, detected)       # (..., n_masks, m, n_pat)
+    mean = np.einsum("...ul,...nlp->...nup", (A @ np.diag(gains)).real, ncs)
+    err = _qfunc(B * mean / sigma_real[..., None, :, None])
+    return np.einsum("n,...nup->...", weights, err) / (m * B.shape[1])
 
 
-def select_G_mmse(h_eff_pair, filters_pair, sigma2, flip_probs=None):
+def select_G_mmse(gains, noise_var, flip_probs=None):
     """Pick the binary encoder minimizing the predicted end-to-end error
     of the refined decode chain; ties break to the lowest candidate
-    index."""
-    m = np.asarray(h_eff_pair).shape[0]
-    candidates = enumerate_invertible_binary(m)
-    scores = np.array([predicted_chain_error(cand, h_eff_pair, filters_pair,
-                                             sigma2, flip_probs)
-                       for cand in candidates])
+    index.  Returns (encoder, per-candidate scores)."""
+    candidates = enumerate_invertible_binary(len(gains))
+    scores = predicted_chain_error(candidates, gains, noise_var, flip_probs)
     best = argmin_with_ties(scores)
     G = CodingMatrix(entries=candidates[best].copy(), design=Scheme.MMSE_DESIGN,
                      role=Role.ENCODER)
@@ -320,6 +310,19 @@ def select_G_mmse(h_eff_pair, filters_pair, sigma2, flip_probs=None):
 # destination decoding
 # ---------------------------------------------------------------------------
 
+def _refine(filter_outputs, gains, decoder):
+    """The refinement step both decoders share: the MMSE decoder matrix
+    if one is given, else gain normalization.  filter_outputs has shape
+    (m,) or (m, P); returns the refined (m, P) complex streams and
+    whether the input was 1-D."""
+    z = np.asarray(filter_outputs, dtype=np.complex128)
+    flat = z.ndim == 1
+    z = z[:, None] if flat else z
+    if decoder is not None:
+        return _entries(decoder) @ z, flat
+    return z / np.asarray(gains)[:, None], flat
+
+
 def decode_joint(encoder, filter_outputs, gains, decoder=None):
     """Recover the m user symbols from the m relay-stream filter outputs.
 
@@ -328,22 +331,15 @@ def decode_joint(encoder, filter_outputs, gains, decoder=None):
     refinement is applied first.  filter_outputs has shape (m,) or
     (m, P).
     """
-    g = encoder.entries if isinstance(encoder, CodingMatrix) else np.asarray(encoder, float)
-    z = np.asarray(filter_outputs, dtype=np.complex128)
-    flat = z.ndim == 1
-    z = z[:, None] if flat else z
-    if decoder is not None:
-        d = decoder.entries if isinstance(decoder, CodingMatrix) else np.asarray(decoder)
-        refined = d @ z
-    else:
-        refined = z / np.asarray(gains)[:, None]
-    symbols = hard_decision(np.linalg.solve(g.T.astype(np.complex128), refined))
+    refined, flat = _refine(filter_outputs, gains, decoder)
+    g = _entries(encoder, np.complex128)
+    symbols = hard_decision(np.linalg.solve(g.T, refined))
     return symbols[:, 0] if flat else symbols
 
 
 def ncs_levels(G, relay_pos):
     """Admissible noiseless NCS values for one relay's combination."""
-    g = G.entries if isinstance(G, CodingMatrix) else np.asarray(G, dtype=np.float64)
+    g = _entries(G, np.float64)
     m = g.shape[0]
     vals = sorted({float(g[:, relay_pos] @ np.array(pattern))
                    for pattern in product((-1.0, 1.0), repeat=m)})
@@ -361,18 +357,11 @@ def slice_to_levels(x, levels):
 def detect_ncs(encoder, filter_outputs, gains, decoder=None):
     """Per-relay discrete NCS estimates: gain-normalize (or MMSE-refine),
     then slice each stream to its admissible level set."""
-    g = encoder.entries if isinstance(encoder, CodingMatrix) else np.asarray(encoder, float)
-    z = np.asarray(filter_outputs, dtype=np.complex128)
-    flat = z.ndim == 1
-    z = z[:, None] if flat else z
-    if decoder is not None:
-        d = decoder.entries if isinstance(decoder, CodingMatrix) else np.asarray(decoder)
-        soft = (d @ z).real
-    else:
-        soft = (z / np.asarray(gains)[:, None]).real
+    refined, flat = _refine(filter_outputs, gains, decoder)
+    soft = refined.real
     est = np.empty_like(soft)
-    for l in range(g.shape[1]):
-        est[l] = slice_to_levels(soft[l], ncs_levels(g, l))
+    for l in range(soft.shape[0]):
+        est[l] = slice_to_levels(soft[l], ncs_levels(encoder, l))
     return est[:, 0] if flat else est
 
 
@@ -385,7 +374,7 @@ def decode_with_direct(encoder, ncs_estimates, direct_estimates, target,
     the chosen relay's coefficient for the target user is zero, another
     relay of the pair with a nonzero coefficient is used instead.
     """
-    g = encoder.entries if isinstance(encoder, CodingMatrix) else np.asarray(encoder, float)
+    g = _entries(encoder, np.float64)
     m = g.shape[0]
     if relay_pos is None or g[target, relay_pos] == 0.0:
         usable = np.flatnonzero(g[target, :])

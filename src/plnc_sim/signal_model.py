@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Hop, SystemConfig
+from .config import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,6 @@ class ChannelState:
     h_eff_sd: np.ndarray    # (K, N) complex
     h_eff_sr: np.ndarray    # (K, L, N) complex
     h_eff_rd: np.ndarray    # (L, N) complex, built with each relay's group code
-
-
-@dataclass
-class ReceivedVector:
-    """Chip-rate observation; samples has shape (N,) for one symbol or
-    (N, P) for a packet."""
-
-    samples: np.ndarray
-    hop: Hop
 
 
 def _unit_chip_rows(rng, rows, n):
@@ -113,7 +104,8 @@ def synthesize_first_phase(symbols, state: ChannelState, sigma2, rng,
 
     symbols has shape (K,) or (K, P).  Returns the destination
     observation and one observation per requested relay (all relays by
-    default), each with independent noise.
+    default), each with independent noise: the destination's samples
+    (N,) or (N, P) and a list of the relays' samples.
     """
     b = _check_bpsk(symbols)
     if relays is None:
@@ -125,12 +117,12 @@ def synthesize_first_phase(symbols, state: ChannelState, sigma2, rng,
     for l in relays:
         y = np.tensordot(state.h_eff_sr[:, l, :], b, axes=(0, 0))
         y = y + complex_gaussian(rng, y.shape, sigma2)
-        out_sr.append(ReceivedVector(samples=y, hop=Hop.SOURCE_RELAY))
-    return ReceivedVector(samples=y_sd, hop=Hop.SOURCE_DEST), out_sr
+        out_sr.append(y)
+    return y_sd, out_sr
 
 
 def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
-                            sigma2, rng, h_eff=None) -> ReceivedVector:
+                            sigma2, rng, h_eff=None):
     """Relay-set transmission of network-coded symbols on the shared
     group code.
 
@@ -138,13 +130,12 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
     (linear network coding produces multilevel symbols, including 0).
     Passing a single relay in `relays` gives the per-relay sub-slot
     observation used by the linear schemes; passing the whole pair
-    superposes the streams.
+    superposes the streams.  Returns the samples, (N,) or (N, P).
     """
     b = np.asarray(ncs_symbols, dtype=np.float64)
     rows = state.h_eff_rd[list(relays)] if h_eff is None else np.asarray(h_eff)
     y = np.tensordot(rows, b, axes=(0, 0))
-    y = y + complex_gaussian(rng, y.shape, sigma2)
-    return ReceivedVector(samples=y, hop=Hop.RELAY_DEST)
+    return y + complex_gaussian(rng, y.shape, sigma2)
 
 
 def sample_filter_outputs(filters, h_eff, symbols, sigma2, rng):

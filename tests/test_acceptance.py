@@ -139,7 +139,7 @@ class TestCriterion4MmseDesignOracle:
             z = gains[:, None] * a + complex_gaussian(rng, (2, T)) \
                 * np.sqrt(nvar)[:, None]
             ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
-            dec = design_G_mmse(h, w, G, sigma2)
+            dec = design_G_mmse(G, gains, nvar)
             rel = np.linalg.norm(dec.entries - ls) / np.linalg.norm(dec.entries)
             worst = max(worst, rel)
         ok = worst <= 1e-2
@@ -159,7 +159,9 @@ class TestCriterion5MlDesignOracle:
             sigma2 = float(rng.uniform(0.05, 0.5))
             w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
             training = np.where(rng.standard_normal((2, 100)) >= 0, 1.0, -1.0)
-            gains, outs = ml_calibration_outputs(h, w, training, sigma2, rng)
+            gains = np.sum(w.conj() * h, axis=1)
+            nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
+            outs = ml_calibration_outputs(gains, nvar, training, rng)
             G, costs = design_G_ml(outs, gains, training)
             oracle = []
             for j, cand in enumerate(cands):

@@ -280,6 +280,14 @@ class TestSlotMachine:
         assert actions == ["receive", "transmit"] * 10
         assert max(max(o.occupancy_after) for o in m.trace) <= 1
 
+    def test_unbuffered_transmission_carries_group_id(self):
+        m = machine(buffers_enabled=False).run_until(n_packets=10)
+        for before, row in zip(m.trace, m.trace[1:]):
+            if row.action == "transmit":
+                assert before.action == "receive"
+                assert row.pair_id == before.pair_id >= 0
+                assert row.relays == before.relays
+
     def test_occupancy_bounds_in_trace(self):
         m = machine(buffer_size=2).run_until(n_packets=30)
         for outcome in m.trace:
@@ -303,12 +311,13 @@ class TestSlotMachine:
     def test_rescoring_a_packet_raises(self):
         m = machine(buffers_enabled=False)
         m.advance()                                      # receive
-        relays = m._pending_pair
+        pending = m._pending_pair
+        relays = pending[1]
         packet = m.bank.buffers[relays[0]].peek()
         m.advance()                                      # transmit, scored
         m.bank.push_pair(relays, packet)
         m.dest.push(relays, np.ones_like(packet.true_symbols))
-        m._pending_pair = relays
+        m._pending_pair = pending
         with pytest.raises(RuntimeError, match="packet scored twice"):
             m.advance()
 

@@ -4,20 +4,36 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plnc_sim import (CodingMatrix, Role, Scheme, bit_to_symbol, decode_joint,
                       decode_with_direct, design_G_ml, design_G_mmse,
                       design_G_random, detect_ncs, encode_ncs,
-                      enumerate_invertible_binary, linear_encode, ncs_levels,
+                      enumerate_invertible_binary, ncs_levels,
                       select_G_mmse, slice_to_levels, symbol_to_bit,
                       xor_decode, xor_encode)
-from plnc_sim.network_coding import (argmin_with_ties, ml_calibration_outputs,
+from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
+                                     ml_calibration_outputs,
                                      predicted_chain_error)
 from plnc_sim.signal_model import complex_gaussian
 
 
 def all_patterns(m=2):
     return [np.array(p) for p in product((-1.0, 1.0), repeat=m)]
+
+
+def mmse_stream_stats(rng, m, sigma2, n=16):
+    """Gains w^H h and noise powers sigma2 ||w||^2 of m random streams,
+    each seen alone by its MMSE filter."""
+    h = complex_gaussian(rng, (m, n))
+    w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
+    return np.sum(w.conj() * h, axis=1), sigma2 * np.sum(np.abs(w) ** 2, axis=1)
+
+
+def encode_same(G, b):
+    """Every relay's NCS symbol when all relays detected the symbols b."""
+    return encode_ncs(G, np.broadcast_to(b[:, None], (len(b), len(b), 1)))[:, 0]
 
 
 class TestMappings:
@@ -66,19 +82,19 @@ class TestLinearEncode:
         G = np.eye(2)
         b = np.array([1.0, -1.0])
         for l in (0, 1):
-            assert linear_encode(G, b, l) == b[l]
+            assert encode_same(G, b)[l] == b[l]
 
     def test_worked_example(self):
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
         b = np.array([1.0, -1.0])
-        assert linear_encode(G, b, 0) == 0.0
-        assert linear_encode(G, b, 1) == 1.0
+        assert encode_same(G, b)[0] == 0.0
+        assert encode_same(G, b)[1] == 1.0
 
     def test_all_ones_gives_column_sum(self):
         G = np.array([[1.0, 0.0], [1.0, 1.0]])
         b = np.ones(2)
         for l in (0, 1):
-            assert linear_encode(G, b, l) == G[:, l].sum()
+            assert encode_same(G, b)[l] == G[:, l].sum()
 
     def test_encode_ncs_uses_each_relays_own_detections(self):
         G = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -126,12 +142,10 @@ class TestEnumerationAndRandomDesign:
 
 class TestMlDesign:
     def _calibrate(self, rng, sigma2=1e-30, gains=None):
-        h = np.ones((2, 4), dtype=complex) / 2.0
-        if gains is not None:
-            h = h * np.asarray(gains)[:, None]
-        w = np.ones((2, 4), dtype=complex) / 2.0
+        # unit-gain streams (w^H h = 1, ||w|| = 1), optionally rescaled
+        g = np.ones(2, dtype=complex) if gains is None else np.asarray(gains, complex)
         training = np.where(rng.standard_normal((2, 50)) >= 0, 1.0, -1.0)
-        g, outs = ml_calibration_outputs(h, w, training, sigma2, rng)
+        outs = ml_calibration_outputs(g, np.full(2, sigma2), training, rng)
         return g, outs, training
 
     def test_six_candidates_evaluated(self):
@@ -183,30 +197,69 @@ class TestMlDesign:
                 "argmin disagrees with brute force"
             assert np.array_equal(G.entries, cands[oracle_best])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_costs_match_per_candidate_solve(self, m):
+        # oracle: one solve per candidate on its own calibration outputs
+        rng = np.random.default_rng(50 + m)
+        cands = enumerate_invertible_binary(m)
+        for _ in range(10 if m == 2 else 2):
+            gains, nvar = mmse_stream_stats(rng, m, float(rng.uniform(0.05, 0.5)))
+            training = np.where(rng.standard_normal((m, 40)) >= 0, 1.0, -1.0)
+            outs = ml_calibration_outputs(gains, nvar, training, rng)
+            G, costs = design_G_ml(outs, gains, training)
+            oracle = np.empty(len(cands))
+            for j, cand in enumerate(cands):
+                rec = np.linalg.solve(cand.T.astype(complex),
+                                      outs[j] / gains[:, None])
+                oracle[j] = np.sum(np.abs(training - rec) ** 2)
+            assert np.allclose(costs, oracle, rtol=1e-12, atol=0)
+            assert np.array_equal(G.entries, cands[argmin_with_ties(oracle)])
+
+
+def oracle_chain_error(g, gains, nvar, p):
+    """predicted_chain_error for one encoder, from the closed-form
+    P_ab R_b^-1 and the chain's mean outputs for every flip pattern
+    (user, relay) and every data pattern."""
+    m = len(gains)
+    C = g.T @ g
+    P_ab = C * gains.conj()[None, :]
+    R_b = np.outer(gains, gains.conj()) * C + np.diag(nvar)
+    fallback = np.linalg.cond(R_b) > 1e12
+    D = np.diag(1.0 / gains) if fallback else P_ab @ np.linalg.inv(R_b)
+    A = np.linalg.inv(g.T) @ D
+    sigma = np.sqrt(np.maximum((np.abs(A) ** 2 @ nvar) / 2.0, 1e-300))
+    masks = np.array(list(product((0, 1), repeat=m * m))).reshape(-1, m, m)
+    weights = np.prod(np.where(masks > 0, p, 1.0 - p), axis=(1, 2))
+    b = np.array(all_patterns(m)).T                            # (m, 2^m)
+    detected = b[None, :, None, :] * (1.0 - 2.0 * masks[..., None])
+    ncs = np.sum(g[None, :, :, None] * detected, axis=1)       # relay l: column l
+    mean = ((A * gains[None, :]) @ ncs).real
+    err = _qfunc(b * mean / sigma[:, None])
+    return float(weights @ err.sum(axis=(1, 2))) / (m * 2 ** m), fallback
+
 
 class TestMmseDesign:
     def _scenario(self, rng, sigma2=0.1):
-        h = complex_gaussian(rng, (2, 8))
-        w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
+        gains, nvar = mmse_stream_stats(rng, 2, sigma2, n=8)
         G = design_G_random(2, rng)
-        return h, w, G
+        return gains, nvar, G
 
     def test_normal_equations(self):
         # G_mmse R_b = P_ab must hold to high relative accuracy
-        from plnc_sim.network_coding import _second_order_stats
         rng = np.random.default_rng(6)
-        h, w, G = self._scenario(rng)
-        dec = design_G_mmse(h, w, G, 0.1)
-        _, _, P_ab, R_b = _second_order_stats(G, h, w, 0.1)
+        gains, nvar, G = self._scenario(rng)
+        dec = design_G_mmse(G, gains, nvar)
+        C = G.entries.T @ G.entries
+        P_ab = C * gains.conj()[None, :]
+        R_b = np.outer(gains, gains.conj()) * C + np.diag(nvar)
         residual = np.linalg.norm(dec.entries @ R_b - P_ab)
         assert residual < 1e-9 * max(np.linalg.norm(P_ab), 1.0)
 
     def test_noiseless_perfect_equalization_recovers_ncs(self):
-        h = np.ones((2, 4), dtype=complex) / 2.0
-        w = np.ones((2, 4), dtype=complex) / 2.0   # w^H h = 1 exactly
+        # w^H h = 1 exactly
         G = CodingMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]),
                          Scheme.RANDOM, Role.ENCODER)
-        dec = design_G_mmse(h, w, G, sigma2=1e-30)
+        dec = design_G_mmse(G, np.ones(2, dtype=complex), np.full(2, 1e-30))
         for b in all_patterns():
             ncs = G.entries.T @ b
             assert np.allclose((dec.entries @ ncs).real, ncs, atol=1e-9)
@@ -216,50 +269,73 @@ class TestMmseDesign:
         # on simulated (a, b) sample pairs
         rng = np.random.default_rng(7)
         sigma2 = 0.15
-        h, w, G = self._scenario(rng, sigma2)
-        gains = np.sum(w.conj() * h, axis=1)
-        nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
+        gains, nvar, G = self._scenario(rng, sigma2)
         T = 100_000
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
         a = G.entries.T @ b
         eta = complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
         z = gains[:, None] * a + eta
         ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
-        dec = design_G_mmse(h, w, G, sigma2)
+        dec = design_G_mmse(G, gains, nvar)
         rel = np.linalg.norm(dec.entries - ls) / np.linalg.norm(dec.entries)
         assert rel < 1e-2
 
     def test_mse_not_worse_than_plain_inversion(self):
         rng = np.random.default_rng(8)
         sigma2 = 0.3
-        h, w, G = self._scenario(rng, sigma2)
-        gains = np.sum(w.conj() * h, axis=1)
-        nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
+        gains, nvar, G = self._scenario(rng, sigma2)
         T = 50_000
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
         a = G.entries.T @ b
         z = gains[:, None] * a + complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
-        dec = design_G_mmse(h, w, G, sigma2)
+        dec = design_G_mmse(G, gains, nvar)
         mse_mmse = np.mean(np.abs(a - dec.entries @ z) ** 2)
         mse_plain = np.mean(np.abs(a - z / gains[:, None]) ** 2)
         assert mse_mmse <= mse_plain + 1e-12
 
     def test_selection_prefers_reliable_detections(self):
         # user 0 badly detected at relay 0: the chosen encoder must not
-        # route that detection into relay 0's stream
-        h = np.ones((2, 8), dtype=complex) / np.sqrt(8)
-        w = h.copy()
+        # route that detection into relay 0's stream (unit-gain streams)
         flips = np.array([[0.4, 1e-4], [1e-4, 1e-4]])
-        G, scores = select_G_mmse(h, w, 0.05, flip_probs=flips)
+        G, scores = select_G_mmse(np.ones(2, dtype=complex), np.full(2, 0.05),
+                                  flip_probs=flips)
         assert G.entries[0, 0] == 0.0
         assert scores.shape == (6,)
 
     def test_chain_error_in_unit_interval(self):
         rng = np.random.default_rng(10)
-        h, w, G = self._scenario(rng)
-        p = predicted_chain_error(G, h, w, 0.1,
+        gains, nvar, G = self._scenario(rng)
+        p = predicted_chain_error(G.entries, gains, nvar,
                                   flip_probs=np.full((2, 2), 0.01))
         assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("m,draws", [(2, 30), (3, 2)])
+    def test_selection_scores_match_per_candidate_oracle(self, m, draws):
+        rng = np.random.default_rng(60 + m)
+        cands = enumerate_invertible_binary(m)
+        for _ in range(draws):
+            gains, nvar = mmse_stream_stats(rng, m, float(rng.uniform(0.02, 1.0)))
+            gains = gains * np.exp(2j * np.pi * rng.random(m))   # any phase
+            p = rng.uniform(0.0, 0.3, (m, m))
+            G, scores = select_G_mmse(gains, nvar, flip_probs=p)
+            oracle = np.array([oracle_chain_error(c, gains, nvar, p)[0]
+                               for c in cands])
+            assert np.allclose(scores, oracle, rtol=1e-9, atol=1e-15)
+            assert np.array_equal(G.entries, cands[argmin_with_ties(oracle)])
+
+    def test_partial_fallback_matches_per_candidate_oracle(self):
+        # one nearly silent stream leaves R_b singular for some encoders
+        # only; each must fall back on its own
+        gains = np.array([1.0 + 0.0j, 1.5e-6j])
+        nvar = np.array([0.5, 1e-24])
+        p = np.full((2, 2), 0.05)
+        cands = enumerate_invertible_binary(2)
+        oracle = [oracle_chain_error(c, gains, nvar, p) for c in cands]
+        fallbacks = [fb for _, fb in oracle]
+        assert any(fallbacks) and not all(fallbacks)
+        assert [design_G_mmse(c, gains, nvar).fallback for c in cands] == fallbacks
+        _, scores = select_G_mmse(gains, nvar, flip_probs=p)
+        assert np.allclose(scores, [e for e, _ in oracle], rtol=1e-9, atol=1e-15)
 
 
 class TestJointDecoding:
@@ -349,3 +425,24 @@ class TestRandomizedRoundtrips:
             for k in (0, 1):
                 direct_aided = decode_with_direct(G, est, b, target=k)
                 assert np.array_equal(direct_aided, b[k])
+
+
+class TestNoiselessExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]),
+           polar=st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(-np.pi, np.pi)),
+                          min_size=3, max_size=3))
+    def test_every_candidate_and_decoder_recovers_symbols(self, m, polar):
+        # sigma2 -> 0: every invertible encoder, unequal complex gains
+        gains = np.array([r * np.exp(1j * phi) for r, phi in polar[:m]])
+        nvar = np.full(m, 1e-30)
+        b = np.array(list(product((-1.0, 1.0), repeat=m))).T      # (m, 2^m)
+        for cand in enumerate_invertible_binary(m):
+            z = gains[:, None] * (cand.T @ b)
+            assert np.array_equal(decode_joint(cand, z, gains), b)
+            dec = design_G_mmse(cand, gains, nvar)
+            assert not dec.fallback
+            assert np.array_equal(decode_joint(cand, z, gains, dec), b)
+            est = detect_ncs(cand, z, gains)
+            for k in range(m):
+                assert np.array_equal(decode_with_direct(cand, est, b, target=k), b[k])

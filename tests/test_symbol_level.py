@@ -67,8 +67,8 @@ def first_phase_pair(state, kind, sigma2, symbols, seed, noise_var=None):
     y_sd, y_sr = synthesize_first_phase(symbols, state, noise_var,
                                         np.random.default_rng(seed + 1),
                                         relays=RELAYS)
-    chip = [f_sd[USERS].conj() @ y_sd.samples]
-    chip += [f_sr[USERS, r].conj() @ y.samples for r, y in zip(RELAYS, y_sr)]
+    chip = [f_sd[USERS].conj() @ y_sd]
+    chip += [f_sr[USERS, r].conj() @ y for r, y in zip(RELAYS, y_sr)]
     return np.concatenate([soft_sd[None], soft_sr]), np.stack(chip)
 
 
@@ -135,7 +135,7 @@ class TestSecondPhase:
         rng = np.random.default_rng(43)
         for pos, relay in enumerate(RELAYS):
             y = synthesize_second_phase(ncs[pos:pos + 1], state, [relay], sigma2, rng)
-            chip = filters[pos].conj() @ y.samples
+            chip = filters[pos].conj() @ y
             assert_same_moments(sampled[pos:pos + 1], chip[None])
 
     def test_xor_combined_stream(self, kind):
@@ -150,4 +150,4 @@ class TestSecondPhase:
                                         np.random.default_rng(45))
         y = synthesize_second_phase(ncs, state, RELAYS, sigma2,
                                     np.random.default_rng(46))
-        assert_same_moments(sampled, (w.conj() @ y.samples)[None])
+        assert_same_moments(sampled, (w.conj() @ y)[None])
