@@ -25,7 +25,8 @@ state = draw_channel(cfg, book, ids, np.random.default_rng(7))
 sigma2 = cfg.noise_var
 Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
 Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
-cands = candidate_pairs(groups, cfg.num_relays, PairMode.FIXED_GROUPS)
+cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
+                        PairMode.FIXED_GROUPS)
 table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
 
 hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)     # table columns

@@ -21,7 +21,7 @@ for o in machine.trace:
           f"   {occ:>11s}  {o.reselections:4d} {o.bit_errors:4d}")
 
 ber = machine.bit_errors / machine.bits_decoded if machine.bits_decoded else 0
-print(f"\n{machine.packets_decoded} packets decoded, running ber {ber:.4f}, "
+print(f"\n{machine.transmit_slots} packets decoded, running ber {ber:.4f}, "
       f"{machine.idle_slots} idle slots")
 print("note how reception slots run ahead early (buffers filling) and the")
 print("selection then alternates hops based on the per-slot SINR tables")

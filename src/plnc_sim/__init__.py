@@ -15,8 +15,7 @@ from .network_coding import (CodingMatrix, bit_to_symbol, decode_joint,
                              select_G_mmse, slice_to_levels, symbol_to_bit,
                              xor_decode, xor_encode)
 from .relay_selection import build_sinr_table, candidate_pairs, select_best
-from .buffer_protocol import (BufferBank, DestinationBuffer, SlotMachine,
-                              decide_action)
+from .buffer_protocol import BufferBank, SlotMachine, decide_action
 from .harness import (RunReport, emit_report, parse_report, run_sweep,
                       run_trial, scheme_label, write_trace)
 

@@ -26,104 +26,60 @@ from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
 
 @dataclass
 class PairPacket:
-    """One buffered transaction: the pair's encoded NCS streams plus the
+    """One buffered transaction: the pair's encoded NCS streams, the
+    destination's direct-link decisions from the same reception, and the
     bookkeeping needed to decode and score them later."""
 
     uid: int
     group_id: int
-    users: tuple
     relays: tuple
-    scheme: Scheme
     encoder: object            # CodingMatrix or None for XOR
     ncs: np.ndarray            # (m, P) real
+    direct: np.ndarray         # (m, P) destination's direct-link decisions
     true_symbols: np.ndarray   # (m, P) ground truth, never enters the signal path
     created_slot: int
 
 
-class RelayBuffer:
-    """FIFO queue of encoded packets at one relay, capacity J."""
+class BufferBank:
+    """The L relay FIFO buffers of capacity J with the paired push/pop
+    discipline: every relay of a pair stores and releases a packet
+    together."""
 
-    def __init__(self, capacity):
+    def __init__(self, num_relays, capacity):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self._queue = deque()
-
-    @property
-    def occupancy(self):
-        return len(self._queue)
-
-    def push(self, packet):
-        if self.occupancy >= self.capacity:
-            raise RuntimeError("push into a full relay buffer")
-        self._queue.append(packet)
-
-    def pop(self):
-        if not self._queue:
-            raise RuntimeError("pop from an empty relay buffer")
-        return self._queue.popleft()
-
-    def peek(self):
-        return self._queue[0] if self._queue else None
-
-
-class BufferBank:
-    """The L relay buffers with the paired push/pop discipline: both
-    relays of a pair store and release a packet together."""
-
-    def __init__(self, num_relays, capacity):
-        self.buffers = [RelayBuffer(capacity) for _ in range(num_relays)]
+        self.buffers = [deque() for _ in range(num_relays)]
 
     def occupancies(self):
-        return tuple(b.occupancy for b in self.buffers)
+        return tuple(len(b) for b in self.buffers)
 
     def can_receive(self, relays):
         """True iff every buffer of the pair has occupancy below capacity."""
         if not relays:
             raise ValueError("empty relay tuple")
-        return all(self.buffers[r].occupancy < self.buffers[r].capacity
-                   for r in relays)
+        return all(len(self.buffers[r]) < self.capacity for r in relays)
 
     def can_transmit(self, relays):
         """True iff every buffer of the pair holds the pair's next packet."""
         if not relays:
             raise ValueError("empty relay tuple")
-        heads = [self.buffers[r].peek() for r in relays]
-        if any(h is None for h in heads):
-            return False
+        queues = [self.buffers[r] for r in relays]
         # heads must be the same packet so the pair decodes jointly
-        return all(h is heads[0] for h in heads)
+        return all(queues) and all(q[0] is queues[0][0] for q in queues)
 
     def push_pair(self, relays, packet):
         if not self.can_receive(relays):
             raise RuntimeError("pair reception with a full buffer")
         for r in relays:
-            self.buffers[r].push(packet)
+            self.buffers[r].append(packet)
 
     def pop_pair(self, relays):
         if not self.can_transmit(relays):
             raise RuntimeError("pair transmission without an aligned packet")
-        packet = self.buffers[relays[0]].pop()
-        for r in relays[1:]:
-            self.buffers[r].pop()
+        for r in relays:
+            packet = self.buffers[r].popleft()
         return packet
-
-
-class DestinationBuffer:
-    """Direct-link detected symbols awaiting PLNC decoding, one FIFO per
-    relay pair so estimates stay aligned with the pair's packets."""
-
-    def __init__(self):
-        self._queues = {}
-
-    def push(self, key, direct_symbols):
-        self._queues.setdefault(key, deque()).append(direct_symbols)
-
-    def pop(self, key):
-        return self._queues[key].popleft()
-
-    def pending(self, key):
-        return len(self._queues.get(key, ()))
 
 
 _HOPS = (Hop.SOURCE_RELAY, Hop.RELAY_DEST)    # table columns
@@ -207,6 +163,10 @@ class SlotMachine:
     relaying: groups are served round-robin and every reception slot is
     immediately followed by the paired transmission slot.
 
+    The bank is the only record of buffered packets.  Each reception
+    slot pushes one packet and each transmission slot decodes one, so
+    receive_slots and transmit_slots count packets too.
+
     rng is an RngStreams, or one Generator that then feeds every stream.
     """
 
@@ -234,23 +194,18 @@ class SlotMachine:
             for r in grp.relays:
                 self.relay_group_ids[r] = g
         self.candidates = rs.candidate_pairs(self.groups, config.num_relays,
-                                             config.pair_mode)
+                                             config.group_size, config.pair_mode)
         self.bank = BufferBank(config.num_relays, config.buffer_size)
-        self.dest = DestinationBuffer()
         self.collect_trace = collect_trace
         self.trace = []
         self.slot = 0
         self.bit_errors = 0
         self.bits_decoded = 0
-        self.packets_pushed = 0
-        self.packets_decoded = 0
         self.idle_slots = 0
         self.receive_slots = 0
         self.transmit_slots = 0
-        self._uid = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
-        self._pending_pair = None    # unbuffered: (group_id, relays) to transmit next
 
     # -- per-slot physics -------------------------------------------------
 
@@ -299,8 +254,9 @@ class SlotMachine:
 
     def _receive(self, state, relays, group_id, filters_sr):
         """First phase: all sources transmit, the selected pair detects
-        and buffers its group, the destination stores direct estimates.
-        filters_sr is the slot's source-relay filter bank."""
+        and buffers its group, with the destination's direct estimates
+        in the same packet.  filters_sr is the slot's source-relay
+        filter bank."""
         cfg = self.config
         sigma2 = cfg.noise_var
         users = list(self.groups[group_id].users)
@@ -321,15 +277,11 @@ class SlotMachine:
         else:
             ncs = nc.encode_ncs(encoder, detected)
 
-        packet = PairPacket(uid=self._uid, group_id=group_id, users=tuple(users),
-                            relays=tuple(relays), scheme=cfg.nc_design,
-                            encoder=encoder, ncs=ncs,
-                            true_symbols=symbols[users, :].copy(),
+        packet = PairPacket(uid=self.receive_slots, group_id=group_id,
+                            relays=tuple(relays), encoder=encoder, ncs=ncs,
+                            direct=direct, true_symbols=symbols[users, :].copy(),
                             created_slot=self.slot)
-        self._uid += 1
         self.bank.push_pair(relays, packet)
-        self.dest.push(tuple(relays), direct)
-        self.packets_pushed += 1
 
     def _transmit(self, state, relays):
         """Second phase: pop the pair's oldest packet, send the NCS
@@ -337,11 +289,10 @@ class SlotMachine:
         cfg = self.config
         sigma2 = cfg.noise_var
         packet = self.bank.pop_pair(relays)
-        direct = self.dest.pop(tuple(relays))
         m, P = cfg.group_size, cfg.packet_length
         rows = self._rd_rows(state, packet.relays, packet.group_id)
 
-        if packet.scheme == Scheme.XOR:
+        if cfg.nc_design == Scheme.XOR:
             # both relays carry the same code and (nominally) the same
             # symbol: the streams superpose on the combined channel
             combined = rows.sum(axis=0)
@@ -353,7 +304,8 @@ class SlotMachine:
             soft = sm.sample_filter_outputs(w, rows, packet.ncs, sigma2,
                                             self.rng.noise)
             ncs_hat = rx.hard_decision(soft[0])
-            decoded = np.stack([nc.xor_decode(ncs_hat, direct, k) for k in range(m)])
+            decoded = np.stack([nc.xor_decode(ncs_hat, packet.direct, k)
+                                for k in range(m)])
         else:
             # one sub-slot per relay stream, independent noise each
             filters, gains, noise_var = self._stream_stats(rows)
@@ -361,14 +313,14 @@ class SlotMachine:
                                          packet.ncs[:, None], sigma2,
                                          self.rng.noise)[:, 0]
             decoder = None
-            if packet.scheme == Scheme.MMSE_DESIGN:
+            if cfg.nc_design == Scheme.MMSE_DESIGN:
                 decoder = nc.design_G_mmse(packet.encoder, gains, noise_var)
             if cfg.decoder == DecoderKind.JOINT:
                 decoded = nc.decode_joint(packet.encoder, z, gains, decoder)
             else:
                 ncs_est = nc.detect_ncs(packet.encoder, z, gains, decoder)
                 decoded = np.stack([nc.decode_with_direct(packet.encoder, ncs_est,
-                                                          direct, k)
+                                                          packet.direct, k)
                                     for k in range(m)])
             note = "mmse fallback" if decoder is not None and decoder.fallback else ""
 
@@ -379,7 +331,6 @@ class SlotMachine:
         bits = m * P
         self.bit_errors += errors
         self.bits_decoded += bits
-        self.packets_decoded += 1
         return errors, bits, note
 
     # -- slot driver -------------------------------------------------------
@@ -399,14 +350,13 @@ class SlotMachine:
             pair_id, relays, hop, sinr, reselections = decide_action(
                 table, self.candidates, self.bank)
         else:
-            # every reception slot is followed by the pair's transmission
-            if self._pending_pair is None:
+            # every reception slot is followed by the pair's transmission:
+            # the group served last transmits while its relays hold a packet
+            pair_id = (self._rr_group - 1) % cfg.num_groups
+            relays, hop = self.groups[pair_id].relays, Hop.RELAY_DEST
+            if not self.bank.can_transmit(relays):
                 pair_id = self._next_group()
                 relays, hop = self.groups[pair_id].relays, Hop.SOURCE_RELAY
-                self._pending_pair = pair_id, relays
-            else:
-                (pair_id, relays), hop = self._pending_pair, Hop.RELAY_DEST
-                self._pending_pair = None
             sinr, reselections = float("nan"), 0
 
         occ_before = self.bank.occupancies()
@@ -444,11 +394,11 @@ class SlotMachine:
         pathological configs cannot spin forever) is reached first."""
         if max_slots is None:
             max_slots = 16 * n_packets + 64
-        while self.packets_decoded < n_packets and self.slot < max_slots:
+        while self.transmit_slots < n_packets and self.slot < max_slots:
             self.advance()
-        if self.packets_decoded < n_packets:
-            raise RuntimeError(f"decoded {self.packets_decoded} of {n_packets} "
+        if self.transmit_slots < n_packets:
+            raise RuntimeError(f"decoded {self.transmit_slots} of {n_packets} "
                                f"requested packets in {self.slot} slots")
-        if self.packets_decoded > self.packets_pushed:
+        if self.transmit_slots > self.receive_slots:
             raise RuntimeError("decoded more packets than were pushed")
         return self

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import ReceiverKind, Scheme, SystemConfig, read_config_file
 from .harness import emit_report, run_sweep, write_trace
@@ -68,8 +69,9 @@ def build_parser():
     sweep.add_argument("--bits", type=int, default=200_000,
                        help="information bits per BER point")
     sweep.add_argument("--out", default="results.csv", help="output CSV path")
-    sweep.add_argument("--schemes", default="xor,random,ml,mmse",
-                       help="comma list of coding schemes to run")
+    sweep.add_argument("--schemes",
+                       help="comma list of coding schemes to run (default: "
+                            "the config file's schemes, else all four)")
     sweep.add_argument("--no-buffers", action="store_true",
                        help="run only the unbuffered baseline instead of "
                             "both buffer modes")
@@ -86,19 +88,19 @@ def build_parser():
 
 def _build_config(args):
     overrides = {}
-    schemes_spec = args.schemes
+    file_schemes = None
     if args.config:
-        file_overrides = read_config_file(args.config)
-        file_schemes = file_overrides.pop("schemes", None)
-        if file_schemes and args.schemes == "xor,random,ml,mmse":
-            schemes_spec = file_schemes
-        overrides.update(file_overrides)
+        overrides = read_config_file(args.config)
+        file_schemes = overrides.pop("schemes", None)
     if args.receiver:
         overrides["receiver"] = ReceiverKind(args.receiver)
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
     config = SystemConfig(**overrides)
-    schemes = parse_schemes(schemes_spec)
+    spec = args.schemes if args.schemes is not None else file_schemes
+    schemes = parse_schemes(spec) if spec is not None else list(Scheme)
+    for scheme in schemes:             # check every variant before any runs
+        replace(config, nc_design=scheme)
     if args.no_buffers and args.buffers_only:
         raise ValueError("--no-buffers and --buffers-only are exclusive")
     if args.no_buffers:

@@ -74,6 +74,11 @@ class SystemConfig:
             raise ValueError("num_users must be divisible by group_size")
         if self.num_relays % self.group_size != 0:
             raise ValueError("num_relays must be divisible by group_size")
+        if self.nc_design == Scheme.MMSE_DESIGN and self.group_size > 3:
+            # select_G_mmse scores every invertible binary encoder over all
+            # 2^(m^2) detection-flip patterns at once: about 7e14 bytes at m=4
+            raise ValueError("the mmse design supports group size m <= 3, "
+                             f"got m={self.group_size}")
         if self.ml_training_len < 1:
             raise ValueError("ml_training_len must be >= 1")
         if not (self.noise_var > 0.0):

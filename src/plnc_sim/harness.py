@@ -45,7 +45,6 @@ class TrialResult:
     idle_slots: int
     receive_slots: int
     transmit_slots: int
-    packets_decoded: int
     trace: list = field(default_factory=list)
 
 
@@ -78,7 +77,6 @@ def run_trial(config: SystemConfig, seed, n_packets, collect_trace=False) -> Tri
                        idle_slots=machine.idle_slots,
                        receive_slots=machine.receive_slots,
                        transmit_slots=machine.transmit_slots,
-                       packets_decoded=machine.packets_decoded,
                        trace=machine.trace)
 
 

@@ -1,23 +1,20 @@
 """Per-pair SINR metrics for both hops and max-SINR pair selection."""
 
+from itertools import combinations
+
 import numpy as np
 
 from . import receivers as rx
 from .config import PairMode
 
 
-def candidate_pairs(groups, num_relays, mode: PairMode):
-    """Candidate relay pairs: the fixed disjoint groups by default, or
-    every unordered pair when free-form selection is enabled."""
+def candidate_pairs(groups, num_relays, group_size, mode: PairMode):
+    """Candidate (pair_id, relays) entries: the fixed disjoint groups by
+    default, or every set of group_size relays, in lexicographic order,
+    when free-form selection is enabled."""
     if mode == PairMode.FIXED_GROUPS:
         return [(g, grp.relays) for g, grp in enumerate(groups)]
-    pairs = []
-    pid = 0
-    for i in range(num_relays):
-        for j in range(i + 1, num_relays):
-            pairs.append((pid, (i, j)))
-            pid += 1
-    return pairs
+    return list(enumerate(combinations(range(num_relays), group_size)))
 
 
 def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):

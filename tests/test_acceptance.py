@@ -297,10 +297,10 @@ class TestCriterion9BufferFuzz:
         for slot in range(100_000):
             table = rng.random((3, 2))
             for pid, relays in pairs.items():
-                if all(bank.buffers[r].occupancy == 0 for r in relays):
+                if all(len(bank.buffers[r]) == 0 for r in relays):
                     if not bank.can_receive(relays):
                         violations.append((slot, pid, "empty not receivable"))
-                if all(bank.buffers[r].occupancy == J for r in relays):
+                if all(len(bank.buffers[r]) == J for r in relays):
                     if not bank.can_transmit(relays):
                         violations.append((slot, pid, "full not transmittable"))
             pair_id, relays, hop, _, _ = decide_action(table, list(pairs.items()),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (BufferBank, DecoderKind, DestinationBuffer, Hop, Scheme,
+from plnc_sim import (BufferBank, DecoderKind, Hop, PairMode, Scheme,
                       SlotMachine, SystemConfig, decide_action)
 from plnc_sim.buffer_protocol import TRACE_FIELDS, trace_row
 
@@ -24,9 +24,7 @@ class TestFeasibilityChecks:
         assert not bank.can_transmit((0, 1))          # (0, 0)
         push(bank, (0, 1), "a")
         assert bank.can_transmit((0, 1))              # (1, 1)
-        bank.buffers[0].push("solo")
-        bank.buffers[0].push("solo2")
-        bank.buffers[0].push("solo3")
+        bank.buffers[0].extend(["solo", "solo2", "solo3"])
         assert bank.occupancies() == (4, 1)
         bank.pop_pair((0, 1))
         assert bank.occupancies() == (3, 0)
@@ -52,6 +50,8 @@ class TestFeasibilityChecks:
         assert bank.pop_pair((0, 1)) == "third"
 
     def test_bounds_enforced(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            BufferBank(2, capacity=0)
         bank = BufferBank(2, capacity=1)
         push(bank, (0, 1), "a")
         with pytest.raises(RuntimeError):
@@ -75,14 +75,6 @@ class TestFeasibilityChecks:
             with pytest.raises(ValueError, match="empty relay tuple"):
                 call(())
         assert bank.occupancies() == (0, 0)
-
-    def test_destination_buffer_fifo(self):
-        dest = DestinationBuffer()
-        dest.push((0, 1), "x")
-        dest.push((0, 1), "y")
-        assert dest.pending((0, 1)) == 2
-        assert dest.pop((0, 1)) == "x"
-        assert dest.pop((0, 1)) == "y"
 
 
 PAIRS = [(0, (0, 1)), (1, (2, 3))]
@@ -149,8 +141,8 @@ def reference_decision(table, candidates, bank):
     def feasible(relays, col):
         buffers = [bank.buffers[r] for r in relays]
         if col == SR:
-            return all(b.occupancy < b.capacity for b in buffers)
-        heads = [b.peek() for b in buffers]
+            return all(len(b) < bank.capacity for b in buffers)
+        heads = [b[0] if b else None for b in buffers]
         return heads[0] is not None and all(h is heads[0] for h in heads)
 
     order = sorted((-table[row, col], pid, col, relays)
@@ -269,8 +261,8 @@ def machine(**kw):
 class TestSlotMachine:
     def test_buffered_run_counts_consistent(self):
         m = machine().run_until(n_packets=20)
-        assert m.packets_decoded == 20
-        assert m.packets_decoded <= m.packets_pushed
+        assert m.transmit_slots == 20
+        assert m.transmit_slots <= m.receive_slots
         assert m.bits_decoded == 20 * 2 * 40
         assert m.receive_slots + m.transmit_slots + m.idle_slots == m.slot
 
@@ -302,28 +294,34 @@ class TestSlotMachine:
         assert m.bits_decoded == 10 * 2 * 40
 
     def test_all_pairs_mode_runs(self):
-        from plnc_sim import PairMode
         m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15)
-        assert m.packets_decoded == 15
+        assert m.transmit_slots == 15
         pair_ids = {o.pair_id for o in m.trace if o.action != "idle"}
         assert len(pair_ids) > 2   # selection ranges over the C(4,2) pairs
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("m,num_relays", [(1, 2), (1, 3), (3, 3), (3, 6)])
+    def test_all_pairs_sets_of_m_relays_decode(self, m, num_relays, scheme):
+        # free-form candidates are m-relay sets; noiseless decoding is exact
+        for decoder in DecoderKind:
+            mach = machine(num_users=num_relays, num_relays=num_relays,
+                           group_size=m, packet_length=8, snr_db=120.0,
+                           pair_mode=PairMode.ALL_PAIRS, nc_design=scheme,
+                           decoder=decoder).run_until(n_packets=4)
+            assert mach.bits_decoded == 4 * m * 8
+            assert mach.bit_errors == 0
+
     def test_rescoring_a_packet_raises(self):
         m = machine(buffers_enabled=False)
-        m.advance()                                      # receive
-        pending = m._pending_pair
-        relays = pending[1]
-        packet = m.bank.buffers[relays[0]].peek()
+        relays = m.advance().relays                      # receive
+        packet = m.bank.buffers[relays[0]][0]
         m.advance()                                      # transmit, scored
-        m.bank.push_pair(relays, packet)
-        m.dest.push(relays, np.ones_like(packet.true_symbols))
-        m._pending_pair = pending
+        m.bank.push_pair(relays, packet)                 # the scored packet again
         with pytest.raises(RuntimeError, match="packet scored twice"):
             m.advance()
 
     def test_groups_without_relays_rejected(self):
         # K=4, L=2, m=2: group 1 gets no relays, its users are never served
-        from plnc_sim import PairMode
         with pytest.raises(ValueError, match="fewer than m=2 relays"):
             machine(num_users=4, num_relays=2)
         with pytest.raises(ValueError, match="fewer than m=2 relays"):
@@ -331,7 +329,7 @@ class TestSlotMachine:
                     buffers_enabled=False)
         # free-form pairs serve the groups round robin on any relay pair
         m = machine(num_users=4, num_relays=2, pair_mode=PairMode.ALL_PAIRS)
-        assert m.run_until(n_packets=4).packets_decoded == 4
+        assert m.run_until(n_packets=4).transmit_slots == 4
 
     def test_run_until_slot_cap_raises(self):
         # 3 slots cannot decode 3 packets: the shortfall must not pass silently
@@ -343,3 +341,60 @@ class TestSlotMachine:
         m = machine().run_until(n_packets=5)
         for outcome in m.trace:
             assert len(trace_row(outcome)) == len(TRACE_FIELDS)
+
+
+@st.composite
+def machine_cases(draw):
+    """A small SlotMachine over every mode and scheme, and a slot count."""
+    m = draw(st.sampled_from([1, 2]))
+    num_relays = m * draw(st.integers(1, 6 // m))
+    cfg = SystemConfig(num_users=num_relays, num_relays=num_relays,
+                       spreading_gain=8, buffer_size=draw(st.integers(1, 3)),
+                       group_size=m, packet_length=draw(st.integers(1, 4)),
+                       snr_db=draw(st.sampled_from([0.0, 10.0])),
+                       nc_design=draw(st.sampled_from(list(Scheme))),
+                       decoder=draw(st.sampled_from(list(DecoderKind))),
+                       buffers_enabled=draw(st.booleans()),
+                       pair_mode=draw(st.sampled_from(list(PairMode))),
+                       ml_training_len=8, rng_seed=draw(st.integers(0, 99)))
+    return cfg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40))
+
+
+class TestSlotMachineProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(machine_cases())
+    def test_packets_conserved_and_scored_once_in_fifo_order(self, case):
+        cfg, seed, n_slots = case
+        mach = SlotMachine(cfg, np.random.default_rng(seed))
+        pushed, popped = [], []
+        push_pair, pop_pair = mach.bank.push_pair, mach.bank.pop_pair
+
+        def record_push(relays, packet):
+            push_pair(relays, packet)
+            pushed.append(packet)
+
+        def record_pop(relays):
+            packet = pop_pair(relays)
+            popped.append(packet)
+            return packet
+
+        mach.bank.push_pair, mach.bank.pop_pair = record_push, record_pop
+        for _ in range(n_slots):
+            outcome = mach.advance()
+            assert all(0 <= o <= cfg.buffer_size for o in outcome.occupancy_after)
+            if outcome.action == "transmit":
+                assert outcome.relays == popped[-1].relays
+                assert outcome.decoded_bits == cfg.group_size * cfg.packet_length
+        left = {id(p): p for queue in mach.bank.buffers for p in queue}
+        # every packet is scored at most once and the rest are still buffered
+        assert len({id(p) for p in popped}) == len(popped) == mach.transmit_slots
+        assert len(pushed) == mach.receive_slots
+        assert mach.receive_slots == mach.transmit_slots + len(left)
+        assert {id(p) for p in popped} | set(left) == {id(p) for p in pushed}
+        # FIFO per relay set: packets leave in the order they arrived
+        for relays in {p.relays for p in pushed}:
+            arrived = [p for p in pushed if p.relays == relays]
+            left_in_order = [p for p in popped if p.relays == relays]
+            assert left_in_order == arrived[:len(left_in_order)]
+        assert [p.uid for p in pushed] == list(range(len(pushed)))
+        assert mach.bits_decoded == len(popped) * cfg.group_size * cfg.packet_length

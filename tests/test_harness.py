@@ -1,14 +1,15 @@
 """Trial running, sweep aggregation, CSV report and the CLI."""
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from plnc_sim import (DecoderKind, PairMode, RunReport, Scheme, SystemConfig,
-                      emit_report, parse_report, run_sweep, run_trial,
-                      scheme_label, write_trace)
+from plnc_sim import (DecoderKind, PairMode, RunReport, Scheme, SlotMachine,
+                      SystemConfig, emit_report, parse_report, run_sweep,
+                      run_trial, scheme_label, write_trace)
 from plnc_sim.buffer_protocol import TRACE_FIELDS
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
@@ -49,6 +50,8 @@ class TestRunTrial:
             tiny_config(buffer_size=0)
         with pytest.raises(ValueError):
             tiny_config(snr_db=float("inf"))
+        with pytest.raises(ValueError, match="m <= 3"):
+            tiny_config(group_size=4, nc_design=Scheme.MMSE_DESIGN)
 
 
 class TestRunSweep:
@@ -112,9 +115,10 @@ class TestRunSweep:
                 == (pb.scheme_label, pb.snr_db, pb.bits_total, pb.bit_errors)
 
 
-# (bits, errors, slots, idle slots) per variant of a fixed-seed sweep.
-# Pinned values: a refactor that changes the simulated stream of a fixed
-# seed fails here; change them only together with an intended RNG change.
+# (bits, errors, slots, idle slots) per variant of a fixed-seed sweep,
+# and the SHA-256 of its --trace file.  Pinned values: a refactor that
+# changes the simulated stream of a fixed seed fails here; change them
+# only together with an intended RNG change.
 GOLDEN = {
     PairMode.FIXED_GROUPS: {
         "xor-buffered-mmse": (200, 46, 21, 0),
@@ -137,22 +141,57 @@ GOLDEN = {
         "mmse-unbuffered-mmse": (200, 11, 20, 0),
     },
 }
+GOLDEN_TRACE_SHA256 = {
+    PairMode.FIXED_GROUPS:
+        "f18b20930f8038f14c54a6af98fdc18565708f9f3ab07be4672ce80755f1cad1",
+    PairMode.ALL_PAIRS:
+        "c11576d86a8c00b7e5969c8f4a9aa98c975ea91a42aa0e3ae6ee199062f3648d",
+}
+# All pairs with J = 3 and the direct-link decoder: overlapping pairs
+# share relay buffers, and every decode reads the stored direct estimates.
+GOLDEN_DIRECT = {
+    "xor-buffered-mmse": (200, 19, 28, 0),
+    "xor-unbuffered-mmse": (200, 38, 20, 0),
+    "random-buffered-mmse": (200, 11, 28, 0),
+    "random-unbuffered-mmse": (200, 26, 20, 0),
+    "ml-buffered-mmse": (200, 4, 28, 0),
+    "ml-unbuffered-mmse": (200, 30, 20, 0),
+    "mmse-buffered-mmse": (200, 1, 28, 0),
+    "mmse-unbuffered-mmse": (200, 10, 20, 0),
+}
+GOLDEN_DIRECT_TRACE_SHA256 = \
+    "d6f40c9a3101c03a4383455bf21d1b3cd5c2df8831c67bbb5218a91652d2b202"
+
+
+def golden_sweep(tmp_path, **kw):
+    """Counts per variant and the trace file's SHA-256 of a fixed-seed
+    sweep over every scheme in both buffer modes."""
+    cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=8,
+                       group_size=2, packet_length=10, rng_seed=2025, **kw)
+    report = run_sweep(cfg, [8.0], 10, schemes=list(Scheme),
+                       buffer_modes=[True, False], collect_trace=True)
+    got = {}
+    for p in report.points:
+        s = report.slot_summary[f"{p.scheme_label}@{p.snr_db:g}dB"]
+        idle = s["slots"] - s["receive_slots"] - s["transmit_slots"]
+        got[p.scheme_label] = (p.bits_total, p.bit_errors, s["slots"], idle)
+    path = write_trace(report, tmp_path / "slots.csv")
+    return got, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestGoldenCounts:
     @pytest.mark.parametrize("pair_mode", list(PairMode))
-    def test_fixed_seed_counts_pinned(self, pair_mode):
-        cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=8,
-                           buffer_size=1, group_size=2, packet_length=10,
-                           pair_mode=pair_mode, rng_seed=2025)
-        report = run_sweep(cfg, [8.0], 10, schemes=list(Scheme),
-                           buffer_modes=[True, False])
-        got = {}
-        for p in report.points:
-            s = report.slot_summary[f"{p.scheme_label}@{p.snr_db:g}dB"]
-            idle = s["slots"] - s["receive_slots"] - s["transmit_slots"]
-            got[p.scheme_label] = (p.bits_total, p.bit_errors, s["slots"], idle)
+    def test_fixed_seed_counts_pinned(self, pair_mode, tmp_path):
+        got, sha = golden_sweep(tmp_path, buffer_size=1, pair_mode=pair_mode)
         assert got == GOLDEN[pair_mode]
+        assert sha == GOLDEN_TRACE_SHA256[pair_mode]
+
+    def test_all_pairs_direct_decoder_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, buffer_size=3,
+                                pair_mode=PairMode.ALL_PAIRS,
+                                decoder=DecoderKind.DIRECT)
+        assert got == GOLDEN_DIRECT
+        assert sha == GOLDEN_DIRECT_TRACE_SHA256
 
 
 class TestReportIo:
@@ -267,6 +306,41 @@ class TestCli:
                      "--out", str(out)] + args)
         assert code == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_line,flag,expected", [
+        ("schemes = random\n", ["--schemes", "xor,random,ml,mmse"],
+         {"xor", "random", "ml", "mmse"}),
+        ("schemes = random\n", ["--schemes", "ml"], {"ml"}),
+        ("schemes = random\n", [], {"random"}),
+        ("", [], {"xor", "random", "ml", "mmse"}),
+    ])
+    def test_schemes_flag_then_file_then_all(self, tmp_path, file_line, flag,
+                                             expected):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K=4\nL=4\nN=8\nJ=2\nm=2\nP=10\nseed=5\n" + file_line)
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "8", "--bits", "20",
+                     "--buffers-only", "--out", str(out)] + flag)
+        assert code == 0
+        assert {row["scheme"].split("-")[0] for row in parse_report(out)} == expected
+
+    def test_mmse_design_above_m3_rejected_before_any_slot(self, tmp_path,
+                                                           monkeypatch, capsys):
+        def no_slot(machine):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(SlotMachine, "advance", no_slot)
+        with pytest.raises(ValueError, match="m <= 3"):
+            run_sweep(tiny_config(group_size=4), [8.0], 1,
+                      schemes=[Scheme.RANDOM, Scheme.MMSE_DESIGN])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K=4\nL=4\nN=8\nm=4\nP=10\n")
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "8",
+                     "--schemes", "random,mmse", "--out", str(out)])
+        assert code == 1
+        assert "m <= 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_scheme_exit_code(self, tmp_path):

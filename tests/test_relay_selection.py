@@ -1,5 +1,7 @@
 """SINR metrics and max-SINR pair selection."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -181,21 +183,28 @@ class TestSelection:
 class TestCandidates:
     def test_fixed_groups(self):
         cfg, _, groups, _ = scenario()
-        pairs = candidate_pairs(groups, cfg.num_relays, PairMode.FIXED_GROUPS)
+        pairs = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
+                                PairMode.FIXED_GROUPS)
         assert len(pairs) == 2
         assert {p[1] for p in pairs} == {g.relays for g in groups}
 
     def test_all_pairs(self):
-        pairs = candidate_pairs([], 6, PairMode.ALL_PAIRS)
+        pairs = candidate_pairs([], 6, 2, PairMode.ALL_PAIRS)
         assert len(pairs) == 15   # C(6, 2)
         assert len({p[1] for p in pairs}) == 15
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_all_pairs_are_sets_of_m_relays(self, m):
+        pairs = candidate_pairs([], 6, m, PairMode.ALL_PAIRS)
+        assert pairs == list(enumerate(combinations(range(6), m)))
 
     def test_table_covers_both_hops(self):
         cfg, _, groups, state = scenario()
         sigma2 = cfg.noise_var
         Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
         Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
-        cands = candidate_pairs(groups, cfg.num_relays, PairMode.FIXED_GROUPS)
+        cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
+                                PairMode.FIXED_GROUPS)
         table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
         assert table.shape == (len(cands), 2)   # column 0 first hop, 1 second
         assert np.all(np.isfinite(table) & (table > 0))
