@@ -18,9 +18,10 @@ for o in machine.trace:
     sinr = f"{o.sinr:7.2f}" if np.isfinite(o.sinr) else "      -"
     occ = "".join(str(x) for x in o.occupancy_after)
     print(f"{o.slot:4d} {o.action:8s} {o.pair_id:4d} {o.hop:12s} {sinr}"
-          f"   {occ:>11s}  {o.reselections:4d} {o.bit_errors:4d}")
+          f"   {occ:>11s}  {o.reselections:4d} {o.bit_errors[0]:4d}")
 
-ber = machine.bit_errors / machine.bits_decoded if machine.bits_decoded else 0
+bits = machine.transmit_slots * cfg.group_size * cfg.packet_length
+ber = machine.bit_errors[0] / bits if bits else 0
 print(f"\n{machine.transmit_slots} packets decoded, running ber {ber:.4f}, "
       f"{machine.idle_slots} idle slots")
 print("note how reception slots run ahead early (buffers filling) and the")

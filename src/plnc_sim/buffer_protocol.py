@@ -7,12 +7,19 @@ action: reception (sources to relays, encode, push) or transmission
 and selection repeats; an exhausted table idles the slot.  Receivers see
 filter outputs sampled at symbol level (signal_model.sample_*).
 
+No coding scheme changes the channel stream or the bank occupancies, so
+one machine runs several schemes in lockstep, one lane each: the slot's
+channel, filter banks, decision, symbols and first phase are computed
+once, and only encoder design, encoding, second phase and decoding run
+per lane.
+
 Half duplex is enforced by construction: one action per slot,
 system-wide.
 """
 
+import copy
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,15 +33,15 @@ from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
 
 @dataclass
 class PairPacket:
-    """One buffered transaction: the pair's encoded NCS streams, the
-    destination's direct-link decisions from the same reception, and the
-    bookkeeping needed to decode and score them later."""
+    """One buffered transaction: the pair's encoded NCS streams for
+    every lane, the destination's direct-link decisions from the same
+    reception, and the bookkeeping needed to decode and score them
+    later."""
 
     uid: int
     group_id: int
     relays: tuple
-    encoder: object            # CodingMatrix or None for XOR
-    ncs: np.ndarray            # (m, P) real
+    coded: tuple               # per lane: (CodingMatrix or None for XOR, (m, P) NCS)
     direct: np.ndarray         # (m, P) destination's direct-link decisions
     true_symbols: np.ndarray   # (m, P) ground truth, never enters the signal path
     created_slot: int
@@ -119,8 +126,8 @@ class SlotOutcome:
     occupancy_after: tuple
     reselections: int
     decoded_bits: int
-    bit_errors: int
-    note: str
+    bit_errors: tuple           # per lane
+    note: tuple                 # per lane
 
 
 TRACE_FIELDS = ("slot", "action", "pair_id", "relays", "hop", "sinr",
@@ -128,32 +135,44 @@ TRACE_FIELDS = ("slot", "action", "pair_id", "relays", "hop", "sinr",
                 "decoded_bits", "bit_errors", "note")
 
 
-def trace_row(outcome: SlotOutcome):
+def trace_row(outcome: SlotOutcome, lane=0):
+    """The trace fields of one slot as one lane saw it."""
     return [outcome.slot, outcome.action, outcome.pair_id,
             "|".join(str(r) for r in outcome.relays), outcome.hop,
             f"{outcome.sinr:.6g}" if np.isfinite(outcome.sinr) else "",
             "|".join(str(o) for o in outcome.occupancy_before),
             "|".join(str(o) for o in outcome.occupancy_after),
-            outcome.reselections, outcome.decoded_bits, outcome.bit_errors,
-            outcome.note]
+            outcome.reselections, outcome.decoded_bits,
+            outcome.bit_errors[lane], outcome.note[lane]]
 
 
 class RngStreams(NamedTuple):
-    """One generator per purpose.  Trials of different scheme variants
-    built from the same seed then share channels, symbols and noise for
-    as long as they take the same actions (common random numbers)."""
+    """One generator per purpose.  The lanes of a slot machine share the
+    channel, data and first-phase streams; each lane draws its encoder
+    designs and second-phase noise from its own copy of the design and
+    noise streams, so a lane's counts equal those of a one-lane machine
+    of its scheme built from the same seed (common random numbers)."""
 
     channel: np.random.Generator   # fading, one draw per slot
     data: np.random.Generator      # user symbols, one block per reception
-    noise: np.random.Generator     # receiver noise of both phases
+    noise: np.random.Generator     # second-phase receiver noise
     design: np.random.Generator    # encoder design: random draw, ML calibration
+    first_phase: np.random.Generator   # first-phase receiver noise
 
     @classmethod
     def from_seed(cls, seed):
-        """Four independent children of seed (an int or a SeedSequence)."""
+        """Five independent children of seed (an int or a SeedSequence)."""
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
-        return cls(*(np.random.default_rng(s) for s in seed.spawn(4)))
+        return cls(*(np.random.default_rng(s) for s in seed.spawn(5)))
+
+
+class Lane(NamedTuple):
+    """One coding scheme of a slot machine, with its private streams."""
+
+    scheme: Scheme
+    design: np.random.Generator
+    noise: np.random.Generator
 
 
 class SlotMachine:
@@ -167,14 +186,30 @@ class SlotMachine:
     slot pushes one packet and each transmission slot decodes one, so
     receive_slots and transmit_slots count packets too.
 
-    rng is an RngStreams, or one Generator that then feeds every stream.
+    schemes gives one lane per entry (default: config.nc_design alone);
+    bit_errors counts per lane, every other counter is shared.  rng is
+    an RngStreams, or, for one lane, one Generator that then feeds every
+    stream.
     """
 
-    def __init__(self, config: SystemConfig, rng, collect_trace=False):
+    def __init__(self, config: SystemConfig, rng, collect_trace=False,
+                 schemes=None):
         self.config = config
+        schemes = (config.nc_design,) if schemes is None else tuple(schemes)
+        if not schemes:
+            raise ValueError("a slot machine needs at least one scheme")
+        for scheme in set(schemes) - {config.nc_design}:
+            replace(config, nc_design=scheme)     # the scheme's config checks
         if not isinstance(rng, RngStreams):
-            rng = RngStreams(rng, rng, rng, rng)
+            if len(schemes) > 1:
+                raise ValueError("several lanes need RngStreams: one shared "
+                                 "Generator cannot give each lane its own")
+            rng = RngStreams(*(rng,) * 5)
         self.rng = rng
+        # every lane starts from the streams' state at construction, as a
+        # one-lane machine of its scheme would
+        self.lanes = (Lane(schemes[0], rng.design, rng.noise),) + tuple(
+            Lane(s, *copy.deepcopy((rng.design, rng.noise))) for s in schemes[1:])
         self.codebook = sm.generate_codebook(config)
         setup_rng = np.random.default_rng([int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF,
                                            0x6E0])
@@ -199,8 +234,7 @@ class SlotMachine:
         self.collect_trace = collect_trace
         self.trace = []
         self.slot = 0
-        self.bit_errors = 0
-        self.bits_decoded = 0
+        self.bit_errors = np.zeros(len(schemes), dtype=np.int64)
         self.idle_slots = 0
         self.receive_slots = 0
         self.transmit_slots = 0
@@ -232,31 +266,31 @@ class SlotMachine:
         noise_var = sigma2 * np.sum(np.abs(filters) ** 2, axis=1)
         return filters, rx.effective_gains(filters, rows), noise_var
 
-    def _choose_encoder(self, state, users, relays, filters_sr):
+    def _choose_encoder(self, lane, stats, state, users, relays, filters_sr):
+        """The lane's coding matrix for one reception.  stats holds the
+        pair's relay-destination (gains, noise variances), which the ml
+        and mmse designs read."""
         cfg = self.config
-        scheme = cfg.nc_design
-        rng = self.rng.design
-        if scheme == Scheme.XOR:
-            return None
-        if scheme == Scheme.RANDOM:
-            return nc.design_G_random(cfg.group_size, rng)
-        _, gains, noise_var = self._stream_stats(state.h_eff_rd[list(relays)])
-        if scheme == Scheme.ML:
-            training = rx.hard_decision(rng.standard_normal((cfg.group_size,
-                                                             cfg.ml_training_len)))
-            return nc.design_G_ml_for_channel(gains, noise_var, training, rng)
-        if scheme == Scheme.MMSE_DESIGN:
+        if lane.scheme == Scheme.RANDOM:
+            return nc.design_G_random(cfg.group_size, lane.design)
+        gains, noise_var = stats
+        if lane.scheme == Scheme.ML:
+            training = rx.hard_decision(lane.design.standard_normal(
+                (cfg.group_size, cfg.ml_training_len)))
+            return nc.design_G_ml_for_channel(gains, noise_var, training,
+                                              lane.design)
+        if lane.scheme == Scheme.MMSE_DESIGN:
             flips = rx.detection_error_probs(users, relays, state, filters_sr,
                                              cfg.noise_var)
             encoder, _ = nc.select_G_mmse(gains, noise_var, flip_probs=flips)
             return encoder
-        raise ValueError(f"unknown scheme {scheme}")
+        raise ValueError(f"unknown scheme {lane.scheme}")
 
     def _receive(self, state, relays, group_id, filters_sr):
         """First phase: all sources transmit, the selected pair detects
-        and buffers its group, with the destination's direct estimates
-        in the same packet.  filters_sr is the slot's source-relay
-        filter bank."""
+        and buffers its group, with every lane's encoding and the
+        destination's direct estimates in the same packet.  filters_sr
+        is the slot's source-relay filter bank."""
         cfg = self.config
         sigma2 = cfg.noise_var
         users = list(self.groups[group_id].users)
@@ -266,77 +300,97 @@ class SlotMachine:
         filters_sd = rx.source_dest_filter_bank(state, sigma2, cfg.receiver)
         soft_sd, soft_sr = sm.sample_first_phase(symbols, state, users, relays,
                                                  filters_sd, filters_sr, sigma2,
-                                                 self.rng.noise)
+                                                 self.rng.first_phase)
         direct = rx.hard_decision(soft_sd)
         detected = rx.hard_decision(soft_sr)                 # [relay, user, symbol]
 
-        encoder = self._choose_encoder(state, users, relays, filters_sr)
-        if cfg.nc_design == Scheme.XOR:
-            ncs = np.stack([nc.xor_encode(nc.symbol_to_bit(detected[pos]))
-                            for pos in range(m)])
-        else:
-            ncs = nc.encode_ncs(encoder, detected)
+        coded = []
+        stats = None
+        for lane in self.lanes:
+            if lane.scheme == Scheme.XOR:
+                encoder = None
+                ncs = np.stack([nc.xor_encode(nc.symbol_to_bit(detected[pos]))
+                                for pos in range(m)])
+            else:
+                if stats is None and lane.scheme != Scheme.RANDOM:
+                    stats = self._stream_stats(state.h_eff_rd[list(relays)])[1:]
+                encoder = self._choose_encoder(lane, stats, state, users,
+                                               relays, filters_sr)
+                ncs = nc.encode_ncs(encoder, detected)
+            coded.append((encoder, ncs))
 
         packet = PairPacket(uid=self.receive_slots, group_id=group_id,
-                            relays=tuple(relays), encoder=encoder, ncs=ncs,
+                            relays=tuple(relays), coded=tuple(coded),
                             direct=direct, true_symbols=symbols[users, :].copy(),
                             created_slot=self.slot)
         self.bank.push_pair(relays, packet)
 
-    def _transmit(self, state, relays):
-        """Second phase: pop the pair's oldest packet, send the NCS
-        streams, decode at the destination and score against the truth."""
+    def _decode_xor(self, lane, packet, ncs, rows):
+        """Both relays carry the same code and (nominally) the same
+        symbol: the streams superpose on the combined channel."""
         cfg = self.config
-        sigma2 = cfg.noise_var
-        packet = self.bank.pop_pair(relays)
-        m, P = cfg.group_size, cfg.packet_length
-        rows = self._rd_rows(state, packet.relays, packet.group_id)
+        combined = rows.sum(axis=0)
+        note = ""
+        if np.vdot(combined, combined).real < 1e-30:
+            combined = self.codebook.ncs_codes[packet.group_id].astype(complex)
+            note = "degenerate combined channel"
+        w = rx.rank_one_filters(combined[None, :], cfg.noise_var, cfg.receiver)
+        soft = sm.sample_filter_outputs(w, rows, ncs, cfg.noise_var, lane.noise)
+        ncs_hat = rx.hard_decision(soft[0])
+        decoded = np.stack([nc.xor_decode(ncs_hat, packet.direct, k)
+                            for k in range(cfg.group_size)])
+        return decoded, note
 
-        if cfg.nc_design == Scheme.XOR:
-            # both relays carry the same code and (nominally) the same
-            # symbol: the streams superpose on the combined channel
-            combined = rows.sum(axis=0)
-            note = ""
-            if np.vdot(combined, combined).real < 1e-30:
-                combined = self.codebook.ncs_codes[packet.group_id].astype(complex)
-                note = "degenerate combined channel"
-            w = rx.rank_one_filters(combined[None, :], sigma2, cfg.receiver)
-            soft = sm.sample_filter_outputs(w, rows, packet.ncs, sigma2,
-                                            self.rng.noise)
-            ncs_hat = rx.hard_decision(soft[0])
-            decoded = np.stack([nc.xor_decode(ncs_hat, packet.direct, k)
-                                for k in range(m)])
+    def _decode_linear(self, lane, packet, encoder, ncs, rows, stats):
+        """One sub-slot per relay stream, independent noise each.  stats
+        holds the streams' (filters, gains, noise variances)."""
+        cfg = self.config
+        filters, gains, noise_var = stats
+        z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
+                                     ncs[:, None], cfg.noise_var, lane.noise)[:, 0]
+        decoder = None
+        if lane.scheme == Scheme.MMSE_DESIGN:
+            decoder = nc.design_G_mmse(encoder, gains, noise_var)
+        if cfg.decoder == DecoderKind.JOINT:
+            decoded = nc.decode_joint(encoder, z, gains, decoder)
         else:
-            # one sub-slot per relay stream, independent noise each
-            filters, gains, noise_var = self._stream_stats(rows)
-            z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
-                                         packet.ncs[:, None], sigma2,
-                                         self.rng.noise)[:, 0]
-            decoder = None
-            if cfg.nc_design == Scheme.MMSE_DESIGN:
-                decoder = nc.design_G_mmse(packet.encoder, gains, noise_var)
-            if cfg.decoder == DecoderKind.JOINT:
-                decoded = nc.decode_joint(packet.encoder, z, gains, decoder)
-            else:
-                ncs_est = nc.detect_ncs(packet.encoder, z, gains, decoder)
-                decoded = np.stack([nc.decode_with_direct(packet.encoder, ncs_est,
-                                                          packet.direct, k)
-                                    for k in range(m)])
-            note = "mmse fallback" if decoder is not None and decoder.fallback else ""
+            ncs_est = nc.detect_ncs(encoder, z, gains, decoder)
+            decoded = np.stack([nc.decode_with_direct(encoder, ncs_est,
+                                                      packet.direct, k)
+                                for k in range(cfg.group_size)])
+        note = "mmse fallback" if decoder is not None and decoder.fallback else ""
+        return decoded, note
 
+    def _transmit(self, state, relays):
+        """Second phase: pop the pair's oldest packet, then in every lane
+        send its NCS streams, decode at the destination and score
+        against the truth.  Returns the per-lane errors and notes."""
+        packet = self.bank.pop_pair(relays)
         if packet.uid <= self._last_scored_uid.get(packet.relays, -1):
             raise RuntimeError("packet scored twice")
         self._last_scored_uid[packet.relays] = packet.uid
-        errors = int(np.sum(decoded != packet.true_symbols))
-        bits = m * P
+        rows = self._rd_rows(state, packet.relays, packet.group_id)
+
+        errors, notes = [], []
+        stats = None
+        for lane, (encoder, ncs) in zip(self.lanes, packet.coded):
+            if lane.scheme == Scheme.XOR:
+                decoded, note = self._decode_xor(lane, packet, ncs, rows)
+            else:
+                if stats is None:
+                    stats = self._stream_stats(rows)
+                decoded, note = self._decode_linear(lane, packet, encoder, ncs,
+                                                    rows, stats)
+            errors.append(int(np.sum(decoded != packet.true_symbols)))
+            notes.append(note)
         self.bit_errors += errors
-        self.bits_decoded += bits
-        return errors, bits, note
+        return tuple(errors), tuple(notes)
 
     # -- slot driver -------------------------------------------------------
 
     def advance(self) -> SlotOutcome:
-        """One slot: draw the channel, choose the action, execute it."""
+        """One slot: draw the channel, choose the action, execute it in
+        every lane."""
         cfg = self.config
         sigma2 = cfg.noise_var
         state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
@@ -360,8 +414,7 @@ class SlotMachine:
             sinr, reselections = float("nan"), 0
 
         occ_before = self.bank.occupancies()
-        errors = bits = 0
-        note = ""
+        errors, notes, bits = (0,) * len(self.lanes), ("",) * len(self.lanes), 0
         if hop is None:
             action = "idle"
             self.idle_slots += 1
@@ -375,14 +428,15 @@ class SlotMachine:
             self.receive_slots += 1
         else:
             action = "transmit"
-            errors, bits, note = self._transmit(state, relays)
+            errors, notes = self._transmit(state, relays)
+            bits = cfg.group_size * cfg.packet_length
             self.transmit_slots += 1
         outcome = SlotOutcome(slot=self.slot, action=action, pair_id=pair_id,
                               relays=relays, hop="" if hop is None else hop.value,
                               sinr=sinr, occupancy_before=occ_before,
                               occupancy_after=self.bank.occupancies(),
                               reselections=reselections, decoded_bits=bits,
-                              bit_errors=errors, note=note)
+                              bit_errors=errors, note=notes)
         self.slot += 1
         if self.collect_trace:
             self.trace.append(outcome)

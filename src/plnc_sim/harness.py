@@ -1,12 +1,16 @@
 """Monte-Carlo BER experiments: trials, SNR sweeps, CSV reports.
 
-Sweeps are split into fixed-size packet chunks whose seeds derive from
-(master seed, point index, chunk index), so the aggregate counts are
-bit-identical for any worker count.  The seed leaves out the scheme
-variant: every variant of a point runs on the same random streams.
+Sweeps are split into tasks of (buffer mode, point, chunk): each task
+runs one slot machine with one lane per scheme over a fixed-size packet
+chunk.  Chunk seeds derive from (master seed, point index, chunk index),
+so the aggregate counts are bit-identical for any worker count.  The
+seed leaves out the variant: both buffer modes of a point run on the
+same random streams, and the lanes share the channels, symbols and
+first-phase noise and take the same actions.
 """
 
 import csv
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -39,6 +43,9 @@ class BerPoint:
 
 @dataclass
 class TrialResult:
+    """Counts of one lane of a trial.  The slot counts and the trace's
+    SlotOutcomes are the trial's, shared by all its lanes."""
+
     bit_errors: int
     bits_total: int
     slots: int
@@ -64,20 +71,28 @@ def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
     return f"{scheme.value}-{mode}-{kind}"
 
 
-def run_trial(config: SystemConfig, seed, n_packets, collect_trace=False) -> TrialResult:
-    """Simulate slots until n_packets complete the full pipeline,
-    counting bit errors against the stored ground truth.  seed is an
-    int or a SeedSequence; it is split into the per-purpose streams."""
+def run_lanes(config: SystemConfig, seed, n_packets, schemes,
+              collect_trace=False) -> list:
+    """Simulate slots until n_packets complete the full pipeline, with
+    one lane per scheme, counting bit errors against the stored ground
+    truth.  seed is an int or a SeedSequence; it is split into the
+    per-purpose streams.  Returns one TrialResult per lane."""
     machine = SlotMachine(config, RngStreams.from_seed(seed),
-                          collect_trace=collect_trace)
+                          collect_trace=collect_trace, schemes=schemes)
     machine.run_until(n_packets)
-    return TrialResult(bit_errors=machine.bit_errors,
-                       bits_total=machine.bits_decoded,
-                       slots=machine.slot,
-                       idle_slots=machine.idle_slots,
-                       receive_slots=machine.receive_slots,
-                       transmit_slots=machine.transmit_slots,
-                       trace=machine.trace)
+    bits = machine.transmit_slots * config.group_size * config.packet_length
+    return [TrialResult(bit_errors=int(errors), bits_total=bits,
+                        slots=machine.slot, idle_slots=machine.idle_slots,
+                        receive_slots=machine.receive_slots,
+                        transmit_slots=machine.transmit_slots,
+                        trace=machine.trace)
+            for errors in machine.bit_errors]
+
+
+def run_trial(config: SystemConfig, seed, n_packets, collect_trace=False) -> TrialResult:
+    """run_lanes with the single lane config.nc_design."""
+    return run_lanes(config, seed, n_packets, [config.nc_design],
+                     collect_trace)[0]
 
 
 def _chunk_sizes(n_packets, chunk_packets):
@@ -91,34 +106,35 @@ def _chunk_sizes(n_packets, chunk_packets):
 
 def _run_chunk(task):
     """Worker entry point; must stay top-level so it pickles."""
-    key, config, entropy, spawn_key, n_packets, collect_trace = task
+    key, config, entropy, spawn_key, n_packets, schemes, collect_trace = task
     seed = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    result = run_trial(config, seed, n_packets, collect_trace=collect_trace)
-    return key, result
+    return key, run_lanes(config, seed, n_packets, schemes, collect_trace)
 
 
 def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
               schemes=None, buffer_modes=None, workers=1, chunk_packets=25,
               collect_trace=False) -> RunReport:
     """One BerPoint per (scheme variant, SNR); chunks may run in any
-    order or process count without changing the counts."""
+    order or process count without changing the counts.  Every variant
+    reports the slot counts its lane shared with the other schemes."""
     t0 = time.perf_counter()
     snr_list = [float(s) for s in snr_list]
     schemes = list(schemes) if schemes is not None else [config.nc_design]
     buffer_modes = (list(buffer_modes) if buffer_modes is not None
                     else [config.buffers_enabled])
-    variants = [(s, b) for s in schemes for b in buffer_modes]
+    for scheme in schemes:             # check every lane before any task runs
+        replace(config, nc_design=scheme)
     sizes = _chunk_sizes(n_packets_per_point, chunk_packets)
     entropy = int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF
 
     tasks = []
-    for v_idx, (scheme, buffered) in enumerate(variants):
+    for b_idx, buffered in enumerate(buffer_modes if schemes else []):
         for p_idx, snr in enumerate(snr_list):
-            cfg = replace(config, nc_design=scheme, buffers_enabled=buffered,
+            cfg = replace(config, nc_design=schemes[0], buffers_enabled=buffered,
                           snr_db=snr)
             for c_idx, n_pkts in enumerate(sizes):
-                tasks.append(((v_idx, p_idx, c_idx), cfg, entropy,
-                              (p_idx, c_idx), n_pkts, collect_trace))
+                tasks.append(((b_idx, p_idx, c_idx), cfg, entropy,
+                              (p_idx, c_idx), n_pkts, schemes, collect_trace))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -130,13 +146,14 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
     points = []
     slot_summary = {}
     trace_rows = []
-    for v_idx, (scheme, buffered) in enumerate(variants):
+    for (s_idx, scheme), (b_idx, buffered) in itertools.product(
+            enumerate(schemes), enumerate(buffer_modes)):
         label = scheme_label(scheme, buffered, config.receiver)
         for p_idx, snr in enumerate(snr_list):
             point = BerPoint(scheme_label=label, snr_db=snr)
             slots = idle = rxs = txs = 0
             for c_idx in range(len(sizes)):
-                res = results[(v_idx, p_idx, c_idx)]
+                res = results[(b_idx, p_idx, c_idx)][s_idx]
                 point.bit_errors += res.bit_errors
                 point.bits_total += res.bits_total
                 slots += res.slots
@@ -144,7 +161,8 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
                 rxs += res.receive_slots
                 txs += res.transmit_slots
                 for outcome in res.trace:
-                    trace_rows.append([label, snr, c_idx] + trace_row(outcome))
+                    trace_rows.append([label, snr, c_idx]
+                                      + trace_row(outcome, s_idx))
             points.append(point)
             key = f"{label}@{snr:g}dB"
             slot_summary[key] = {"slots": slots,

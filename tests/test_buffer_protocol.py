@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plnc_sim import (BufferBank, DecoderKind, Hop, PairMode, Scheme,
                       SlotMachine, SystemConfig, decide_action)
-from plnc_sim.buffer_protocol import TRACE_FIELDS, trace_row
+from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams, trace_row
 
 SR, RD = 0, 1                         # SINR table columns
 
@@ -263,7 +263,6 @@ class TestSlotMachine:
         m = machine().run_until(n_packets=20)
         assert m.transmit_slots == 20
         assert m.transmit_slots <= m.receive_slots
-        assert m.bits_decoded == 20 * 2 * 40
         assert m.receive_slots + m.transmit_slots + m.idle_slots == m.slot
 
     def test_unbuffered_alternation(self):
@@ -287,11 +286,11 @@ class TestSlotMachine:
 
     def test_direct_decoder_runs(self):
         m = machine(decoder=DecoderKind.DIRECT).run_until(n_packets=10)
-        assert m.bits_decoded == 10 * 2 * 40
+        assert m.transmit_slots == 10
 
     def test_xor_scheme_runs(self):
         m = machine(nc_design=Scheme.XOR).run_until(n_packets=10)
-        assert m.bits_decoded == 10 * 2 * 40
+        assert m.transmit_slots == 10
 
     def test_all_pairs_mode_runs(self):
         m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15)
@@ -308,8 +307,33 @@ class TestSlotMachine:
                            group_size=m, packet_length=8, snr_db=120.0,
                            pair_mode=PairMode.ALL_PAIRS, nc_design=scheme,
                            decoder=decoder).run_until(n_packets=4)
-            assert mach.bits_decoded == 4 * m * 8
-            assert mach.bit_errors == 0
+            assert mach.transmit_slots == 4
+            assert mach.bit_errors.tolist() == [0]
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("decoder", list(DecoderKind))
+    def test_noiseless_every_lane_exact(self, decoder, buffered):
+        # fixed groups at m=2: every lane of one machine decodes every packet
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=16,
+                           buffer_size=2, group_size=2, packet_length=16,
+                           snr_db=120.0, decoder=decoder,
+                           buffers_enabled=buffered, rng_seed=5)
+        mach = SlotMachine(cfg, RngStreams.from_seed(3), schemes=list(Scheme))
+        mach.run_until(n_packets=12)
+        assert mach.transmit_slots == 12
+        assert mach.bit_errors.tolist() == [0] * len(Scheme)
+
+    def test_lanes_need_their_own_streams(self):
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
+        with pytest.raises(ValueError, match="RngStreams"):
+            SlotMachine(cfg, np.random.default_rng(0),
+                        schemes=[Scheme.XOR, Scheme.RANDOM])
+        with pytest.raises(ValueError, match="at least one scheme"):
+            SlotMachine(cfg, RngStreams.from_seed(0), schemes=[])
+        with pytest.raises(ValueError, match="m <= 3"):
+            SlotMachine(SystemConfig(num_users=4, num_relays=4, group_size=4),
+                        RngStreams.from_seed(0),
+                        schemes=[Scheme.RANDOM, Scheme.MMSE_DESIGN])
 
     def test_rescoring_a_packet_raises(self):
         m = machine(buffers_enabled=False)
@@ -397,4 +421,3 @@ class TestSlotMachineProperty:
             left_in_order = [p for p in popped if p.relays == relays]
             assert left_in_order == arrived[:len(left_in_order)]
         assert [p.uid for p in pushed] == list(range(len(pushed)))
-        assert mach.bits_decoded == len(popped) * cfg.group_size * cfg.packet_length

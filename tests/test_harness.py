@@ -3,9 +3,12 @@
 import hashlib
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plnc_sim import (DecoderKind, PairMode, RunReport, Scheme, SlotMachine,
                       SystemConfig, emit_report, parse_report, run_sweep,
@@ -83,26 +86,44 @@ class TestRunSweep:
         assert violations <= 1
 
     def test_variants_share_random_streams(self):
-        # the chunk seed leaves out the variant, so the buffered linear
-        # designs see the same channels and take the same actions
+        # the lanes of a buffer mode share one slot engine: every scheme
+        # reports the engine's slot count and takes the same actions
         cfg = tiny_config()
-        schemes = [Scheme.RANDOM, Scheme.ML, Scheme.MMSE_DESIGN]
+        schemes = list(Scheme)
         report = run_sweep(cfg, [6.0, 10.0], 6, schemes=schemes,
-                           buffer_modes=[True], chunk_packets=3,
+                           buffer_modes=[True, False], chunk_packets=3,
                            collect_trace=True)
         cols = [3 + TRACE_FIELDS.index(f) for f in ("slot", "action", "pair_id")]
-        for snr in (6.0, 10.0):
-            labels = [scheme_label(s, True, cfg.receiver) for s in schemes]
+        for snr, buffered in product((6.0, 10.0), (True, False)):
+            labels = [scheme_label(s, buffered, cfg.receiver) for s in schemes]
             stats = [report.slot_summary[f"{label}@{snr:g}dB"] for label in labels]
-            assert stats[1] == stats[0] and stats[2] == stats[0]
+            assert all(s == stats[0] for s in stats)
             assert stats[0]["receive_slots"] and stats[0]["transmit_slots"]
             actions = {label: [] for label in labels}
             for row in report.trace_rows:
-                if row[1] == snr:
+                if row[1] == snr and row[0] in actions:
                     actions[row[0]].append([row[2]] + [row[c] for c in cols])
-            assert len(actions[labels[0]]) == stats[0]["slots"]
-            assert actions[labels[1]] == actions[labels[0]]
-            assert actions[labels[2]] == actions[labels[0]]
+            for label in labels:
+                assert len(actions[label]) == stats[0]["slots"]
+                assert actions[label] == actions[labels[0]]
+
+    @pytest.mark.parametrize("pair_mode", list(PairMode))
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_lane_equals_one_scheme_sweep(self, pair_mode, buffered):
+        # a lane's counts and trace rows do not depend on the other
+        # schemes that run beside it
+        cfg = tiny_config(pair_mode=pair_mode, packet_length=20)
+        kw = dict(buffer_modes=[buffered], chunk_packets=3, collect_trace=True)
+        every = run_sweep(cfg, [4.0, 10.0], 7, schemes=list(Scheme), **kw)
+        for scheme in Scheme:
+            alone = run_sweep(cfg, [4.0, 10.0], 7, schemes=[scheme], **kw)
+            label = scheme_label(scheme, buffered, cfg.receiver)
+            assert [p for p in every.points if p.scheme_label == label] \
+                == alone.points
+            assert {k: v for k, v in every.slot_summary.items()
+                    if k.startswith(f"{label}@")} == alone.slot_summary
+            assert [r for r in every.trace_rows if r[0] == label] \
+                == alone.trace_rows
 
     def test_parallel_settings_identical_counts(self):
         cfg = tiny_config()
@@ -115,6 +136,39 @@ class TestRunSweep:
                 == (pb.scheme_label, pb.snr_db, pb.bits_total, pb.bit_errors)
 
 
+@st.composite
+def sweep_cases(draw):
+    """A small sweep over any pair and buffer modes and schemes."""
+    m = draw(st.sampled_from([1, 2]))
+    k = m * draw(st.integers(1, 4 // m))
+    cfg = SystemConfig(num_users=k, num_relays=k, spreading_gain=8,
+                       buffer_size=draw(st.integers(1, 3)), group_size=m,
+                       packet_length=draw(st.integers(1, 8)),
+                       decoder=draw(st.sampled_from(list(DecoderKind))),
+                       pair_mode=draw(st.sampled_from(list(PairMode))),
+                       ml_training_len=8, rng_seed=draw(st.integers(0, 999)))
+    schemes = draw(st.lists(st.sampled_from(list(Scheme)), min_size=1,
+                            max_size=4, unique=True))
+    buffer_modes = draw(st.sampled_from([[True], [False], [True, False]]))
+    return (cfg, schemes, buffer_modes, draw(st.integers(1, 5)),
+            draw(st.sampled_from([1, 2, 3])))
+
+
+class TestWorkerInvariance:
+    # every example starts one pool of 2 worker processes
+    @settings(max_examples=12, deadline=None)
+    @given(sweep_cases())
+    def test_counts_and_trace_rows_independent_of_workers(self, case):
+        cfg, schemes, buffer_modes, n_packets, chunk_packets = case
+        kw = dict(schemes=schemes, buffer_modes=buffer_modes,
+                  chunk_packets=chunk_packets, collect_trace=True)
+        one = run_sweep(cfg, [6.0, 12.0], n_packets, workers=1, **kw)
+        two = run_sweep(cfg, [6.0, 12.0], n_packets, workers=2, **kw)
+        assert one.points == two.points
+        assert one.slot_summary == two.slot_summary
+        assert one.trace_rows == two.trace_rows
+
+
 # (bits, errors, slots, idle slots) per variant of a fixed-seed sweep,
 # and the SHA-256 of its --trace file.  Pinned values: a refactor that
 # changes the simulated stream of a fixed seed fails here; change them
@@ -122,45 +176,45 @@ class TestRunSweep:
 GOLDEN = {
     PairMode.FIXED_GROUPS: {
         "xor-buffered-mmse": (200, 46, 21, 0),
-        "xor-unbuffered-mmse": (200, 38, 20, 0),
-        "random-buffered-mmse": (200, 14, 21, 0),
-        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "xor-unbuffered-mmse": (200, 28, 20, 0),
+        "random-buffered-mmse": (200, 16, 21, 0),
+        "random-unbuffered-mmse": (200, 26, 20, 0),
         "ml-buffered-mmse": (200, 18, 21, 0),
-        "ml-unbuffered-mmse": (200, 30, 20, 0),
+        "ml-unbuffered-mmse": (200, 26, 20, 0),
         "mmse-buffered-mmse": (200, 10, 21, 0),
-        "mmse-unbuffered-mmse": (200, 11, 20, 0),
+        "mmse-unbuffered-mmse": (200, 13, 20, 0),
     },
     PairMode.ALL_PAIRS: {
-        "xor-buffered-mmse": (200, 34, 22, 0),
-        "xor-unbuffered-mmse": (200, 38, 20, 0),
-        "random-buffered-mmse": (200, 25, 22, 0),
-        "random-unbuffered-mmse": (200, 25, 20, 0),
-        "ml-buffered-mmse": (200, 7, 22, 0),
-        "ml-unbuffered-mmse": (200, 30, 20, 0),
-        "mmse-buffered-mmse": (200, 6, 22, 0),
-        "mmse-unbuffered-mmse": (200, 11, 20, 0),
+        "xor-buffered-mmse": (200, 29, 22, 0),
+        "xor-unbuffered-mmse": (200, 28, 20, 0),
+        "random-buffered-mmse": (200, 31, 22, 0),
+        "random-unbuffered-mmse": (200, 26, 20, 0),
+        "ml-buffered-mmse": (200, 12, 22, 0),
+        "ml-unbuffered-mmse": (200, 26, 20, 0),
+        "mmse-buffered-mmse": (200, 4, 22, 0),
+        "mmse-unbuffered-mmse": (200, 13, 20, 0),
     },
 }
 GOLDEN_TRACE_SHA256 = {
     PairMode.FIXED_GROUPS:
-        "f18b20930f8038f14c54a6af98fdc18565708f9f3ab07be4672ce80755f1cad1",
+        "7b3aafee3678b3935d10da6f7f91465131d51fa3865164ae557840f76f241674",
     PairMode.ALL_PAIRS:
-        "c11576d86a8c00b7e5969c8f4a9aa98c975ea91a42aa0e3ae6ee199062f3648d",
+        "d9d4baa7cdc4676b18d0ccac4e5a831b28009cb07e0cde41673afbb4502f81d3",
 }
 # All pairs with J = 3 and the direct-link decoder: overlapping pairs
 # share relay buffers, and every decode reads the stored direct estimates.
 GOLDEN_DIRECT = {
-    "xor-buffered-mmse": (200, 19, 28, 0),
-    "xor-unbuffered-mmse": (200, 38, 20, 0),
-    "random-buffered-mmse": (200, 11, 28, 0),
-    "random-unbuffered-mmse": (200, 26, 20, 0),
-    "ml-buffered-mmse": (200, 4, 28, 0),
-    "ml-unbuffered-mmse": (200, 30, 20, 0),
-    "mmse-buffered-mmse": (200, 1, 28, 0),
-    "mmse-unbuffered-mmse": (200, 10, 20, 0),
+    "xor-buffered-mmse": (200, 22, 28, 0),
+    "xor-unbuffered-mmse": (200, 28, 20, 0),
+    "random-buffered-mmse": (200, 13, 28, 0),
+    "random-unbuffered-mmse": (200, 23, 20, 0),
+    "ml-buffered-mmse": (200, 5, 28, 0),
+    "ml-unbuffered-mmse": (200, 26, 20, 0),
+    "mmse-buffered-mmse": (200, 2, 28, 0),
+    "mmse-unbuffered-mmse": (200, 11, 20, 0),
 }
 GOLDEN_DIRECT_TRACE_SHA256 = \
-    "d6f40c9a3101c03a4383455bf21d1b3cd5c2df8831c67bbb5218a91652d2b202"
+    "65849e276f86174d9f940e180146866a7c169bb4be1b0aacafafc12eaaa0ebc4"
 
 
 def golden_sweep(tmp_path, **kw):
