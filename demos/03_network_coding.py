@@ -5,8 +5,8 @@ three matrix designs, and both destination decoders.
 """
 import numpy as np
 
-from plnc_sim import (decode_joint, decode_with_direct, design_G_mmse,
-                      design_G_random, detect_ncs, encode_ncs,
+from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
+                      design_G_mmse, design_G_random, detect_ncs, encode_ncs,
                       enumerate_invertible_binary, select_G_mmse, symbol_to_bit,
                       xor_decode, xor_encode)
 from plnc_sim.network_coding import design_G_ml_for_channel
@@ -16,10 +16,12 @@ rng = np.random.default_rng(5)
 
 print("== XOR mapping ==")
 bits = np.array([1, 0])
-ncs = xor_encode(bits)
-print(f"relay bits {bits} -> xor symbol {ncs:+.0f}")
-recovered = xor_decode(np.array([ncs]), np.array([[1.0], [1.0]]), target=0)
-print(f"destination recovers user 0 bit: {symbol_to_bit(float(recovered[0]))}")
+# both relays detect the bits; XOR of bits is the product of +-1 symbols
+ncs = xor_encode(np.broadcast_to(bit_to_symbol(bits)[:, None], (2, 2, 1)))
+print(f"relay bits {bits} -> xor symbols {ncs[:, 0]}")
+direct = bit_to_symbol(bits)[:, None]          # the destination's direct estimates
+recovered = xor_decode(ncs[0], direct)
+print(f"destination recovers the user bits {symbol_to_bit(recovered[:, 0])}")
 
 print("\n== linear combination ==")
 G = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -29,8 +31,8 @@ print(f"user symbols {b}, matrix columns give [{ncs[0]:+.0f}, {ncs[1]:+.0f}]")
 z = (G.T @ b).astype(complex)
 print(f"joint solve recovers {decode_joint(G, z, np.ones(2))}")
 est = detect_ncs(G, z, np.ones(2))
-print(f"direct-aided (using the other user's direct estimate) recovers "
-      f"{[float(decode_with_direct(G, est, b, target=k)) for k in (0, 1)]}")
+print(f"direct-aided (each user cancels the others' direct estimates) recovers "
+      f"{decode_with_direct(G, est, b)}")
 
 print("\n== the candidate pool and the three designs ==")
 pool = enumerate_invertible_binary(2)

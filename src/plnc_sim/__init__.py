@@ -12,8 +12,8 @@ from .network_coding import (CodingMatrix, bit_to_symbol, decode_joint,
                              decode_with_direct, design_G_ml, design_G_mmse,
                              design_G_random, detect_ncs, encode_ncs,
                              enumerate_invertible_binary, ncs_levels,
-                             select_G_mmse, slice_to_levels, symbol_to_bit,
-                             xor_decode, xor_encode)
+                             select_G_mmse, symbol_to_bit, xor_decode,
+                             xor_encode)
 from .relay_selection import build_sinr_table, candidate_pairs, select_best
 from .buffer_protocol import BufferBank, SlotMachine, decide_action
 from .harness import (RunReport, emit_report, parse_report, run_sweep,

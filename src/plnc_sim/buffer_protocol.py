@@ -294,7 +294,7 @@ class SlotMachine:
         cfg = self.config
         sigma2 = cfg.noise_var
         users = list(self.groups[group_id].users)
-        m, P = cfg.group_size, cfg.packet_length
+        P = cfg.packet_length
 
         symbols = rx.hard_decision(self.rng.data.standard_normal((cfg.num_users, P)))
         filters_sd = rx.source_dest_filter_bank(state, sigma2, cfg.receiver)
@@ -309,8 +309,7 @@ class SlotMachine:
         for lane in self.lanes:
             if lane.scheme == Scheme.XOR:
                 encoder = None
-                ncs = np.stack([nc.xor_encode(nc.symbol_to_bit(detected[pos]))
-                                for pos in range(m)])
+                ncs = nc.xor_encode(detected)
             else:
                 if stats is None and lane.scheme != Scheme.RANDOM:
                     stats = self._stream_stats(state.h_eff_rd[list(relays)])[1:]
@@ -336,9 +335,7 @@ class SlotMachine:
             note = "degenerate combined channel"
         w = rx.rank_one_filters(combined[None, :], cfg.noise_var, cfg.receiver)
         soft = sm.sample_filter_outputs(w, rows, ncs, cfg.noise_var, lane.noise)
-        ncs_hat = rx.hard_decision(soft[0])
-        decoded = np.stack([nc.xor_decode(ncs_hat, packet.direct, k)
-                            for k in range(cfg.group_size)])
+        decoded = nc.xor_decode(rx.hard_decision(soft[0]), packet.direct)
         return decoded, note
 
     def _decode_linear(self, lane, packet, encoder, ncs, rows, stats):
@@ -355,9 +352,7 @@ class SlotMachine:
             decoded = nc.decode_joint(encoder, z, gains, decoder)
         else:
             ncs_est = nc.detect_ncs(encoder, z, gains, decoder)
-            decoded = np.stack([nc.decode_with_direct(encoder, ncs_est,
-                                                      packet.direct, k)
-                                for k in range(cfg.group_size)])
+            decoded = nc.decode_with_direct(encoder, ncs_est, packet.direct)
         note = "mmse fallback" if decoder is not None and decoder.fallback else ""
         return decoded, note
 

@@ -35,6 +35,7 @@ def parse_snr_spec(spec):
 
 
 def parse_schemes(spec):
+    """Comma list of scheme names, each at most once."""
     out = []
     for tok in spec.split(","):
         tok = tok.strip().lower()
@@ -43,6 +44,8 @@ def parse_schemes(spec):
         if tok not in _SCHEME_TOKENS:
             raise ValueError(f"unknown scheme {tok!r}; choose from "
                              f"{','.join(_SCHEME_TOKENS)}")
+        if _SCHEME_TOKENS[tok] in out:
+            raise ValueError(f"scheme {tok!r} listed twice")
         out.append(_SCHEME_TOKENS[tok])
     if not out:
         raise ValueError("empty scheme list")

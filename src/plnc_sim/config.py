@@ -66,10 +66,20 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("num_users", "num_relays", "spreading_gain",
-                     "buffer_size", "group_size", "packet_length"):
+                     "buffer_size", "group_size", "packet_length",
+                     "ml_training_len"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if isinstance(self.rng_seed, bool):
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        # the modules compare against enum members: a plain string such as
+        # "JOINT" would silently select the other branch
+        for name, kind in (("receiver", ReceiverKind), ("nc_design", Scheme),
+                           ("decoder", DecoderKind), ("pair_mode", PairMode)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         if self.num_users % self.group_size != 0:
             raise ValueError("num_users must be divisible by group_size")
         if self.num_relays % self.group_size != 0:
@@ -79,8 +89,6 @@ class SystemConfig:
             # 2^(m^2) detection-flip patterns at once: about 7e14 bytes at m=4
             raise ValueError("the mmse design supports group size m <= 3, "
                              f"got m={self.group_size}")
-        if self.ml_training_len < 1:
-            raise ValueError("ml_training_len must be >= 1")
         if not (self.noise_var > 0.0):
             raise ValueError("snr_db must be finite (noise variance must be > 0)")
 

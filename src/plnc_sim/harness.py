@@ -120,6 +120,9 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
     t0 = time.perf_counter()
     snr_list = [float(s) for s in snr_list]
     schemes = list(schemes) if schemes is not None else [config.nc_design]
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"duplicate scheme in {[s.value for s in schemes]}: "
+                         "its rows would be reported twice")
     buffer_modes = (list(buffer_modes) if buffer_modes is not None
                     else [config.buffers_enabled])
     for scheme in schemes:             # check every lane before any task runs

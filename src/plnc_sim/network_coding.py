@@ -82,22 +82,21 @@ def _entries(M, dtype=None):
 
 def bit_to_symbol(c):
     """BPSK map b = 1 - 2c."""
-    return 1.0 - 2.0 * np.asarray(c, dtype=np.float64) if np.ndim(c) else 1.0 - 2.0 * c
+    return 1.0 - 2.0 * np.asarray(c, dtype=np.float64)
 
 
 def symbol_to_bit(b):
     """Inverse map c = (1 - b) / 2."""
-    arr = (1.0 - np.asarray(b, dtype=np.float64)) / 2.0
-    return arr.astype(np.int64) if arr.ndim else int(arr)
+    return ((1.0 - np.asarray(b, dtype=np.float64)) / 2.0).astype(np.int64)
 
 
-def xor_encode(bits):
-    """Modulo-2 sum of the detected bits at one relay, mapped to +-1.
-
-    bits has shape (m,) or (m, P); the reduction runs over axis 0.
-    """
-    arr = np.asarray(bits, dtype=np.int64)
-    return bit_to_symbol(np.bitwise_xor.reduce(arr, axis=0))
+def xor_encode(detected_by_relay):
+    """XOR NCS packet for the whole pair: with b = 1 - 2c the modulo-2
+    sum of bits is the product of +-1 symbols, so relay l sends the
+    product of its detections over the users.  detected_by_relay is
+    (m, m, P) indexed [relay, user, symbol], as for encode_ncs; returns
+    (m, P)."""
+    return np.prod(np.asarray(detected_by_relay, dtype=np.float64), axis=1)
 
 
 def encode_ncs(G, detected_by_relay):
@@ -313,14 +312,11 @@ def select_G_mmse(gains, noise_var, flip_probs=None):
 def _refine(filter_outputs, gains, decoder):
     """The refinement step both decoders share: the MMSE decoder matrix
     if one is given, else gain normalization.  filter_outputs has shape
-    (m,) or (m, P); returns the refined (m, P) complex streams and
-    whether the input was 1-D."""
+    (m,) or (m, P), and so has the result."""
     z = np.asarray(filter_outputs, dtype=np.complex128)
-    flat = z.ndim == 1
-    z = z[:, None] if flat else z
     if decoder is not None:
-        return _entries(decoder) @ z, flat
-    return z / np.asarray(gains)[:, None], flat
+        return _entries(decoder) @ z
+    return (z.T / np.asarray(gains)).T
 
 
 def decode_joint(encoder, filter_outputs, gains, decoder=None):
@@ -331,70 +327,60 @@ def decode_joint(encoder, filter_outputs, gains, decoder=None):
     refinement is applied first.  filter_outputs has shape (m,) or
     (m, P).
     """
-    refined, flat = _refine(filter_outputs, gains, decoder)
+    refined = _refine(filter_outputs, gains, decoder)
     g = _entries(encoder, np.complex128)
-    symbols = hard_decision(np.linalg.solve(g.T, refined))
-    return symbols[:, 0] if flat else symbols
+    return hard_decision(np.linalg.solve(g.T, refined))
 
 
-def ncs_levels(G, relay_pos):
-    """Admissible noiseless NCS values for one relay's combination."""
+def ncs_levels(G):
+    """Admissible noiseless NCS values of every relay's combination,
+    (2^m, m) indexed [level, relay], each column sorted ascending (a
+    value reached by several data patterns repeats)."""
     g = _entries(G, np.float64)
-    m = g.shape[0]
-    vals = sorted({float(g[:, relay_pos] @ np.array(pattern))
-                   for pattern in product((-1.0, 1.0), repeat=m)})
-    return np.array(vals)
-
-
-def slice_to_levels(x, levels):
-    """Nearest admissible value; ties go to the lower level."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    idx = np.argmin(np.abs(arr[..., None] - levels[None, :]), axis=-1)
-    out = levels[idx]
-    return out if np.ndim(x) else float(out[0])
+    return np.sort(_data_patterns(g.shape[0]).T @ g, axis=0)
 
 
 def detect_ncs(encoder, filter_outputs, gains, decoder=None):
     """Per-relay discrete NCS estimates: gain-normalize (or MMSE-refine),
-    then slice each stream to its admissible level set."""
-    refined, flat = _refine(filter_outputs, gains, decoder)
-    soft = refined.real
-    est = np.empty_like(soft)
-    for l in range(soft.shape[0]):
-        est[l] = slice_to_levels(soft[l], ncs_levels(encoder, l))
-    return est[:, 0] if flat else est
+    then slice every stream to the nearest of its admissible levels;
+    ties go to the lower level.  filter_outputs has shape (m,) or
+    (m, P), and so has the result."""
+    soft = _refine(filter_outputs, gains, decoder).real.T   # (..., relay)
+    levels = ncs_levels(encoder)
+    nearest = np.argmin(np.abs(soft[..., None, :] - levels), axis=-2)
+    return levels[nearest, np.arange(levels.shape[1])].T
 
 
-def decode_with_direct(encoder, ncs_estimates, direct_estimates, target,
-                       relay_pos=None):
-    """Cancel the other users of the group via their stored direct-link
-    estimates, then divide by the target's coefficient and slice.
+def decode_with_direct(encoder, ncs_estimates, direct_estimates):
+    """Every user of the group, each from the first relay whose column
+    carries it: cancel the other users via their stored direct-link
+    estimates, divide by the user's coefficient and slice.
 
-    ncs_estimates and direct_estimates have shape (m,) or (m, P).  If
-    the chosen relay's coefficient for the target user is zero, another
-    relay of the pair with a nonzero coefficient is used instead.
+    ncs_estimates and direct_estimates have shape (m,) or (m, P), and
+    so has the result.  A user's own direct entry is never read.
     """
     g = _entries(encoder, np.float64)
-    m = g.shape[0]
-    if relay_pos is None or g[target, relay_pos] == 0.0:
-        usable = np.flatnonzero(g[target, :])
-        if usable.size == 0:
-            raise ValueError("no relay carries the target user (singular encoder)")
-        relay_pos = int(usable[0])
-    ncs = np.asarray(ncs_estimates, dtype=np.float64)
-    direct = np.asarray(direct_estimates, dtype=np.float64)
-    others = [j for j in range(m) if j != target]
-    cancelled = ncs[relay_pos] - sum(g[j, relay_pos] * direct[j] for j in others)
-    return hard_decision(cancelled / g[target, relay_pos])
+    carried = g != 0.0
+    if not np.all(np.any(carried, axis=1)):
+        raise ValueError("no relay carries the target user (singular encoder)")
+    relay = np.argmax(carried, axis=1)           # first carrying relay per user
+    coef = g[:, relay].T            # [user, other]: g[other, relay[user]]
+    ncs = np.asarray(ncs_estimates, dtype=np.float64)[relay].T     # (..., user)
+    direct = np.asarray(direct_estimates, dtype=np.float64).T[..., None, :]
+    others = ~np.eye(g.shape[0], dtype=bool)     # never read a user's own entry
+    known = np.where(others, coef * direct, 0.0).sum(axis=-1)
+    return hard_decision(((ncs - known) / np.diag(coef)).T)
 
 
-def xor_decode(ncs_symbol, direct_symbols, target):
-    """Target bit = NCS bit xor the other users' direct-link bits."""
-    ncs_bits = symbol_to_bit(np.asarray(ncs_symbol, dtype=np.float64))
-    direct_bits = symbol_to_bit(np.asarray(direct_symbols, dtype=np.float64))
-    m = direct_bits.shape[0]
-    acc = np.asarray(ncs_bits, dtype=np.int64)
-    for j in range(m):
-        if j != target:
-            acc = np.bitwise_xor(acc, direct_bits[j])
-    return bit_to_symbol(acc)
+def xor_decode(ncs_symbols, direct_symbols):
+    """Every user of the group: the NCS symbol times the other users'
+    direct-link symbols (XOR of bits as a product of +-1 symbols).
+
+    ncs_symbols is the destination's (P,) estimate of the pair's common
+    XOR stream and direct_symbols is (m, P); returns (m, P).  A user's
+    own direct entry is never read.
+    """
+    direct = np.asarray(direct_symbols, dtype=np.float64)
+    m = direct.shape[0]
+    others = np.where(~np.eye(m, dtype=bool), direct.T[..., None, :], 1.0)
+    return np.asarray(ncs_symbols, dtype=np.float64) * np.prod(others, axis=-1).T

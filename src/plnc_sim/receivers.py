@@ -2,15 +2,14 @@
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import erfc
 
 from .config import ReceiverKind
 
 
 def hard_decision(soft):
     """BPSK slicer: +1 when Re(x) >= 0 else -1 (ties resolve to +1)."""
-    arr = np.asarray(soft)
-    out = np.where(arr.real >= 0.0, 1.0, -1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.where(np.asarray(soft).real >= 0.0, 1.0, -1.0)
 
 
 def _mmse_bank(H, sigma2):
@@ -80,15 +79,10 @@ def detection_error_probs(users, relays, state, filters_sr, sigma2):
     """Per-(user, relay) BPSK detection error probability at the relays,
     from the post-filter SINR with residual interference treated as
     Gaussian.  Returns an (m_users, m_relays) matrix."""
-    from scipy.special import erfc
-    out = np.empty((len(users), len(relays)))
-    for col, r in enumerate(relays):
-        cross = filters_sr[users, r, :].conj() @ state.h_eff_sr[:, r, :].T
-        power = np.abs(cross) ** 2                       # (m, K)
-        noise = sigma2 * np.sum(np.abs(filters_sr[users, r, :]) ** 2, axis=1)
-        for row, k in enumerate(users):
-            signal = power[row, k]
-            interference = power[row].sum() - signal
-            gamma = signal / (interference + noise[row])
-            out[row, col] = 0.5 * erfc(np.sqrt(gamma))
-    return out
+    W = np.swapaxes(filters_sr[np.ix_(users, relays)], 0, 1)   # (relay, user, N)
+    cross = W.conj() @ state.h_eff_sr[:, relays, :].transpose(1, 2, 0)
+    power = np.abs(cross) ** 2                                 # (relay, user, K)
+    noise = sigma2 * np.sum(np.abs(W) ** 2, axis=-1)
+    signal = power[:, np.arange(len(users)), users]
+    gamma = signal / (power.sum(axis=-1) - signal + noise)
+    return 0.5 * erfc(np.sqrt(gamma)).T

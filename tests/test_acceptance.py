@@ -213,9 +213,9 @@ class TestCriterion7SmallInstanceBruteForce:
                 if not np.array_equal(joint, b):
                     bad.append(("joint", cand.tolist(), pattern))
                 est = detect_ncs(cand, ncs.astype(complex), np.ones(2))
+                got = decode_with_direct(cand, est, b)
                 for k in (0, 1):
-                    got = decode_with_direct(cand, est, b, target=k)
-                    if got != b[k]:
+                    if got[k] != b[k]:
                         bad.append(("direct", cand.tolist(), pattern, k))
         ok = not bad
         report_line(7, ok, "all 6 invertible encoders x 4 patterns decode "

@@ -3,14 +3,16 @@ tracer wraps, the slot machine as its set-up probe builds it and the
 slot outcome its traced runs read.  perfbench/ is read, never changed."""
 
 import importlib.util
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plnc_sim import SlotMachine
-from plnc_sim.config import Scheme
+from plnc_sim import SlotMachine, SystemConfig
+from plnc_sim import network_coding as nc
+from plnc_sim.config import DecoderKind, Scheme
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +47,34 @@ def test_setup_probe_machines_construct_and_advance(name):
             outcome = SlotMachine(config, np.random.default_rng(1)).advance()
             assert outcome.action in ("receive", "transmit", "idle")
             assert outcome.reselections >= 0
+
+
+# the coding calls whose spans make up network_coding.decode.us, plus the
+# XOR encode: each must be looked up on its module at call time, or the
+# tracer's wrapper never sees it and its time silently leaves the metric
+CODING_CALLS = (tuple(name.split(".", 1)[1] for name in tracer.DECODERS)
+                + ("xor_encode",))
+
+
+@pytest.mark.parametrize("decoder", list(DecoderKind))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_coding_calls_go_through_their_module(monkeypatch, scheme, decoder):
+    assert all(name.startswith("network_coding.") for name in tracer.DECODERS)
+    calls = Counter()
+    for name in CODING_CALLS:
+        def counted(*args, _name=name, _fn=getattr(nc, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nc, name, counted)
+    config = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                          packet_length=8, nc_design=scheme, decoder=decoder,
+                          ml_training_len=8)
+    machine = SlotMachine(config, np.random.default_rng(3)).run_until(3)
+    rx_slots, tx_slots = machine.receive_slots, machine.transmit_slots
+    if scheme == Scheme.XOR:
+        expected = {"xor_encode": rx_slots, "xor_decode": tx_slots}
+    elif decoder == DecoderKind.JOINT:
+        expected = {"decode_joint": tx_slots}
+    else:
+        expected = {"detect_ncs": tx_slots, "decode_with_direct": tx_slots}
+    assert dict(calls) == expected

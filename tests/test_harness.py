@@ -55,6 +55,23 @@ class TestRunTrial:
             tiny_config(snr_db=float("inf"))
         with pytest.raises(ValueError, match="m <= 3"):
             tiny_config(group_size=4, nc_design=Scheme.MMSE_DESIGN)
+        # bool is an int subclass: True must not pass as 1
+        with pytest.raises(ValueError, match="num_users must be a positive"):
+            tiny_config(num_users=True, num_relays=1, group_size=1)
+        with pytest.raises(ValueError, match="group_size must be a positive"):
+            tiny_config(group_size=True)
+        with pytest.raises(ValueError, match="rng_seed must be an integer"):
+            tiny_config(rng_seed=False)
+        # a float training length would only fail at the first ML reception
+        with pytest.raises(ValueError, match="ml_training_len must be a positive"):
+            tiny_config(ml_training_len=2.5)
+        with pytest.raises(ValueError, match="ml_training_len"):
+            tiny_config(ml_training_len=0)
+        # "JOINT" != DecoderKind.JOINT: it would run the direct decoder
+        with pytest.raises(ValueError, match="decoder must be a DecoderKind"):
+            tiny_config(decoder="JOINT")
+        with pytest.raises(ValueError, match="nc_design must be a Scheme"):
+            tiny_config(nc_design="random")
 
 
 class TestRunSweep:
@@ -124,6 +141,15 @@ class TestRunSweep:
                     if k.startswith(f"{label}@")} == alone.slot_summary
             assert [r for r in every.trace_rows if r[0] == label] \
                 == alone.trace_rows
+
+    def test_duplicate_scheme_rejected_before_any_slot(self, monkeypatch):
+        def no_slot(machine):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(SlotMachine, "advance", no_slot)
+        with pytest.raises(ValueError, match="duplicate scheme"):
+            run_sweep(tiny_config(), [8.0], 1,
+                      schemes=[Scheme.XOR, Scheme.RANDOM, Scheme.XOR])
 
     def test_parallel_settings_identical_counts(self):
         cfg = tiny_config()
@@ -215,14 +241,42 @@ GOLDEN_DIRECT = {
 }
 GOLDEN_DIRECT_TRACE_SHA256 = \
     "65849e276f86174d9f940e180146866a7c169bb4be1b0aacafafc12eaaa0ebc4"
+# Group sizes 1 and 3: single-user groups (every encoder is [1], XOR
+# reads no direct estimate) and the direct-link decoder on one group of
+# three (4 packets: the mmse design scores 174 encoders per reception).
+GOLDEN_M1 = {
+    "xor-buffered-mmse": (100, 1, 22, 0),
+    "xor-unbuffered-mmse": (100, 5, 20, 0),
+    "random-buffered-mmse": (100, 1, 22, 0),
+    "random-unbuffered-mmse": (100, 5, 20, 0),
+    "ml-buffered-mmse": (100, 1, 22, 0),
+    "ml-unbuffered-mmse": (100, 5, 20, 0),
+    "mmse-buffered-mmse": (100, 1, 22, 0),
+    "mmse-unbuffered-mmse": (100, 5, 20, 0),
+}
+GOLDEN_M1_TRACE_SHA256 = \
+    "992406261b8f24f52226d9a683b06129c985396d44469f645eb5dbf88555f16d"
+GOLDEN_M3_DIRECT = {
+    "xor-buffered-mmse": (120, 30, 8, 0),
+    "xor-unbuffered-mmse": (120, 30, 8, 0),
+    "random-buffered-mmse": (120, 17, 8, 0),
+    "random-unbuffered-mmse": (120, 17, 8, 0),
+    "ml-buffered-mmse": (120, 13, 8, 0),
+    "ml-unbuffered-mmse": (120, 13, 8, 0),
+    "mmse-buffered-mmse": (120, 4, 8, 0),
+    "mmse-unbuffered-mmse": (120, 4, 8, 0),
+}
+GOLDEN_M3_DIRECT_TRACE_SHA256 = \
+    "4b5a8f25a7253172e185ed2225b58e60758dd8460fad47acaa9cc4cf0d23759e"
 
 
-def golden_sweep(tmp_path, **kw):
+def golden_sweep(tmp_path, n_packets=10, **kw):
     """Counts per variant and the trace file's SHA-256 of a fixed-seed
     sweep over every scheme in both buffer modes."""
-    cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=8,
-                       group_size=2, packet_length=10, rng_seed=2025, **kw)
-    report = run_sweep(cfg, [8.0], 10, schemes=list(Scheme),
+    system = dict(num_users=6, num_relays=6, spreading_gain=8, group_size=2,
+                  packet_length=10, rng_seed=2025)
+    cfg = SystemConfig(**{**system, **kw})
+    report = run_sweep(cfg, [8.0], n_packets, schemes=list(Scheme),
                        buffer_modes=[True, False], collect_trace=True)
     got = {}
     for p in report.points:
@@ -246,6 +300,19 @@ class TestGoldenCounts:
                                 decoder=DecoderKind.DIRECT)
         assert got == GOLDEN_DIRECT
         assert sha == GOLDEN_DIRECT_TRACE_SHA256
+
+    def test_group_size_1_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, num_users=2, num_relays=2,
+                                group_size=1, buffer_size=2)
+        assert got == GOLDEN_M1
+        assert sha == GOLDEN_M1_TRACE_SHA256
+
+    def test_group_size_3_direct_decoder_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, n_packets=4, num_users=3,
+                                num_relays=3, group_size=3, buffer_size=2,
+                                decoder=DecoderKind.DIRECT)
+        assert got == GOLDEN_M3_DIRECT
+        assert sha == GOLDEN_M3_DIRECT_TRACE_SHA256
 
 
 class TestReportIo:
@@ -332,6 +399,8 @@ class TestCli:
         assert parse_schemes("xor,ml") == [Scheme.XOR, Scheme.ML]
         with pytest.raises(ValueError):
             parse_schemes("bogus")
+        with pytest.raises(ValueError, match="'xor' listed twice"):
+            parse_schemes("xor,ml,XOR")
 
     def test_sweep_success(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -378,6 +447,21 @@ class TestCli:
                      "--buffers-only", "--out", str(out)] + flag)
         assert code == 0
         assert {row["scheme"].split("-")[0] for row in parse_report(out)} == expected
+
+    @pytest.mark.parametrize("file_line,flag", [
+        ("", ["--schemes", "xor,xor"]),
+        ("schemes = random,xor,random\n", []),
+    ])
+    def test_duplicate_schemes_exit_code(self, tmp_path, capsys, file_line, flag):
+        # a repeated scheme would write its CSV and trace rows twice
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K=4\nL=4\nN=8\nJ=2\nm=2\nP=10\nseed=5\n" + file_line)
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "8", "--bits", "20",
+                     "--trace", str(tmp_path / "t.csv"), "--out", str(out)] + flag)
+        assert code == 1
+        assert "listed twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mmse_design_above_m3_rejected_before_any_slot(self, tmp_path,
                                                            monkeypatch, capsys):

@@ -11,8 +11,7 @@ from plnc_sim import (CodingMatrix, Role, Scheme, bit_to_symbol, decode_joint,
                       decode_with_direct, design_G_ml, design_G_mmse,
                       design_G_random, detect_ncs, encode_ncs,
                       enumerate_invertible_binary, ncs_levels,
-                      select_G_mmse, slice_to_levels, symbol_to_bit,
-                      xor_decode, xor_encode)
+                      select_G_mmse, symbol_to_bit, xor_decode, xor_encode)
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      ml_calibration_outputs,
                                      predicted_chain_error)
@@ -55,7 +54,7 @@ class TestXor:
         ([0, 0], 1.0), ([1, 0], -1.0), ([0, 1], -1.0), ([1, 1], 1.0),
     ])
     def test_encode(self, bits, expected):
-        assert xor_encode(np.array(bits)) == expected
+        assert xor_encode(bit_to_symbol(bits)[None, :, None]) == expected
 
     @pytest.mark.parametrize("ncs_bit,other_bit,expected_bit", [
         (1, 1, 0), (0, 1, 1), (0, 0, 0), (1, 0, 1),
@@ -64,17 +63,17 @@ class TestXor:
         ncs = bit_to_symbol(ncs_bit)
         direct = np.array([np.nan, bit_to_symbol(other_bit)])
         direct[0] = 1.0  # target user's own slot is ignored
-        out = xor_decode(np.array([ncs]), direct[:, None], target=0)
-        assert symbol_to_bit(float(out[0])) == expected_bit
+        out = xor_decode(np.array([ncs]), direct[:, None])
+        assert symbol_to_bit(float(out[0, 0])) == expected_bit
 
     def test_encode_decode_identity(self):
         # brute force over all four input patterns
         for b in all_patterns():
             bits = np.array([symbol_to_bit(x) for x in b])
-            ncs = xor_encode(bits)
+            ncs = xor_encode(bit_to_symbol(bits)[None, :, None])[0]
+            got = xor_decode(ncs, b[:, None])
             for k in (0, 1):
-                got = xor_decode(np.array([ncs]), b[:, None], target=k)
-                assert float(got[0]) == b[k]
+                assert float(got[k, 0]) == b[k]
 
 
 class TestLinearEncode:
@@ -372,41 +371,43 @@ class TestDirectAidedDecoding:
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
         ncs = np.array([0.0, 1.0])
         direct = np.array([123.0, -1.0])   # target slot is ignored
-        out = decode_with_direct(G, ncs, direct, target=0, relay_pos=0)
+        out = decode_with_direct(G, ncs, direct)[0]
         assert out == 1.0
 
     def test_zero_coefficient_falls_back_to_other_relay(self):
         G = np.array([[0.0, 1.0], [1.0, 0.0]])   # user 0 absent from relay 0
         b = np.array([-1.0, 1.0])
         ncs = G.T @ b
-        out = decode_with_direct(G, ncs, np.array([0.0, b[1]]), target=0,
-                                 relay_pos=0)
+        out = decode_with_direct(G, ncs, np.array([0.0, b[1]]))[0]
         assert out == b[0]
 
     def test_bruteforce_all_encoders_and_patterns(self):
         for cand in enumerate_invertible_binary(2):
             for b in all_patterns():
                 ncs = cand.T @ b
+                out = decode_with_direct(cand, ncs, b)
                 for k in (0, 1):
-                    out = decode_with_direct(cand, ncs, b, target=k)
-                    assert out == b[k], f"failed for {cand} {b} user {k}"
+                    assert out[k] == b[k], f"failed for {cand} {b} user {k}"
 
     def test_levels_and_slicing(self):
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(ncs_levels(G, 0), [-2.0, 0.0, 2.0])
-        assert np.array_equal(ncs_levels(G, 1), [-1.0, 1.0])
-        levels = ncs_levels(G, 0)
-        assert slice_to_levels(0.9, levels) == 0.0
-        assert slice_to_levels(1.1, levels) == 2.0
-        assert slice_to_levels(1.0, levels) == 0.0   # tie goes to lower level
-        assert slice_to_levels(-5.0, levels) == -2.0
+        levels = ncs_levels(G)
+        assert np.array_equal(np.unique(levels[:, 0]), [-2.0, 0.0, 2.0])
+        assert np.array_equal(np.unique(levels[:, 1]), [-1.0, 1.0])
+
+        def slice_relay_0(x):
+            return detect_ncs(G, np.array([x, 1.0]), np.ones(2))[0]
+        assert slice_relay_0(0.9) == 0.0
+        assert slice_relay_0(1.1) == 2.0
+        assert slice_relay_0(1.0) == 0.0   # tie goes to lower level
+        assert slice_relay_0(-5.0) == -2.0
 
     def test_detect_ncs_slices_to_admissible_values(self):
         G = np.array([[1.0, 1.0], [0.0, 1.0]])
         z = np.array([1.8 + 0.2j, -0.7 - 0.1j])
         est = detect_ncs(G, z, gains=np.ones(2))
-        assert est[0] in ncs_levels(G, 0)
-        assert est[1] in ncs_levels(G, 1)
+        assert est[0] in ncs_levels(G)[:, 0]
+        assert est[1] in ncs_levels(G)[:, 1]
 
 
 class TestRandomizedRoundtrips:
@@ -422,9 +423,9 @@ class TestRandomizedRoundtrips:
             joint = decode_joint(G, z, gains)
             assert np.array_equal(joint, b)
             est = detect_ncs(G, z, gains)
+            direct_aided = decode_with_direct(G, est, b)
             for k in (0, 1):
-                direct_aided = decode_with_direct(G, est, b, target=k)
-                assert np.array_equal(direct_aided, b[k])
+                assert np.array_equal(direct_aided[k], b[k])
 
 
 class TestNoiselessExactness:
@@ -444,5 +445,123 @@ class TestNoiselessExactness:
             assert not dec.fallback
             assert np.array_equal(decode_joint(cand, z, gains, dec), b)
             est = detect_ncs(cand, z, gains)
+            direct_aided = decode_with_direct(cand, est, b)
             for k in range(m):
-                assert np.array_equal(decode_with_direct(cand, est, b, target=k), b[k])
+                assert np.array_equal(direct_aided[k], b[k])
+
+
+# -- per-user and per-relay loop oracles of the array decoders ----------
+
+def oracle_levels(g, relay):
+    """One relay's distinct noiseless NCS values, ascending."""
+    m = g.shape[0]
+    return np.array(sorted({float(g[:, relay] @ np.array(p))
+                            for p in product((-1.0, 1.0), repeat=m)}))
+
+
+def oracle_detect(g, z, gains, decoder):
+    """Refine, then slice one relay at a time; ties to the lower level."""
+    refined = decoder.entries @ z if decoder is not None else z / gains[:, None]
+    est = np.empty(refined.shape)
+    for l in range(g.shape[0]):
+        levels = oracle_levels(g, l)
+        est[l] = levels[np.argmin(np.abs(refined[l].real[:, None] - levels), axis=1)]
+    return est
+
+
+def oracle_direct(g, ncs, direct, k):
+    """User k from the first relay carrying it, cancelling the others."""
+    relay = int(np.flatnonzero(g[k])[0])
+    cancelled = ncs[relay] - sum(g[j, relay] * direct[j]
+                                 for j in range(g.shape[0]) if j != k)
+    return np.where(cancelled / g[k, relay] >= 0.0, 1.0, -1.0)
+
+
+def oracle_xor_encode(detected):
+    """Each relay's detections to bits, XOR over the users, back to +-1."""
+    return np.stack([bit_to_symbol(np.bitwise_xor.reduce(symbol_to_bit(d), axis=0))
+                     for d in detected])
+
+
+def oracle_xor_decode(ncs, direct, k):
+    """User k's bit: the NCS bit XOR every other user's direct bit."""
+    acc = symbol_to_bit(ncs)
+    for j in range(direct.shape[0]):
+        if j != k:
+            acc = np.bitwise_xor(acc, symbol_to_bit(direct[j]))
+    return bit_to_symbol(acc)
+
+
+# soft values: arbitrary, or integers, which include every midpoint
+# between two adjacent levels of any m <= 3 encoder column
+soft_values = st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4).map(float))
+
+
+@st.composite
+def decode_cases(draw):
+    m = draw(st.sampled_from([1, 2, 3]))
+    P = draw(st.integers(1, 5))
+    cands = enumerate_invertible_binary(m)
+    encoder = cands[draw(st.integers(0, len(cands) - 1))]
+    soft = np.array(draw(st.lists(soft_values, min_size=m * P, max_size=m * P)))
+    unit_gains = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return m, P, encoder, soft.reshape(m, P), unit_gains, np.random.default_rng(seed)
+
+
+class TestArrayDecodersMatchLoopOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(decode_cases(), st.booleans())
+    def test_detect_and_direct_decode(self, case, with_decoder):
+        m, P, g, soft, unit_gains, rng = case
+        gains = (np.ones(m, dtype=complex) if unit_gains else
+                 (0.5 + rng.random(m)) * np.exp(2j * np.pi * rng.random(m)))
+        z = gains[:, None] * soft
+        decoder = None
+        if with_decoder:
+            decoder = design_G_mmse(g, gains, 0.1 + rng.random(m))
+        est = detect_ncs(g, z, gains, decoder)
+        assert np.array_equal(est, oracle_detect(g, z, gains, decoder))
+        assert np.array_equal(detect_ncs(g, z[:, 0], gains, decoder), est[:, 0])
+        # direct estimates that need not agree with the NCS estimates, so
+        # a decode through any relay but the first carrying one differs
+        direct = np.where(rng.random((m, P)) < 0.5, 1.0, -1.0)
+        got = decode_with_direct(g, est, direct)
+        assert got.shape == (m, P)
+        for k in range(m):
+            assert np.array_equal(got[k], oracle_direct(g, est, direct, k))
+            own_nan = direct.copy()
+            own_nan[k] = np.nan
+            assert np.array_equal(decode_with_direct(g, est, own_nan)[k], got[k])
+        assert np.array_equal(decode_with_direct(g, est[:, 0], direct[:, 0]),
+                              got[:, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), P=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_xor_encode_and_decode(self, m, P, seed):
+        rng = np.random.default_rng(seed)
+        detected = np.where(rng.random((m, m, P)) < 0.5, 1.0, -1.0)
+        ncs = xor_encode(detected)
+        assert np.array_equal(ncs, oracle_xor_encode(detected))
+        direct = np.where(rng.random((m, P)) < 0.5, 1.0, -1.0)
+        got = xor_decode(ncs[0], direct)
+        assert got.shape == (m, P)
+        for k in range(m):
+            assert np.array_equal(got[k], oracle_xor_decode(ncs[0], direct, k))
+            own_nan = direct.copy()
+            own_nan[k] = np.nan
+            assert np.array_equal(xor_decode(ncs[0], own_nan)[k], got[k])
+
+    def test_midpoints_go_to_the_lower_level(self):
+        for m in (1, 2, 3):
+            for g in enumerate_invertible_binary(m):
+                levels = ncs_levels(g)
+                mid = (levels[:-1] + levels[1:]) / 2          # (2^m - 1, m)
+                est = detect_ncs(g, mid.T, np.ones(m))
+                assert np.array_equal(est, levels[:-1].T)
+
+    def test_no_carrying_relay_rejected(self):
+        with pytest.raises(ValueError, match="no relay carries"):
+            decode_with_direct(np.array([[1.0, 1.0], [0.0, 0.0]]),
+                               np.zeros((2, 1)), np.ones((2, 1)))

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc
 
 from plnc_sim import (ReceiverKind, SystemConfig, draw_channel,
                       generate_codebook, hard_decision,
                       source_relay_filter_bank)
-from plnc_sim.receivers import _mmse_bank, effective_gains, rank_one_filters
+from plnc_sim.receivers import (_mmse_bank, detection_error_probs,
+                                effective_gains, rank_one_filters)
 from plnc_sim.signal_model import complex_gaussian
 
 
@@ -168,3 +172,38 @@ class TestReceiverProperties:
         w1 = source_relay_filter_bank(state, cfg.noise_var, ReceiverKind.MMSE)
         w2 = source_relay_filter_bank(state, cfg.noise_var, ReceiverKind.MMSE)
         assert np.array_equal(w1, w2)
+
+
+def oracle_detection_error_probs(users, relays, state, filters_sr, sigma2):
+    """One relay, then one user at a time."""
+    out = np.empty((len(users), len(relays)))
+    for col, r in enumerate(relays):
+        cross = filters_sr[users, r, :].conj() @ state.h_eff_sr[:, r, :].T
+        power = np.abs(cross) ** 2
+        noise = sigma2 * np.sum(np.abs(filters_sr[users, r, :]) ** 2, axis=1)
+        for row, k in enumerate(users):
+            signal = power[row, k]
+            interference = power[row].sum() - signal
+            gamma = signal / (interference + noise[row])
+            out[row, col] = 0.5 * erfc(np.sqrt(gamma))
+    return out
+
+
+class TestDetectionErrorProbs:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), groups=st.integers(1, 3),
+           n=st.sampled_from([4, 8, 16]), snr_db=st.floats(-5.0, 30.0),
+           kind=st.sampled_from(list(ReceiverKind)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_loop_oracle(self, m, groups, n, snr_db, kind, seed):
+        rng = np.random.default_rng(seed)
+        cfg = SystemConfig(num_users=m * groups, num_relays=m * groups,
+                           spreading_gain=n, group_size=m, snr_db=snr_db)
+        state = draw_channel(cfg, generate_codebook(cfg),
+                             np.arange(cfg.num_relays) // m, rng)
+        W = source_relay_filter_bank(state, cfg.noise_var, kind)
+        users = [int(u) for u in rng.permutation(cfg.num_users)[:m]]
+        relays = [int(r) for r in rng.permutation(cfg.num_relays)[:m]]
+        got = detection_error_probs(users, relays, state, W, cfg.noise_var)
+        assert np.array_equal(got, oracle_detection_error_probs(
+            users, relays, state, W, cfg.noise_var))
