@@ -9,20 +9,21 @@ from plnc_sim import Scheme, SlotMachine, SystemConfig
 
 cfg = SystemConfig(packet_length=200, snr_db=10.0, nc_design=Scheme.ML,
                    rng_seed=8)
-machine = SlotMachine(cfg, np.random.default_rng(9), collect_trace=True)
+machine = SlotMachine(cfg, np.random.default_rng(9))
 for _ in range(30):
     machine.advance()
 
 print("slot action    pair hop          sinr    occupancies  resel errs")
-for o in machine.trace:
+for o in machine.log:
     sinr = f"{o.sinr:7.2f}" if np.isfinite(o.sinr) else "      -"
     occ = "".join(str(x) for x in o.occupancy_after)
     print(f"{o.slot:4d} {o.action:8s} {o.pair_id:4d} {o.hop:12s} {sinr}"
           f"   {occ:>11s}  {o.reselections:4d} {o.bit_errors[0]:4d}")
 
-bits = machine.transmit_slots * cfg.group_size * cfg.packet_length
-ber = machine.bit_errors[0] / bits if bits else 0
+bits = sum(o.decoded_bits for o in machine.log)
+ber = sum(o.bit_errors[0] for o in machine.log) / bits if bits else 0
+idle = sum(o.action == "idle" for o in machine.log)
 print(f"\n{machine.transmit_slots} packets decoded, running ber {ber:.4f}, "
-      f"{machine.idle_slots} idle slots")
+      f"{idle} idle slots")
 print("note how reception slots run ahead early (buffers filling) and the")
 print("selection then alternates hops based on the per-slot SINR tables")

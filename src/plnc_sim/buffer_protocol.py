@@ -114,8 +114,10 @@ def decide_action(table, candidates, bank: BufferBank):
     return -1, (), None, float("nan"), reselections
 
 
-@dataclass
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
+    """What one slot did; a trial's counts and trace rows are read from
+    the machine's log of these."""
+
     slot: int
     action: str                 # "receive" | "transmit" | "idle"
     pair_id: int                # -1 when idle; the group id when unbuffered
@@ -130,9 +132,7 @@ class SlotOutcome:
     note: tuple                 # per lane
 
 
-TRACE_FIELDS = ("slot", "action", "pair_id", "relays", "hop", "sinr",
-                "occupancy_before", "occupancy_after", "reselections",
-                "decoded_bits", "bit_errors", "note")
+TRACE_FIELDS = SlotOutcome._fields
 
 
 def trace_row(outcome: SlotOutcome, lane=0):
@@ -184,16 +184,16 @@ class SlotMachine:
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
-    receive_slots and transmit_slots count packets too.
+    receive_slots and transmit_slots count packets too; log holds every
+    slot's SlotOutcome.
 
     schemes gives one lane per entry (default: config.nc_design alone);
-    bit_errors counts per lane, every other counter is shared.  rng is
-    an RngStreams, or, for one lane, one Generator that then feeds every
+    a SlotOutcome holds each lane's errors and notes.  rng is an
+    RngStreams, or, for one lane, one Generator that then feeds every
     stream.
     """
 
-    def __init__(self, config: SystemConfig, rng, collect_trace=False,
-                 schemes=None):
+    def __init__(self, config: SystemConfig, rng, schemes=None):
         self.config = config
         schemes = (config.nc_design,) if schemes is None else tuple(schemes)
         if not schemes:
@@ -231,11 +231,8 @@ class SlotMachine:
         self.candidates = rs.candidate_pairs(self.groups, config.num_relays,
                                              config.group_size, config.pair_mode)
         self.bank = BufferBank(config.num_relays, config.buffer_size)
-        self.collect_trace = collect_trace
-        self.trace = []
+        self.log = []
         self.slot = 0
-        self.bit_errors = np.zeros(len(schemes), dtype=np.int64)
-        self.idle_slots = 0
         self.receive_slots = 0
         self.transmit_slots = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
@@ -378,14 +375,13 @@ class SlotMachine:
                                                     rows, stats)
             errors.append(int(np.sum(decoded != packet.true_symbols)))
             notes.append(note)
-        self.bit_errors += errors
         return tuple(errors), tuple(notes)
 
     # -- slot driver -------------------------------------------------------
 
     def advance(self) -> SlotOutcome:
         """One slot: draw the channel, choose the action, execute it in
-        every lane."""
+        every lane, and log the outcome."""
         cfg = self.config
         sigma2 = cfg.noise_var
         state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
@@ -412,7 +408,6 @@ class SlotMachine:
         errors, notes, bits = (0,) * len(self.lanes), ("",) * len(self.lanes), 0
         if hop is None:
             action = "idle"
-            self.idle_slots += 1
         elif hop == Hop.SOURCE_RELAY:
             action = "receive"
             group_id = pair_id if self._pairs_are_groups else self._next_group()
@@ -433,8 +428,7 @@ class SlotMachine:
                               reselections=reselections, decoded_bits=bits,
                               bit_errors=errors, note=notes)
         self.slot += 1
-        if self.collect_trace:
-            self.trace.append(outcome)
+        self.log.append(outcome)
         return outcome
 
     def run_until(self, n_packets, max_slots=None):

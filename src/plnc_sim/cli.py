@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
+from itertools import product
 
 from .config import ReceiverKind, Scheme, SystemConfig, read_config_file
 from .harness import emit_report, run_sweep, write_trace
@@ -20,8 +22,8 @@ def parse_snr_spec(spec):
         if len(parts) != 3:
             raise ValueError(f"bad SNR range {spec!r}, expected start:step:stop")
         start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("SNR range step must be > 0")
+        if step <= 0 or not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"SNR range {spec!r} needs finite values and a step > 0")
         out = []
         value = start
         while value <= stop + 1e-9:
@@ -102,8 +104,9 @@ def _build_config(args):
     config = SystemConfig(**overrides)
     spec = args.schemes if args.schemes is not None else file_schemes
     schemes = parse_schemes(spec) if spec is not None else list(Scheme)
-    for scheme in schemes:             # check every variant before any runs
-        replace(config, nc_design=scheme)
+    snr_list = parse_snr_spec(args.snr)
+    for scheme, snr in product(schemes, snr_list):   # every variant and point,
+        replace(config, nc_design=scheme, snr_db=snr)  # before any runs
     if args.no_buffers and args.buffers_only:
         raise ValueError("--no-buffers and --buffers-only are exclusive")
     if args.no_buffers:
@@ -112,14 +115,13 @@ def _build_config(args):
         buffer_modes = [True]
     else:
         buffer_modes = [True, False]
-    return config, schemes, buffer_modes
+    return config, schemes, buffer_modes, snr_list
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config, schemes, buffer_modes = _build_config(args)
-        snr_list = parse_snr_spec(args.snr)
+        config, schemes, buffer_modes, snr_list = _build_config(args)
         if args.bits < 1:
             raise ValueError("--bits must be >= 1")
         if args.workers < 1:

@@ -1,5 +1,6 @@
 """Scenario configuration and the enums shared by every module."""
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,10 +74,14 @@ class SystemConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if isinstance(self.rng_seed, bool):
             raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        # the modules compare against enum members: a plain string such as
-        # "JOINT" would silently select the other branch
+        snr = self.snr_db      # beyond 3000 dB in magnitude noise_var under- or overflows
+        if isinstance(snr, bool) or not isinstance(snr, numbers.Real) or not abs(snr) < 3000:
+            raise ValueError(f"snr_db must be a real number in (-3000, 3000) dB, got {snr!r}")
+        # the modules compare against enum members and branch on truth: a
+        # string such as "JOINT" or "no" would silently select the other branch
         for name, kind in (("receiver", ReceiverKind), ("nc_design", Scheme),
-                           ("decoder", DecoderKind), ("pair_mode", PairMode)):
+                           ("decoder", DecoderKind), ("pair_mode", PairMode),
+                           ("buffers_enabled", bool)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, "
                                  f"got {getattr(self, name)!r}")
@@ -89,8 +94,6 @@ class SystemConfig:
             # 2^(m^2) detection-flip patterns at once: about 7e14 bytes at m=4
             raise ValueError("the mmse design supports group size m <= 3, "
                              f"got m={self.group_size}")
-        if not (self.noise_var > 0.0):
-            raise ValueError("snr_db must be finite (noise variance must be > 0)")
 
     @property
     def noise_var(self) -> float:

@@ -9,9 +9,11 @@ same random streams, and the lanes share the channels, symbols and
 first-phase noise and take the same actions.
 """
 
+import contextlib
 import csv
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -23,10 +25,27 @@ from .config import Scheme, SystemConfig
 
 @dataclass
 class BerPoint:
+    """Counts of one lane of a trial, or of a sweep point over its chunks."""
+
     scheme_label: str
     snr_db: float
     bits_total: int = 0
     bit_errors: int = 0
+    slots: int = 0
+    idle_slots: int = 0
+    receive_slots: int = 0
+    transmit_slots: int = 0
+
+    def add(self, log, lane=0):
+        """Add a slot log (SlotOutcomes) as lane saw it; returns self."""
+        actions = Counter(o.action for o in log)
+        self.bits_total += sum(o.decoded_bits for o in log)
+        self.bit_errors += sum(o.bit_errors[lane] for o in log)
+        self.slots += len(log)
+        self.idle_slots += actions["idle"]
+        self.receive_slots += actions["receive"]
+        self.transmit_slots += actions["transmit"]
+        return self
 
     @property
     def ber(self):
@@ -42,73 +61,65 @@ class BerPoint:
 
 
 @dataclass
-class TrialResult:
-    """Counts of one lane of a trial.  The slot counts and the trace's
-    SlotOutcomes are the trial's, shared by all its lanes."""
-
-    bit_errors: int
-    bits_total: int
-    slots: int
-    idle_slots: int
-    receive_slots: int
-    transmit_slots: int
-    trace: list = field(default_factory=list)
-
-
-@dataclass
 class RunReport:
     config_echo: dict
     points: list
-    slot_summary: dict
     wall_clock_s: float
-    seed: int
-    trace_rows: list = field(default_factory=list)
+    # per point (lane, [log per chunk]); only run_sweep(collect_trace=True)
+    chunk_logs: list = field(default_factory=list)
+
+    @property
+    def slot_summary(self):
+        """Slot counts per point, keyed '<label>@<snr>dB'."""
+        return {f"{p.scheme_label}@{p.snr_db:g}dB": {
+                    "slots": p.slots,
+                    "idle_fraction": p.idle_slots / p.slots if p.slots else 0.0,
+                    "receive_slots": p.receive_slots,
+                    "transmit_slots": p.transmit_slots}
+                for p in self.points}
+
+    @property
+    def trace_rows(self):
+        """Every trace row in one list; write_trace streams them instead."""
+        return list(_trace_rows(self))
+
+
+def _trace_rows(report: RunReport):
+    """One trace row per slot of every chunk: scheme, snr_db, chunk, then
+    TRACE_FIELDS as the point's lane saw the slot."""
+    for point, (lane, logs) in zip(report.points, report.chunk_logs):
+        for c_idx, log in enumerate(logs):
+            for outcome in log:
+                yield [point.scheme_label, point.snr_db, c_idx] \
+                    + trace_row(outcome, lane)
 
 
 def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
     mode = "buffered" if buffered else "unbuffered"
-    kind = receiver.value if hasattr(receiver, "value") else str(receiver)
-    return f"{scheme.value}-{mode}-{kind}"
+    return f"{scheme.value}-{mode}-{receiver.value}"
 
 
-def run_lanes(config: SystemConfig, seed, n_packets, schemes,
-              collect_trace=False) -> list:
+def run_lanes(config: SystemConfig, seed, n_packets, schemes) -> list:
     """Simulate slots until n_packets complete the full pipeline, with
     one lane per scheme, counting bit errors against the stored ground
     truth.  seed is an int or a SeedSequence; it is split into the
-    per-purpose streams.  Returns one TrialResult per lane."""
-    machine = SlotMachine(config, RngStreams.from_seed(seed),
-                          collect_trace=collect_trace, schemes=schemes)
-    machine.run_until(n_packets)
-    bits = machine.transmit_slots * config.group_size * config.packet_length
-    return [TrialResult(bit_errors=int(errors), bits_total=bits,
-                        slots=machine.slot, idle_slots=machine.idle_slots,
-                        receive_slots=machine.receive_slots,
-                        transmit_slots=machine.transmit_slots,
-                        trace=machine.trace)
-            for errors in machine.bit_errors]
+    per-purpose streams.  Returns the machine's slot log."""
+    machine = SlotMachine(config, RngStreams.from_seed(seed), schemes=schemes)
+    return machine.run_until(n_packets).log
 
 
-def run_trial(config: SystemConfig, seed, n_packets, collect_trace=False) -> TrialResult:
-    """run_lanes with the single lane config.nc_design."""
-    return run_lanes(config, seed, n_packets, [config.nc_design],
-                     collect_trace)[0]
-
-
-def _chunk_sizes(n_packets, chunk_packets):
-    sizes = []
-    remaining = n_packets
-    while remaining > 0:
-        sizes.append(min(chunk_packets, remaining))
-        remaining -= sizes[-1]
-    return sizes
+def run_trial(config: SystemConfig, seed, n_packets) -> BerPoint:
+    """The counts of run_lanes with the single lane config.nc_design."""
+    point = BerPoint(scheme_label(config.nc_design, config.buffers_enabled,
+                                  config.receiver), config.snr_db)
+    return point.add(run_lanes(config, seed, n_packets, [config.nc_design]))
 
 
 def _run_chunk(task):
     """Worker entry point; must stay top-level so it pickles."""
-    key, config, entropy, spawn_key, n_packets, schemes, collect_trace = task
+    key, config, entropy, spawn_key, n_packets, schemes = task
     seed = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    return key, run_lanes(config, seed, n_packets, schemes, collect_trace)
+    return key, run_lanes(config, seed, n_packets, schemes)
 
 
 def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
@@ -116,7 +127,9 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
               collect_trace=False) -> RunReport:
     """One BerPoint per (scheme variant, SNR); chunks may run in any
     order or process count without changing the counts.  Every variant
-    reports the slot counts its lane shared with the other schemes."""
+    reports the slot counts its lane shared with the other schemes.
+    Each chunk's log is added to the points as it arrives and kept only
+    with collect_trace."""
     t0 = time.perf_counter()
     snr_list = [float(s) for s in snr_list]
     schemes = list(schemes) if schemes is not None else [config.nc_design]
@@ -127,7 +140,10 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
                     else [config.buffers_enabled])
     for scheme in schemes:             # check every lane before any task runs
         replace(config, nc_design=scheme)
-    sizes = _chunk_sizes(n_packets_per_point, chunk_packets)
+    if chunk_packets < 1:
+        raise ValueError(f"chunk_packets must be >= 1, got {chunk_packets}")
+    sizes = [min(chunk_packets, n_packets_per_point - start)
+             for start in range(0, n_packets_per_point, chunk_packets)]
     entropy = int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF
 
     tasks = []
@@ -137,40 +153,22 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
                           snr_db=snr)
             for c_idx, n_pkts in enumerate(sizes):
                 tasks.append(((b_idx, p_idx, c_idx), cfg, entropy,
-                              (p_idx, c_idx), n_pkts, schemes, collect_trace))
+                              (p_idx, c_idx), n_pkts, schemes))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_chunk, tasks))
-    else:
-        raw = [_run_chunk(t) for t in tasks]
-    results = dict(raw)
-
-    points = []
-    slot_summary = {}
-    trace_rows = []
-    for (s_idx, scheme), (b_idx, buffered) in itertools.product(
-            enumerate(schemes), enumerate(buffer_modes)):
-        label = scheme_label(scheme, buffered, config.receiver)
-        for p_idx, snr in enumerate(snr_list):
-            point = BerPoint(scheme_label=label, snr_db=snr)
-            slots = idle = rxs = txs = 0
-            for c_idx in range(len(sizes)):
-                res = results[(b_idx, p_idx, c_idx)][s_idx]
-                point.bit_errors += res.bit_errors
-                point.bits_total += res.bits_total
-                slots += res.slots
-                idle += res.idle_slots
-                rxs += res.receive_slots
-                txs += res.transmit_slots
-                for outcome in res.trace:
-                    trace_rows.append([label, snr, c_idx]
-                                      + trace_row(outcome, s_idx))
-            points.append(point)
-            key = f"{label}@{snr:g}dB"
-            slot_summary[key] = {"slots": slots,
-                                 "idle_fraction": idle / slots if slots else 0.0,
-                                 "receive_slots": rxs, "transmit_slots": txs}
+    points = {(s_idx, b_idx, p_idx): BerPoint(
+                  scheme_label(scheme, buffered, config.receiver), snr)
+              for (s_idx, scheme), (b_idx, buffered), (p_idx, snr)
+              in itertools.product(enumerate(schemes), enumerate(buffer_modes),
+                                   enumerate(snr_list))}
+    logs = {}                          # (b_idx, p_idx) -> log per chunk
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        results = pool.map(_run_chunk, tasks) if pool else map(_run_chunk, tasks)
+        for (b_idx, p_idx, c_idx), log in results:
+            for s_idx in range(len(schemes)):
+                points[(s_idx, b_idx, p_idx)].add(log, s_idx)
+            if collect_trace:
+                logs.setdefault((b_idx, p_idx), [None] * len(sizes))[c_idx] = log
 
     echo = {"K": config.num_users, "L": config.num_relays,
             "N": config.spreading_gain, "J": config.buffer_size,
@@ -184,9 +182,11 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
             "packets_per_point": n_packets_per_point,
             "chunk_packets": chunk_packets,
             "seed": config.rng_seed}
-    return RunReport(config_echo=echo, points=points, slot_summary=slot_summary,
+    return RunReport(config_echo=echo, points=list(points.values()),
                      wall_clock_s=time.perf_counter() - t0,
-                     seed=config.rng_seed, trace_rows=trace_rows)
+                     chunk_logs=[(s_idx, logs.get((b_idx, p_idx), []))
+                                 for s_idx, b_idx, p_idx in points]
+                     if collect_trace else [])
 
 
 CSV_HEADER = ("scheme", "snr_db", "bits", "errors", "ber")
@@ -235,12 +235,13 @@ def parse_report(path):
 
 
 def write_trace(report: RunReport, path):
-    """Slot trace CSV: one row per slot of every chunk in the sweep."""
+    """Slot trace CSV: one row per slot of every chunk in the sweep,
+    formatted row by row from the report's chunk logs."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("scheme", "snr_db", "chunk") + TRACE_FIELDS)
-            writer.writerows(report.trace_rows)
+            writer.writerows(_trace_rows(report))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path!r}: {exc}") from exc
     return path

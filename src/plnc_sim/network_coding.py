@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 from scipy.special import erfc
 
-from .config import Role, Scheme
+from .config import Role
 from .receivers import hard_decision
 from .signal_model import complex_gaussian
 
@@ -59,7 +59,6 @@ class CodingMatrix:
     """
 
     entries: np.ndarray
-    design: Scheme
     role: Role
     fallback: bool = False   # MMSE decoder fell back to plain inversion
 
@@ -123,7 +122,7 @@ def design_G_random(m, rng) -> CodingMatrix:
     while True:
         cand = rng.integers(0, 2, size=(m, m)).astype(np.float64)
         if abs(np.linalg.det(cand)) > 1e-9:
-            return CodingMatrix(entries=cand, design=Scheme.RANDOM, role=Role.ENCODER)
+            return CodingMatrix(entries=cand, role=Role.ENCODER)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +183,7 @@ def design_G_ml(outputs_by_candidate, gains, training_symbols):
     costs = np.sum((np.abs(training - recovered) ** 2).reshape(len(candidates), -1),
                    axis=1)
     best = argmin_with_ties(costs)
-    G = CodingMatrix(entries=candidates[best].copy(), design=Scheme.ML,
-                     role=Role.ENCODER)
+    G = CodingMatrix(entries=candidates[best].copy(), role=Role.ENCODER)
     return G, costs
 
 
@@ -245,8 +243,8 @@ def design_G_mmse(encoder, gains, noise_var) -> CodingMatrix:
     numerically singular.
     """
     entries, fallback = _mmse_decoders(_entries(encoder), gains, noise_var)
-    return CodingMatrix(entries=entries, design=Scheme.MMSE_DESIGN,
-                        role=Role.DECODER, fallback=bool(fallback))
+    return CodingMatrix(entries=entries, role=Role.DECODER,
+                        fallback=bool(fallback))
 
 
 @lru_cache(maxsize=None)
@@ -300,8 +298,7 @@ def select_G_mmse(gains, noise_var, flip_probs=None):
     candidates = enumerate_invertible_binary(len(gains))
     scores = predicted_chain_error(candidates, gains, noise_var, flip_probs)
     best = argmin_with_ties(scores)
-    G = CodingMatrix(entries=candidates[best].copy(), design=Scheme.MMSE_DESIGN,
-                     role=Role.ENCODER)
+    G = CodingMatrix(entries=candidates[best].copy(), role=Role.ENCODER)
     return G, scores
 
 

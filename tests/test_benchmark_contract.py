@@ -1,6 +1,7 @@
 """What the benchmark in perfbench/ uses of the package: the names its
-tracer wraps, the slot machine as its set-up probe builds it and the
-slot outcome its traced runs read.  perfbench/ is read, never changed."""
+tracer wraps, the slot machine as its set-up probe builds it, the slot
+outcome its traced runs read and the counts its hooks and rounds read.
+perfbench/ is read, never changed."""
 
 import importlib.util
 from collections import Counter
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plnc_sim import SlotMachine, SystemConfig
+from plnc_sim import SlotMachine, SystemConfig, harness
 from plnc_sim import network_coding as nc
 from plnc_sim.config import DecoderKind, Scheme
 
@@ -78,3 +79,33 @@ def test_coding_calls_go_through_their_module(monkeypatch, scheme, decoder):
     else:
         expected = {"detect_ncs": tx_slots, "decode_with_direct": tx_slots}
     assert dict(calls) == expected
+
+
+SMALL = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                     packet_length=8, ml_training_len=8)
+
+
+def test_trial_slots_reach_the_variant_counter(tmp_path):
+    # the light trace's run_trial hook reads .slots from the trial
+    light = tracer.Tracer(str(tmp_path))
+    undo = light.install(full=False)
+    try:
+        trial = harness.run_trial(SMALL, 3, 4)
+    finally:
+        tracer.uninstall(undo)
+    label = harness.scheme_label(SMALL.nc_design, SMALL.buffers_enabled,
+                                 SMALL.receiver)
+    assert light.counts[f"variant_slots/{label}"] == trial.slots > 0
+
+
+def test_report_rows_and_summary_as_the_benchmark_reads_them():
+    # the write_trace hook counts trace_rows; sweep rounds read slot_summary
+    report = harness.run_sweep(SMALL, [8.0], 4, schemes=list(Scheme),
+                               buffer_modes=[True, False], chunk_packets=3,
+                               collect_trace=True)
+    assert len(report.trace_rows) == sum(p.slots for p in report.points) > 0
+    for p in report.points:
+        summary = report.slot_summary[f"{p.scheme_label}@{p.snr_db:g}dB"]
+        assert (summary["slots"], summary["receive_slots"],
+                summary["transmit_slots"]) \
+            == (p.slots, p.receive_slots, p.transmit_slots)

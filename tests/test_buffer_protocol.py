@@ -255,7 +255,7 @@ def machine(**kw):
                     nc_design=Scheme.RANDOM, rng_seed=13)
     defaults.update(kw)
     cfg = SystemConfig(**defaults)
-    return SlotMachine(cfg, np.random.default_rng(99), collect_trace=True)
+    return SlotMachine(cfg, np.random.default_rng(99))
 
 
 class TestSlotMachine:
@@ -263,17 +263,19 @@ class TestSlotMachine:
         m = machine().run_until(n_packets=20)
         assert m.transmit_slots == 20
         assert m.transmit_slots <= m.receive_slots
-        assert m.receive_slots + m.transmit_slots + m.idle_slots == m.slot
+        idle = sum(o.action == "idle" for o in m.log)
+        assert m.receive_slots + m.transmit_slots + idle == m.slot
+        assert len(m.log) == m.slot
 
     def test_unbuffered_alternation(self):
         m = machine(buffers_enabled=False).run_until(n_packets=10)
-        actions = [o.action for o in m.trace]
+        actions = [o.action for o in m.log]
         assert actions == ["receive", "transmit"] * 10
-        assert max(max(o.occupancy_after) for o in m.trace) <= 1
+        assert max(max(o.occupancy_after) for o in m.log) <= 1
 
     def test_unbuffered_transmission_carries_group_id(self):
         m = machine(buffers_enabled=False).run_until(n_packets=10)
-        for before, row in zip(m.trace, m.trace[1:]):
+        for before, row in zip(m.log, m.log[1:]):
             if row.action == "transmit":
                 assert before.action == "receive"
                 assert row.pair_id == before.pair_id >= 0
@@ -281,7 +283,7 @@ class TestSlotMachine:
 
     def test_occupancy_bounds_in_trace(self):
         m = machine(buffer_size=2).run_until(n_packets=30)
-        for outcome in m.trace:
+        for outcome in m.log:
             assert all(0 <= o <= 2 for o in outcome.occupancy_after)
 
     def test_direct_decoder_runs(self):
@@ -295,7 +297,7 @@ class TestSlotMachine:
     def test_all_pairs_mode_runs(self):
         m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15)
         assert m.transmit_slots == 15
-        pair_ids = {o.pair_id for o in m.trace if o.action != "idle"}
+        pair_ids = {o.pair_id for o in m.log if o.action != "idle"}
         assert len(pair_ids) > 2   # selection ranges over the C(4,2) pairs
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -308,7 +310,7 @@ class TestSlotMachine:
                            pair_mode=PairMode.ALL_PAIRS, nc_design=scheme,
                            decoder=decoder).run_until(n_packets=4)
             assert mach.transmit_slots == 4
-            assert mach.bit_errors.tolist() == [0]
+            assert [o.bit_errors for o in mach.log] == [(0,)] * mach.slot
 
     @pytest.mark.parametrize("buffered", [True, False])
     @pytest.mark.parametrize("decoder", list(DecoderKind))
@@ -321,7 +323,7 @@ class TestSlotMachine:
         mach = SlotMachine(cfg, RngStreams.from_seed(3), schemes=list(Scheme))
         mach.run_until(n_packets=12)
         assert mach.transmit_slots == 12
-        assert mach.bit_errors.tolist() == [0] * len(Scheme)
+        assert {o.bit_errors for o in mach.log} == {(0,) * len(Scheme)}
 
     def test_lanes_need_their_own_streams(self):
         cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
@@ -363,7 +365,7 @@ class TestSlotMachine:
 
     def test_trace_rows_match_header(self):
         m = machine().run_until(n_packets=5)
-        for outcome in m.trace:
+        for outcome in m.log:
             assert len(trace_row(outcome)) == len(TRACE_FIELDS)
 
 

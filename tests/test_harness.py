@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from plnc_sim import (DecoderKind, PairMode, RunReport, Scheme, SlotMachine,
                       SystemConfig, emit_report, parse_report, run_sweep,
                       run_trial, scheme_label, write_trace)
-from plnc_sim.buffer_protocol import TRACE_FIELDS
+from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
+from plnc_sim.harness import BerPoint
 
 
 def tiny_config(**kw):
@@ -72,6 +74,14 @@ class TestRunTrial:
             tiny_config(decoder="JOINT")
         with pytest.raises(ValueError, match="nc_design must be a Scheme"):
             tiny_config(nc_design="random")
+        # True would run at 1 dB; "10" would fail later as a TypeError
+        for snr in (True, "10", float("-inf"), float("nan"), None, -4000.0, 4000):
+            with pytest.raises(ValueError, match="snr_db must be a real number"):
+                tiny_config(snr_db=snr)
+        # "no" is truthy: it would run the buffered protocol
+        for flag in ("no", 1, None):
+            with pytest.raises(ValueError, match="buffers_enabled must be a bool"):
+                tiny_config(buffers_enabled=flag)
 
 
 class TestRunSweep:
@@ -151,6 +161,11 @@ class TestRunSweep:
             run_sweep(tiny_config(), [8.0], 1,
                       schemes=[Scheme.XOR, Scheme.RANDOM, Scheme.XOR])
 
+    def test_chunk_size_below_one_rejected(self):
+        # a chunk of 0 packets would never finish the point
+        with pytest.raises(ValueError, match="chunk_packets must be >= 1"):
+            run_sweep(tiny_config(), [8.0], 2, chunk_packets=0)
+
     def test_parallel_settings_identical_counts(self):
         cfg = tiny_config()
         kw = dict(schemes=[Scheme.RANDOM], buffer_modes=[True, False],
@@ -193,6 +208,42 @@ class TestWorkerInvariance:
         assert one.points == two.points
         assert one.slot_summary == two.slot_summary
         assert one.trace_rows == two.trace_rows
+
+
+class TestCountsReduceTheLog:
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_cases())
+    def test_point_counts_equal_trace_reductions(self, case):
+        cfg, schemes, buffer_modes, n_packets, chunk_packets = case
+        report = run_sweep(cfg, [0.0, 8.0], n_packets, schemes=schemes,
+                           buffer_modes=buffer_modes,
+                           chunk_packets=chunk_packets, collect_trace=True)
+        col = {name: 3 + i for i, name in enumerate(TRACE_FIELDS)}
+        rows = {}
+        for row in report.trace_rows:
+            rows.setdefault((row[0], row[1]), []).append(row)
+        for p in report.points:
+            mine = rows[(p.scheme_label, p.snr_db)]
+            actions = Counter(row[col["action"]] for row in mine)
+            assert (p.slots, p.idle_slots, p.receive_slots, p.transmit_slots) \
+                == (len(mine), actions["idle"], actions["receive"],
+                    actions["transmit"])
+            assert p.bits_total == sum(row[col["decoded_bits"]] for row in mine)
+            assert p.bit_errors == sum(row[col["bit_errors"]] for row in mine)
+
+    def test_idle_slots_counted_apart(self, monkeypatch):
+        # no run idles (the oldest buffered packet heads every relay of its
+        # pair), so every entry is made infeasible to log idle slots
+        mach = SlotMachine(tiny_config(), RngStreams.from_seed(1),
+                           schemes=[Scheme.XOR, Scheme.RANDOM]).run_until(3)
+        monkeypatch.setattr(mach.bank, "can_receive", lambda relays: False)
+        monkeypatch.setattr(mach.bank, "can_transmit", lambda relays: False)
+        assert [mach.advance().action for _ in range(2)] == ["idle"] * 2
+        point = BerPoint("random-buffered-mmse", 10.0).add(mach.log, lane=1)
+        assert (point.slots, point.idle_slots) == (len(mach.log), 2)
+        assert (point.receive_slots, point.transmit_slots) \
+            == (mach.receive_slots, mach.transmit_slots)
+        assert point.bit_errors == sum(o.bit_errors[1] for o in mach.log)
 
 
 # (bits, errors, slots, idle slots) per variant of a fixed-seed sweep,
@@ -333,16 +384,14 @@ class TestReportIo:
         assert (tmp_path / "out.csv.config.txt").exists()
 
     def test_empty_sweep_header_only(self, tmp_path):
-        report = RunReport(config_echo={}, points=[], slot_summary={},
-                           wall_clock_s=0.0, seed=0)
+        report = RunReport(config_echo={}, points=[], wall_clock_s=0.0)
         path = tmp_path / "empty.csv"
         emit_report(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines == ["scheme,snr_db,bits,errors,ber"]
 
     def test_ber_full_precision(self, tmp_path):
-        report = RunReport(config_echo={}, points=[], slot_summary={},
-                           wall_clock_s=0.0, seed=0)
+        report = RunReport(config_echo={}, points=[], wall_clock_s=0.0)
         from plnc_sim.harness import BerPoint
         report.points.append(BerPoint("x", 1.0, bits_total=3, bit_errors=1))
         path = tmp_path / "prec.csv"
@@ -351,8 +400,7 @@ class TestReportIo:
         assert ber_text == f"{1/3:.12g}"
 
     def test_write_failure_has_path_context(self, tmp_path):
-        report = RunReport(config_echo={}, points=[], slot_summary={},
-                           wall_clock_s=0.0, seed=0)
+        report = RunReport(config_echo={}, points=[], wall_clock_s=0.0)
         bad = tmp_path / "no_such_dir" / "x.csv"
         with pytest.raises(OSError, match="no_such_dir"):
             emit_report(report, bad)
@@ -422,6 +470,8 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [["--snr", "14:2:0"], ["--snr", ","],
+                                      ["--snr", "nan"], ["--snr=-inf"],
+                                      ["--snr", "8,inf"], ["--snr", "0:2:inf"],
                                       ["--workers", "0"], ["--workers", "-2"]])
     def test_bad_snr_or_workers_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "r.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (CodingMatrix, Role, Scheme, bit_to_symbol, decode_joint,
+from plnc_sim import (CodingMatrix, Role, bit_to_symbol, decode_joint,
                       decode_with_direct, design_G_ml, design_G_mmse,
                       design_G_random, detect_ncs, encode_ncs,
                       enumerate_invertible_binary, ncs_levels,
@@ -133,10 +133,10 @@ class TestEnumerationAndRandomDesign:
     def test_encoder_invariants_enforced(self):
         with pytest.raises(ValueError):
             CodingMatrix(entries=np.array([[1.0, 1.0], [1.0, 1.0]]),
-                         design=Scheme.RANDOM, role=Role.ENCODER)
+                         role=Role.ENCODER)
         with pytest.raises(ValueError):
             CodingMatrix(entries=np.array([[2.0, 0.0], [0.0, 1.0]]),
-                         design=Scheme.RANDOM, role=Role.ENCODER)
+                         role=Role.ENCODER)
 
 
 class TestMlDesign:
@@ -256,8 +256,7 @@ class TestMmseDesign:
 
     def test_noiseless_perfect_equalization_recovers_ncs(self):
         # w^H h = 1 exactly
-        G = CodingMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]),
-                         Scheme.RANDOM, Role.ENCODER)
+        G = CodingMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), Role.ENCODER)
         dec = design_G_mmse(G, np.ones(2, dtype=complex), np.full(2, 1e-30))
         for b in all_patterns():
             ncs = G.entries.T @ b
