@@ -1,8 +1,8 @@
 """Max-SINR pair selection over both hops, with re-selection.
 
 Builds the per-slot SINR table for the three fixed relay pairs and
-walks the exclusion chain the protocol would follow when buffers block
-the best entries.
+walks its ranking, the order in which the protocol would try the
+entries when buffers block the best ones.
 """
 import numpy as np
 
@@ -35,9 +35,7 @@ for (pid, relays), row in zip(cands, table):
     for hop, sinr in zip(hops, row):
         print(f"  pair {pid} relays {relays} {hop:12s} SINR {sinr:8.3f}")
 
-print("\nexclusion chain (as if every winner were infeasible):")
-excluded = np.zeros(table.shape, dtype=bool)
-while (best := select_best(table, excluded)) is not None:
-    print(f"  -> pair {cands[best[0]][0]} {hops[best[1]]} ({table[best]:.3f})")
-    excluded[best] = True
+print("\nranked walk (as if every entry were infeasible):")
+for rank, (row, col) in enumerate(select_best(table)):
+    print(f"  {rank}: pair {cands[row][0]} {hops[col]} ({table[row, col]:.3f})")
 print("  -> exhausted: the slot would idle")

@@ -3,8 +3,8 @@
 Each slot draws a fresh block-fading channel, computes the SINR table
 over the candidate pairs and both hops, then executes the best feasible
 action: reception (sources to relays, encode, push) or transmission
-(pop, relays to destination, decode).  Infeasible entries are excluded
-and selection repeats; an exhausted table idles the slot.  Receivers see
+(pop, relays to destination, decode): the first entry of the table's
+ranking that the buffers allow, or idle when none does.  Receivers see
 filter outputs sampled at symbol level (signal_model.sample_*).
 
 No coding scheme changes the channel stream or the bank occupancies, so
@@ -93,25 +93,21 @@ _HOPS = (Hop.SOURCE_RELAY, Hop.RELAY_DEST)    # table columns
 
 
 def decide_action(table, candidates, bank: BufferBank):
-    """Max-SINR selection with exclusion-based re-selection until a
-    feasible entry is found.
+    """Max-SINR selection: the first entry of the table's ranking whose
+    buffers allow it.
 
     table is the (pairs, 2) array of rs.build_sinr_table over
-    candidates.  Returns (pair_id, relays, hop, sinr, n_reselections);
-    hop is None (pair_id -1, relays (), sinr nan) when every entry was
-    infeasible and the slot idles.
+    candidates.  Returns (pair_id, relays, hop, sinr, n_reselections),
+    n_reselections being the chosen entry's rank; hop is None (pair_id
+    -1, relays (), sinr nan, table.size reselections) when no entry is
+    feasible and the slot idles.
     """
-    excluded = np.zeros(table.shape, dtype=bool)
-    reselections = 0
-    while (best := rs.select_best(table, excluded)) is not None:
-        row, col = best
+    for rank, (row, col) in enumerate(rs.select_best(table)):
         pair_id, relays = candidates[row]
         feasible = bank.can_transmit if col else bank.can_receive
         if feasible(relays):
-            return pair_id, relays, _HOPS[col], float(table[row, col]), reselections
-        excluded[row, col] = True
-        reselections += 1
-    return -1, (), None, float("nan"), reselections
+            return pair_id, relays, _HOPS[col], float(table[row, col]), rank
+    return -1, (), None, float("nan"), table.size
 
 
 class SlotOutcome(NamedTuple):
@@ -211,8 +207,7 @@ class SlotMachine:
         self.lanes = (Lane(schemes[0], rng.design, rng.noise),) + tuple(
             Lane(s, *copy.deepcopy((rng.design, rng.noise))) for s in schemes[1:])
         self.codebook = sm.generate_codebook(config)
-        setup_rng = np.random.default_rng([int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF,
-                                           0x6E0])
+        setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
         self.groups = nc.make_group_assignments(config, setup_rng)
         # the unbuffered baseline serves the fixed groups in every pair mode
         self._pairs_are_groups = (config.pair_mode == PairMode.FIXED_GROUPS

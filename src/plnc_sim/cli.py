@@ -16,7 +16,8 @@ _SCHEME_TOKENS = {s.value: s for s in Scheme}
 
 
 def parse_snr_spec(spec):
-    """Accept 'start:step:stop' (stop inclusive) or a comma list."""
+    """Accept 'start:step:stop' (stop inclusive) or a comma list of
+    points that the CSV prints apart."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -33,6 +34,9 @@ def parse_snr_spec(spec):
         out = [float(tok) for tok in spec.split(",") if tok.strip()]
     if not out:
         raise ValueError(f"SNR spec {spec!r} gives no SNR points")
+    labels = [f"{snr:g}" for snr in out]      # as the CSV prints them
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"SNR spec {spec!r} repeats a point: {labels}")
     return out
 
 

@@ -72,8 +72,9 @@ class SystemConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if isinstance(self.rng_seed, bool):
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        seed = self.rng_seed   # a float, string or out-of-range seed would alias another
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValueError(f"rng_seed must be an integer in [0, 2**64), got {seed!r}")
         snr = self.snr_db      # beyond 3000 dB in magnitude noise_var under- or overflows
         if isinstance(snr, bool) or not isinstance(snr, numbers.Real) or not abs(snr) < 3000:
             raise ValueError(f"snr_db must be a real number in (-3000, 3000) dB, got {snr!r}")

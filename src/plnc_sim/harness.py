@@ -140,11 +140,18 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
                     else [config.buffers_enabled])
     for scheme in schemes:             # check every lane before any task runs
         replace(config, nc_design=scheme)
+    labels = [f"{snr:g}" for snr in snr_list]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate SNR point in {labels}: the CSV could "
+                         "not tell its rows apart")
+    n = n_packets_per_point
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n_packets_per_point must be a positive integer, got {n!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk_packets < 1:
         raise ValueError(f"chunk_packets must be >= 1, got {chunk_packets}")
-    sizes = [min(chunk_packets, n_packets_per_point - start)
-             for start in range(0, n_packets_per_point, chunk_packets)]
-    entropy = int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF
+    sizes = [min(chunk_packets, n - start) for start in range(0, n, chunk_packets)]
 
     tasks = []
     for b_idx, buffered in enumerate(buffer_modes if schemes else []):
@@ -152,7 +159,7 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
             cfg = replace(config, nc_design=schemes[0], buffers_enabled=buffered,
                           snr_db=snr)
             for c_idx, n_pkts in enumerate(sizes):
-                tasks.append(((b_idx, p_idx, c_idx), cfg, entropy,
+                tasks.append(((b_idx, p_idx, c_idx), cfg, config.rng_seed,
                               (p_idx, c_idx), n_pkts, schemes))
 
     points = {(s_idx, b_idx, p_idx): BerPoint(

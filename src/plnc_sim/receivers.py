@@ -1,7 +1,6 @@
 """RAKE and linear MMSE receive filter banks plus the BPSK slicer."""
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erfc
 
 from .config import ReceiverKind
@@ -13,33 +12,28 @@ def hard_decision(soft):
 
 
 def _mmse_bank(H, sigma2):
-    """Solve (H^T conj(H) + sigma2 I) W = H^T for all rows of H at once.
+    """Solve (H^T conj(H) + sigma2 I) W = H^T for every leading index of
+    H at once.
 
-    H is (S, N): one effective vector per stream sharing the hop.
-    Returns (S, N) filters.
+    H is (..., S, N): one effective vector per stream sharing an
+    observation.  Returns (..., S, N) filters.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    n = H.shape[1]
-    cov = H.T @ H.conj() + sigma2 * np.eye(n)
-    cov = 0.5 * (cov + cov.conj().T)
-    factor = cho_factor(cov, lower=True)
-    return cho_solve(factor, H.T).T
+    Ht = np.swapaxes(H, -1, -2)
+    cov = Ht @ H.conj() + sigma2 * np.eye(H.shape[-1])
+    return np.swapaxes(np.linalg.solve(cov, Ht), -1, -2)
 
 
 def source_relay_filter_bank(state, sigma2, kind: ReceiverKind):
     """Filters for every (user, relay) link of the first hop, (K, L, N).
 
     The MMSE covariance at a relay sums over all K users observed
-    there, so one factorization per relay serves all its users.
+    there, so one solve per relay serves all its users.
     """
-    K, L, N = state.h_eff_sr.shape
     if kind == ReceiverKind.RAKE:
         return state.h_eff_sr.copy()
-    W = np.empty((K, L, N), dtype=np.complex128)
-    for l in range(L):
-        W[:, l, :] = _mmse_bank(state.h_eff_sr[:, l, :], sigma2)
-    return W
+    return _mmse_bank(state.h_eff_sr.swapaxes(0, 1), sigma2).swapaxes(0, 1)
 
 
 def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):

@@ -1,4 +1,4 @@
-"""Per-pair SINR metrics for both hops and max-SINR pair selection."""
+"""Per-pair SINR metrics for both hops and their max-SINR ranking."""
 
 from itertools import combinations
 
@@ -43,18 +43,14 @@ def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
     return member @ power / ((1.0 - member) @ power + sigma2 * (member @ wnorm))
 
 
-def select_best(table, excluded=None):
-    """(row, column) of the highest-SINR entry of a build_sinr_table
-    array, skipping entries where the boolean mask excluded is True.
+def select_best(table):
+    """Every (row, column) entry of a build_sinr_table array as a list of
+    int tuples, highest SINR first.
 
-    The row-major argmax breaks ties to the lowest pair, then
-    source-relay before relay-destination.  Returns None when every
-    entry is excluded.
+    The stable sort of the row-major table breaks ties to the lowest
+    pair, then source-relay before relay-destination.
     """
     if not np.all(np.isfinite(table) & (table >= 0.0)):
         raise ValueError("SINR must be finite and >= 0")
-    if excluded is not None:
-        if excluded.all():
-            return None
-        table = np.where(excluded, -np.inf, table)
-    return divmod(int(np.argmax(table)), table.shape[1])
+    order = np.argsort(-table, axis=None, kind="stable")
+    return [divmod(int(i), table.shape[1]) for i in order]

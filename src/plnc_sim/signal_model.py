@@ -57,7 +57,7 @@ def generate_codebook(config: SystemConfig) -> CodeBook:
     Deterministic given config.rng_seed; the codebook is fixed for an
     entire simulation run.
     """
-    rng = np.random.default_rng([int(config.rng_seed) & 0xFFFFFFFFFFFFFFFF, 0x5EED])
+    rng = np.random.default_rng([config.rng_seed, 0x5EED])
     codes = _unit_chip_rows(rng, config.num_users, config.spreading_gain)
     ncs_codes = _unit_chip_rows(rng, config.num_groups, config.spreading_gain)
     return CodeBook(codes=codes, ncs_codes=ncs_codes)

@@ -408,6 +408,10 @@ class TestSlotMachineProperty:
         for _ in range(n_slots):
             outcome = mach.advance()
             assert all(0 <= o <= cfg.buffer_size for o in outcome.occupancy_after)
+            # no slot idles: the oldest buffered packet heads every queue of
+            # its relay set (each queue is FIFO), so that pair can transmit,
+            # and an empty bank lets every pair receive
+            assert outcome.action != "idle"
             if outcome.action == "transmit":
                 assert outcome.relays == popped[-1].relays
                 assert outcome.decoded_bits == cfg.group_size * cfg.packet_length

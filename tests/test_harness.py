@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (DecoderKind, PairMode, RunReport, Scheme, SlotMachine,
-                      SystemConfig, emit_report, parse_report, run_sweep,
-                      run_trial, scheme_label, write_trace)
+from plnc_sim import (DecoderKind, PairMode, ReceiverKind, RunReport, Scheme,
+                      SlotMachine, SystemConfig, emit_report, parse_report,
+                      run_sweep, run_trial, scheme_label, write_trace)
 from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
@@ -62,8 +62,12 @@ class TestRunTrial:
             tiny_config(num_users=True, num_relays=1, group_size=1)
         with pytest.raises(ValueError, match="group_size must be a positive"):
             tiny_config(group_size=True)
-        with pytest.raises(ValueError, match="rng_seed must be an integer"):
-            tiny_config(rng_seed=False)
+        # a float, string, negative or too-large seed would run as another
+        # seed (1.5 as 1, -1 as 2**64 - 1, 2**70 as 0)
+        for seed in (False, 1.5, "3", -1, 2**64, 2**70):
+            with pytest.raises(ValueError, match="rng_seed must be an integer"):
+                tiny_config(rng_seed=seed)
+        tiny_config(rng_seed=2**64 - 1)
         # a float training length would only fail at the first ML reception
         with pytest.raises(ValueError, match="ml_training_len must be a positive"):
             tiny_config(ml_training_len=2.5)
@@ -165,6 +169,29 @@ class TestRunSweep:
         # a chunk of 0 packets would never finish the point
         with pytest.raises(ValueError, match="chunk_packets must be >= 1"):
             run_sweep(tiny_config(), [8.0], 2, chunk_packets=0)
+
+    @pytest.mark.parametrize("n_packets", [0, -3, 2.5, True])
+    def test_packet_count_not_positive_int_rejected(self, n_packets):
+        # 0 or -3 packets would report a 0-bit point with BER nan
+        with pytest.raises(ValueError, match="n_packets_per_point must be"):
+            run_sweep(tiny_config(), [8.0], n_packets)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        # would silently run serially
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(tiny_config(), [8.0], 2, workers=workers)
+
+    @pytest.mark.parametrize("snrs", [[10, 10], [8.0, 10.0, 10.0000001]])
+    def test_snr_points_printing_alike_rejected(self, snrs, monkeypatch):
+        # the CSV prints each point with :g; two alike would give two rows
+        # one reader cannot tell apart and one sidecar slots line
+        def no_slot(machine):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(SlotMachine, "advance", no_slot)
+        with pytest.raises(ValueError, match="duplicate SNR point"):
+            run_sweep(tiny_config(), snrs, 2)
 
     def test_parallel_settings_identical_counts(self):
         cfg = tiny_config()
@@ -319,6 +346,19 @@ GOLDEN_M3_DIRECT = {
 }
 GOLDEN_M3_DIRECT_TRACE_SHA256 = \
     "4b5a8f25a7253172e185ed2225b58e60758dd8460fad47acaa9cc4cf0d23759e"
+# The RAKE receiver (matched filters in every bank) at J = 2.
+GOLDEN_RAKE = {
+    "xor-buffered-rake": (200, 68, 21, 0),
+    "xor-unbuffered-rake": (200, 61, 20, 0),
+    "random-buffered-rake": (200, 47, 21, 0),
+    "random-unbuffered-rake": (200, 42, 20, 0),
+    "ml-buffered-rake": (200, 26, 21, 0),
+    "ml-unbuffered-rake": (200, 41, 20, 0),
+    "mmse-buffered-rake": (200, 26, 21, 0),
+    "mmse-unbuffered-rake": (200, 17, 20, 0),
+}
+GOLDEN_RAKE_TRACE_SHA256 = \
+    "2af652ebbbb7d9ed65bb88603f4d186165ccf4067b6bb278f9f4a3047bca2a7e"
 
 
 def golden_sweep(tmp_path, n_packets=10, **kw):
@@ -364,6 +404,12 @@ class TestGoldenCounts:
                                 decoder=DecoderKind.DIRECT)
         assert got == GOLDEN_M3_DIRECT
         assert sha == GOLDEN_M3_DIRECT_TRACE_SHA256
+
+    def test_rake_receiver_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, buffer_size=2,
+                                receiver=ReceiverKind.RAKE)
+        assert got == GOLDEN_RAKE
+        assert sha == GOLDEN_RAKE_TRACE_SHA256
 
 
 class TestReportIo:
@@ -442,6 +488,8 @@ class TestCli:
         assert parse_snr_spec("3,5.5") == [3.0, 5.5]
         with pytest.raises(ValueError):
             parse_snr_spec("0:0:4")
+        with pytest.raises(ValueError, match="repeats a point"):
+            parse_snr_spec("8,10,10.0")
 
     def test_scheme_specs(self):
         assert parse_schemes("xor,ml") == [Scheme.XOR, Scheme.ML]
@@ -472,8 +520,14 @@ class TestCli:
     @pytest.mark.parametrize("args", [["--snr", "14:2:0"], ["--snr", ","],
                                       ["--snr", "nan"], ["--snr=-inf"],
                                       ["--snr", "8,inf"], ["--snr", "0:2:inf"],
-                                      ["--workers", "0"], ["--workers", "-2"]])
+                                      ["--workers", "0"], ["--workers", "-2"],
+                                      ["--snr", "10,10,10.0000001"],
+                                      ["--snr", "10:0.0000001:10.0000002"],
+                                      ["--seed", "-1"],
+                                      ["--seed", str(2**64)]])
     def test_bad_snr_or_workers_exit_code(self, tmp_path, capsys, args):
+        # a repeated SNR point or a seed outside [0, 2**64) fails before
+        # any slot runs
         out = tmp_path / "r.csv"
         code = main(["sweep", "--bits", "100", "--schemes", "random",
                      "--out", str(out)] + args)

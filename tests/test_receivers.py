@@ -76,6 +76,23 @@ class TestMmseFilter:
         cov1 = np.outer(H[2], H[2].conj()) + sigma2 * np.eye(16)
         assert np.allclose(r, np.linalg.solve(cov1, H[2]), atol=1e-10)
 
+    def test_relay_bank_matches_per_relay_solve(self):
+        # one batched solve over all relays equals a dense solve of each
+        # relay's own covariance, one relay and one user at a time
+        cfg = SystemConfig(snr_db=4.0)
+        state = draw_channel(cfg, generate_codebook(cfg), [0, 0, 1, 1, 2, 2],
+                             np.random.default_rng(5))
+        sigma2 = cfg.noise_var
+        W = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
+        K, L, N = state.h_eff_sr.shape
+        assert W.shape == (K, L, N)
+        for l in range(L):
+            H = state.h_eff_sr[:, l, :]
+            cov = sum(np.outer(h, h.conj()) for h in H) + sigma2 * np.eye(N)
+            for k in range(K):
+                assert np.allclose(W[k, l], np.linalg.solve(cov, H[k]),
+                                   rtol=0, atol=1e-10)
+
     def test_high_noise_limit_matches_rake_direction(self):
         rng = np.random.default_rng(3)
         H = complex_gaussian(rng, (4, 16))

@@ -133,29 +133,30 @@ def empirical_sinr_source_relay(pair, state, W, sigma2, rng, T):
 
 class TestSelection:
     def test_single_entry(self):
-        assert select_best(np.array([[3.0, 0.0]])) == (0, 0)
+        assert select_best(np.array([[3.0, 0.0]]))[0] == (0, 0)
 
     def test_exclusion_picks_second_highest(self):
+        # an infeasible winner falls through to the next entry
         table = np.array([[3.0, 0.0], [0.0, 5.0]])
-        excluded = np.zeros(table.shape, dtype=bool)
-        assert select_best(table, excluded) == (1, 1)
-        excluded[1, 1] = True
-        assert select_best(table, excluded) == (0, 0)
+        assert select_best(table)[:2] == [(1, 1), (0, 0)]
 
     def test_exhaustion_returns_none(self):
+        # the ranking ends after every entry once: nothing is left to pick
         table = np.array([[3.0, 1.0]])
-        assert select_best(table, np.ones(table.shape, dtype=bool)) is None
+        assert select_best(table) == [(0, 0), (0, 1)]
 
     def test_tie_breaks_lowest_pair_then_first_hop(self):
-        assert select_best(np.array([[2.0, 2.0], [2.0, 0.0]])) == (0, 0)
-        assert select_best(np.array([[0.0, 2.0], [2.0, 2.0]])) == (0, 1)
+        assert select_best(np.array([[2.0, 2.0], [2.0, 0.0]])) == \
+            [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert select_best(np.array([[0.0, 2.0], [2.0, 2.0]])) == \
+            [(0, 1), (1, 0), (1, 1), (0, 0)]
 
     def test_argmax_oracle_random_tables(self):
         # brute-force argmax over 10^4 random tables
         rng = np.random.default_rng(5)
         for _ in range(10_000):
             table = rng.random((3, 2))
-            assert table[select_best(table)] == table.max()
+            assert table[select_best(table)[0]] == table.max()
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
@@ -163,15 +164,14 @@ class TestSelection:
         assert select_best(7.5 * table) == select_best(table)
 
     def test_exclusion_chain_monotone(self):
+        # the ranking is non-increasing and covers every entry once
         rng = np.random.default_rng(7)
         table = rng.random((4, 2))
-        excluded = np.zeros(table.shape, dtype=bool)
-        last = np.inf
-        while (best := select_best(table, excluded)) is not None:
-            assert table[best] <= last
-            last = table[best]
-            excluded[best] = True
-        assert excluded.all()
+        ranking = select_best(table)
+        values = [table[entry] for entry in ranking]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert sorted(ranking) == [(r, c) for r in range(4) for c in range(2)]
+        assert all(type(i) is int for entry in ranking for i in entry)
 
     def test_rejects_invalid_sinr(self):
         with pytest.raises(ValueError):
