@@ -47,15 +47,15 @@ noise_var = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
 training = np.where(rng.standard_normal((2, 100)) >= 0, 1.0, -1.0)
 
 g_rand = design_G_random(2, rng)
-print(f"random draw:\n{g_rand.entries}")
+print(f"random draw:\n{g_rand}")
 
 g_ml = design_G_ml_for_channel(gains, noise_var, training, rng)
-print(f"exhaustive search on a 100-symbol calibration block:\n{g_ml.entries}")
+print(f"exhaustive search on a 100-symbol calibration block:\n{g_ml}")
 
 flips = np.array([[0.2, 1e-3], [1e-3, 1e-3]])   # user 0 badly detected at relay 0
 g_mmse, scores = select_G_mmse(gains, noise_var, flip_probs=flips)
-print(f"statistics-based pick (knows relay 0 misdetects user 0):\n{g_mmse.entries}")
+print(f"statistics-based pick (knows relay 0 misdetects user 0):\n{g_mmse}")
 print(f"predicted chain error per candidate: {scores.round(4)}")
 
-dec = design_G_mmse(g_mmse, gains, noise_var)
-print(f"closed-form decode refinement matrix:\n{dec.entries.round(3)}")
+dec, fallback = design_G_mmse(g_mmse, gains, noise_var)
+print(f"closed-form decode refinement matrix (fallback {fallback}):\n{dec.round(3)}")

@@ -3,12 +3,12 @@ DS-CDMA: signal model, receivers, coding-matrix designs, max-SINR relay
 pair selection, the relay buffer protocol and a Monte-Carlo BER harness.
 """
 
-from .config import (DecoderKind, Hop, PairMode, ReceiverKind, Role, Scheme,
+from .config import (DecoderKind, Hop, PairMode, ReceiverKind, Scheme,
                      SystemConfig)
 from .signal_model import (complex_gaussian, draw_channel, generate_codebook,
                            synthesize_first_phase, synthesize_second_phase)
 from .receivers import hard_decision, source_relay_filter_bank
-from .network_coding import (CodingMatrix, bit_to_symbol, decode_joint,
+from .network_coding import (bit_to_symbol, decode_joint,
                              decode_with_direct, design_G_ml, design_G_mmse,
                              design_G_random, detect_ncs, encode_ncs,
                              enumerate_invertible_binary, ncs_levels,

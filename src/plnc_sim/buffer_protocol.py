@@ -41,7 +41,7 @@ class PairPacket:
     uid: int
     group_id: int
     relays: tuple
-    coded: tuple               # per lane: (CodingMatrix or None for XOR, (m, P) NCS)
+    coded: tuple               # per lane: ((m, m) encoder or None for XOR, (m, P) NCS)
     direct: np.ndarray         # (m, P) destination's direct-link decisions
     true_symbols: np.ndarray   # (m, P) ground truth, never enters the signal path
     created_slot: int
@@ -337,15 +337,15 @@ class SlotMachine:
         filters, gains, noise_var = stats
         z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
                                      ncs[:, None], cfg.noise_var, lane.noise)[:, 0]
-        decoder = None
+        decoder, note = None, ""
         if lane.scheme == Scheme.MMSE_DESIGN:
-            decoder = nc.design_G_mmse(encoder, gains, noise_var)
+            decoder, fallback = nc.design_G_mmse(encoder, gains, noise_var)
+            note = "mmse fallback" if fallback else ""
         if cfg.decoder == DecoderKind.JOINT:
             decoded = nc.decode_joint(encoder, z, gains, decoder)
         else:
             ncs_est = nc.detect_ncs(encoder, z, gains, decoder)
             decoded = nc.decode_with_direct(encoder, ncs_est, packet.direct)
-        note = "mmse fallback" if decoder is not None and decoder.fallback else ""
         return decoded, note
 
     def _transmit(self, state, relays):

@@ -31,11 +31,6 @@ class Hop(str, Enum):
     RELAY_DEST = "relay_dest"
 
 
-class Role(str, Enum):
-    ENCODER = "encoder"
-    DECODER = "decoder"
-
-
 class PairMode(str, Enum):
     FIXED_GROUPS = "fixed"   # L/m disjoint relay pairs, one per user group
     ALL_PAIRS = "all"        # every unordered relay pair is a candidate
@@ -121,7 +116,8 @@ _FILE_KEYS = {
 
 
 def read_config_file(path):
-    """Parse a flat key=value config file; unknown keys are rejected.
+    """Parse a flat key=value config file; unknown or repeated keys are
+    rejected.
 
     Returns a dict of SystemConfig field overrides plus an optional
     'schemes' entry (comma-separated list kept as a string).
@@ -138,6 +134,8 @@ def read_config_file(path):
             if key not in _FILE_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             field_name, caster = _FILE_KEYS[key]
+            if field_name in overrides:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             try:
                 overrides[field_name] = caster(value)
             except ValueError as exc:

@@ -5,19 +5,22 @@ coding-matrix designs (random binary, exhaustive search, closed-form
 MMSE) and both destination decoders (joint system solve and
 direct-link-aided cancellation).
 
-Matrix convention: entry [k, l] of an encoder weights user k of the
-group in the combination transmitted by relay l, so the stacked NCS
-vector is G^T b for user symbols b.
+Every encoder is a plain (m, m) array: a row of the read-only pool
+`enumerate_invertible_binary(m)`, so it is binary and invertible by
+construction.  Entry [k, l] weights user k of the group in the
+combination transmitted by relay l, so the stacked NCS vector is G^T b
+for user symbols b.  The decode-time MMSE refinement is an
+`MmseDecoder(entries, fallback)`.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
 
-from .config import Role
 from .receivers import hard_decision
 from .signal_model import complex_gaussian
 
@@ -50,33 +53,12 @@ def make_group_assignments(config, rng):
             for g in range(config.num_groups)]
 
 
-@dataclass
-class CodingMatrix:
-    """m x m coding matrix with its provenance.
+class MmseDecoder(NamedTuple):
+    """MMSE refinement matrix (or a stack of them) and whether it fell
+    back to plain gain normalization."""
 
-    Encoders are binary {0,1} and invertible over the reals; decoders
-    (the MMSE refinement matrix) are unconstrained complex/real.
-    """
-
-    entries: np.ndarray
-    role: Role
-    fallback: bool = False   # MMSE decoder fell back to plain inversion
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.complex128 if
-                                  self.role == Role.DECODER else np.float64)
-        if self.role == Role.ENCODER:
-            if not np.all(np.isin(self.entries, (0.0, 1.0))):
-                raise ValueError("encoder entries must be binary {0,1}")
-            if abs(np.linalg.det(self.entries)) <= 1e-9:
-                raise ValueError("encoder matrix must be invertible")
-        elif not np.all(np.isfinite(self.entries)):
-            raise ValueError("decoder entries must be finite")
-
-
-def _entries(M, dtype=None):
-    """Entries of a CodingMatrix, or M itself as an array."""
-    return np.asarray(M.entries if isinstance(M, CodingMatrix) else M, dtype=dtype)
+    entries: np.ndarray     # (..., m, m) complex
+    fallback: np.ndarray    # (...,) bool
 
 
 def bit_to_symbol(c):
@@ -103,7 +85,7 @@ def encode_ncs(G, detected_by_relay):
     detections with column l.  detected_by_relay is (m, m, P) indexed
     [relay, user, symbol]; returns (m, P)."""
     det = np.asarray(detected_by_relay, dtype=np.float64)
-    return np.einsum("kl,lkp->lp", _entries(G, np.float64), det)
+    return np.einsum("kl,lkp->lp", G, det)
 
 
 @lru_cache(maxsize=None)
@@ -117,12 +99,12 @@ def enumerate_invertible_binary(m):
     return out
 
 
-def design_G_random(m, rng) -> CodingMatrix:
+def design_G_random(m, rng):
     """Uniform draw over the invertible binary matrices by rejection."""
     while True:
         cand = rng.integers(0, 2, size=(m, m)).astype(np.float64)
         if abs(np.linalg.det(cand)) > 1e-9:
-            return CodingMatrix(entries=cand, role=Role.ENCODER)
+            return cand
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +164,10 @@ def design_G_ml(outputs_by_candidate, gains, training_symbols):
     recovered = np.linalg.solve(np.swapaxes(candidates, 1, 2), norm)
     costs = np.sum((np.abs(training - recovered) ** 2).reshape(len(candidates), -1),
                    axis=1)
-    best = argmin_with_ties(costs)
-    G = CodingMatrix(entries=candidates[best].copy(), role=Role.ENCODER)
-    return G, costs
+    return candidates[argmin_with_ties(costs)], costs
 
 
-def design_G_ml_for_channel(gains, noise_var, training_symbols, rng) -> CodingMatrix:
+def design_G_ml_for_channel(gains, noise_var, training_symbols, rng):
     """Simulate the calibration block on the pair's relay streams, then
     search."""
     outputs = ml_calibration_outputs(gains, noise_var, training_symbols, rng)
@@ -211,7 +191,7 @@ def _mmse_decoders(encoders, gains, noise_var):
     with C = G^T G.  An encoder whose R_b is numerically singular
     (condition number above 1e12) gets plain gain normalization
     diag(1/mu) instead, and so does the whole stack if the solve still
-    fails.  Returns (entries (..., m, m), fallback (...,) bool).
+    fails.  Returns an MmseDecoder, unstacked for one (m, m) encoder.
     """
     g = np.asarray(encoders, dtype=np.float64)
     mu = np.asarray(gains)
@@ -230,21 +210,20 @@ def _mmse_decoders(encoders, gains, noise_var):
         fallback = np.ones_like(fallback)
     if np.any(fallback):
         entries = np.where(fallback[..., None, None], np.diag(1.0 / mu), entries)
-    return entries, fallback
+    return MmseDecoder(entries, fallback)
 
 
-def design_G_mmse(encoder, gains, noise_var) -> CodingMatrix:
+def design_G_mmse(encoder, gains, noise_var):
     """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
     estimate at the destination; used in place of plain inversion.
 
     gains and noise_var are the pair's relay-stream statistics
-    mu_j = w_j^H h_j and sigma2 ||w_j||^2.  Falls back to plain gain
+    mu_j = w_j^H h_j and sigma2 ||w_j||^2.  Returns
+    MmseDecoder(entries, fallback); falls back to plain gain
     normalization (diag(1/mu)) with the fallback flag set if R_b is
     numerically singular.
     """
-    entries, fallback = _mmse_decoders(_entries(encoder), gains, noise_var)
-    return CodingMatrix(entries=entries, role=Role.DECODER,
-                        fallback=bool(fallback))
+    return _mmse_decoders(encoder, gains, noise_var)
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +254,7 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs=None):
     g = np.asarray(encoders, dtype=np.float64)
     m = g.shape[-1]
     p = np.zeros((m, m)) if flip_probs is None else np.asarray(flip_probs, float)
-    decoders, _ = _mmse_decoders(g, gains, noise_var)
+    decoders = _mmse_decoders(g, gains, noise_var).entries
     A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
     per_user_noise = (np.abs(A) ** 2 @ noise_var).real             # (..., m)
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
@@ -297,9 +276,7 @@ def select_G_mmse(gains, noise_var, flip_probs=None):
     index.  Returns (encoder, per-candidate scores)."""
     candidates = enumerate_invertible_binary(len(gains))
     scores = predicted_chain_error(candidates, gains, noise_var, flip_probs)
-    best = argmin_with_ties(scores)
-    G = CodingMatrix(entries=candidates[best].copy(), role=Role.ENCODER)
-    return G, scores
+    return candidates[argmin_with_ties(scores)], scores
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +289,7 @@ def _refine(filter_outputs, gains, decoder):
     (m,) or (m, P), and so has the result."""
     z = np.asarray(filter_outputs, dtype=np.complex128)
     if decoder is not None:
-        return _entries(decoder) @ z
+        return decoder @ z
     return (z.T / np.asarray(gains)).T
 
 
@@ -325,16 +302,14 @@ def decode_joint(encoder, filter_outputs, gains, decoder=None):
     (m, P).
     """
     refined = _refine(filter_outputs, gains, decoder)
-    g = _entries(encoder, np.complex128)
-    return hard_decision(np.linalg.solve(g.T, refined))
+    return hard_decision(np.linalg.solve(np.asarray(encoder).T, refined))
 
 
 def ncs_levels(G):
     """Admissible noiseless NCS values of every relay's combination,
     (2^m, m) indexed [level, relay], each column sorted ascending (a
     value reached by several data patterns repeats)."""
-    g = _entries(G, np.float64)
-    return np.sort(_data_patterns(g.shape[0]).T @ g, axis=0)
+    return np.sort(_data_patterns(len(G)).T @ G, axis=0)
 
 
 def detect_ncs(encoder, filter_outputs, gains, decoder=None):
@@ -356,7 +331,7 @@ def decode_with_direct(encoder, ncs_estimates, direct_estimates):
     ncs_estimates and direct_estimates have shape (m,) or (m, P), and
     so has the result.  A user's own direct entry is never read.
     """
-    g = _entries(encoder, np.float64)
+    g = np.asarray(encoder)
     carried = g != 0.0
     if not np.all(np.any(carried, axis=1)):
         raise ValueError("no relay carries the target user (singular encoder)")

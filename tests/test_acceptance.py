@@ -135,7 +135,7 @@ class TestCriterion4MmseDesignOracle:
             nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
             T = 100_000
             b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
-            a = G.entries.T @ b
+            a = G.T @ b
             z = gains[:, None] * a + complex_gaussian(rng, (2, T)) \
                 * np.sqrt(nvar)[:, None]
             ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
@@ -172,7 +172,7 @@ class TestCriterion5MlDesignOracle:
                     total += float(np.sum(np.abs(training[:, t] - rec) ** 2))
                 oracle.append(total)
             best = argmin_with_ties(oracle)
-            if np.array_equal(G.entries, cands[best]):
+            if np.array_equal(G, cands[best]):
                 agree += 1
         ok = agree == 100
         report_line(5, ok, f"exhaustive design equals independent brute-force "

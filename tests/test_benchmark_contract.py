@@ -109,3 +109,20 @@ def test_report_rows_and_summary_as_the_benchmark_reads_them():
         assert (summary["slots"], summary["receive_slots"],
                 summary["transmit_slots"]) \
             == (p.slots, p.receive_slots, p.transmit_slots)
+
+
+def test_decode_time_fallbacks_reach_the_fallback_counter(tmp_path, monkeypatch):
+    # the full trace's design_G_mmse hook reads .fallback from the decoder
+    # it returns, counting only calls made from the slot machine
+    design = nc.design_G_mmse
+    monkeypatch.setattr(nc, "design_G_mmse",
+                        lambda *args: design(*args)._replace(fallback=True))
+    full = tracer.Tracer(str(tmp_path))
+    undo = full.install(full=True)
+    try:
+        machine = SlotMachine(replace(SMALL, nc_design=Scheme.MMSE_DESIGN),
+                              np.random.default_rng(4)).run_until(3)
+    finally:
+        tracer.uninstall(undo)
+    notes = sum(outcome.note.count("mmse fallback") for outcome in machine.log)
+    assert full.counts["mmse_fallback"] == notes > 0

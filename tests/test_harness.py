@@ -481,6 +481,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bad2.cfg:1"):
             read_config_file(bad)
 
+    def test_repeated_key_reported_with_line(self, tmp_path):
+        # the last value must not silently win
+        bad = tmp_path / "twice.cfg"
+        bad.write_text("m = 2\nK = 4\nm = 3\n")
+        with pytest.raises(ValueError, match=r"twice.cfg:3: key 'm' given twice"):
+            read_config_file(bad)
+
 
 class TestCli:
     def test_snr_specs(self):
@@ -516,6 +523,16 @@ class TestCli:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_repeated_config_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K=4\nL=4\nm=2\nm=2\n")
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "8",
+                     "--out", str(out)])
+        assert code == 1
+        assert "given twice" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--snr", "14:2:0"], ["--snr", ","],
                                       ["--snr", "nan"], ["--snr=-inf"],

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (CodingMatrix, Role, bit_to_symbol, decode_joint,
-                      decode_with_direct, design_G_ml, design_G_mmse,
-                      design_G_random, detect_ncs, encode_ncs,
-                      enumerate_invertible_binary, ncs_levels,
+from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
+                      design_G_ml, design_G_mmse, design_G_random, detect_ncs,
+                      encode_ncs, enumerate_invertible_binary, ncs_levels,
                       select_G_mmse, symbol_to_bit, xor_decode, xor_encode)
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
+                                     design_G_ml_for_channel,
                                      ml_calibration_outputs,
                                      predicted_chain_error)
 from plnc_sim.signal_model import complex_gaussian
@@ -119,24 +119,33 @@ class TestEnumerationAndRandomDesign:
         cands = enumerate_invertible_binary(1)
         assert len(cands) == 1 and cands[0][0, 0] == 1.0
         G = design_G_random(1, np.random.default_rng(0))
-        assert G.entries[0, 0] == 1.0
+        assert G[0, 0] == 1.0
 
     def test_random_design_invertible_and_covers_pool(self):
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(200):
             G = design_G_random(2, rng)
-            assert abs(np.linalg.det(G.entries)) >= 1.0 - 1e-9
-            seen.add(tuple(G.entries.ravel().astype(int)))
+            assert abs(np.linalg.det(G)) >= 1.0 - 1e-9
+            seen.add(tuple(G.ravel().astype(int)))
         assert len(seen) == 6   # all pool members appear
 
-    def test_encoder_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            CodingMatrix(entries=np.array([[1.0, 1.0], [1.0, 1.0]]),
-                         role=Role.ENCODER)
-        with pytest.raises(ValueError):
-            CodingMatrix(entries=np.array([[2.0, 0.0], [0.0, 1.0]]),
-                         role=Role.ENCODER)
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           sigma2=st.floats(0.01, 1.0))
+    def test_every_design_returns_a_pool_row(self, m, seed, sigma2):
+        # a pool row is binary and invertible by construction, so this
+        # is the encoder invariant every design must keep
+        rng = np.random.default_rng(seed)
+        pool = enumerate_invertible_binary(m)
+        gains, nvar = mmse_stream_stats(rng, m, sigma2, n=8)
+        training = np.where(rng.standard_normal((m, 8)) >= 0, 1.0, -1.0)
+        flips = rng.uniform(0.0, 0.5, (m, m))
+        for G in (design_G_random(m, rng),
+                  design_G_ml_for_channel(gains, nvar, training, rng),
+                  select_G_mmse(gains, nvar, flip_probs=flips)[0]):
+            assert G.shape == (m, m)
+            assert np.any(np.all(pool == G, axis=(1, 2)))
 
 
 class TestMlDesign:
@@ -161,7 +170,7 @@ class TestMlDesign:
         G, costs = design_G_ml(outs, gains, training)
         assert np.all(costs < 1e-20)
         # deterministic tie-break: lowest candidate index wins
-        assert np.array_equal(G.entries, enumerate_invertible_binary(2)[0])
+        assert np.array_equal(G, enumerate_invertible_binary(2)[0])
 
     def test_returned_cost_not_above_identity(self):
         rng = np.random.default_rng(4)
@@ -194,7 +203,7 @@ class TestMlDesign:
             oracle_best = argmin_with_ties(oracle_costs)
             assert oracle_best == argmin_with_ties(costs), \
                 "argmin disagrees with brute force"
-            assert np.array_equal(G.entries, cands[oracle_best])
+            assert np.array_equal(G, cands[oracle_best])
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_costs_match_per_candidate_solve(self, m):
@@ -212,7 +221,7 @@ class TestMlDesign:
                                       outs[j] / gains[:, None])
                 oracle[j] = np.sum(np.abs(training - rec) ** 2)
             assert np.allclose(costs, oracle, rtol=1e-12, atol=0)
-            assert np.array_equal(G.entries, cands[argmin_with_ties(oracle)])
+            assert np.array_equal(G, cands[argmin_with_ties(oracle)])
 
 
 def oracle_chain_error(g, gains, nvar, p):
@@ -248,7 +257,7 @@ class TestMmseDesign:
         rng = np.random.default_rng(6)
         gains, nvar, G = self._scenario(rng)
         dec = design_G_mmse(G, gains, nvar)
-        C = G.entries.T @ G.entries
+        C = G.T @ G
         P_ab = C * gains.conj()[None, :]
         R_b = np.outer(gains, gains.conj()) * C + np.diag(nvar)
         residual = np.linalg.norm(dec.entries @ R_b - P_ab)
@@ -256,10 +265,10 @@ class TestMmseDesign:
 
     def test_noiseless_perfect_equalization_recovers_ncs(self):
         # w^H h = 1 exactly
-        G = CodingMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), Role.ENCODER)
+        G = np.array([[1.0, 1.0], [1.0, 0.0]])
         dec = design_G_mmse(G, np.ones(2, dtype=complex), np.full(2, 1e-30))
         for b in all_patterns():
-            ncs = G.entries.T @ b
+            ncs = G.T @ b
             assert np.allclose((dec.entries @ ncs).real, ncs, atol=1e-9)
 
     def test_sample_ls_oracle(self):
@@ -270,7 +279,7 @@ class TestMmseDesign:
         gains, nvar, G = self._scenario(rng, sigma2)
         T = 100_000
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
-        a = G.entries.T @ b
+        a = G.T @ b
         eta = complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
         z = gains[:, None] * a + eta
         ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
@@ -284,7 +293,7 @@ class TestMmseDesign:
         gains, nvar, G = self._scenario(rng, sigma2)
         T = 50_000
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
-        a = G.entries.T @ b
+        a = G.T @ b
         z = gains[:, None] * a + complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
         dec = design_G_mmse(G, gains, nvar)
         mse_mmse = np.mean(np.abs(a - dec.entries @ z) ** 2)
@@ -297,13 +306,13 @@ class TestMmseDesign:
         flips = np.array([[0.4, 1e-4], [1e-4, 1e-4]])
         G, scores = select_G_mmse(np.ones(2, dtype=complex), np.full(2, 0.05),
                                   flip_probs=flips)
-        assert G.entries[0, 0] == 0.0
+        assert G[0, 0] == 0.0
         assert scores.shape == (6,)
 
     def test_chain_error_in_unit_interval(self):
         rng = np.random.default_rng(10)
         gains, nvar, G = self._scenario(rng)
-        p = predicted_chain_error(G.entries, gains, nvar,
+        p = predicted_chain_error(G, gains, nvar,
                                   flip_probs=np.full((2, 2), 0.01))
         assert 0.0 <= p <= 1.0
 
@@ -319,7 +328,7 @@ class TestMmseDesign:
             oracle = np.array([oracle_chain_error(c, gains, nvar, p)[0]
                                for c in cands])
             assert np.allclose(scores, oracle, rtol=1e-9, atol=1e-15)
-            assert np.array_equal(G.entries, cands[argmin_with_ties(oracle)])
+            assert np.array_equal(G, cands[argmin_with_ties(oracle)])
 
     def test_partial_fallback_matches_per_candidate_oracle(self):
         # one nearly silent stream leaves R_b singular for some encoders
@@ -418,7 +427,7 @@ class TestRandomizedRoundtrips:
             G = design_G_random(2, rng)
             b = np.where(rng.standard_normal((2, 64)) >= 0, 1.0, -1.0)
             gains = (0.5 + rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
-            z = gains[:, None] * (G.entries.T @ b)
+            z = gains[:, None] * (G.T @ b)
             joint = decode_joint(G, z, gains)
             assert np.array_equal(joint, b)
             est = detect_ncs(G, z, gains)
@@ -442,7 +451,7 @@ class TestNoiselessExactness:
             assert np.array_equal(decode_joint(cand, z, gains), b)
             dec = design_G_mmse(cand, gains, nvar)
             assert not dec.fallback
-            assert np.array_equal(decode_joint(cand, z, gains, dec), b)
+            assert np.array_equal(decode_joint(cand, z, gains, dec.entries), b)
             est = detect_ncs(cand, z, gains)
             direct_aided = decode_with_direct(cand, est, b)
             for k in range(m):
@@ -460,7 +469,7 @@ def oracle_levels(g, relay):
 
 def oracle_detect(g, z, gains, decoder):
     """Refine, then slice one relay at a time; ties to the lower level."""
-    refined = decoder.entries @ z if decoder is not None else z / gains[:, None]
+    refined = decoder @ z if decoder is not None else z / gains[:, None]
     est = np.empty(refined.shape)
     for l in range(g.shape[0]):
         levels = oracle_levels(g, l)
@@ -518,7 +527,7 @@ class TestArrayDecodersMatchLoopOracles:
         z = gains[:, None] * soft
         decoder = None
         if with_decoder:
-            decoder = design_G_mmse(g, gains, 0.1 + rng.random(m))
+            decoder = design_G_mmse(g, gains, 0.1 + rng.random(m)).entries
         est = detect_ncs(g, z, gains, decoder)
         assert np.array_equal(est, oracle_detect(g, z, gains, decoder))
         assert np.array_equal(detect_ncs(g, z[:, 0], gains, decoder), est[:, 0])
