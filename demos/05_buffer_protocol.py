@@ -11,7 +11,8 @@ cfg = SystemConfig(packet_length=200, snr_db=10.0, nc_design=Scheme.ML,
                    rng_seed=8)
 machine = SlotMachine(cfg, np.random.default_rng(9))
 for _ in range(30):
-    machine.advance()
+    machine.advance()      # pass 1: decide the slot
+machine.settle()           # pass 2: the physics, which fills in the errors
 
 print("slot action    pair hop          sinr    occupancies  resel errs")
 for o in machine.log:

@@ -1,11 +1,30 @@
 """Relay buffers and the two-mode slot state machine.
 
-Each slot draws a fresh block-fading channel, computes the SINR table
-over the candidate pairs and both hops, then executes the best feasible
-action: reception (sources to relays, encode, push) or transmission
-(pop, relays to destination, decode): the first entry of the table's
-ranking that the buffers allow, or idle when none does.  Receivers see
-filter outputs sampled at symbol level (signal_model.sample_*).
+A slot machine runs in two passes.
+
+Pass 1, advance(), runs once per slot.  It takes the slot's
+block-fading channel from a block drawn ahead, computes the filter
+banks and the SINR table over the candidate pairs and both hops, and
+picks the best feasible action: the first entry of the table's ranking
+that the buffers allow, or idle when none does.  A reception pushes a
+lean packet record (uid, group, relays, created slot) onto the pair's
+buffers and a transmission pops one; the slot's SlotOutcome is logged
+at once.  No decision reads the physics of a packet, only the channel
+and the buffer occupancies, so this pass decides every slot.
+
+Pass 2, settle(), runs the physics of every slot advanced since the
+last settle as arrays: for the receptions, one data block, the
+source-destination filter banks, the first phase at symbol level
+(signal_model.sample_first_phase) and every lane's encoder designs and
+encodes; for the transmissions, per lane, the second phase, the
+decode-time MMSE refinement, the decoders and the scoring, which fill
+the pending transmit outcomes' bit_errors and note.  Until then those
+two fields are None, so a reduction that reads them fails loudly.
+run_until calls settle() once at the end.  Every random stream has one
+purpose and the same draw shape on every call, so one block of draws
+equals the per-slot draws bit for bit, whenever settle() runs.  The
+arrays run in slices whose transient arrays hold about _SLICE_ELEMENTS
+float64 elements.
 
 No coding scheme changes the channel stream or the bank occupancies, so
 one machine runs several schemes in lockstep, one lane each: the slot's
@@ -30,20 +49,30 @@ from . import relay_selection as rs
 from . import signal_model as sm
 from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
 
+# Pass 2 and the channel blocks run in slices whose transient arrays
+# hold about this many float64 elements (256 KB), a constant: the first
+# and second phase of a chunk of 16-symbol packets run as one slice and
+# 1000-symbol packets one at a time; the m=2 mmse design scores ten
+# receptions at a time and the m=3 one a single reception.
+_SLICE_ELEMENTS = 1 << 15
+
+
+def _slices(n, item_elements):
+    """Consecutive slices of range(n), each of at most _SLICE_ELEMENTS
+    elements at item_elements per item (at least one item)."""
+    step = max(1, _SLICE_ELEMENTS // item_elements)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
 
 @dataclass
 class PairPacket:
-    """One buffered transaction: the pair's encoded NCS streams for
-    every lane, the destination's direct-link decisions from the same
-    reception, and the bookkeeping needed to decode and score them
-    later."""
+    """One buffered transaction as the decisions see it.  The uid keys
+    the packet's encoded streams, direct-link decisions and ground truth
+    once pass 2 has run its reception."""
 
     uid: int
     group_id: int
     relays: tuple
-    coded: tuple               # per lane: ((m, m) encoder or None for XOR, (m, P) NCS)
-    direct: np.ndarray         # (m, P) destination's direct-link decisions
-    true_symbols: np.ndarray   # (m, P) ground truth, never enters the signal path
     created_slot: int
 
 
@@ -175,18 +204,18 @@ class SlotMachine:
     """Sequential slot-level simulator for one Monte-Carlo trial.
 
     With buffers disabled the machine degenerates to fixed two-phase
-    relaying: groups are served round-robin and every reception slot is
+    relaying: groups are served round robin and every reception slot is
     immediately followed by the paired transmission slot.
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
     receive_slots and transmit_slots count packets too; log holds every
-    slot's SlotOutcome.
+    slot's SlotOutcome, complete once settle() has run.
 
     schemes gives one lane per entry (default: config.nc_design alone);
     a SlotOutcome holds each lane's errors and notes.  rng is an
-    RngStreams, or, for one lane, one Generator that then feeds every
-    stream.
+    RngStreams, or one Generator whose five spawned children become the
+    streams.
     """
 
     def __init__(self, config: SystemConfig, rng, schemes=None):
@@ -197,10 +226,7 @@ class SlotMachine:
         for scheme in set(schemes) - {config.nc_design}:
             replace(config, nc_design=scheme)     # the scheme's config checks
         if not isinstance(rng, RngStreams):
-            if len(schemes) > 1:
-                raise ValueError("several lanes need RngStreams: one shared "
-                                 "Generator cannot give each lane its own")
-            rng = RngStreams(*(rng,) * 5)
+            rng = RngStreams(*rng.spawn(5))
         self.rng = rng
         # every lane starts from the streams' state at construction, as a
         # one-lane machine of its scheme would
@@ -232,8 +258,12 @@ class SlotMachine:
         self.transmit_slots = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
+        self._channels = deque()     # states drawn ahead, one per slot
+        self._receptions = []        # (packet, pair's state, pair's filters_sr)
+        self._transmissions = []     # (log index, packet, h_rd) to settle
+        self._coded = {}             # uid -> (direct, truth, ncs, encoders)
 
-    # -- per-slot physics -------------------------------------------------
+    # -- pass 1: decisions, one slot at a time ----------------------------
 
     def _next_group(self):
         """Round robin over the groups: the unbuffered baseline's next
@@ -242,145 +272,24 @@ class SlotMachine:
         self._rr_group = (g + 1) % self.config.num_groups
         return g
 
-    def _rd_rows(self, state, relays, group_id):
-        """Relay-destination effective vectors on the packet group's
-        NCS code (equals state.h_eff_rd rows in fixed-group mode)."""
-        code = self.codebook.ncs_codes[group_id]
-        return state.h_rd[list(relays)][:, None] * code[None, :]
-
-    def _stream_stats(self, rows):
-        """Filters for relay streams that each occupy a sub-slot alone,
-        one per row of rows, and the statistics every coding-matrix
-        design and decoder works from: the gains w^H h and the noise
-        powers sigma2 ||w||^2."""
-        sigma2 = self.config.noise_var
-        filters = rx.rank_one_filters(rows, sigma2, self.config.receiver)
-        noise_var = sigma2 * np.sum(np.abs(filters) ** 2, axis=1)
-        return filters, rx.effective_gains(filters, rows), noise_var
-
-    def _choose_encoder(self, lane, stats, state, users, relays, filters_sr):
-        """The lane's coding matrix for one reception.  stats holds the
-        pair's relay-destination (gains, noise variances), which the ml
-        and mmse designs read."""
-        cfg = self.config
-        if lane.scheme == Scheme.RANDOM:
-            return nc.design_G_random(cfg.group_size, lane.design)
-        gains, noise_var = stats
-        if lane.scheme == Scheme.ML:
-            training = rx.hard_decision(lane.design.standard_normal(
-                (cfg.group_size, cfg.ml_training_len)))
-            return nc.design_G_ml_for_channel(gains, noise_var, training,
-                                              lane.design)
-        if lane.scheme == Scheme.MMSE_DESIGN:
-            flips = rx.detection_error_probs(users, relays, state, filters_sr,
-                                             cfg.noise_var)
-            encoder, _ = nc.select_G_mmse(gains, noise_var, flip_probs=flips)
-            return encoder
-        raise ValueError(f"unknown scheme {lane.scheme}")
-
-    def _receive(self, state, relays, group_id, filters_sr):
-        """First phase: all sources transmit, the selected pair detects
-        and buffers its group, with every lane's encoding and the
-        destination's direct estimates in the same packet.  filters_sr
-        is the slot's source-relay filter bank."""
-        cfg = self.config
-        sigma2 = cfg.noise_var
-        users = list(self.groups[group_id].users)
-        P = cfg.packet_length
-
-        symbols = rx.hard_decision(self.rng.data.standard_normal((cfg.num_users, P)))
-        filters_sd = rx.source_dest_filter_bank(state, sigma2, cfg.receiver)
-        soft_sd, soft_sr = sm.sample_first_phase(symbols, state, users, relays,
-                                                 filters_sd, filters_sr, sigma2,
-                                                 self.rng.first_phase)
-        direct = rx.hard_decision(soft_sd)
-        detected = rx.hard_decision(soft_sr)                 # [relay, user, symbol]
-
-        coded = []
-        stats = None
-        for lane in self.lanes:
-            if lane.scheme == Scheme.XOR:
-                encoder = None
-                ncs = nc.xor_encode(detected)
-            else:
-                if stats is None and lane.scheme != Scheme.RANDOM:
-                    stats = self._stream_stats(state.h_eff_rd[list(relays)])[1:]
-                encoder = self._choose_encoder(lane, stats, state, users,
-                                               relays, filters_sr)
-                ncs = nc.encode_ncs(encoder, detected)
-            coded.append((encoder, ncs))
-
-        packet = PairPacket(uid=self.receive_slots, group_id=group_id,
-                            relays=tuple(relays), coded=tuple(coded),
-                            direct=direct, true_symbols=symbols[users, :].copy(),
-                            created_slot=self.slot)
-        self.bank.push_pair(relays, packet)
-
-    def _decode_xor(self, lane, packet, ncs, rows):
-        """Both relays carry the same code and (nominally) the same
-        symbol: the streams superpose on the combined channel."""
-        cfg = self.config
-        combined = rows.sum(axis=0)
-        note = ""
-        if np.vdot(combined, combined).real < 1e-30:
-            combined = self.codebook.ncs_codes[packet.group_id].astype(complex)
-            note = "degenerate combined channel"
-        w = rx.rank_one_filters(combined[None, :], cfg.noise_var, cfg.receiver)
-        soft = sm.sample_filter_outputs(w, rows, ncs, cfg.noise_var, lane.noise)
-        decoded = nc.xor_decode(rx.hard_decision(soft[0]), packet.direct)
-        return decoded, note
-
-    def _decode_linear(self, lane, packet, encoder, ncs, rows, stats):
-        """One sub-slot per relay stream, independent noise each.  stats
-        holds the streams' (filters, gains, noise variances)."""
-        cfg = self.config
-        filters, gains, noise_var = stats
-        z = sm.sample_filter_outputs(filters[:, None], rows[:, None],
-                                     ncs[:, None], cfg.noise_var, lane.noise)[:, 0]
-        decoder, note = None, ""
-        if lane.scheme == Scheme.MMSE_DESIGN:
-            decoder, fallback = nc.design_G_mmse(encoder, gains, noise_var)
-            note = "mmse fallback" if fallback else ""
-        if cfg.decoder == DecoderKind.JOINT:
-            decoded = nc.decode_joint(encoder, z, gains, decoder)
-        else:
-            ncs_est = nc.detect_ncs(encoder, z, gains, decoder)
-            decoded = nc.decode_with_direct(encoder, ncs_est, packet.direct)
-        return decoded, note
-
-    def _transmit(self, state, relays):
-        """Second phase: pop the pair's oldest packet, then in every lane
-        send its NCS streams, decode at the destination and score
-        against the truth.  Returns the per-lane errors and notes."""
-        packet = self.bank.pop_pair(relays)
-        if packet.uid <= self._last_scored_uid.get(packet.relays, -1):
-            raise RuntimeError("packet scored twice")
-        self._last_scored_uid[packet.relays] = packet.uid
-        rows = self._rd_rows(state, packet.relays, packet.group_id)
-
-        errors, notes = [], []
-        stats = None
-        for lane, (encoder, ncs) in zip(self.lanes, packet.coded):
-            if lane.scheme == Scheme.XOR:
-                decoded, note = self._decode_xor(lane, packet, ncs, rows)
-            else:
-                if stats is None:
-                    stats = self._stream_stats(rows)
-                decoded, note = self._decode_linear(lane, packet, encoder, ncs,
-                                                    rows, stats)
-            errors.append(int(np.sum(decoded != packet.true_symbols)))
-            notes.append(note)
-        return tuple(errors), tuple(notes)
-
-    # -- slot driver -------------------------------------------------------
+    def _next_channel(self):
+        """The slot's channel, from a block of slots drawn ahead (sized
+        by the slice budget on the (K, L, N) source-relay vectors)."""
+        if not self._channels:
+            cfg = self.config
+            sr_elements = 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
+            self._channels.extend(sm.draw_channels(
+                cfg, self.codebook, self.relay_group_ids, self.rng.channel,
+                max(1, _SLICE_ELEMENTS // sr_elements)))
+        return self._channels.popleft()
 
     def advance(self) -> SlotOutcome:
-        """One slot: draw the channel, choose the action, execute it in
-        every lane, and log the outcome."""
+        """Pass 1 for one slot: take the channel, choose the action,
+        push or pop the packet record, and log the outcome (a transmit
+        outcome's bit_errors and note wait for settle())."""
         cfg = self.config
         sigma2 = cfg.noise_var
-        state = sm.draw_channel(cfg, self.codebook, self.relay_group_ids,
-                                self.rng.channel)
+        state = self._next_channel()
         filters_sr = None
         if cfg.buffers_enabled:
             filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
@@ -409,11 +318,24 @@ class SlotMachine:
             if filters_sr is None:          # unbuffered: no table was built
                 filters_sr = rx.source_relay_filter_bank(state, sigma2,
                                                          cfg.receiver)
-            self._receive(state, relays, group_id, filters_sr)
+            packet = PairPacket(uid=self.receive_slots, group_id=group_id,
+                                relays=tuple(relays), created_slot=self.slot)
+            self.bank.push_pair(relays, packet)
+            # what pass 2 reads of the slot: the channel and the relay bank
+            # as the pair sees them, its relays in order on the relay axis
+            pair = list(relays)
+            self._receptions.append((packet, sm.ChannelState(
+                state.h_sd, state.h_sr[:, pair], state.h_rd[pair], state.h_eff_sd,
+                state.h_eff_sr[:, pair], state.h_eff_rd[pair]), filters_sr[:, pair]))
             self.receive_slots += 1
         else:
             action = "transmit"
-            errors, notes = self._transmit(state, relays)
+            packet = self.bank.pop_pair(relays)
+            if packet.uid <= self._last_scored_uid.get(packet.relays, -1):
+                raise RuntimeError("packet scored twice")
+            self._last_scored_uid[packet.relays] = packet.uid
+            self._transmissions.append((len(self.log), packet, state.h_rd))
+            errors = notes = None
             bits = cfg.group_size * cfg.packet_length
             self.transmit_slots += 1
         outcome = SlotOutcome(slot=self.slot, action=action, pair_id=pair_id,
@@ -426,10 +348,198 @@ class SlotMachine:
         self.log.append(outcome)
         return outcome
 
+    # -- pass 2: physics, as arrays over the pending slots -----------------
+
+    def settle(self):
+        """Pass 2: run every reception, then every transmission, advanced
+        since the last settle, and fill the transmit outcomes' errors
+        and notes.  Returns self."""
+        if self._receptions:
+            self._settle_receptions()
+        if self._transmissions:
+            self._settle_transmissions()
+        return self
+
+    def _stream_stats(self, rows):
+        """Filters for relay streams that each occupy a sub-slot alone,
+        one per row of rows (..., m, N), and the statistics every
+        coding-matrix design and decoder works from: the gains w^H h and
+        the noise powers sigma2 ||w||^2."""
+        sigma2 = self.config.noise_var
+        filters = rx.rank_one_filters(rows, sigma2, self.config.receiver)
+        noise_var = sigma2 * np.sum(np.abs(filters) ** 2, axis=-1)
+        return filters, rx.effective_gains(filters, rows), noise_var
+
+    def _designs(self, state, users, relays, filters_sr):
+        """Every lane's encoders for the stacked receptions, (R, m, m)
+        each, None for XOR.  The ml and mmse designs read the pair's
+        relay-destination statistics; mmse also reads the relays'
+        detection error probabilities."""
+        cfg = self.config
+        m = cfg.group_size
+        gains = noise_var = flips = None
+        encoders = []
+        for lane in self.lanes:
+            if lane.scheme == Scheme.XOR:
+                encoders.append(None)
+                continue
+            if lane.scheme == Scheme.RANDOM:
+                encoders.append(np.array([nc.design_G_random(m, lane.design)
+                                          for _ in relays]))
+                continue
+            if gains is None:
+                _, gains, noise_var = self._stream_stats(state.h_eff_rd)
+            if lane.scheme == Scheme.ML:
+                encoders.append(np.array([nc.design_G_ml_for_channel(
+                    g, v, rx.hard_decision(lane.design.standard_normal(
+                        (m, cfg.ml_training_len))), lane.design)
+                    for g, v in zip(gains, noise_var)]))
+                continue
+            if flips is None:
+                flips = rx.detection_error_probs(users, relays, state, filters_sr,
+                                                 cfg.noise_var)
+            # a few (candidates, 2^(m^2), m, 2^m) arrays per reception
+            scores = 4 * len(nc.enumerate_invertible_binary(m)) * 2 ** (m * m + m) * m
+            encoders.append(np.concatenate([
+                nc.select_G_mmse(gains[s], noise_var[s], flip_probs=flips[s])[0]
+                for s in _slices(len(relays), scores)]))
+        return encoders
+
+    def _settle_receptions(self):
+        """First phase: all sources transmit, each selected pair detects
+        its group; every lane designs its encoders and encodes, and the
+        packets' streams, the destination's direct decisions and the
+        ground truth are kept (as int8) until their transmission."""
+        cfg = self.config
+        m, P = cfg.group_size, cfg.packet_length
+        pending, self._receptions = self._receptions, []
+        packets = [packet for packet, _, _ in pending]
+        state = sm.ChannelState(*(np.stack(arrays) for arrays in zip(
+            *(vars(state).values() for _, state, _ in pending))))
+        filters_sr = np.stack([filters for _, _, filters in pending])
+        users = np.array([self.groups[p.group_id].users for p in packets])
+        relays = np.broadcast_to(np.arange(m), users.shape)   # the pair's, in order
+        encoders = self._designs(state, users, relays, filters_sr)
+        filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
+        gains, colour = sm.first_phase_maps(state, users, relays, filters_sd,
+                                            filters_sr)
+        # the data, and the normals, samples and outputs of (1 + m) m streams
+        for s in _slices(len(packets), (cfg.num_users + 8 * (m + 1) * m) * P):
+            symbols = rx.hard_decision(self.rng.data.standard_normal(
+                (len(packets[s]), cfg.num_users, P)))
+            soft_sd, soft_sr = sm.sample_first_phase(
+                symbols, (gains[s], colour[s]), cfg.noise_var, self.rng.first_phase)
+            direct = rx.hard_decision(soft_sd).astype(np.int8)
+            detected = rx.hard_decision(soft_sr)        # [..., relay, user, symbol]
+            truth = np.take_along_axis(symbols, users[s][:, :, None],
+                                       axis=1).astype(np.int8)
+            ncs = np.stack([nc.xor_encode(detected) if G is None
+                            else nc.encode_ncs(G[s], detected)
+                            for G in encoders], axis=1).astype(np.int8)
+            coders = np.stack([np.zeros((len(packets[s]), m, m)) if G is None
+                               else G[s] for G in encoders], axis=1)
+            for i, packet in enumerate(packets[s]):
+                self._coded[packet.uid] = (direct[i], truth[i], ncs[i], coders[i])
+
+    def _settle_transmissions(self):
+        """Second phase: in every lane, send each popped packet's NCS
+        streams, decode at the destination and score against the truth;
+        the transmit outcomes get their per-lane errors and notes."""
+        pending, self._transmissions = self._transmissions, []
+        index, packets, h_rd = zip(*pending)
+        relays = np.array([p.relays for p in packets])
+        codes = self.codebook.ncs_codes[[p.group_id for p in packets]]
+        rows = (np.take_along_axis(np.array(h_rd), relays, axis=1)[:, :, None]
+                * codes[:, None, :])                      # (T, m, N)
+        coded = [np.stack(a) for a in zip(*(self._coded.pop(p.uid)
+                                            for p in packets))]
+        xor = linear = None
+        errors, notes = [], []
+        for k, lane in enumerate(self.lanes):
+            if lane.scheme == Scheme.XOR:
+                if xor is None:
+                    xor = self._xor_streams(rows, codes)
+                lane_errors, lane_notes = self._decode_xor(lane, k, xor, coded)
+            else:
+                if linear is None:
+                    linear = self._linear_streams(rows)
+                lane_errors, lane_notes = self._decode_linear(lane, k, linear, coded)
+            errors.append(lane_errors)
+            notes.append(lane_notes)
+        for i, log_index in enumerate(index):
+            self.log[log_index] = self.log[log_index]._replace(
+                bit_errors=tuple(int(e[i]) for e in errors),
+                note=tuple(n[i] for n in notes))
+
+    def _xor_streams(self, rows, codes):
+        """Both relays carry the same code and (nominally) the same
+        symbol: the streams superpose on the combined channel.  Returns
+        the second-phase maps of every packet and the notes."""
+        cfg = self.config
+        combined = rows.sum(axis=1)
+        degenerate = np.sum(np.abs(combined) ** 2, axis=-1) < 1e-30
+        combined = np.where(degenerate[:, None], codes, combined)
+        w = rx.rank_one_filters(combined[:, None, :], cfg.noise_var, cfg.receiver)
+        return sm.filter_output_maps(w, rows), [
+            "degenerate combined channel" if d else "" for d in degenerate]
+
+    def _linear_streams(self, rows):
+        """One sub-slot per relay stream, independent noise each: the
+        stream statistics and second-phase maps every linear lane shares
+        (one QR of each packet's stream filters)."""
+        filters, gains, noise_var = self._stream_stats(rows)
+        return (gains, noise_var) + sm.filter_output_maps(filters[:, :, None],
+                                                          rows[:, :, None])
+
+    def _decode_xor(self, lane, k, streams, coded):
+        """Lane k's XOR second phase and decode, slice by slice; returns
+        the per-packet errors and notes."""
+        cfg = self.config
+        (signal, colour), notes = streams
+        direct, truth, ncs, _ = coded
+        errors = np.zeros(len(truth), dtype=int)
+        for s in _slices(len(truth), 10 * cfg.packet_length):
+            soft = sm.sample_filter_outputs((signal[s], colour[s]),
+                                            ncs[s, k].astype(np.float64),
+                                            cfg.noise_var, lane.noise, call_axes=1)
+            decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
+            errors[s] = np.sum(decoded != truth[s], axis=(1, 2))
+        return errors, notes
+
+    def _decode_linear(self, lane, k, streams, coded):
+        """Lane k's linear second phase, decode-time MMSE refinement and
+        decode, slice by slice; returns the per-packet errors and
+        notes."""
+        cfg = self.config
+        m, P = cfg.group_size, cfg.packet_length
+        gains, noise_var, signal, colour = streams
+        direct, truth, ncs, coders = coded
+        encoders = coders[:, k]
+        decoder, notes = None, [""] * len(truth)
+        if lane.scheme == Scheme.MMSE_DESIGN:
+            decoder, fallback = nc.design_G_mmse(encoders, gains, noise_var)
+            notes = ["mmse fallback" if f else "" for f in fallback]
+        errors = np.zeros(len(truth), dtype=int)
+        for s in _slices(len(truth), 10 * m * P):
+            z = sm.sample_filter_outputs((signal[s], colour[s]),
+                                         ncs[s, k, :, None].astype(np.float64),
+                                         cfg.noise_var, lane.noise, call_axes=1)
+            z = z[:, :, 0]
+            refine = None if decoder is None else decoder[s]
+            if cfg.decoder == DecoderKind.JOINT:
+                decoded = nc.decode_joint(encoders[s], z, gains[s], refine)
+            else:
+                ncs_est = nc.detect_ncs(encoders[s], z, gains[s], refine)
+                decoded = nc.decode_with_direct(encoders[s], ncs_est, direct[s])
+            errors[s] = np.sum(decoded != truth[s], axis=(1, 2))
+        return errors, notes
+
+    # -- slot driver -------------------------------------------------------
+
     def run_until(self, n_packets, max_slots=None):
-        """Advance slots until n_packets have been decoded.  Raises
-        RuntimeError when the slot cap (default 16 n_packets + 64, so
-        pathological configs cannot spin forever) is reached first."""
+        """Advance slots until n_packets have been decoded, then settle.
+        Raises RuntimeError when the slot cap (default 16 n_packets + 64,
+        so pathological configs cannot spin forever) is reached first."""
         if max_slots is None:
             max_slots = 16 * n_packets + 64
         while self.transmit_slots < n_packets and self.slot < max_slots:
@@ -439,4 +549,4 @@ class SlotMachine:
                                f"requested packets in {self.slot} slots")
         if self.transmit_slots > self.receive_slots:
             raise RuntimeError("decoded more packets than were pushed")
-        return self
+        return self.settle()

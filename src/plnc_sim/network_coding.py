@@ -26,7 +26,8 @@ from .signal_model import complex_gaussian
 
 
 def _qfunc(x):
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+    z = np.asarray(x) / np.sqrt(2.0)          # one buffer, filled in place
+    return np.multiply(erfc(z, out=z), 0.5, out=z)
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,18 @@ def xor_encode(detected_by_relay):
     """XOR NCS packet for the whole pair: with b = 1 - 2c the modulo-2
     sum of bits is the product of +-1 symbols, so relay l sends the
     product of its detections over the users.  detected_by_relay is
-    (m, m, P) indexed [relay, user, symbol], as for encode_ncs; returns
-    (m, P)."""
-    return np.prod(np.asarray(detected_by_relay, dtype=np.float64), axis=1)
+    (..., m, m, P) indexed [..., relay, user, symbol], as for
+    encode_ncs; returns (..., m, P)."""
+    return np.prod(np.asarray(detected_by_relay, dtype=np.float64), axis=-2)
 
 
 def encode_ncs(G, detected_by_relay):
     """NCS packet for the whole pair: relay l combines its own
-    detections with column l.  detected_by_relay is (m, m, P) indexed
-    [relay, user, symbol]; returns (m, P)."""
+    detections with column l.  G is (..., m, m) and detected_by_relay
+    (..., m, m, P) indexed [..., relay, user, symbol]; returns
+    (..., m, P)."""
     det = np.asarray(detected_by_relay, dtype=np.float64)
-    return np.einsum("kl,lkp->lp", G, det)
+    return np.einsum("...kl,...lkp->...lp", G, det)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +137,8 @@ def ml_calibration_outputs(gains, noise_var, training_symbols, rng):
 
 
 def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):
-    """Lowest index among all costs tied with the minimum.
+    """Lowest index along the last axis among all costs tied with the
+    minimum; costs (..., n) gives indices (...).
 
     Candidates whose costs agree up to floating-point evaluation order
     (permutation encoders produce mathematically identical costs) must
@@ -143,8 +146,8 @@ def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):
     minimum counts as tied.
     """
     costs = np.asarray(costs, dtype=np.float64)
-    low = costs.min()
-    return int(np.flatnonzero(costs <= low + atol + rtol * abs(low))[0])
+    low = costs.min(axis=-1, keepdims=True)
+    return np.argmax(costs <= low + atol + rtol * np.abs(low), axis=-1)
 
 
 def design_G_ml(outputs_by_candidate, gains, training_symbols):
@@ -181,7 +184,8 @@ def design_G_ml_for_channel(gains, noise_var, training_symbols, rng):
 
 def _mmse_decoders(encoders, gains, noise_var):
     """Closed-form MMSE refinement P_ab R_b^-1 for a stack of encoders
-    (..., m, m) on one pair's relay streams.
+    (..., m, m) on relay streams with gains and noise_var (..., m); the
+    leading axes broadcast.
 
     With z_j = mu_j a_j + eta_j, a = G^T b the NCS symbols of unit-variance
     user symbols b, and noise eta_j ~ CN(0, noise_var_j) independent
@@ -191,16 +195,19 @@ def _mmse_decoders(encoders, gains, noise_var):
     with C = G^T G.  An encoder whose R_b is numerically singular
     (condition number above 1e12) gets plain gain normalization
     diag(1/mu) instead, and so does the whole stack if the solve still
-    fails.  Returns an MmseDecoder, unstacked for one (m, m) encoder.
+    fails.  Returns an MmseDecoder, unstacked for one (m, m) encoder on
+    (m,) streams.
     """
     g = np.asarray(encoders, dtype=np.float64)
     mu = np.asarray(gains)
+    eye = np.eye(g.shape[-1])
     C = np.swapaxes(g, -1, -2) @ g
-    P_ab = C * mu.conj()[None, :]
-    R_b = (mu[:, None] * mu.conj()[None, :]) * C + np.diag(noise_var)
+    P_ab = C * mu.conj()[..., None, :]
+    R_b = ((mu[..., :, None] * mu.conj()[..., None, :]) * C
+           + np.asarray(noise_var)[..., None, :] * eye)
     fallback = np.linalg.cond(R_b) > 1e12
     if np.any(fallback):        # swap singular members out of the batched solve
-        R_b = np.where(fallback[..., None, None], np.eye(g.shape[-1]), R_b)
+        R_b = np.where(fallback[..., None, None], eye, R_b)
     try:
         entries = np.linalg.solve(np.swapaxes(R_b.conj(), -1, -2),
                                   np.swapaxes(P_ab.conj(), -1, -2))
@@ -209,7 +216,8 @@ def _mmse_decoders(encoders, gains, noise_var):
         entries = np.zeros(R_b.shape, dtype=np.complex128)
         fallback = np.ones_like(fallback)
     if np.any(fallback):
-        entries = np.where(fallback[..., None, None], np.diag(1.0 / mu), entries)
+        normalise = np.where(eye > 0, (1.0 / mu)[..., None, :], 0.0)
+        entries = np.where(fallback[..., None, None], normalise, entries)
     return MmseDecoder(entries, fallback)
 
 
@@ -218,7 +226,8 @@ def design_G_mmse(encoder, gains, noise_var):
     estimate at the destination; used in place of plain inversion.
 
     gains and noise_var are the pair's relay-stream statistics
-    mu_j = w_j^H h_j and sigma2 ||w_j||^2.  Returns
+    mu_j = w_j^H h_j and sigma2 ||w_j||^2; encoder (..., m, m) and the
+    statistics (..., m) may carry a leading packet axis.  Returns
     MmseDecoder(entries, fallback); falls back to plain gain
     normalization (diag(1/mu)) with the fallback flag set if R_b is
     numerically singular.
@@ -242,39 +251,52 @@ def _data_patterns(m):
 
 def predicted_chain_error(encoders, gains, noise_var, flip_probs=None):
     """Closed-form error probability of the full decode chain for each
-    encoder of a stack (..., m, m); returns (...,).
+    encoder of a stack (E..., m, m).
 
     Averages the per-user slicer error after the MMSE refinement over
     all data patterns and all relay-detection error patterns, the
     latter weighted by the given per-(user, relay) detection error
     probabilities.  This is what lets the statistics-based design
     account for interference and noise on both hops, which a
-    pilot-calibrated search cannot see.
+    pilot-calibrated search cannot see.  gains and noise_var (R..., m)
+    and flip_probs (R..., m, m) may carry leading reception axes;
+    returns (R..., E...).
     """
     g = np.asarray(encoders, dtype=np.float64)
     m = g.shape[-1]
-    p = np.zeros((m, m)) if flip_probs is None else np.asarray(flip_probs, float)
-    decoders = _mmse_decoders(g, gains, noise_var).entries
+    gains = np.asarray(gains)
+    lead = gains.shape[:-1]                     # reception axes, then E...
+    per_encoder = lead + (1,) * (g.ndim - 2)
+    mu = gains.reshape(per_encoder + (m,))
+    nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
+    p = (np.zeros(lead + (m, m)) if flip_probs is None
+         else np.asarray(flip_probs, dtype=np.float64))
+    decoders = _mmse_decoders(g, mu, nvar).entries
     A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
-    per_user_noise = (np.abs(A) ** 2 @ noise_var).real             # (..., m)
+    per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]    # (..., m)
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
 
     masks = _flip_masks(m)                      # (n_masks, m, m)
-    weights = np.prod(np.where(masks > 0, p[None], 1.0 - p[None]), axis=(1, 2))
+    weights = np.prod(np.where(masks > 0, p[..., None, :, :],
+                               1.0 - p[..., None, :, :]), axis=(-2, -1))
+    weights = weights.reshape(per_encoder + masks.shape[:1])
     B = _data_patterns(m)                       # (m, n_pat)
     signs = 1.0 - 2.0 * masks                   # detection flip multipliers
     detected = B[None, :, None, :] * signs[:, :, :, None]   # (n_masks, m_u, m_r, n_pat)
-    ncs = np.einsum("...kl,nklp->...nlp", g, detected)       # (..., n_masks, m, n_pat)
-    mean = np.einsum("...ul,...nlp->...nup", (A @ np.diag(gains)).real, ncs)
-    err = _qfunc(B * mean / sigma_real[..., None, :, None])
-    return np.einsum("n,...nup->...", weights, err) / (m * B.shape[1])
+    ncs = np.einsum("...kl,nklp->...nlp", g, detected)       # (E..., n_masks, m, n_pat)
+    # the (..., n_masks, m, n_pat) slicer arguments, computed in place
+    arg = np.einsum("...ul,...nlp->...nup", (A * mu[..., None, :]).real, ncs)
+    arg *= B
+    arg /= sigma_real[..., None, :, None]
+    return np.einsum("...n,...nup->...", weights, _qfunc(arg)) / (m * B.shape[1])
 
 
 def select_G_mmse(gains, noise_var, flip_probs=None):
     """Pick the binary encoder minimizing the predicted end-to-end error
     of the refined decode chain; ties break to the lowest candidate
-    index.  Returns (encoder, per-candidate scores)."""
-    candidates = enumerate_invertible_binary(len(gains))
+    index.  The statistics may carry leading reception axes (...).
+    Returns (encoder (..., m, m), per-candidate scores (..., n))."""
+    candidates = enumerate_invertible_binary(np.shape(gains)[-1])
     scores = predicted_chain_error(candidates, gains, noise_var, flip_probs)
     return candidates[argmin_with_ties(scores)], scores
 
@@ -286,11 +308,19 @@ def select_G_mmse(gains, noise_var, flip_probs=None):
 def _refine(filter_outputs, gains, decoder):
     """The refinement step both decoders share: the MMSE decoder matrix
     if one is given, else gain normalization.  filter_outputs has shape
-    (m,) or (m, P), and so has the result."""
+    (m,), (m, P) or (..., m, P) for gains (..., m), and so has the
+    result."""
     z = np.asarray(filter_outputs, dtype=np.complex128)
     if decoder is not None:
         return decoder @ z
-    return (z.T / np.asarray(gains)).T
+    return (z.T / np.asarray(gains).T).T
+
+
+def _as_columns(samples, encoder):
+    """samples as (..., m, P), and whether it was one (m,) vector."""
+    samples = np.asarray(samples)
+    vector = samples.ndim < np.ndim(encoder)
+    return (samples[..., None] if vector else samples), vector
 
 
 def decode_joint(encoder, filter_outputs, gains, decoder=None):
@@ -299,28 +329,35 @@ def decode_joint(encoder, filter_outputs, gains, decoder=None):
     Without a decoder matrix the outputs are gain-normalized and the
     G^T-structured system is solved directly; with an MMSE decoder the
     refinement is applied first.  filter_outputs has shape (m,) or
-    (m, P).
+    (m, P); with a leading packet axis, encoder is (..., m, m), the
+    outputs (..., m, P) and gains and decoder carry the same axis.
     """
     refined = _refine(filter_outputs, gains, decoder)
-    return hard_decision(np.linalg.solve(np.asarray(encoder).T, refined))
+    return hard_decision(np.linalg.solve(np.swapaxes(encoder, -1, -2), refined))
 
 
 def ncs_levels(G):
     """Admissible noiseless NCS values of every relay's combination,
-    (2^m, m) indexed [level, relay], each column sorted ascending (a
-    value reached by several data patterns repeats)."""
-    return np.sort(_data_patterns(len(G)).T @ G, axis=0)
+    (..., 2^m, m) indexed [..., level, relay] for G (..., m, m), each
+    column sorted ascending (a value reached by several data patterns
+    repeats)."""
+    return np.sort(_data_patterns(np.shape(G)[-1]).T @ G, axis=-2)
 
 
 def detect_ncs(encoder, filter_outputs, gains, decoder=None):
     """Per-relay discrete NCS estimates: gain-normalize (or MMSE-refine),
     then slice every stream to the nearest of its admissible levels;
     ties go to the lower level.  filter_outputs has shape (m,) or
-    (m, P), and so has the result."""
-    soft = _refine(filter_outputs, gains, decoder).real.T   # (..., relay)
+    (m, P), or (..., m, P) for encoder (..., m, m), and so has the
+    result."""
+    refined, vector = _as_columns(_refine(filter_outputs, gains, decoder).real,
+                                  encoder)
+    soft = np.swapaxes(refined, -1, -2)                   # (..., P, relay)
     levels = ncs_levels(encoder)
-    nearest = np.argmin(np.abs(soft[..., None, :] - levels), axis=-2)
-    return levels[nearest, np.arange(levels.shape[1])].T
+    nearest = np.argmin(np.abs(soft[..., None, :] - levels[..., None, :, :]),
+                        axis=-2)
+    est = np.swapaxes(np.take_along_axis(levels, nearest, axis=-2), -1, -2)
+    return est[..., 0] if vector else est
 
 
 def decode_with_direct(encoder, ncs_estimates, direct_estimates):
@@ -328,31 +365,39 @@ def decode_with_direct(encoder, ncs_estimates, direct_estimates):
     carries it: cancel the other users via their stored direct-link
     estimates, divide by the user's coefficient and slice.
 
-    ncs_estimates and direct_estimates have shape (m,) or (m, P), and
-    so has the result.  A user's own direct entry is never read.
+    ncs_estimates and direct_estimates have shape (m,) or (m, P), or
+    (..., m, P) for encoder (..., m, m), and so has the result.  A
+    user's own direct entry is never read.
     """
     g = np.asarray(encoder)
     carried = g != 0.0
-    if not np.all(np.any(carried, axis=1)):
+    if not np.all(np.any(carried, axis=-1)):
         raise ValueError("no relay carries the target user (singular encoder)")
-    relay = np.argmax(carried, axis=1)           # first carrying relay per user
-    coef = g[:, relay].T            # [user, other]: g[other, relay[user]]
-    ncs = np.asarray(ncs_estimates, dtype=np.float64)[relay].T     # (..., user)
-    direct = np.asarray(direct_estimates, dtype=np.float64).T[..., None, :]
-    others = ~np.eye(g.shape[0], dtype=bool)     # never read a user's own entry
-    known = np.where(others, coef * direct, 0.0).sum(axis=-1)
-    return hard_decision(((ncs - known) / np.diag(coef)).T)
+    relay = np.argmax(carried, axis=-1)          # first carrying relay per user
+    # [..., user, other]: g[..., other, relay[user]]
+    coef = np.swapaxes(np.take_along_axis(g, relay[..., None, :], axis=-1), -1, -2)
+    ncs, vector = _as_columns(np.asarray(ncs_estimates, dtype=np.float64), g)
+    direct, _ = _as_columns(np.asarray(direct_estimates, dtype=np.float64), g)
+    ncs = np.swapaxes(np.take_along_axis(ncs, relay[..., :, None], axis=-2),
+                      -1, -2)                                     # (..., P, user)
+    direct = np.swapaxes(direct, -1, -2)[..., None, :]            # (..., P, 1, other)
+    others = ~np.eye(g.shape[-1], dtype=bool)    # never read a user's own entry
+    known = np.where(others, coef[..., None, :, :] * direct, 0.0).sum(axis=-1)
+    own = np.diagonal(coef, axis1=-2, axis2=-1)[..., None, :]
+    out = hard_decision(np.swapaxes((ncs - known) / own, -1, -2))
+    return out[..., 0] if vector else out
 
 
 def xor_decode(ncs_symbols, direct_symbols):
     """Every user of the group: the NCS symbol times the other users'
     direct-link symbols (XOR of bits as a product of +-1 symbols).
 
-    ncs_symbols is the destination's (P,) estimate of the pair's common
-    XOR stream and direct_symbols is (m, P); returns (m, P).  A user's
-    own direct entry is never read.
+    ncs_symbols is the destination's (..., P) estimate of the pair's
+    common XOR stream and direct_symbols is (..., m, P); returns
+    (..., m, P).  A user's own direct entry is never read.
     """
-    direct = np.asarray(direct_symbols, dtype=np.float64)
-    m = direct.shape[0]
-    others = np.where(~np.eye(m, dtype=bool), direct.T[..., None, :], 1.0)
-    return np.asarray(ncs_symbols, dtype=np.float64) * np.prod(others, axis=-1).T
+    direct = np.swapaxes(np.asarray(direct_symbols, dtype=np.float64), -1, -2)
+    m = direct.shape[-1]
+    others = np.where(~np.eye(m, dtype=bool), direct[..., None, :], 1.0)
+    return (np.asarray(ncs_symbols, dtype=np.float64)[..., None, :]
+            * np.swapaxes(np.prod(others, axis=-1), -1, -2))

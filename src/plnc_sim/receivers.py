@@ -26,18 +26,20 @@ def _mmse_bank(H, sigma2):
 
 
 def source_relay_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Filters for every (user, relay) link of the first hop, (K, L, N).
+    """Filters for every (user, relay) link of the first hop, (..., K, L, N)
+    for a state whose arrays carry leading axes (...).
 
     The MMSE covariance at a relay sums over all K users observed
     there, so one solve per relay serves all its users.
     """
     if kind == ReceiverKind.RAKE:
         return state.h_eff_sr.copy()
-    return _mmse_bank(state.h_eff_sr.swapaxes(0, 1), sigma2).swapaxes(0, 1)
+    return _mmse_bank(state.h_eff_sr.swapaxes(-3, -2), sigma2).swapaxes(-3, -2)
 
 
 def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Direct-link filters for every user at the destination, (K, N)."""
+    """Direct-link filters for every user at the destination, (..., K, N)
+    for a state whose arrays carry leading axes (...)."""
     if kind == ReceiverKind.RAKE:
         return state.h_eff_sd.copy()
     return _mmse_bank(state.h_eff_sd, sigma2)
@@ -72,11 +74,17 @@ def effective_gains(filters, h_eff):
 def detection_error_probs(users, relays, state, filters_sr, sigma2):
     """Per-(user, relay) BPSK detection error probability at the relays,
     from the post-filter SINR with residual interference treated as
-    Gaussian.  Returns an (m_users, m_relays) matrix."""
-    W = np.swapaxes(filters_sr[np.ix_(users, relays)], 0, 1)   # (relay, user, N)
-    cross = W.conj() @ state.h_eff_sr[:, relays, :].transpose(1, 2, 0)
-    power = np.abs(cross) ** 2                                 # (relay, user, K)
+    Gaussian.  Returns an (m_users, m_relays) matrix; users and relays
+    (..., m), the state's arrays and the bank may carry leading reception
+    axes (...), which the result gains."""
+    users, relays = np.asarray(users), np.asarray(relays)
+    W = np.take_along_axis(filters_sr, users[..., :, None, None], axis=-3)
+    W = np.swapaxes(np.take_along_axis(W, relays[..., None, :, None], axis=-2),
+                    -3, -2)                                    # (relay, user, N)
+    h = np.take_along_axis(state.h_eff_sr, relays[..., None, :, None], axis=-2)
+    cross = W.conj() @ np.moveaxis(h, -3, -1)                  # (relay, user, K)
+    power = np.abs(cross) ** 2
     noise = sigma2 * np.sum(np.abs(W) ** 2, axis=-1)
-    signal = power[:, np.arange(len(users)), users]
+    signal = np.take_along_axis(power, users[..., None, :, None], axis=-1)[..., 0]
     gamma = signal / (power.sum(axis=-1) - signal + noise)
-    return 0.5 * erfc(np.sqrt(gamma)).T
+    return np.swapaxes(0.5 * erfc(np.sqrt(gamma)), -1, -2)

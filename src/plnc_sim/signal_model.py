@@ -11,6 +11,7 @@ Conventions used throughout:
     real dimension)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,40 @@ def generate_codebook(config: SystemConfig) -> CodeBook:
     return CodeBook(codes=codes, ncs_codes=ncs_codes)
 
 
-def complex_gaussian(rng, shape, variance=1.0):
+def complex_gaussian(rng, shape, variance=1.0, calls=()):
     """Zero-mean circularly-symmetric complex Gaussian samples with the
-    given total variance per sample."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    given total variance per sample.
+
+    calls gives leading axes of independent calls: the result, of shape
+    calls + shape, equals one call per leading index in C order, bit for
+    bit, because each call draws all its real parts, then all its
+    imaginary parts.
+    """
+    shape = tuple(np.atleast_1d(shape))
+    normals = rng.standard_normal((math.prod(calls), 2) + shape)
+    samples = np.sqrt(variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
+    return samples.reshape(tuple(calls) + shape)
+
+
+def draw_channels(config: SystemConfig, codebook: CodeBook,
+                  relay_group_ids, rng, n):
+    """n successive draw_channel calls in one block of normals: the same
+    ChannelStates, bit for bit, as a list."""
+    K, L = config.num_users, config.num_relays
+    sizes = (K, K, K * L, K * L, L, L)       # real, imaginary per link set
+    normals = np.split(rng.standard_normal((n, sum(sizes))),
+                       np.cumsum(sizes)[:-1], axis=1)
+    scale = np.sqrt(0.5)
+    h_sd = scale * (normals[0] + 1j * normals[1])
+    h_sr = (scale * (normals[2] + 1j * normals[3])).reshape(n, K, L)
+    h_rd = scale * (normals[4] + 1j * normals[5])
+
+    h_eff_sd = h_sd[:, :, None] * codebook.codes
+    h_eff_sr = h_sr[..., None] * codebook.codes[:, None, :]
+    rd_codes = codebook.ncs_codes[np.asarray(relay_group_ids, dtype=int)]
+    h_eff_rd = h_rd[..., None] * rd_codes
+    return [ChannelState(*arrays) for arrays
+            in zip(h_sd, h_sr, h_rd, h_eff_sd, h_eff_sr, h_eff_rd)]
 
 
 def draw_channel(config: SystemConfig, codebook: CodeBook,
@@ -78,17 +108,7 @@ def draw_channel(config: SystemConfig, codebook: CodeBook,
     the relay-destination effective vectors can use that group's NCS
     spreading code.
     """
-    K, L = config.num_users, config.num_relays
-    h_sd = complex_gaussian(rng, K)
-    h_sr = complex_gaussian(rng, (K, L))
-    h_rd = complex_gaussian(rng, L)
-
-    h_eff_sd = h_sd[:, None] * codebook.codes
-    h_eff_sr = h_sr[:, :, None] * codebook.codes[:, None, :]
-    rd_codes = codebook.ncs_codes[np.asarray(relay_group_ids, dtype=int)]
-    h_eff_rd = h_rd[:, None] * rd_codes
-    return ChannelState(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd, h_eff_sd=h_eff_sd,
-                        h_eff_sr=h_eff_sr, h_eff_rd=h_eff_rd)
+    return draw_channels(config, codebook, relay_group_ids, rng, 1)[0]
 
 
 def _check_bpsk(symbols):
@@ -138,42 +158,76 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
     return y + complex_gaussian(rng, y.shape, sigma2)
 
 
-def sample_filter_outputs(filters, h_eff, symbols, sigma2, rng):
-    """Outputs conj(W) @ y of filter banks W on observations
-    y = h_eff^T b + n, n ~ CN(0, sigma2 I_N), sampled at symbol level.
+def filter_output_maps(filters, h_eff):
+    """The maps from stream symbols and white noise to the outputs
+    conj(W) @ y of filter banks W on observations y = h_eff^T b + n,
+    n ~ CN(0, sigma2 I_N).
 
-    filters (..., M, N) hold one filter per row, h_eff (..., S, N) the
-    effective vectors of the S streams on the hop and symbols (S, P) or
-    (..., S, P) their symbols; leading axes broadcast and index
-    independent observations.  Every receiver is linear, so this equals
-    chip-rate synthesis followed by the filters in distribution: the
-    signal is conj(W) h_eff^T b and the noise CN(0, sigma2 conj(W) W^T).
-    With the reduced QR W^T = Q R that noise is R^H times CN(0, sigma2 I),
-    which holds even when two filter rows are parallel (codes equal up to
-    sign), where a Cholesky factor of the covariance does not exist.
-    Returns (..., M, P) complex.
+    filters (..., M, N) hold one filter per row and h_eff (..., S, N)
+    the effective vectors of the S streams on the hop; leading axes
+    broadcast and index independent observations.  Every receiver is
+    linear, so the outputs are the signal conj(W) h_eff^T b plus noise
+    CN(0, sigma2 conj(W) W^T).  With the reduced QR W^T = Q R that noise
+    is R^H times CN(0, sigma2 I), which holds even when two filter rows
+    are parallel (codes equal up to sign), where a Cholesky factor of
+    the covariance does not exist.  Returns (gains conj(W) h_eff^T
+    (..., M, S), colouring R^H (..., M, min(N, M))).
     """
-    signal = (filters.conj() @ np.swapaxes(h_eff, -1, -2)) @ symbols
+    gains = filters.conj() @ np.swapaxes(h_eff, -1, -2)
     r = np.linalg.qr(np.swapaxes(filters, -1, -2), mode="r")
-    white_shape = signal.shape[:-2] + (r.shape[-2], signal.shape[-1])
-    white = complex_gaussian(rng, white_shape, sigma2)
-    return signal + np.swapaxes(r.conj(), -1, -2) @ white
+    return gains, np.swapaxes(r.conj(), -1, -2)
 
 
-def sample_first_phase(symbols, state: ChannelState, users, relays,
-                       filters_sd, filters_sr, sigma2, rng):
+def sample_filter_outputs(maps, symbols, sigma2, rng, call_axes=0):
+    """Filter outputs sampled at symbol level, equal to chip-rate
+    synthesis followed by the filters in distribution.
+
+    maps are filter_output_maps and symbols (S, P) or (..., S, P) the
+    streams' symbols.  The first call_axes leading axes of the result
+    index separate observations that each draw their noise as one call
+    would.  Returns (..., M, P) complex.
+    """
+    gains, colour = maps
+    signal = gains @ symbols
+    shape = signal.shape[call_axes:-2] + (colour.shape[-1], signal.shape[-1])
+    white = complex_gaussian(rng, shape, sigma2, calls=signal.shape[:call_axes])
+    return signal + colour @ white
+
+
+def first_phase_maps(state: ChannelState, users, relays, filters_sd,
+                     filters_sr):
+    """filter_output_maps of the first phase for the group users: the
+    destination's direct filters, then each relay's, on the observations
+    of all K users.
+
+    filters_sd (K, N) and filters_sr (K, L, N) are the destination's and
+    the relays' banks.  Every argument may carry leading reception axes
+    (users and relays (..., m), the state's arrays and the banks), which
+    the maps gain.
+    """
+    users, relays = np.asarray(users), np.asarray(relays)
+    sd = np.take_along_axis(filters_sd, users[..., :, None], axis=-2)
+    sr = np.take_along_axis(filters_sr, users[..., :, None, None], axis=-3)
+    sr = np.take_along_axis(sr, relays[..., None, :, None], axis=-2)
+    filters = np.concatenate([sd[..., None, :, :], np.swapaxes(sr, -3, -2)],
+                             axis=-3)
+    h_sr = np.take_along_axis(state.h_eff_sr, relays[..., None, :, None], axis=-2)
+    h_eff = np.concatenate([state.h_eff_sd[..., None, :, :],
+                            np.swapaxes(h_sr, -3, -2)], axis=-3)
+    return filter_output_maps(filters, h_eff)
+
+
+def sample_first_phase(symbols, maps, sigma2, rng):
     """Symbol-level counterpart of synthesize_first_phase followed by the
     first-hop filter banks, for the group users only.
 
-    filters_sd (K, N) and filters_sr (K, L, N) are the destination's and
-    the relays' banks.  Returns the destination's direct outputs (m, P)
-    and every relay's m outputs, (len(relays), m, P), each observation
-    with independent noise.
+    symbols (K, P) are every user's; maps are first_phase_maps.  Returns
+    the destination's direct outputs (m, P) and every relay's m outputs,
+    (relays, m, P), each observation with independent noise.  With
+    leading reception axes on symbols (..., K, P) and the maps, each
+    reception draws its noise as one call would.
     """
-    users, relays = list(users), list(relays)
-    filters = np.concatenate([filters_sd[None, users],
-                              filters_sr[users][:, relays].swapaxes(0, 1)])
-    h_eff = np.concatenate([state.h_eff_sd[None],
-                            state.h_eff_sr[:, relays].swapaxes(0, 1)])
-    out = sample_filter_outputs(filters, h_eff, _check_bpsk(symbols), sigma2, rng)
-    return out[0], out[1:]
+    symbols = _check_bpsk(symbols)
+    out = sample_filter_outputs(maps, symbols[..., None, :, :], sigma2, rng,
+                                call_axes=symbols.ndim - 2)
+    return out[..., 0, :, :], out[..., 1:, :, :]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plnc_sim import (BufferBank, DecoderKind, Hop, PairMode, Scheme,
                       SlotMachine, SystemConfig, decide_action)
 from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams, trace_row
+from plnc_sim.harness import BerPoint
 
 SR, RD = 0, 1                         # SINR table columns
 
@@ -326,16 +327,39 @@ class TestSlotMachine:
         assert {o.bit_errors for o in mach.log} == {(0,) * len(Scheme)}
 
     def test_lanes_need_their_own_streams(self):
-        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
-        with pytest.raises(ValueError, match="RngStreams"):
-            SlotMachine(cfg, np.random.default_rng(0),
-                        schemes=[Scheme.XOR, Scheme.RANDOM])
+        # one Generator is spawned into the five streams, so the lanes of
+        # a Generator-built machine still draw apart: each lane counts as
+        # a one-lane machine of its scheme from the same Generator seed
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           packet_length=20, ml_training_len=8)
+        every = SlotMachine(cfg, np.random.default_rng(0),
+                            schemes=list(Scheme)).run_until(4)
+        for lane, scheme in enumerate(Scheme):
+            alone = SlotMachine(cfg, np.random.default_rng(0),
+                                schemes=[scheme]).run_until(4)
+            assert [o.bit_errors[lane] for o in every.log] \
+                == [o.bit_errors[0] for o in alone.log]
         with pytest.raises(ValueError, match="at least one scheme"):
             SlotMachine(cfg, RngStreams.from_seed(0), schemes=[])
         with pytest.raises(ValueError, match="m <= 3"):
             SlotMachine(SystemConfig(num_users=4, num_relays=4, group_size=4),
                         RngStreams.from_seed(0),
                         schemes=[Scheme.RANDOM, Scheme.MMSE_DESIGN])
+
+    def test_unsettled_transmission_fails_loudly(self):
+        # a transmit outcome's errors and notes wait for pass 2
+        m = machine(buffers_enabled=False)
+        m.advance()                                      # receive
+        outcome = m.advance()                            # transmit
+        assert (outcome.action, outcome.bit_errors, outcome.note) \
+            == ("transmit", None, None)
+        with pytest.raises(TypeError):
+            BerPoint("random-unbuffered-mmse", 10.0).add(m.log)
+        with pytest.raises(TypeError):
+            trace_row(outcome)
+        settled = m.settle().log[-1]
+        assert m.settle().log[-1] == settled             # nothing left to run
+        assert settled.bit_errors[0] >= 0 and settled.note == ("",)
 
     def test_rescoring_a_packet_raises(self):
         m = machine(buffers_enabled=False)

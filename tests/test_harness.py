@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from plnc_sim import (DecoderKind, PairMode, ReceiverKind, RunReport, Scheme,
                       SlotMachine, SystemConfig, emit_report, parse_report,
                       run_sweep, run_trial, scheme_label, write_trace)
+from plnc_sim import buffer_protocol
 from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
@@ -237,6 +239,50 @@ class TestWorkerInvariance:
         assert one.trace_rows == two.trace_rows
 
 
+@st.composite
+def settle_cases(draw):
+    """An all-lane slot machine over every mode, m up to 3, and a packet
+    count."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = m * draw(st.integers(1, 6 // m if m < 3 else 1))
+    cfg = SystemConfig(num_users=k, num_relays=k, spreading_gain=8,
+                       buffer_size=draw(st.integers(1, 3 if m < 3 else 1)),
+                       group_size=m, packet_length=draw(st.integers(1, 8)),
+                       snr_db=draw(st.sampled_from([0.0, 10.0])),
+                       receiver=draw(st.sampled_from(list(ReceiverKind))),
+                       decoder=draw(st.sampled_from(list(DecoderKind))),
+                       buffers_enabled=draw(st.booleans()),
+                       pair_mode=draw(st.sampled_from(list(PairMode))),
+                       ml_training_len=8, rng_seed=draw(st.integers(0, 999)))
+    return cfg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4 if m < 3 else 2))
+
+
+class TestSettleInvariance:
+    # pass 2 may run after every slot or once at the end
+    @settings(max_examples=30, deadline=None)
+    @given(settle_cases())
+    def test_log_independent_of_when_settle_runs(self, case):
+        cfg, seed, n_packets = case
+
+        def machine():
+            return SlotMachine(cfg, RngStreams.from_seed(seed), schemes=list(Scheme))
+
+        eager, once = machine(), machine()
+        while eager.transmit_slots < n_packets:
+            eager.advance()
+            eager.settle()
+        while once.transmit_slots < n_packets:
+            once.advance()
+        once.settle()
+        driven = machine().run_until(n_packets)
+        with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
+            sliced = machine().run_until(n_packets)     # one item per slice
+        # repr compares every field, the unbuffered slots' nan SINR included
+        assert repr(eager.log) == repr(once.log) == repr(driven.log) \
+            == repr(sliced.log)
+        assert all(o.bit_errors is not None for o in driven.log)
+
+
 class TestCountsReduceTheLog:
     @settings(max_examples=25, deadline=None)
     @given(sweep_cases())
@@ -359,16 +405,31 @@ GOLDEN_RAKE = {
 }
 GOLDEN_RAKE_TRACE_SHA256 = \
     "2af652ebbbb7d9ed65bb88603f4d186165ccf4067b6bb278f9f4a3047bca2a7e"
+# Long packets in chunks of 3: pass 2 of the slot machine cuts every
+# chunk's receptions and transmissions into several slices.
+GOLDEN_SLICED = {
+    "xor-buffered-mmse": (48000, 6950, 19, 0),
+    "xor-unbuffered-mmse": (48000, 8186, 16, 0),
+    "random-buffered-mmse": (48000, 1793, 19, 0),
+    "random-unbuffered-mmse": (48000, 7364, 16, 0),
+    "ml-buffered-mmse": (48000, 1662, 19, 0),
+    "ml-unbuffered-mmse": (48000, 5185, 16, 0),
+    "mmse-buffered-mmse": (48000, 427, 19, 0),
+    "mmse-unbuffered-mmse": (48000, 3969, 16, 0),
+}
+GOLDEN_SLICED_TRACE_SHA256 = \
+    "89616dcca43d3ab6ac1cb0c3a3e49eeffb9af76cd73df321be1ffa0f4068c3c5"
 
 
-def golden_sweep(tmp_path, n_packets=10, **kw):
+def golden_sweep(tmp_path, n_packets=10, chunk_packets=25, **kw):
     """Counts per variant and the trace file's SHA-256 of a fixed-seed
     sweep over every scheme in both buffer modes."""
     system = dict(num_users=6, num_relays=6, spreading_gain=8, group_size=2,
                   packet_length=10, rng_seed=2025)
     cfg = SystemConfig(**{**system, **kw})
     report = run_sweep(cfg, [8.0], n_packets, schemes=list(Scheme),
-                       buffer_modes=[True, False], collect_trace=True)
+                       buffer_modes=[True, False], collect_trace=True,
+                       chunk_packets=chunk_packets)
     got = {}
     for p in report.points:
         s = report.slot_summary[f"{p.scheme_label}@{p.snr_db:g}dB"]
@@ -410,6 +471,12 @@ class TestGoldenCounts:
                                 receiver=ReceiverKind.RAKE)
         assert got == GOLDEN_RAKE
         assert sha == GOLDEN_RAKE_TRACE_SHA256
+
+    def test_sliced_chunks_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, n_packets=8, chunk_packets=3,
+                                packet_length=3000)
+        assert got == GOLDEN_SLICED
+        assert sha == GOLDEN_SLICED_TRACE_SHA256
 
 
 class TestReportIo:

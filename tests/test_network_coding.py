@@ -330,6 +330,22 @@ class TestMmseDesign:
             assert np.allclose(scores, oracle, rtol=1e-9, atol=1e-15)
             assert np.array_equal(G, cands[argmin_with_ties(oracle)])
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacked_receptions_equal_per_reception_calls(self, m):
+        # the slot machine scores a slice of receptions in one call
+        rng = np.random.default_rng(70 + m)
+        stats = [mmse_stream_stats(rng, m, float(rng.uniform(0.02, 1.0)))
+                 for _ in range(2 if m == 3 else 5)]
+        gains = np.array([g for g, _ in stats])
+        nvar = np.array([v for _, v in stats])
+        p = rng.uniform(0.0, 0.3, (len(stats), m, m))
+        G, scores = select_G_mmse(gains, nvar, flip_probs=p)
+        assert G.shape == (len(stats), m, m)
+        for r in range(len(stats)):
+            G_r, scores_r = select_G_mmse(gains[r], nvar[r], flip_probs=p[r])
+            assert np.array_equal(G[r], G_r)
+            assert np.allclose(scores[r], scores_r, rtol=0.0, atol=1e-12)
+
     def test_partial_fallback_matches_per_candidate_oracle(self):
         # one nearly silent stream leaves R_b singular for some encoders
         # only; each must fall back on its own

@@ -14,7 +14,8 @@ import pytest
 from plnc_sim import ReceiverKind, SystemConfig
 from plnc_sim.receivers import (relay_dest_filter_bank, source_dest_filter_bank,
                                 source_relay_filter_bank)
-from plnc_sim.signal_model import (CodeBook, draw_channel, generate_codebook,
+from plnc_sim.signal_model import (CodeBook, draw_channel, filter_output_maps,
+                                   first_phase_maps, generate_codebook,
                                    sample_filter_outputs, sample_first_phase,
                                    synthesize_first_phase,
                                    synthesize_second_phase)
@@ -62,8 +63,9 @@ def first_phase_pair(state, kind, sigma2, symbols, seed, noise_var=None):
     noise_var = sigma2 if noise_var is None else noise_var
     f_sd = source_dest_filter_bank(state, sigma2, kind)
     f_sr = source_relay_filter_bank(state, sigma2, kind)
-    soft_sd, soft_sr = sample_first_phase(symbols, state, USERS, RELAYS, f_sd, f_sr,
-                                          noise_var, np.random.default_rng(seed))
+    maps = first_phase_maps(state, USERS, RELAYS, f_sd, f_sr)
+    soft_sd, soft_sr = sample_first_phase(symbols, maps, noise_var,
+                                          np.random.default_rng(seed))
     y_sd, y_sr = synthesize_first_phase(symbols, state, noise_var,
                                         np.random.default_rng(seed + 1),
                                         relays=RELAYS)
@@ -129,8 +131,8 @@ class TestSecondPhase:
         cfg, state, rows, filters = self._setup(kind, 41)
         sigma2 = cfg.noise_var
         ncs = np.repeat(np.array([[2.0], [0.0]]), T, axis=1)
-        sampled = sample_filter_outputs(filters[:, None], rows[:, None],
-                                        ncs[:, None], sigma2,
+        maps = filter_output_maps(filters[:, None], rows[:, None])
+        sampled = sample_filter_outputs(maps, ncs[:, None], sigma2,
                                         np.random.default_rng(42))[:, 0]
         rng = np.random.default_rng(43)
         for pos, relay in enumerate(RELAYS):
@@ -146,8 +148,8 @@ class TestSecondPhase:
         w = combined if kind == ReceiverKind.RAKE else \
             combined / (sigma2 + np.vdot(combined, combined).real)
         ncs = np.repeat(np.array([[1.0], [-1.0]]), T, axis=1)
-        sampled = sample_filter_outputs(w[None], rows, ncs, sigma2,
-                                        np.random.default_rng(45))
+        sampled = sample_filter_outputs(filter_output_maps(w[None], rows), ncs,
+                                        sigma2, np.random.default_rng(45))
         y = synthesize_second_phase(ncs, state, RELAYS, sigma2,
                                     np.random.default_rng(46))
         assert_same_moments(sampled, (w.conj() @ y)[None])
