@@ -44,13 +44,14 @@ w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
 # every design works from the per-stream gains w^H h and noise powers
 gains = np.sum(w.conj() * h, axis=1)
 noise_var = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
-training = np.where(rng.standard_normal((2, 100)) >= 0, 1.0, -1.0)
 
 g_rand = design_G_random(2, rng)
 print(f"random draw:\n{g_rand}")
 
-g_ml = design_G_ml_for_channel(gains, noise_var, training, rng)
+# each candidate's recovery error depends only on the calibration noise
+g_ml, costs = design_G_ml_for_channel(gains, noise_var, 100, rng)
 print(f"exhaustive search on a 100-symbol calibration block:\n{g_ml}")
+print(f"calibration cost per candidate: {costs.round(3)}")
 
 flips = np.array([[0.2, 1e-3], [1e-3, 1e-3]])   # user 0 badly detected at relay 0
 g_mmse, scores = select_G_mmse(gains, noise_var, flip_probs=flips)

@@ -2,12 +2,15 @@
 
 A slot machine runs in two passes.
 
-Pass 1, advance(), runs once per slot.  It takes the slot's
-block-fading channel from a block drawn ahead, computes the filter
-banks and the SINR table over the candidate pairs and both hops, and
-picks the best feasible action: the first entry of the table's ranking
-that the buffers allow, or idle when none does.  A reception pushes a
-lean packet record (uid, group, relays, created slot) onto the pair's
+Pass 1, advance(), runs once per slot.  Block-fading channels are
+drawn a block of slots ahead, and everything that depends on the
+channel alone is computed once per block, as arrays with a leading slot
+axis: the source-relay filter banks and, when buffered, the
+relay-destination banks and the SINR table over the candidate pairs and
+both hops.  advance() takes the slot's row of these and picks the best
+feasible action: the first entry of the table's ranking that the
+buffers allow, or idle when none does.  A reception pushes a lean
+packet record (uid, group, relays, created slot) onto the pair's
 buffers and a transmission pops one; the slot's SlotOutcome is logged
 at once.  No decision reads the physics of a packet, only the channel
 and the buffer occupancies, so this pass decides every slot.
@@ -50,10 +53,11 @@ from . import signal_model as sm
 from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
 
 # Pass 2 and the channel blocks run in slices whose transient arrays
-# hold about this many float64 elements (256 KB), a constant: the first
-# and second phase of a chunk of 16-symbol packets run as one slice and
-# 1000-symbol packets one at a time; the m=2 mmse design scores ten
-# receptions at a time and the m=3 one a single reception.
+# hold about this many float64 elements (256 KB), a constant: a channel
+# block holds 28 slots on the paper system; the first and second phase
+# of a chunk of 16-symbol packets run as one slice and 1000-symbol
+# packets one at a time; the m=2 mmse design scores ten receptions at a
+# time and the m=3 one a single reception.
 _SLICE_ELEMENTS = 1 << 15
 
 
@@ -258,7 +262,7 @@ class SlotMachine:
         self.transmit_slots = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
-        self._channels = deque()     # states drawn ahead, one per slot
+        self._channels = deque()     # (state, filters_sr, table) per slot ahead
         self._receptions = []        # (packet, pair's state, pair's filters_sr)
         self._transmissions = []     # (log index, packet, h_rd) to settle
         self._coded = {}             # uid -> (direct, truth, ncs, encoders)
@@ -273,14 +277,25 @@ class SlotMachine:
         return g
 
     def _next_channel(self):
-        """The slot's channel, from a block of slots drawn ahead (sized
-        by the slice budget on the (K, L, N) source-relay vectors)."""
+        """The slot's channel, source-relay filter bank and SINR table
+        (None when unbuffered), from a block of slots drawn ahead (sized
+        by the slice budget on the (K, L, N) source-relay vectors) whose
+        banks and table are computed for the whole block at once."""
         if not self._channels:
             cfg = self.config
+            sigma2 = cfg.noise_var
             sr_elements = 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
-            self._channels.extend(sm.draw_channels(
-                cfg, self.codebook, self.relay_group_ids, self.rng.channel,
-                max(1, _SLICE_ELEMENTS // sr_elements)))
+            n = max(1, _SLICE_ELEMENTS // sr_elements)
+            block = sm.draw_channels(cfg, self.codebook, self.relay_group_ids,
+                                     self.rng.channel, n)
+            filters_sr = rx.source_relay_filter_bank(block, sigma2, cfg.receiver)
+            tables = [None] * n
+            if cfg.buffers_enabled:
+                filters_rd = rx.relay_dest_filter_bank(block, sigma2, cfg.receiver)
+                tables = rs.build_sinr_table(block, filters_sr, filters_rd, sigma2,
+                                             self.candidates)
+            self._channels.extend(zip((block[i] for i in range(n)), filters_sr,
+                                      tables))
         return self._channels.popleft()
 
     def advance(self) -> SlotOutcome:
@@ -288,14 +303,8 @@ class SlotMachine:
         push or pop the packet record, and log the outcome (a transmit
         outcome's bit_errors and note wait for settle())."""
         cfg = self.config
-        sigma2 = cfg.noise_var
-        state = self._next_channel()
-        filters_sr = None
+        state, filters_sr, table = self._next_channel()
         if cfg.buffers_enabled:
-            filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
-            filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
-            table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
-                                        self.candidates)
             pair_id, relays, hop, sinr, reselections = decide_action(
                 table, self.candidates, self.bank)
         else:
@@ -315,9 +324,6 @@ class SlotMachine:
         elif hop == Hop.SOURCE_RELAY:
             action = "receive"
             group_id = pair_id if self._pairs_are_groups else self._next_group()
-            if filters_sr is None:          # unbuffered: no table was built
-                filters_sr = rx.source_relay_filter_bank(state, sigma2,
-                                                         cfg.receiver)
             packet = PairPacket(uid=self.receive_slots, group_id=group_id,
                                 relays=tuple(relays), created_slot=self.slot)
             self.bank.push_pair(relays, packet)
@@ -390,10 +396,8 @@ class SlotMachine:
             if gains is None:
                 _, gains, noise_var = self._stream_stats(state.h_eff_rd)
             if lane.scheme == Scheme.ML:
-                encoders.append(np.array([nc.design_G_ml_for_channel(
-                    g, v, rx.hard_decision(lane.design.standard_normal(
-                        (m, cfg.ml_training_len))), lane.design)
-                    for g, v in zip(gains, noise_var)]))
+                encoders.append(nc.design_G_ml_for_channel(
+                    gains, noise_var, cfg.ml_training_len, lane.design)[0])
                 continue
             if flips is None:
                 flips = rx.detection_error_probs(users, relays, state, filters_sr,

@@ -170,12 +170,42 @@ def design_G_ml(outputs_by_candidate, gains, training_symbols):
     return candidates[argmin_with_ties(costs)], costs
 
 
-def design_G_ml_for_channel(gains, noise_var, training_symbols, rng):
+@lru_cache(maxsize=None)
+def _recovery_grams(m):
+    """A_c^T A_c for A_c = (G_c^T)^-1 of every candidate, flattened to
+    (m*m, n) read-only: the quadratic forms of the ml design's costs."""
+    A = np.linalg.inv(np.swapaxes(enumerate_invertible_binary(m), 1, 2))
+    grams = (np.swapaxes(A, 1, 2) @ A).reshape(len(A), m * m).T.copy()
+    grams.setflags(write=False)
+    return grams
+
+
+def design_G_ml_for_channel(gains, noise_var, training_len, rng):
     """Simulate the calibration block on the pair's relay streams, then
-    search."""
-    outputs = ml_calibration_outputs(gains, noise_var, training_symbols, rng)
-    G, _ = design_G_ml(outputs, gains, training_symbols)
-    return G
+    search: the design_G_ml pick on ml_calibration_outputs, for every
+    reception of a stack at once.
+
+    gains and noise_var are (..., m).  Each reception draws what
+    ml_calibration_outputs would after its training symbols: m*T
+    training normals (for the hard-decided symbols), then the m*T real
+    and the m*T imaginary noise normals, as one (..., 3, m, T) block.
+    Candidate c recovers t + A_c eps with A_c = (G_c^T)^-1 and the
+    normalized noise eps = eta / mu, whatever the training symbols t, so
+    its cost sum |A_c eps|^2 is the quadratic form Re tr(A_c S A_c^H) of
+    the noise Gram S = eps eps^H.  Ties break to the lowest candidate
+    index.  Returns (encoders (..., m, m), per-candidate costs
+    (..., n)).
+    """
+    if training_len < 1:
+        raise ValueError("calibration block must hold at least one symbol")
+    gains = np.asarray(gains)
+    m = gains.shape[-1]
+    normals = rng.standard_normal(gains.shape[:-1] + (3, m, training_len))
+    scale = np.sqrt(np.asarray(noise_var) / 2.0) / gains
+    eps = scale[..., None] * (normals[..., 1, :, :] + 1j * normals[..., 2, :, :])
+    gram = (eps @ np.swapaxes(eps.conj(), -1, -2)).real      # (..., m, m)
+    costs = gram.reshape(gram.shape[:-2] + (m * m,)) @ _recovery_grams(m)
+    return enumerate_invertible_binary(m)[argmin_with_ties(costs)], costs
 
 
 # ---------------------------------------------------------------------------

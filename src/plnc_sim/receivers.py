@@ -12,17 +12,19 @@ def hard_decision(soft):
 
 
 def _mmse_bank(H, sigma2):
-    """Solve (H^T conj(H) + sigma2 I) W = H^T for every leading index of
-    H at once.
+    """MMSE filters W = (H H^H + sigma2 I_S)^-1 H for every leading index
+    of H at once.
 
     H is (..., S, N): one effective vector per stream sharing an
-    observation.  Returns (..., S, N) filters.
+    observation.  The row-stream form equals the textbook N x N one,
+    ((H^T conj(H) + sigma2 I_N)^-1 H^T)^T, by the push-through identity,
+    but solves an S x S system (6 x 6 instead of 16 x 16 on the paper
+    system); it is used for every S and N.  Returns (..., S, N) filters.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    Ht = np.swapaxes(H, -1, -2)
-    cov = Ht @ H.conj() + sigma2 * np.eye(H.shape[-1])
-    return np.swapaxes(np.linalg.solve(cov, Ht), -1, -2)
+    cov = H @ np.swapaxes(H.conj(), -1, -2) + sigma2 * np.eye(H.shape[-2])
+    return np.linalg.solve(cov, H)
 
 
 def source_relay_filter_bank(state, sigma2, kind: ReceiverKind):
@@ -47,7 +49,7 @@ def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):
 
 def rank_one_filters(rows, sigma2, kind: ReceiverKind):
     """Filters for streams that each occupy an observation alone, one
-    per row of rows (S, N).
+    per row of rows (..., S, N).
 
     The second hop schedules one relay stream per sub-slot (or the XOR
     pair's combined stream), so each MMSE covariance holds that stream
@@ -62,7 +64,8 @@ def rank_one_filters(rows, sigma2, kind: ReceiverKind):
 
 
 def relay_dest_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Second-hop filters, one per relay NCS stream, (L, N)."""
+    """Second-hop filters, one per relay NCS stream, (..., L, N) for a
+    state whose arrays carry leading axes (...)."""
     return rank_one_filters(state.h_eff_rd, sigma2, kind)
 
 

@@ -18,8 +18,9 @@ def candidate_pairs(groups, num_relays, group_size, mode: PairMode):
 
 
 def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
-    """SINR metric of every (candidate pair, hop) as a (pairs, 2) array:
-    row i for candidates[i], column 0 source-relay, column 1
+    """SINR metric of every (candidate pair, hop) as a (..., pairs, 2)
+    array for a state and banks whose arrays carry leading slot axes
+    (...): row i for candidates[i], column 0 source-relay, column 1
     relay-destination.
 
     First hop: the numerator sums the desired-link output powers
@@ -30,13 +31,13 @@ def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
     per-user sum would scale numerator and denominator alike, so it is
     dropped).
     """
-    # per-relay sums, (L, 2): column 0 over the K users, column 1 the stream
+    # per-relay sums, (..., L, 2): column 0 over the K users, column 1 the stream
     power = np.stack([
-        (np.abs(rx.effective_gains(filters_sr, state.h_eff_sr)) ** 2).sum(axis=0),
-        np.abs(rx.effective_gains(filters_rd, state.h_eff_rd)) ** 2], axis=1)
-    wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=0),
-                      np.sum(np.abs(filters_rd) ** 2, axis=-1)], axis=1)
-    member = np.zeros((len(candidates), power.shape[0]))
+        (np.abs(rx.effective_gains(filters_sr, state.h_eff_sr)) ** 2).sum(axis=-2),
+        np.abs(rx.effective_gains(filters_rd, state.h_eff_rd)) ** 2], axis=-1)
+    wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=-2),
+                      np.sum(np.abs(filters_rd) ** 2, axis=-1)], axis=-1)
+    member = np.zeros((len(candidates), power.shape[-2]))
     for row, (_, relays) in enumerate(candidates):
         member[row, list(relays)] = 1.0
     # sums over selected / other relays by 0-1 weights: no cancellation

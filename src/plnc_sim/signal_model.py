@@ -37,7 +37,9 @@ class CodeBook:
 @dataclass
 class ChannelState:
     """One coherence block: scalar link gains plus the derived effective
-    signature vectors (code * coefficient; every amplitude is 1)."""
+    signature vectors (code * coefficient; every amplitude is 1).  Every
+    array may carry the same leading axes, e.g. one slot per index;
+    state[i] indexes them all."""
 
     h_sd: np.ndarray        # (K,) complex
     h_sr: np.ndarray        # (K, L) complex
@@ -45,6 +47,9 @@ class ChannelState:
     h_eff_sd: np.ndarray    # (K, N) complex
     h_eff_sr: np.ndarray    # (K, L, N) complex
     h_eff_rd: np.ndarray    # (L, N) complex, built with each relay's group code
+
+    def __getitem__(self, index):
+        return ChannelState(*(array[index] for array in vars(self).values()))
 
 
 def _unit_chip_rows(rng, rows, n):
@@ -82,7 +87,7 @@ def complex_gaussian(rng, shape, variance=1.0, calls=()):
 def draw_channels(config: SystemConfig, codebook: CodeBook,
                   relay_group_ids, rng, n):
     """n successive draw_channel calls in one block of normals: the same
-    ChannelStates, bit for bit, as a list."""
+    ChannelStates, bit for bit, stacked on a leading slot axis."""
     K, L = config.num_users, config.num_relays
     sizes = (K, K, K * L, K * L, L, L)       # real, imaginary per link set
     normals = np.split(rng.standard_normal((n, sum(sizes))),
@@ -96,8 +101,7 @@ def draw_channels(config: SystemConfig, codebook: CodeBook,
     h_eff_sr = h_sr[..., None] * codebook.codes[:, None, :]
     rd_codes = codebook.ncs_codes[np.asarray(relay_group_ids, dtype=int)]
     h_eff_rd = h_rd[..., None] * rd_codes
-    return [ChannelState(*arrays) for arrays
-            in zip(h_sd, h_sr, h_rd, h_eff_sd, h_eff_sr, h_eff_rd)]
+    return ChannelState(h_sd, h_sr, h_rd, h_eff_sd, h_eff_sr, h_eff_rd)
 
 
 def draw_channel(config: SystemConfig, codebook: CodeBook,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from plnc_sim import SlotMachine, SystemConfig, harness
+from plnc_sim import buffer_protocol as bp
 from plnc_sim import network_coding as nc
 from plnc_sim.config import DecoderKind, Scheme
 
@@ -133,3 +134,46 @@ def test_decode_time_fallbacks_reach_the_fallback_counter(tmp_path, monkeypatch)
         tracer.uninstall(undo)
     notes = sum(outcome.note.count("mmse fallback") for outcome in machine.log)
     assert notes == machine.transmit_slots > 0
+
+
+# traced names a slot machine never calls: chip-rate synthesis and the
+# single-slot draw stay for tests and demos, trace rows are the harness's
+# and the direct-link decoders belong to the other decoder kind
+NOT_IN_A_JOINT_MACHINE = {"draw_channel", "synthesize_first_phase",
+                          "synthesize_second_phase", "symbol_to_bit",
+                          "trace_row", "detect_ncs", "decode_with_direct"}
+PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
+            "decide_action"}
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
+    # the banks and the table run once per block of slots drawn ahead, the
+    # ranking walk once per buffered slot, the ml design once per settle;
+    # every traced name the machine uses is reached through its module
+    K, L, N = SMALL.num_users, SMALL.num_relays, SMALL.spreading_gain
+    monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * 2 * K * L * N)  # 3 slots
+    full = tracer.Tracer(str(tmp_path))
+    undo = full.install(full=True)
+    try:
+        machine = SlotMachine(replace(SMALL, buffers_enabled=buffered),
+                              np.random.default_rng(5),
+                              schemes=list(Scheme)).run_until(8)
+    finally:
+        tracer.uninstall(undo)
+    stats, counts = full.take()
+    calls = Counter({name: entry[0] for name, entry in stats.items()})
+    blocks = -(-machine.slot // 3)
+    assert counts["slots"] == machine.slot > 3
+    assert calls["receivers.source_relay_filter_bank"] == blocks
+    assert calls["receivers.relay_dest_filter_bank"] == blocks * buffered
+    assert calls["relay_selection.build_sinr_table"] == blocks * buffered
+    assert calls["relay_selection.select_best"] == machine.slot * buffered
+    assert calls["buffer_protocol.decide_action"] == machine.slot * buffered
+    assert calls["network_coding.design_G_ml_for_channel"] == 1
+    unused = NOT_IN_A_JOINT_MACHINE | (set() if buffered else PASS_ONE)
+    for module, attr in set(tracer.FULL) - set(tracer.LIGHT):
+        if attr in unused:
+            continue
+        name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+        assert calls[name] > 0, name

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
                       design_G_ml, design_G_mmse, design_G_random, detect_ncs,
-                      encode_ncs, enumerate_invertible_binary, ncs_levels,
-                      select_G_mmse, symbol_to_bit, xor_decode, xor_encode)
+                      encode_ncs, enumerate_invertible_binary, hard_decision,
+                      ncs_levels, select_G_mmse, symbol_to_bit, xor_decode,
+                      xor_encode)
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
                                      ml_calibration_outputs,
@@ -139,10 +140,9 @@ class TestEnumerationAndRandomDesign:
         rng = np.random.default_rng(seed)
         pool = enumerate_invertible_binary(m)
         gains, nvar = mmse_stream_stats(rng, m, sigma2, n=8)
-        training = np.where(rng.standard_normal((m, 8)) >= 0, 1.0, -1.0)
         flips = rng.uniform(0.0, 0.5, (m, m))
         for G in (design_G_random(m, rng),
-                  design_G_ml_for_channel(gains, nvar, training, rng),
+                  design_G_ml_for_channel(gains, nvar, 8, rng)[0],
                   select_G_mmse(gains, nvar, flip_probs=flips)[0]):
             assert G.shape == (m, m)
             assert np.any(np.all(pool == G, axis=(1, 2)))
@@ -222,6 +222,35 @@ class TestMlDesign:
                 oracle[j] = np.sum(np.abs(training - rec) ** 2)
             assert np.allclose(costs, oracle, rtol=1e-12, atol=0)
             assert np.array_equal(G, cands[argmin_with_ties(oracle)])
+
+    @pytest.mark.parametrize("T", [1, 8, 100])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacked_design_equals_calibration_search(self, m, T):
+        # oracle: per reception, hard-decided training symbols, then the
+        # calibration outputs of every candidate and the search over them,
+        # all drawn from a generator in the stacked design's start state
+        rng = np.random.default_rng(70 + 10 * m + T)
+        R = 5
+        stats = [mmse_stream_stats(rng, m, float(rng.uniform(0.05, 0.8)))
+                 for _ in range(R)]
+        gains = np.array([g for g, _ in stats])
+        nvar = np.array([v for _, v in stats])
+        stacked, oracle = np.random.default_rng(T), np.random.default_rng(T)
+        G, costs = design_G_ml_for_channel(gains, nvar, T, stacked)
+        assert G.shape == (R, m, m)
+        assert costs.shape == (R, len(enumerate_invertible_binary(m)))
+        for r in range(R):
+            training = hard_decision(oracle.standard_normal((m, T)))
+            outs = ml_calibration_outputs(gains[r], nvar[r], training, oracle)
+            G_r, costs_r = design_G_ml(outs, gains[r], training)
+            assert np.array_equal(G[r], G_r)
+            assert np.allclose(costs[r], costs_r, rtol=1e-9, atol=0)
+        assert stacked.standard_normal() == oracle.standard_normal()
+
+    def test_stacked_design_rejects_empty_block(self):
+        with pytest.raises(ValueError):
+            design_G_ml_for_channel(np.ones(2), np.ones(2), 0,
+                                    np.random.default_rng(0))
 
 
 def oracle_chain_error(g, gains, nvar, p):

@@ -104,6 +104,23 @@ class TestMmseFilter:
         with pytest.raises(ValueError):
             _mmse_bank(np.ones((1, 4), dtype=complex), sigma2=0.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(S=st.integers(1, 12), N=st.integers(1, 16),
+           lead=st.sampled_from([(), (3,), (2, 3)]),
+           sigma2=st.floats(1e-3, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stream_space_solve_matches_observation_space_oracle(
+            self, S, N, lead, sigma2, seed):
+        # the textbook form solves N x N: ((H^T H* + s I_N)^-1 H^T)^T; the
+        # bank's S x S form must agree on both sides of S = N
+        H = complex_gaussian(np.random.default_rng(seed), lead + (S, N))
+        Ht = np.swapaxes(H, -1, -2)
+        oracle = np.swapaxes(np.linalg.solve(Ht @ H.conj() + sigma2 * np.eye(N),
+                                             Ht), -1, -2)
+        W = _mmse_bank(H, sigma2)
+        assert W.shape == H.shape
+        scale = np.max(np.abs(oracle), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(W - oracle) <= 1e-9 * scale)
+
 
 class TestFilterOutput:
     def test_unit_vector_identity(self):

@@ -11,7 +11,7 @@ from plnc_sim import (PairMode, ReceiverKind, SystemConfig, build_sinr_table,
 from plnc_sim.network_coding import make_group_assignments
 from plnc_sim.receivers import (relay_dest_filter_bank,
                                 source_relay_filter_bank)
-from plnc_sim.signal_model import complex_gaussian
+from plnc_sim.signal_model import complex_gaussian, draw_channels
 
 
 def scenario(snr_db=10.0, seed=0, **kw):
@@ -211,3 +211,34 @@ class TestCandidates:
         for row, (_, relays) in enumerate(cands):
             assert np.array_equal(table[row], pair_sinr(relays, state, Wsr, Wrd,
                                                         sigma2))
+
+
+class TestChannelBlock:
+    @pytest.mark.parametrize("pair_mode", list(PairMode))
+    @pytest.mark.parametrize("kind", list(ReceiverKind))
+    def test_block_calls_equal_per_slot_calls(self, kind, pair_mode):
+        # a slot machine computes the banks and the table once per block
+        # of slots drawn ahead; row for row they must be the per-slot calls
+        cfg, book, groups, _ = scenario(seed=4, num_users=6, num_relays=6,
+                                        spreading_gain=16, pair_mode=pair_mode)
+        sigma2 = cfg.noise_var
+        ids = np.zeros(cfg.num_relays, dtype=int)
+        for g, grp in enumerate(groups):
+            ids[list(grp.relays)] = g
+        cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size, pair_mode)
+        block = draw_channels(cfg, book, ids, np.random.default_rng(9), 7)
+        Wsr = source_relay_filter_bank(block, sigma2, kind)
+        Wrd = relay_dest_filter_bank(block, sigma2, kind)
+        table = build_sinr_table(block, Wsr, Wrd, sigma2, cands)
+        assert table.shape == (7, len(cands), 2)
+        rng = np.random.default_rng(9)
+        for i in range(7):
+            state = draw_channel(cfg, book, ids, rng)
+            for name, array in vars(state).items():
+                assert np.array_equal(array, getattr(block[i], name)), name
+            wsr = source_relay_filter_bank(state, sigma2, kind)
+            wrd = relay_dest_filter_bank(state, sigma2, kind)
+            assert np.array_equal(Wsr[i], wsr)
+            assert np.array_equal(Wrd[i], wrd)
+            assert np.array_equal(table[i],
+                                  build_sinr_table(state, wsr, wrd, sigma2, cands))
