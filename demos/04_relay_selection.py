@@ -15,27 +15,25 @@ from plnc_sim.receivers import (relay_dest_filter_bank,
 
 cfg = SystemConfig(snr_db=10.0, rng_seed=6)
 book = generate_codebook(cfg)
-groups = make_group_assignments(cfg, np.random.default_rng([6, 0x6E0]))
+_, group_relays = make_group_assignments(cfg, np.random.default_rng([6, 0x6E0]))
 ids = np.zeros(cfg.num_relays, dtype=int)
-for g, grp in enumerate(groups):
-    for r in grp.relays:
-        ids[r] = g
+ids[group_relays] = np.arange(len(group_relays))[:, None]   # relay -> group
 
 state = draw_channel(cfg, book, ids, np.random.default_rng(7))
 sigma2 = cfg.noise_var
 Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
 Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
-cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
+cands = candidate_pairs(group_relays, cfg.num_relays, cfg.group_size,
                         PairMode.FIXED_GROUPS)
 table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
 
 hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)     # table columns
 print("SINR table for this slot:")
-for (pid, relays), row in zip(cands, table):
+for pid, (relays, row) in enumerate(zip(cands, table)):   # pair id = index
     for hop, sinr in zip(hops, row):
         print(f"  pair {pid} relays {relays} {hop:12s} SINR {sinr:8.3f}")
 
 print("\nranked walk (as if every entry were infeasible):")
 for rank, (row, col) in enumerate(select_best(table)):
-    print(f"  {rank}: pair {cands[row][0]} {hops[col]} ({table[row, col]:.3f})")
+    print(f"  {rank}: pair {row} {hops[col]} ({table[row, col]:.3f})")
 print("  -> exhausted: the slot would idle")

@@ -130,16 +130,16 @@ def decide_action(table, candidates, bank: BufferBank):
     buffers allow it.
 
     table is the (pairs, 2) array of rs.build_sinr_table over
-    candidates.  Returns (pair_id, relays, hop, sinr, n_reselections),
-    n_reselections being the chosen entry's rank; hop is None (pair_id
-    -1, relays (), sinr nan, table.size reselections) when no entry is
-    feasible and the slot idles.
+    candidates (relay tuples).  Returns (pair_id, relays, hop, sinr,
+    n_reselections): the chosen candidate's index and the chosen entry's
+    rank; hop is None (pair_id -1, relays (), sinr nan, table.size
+    reselections) when no entry is feasible and the slot idles.
     """
     for rank, (row, col) in enumerate(rs.select_best(table)):
-        pair_id, relays = candidates[row]
+        relays = candidates[row]
         feasible = bank.can_transmit if col else bank.can_receive
         if feasible(relays):
-            return pair_id, relays, _HOPS[col], float(table[row, col]), rank
+            return row, relays, _HOPS[col], float(table[row, col]), rank
     return -1, (), None, float("nan"), table.size
 
 
@@ -188,13 +188,6 @@ class RngStreams(NamedTuple):
     design: np.random.Generator    # encoder design: random draw, ML calibration
     first_phase: np.random.Generator   # first-phase receiver noise
 
-    @classmethod
-    def from_seed(cls, seed):
-        """Five independent children of seed (an int or a SeedSequence)."""
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        return cls(*(np.random.default_rng(s) for s in seed.spawn(5)))
-
 
 class Lane(NamedTuple):
     """One coding scheme of a slot machine, with its private streams."""
@@ -217,44 +210,43 @@ class SlotMachine:
     slot's SlotOutcome, complete once settle() has run.
 
     schemes gives one lane per entry (default: config.nc_design alone);
-    a SlotOutcome holds each lane's errors and notes.  rng is an
-    RngStreams, or one Generator whose five spawned children become the
-    streams.
+    a SlotOutcome holds each lane's errors and notes.  seed (an int, a
+    SeedSequence or a Generator) is spawned into the five RngStreams.
+    Group g's users are row g of group_users; candidate pair i is the
+    relay tuple candidates[i], the groups' relay rows whenever pairs are
+    groups (fixed groups, or any unbuffered machine).
     """
 
-    def __init__(self, config: SystemConfig, rng, schemes=None):
+    def __init__(self, config: SystemConfig, seed, schemes=None):
         self.config = config
         schemes = (config.nc_design,) if schemes is None else tuple(schemes)
         if not schemes:
             raise ValueError("a slot machine needs at least one scheme")
         for scheme in set(schemes) - {config.nc_design}:
             replace(config, nc_design=scheme)     # the scheme's config checks
-        if not isinstance(rng, RngStreams):
-            rng = RngStreams(*rng.spawn(5))
-        self.rng = rng
+        self.rng = rng = RngStreams(*np.random.default_rng(seed).spawn(5))
         # every lane starts from the streams' state at construction, as a
         # one-lane machine of its scheme would
         self.lanes = (Lane(schemes[0], rng.design, rng.noise),) + tuple(
             Lane(s, *copy.deepcopy((rng.design, rng.noise))) for s in schemes[1:])
         self.codebook = sm.generate_codebook(config)
         setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
-        self.groups = nc.make_group_assignments(config, setup_rng)
+        self.group_users, group_relays = nc.make_group_assignments(config,
+                                                                   setup_rng)
         # the unbuffered baseline serves the fixed groups in every pair mode
         self._pairs_are_groups = (config.pair_mode == PairMode.FIXED_GROUPS
                                   or not config.buffers_enabled)
-        if self._pairs_are_groups:
-            short = [g for g, grp in enumerate(self.groups)
-                     if len(grp.relays) < config.group_size]
-            if short:
-                raise ValueError(f"groups {short} have fewer than "
-                                 f"m={config.group_size} relays (K > L): "
-                                 "their users would never be served")
+        if self._pairs_are_groups and len(group_relays) < config.num_groups:
+            short = list(range(len(group_relays), config.num_groups))
+            raise ValueError(f"groups {short} have fewer than "
+                             f"m={config.group_size} relays (K > L): "
+                             "their users would never be served")
+        # relays outside every group keep group 0's code
         self.relay_group_ids = np.zeros(config.num_relays, dtype=int)
-        for g, grp in enumerate(self.groups):
-            for r in grp.relays:
-                self.relay_group_ids[r] = g
-        self.candidates = rs.candidate_pairs(self.groups, config.num_relays,
-                                             config.group_size, config.pair_mode)
+        self.relay_group_ids[group_relays] = np.arange(len(group_relays))[:, None]
+        self.candidates = rs.candidate_pairs(
+            group_relays, config.num_relays, config.group_size,
+            PairMode.FIXED_GROUPS if self._pairs_are_groups else config.pair_mode)
         self.bank = BufferBank(config.num_relays, config.buffer_size)
         self.log = []
         self.slot = 0
@@ -311,10 +303,10 @@ class SlotMachine:
             # every reception slot is followed by the pair's transmission:
             # the group served last transmits while its relays hold a packet
             pair_id = (self._rr_group - 1) % cfg.num_groups
-            relays, hop = self.groups[pair_id].relays, Hop.RELAY_DEST
+            relays, hop = self.candidates[pair_id], Hop.RELAY_DEST
             if not self.bank.can_transmit(relays):
                 pair_id = self._next_group()
-                relays, hop = self.groups[pair_id].relays, Hop.SOURCE_RELAY
+                relays, hop = self.candidates[pair_id], Hop.SOURCE_RELAY
             sinr, reselections = float("nan"), 0
 
         occ_before = self.bank.occupancies()
@@ -325,7 +317,7 @@ class SlotMachine:
             action = "receive"
             group_id = pair_id if self._pairs_are_groups else self._next_group()
             packet = PairPacket(uid=self.receive_slots, group_id=group_id,
-                                relays=tuple(relays), created_slot=self.slot)
+                                relays=relays, created_slot=self.slot)
             self.bank.push_pair(relays, packet)
             # what pass 2 reads of the slot: the channel and the relay bank
             # as the pair sees them, its relays in order on the relay axis
@@ -421,7 +413,7 @@ class SlotMachine:
         state = sm.ChannelState(*(np.stack(arrays) for arrays in zip(
             *(vars(state).values() for _, state, _ in pending))))
         filters_sr = np.stack([filters for _, _, filters in pending])
-        users = np.array([self.groups[p.group_id].users for p in packets])
+        users = self.group_users[[p.group_id for p in packets]]
         relays = np.broadcast_to(np.arange(m), users.shape)   # the pair's, in order
         encoders = self._designs(state, users, relays, filters_sr)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .buffer_protocol import TRACE_FIELDS, RngStreams, SlotMachine, trace_row
+from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_row
 from .config import Scheme, SystemConfig
 
 
@@ -104,7 +104,7 @@ def run_lanes(config: SystemConfig, seed, n_packets, schemes) -> list:
     one lane per scheme, counting bit errors against the stored ground
     truth.  seed is an int or a SeedSequence; it is split into the
     per-purpose streams.  Returns the machine's slot log."""
-    machine = SlotMachine(config, RngStreams.from_seed(seed), schemes=schemes)
+    machine = SlotMachine(config, seed, schemes=schemes)
     return machine.run_until(n_packets).log
 
 
@@ -133,17 +133,20 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
     t0 = time.perf_counter()
     snr_list = [float(s) for s in snr_list]
     schemes = list(schemes) if schemes is not None else [config.nc_design]
-    if len(set(schemes)) != len(schemes):
-        raise ValueError(f"duplicate scheme in {[s.value for s in schemes]}: "
-                         "its rows would be reported twice")
     buffer_modes = (list(buffer_modes) if buffer_modes is not None
                     else [config.buffers_enabled])
     for scheme in schemes:             # check every lane before any task runs
         replace(config, nc_design=scheme)
-    labels = [f"{snr:g}" for snr in snr_list]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate SNR point in {labels}: the CSV could "
-                         "not tell its rows apart")
+    # each list names the CSV rows; an empty one gives no BER point, and
+    # two entries alike give rows the CSV cannot tell apart
+    for name, labels in (("scheme", [s.value for s in schemes]),
+                         ("buffer mode", buffer_modes),
+                         ("SNR point", [f"{snr:g}" for snr in snr_list])):
+        if not labels:
+            raise ValueError(f"a sweep needs at least one {name}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate {name} in {labels}: its rows would "
+                             "be reported twice")
     n = n_packets_per_point
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n_packets_per_point must be a positive integer, got {n!r}")
@@ -154,7 +157,7 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
     sizes = [min(chunk_packets, n - start) for start in range(0, n, chunk_packets)]
 
     tasks = []
-    for b_idx, buffered in enumerate(buffer_modes if schemes else []):
+    for b_idx, buffered in enumerate(buffer_modes):
         for p_idx, snr in enumerate(snr_list):
             cfg = replace(config, nc_design=schemes[0], buffers_enabled=buffered,
                           snr_db=snr)

@@ -13,7 +13,6 @@ for user symbols b.  The decode-time MMSE refinement is an
 `MmseDecoder(entries, fallback)`.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -30,28 +29,14 @@ def _qfunc(x):
     return np.multiply(erfc(z, out=z), 0.5, out=z)
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """One sub transmission group: m users served by m relays."""
-
-    users: tuple
-    relays: tuple
-
-    def __post_init__(self):
-        if len(set(self.users)) != len(self.users):
-            raise ValueError("duplicate user index in group")
-        if len(set(self.relays)) != len(self.relays):
-            raise ValueError("duplicate relay index in group")
-
-
 def make_group_assignments(config, rng):
-    """Randomly partition users and relays into groups of m."""
+    """Randomly partition users and relays into groups of m: int arrays
+    (users, relays) whose row g holds group g's users and relays; relays
+    has min(G, L/m) rows, so with K > L the last groups own none."""
     m = config.group_size
-    users = rng.permutation(config.num_users)
-    relays = rng.permutation(config.num_relays)
-    return [GroupAssignment(users=tuple(int(u) for u in users[g * m:(g + 1) * m]),
-                            relays=tuple(int(r) for r in relays[g * m:(g + 1) * m]))
-            for g in range(config.num_groups)]
+    users = rng.permutation(config.num_users).reshape(-1, m)
+    relays = rng.permutation(config.num_relays)[:users.size].reshape(-1, m)
+    return users, relays
 
 
 class MmseDecoder(NamedTuple):
@@ -279,7 +264,7 @@ def _data_patterns(m):
     return np.array(list(product((-1.0, 1.0), repeat=m))).T
 
 
-def predicted_chain_error(encoders, gains, noise_var, flip_probs=None):
+def predicted_chain_error(encoders, gains, noise_var, flip_probs):
     """Closed-form error probability of the full decode chain for each
     encoder of a stack (E..., m, m).
 
@@ -299,8 +284,7 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs=None):
     per_encoder = lead + (1,) * (g.ndim - 2)
     mu = gains.reshape(per_encoder + (m,))
     nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
-    p = (np.zeros(lead + (m, m)) if flip_probs is None
-         else np.asarray(flip_probs, dtype=np.float64))
+    p = np.asarray(flip_probs, dtype=np.float64)
     decoders = _mmse_decoders(g, mu, nvar).entries
     A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
     per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]    # (..., m)
@@ -321,7 +305,7 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs=None):
     return np.einsum("...n,...nup->...", weights, _qfunc(arg)) / (m * B.shape[1])
 
 
-def select_G_mmse(gains, noise_var, flip_probs=None):
+def select_G_mmse(gains, noise_var, flip_probs):
     """Pick the binary encoder minimizing the predicted end-to-end error
     of the refined decode chain; ties break to the lowest candidate
     index.  The statistics may carry leading reception axes (...).

@@ -8,13 +8,14 @@ from . import receivers as rx
 from .config import PairMode
 
 
-def candidate_pairs(groups, num_relays, group_size, mode: PairMode):
-    """Candidate (pair_id, relays) entries: the fixed disjoint groups by
-    default, or every set of group_size relays, in lexicographic order,
-    when free-form selection is enabled."""
+def candidate_pairs(group_relays, num_relays, group_size, mode: PairMode):
+    """The candidate relay pairs as tuples of ints, a pair's id being its
+    index: the rows of group_relays (make_group_assignments) by default,
+    or every set of group_size relays, in lexicographic order, when
+    free-form selection is enabled."""
     if mode == PairMode.FIXED_GROUPS:
-        return [(g, grp.relays) for g, grp in enumerate(groups)]
-    return list(enumerate(combinations(range(num_relays), group_size)))
+        return [tuple(int(r) for r in row) for row in group_relays]
+    return list(combinations(range(num_relays), group_size))
 
 
 def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
@@ -38,7 +39,7 @@ def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
     wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=-2),
                       np.sum(np.abs(filters_rd) ** 2, axis=-1)], axis=-1)
     member = np.zeros((len(candidates), power.shape[-2]))
-    for row, (_, relays) in enumerate(candidates):
+    for row, relays in enumerate(candidates):
         member[row, list(relays)] = 1.0
     # sums over selected / other relays by 0-1 weights: no cancellation
     return member @ power / ((1.0 - member) @ power + sigma2 * (member @ wnorm))

@@ -146,7 +146,7 @@ def synthesize_first_phase(symbols, state: ChannelState, sigma2, rng,
 
 
 def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
-                            sigma2, rng, h_eff=None):
+                            sigma2, rng):
     """Relay-set transmission of network-coded symbols on the shared
     group code.
 
@@ -157,8 +157,7 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
     superposes the streams.  Returns the samples, (N,) or (N, P).
     """
     b = np.asarray(ncs_symbols, dtype=np.float64)
-    rows = state.h_eff_rd[list(relays)] if h_eff is None else np.asarray(h_eff)
-    y = np.tensordot(rows, b, axes=(0, 0))
+    y = np.tensordot(state.h_eff_rd[list(relays)], b, axes=(0, 0))
     return y + complex_gaussian(rng, y.shape, sigma2)
 
 

@@ -271,8 +271,7 @@ class TestCriterion8SinrOracle:
             Wsr = source_relay_filter_bank(state, sigma2, kind)
             Wrd = relay_dest_filter_bank(state, sigma2, kind)
             pair = (0, 1)
-            an_sr, an_rd = build_sinr_table(state, Wsr, Wrd, sigma2,
-                                            [(0, pair)])[0]
+            an_sr, an_rd = build_sinr_table(state, Wsr, Wrd, sigma2, [pair])[0]
             em_sr = self.empirical_sr(pair, state, Wsr, sigma2, rng, T)
             em_rd = self.empirical_rd(pair, state, Wrd, sigma2, rng, T)
             worst = max(worst, abs(an_sr - em_sr) / em_sr,
@@ -303,7 +302,7 @@ class TestCriterion9BufferFuzz:
                 if all(len(bank.buffers[r]) == J for r in relays):
                     if not bank.can_transmit(relays):
                         violations.append((slot, pid, "full not transmittable"))
-            pair_id, relays, hop, _, _ = decide_action(table, list(pairs.items()),
+            pair_id, relays, hop, _, _ = decide_action(table, list(pairs.values()),
                                                        bank)
             before = bank.occupancies()
             if hop is None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plnc_sim import (BufferBank, DecoderKind, Hop, PairMode, Scheme,
                       SlotMachine, SystemConfig, decide_action)
-from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams, trace_row
+from plnc_sim.buffer_protocol import TRACE_FIELDS, trace_row
 from plnc_sim.harness import BerPoint
 
 SR, RD = 0, 1                         # SINR table columns
@@ -78,7 +78,7 @@ class TestFeasibilityChecks:
         assert bank.occupancies() == (0, 0)
 
 
-PAIRS = [(0, (0, 1)), (1, (2, 3))]
+PAIRS = [(0, 1), (2, 3)]
 
 
 def table_for(sinrs, n_pairs=2):
@@ -114,7 +114,7 @@ class TestDecideAction:
         # can neither receive nor transmit
         bank = BufferBank(3, capacity=1)
         push(bank, (0, 1), "a")
-        decision = decide_action(np.array([[3.0, 1.0]]), [(0, (1, 2))], bank)
+        decision = decide_action(np.array([[3.0, 1.0]]), [(1, 2)], bank)
         pair_id, relays, hop, sinr, reselections = decision
         assert hop is None and pair_id == -1 and relays == ()
         assert np.isnan(sinr)
@@ -146,8 +146,8 @@ def reference_decision(table, candidates, bank):
         heads = [b[0] if b else None for b in buffers]
         return heads[0] is not None and all(h is heads[0] for h in heads)
 
-    order = sorted((-table[row, col], pid, col, relays)
-                   for row, (pid, relays) in enumerate(candidates)
+    order = sorted((-table[row, col], row, col, relays)
+                   for row, relays in enumerate(candidates)
                    for col in (SR, RD))
     for rank, (neg_sinr, pid, col, relays) in enumerate(order):
         if feasible(relays, col):
@@ -162,11 +162,11 @@ def selection_cases(draw):
     whose values come from a short list so ties are common."""
     num_relays = draw(st.integers(2, 4))
     bank = BufferBank(num_relays, capacity=draw(st.integers(1, 2)))
-    candidates = list(enumerate(combinations(range(num_relays), 2)))
+    candidates = list(combinations(range(num_relays), 2))
     ops = draw(st.lists(st.tuples(st.integers(0, len(candidates) - 1),
                                   st.booleans()), max_size=12))
     for row, is_push in ops:
-        relays = candidates[row][1]
+        relays = candidates[row]
         if is_push and bank.can_receive(relays):
             bank.push_pair(relays, object())
         elif not is_push and bank.can_transmit(relays):
@@ -199,7 +199,7 @@ class TestSelectionProperty:
         # (0, 2) can neither receive nor transmit
         bank = BufferBank(3, capacity=1)
         bank.push_pair((0, 1), object())
-        candidates = [(0, (0, 2)), (1, (1, 2))]
+        candidates = [(0, 2), (1, 2)]
         table = np.ones((2, 2))
         assert reference_decision(table, candidates, bank) == (None, 4)
         pair_id, relays, hop, sinr, reselections = decide_action(table, candidates,
@@ -221,7 +221,7 @@ class TestStateMachineFuzz:
         serial = 0
         for slot in range(10_000):
             pair_id, relays, hop, _, _ = decide_action(rng.random((2, 2)),
-                                                       list(pairs.items()), bank)
+                                                       list(pairs.values()), bank)
             occ_before = bank.occupancies()
             if hop is None:
                 # per-pair blocking is impossible here: empty implies
@@ -321,7 +321,7 @@ class TestSlotMachine:
                            buffer_size=2, group_size=2, packet_length=16,
                            snr_db=120.0, decoder=decoder,
                            buffers_enabled=buffered, rng_seed=5)
-        mach = SlotMachine(cfg, RngStreams.from_seed(3), schemes=list(Scheme))
+        mach = SlotMachine(cfg, 3, schemes=list(Scheme))
         mach.run_until(n_packets=12)
         assert mach.transmit_slots == 12
         assert {o.bit_errors for o in mach.log} == {(0,) * len(Scheme)}
@@ -340,11 +340,26 @@ class TestSlotMachine:
             assert [o.bit_errors[lane] for o in every.log] \
                 == [o.bit_errors[0] for o in alone.log]
         with pytest.raises(ValueError, match="at least one scheme"):
-            SlotMachine(cfg, RngStreams.from_seed(0), schemes=[])
+            SlotMachine(cfg, 0, schemes=[])
         with pytest.raises(ValueError, match="m <= 3"):
             SlotMachine(SystemConfig(num_users=4, num_relays=4, group_size=4),
-                        RngStreams.from_seed(0),
-                        schemes=[Scheme.RANDOM, Scheme.MMSE_DESIGN])
+                        0, schemes=[Scheme.RANDOM, Scheme.MMSE_DESIGN])
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_seed_int_sequence_and_generator_agree(self, buffered):
+        # every seed form is spawned into the same five streams
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           packet_length=10, ml_training_len=8,
+                           buffers_enabled=buffered)
+        expected = [np.random.default_rng(child).bit_generator.state
+                    for child in np.random.SeedSequence(21).spawn(5)]
+        machines = [SlotMachine(cfg, seed, schemes=list(Scheme))
+                    for seed in (21, np.random.SeedSequence(21),
+                                 np.random.default_rng(21))]
+        for mach in machines:
+            assert [g.bit_generator.state for g in mach.rng] == expected
+        logs = [repr(mach.run_until(4).log) for mach in machines]
+        assert logs[0] == logs[1] == logs[2]
 
     def test_unsettled_transmission_fails_loudly(self):
         # a transmit outcome's errors and notes wait for pass 2

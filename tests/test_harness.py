@@ -16,7 +16,7 @@ from plnc_sim import (DecoderKind, PairMode, ReceiverKind, RunReport, Scheme,
                       SlotMachine, SystemConfig, emit_report, parse_report,
                       run_sweep, run_trial, scheme_label, write_trace)
 from plnc_sim import buffer_protocol
-from plnc_sim.buffer_protocol import TRACE_FIELDS, RngStreams
+from plnc_sim.buffer_protocol import TRACE_FIELDS
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
 from plnc_sim.harness import BerPoint
@@ -158,14 +158,27 @@ class TestRunSweep:
             assert [r for r in every.trace_rows if r[0] == label] \
                 == alone.trace_rows
 
-    def test_duplicate_scheme_rejected_before_any_slot(self, monkeypatch):
+    @pytest.mark.parametrize("snrs,kw,match", [
+        pytest.param([8.0], dict(schemes=[Scheme.XOR, Scheme.RANDOM, Scheme.XOR]),
+                     "duplicate scheme", id="duplicate-scheme"),
+        pytest.param([8.0], dict(buffer_modes=[True, True]),
+                     "duplicate buffer mode", id="duplicate-buffer-mode"),
+        pytest.param([8.0], dict(schemes=[]), "at least one scheme",
+                     id="no-scheme"),
+        pytest.param([8.0], dict(buffer_modes=[]), "at least one buffer mode",
+                     id="no-buffer-mode"),
+        pytest.param([], {}, "at least one SNR point", id="no-snr-point"),
+    ])
+    def test_bad_sweep_list_rejected_before_any_slot(self, snrs, kw, match,
+                                                     monkeypatch):
+        # an entry given twice would write its rows twice; an empty list
+        # would return a report without a single BER point
         def no_slot(machine):
             raise AssertionError("a slot ran")
 
         monkeypatch.setattr(SlotMachine, "advance", no_slot)
-        with pytest.raises(ValueError, match="duplicate scheme"):
-            run_sweep(tiny_config(), [8.0], 1,
-                      schemes=[Scheme.XOR, Scheme.RANDOM, Scheme.XOR])
+        with pytest.raises(ValueError, match=match):
+            run_sweep(tiny_config(), snrs, 1, **kw)
 
     def test_chunk_size_below_one_rejected(self):
         # a chunk of 0 packets would never finish the point
@@ -265,7 +278,7 @@ class TestSettleInvariance:
         cfg, seed, n_packets = case
 
         def machine():
-            return SlotMachine(cfg, RngStreams.from_seed(seed), schemes=list(Scheme))
+            return SlotMachine(cfg, seed, schemes=list(Scheme))
 
         eager, once = machine(), machine()
         while eager.transmit_slots < n_packets:
@@ -307,7 +320,7 @@ class TestCountsReduceTheLog:
     def test_idle_slots_counted_apart(self, monkeypatch):
         # no run idles (the oldest buffered packet heads every relay of its
         # pair), so every entry is made infeasible to log idle slots
-        mach = SlotMachine(tiny_config(), RngStreams.from_seed(1),
+        mach = SlotMachine(tiny_config(), 1,
                            schemes=[Scheme.XOR, Scheme.RANDOM]).run_until(3)
         monkeypatch.setattr(mach.bank, "can_receive", lambda relays: False)
         monkeypatch.setattr(mach.bank, "can_transmit", lambda relays: False)
@@ -419,16 +432,41 @@ GOLDEN_SLICED = {
 }
 GOLDEN_SLICED_TRACE_SHA256 = \
     "89616dcca43d3ab6ac1cb0c3a3e49eeffb9af76cd73df321be1ffa0f4068c3c5"
+# More users than relays (K=8, L=4), all pairs, buffered only: two groups
+# own no relay and every group is served round robin on any relay pair.
+GOLDEN_K8_L4 = {
+    "xor-buffered-mmse": (200, 34, 23, 0),
+    "random-buffered-mmse": (200, 25, 23, 0),
+    "ml-buffered-mmse": (200, 13, 23, 0),
+    "mmse-buffered-mmse": (200, 7, 23, 0),
+}
+GOLDEN_K8_L4_TRACE_SHA256 = \
+    "d4b7af58da6431ab3e130e8a8268617163f52366428a662d3ec9062aaa8fa277"
+# More relays than users (K=4, L=8), fixed groups: the four relays
+# outside every group keep group 0's code and interfere in the SINR table.
+GOLDEN_K4_L8 = {
+    "xor-buffered-mmse": (200, 24, 21, 0),
+    "xor-unbuffered-mmse": (200, 50, 20, 0),
+    "random-buffered-mmse": (200, 15, 21, 0),
+    "random-unbuffered-mmse": (200, 19, 20, 0),
+    "ml-buffered-mmse": (200, 10, 21, 0),
+    "ml-unbuffered-mmse": (200, 19, 20, 0),
+    "mmse-buffered-mmse": (200, 4, 21, 0),
+    "mmse-unbuffered-mmse": (200, 7, 20, 0),
+}
+GOLDEN_K4_L8_TRACE_SHA256 = \
+    "54eaf4864635fdfbed6977ae879c7958453d889aee1f6c32cf76302156752d66"
 
 
-def golden_sweep(tmp_path, n_packets=10, chunk_packets=25, **kw):
+def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,
+                 buffer_modes=(True, False), **kw):
     """Counts per variant and the trace file's SHA-256 of a fixed-seed
-    sweep over every scheme in both buffer modes."""
+    sweep over every scheme in both buffer modes (by default)."""
     system = dict(num_users=6, num_relays=6, spreading_gain=8, group_size=2,
                   packet_length=10, rng_seed=2025)
     cfg = SystemConfig(**{**system, **kw})
     report = run_sweep(cfg, [8.0], n_packets, schemes=list(Scheme),
-                       buffer_modes=[True, False], collect_trace=True,
+                       buffer_modes=list(buffer_modes), collect_trace=True,
                        chunk_packets=chunk_packets)
     got = {}
     for p in report.points:
@@ -477,6 +515,19 @@ class TestGoldenCounts:
                                 packet_length=3000)
         assert got == GOLDEN_SLICED
         assert sha == GOLDEN_SLICED_TRACE_SHA256
+
+    def test_more_users_than_relays_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, num_users=8, num_relays=4,
+                                buffer_size=2, pair_mode=PairMode.ALL_PAIRS,
+                                buffer_modes=[True])
+        assert got == GOLDEN_K8_L4
+        assert sha == GOLDEN_K8_L4_TRACE_SHA256
+
+    def test_more_relays_than_users_pinned(self, tmp_path):
+        got, sha = golden_sweep(tmp_path, num_users=4, num_relays=8,
+                                buffer_size=2, pair_mode=PairMode.FIXED_GROUPS)
+        assert got == GOLDEN_K4_L8
+        assert sha == GOLDEN_K4_L8_TRACE_SHA256
 
 
 class TestReportIo:

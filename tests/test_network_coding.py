@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
                       design_G_ml, design_G_mmse, design_G_random, detect_ncs,
                       encode_ncs, enumerate_invertible_binary, hard_decision,
-                      ncs_levels, select_G_mmse, symbol_to_bit, xor_decode,
-                      xor_encode)
+                      ncs_levels, select_G_mmse, symbol_to_bit, SystemConfig,
+                      xor_decode, xor_encode)
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
+                                     make_group_assignments,
                                      ml_calibration_outputs,
                                      predicted_chain_error)
 from plnc_sim.signal_model import complex_gaussian
@@ -34,6 +35,36 @@ def mmse_stream_stats(rng, m, sigma2, n=16):
 def encode_same(G, b):
     """Every relay's NCS symbol when all relays detected the symbols b."""
     return encode_ncs(G, np.broadcast_to(b[:, None], (len(b), len(b), 1)))[:, 0]
+
+
+@st.composite
+def group_cases(draw):
+    m = draw(st.integers(1, 3))
+    cfg = SystemConfig(num_users=m * draw(st.integers(1, 5)),
+                       num_relays=m * draw(st.integers(1, 5)), group_size=m)
+    return cfg, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGroupPartition:
+    @settings(max_examples=100, deadline=None)
+    @given(group_cases())
+    def test_partition_equals_per_group_slicing(self, case):
+        cfg, seed = case
+        K, L, m, G = cfg.num_users, cfg.num_relays, cfg.group_size, cfg.num_groups
+        users, relays = make_group_assignments(cfg, np.random.default_rng(seed))
+        assert users.shape == (G, m)
+        assert sorted(users.ravel().tolist()) == list(range(K))
+        assert relays.shape == (min(G, L // m), m)
+        assert len(set(relays.ravel().tolist())) == relays.size
+        assert set(relays.ravel().tolist()) <= set(range(L))
+        # oracle: group g takes slice g of each of the same two permutations,
+        # which runs short of relays once the L relays are used up
+        rng = np.random.default_rng(seed)
+        user_perm, relay_perm = rng.permutation(K), rng.permutation(L)
+        for g in range(G):
+            assert users[g].tolist() == user_perm[g * m:(g + 1) * m].tolist()
+            assert relays[g:g + 1].ravel().tolist() \
+                == relay_perm[g * m:(g + 1) * m].tolist()
 
 
 class TestMappings:
