@@ -45,7 +45,7 @@ w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
 gains = np.sum(w.conj() * h, axis=1)
 noise_var = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
 
-g_rand = design_G_random(2, rng)
+g_rand = design_G_random(2, rng, 1)[0]
 print(f"random draw:\n{g_rand}")
 
 # each candidate's recovery error depends only on the calibration noise

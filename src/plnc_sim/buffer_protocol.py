@@ -5,11 +5,12 @@ A slot machine runs in two passes.
 Pass 1, advance(), runs once per slot.  Block-fading channels are
 drawn a block of slots ahead, and everything that depends on the
 channel alone is computed once per block, as arrays with a leading slot
-axis: the source-relay filter banks and, when buffered, the
-relay-destination banks and the SINR table over the candidate pairs and
-both hops.  advance() takes the slot's row of these and picks the best
-feasible action: the first entry of the table's ranking that the
-buffers allow, or idle when none does.  A reception pushes a lean
+axis: when buffered, the source-relay and relay-destination filter
+banks and the SINR table over the candidate pairs and both hops.
+advance() takes the slot's row of these and picks the best feasible
+action: the first entry of the table's ranking that the buffers allow,
+or idle when none does; the unbuffered baseline serves its groups round
+robin.  A reception pushes a lean
 packet record (uid, group, relays, created slot) onto the pair's
 buffers and a transmission pops one; the slot's SlotOutcome is logged
 at once.  No decision reads the physics of a packet, only the channel
@@ -17,11 +18,13 @@ and the buffer occupancies, so this pass decides every slot.
 
 Pass 2, settle(), runs the physics of every slot advanced since the
 last settle as arrays: for the receptions, one data block, the
-source-destination filter banks, the first phase at symbol level
+source-destination filter banks (and, unbuffered, the selected pairs'
+source-relay banks), the first phase at symbol level
 (signal_model.sample_first_phase) and every lane's encoder designs and
-encodes; for the transmissions, per lane, the second phase, the
-decode-time MMSE refinement, the decoders and the scoring, which fill
-the pending transmit outcomes' bit_errors and note.  Until then those
+encodes; for the transmissions, the second phase, one noise draw per
+slice for all lanes of a kind, then per lane the decode-time MMSE
+refinement, the decoders and the scoring, which fill the pending
+transmit outcomes' bit_errors and note.  Until then those
 two fields are None, so a reduction that reads them fails loudly.
 run_until calls settle() once at the end.  Every random stream has one
 purpose and the same draw shape on every call, so one block of draws
@@ -39,7 +42,6 @@ Half duplex is enforced by construction: one action per slot,
 system-wide.
 """
 
-import copy
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -56,7 +58,7 @@ from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
 # hold about this many float64 elements (256 KB), a constant: a channel
 # block holds 28 slots on the paper system; the first and second phase
 # of a chunk of 16-symbol packets run as one slice and 1000-symbol
-# packets one at a time; the m=2 mmse design scores ten receptions at a
+# packets one at a time; the m=2 mmse design scores 21 receptions at a
 # time and the m=3 one a single reception.
 _SLICE_ELEMENTS = 1 << 15
 
@@ -177,10 +179,12 @@ def trace_row(outcome: SlotOutcome, lane=0):
 
 class RngStreams(NamedTuple):
     """One generator per purpose.  The lanes of a slot machine share the
-    channel, data and first-phase streams; each lane draws its encoder
-    designs and second-phase noise from its own copy of the design and
-    noise streams, so a lane's counts equal those of a one-lane machine
-    of its scheme built from the same seed (common random numbers)."""
+    channel, data and first-phase streams.  The random and ml lanes each
+    draw their encoder designs from their own copy of the design stream;
+    the linear lanes draw equal second-phase noise, so they share one
+    noise stream, and the XOR lanes, whose draws differ in shape, share
+    a copy.  So a lane's counts equal those of a one-lane machine of its
+    scheme built from the same seed (common random numbers)."""
 
     channel: np.random.Generator   # fading, one draw per slot
     data: np.random.Generator      # user symbols, one block per reception
@@ -190,11 +194,18 @@ class RngStreams(NamedTuple):
 
 
 class Lane(NamedTuple):
-    """One coding scheme of a slot machine, with its private streams."""
+    """One coding scheme of a slot machine, with its streams."""
 
     scheme: Scheme
-    design: np.random.Generator
-    noise: np.random.Generator
+    design: np.random.Generator     # None for the schemes that draw no design
+    noise: np.random.Generator      # shared by the lanes of one kind
+
+
+def _twin(rng):
+    """A generator that draws what rng draws from its present state on."""
+    twin = np.random.Generator(type(rng.bit_generator)(0))
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
 
 
 class SlotMachine:
@@ -212,6 +223,8 @@ class SlotMachine:
     schemes gives one lane per entry (default: config.nc_design alone);
     a SlotOutcome holds each lane's errors and notes.  seed (an int, a
     SeedSequence or a Generator) is spawned into the five RngStreams.
+    A SeedSequence is copied first, so one object gives the same run
+    every time; a Generator is consumed, as spawning advances it.
     Group g's users are row g of group_users; candidate pair i is the
     relay tuple candidates[i], the groups' relay rows whenever pairs are
     groups (fixed groups, or any unbuffered machine).
@@ -224,11 +237,24 @@ class SlotMachine:
             raise ValueError("a slot machine needs at least one scheme")
         for scheme in set(schemes) - {config.nc_design}:
             replace(config, nc_design=scheme)     # the scheme's config checks
+        if isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(
+                seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+                n_children_spawned=seed.n_children_spawned)
         self.rng = rng = RngStreams(*np.random.default_rng(seed).spawn(5))
         # every lane starts from the streams' state at construction, as a
-        # one-lane machine of its scheme would
-        self.lanes = (Lane(schemes[0], rng.design, rng.noise),) + tuple(
-            Lane(s, *copy.deepcopy((rng.design, rng.noise))) for s in schemes[1:])
+        # one-lane machine of its scheme would: a stream's first user takes
+        # it, later users a twin
+        design, noise, lanes = [rng.design], {}, []
+        for scheme in schemes:
+            lane_design = None
+            if scheme in (Scheme.RANDOM, Scheme.ML):
+                lane_design = design.pop() if design else _twin(rng.design)
+            kind = scheme == Scheme.XOR
+            if kind not in noise:
+                noise[kind] = _twin(rng.noise) if noise else rng.noise
+            lanes.append(Lane(scheme, lane_design, noise[kind]))
+        self.lanes = tuple(lanes)
         self.codebook = sm.generate_codebook(config)
         setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
         self.group_users, group_relays = nc.make_group_assignments(config,
@@ -269,10 +295,12 @@ class SlotMachine:
         return g
 
     def _next_channel(self):
-        """The slot's channel, source-relay filter bank and SINR table
-        (None when unbuffered), from a block of slots drawn ahead (sized
-        by the slice budget on the (K, L, N) source-relay vectors) whose
-        banks and table are computed for the whole block at once."""
+        """The slot's channel, source-relay filter bank and SINR table,
+        from a block of slots drawn ahead (sized by the slice budget on
+        the (K, L, N) source-relay vectors) whose banks and table are
+        computed for the whole block at once.  Unbuffered, no decision
+        reads them, so the bank and table are None and pass 2 computes
+        the bank for the receptions alone."""
         if not self._channels:
             cfg = self.config
             sigma2 = cfg.noise_var
@@ -280,9 +308,9 @@ class SlotMachine:
             n = max(1, _SLICE_ELEMENTS // sr_elements)
             block = sm.draw_channels(cfg, self.codebook, self.relay_group_ids,
                                      self.rng.channel, n)
-            filters_sr = rx.source_relay_filter_bank(block, sigma2, cfg.receiver)
-            tables = [None] * n
+            filters_sr = tables = [None] * n
             if cfg.buffers_enabled:
+                filters_sr = rx.source_relay_filter_bank(block, sigma2, cfg.receiver)
                 filters_rd = rx.relay_dest_filter_bank(block, sigma2, cfg.receiver)
                 tables = rs.build_sinr_table(block, filters_sr, filters_rd, sigma2,
                                              self.candidates)
@@ -320,11 +348,13 @@ class SlotMachine:
                                 relays=relays, created_slot=self.slot)
             self.bank.push_pair(relays, packet)
             # what pass 2 reads of the slot: the channel and the relay bank
-            # as the pair sees them, its relays in order on the relay axis
+            # (when buffered) as the pair sees them, its relays in order on
+            # the relay axis
             pair = list(relays)
             self._receptions.append((packet, sm.ChannelState(
                 state.h_sd, state.h_sr[:, pair], state.h_rd[pair], state.h_eff_sd,
-                state.h_eff_sr[:, pair], state.h_eff_rd[pair]), filters_sr[:, pair]))
+                state.h_eff_sr[:, pair], state.h_eff_rd[pair]),
+                None if filters_sr is None else filters_sr[:, pair]))
             self.receive_slots += 1
         else:
             action = "transmit"
@@ -382,8 +412,7 @@ class SlotMachine:
                 encoders.append(None)
                 continue
             if lane.scheme == Scheme.RANDOM:
-                encoders.append(np.array([nc.design_G_random(m, lane.design)
-                                          for _ in relays]))
+                encoders.append(nc.design_G_random(m, lane.design, len(relays)))
                 continue
             if gains is None:
                 _, gains, noise_var = self._stream_stats(state.h_eff_rd)
@@ -394,8 +423,9 @@ class SlotMachine:
             if flips is None:
                 flips = rx.detection_error_probs(users, relays, state, filters_sr,
                                                  cfg.noise_var)
-            # a few (candidates, 2^(m^2), m, 2^m) arrays per reception
-            scores = 4 * len(nc.enumerate_invertible_binary(m)) * 2 ** (m * m + m) * m
+            # per reception: the (candidates, 2^(m^2), m, 2^m) slicer errors
+            # and the distinct ones they are gathered from, under twice that
+            scores = 2 * len(nc.enumerate_invertible_binary(m)) * 2 ** (m * m + m) * m
             encoders.append(np.concatenate([
                 nc.select_G_mmse(gains[s], noise_var[s], flip_probs=flips[s])[0]
                 for s in _slices(len(relays), scores)]))
@@ -412,7 +442,10 @@ class SlotMachine:
         packets = [packet for packet, _, _ in pending]
         state = sm.ChannelState(*(np.stack(arrays) for arrays in zip(
             *(vars(state).values() for _, state, _ in pending))))
-        filters_sr = np.stack([filters for _, _, filters in pending])
+        if cfg.buffers_enabled:
+            filters_sr = np.stack([filters for _, _, filters in pending])
+        else:
+            filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         users = self.group_users[[p.group_id for p in packets]]
         relays = np.broadcast_to(np.arange(m), users.shape)   # the pair's, in order
         encoders = self._designs(state, users, relays, filters_sr)
@@ -438,33 +471,63 @@ class SlotMachine:
                 self._coded[packet.uid] = (direct[i], truth[i], ncs[i], coders[i])
 
     def _settle_transmissions(self):
-        """Second phase: in every lane, send each popped packet's NCS
-        streams, decode at the destination and score against the truth;
-        the transmit outcomes get their per-lane errors and notes."""
+        """Second phase: send each popped packet's NCS streams in every
+        lane, decode at the destination and score against the truth; the
+        transmit outcomes get their per-lane errors and notes.  The lanes
+        of one kind (XOR, or linear) share a noise stream and draw equal
+        noise, so the kind runs slice by slice: each slice draws the
+        noise once, and every lane of the kind adds it to its own
+        signal."""
+        cfg = self.config
+        m, P = cfg.group_size, cfg.packet_length
         pending, self._transmissions = self._transmissions, []
         index, packets, h_rd = zip(*pending)
         relays = np.array([p.relays for p in packets])
         codes = self.codebook.ncs_codes[[p.group_id for p in packets]]
         rows = (np.take_along_axis(np.array(h_rd), relays, axis=1)[:, :, None]
                 * codes[:, None, :])                      # (T, m, N)
-        coded = [np.stack(a) for a in zip(*(self._coded.pop(p.uid)
-                                            for p in packets))]
-        xor = linear = None
-        errors, notes = [], []
-        for k, lane in enumerate(self.lanes):
-            if lane.scheme == Scheme.XOR:
-                if xor is None:
-                    xor = self._xor_streams(rows, codes)
-                lane_errors, lane_notes = self._decode_xor(lane, k, xor, coded)
-            else:
-                if linear is None:
-                    linear = self._linear_streams(rows)
-                lane_errors, lane_notes = self._decode_linear(lane, k, linear, coded)
-            errors.append(lane_errors)
-            notes.append(lane_notes)
+        direct, truth, ncs, coders = (np.stack(a) for a in zip(
+            *(self._coded.pop(p.uid) for p in packets)))
+        xor = [k for k, lane in enumerate(self.lanes) if lane.scheme == Scheme.XOR]
+        linear = [k for k in range(len(self.lanes)) if k not in xor]
+        errors = np.zeros((len(self.lanes), len(packets)), dtype=int)
+        notes = [[""] * len(packets) for _ in self.lanes]
+        if xor:
+            (signal, colour), xor_notes = self._xor_streams(rows, codes)
+            for k in xor:
+                notes[k] = xor_notes
+            for s in _slices(len(packets), 10 * P):
+                noise = sm.filter_noise(colour[s], (len(truth[s]), 1, P), cfg.noise_var,
+                                        self.lanes[xor[0]].noise, call_axes=1)
+                for k in xor:
+                    soft = signal[s] @ ncs[s, k].astype(np.float64) + noise
+                    decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
+                    errors[k, s] = np.sum(decoded != truth[s], axis=(1, 2))
+        if linear:
+            gains, noise_var, signal, colour = self._linear_streams(rows)
+            decoders = dict.fromkeys(linear)
+            for k in linear:
+                if self.lanes[k].scheme == Scheme.MMSE_DESIGN:
+                    decoders[k], fallback = nc.design_G_mmse(coders[:, k], gains,
+                                                             noise_var)
+                    notes[k] = ["mmse fallback" if f else "" for f in fallback]
+            for s in _slices(len(packets), 10 * m * P):
+                noise = sm.filter_noise(colour[s], (len(truth[s]), m, 1, P),
+                                        cfg.noise_var, self.lanes[linear[0]].noise,
+                                        call_axes=1)
+                for k in linear:
+                    z = signal[s] @ ncs[s, k, :, None].astype(np.float64) + noise
+                    z = z[:, :, 0]
+                    refine = None if decoders[k] is None else decoders[k][s]
+                    if cfg.decoder == DecoderKind.JOINT:
+                        decoded = nc.decode_joint(coders[s, k], z, gains[s], refine)
+                    else:
+                        ncs_est = nc.detect_ncs(coders[s, k], z, gains[s], refine)
+                        decoded = nc.decode_with_direct(coders[s, k], ncs_est, direct[s])
+                    errors[k, s] = np.sum(decoded != truth[s], axis=(1, 2))
         for i, log_index in enumerate(index):
             self.log[log_index] = self.log[log_index]._replace(
-                bit_errors=tuple(int(e[i]) for e in errors),
+                bit_errors=tuple(int(e) for e in errors[:, i]),
                 note=tuple(n[i] for n in notes))
 
     def _xor_streams(self, rows, codes):
@@ -486,49 +549,6 @@ class SlotMachine:
         filters, gains, noise_var = self._stream_stats(rows)
         return (gains, noise_var) + sm.filter_output_maps(filters[:, :, None],
                                                           rows[:, :, None])
-
-    def _decode_xor(self, lane, k, streams, coded):
-        """Lane k's XOR second phase and decode, slice by slice; returns
-        the per-packet errors and notes."""
-        cfg = self.config
-        (signal, colour), notes = streams
-        direct, truth, ncs, _ = coded
-        errors = np.zeros(len(truth), dtype=int)
-        for s in _slices(len(truth), 10 * cfg.packet_length):
-            soft = sm.sample_filter_outputs((signal[s], colour[s]),
-                                            ncs[s, k].astype(np.float64),
-                                            cfg.noise_var, lane.noise, call_axes=1)
-            decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
-            errors[s] = np.sum(decoded != truth[s], axis=(1, 2))
-        return errors, notes
-
-    def _decode_linear(self, lane, k, streams, coded):
-        """Lane k's linear second phase, decode-time MMSE refinement and
-        decode, slice by slice; returns the per-packet errors and
-        notes."""
-        cfg = self.config
-        m, P = cfg.group_size, cfg.packet_length
-        gains, noise_var, signal, colour = streams
-        direct, truth, ncs, coders = coded
-        encoders = coders[:, k]
-        decoder, notes = None, [""] * len(truth)
-        if lane.scheme == Scheme.MMSE_DESIGN:
-            decoder, fallback = nc.design_G_mmse(encoders, gains, noise_var)
-            notes = ["mmse fallback" if f else "" for f in fallback]
-        errors = np.zeros(len(truth), dtype=int)
-        for s in _slices(len(truth), 10 * m * P):
-            z = sm.sample_filter_outputs((signal[s], colour[s]),
-                                         ncs[s, k, :, None].astype(np.float64),
-                                         cfg.noise_var, lane.noise, call_axes=1)
-            z = z[:, :, 0]
-            refine = None if decoder is None else decoder[s]
-            if cfg.decoder == DecoderKind.JOINT:
-                decoded = nc.decode_joint(encoders[s], z, gains[s], refine)
-            else:
-                ncs_est = nc.detect_ncs(encoders[s], z, gains[s], refine)
-                decoded = nc.decode_with_direct(encoders[s], ncs_est, direct[s])
-            errors[s] = np.sum(decoded != truth[s], axis=(1, 2))
-        return errors, notes
 
     # -- slot driver -------------------------------------------------------
 

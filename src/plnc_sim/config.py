@@ -86,8 +86,9 @@ class SystemConfig:
         if self.num_relays % self.group_size != 0:
             raise ValueError("num_relays must be divisible by group_size")
         if self.nc_design == Scheme.MMSE_DESIGN and self.group_size > 3:
-            # select_G_mmse scores every invertible binary encoder over all
-            # 2^(m^2) detection-flip patterns at once: about 7e14 bytes at m=4
+            # select_G_mmse gathers a reception's slicer errors of every
+            # invertible binary encoder over all 2^(m^2) detection-flip and
+            # 2^m data patterns: 17 MB at m=3, about 7e11 bytes at m=4
             raise ValueError("the mmse design supports group size m <= 3, "
                              f"got m={self.group_size}")
 

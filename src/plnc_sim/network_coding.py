@@ -86,12 +86,33 @@ def enumerate_invertible_binary(m):
     return out
 
 
-def design_G_random(m, rng):
-    """Uniform draw over the invertible binary matrices by rejection."""
-    while True:
-        cand = rng.integers(0, 2, size=(m, m)).astype(np.float64)
-        if abs(np.linalg.det(cand)) > 1e-9:
-            return cand
+def _invertible(draws):
+    return np.abs(np.linalg.det(draws)) > 1e-9
+
+
+def design_G_random(m, rng, count):
+    """count uniform draws over the invertible binary matrices, (count,
+    m, m), each by rejection: (m, m) binary draws until one is
+    invertible.
+
+    The draws run as blocks, then the stream is rewound and redrawn for
+    exactly the draws that count sequential rejection loops consume, so
+    it ends where they would leave it: Generator.integers(0, 2) takes
+    one 32-bit word per entry whatever the size of the call.
+    """
+    start = rng.bit_generator.state
+    rate = len(enumerate_invertible_binary(m)) / 2 ** (m * m)
+    blocks, accepted = [], 0
+    while accepted < count:
+        block = rng.integers(0, 2, size=(int((count - accepted) / rate) + 4, m, m))
+        blocks.append(block)
+        accepted += np.count_nonzero(_invertible(block))
+    if not blocks:
+        return np.empty((0, m, m))
+    used = np.flatnonzero(_invertible(np.concatenate(blocks)))[count - 1] + 1
+    rng.bit_generator.state = start
+    draws = rng.integers(0, 2, size=(used, m, m)).astype(np.float64)
+    return draws[_invertible(draws)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +233,25 @@ def _mmse_decoders(encoders, gains, noise_var):
     diag(1/mu) instead, and so does the whole stack if the solve still
     fails.  Returns an MmseDecoder, unstacked for one (m, m) encoder on
     (m,) streams.
+
+    R_b is a positive semidefinite matrix plus diag(noise_var), so its
+    condition number is below tr(R_b) / min_j noise_var_j; the condition
+    number is computed only where that bound exceeds 1e10, two orders
+    below the threshold, which the SVD's rounding (relative error about
+    eps times the condition number) cannot bridge.
     """
     g = np.asarray(encoders, dtype=np.float64)
     mu = np.asarray(gains)
+    nvar = np.asarray(noise_var)
     eye = np.eye(g.shape[-1])
     C = np.swapaxes(g, -1, -2) @ g
     P_ab = C * mu.conj()[..., None, :]
-    R_b = ((mu[..., :, None] * mu.conj()[..., None, :]) * C
-           + np.asarray(noise_var)[..., None, :] * eye)
-    fallback = np.linalg.cond(R_b) > 1e12
+    R_b = (mu[..., :, None] * mu.conj()[..., None, :]) * C + nvar[..., None, :] * eye
+    least = np.min(nvar, axis=-1)
+    bounded = (least > 0) & (np.trace(R_b.real, axis1=-2, axis2=-1) <= 1e10 * least)
+    fallback = np.zeros(bounded.shape, dtype=bool)
+    if not np.all(bounded):
+        fallback[~bounded] = np.linalg.cond(R_b[~bounded]) > 1e12
     if np.any(fallback):        # swap singular members out of the batched solve
         R_b = np.where(fallback[..., None, None], eye, R_b)
     try:
@@ -264,6 +295,36 @@ def _data_patterns(m):
     return np.array(list(product((-1.0, 1.0), repeat=m))).T
 
 
+@lru_cache(maxsize=32)
+def _distinct_ncs(m, encoders):
+    """The NCS of each encoder under the flip patterns that can change
+    it, for the first half of the data patterns.
+
+    encoders holds the bytes of an (E, m, m) float64 stack.  A flip on a
+    zero entry of G changes no NCS, so mask n acts as n & support, where
+    support has bit j set when flattened entry j (weight 2^(m*m-1-j), as
+    in _flip_masks) is nonzero.  Returns (ncs (E, M, m, n_pat / 2), rows
+    (E * n_masks,)) read-only: encoder e keeps its masks n & support in
+    ascending order, the last repeated up to the largest count M, and
+    rows[e * n_masks + n] = e * M + the position of n & support.
+    """
+    g = np.frombuffer(encoders).reshape(-1, m, m)
+    masks = np.arange(2 ** (m * m))
+    supports = (g != 0).reshape(len(g), -1) @ (1 << np.arange(m * m)[::-1])
+    kept = [np.flatnonzero((masks & ~support) == 0) for support in supports]
+    width = max(len(k) for k in kept)
+    rows = np.concatenate([e * width + np.searchsorted(k, masks & support)
+                           for e, (k, support) in enumerate(zip(kept, supports))])
+    kept = np.array([np.pad(k, (0, width - len(k)), mode="edge") for k in kept])
+    B = _data_patterns(m)
+    signs = 1.0 - 2.0 * _flip_masks(m)[kept]                # (E, M, m_u, m_r)
+    detected = B[:, None, :B.shape[1] // 2] * signs[..., None]
+    ncs = np.einsum("ekl,enklp->enlp", g, detected)
+    ncs.setflags(write=False)
+    rows.setflags(write=False)
+    return ncs, rows
+
+
 def predicted_chain_error(encoders, gains, noise_var, flip_probs):
     """Closed-form error probability of the full decode chain for each
     encoder of a stack (E..., m, m).
@@ -276,6 +337,12 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs):
     pilot-calibrated search cannot see.  gains and noise_var (R..., m)
     and flip_probs (R..., m, m) may carry leading reception axes;
     returns (R..., E...).
+
+    The slicer arguments repeat bit for bit: a flip on a zero entry of
+    G changes no NCS, and data pattern -b gives the argument of b.  So
+    Q is evaluated on each encoder's distinct flips (_distinct_ncs)
+    and the first half of the data patterns only, then gathered back,
+    contiguous, for the weighted sum over every pattern.
     """
     g = np.asarray(encoders, dtype=np.float64)
     m = g.shape[-1]
@@ -294,15 +361,24 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs):
     weights = np.prod(np.where(masks > 0, p[..., None, :, :],
                                1.0 - p[..., None, :, :]), axis=(-2, -1))
     weights = weights.reshape(per_encoder + masks.shape[:1])
-    B = _data_patterns(m)                       # (m, n_pat)
-    signs = 1.0 - 2.0 * masks                   # detection flip multipliers
-    detected = B[None, :, None, :] * signs[:, :, :, None]   # (n_masks, m_u, m_r, n_pat)
-    ncs = np.einsum("...kl,nklp->...nlp", g, detected)       # (E..., n_masks, m, n_pat)
-    # the (..., n_masks, m, n_pat) slicer arguments, computed in place
-    arg = np.einsum("...ul,...nlp->...nup", (A * mu[..., None, :]).real, ncs)
-    arg *= B
+    B = _data_patterns(m)                       # (m, n_pat), B[:, ::-1] = -B
+    half = B.shape[1] // 2
+    ncs, rows = _distinct_ncs(m, g.tobytes())
+    ncs = ncs.reshape(g.shape[:-2] + ncs.shape[1:])          # (E..., M, m, half)
+    # the (..., M, m, half) distinct slicer arguments, computed in place;
+    # summed in relay order, as the exhaustive form's einsum sums, so the
+    # scores equal it bit for bit
+    coef = (A * mu[..., None, :]).real[..., None, :, :, None]     # [..., user, relay]
+    arg = coef[..., 0, :] * ncs[..., None, 0, :]
+    for l in range(1, m):
+        arg += coef[..., l, :] * ncs[..., None, l, :]
+    arg *= B[:, :half]
     arg /= sigma_real[..., None, :, None]
-    return np.einsum("...n,...nup->...", weights, _qfunc(arg)) / (m * B.shape[1])
+    pattern = np.arange(B.shape[1])
+    q = _qfunc(arg)[..., np.minimum(pattern, pattern[::-1])]     # every data pattern
+    q = np.take(q.reshape(lead + (-1, m, B.shape[1])), rows, axis=len(lead))
+    q = q.reshape(lead + g.shape[:-2] + masks.shape[:1] + q.shape[-2:])
+    return np.einsum("...n,...nup->...", weights, q) / (m * B.shape[1])
 
 
 def select_G_mmse(gains, noise_var, flip_probs):

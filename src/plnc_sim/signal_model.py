@@ -192,9 +192,17 @@ def sample_filter_outputs(maps, symbols, sigma2, rng, call_axes=0):
     """
     gains, colour = maps
     signal = gains @ symbols
-    shape = signal.shape[call_axes:-2] + (colour.shape[-1], signal.shape[-1])
-    white = complex_gaussian(rng, shape, sigma2, calls=signal.shape[:call_axes])
-    return signal + colour @ white
+    return signal + filter_noise(colour, signal.shape, sigma2, rng, call_axes)
+
+
+def filter_noise(colour, shape, sigma2, rng, call_axes=0):
+    """The noise part of sample_filter_outputs: colour @ CN(0, sigma2 I)
+    for filter outputs of shape (..., M, P), colour being the maps'
+    (..., M, min(N, M)) colouring; the first call_axes axes of shape
+    draw as separate calls."""
+    white = complex_gaussian(rng, shape[call_axes:-2] + (colour.shape[-1], shape[-1]),
+                             sigma2, calls=shape[:call_axes])
+    return colour @ white
 
 
 def first_phase_maps(state: ChannelState, users, relays, filters_sd,

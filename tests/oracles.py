@@ -1,0 +1,71 @@
+"""Reference implementations the fast paths of plnc_sim are tested
+against: the direct form of each computation, kept out of the package.
+
+- random_designs_sequential: design_G_random's rejection loop, one
+  reception at a time.
+- mmse_fallback_flags: the MMSE refinement's fallback flags from the
+  condition number of every member.
+- chain_error_exhaustive: predicted_chain_error's slicer errors over all
+  2^(m*m) relay-detection flip patterns and all 2^m data patterns.
+"""
+
+from itertools import product
+
+import numpy as np
+
+from plnc_sim.network_coding import _mmse_decoders, _qfunc
+
+
+def random_designs_sequential(m, rng, count):
+    """count rejection loops: (m, m) binary draws until one is
+    invertible, (count, m, m)."""
+    out = []
+    for _ in range(count):
+        while True:
+            cand = rng.integers(0, 2, size=(m, m)).astype(np.float64)
+            if abs(np.linalg.det(cand)) > 1e-9:
+                out.append(cand)
+                break
+    return np.array(out).reshape(count, m, m)
+
+
+def mmse_fallback_flags(encoders, gains, noise_var):
+    """cond(R_b) > 1e12 for every member of a stack, R_b being the
+    refinement's output covariance (network_coding._mmse_decoders)."""
+    g = np.asarray(encoders, dtype=np.float64)
+    mu = np.asarray(gains)
+    C = np.swapaxes(g, -1, -2) @ g
+    R_b = ((mu[..., :, None] * mu.conj()[..., None, :]) * C
+           + np.asarray(noise_var)[..., None, :] * np.eye(g.shape[-1]))
+    return np.linalg.cond(R_b) > 1e12
+
+
+def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
+    """predicted_chain_error evaluated on every flip and data pattern:
+    (R..., E...) for encoders (E..., m, m), statistics (R..., m) and
+    flip probabilities (R..., m, m)."""
+    g = np.asarray(encoders, dtype=np.float64)
+    m = g.shape[-1]
+    gains = np.asarray(gains)
+    lead = gains.shape[:-1]
+    per_encoder = lead + (1,) * (g.ndim - 2)
+    mu = gains.reshape(per_encoder + (m,))
+    nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
+    p = np.asarray(flip_probs, dtype=np.float64)
+    decoders = _mmse_decoders(g, mu, nvar).entries
+    A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
+    per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]
+    sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
+
+    masks = np.array(list(product((0, 1), repeat=m * m)),
+                     dtype=np.float64).reshape(-1, m, m)      # [pattern, user, relay]
+    weights = np.prod(np.where(masks > 0, p[..., None, :, :],
+                               1.0 - p[..., None, :, :]), axis=(-2, -1))
+    weights = weights.reshape(per_encoder + masks.shape[:1])
+    B = np.array(list(product((-1.0, 1.0), repeat=m))).T      # (m, n_pat)
+    detected = B[None, :, None, :] * (1.0 - 2.0 * masks)[:, :, :, None]
+    ncs = np.einsum("...kl,nklp->...nlp", g, detected)
+    arg = np.einsum("...ul,...nlp->...nup", (A * mu[..., None, :]).real, ncs)
+    arg *= B
+    arg /= sigma_real[..., None, :, None]
+    return np.einsum("...n,...nup->...", weights, _qfunc(arg)) / (m * B.shape[1])

@@ -130,7 +130,7 @@ class TestCriterion4MmseDesignOracle:
         for _ in range(20):
             h = complex_gaussian(rng, (2, 16))
             w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
-            G = design_G_random(2, rng)
+            G = design_G_random(2, rng, 1)[0]
             gains = np.sum(w.conj() * h, axis=1)
             nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
             T = 100_000

@@ -149,8 +149,10 @@ PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
 @pytest.mark.parametrize("buffered", [True, False])
 def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     # the banks and the table run once per block of slots drawn ahead, the
-    # ranking walk once per buffered slot, the ml design once per settle;
-    # every traced name the machine uses is reached through its module
+    # ranking walk once per buffered slot, the random and ml designs once
+    # per settle; unbuffered, no decision reads the source-relay bank, so
+    # it runs once per settle, for the receptions; every traced name the
+    # machine uses is reached through its module
     K, L, N = SMALL.num_users, SMALL.num_relays, SMALL.spreading_gain
     monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * 2 * K * L * N)  # 3 slots
     full = tracer.Tracer(str(tmp_path))
@@ -165,12 +167,14 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     calls = Counter({name: entry[0] for name, entry in stats.items()})
     blocks = -(-machine.slot // 3)
     assert counts["slots"] == machine.slot > 3
-    assert calls["receivers.source_relay_filter_bank"] == blocks
+    assert calls["receivers.source_relay_filter_bank"] \
+        == (blocks if buffered else 1)
     assert calls["receivers.relay_dest_filter_bank"] == blocks * buffered
     assert calls["relay_selection.build_sinr_table"] == blocks * buffered
     assert calls["relay_selection.select_best"] == machine.slot * buffered
     assert calls["buffer_protocol.decide_action"] == machine.slot * buffered
     assert calls["network_coding.design_G_ml_for_channel"] == 1
+    assert calls["network_coding.design_G_random"] == 1
     unused = NOT_IN_A_JOINT_MACHINE | (set() if buffered else PASS_ONE)
     for module, attr in set(tracer.FULL) - set(tracer.LIGHT):
         if attr in unused:

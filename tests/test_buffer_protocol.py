@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from plnc_sim import (BufferBank, DecoderKind, Hop, PairMode, Scheme,
                       SlotMachine, SystemConfig, decide_action)
+from plnc_sim import buffer_protocol as bp
+from plnc_sim import signal_model as sm
 from plnc_sim.buffer_protocol import TRACE_FIELDS, trace_row
 from plnc_sim.harness import BerPoint
 
@@ -329,16 +331,24 @@ class TestSlotMachine:
     def test_lanes_need_their_own_streams(self):
         # one Generator is spawned into the five streams, so the lanes of
         # a Generator-built machine still draw apart: each lane counts as
-        # a one-lane machine of its scheme from the same Generator seed
-        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
-                           packet_length=20, ml_training_len=8)
-        every = SlotMachine(cfg, np.random.default_rng(0),
-                            schemes=list(Scheme)).run_until(4)
-        for lane, scheme in enumerate(Scheme):
-            alone = SlotMachine(cfg, np.random.default_rng(0),
-                                schemes=[scheme]).run_until(4)
-            assert [o.bit_errors[lane] for o in every.log] \
-                == [o.bit_errors[0] for o in alone.log]
+        # a one-lane machine of its scheme from the same Generator seed,
+        # in both buffer modes, with both decoders and in any lane order
+        for decoder in DecoderKind:
+            for buffered in (True, False):
+                cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                                   packet_length=20, ml_training_len=8,
+                                   decoder=decoder, buffers_enabled=buffered)
+                every = SlotMachine(cfg, np.random.default_rng(0),
+                                    schemes=list(Scheme)).run_until(6)
+                for lane, scheme in enumerate(Scheme):
+                    alone = SlotMachine(cfg, np.random.default_rng(0),
+                                        schemes=[scheme]).run_until(6)
+                    assert [o.bit_errors[lane] for o in every.log] \
+                        == [o.bit_errors[0] for o in alone.log]
+                backwards = SlotMachine(cfg, np.random.default_rng(0),
+                                        schemes=list(Scheme)[::-1]).run_until(6)
+                assert [o.bit_errors[::-1] for o in backwards.log] \
+                    == [o.bit_errors for o in every.log]
         with pytest.raises(ValueError, match="at least one scheme"):
             SlotMachine(cfg, 0, schemes=[])
         with pytest.raises(ValueError, match="m <= 3"):
@@ -360,6 +370,66 @@ class TestSlotMachine:
             assert [g.bit_generator.state for g in mach.rng] == expected
         logs = [repr(mach.run_until(4).log) for mach in machines]
         assert logs[0] == logs[1] == logs[2]
+
+    def test_one_seed_sequence_repeats_its_run(self):
+        # spawning advances a SeedSequence, so the machine spawns from a
+        # copy: reusing the object repeats the run, whose first use equals
+        # today's streams; a Generator seed is consumed
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           packet_length=10, ml_training_len=8)
+        seq = np.random.SeedSequence(5)
+        logs = [repr(SlotMachine(cfg, seq, schemes=list(Scheme)).run_until(4).log)
+                for _ in range(2)]
+        assert seq.n_children_spawned == 0
+        assert logs[0] == logs[1] == repr(
+            SlotMachine(cfg, 5, schemes=list(Scheme)).run_until(4).log)
+        gen = np.random.default_rng(5)
+        first = SlotMachine(cfg, gen).run_until(4).log
+        assert repr(SlotMachine(cfg, gen).run_until(4).log) != repr(first)
+
+    def test_lanes_copy_only_the_streams_they_draw(self):
+        # random and ml draw designs, each from its own stream; the linear
+        # lanes share one noise stream and XOR has its own
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
+        mach = SlotMachine(cfg, 0, schemes=list(Scheme))
+        xor, rand, ml, mmse = mach.lanes
+        assert xor.design is None and mmse.design is None
+        assert rand.design is mach.rng.design and ml.design is not rand.design
+        assert rand.noise is ml.noise is mmse.noise is not xor.noise
+        assert xor.noise is mach.rng.noise              # its first user
+        for copied, source in ((ml.design, rand.design), (xor.noise, rand.noise)):
+            assert copied.bit_generator.state == source.bit_generator.state
+
+    # 7 packets: linear slices of 2 packets (10 m P elements each), XOR
+    # slices of 4 (10 P each)
+    @pytest.mark.parametrize("schemes,slices", [(list(Scheme), 4 + 2),
+                                                (list(Scheme)[1:], 4)])
+    def test_second_phase_draws_noise_once_per_slice_and_kind(
+            self, monkeypatch, schemes, slices):
+        # every linear lane adds the one noise draw of its slice
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           packet_length=10, ml_training_len=8,
+                           buffers_enabled=False)
+        m, P = cfg.group_size, cfg.packet_length
+        monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 2 * 10 * m * P)
+        draws, second_phase = [], []
+        draw, settle = sm.complex_gaussian, bp.SlotMachine._settle_transmissions
+
+        def counted(*args, **kwargs):
+            draws.extend(second_phase)
+            return draw(*args, **kwargs)
+
+        def flagged(machine):
+            second_phase.append(1)
+            try:
+                settle(machine)
+            finally:
+                second_phase.pop()
+
+        monkeypatch.setattr(sm, "complex_gaussian", counted)
+        monkeypatch.setattr(bp.SlotMachine, "_settle_transmissions", flagged)
+        SlotMachine(cfg, 1, schemes=schemes).run_until(7)
+        assert len(draws) == slices
 
     def test_unsettled_transmission_fails_loudly(self):
         # a transmit outcome's errors and notes wait for pass 2

@@ -19,6 +19,9 @@ from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      predicted_chain_error)
 from plnc_sim.signal_model import complex_gaussian
 
+from oracles import (chain_error_exhaustive, mmse_fallback_flags,
+                     random_designs_sequential)
+
 
 def all_patterns(m=2):
     return [np.array(p) for p in product((-1.0, 1.0), repeat=m)]
@@ -150,14 +153,14 @@ class TestEnumerationAndRandomDesign:
     def test_m1_is_always_one(self):
         cands = enumerate_invertible_binary(1)
         assert len(cands) == 1 and cands[0][0, 0] == 1.0
-        G = design_G_random(1, np.random.default_rng(0))
+        G = design_G_random(1, np.random.default_rng(0), 1)[0]
         assert G[0, 0] == 1.0
 
     def test_random_design_invertible_and_covers_pool(self):
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(200):
-            G = design_G_random(2, rng)
+            G = design_G_random(2, rng, 1)[0]
             assert abs(np.linalg.det(G)) >= 1.0 - 1e-9
             seen.add(tuple(G.ravel().astype(int)))
         assert len(seen) == 6   # all pool members appear
@@ -172,7 +175,7 @@ class TestEnumerationAndRandomDesign:
         pool = enumerate_invertible_binary(m)
         gains, nvar = mmse_stream_stats(rng, m, sigma2, n=8)
         flips = rng.uniform(0.0, 0.5, (m, m))
-        for G in (design_G_random(m, rng),
+        for G in (design_G_random(m, rng, 1)[0],
                   design_G_ml_for_channel(gains, nvar, 8, rng)[0],
                   select_G_mmse(gains, nvar, flip_probs=flips)[0]):
             assert G.shape == (m, m)
@@ -309,7 +312,7 @@ def oracle_chain_error(g, gains, nvar, p):
 class TestMmseDesign:
     def _scenario(self, rng, sigma2=0.1):
         gains, nvar = mmse_stream_stats(rng, 2, sigma2, n=8)
-        G = design_G_random(2, rng)
+        G = design_G_random(2, rng, 1)[0]
         return gains, nvar, G
 
     def test_normal_equations(self):
@@ -421,6 +424,71 @@ class TestMmseDesign:
         assert np.allclose(scores, [e for e, _ in oracle], rtol=1e-9, atol=1e-15)
 
 
+@st.composite
+def chain_cases(draw):
+    """Stream statistics of R receptions (R = 0: no reception axis),
+    flip probabilities and an encoder stack: the whole pool, one pool
+    row, or a (2, 2) stack of rows."""
+    m = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = draw(st.integers(0, 3 if m == 2 else 1))
+    lead = (R,) if R else ()
+    sigma2 = draw(st.floats(0.01, 1.0))
+    stats = [mmse_stream_stats(rng, m, sigma2, n=8) for _ in range(max(R, 1))]
+    gains = np.array([g for g, _ in stats]).reshape(lead + (m,))
+    nvar = np.array([v for _, v in stats]).reshape(lead + (m,))
+    flips = draw(st.sampled_from(["zero", "half", "random"]))
+    p = {"zero": np.zeros(lead + (m, m)), "half": np.full(lead + (m, m), 0.5),
+         "random": rng.uniform(0.0, 0.5, lead + (m, m))}[flips]
+    pool = enumerate_invertible_binary(m)
+    rows = rng.integers(len(pool), size=4)
+    encoders = draw(st.sampled_from([pool, pool[rows[0]],
+                                     pool[rows].reshape(2, 2, m, m)]))
+    return encoders, gains, nvar, p
+
+
+class TestDistinctWork:
+    """Each draw, score and flag computed once equals its direct form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           count=st.integers(0, 40), offset=st.integers(0, 3))
+    def test_batched_random_design_equals_sequential_loops(self, m, seed,
+                                                          count, offset):
+        # an odd offset leaves half of a 64-bit output buffered
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (batched, looped):
+            rng.integers(0, 2, size=offset)
+        got = design_G_random(m, batched, count)
+        assert got.shape == (count, m, m)
+        assert np.array_equal(got, random_designs_sequential(m, looped, count))
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_cases())
+    def test_chain_error_equals_exhaustive_oracle(self, case):
+        encoders, gains, nvar, p = case
+        got = predicted_chain_error(encoders, gains, nvar, p)
+        assert np.array_equal(got, chain_error_exhaustive(encoders, gains, nvar, p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           log_snr=st.floats(0.0, 18.0), silent=st.booleans())
+    def test_cond_screen_flags_equal_condition_number(self, m, seed, log_snr,
+                                                     silent):
+        # stream SNRs up to 1e18 and, optionally, a near-silent stream
+        # leave R_b near singular for some encoders of the pool
+        rng = np.random.default_rng(seed)
+        pool = enumerate_invertible_binary(m)
+        gains = complex_gaussian(rng, (5, m))
+        if silent:
+            gains[:, 0] *= 10.0 ** -rng.uniform(3, 9)
+        nvar = np.abs(gains) ** 2 * 10.0 ** -rng.uniform(-1.0, log_snr, (5, m))
+        got = design_G_mmse(pool, gains[:, None], nvar[:, None]).fallback
+        assert np.array_equal(got, mmse_fallback_flags(pool, gains[:, None],
+                                                       nvar[:, None]))
+
+
 class TestJointDecoding:
     def test_identity_passthrough(self):
         z = np.array([1.0, -1.0], dtype=complex)
@@ -500,7 +568,7 @@ class TestRandomizedRoundtrips:
         # unequal complex gains, both decoders recover exactly
         rng = np.random.default_rng(11)
         for _ in range(50):
-            G = design_G_random(2, rng)
+            G = design_G_random(2, rng, 1)[0]
             b = np.where(rng.standard_normal((2, 64)) >= 0, 1.0, -1.0)
             gains = (0.5 + rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
             z = gains[:, None] * (G.T @ b)
