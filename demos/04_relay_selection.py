@@ -1,8 +1,10 @@
 """Max-SINR pair selection over both hops, with re-selection.
 
 Builds the per-slot SINR table for the three fixed relay pairs and
-walks its ranking, the order in which the protocol would try the
-entries when buffers block the best ones.
+walks its ranking, the order in which the protocol tries the entries
+when buffers block the best ones.  Some entry is always feasible: the
+oldest buffered packet's pair can transmit, and an empty bank lets
+every pair receive.
 """
 import numpy as np
 
@@ -33,7 +35,6 @@ for pid, (relays, row) in enumerate(zip(cands, table)):   # pair id = index
     for hop, sinr in zip(hops, row):
         print(f"  pair {pid} relays {relays} {hop:12s} SINR {sinr:8.3f}")
 
-print("\nranked walk (as if every entry were infeasible):")
+print("\nranked walk (the slot takes the first entry its buffers allow):")
 for rank, (row, col) in enumerate(select_best(table)):
     print(f"  {rank}: pair {row} {hops[col]} ({table[row, col]:.3f})")
-print("  -> exhausted: the slot would idle")

@@ -23,8 +23,7 @@ for o in machine.log:
 
 bits = sum(o.decoded_bits for o in machine.log)
 ber = sum(o.bit_errors[0] for o in machine.log) / bits if bits else 0
-idle = sum(o.action == "idle" for o in machine.log)
-print(f"\n{machine.transmit_slots} packets decoded, running ber {ber:.4f}, "
-      f"{idle} idle slots")
+print(f"\n{machine.transmit_slots} packets decoded in {machine.slot} slots, "
+      f"running ber {ber:.4f}")
 print("note how reception slots run ahead early (buffers filling) and the")
 print("selection then alternates hops based on the per-slot SINR tables")

@@ -8,13 +8,12 @@ channel alone is computed once per block, as arrays with a leading slot
 axis: when buffered, the source-relay and relay-destination filter
 banks and the SINR table over the candidate pairs and both hops.
 advance() takes the slot's row of these and picks the best feasible
-action: the first entry of the table's ranking that the buffers allow,
-or idle when none does; the unbuffered baseline serves its groups round
-robin.  A reception pushes a lean
-packet record (uid, group, relays, created slot) onto the pair's
-buffers and a transmission pops one; the slot's SlotOutcome is logged
-at once.  No decision reads the physics of a packet, only the channel
-and the buffer occupancies, so this pass decides every slot.
+action: the first entry of the table's ranking that the buffers allow;
+the unbuffered baseline serves its groups round robin.  A reception
+pushes a lean packet record (uid, group, relays, created slot) onto the
+pair's buffers and a transmission pops one; the slot's SlotOutcome is
+logged at once.  No decision reads the physics of a packet, only the
+channel and the buffer occupancies, so this pass decides every slot.
 
 Pass 2, settle(), runs the physics of every slot advanced since the
 last settle as arrays: for the receptions, one data block, the
@@ -134,15 +133,22 @@ def decide_action(table, candidates, bank: BufferBank):
     table is the (pairs, 2) array of rs.build_sinr_table over
     candidates (relay tuples).  Returns (pair_id, relays, hop, sinr,
     n_reselections): the chosen candidate's index and the chosen entry's
-    rank; hop is None (pair_id -1, relays (), sinr nan, table.size
-    reselections) when no entry is feasible and the slot idles.
+    rank.
+
+    Some entry is always feasible while every buffered packet came from
+    a candidate: each relay queue is FIFO, so the oldest buffered packet
+    heads every queue of its pair and that pair can transmit, and an
+    empty bank lets every pair receive.  An exhausted ranking breaks
+    that invariant and raises RuntimeError.
     """
     for rank, (row, col) in enumerate(rs.select_best(table)):
         relays = candidates[row]
         feasible = bank.can_transmit if col else bank.can_receive
         if feasible(relays):
             return row, relays, _HOPS[col], float(table[row, col]), rank
-    return -1, (), None, float("nan"), table.size
+    raise RuntimeError("no candidate pair can receive or transmit at "
+                       f"occupancies {bank.occupancies()}: a buffered packet "
+                       "came from no candidate")
 
 
 class SlotOutcome(NamedTuple):
@@ -150,11 +156,11 @@ class SlotOutcome(NamedTuple):
     the machine's log of these."""
 
     slot: int
-    action: str                 # "receive" | "transmit" | "idle"
-    pair_id: int                # -1 when idle; the group id when unbuffered
+    action: str                 # "receive" | "transmit"
+    pair_id: int                # the group id when unbuffered
     relays: tuple
-    hop: str                    # Hop value, "" when idle
-    sinr: float                 # nan when idle and unbuffered
+    hop: str                    # Hop value
+    sinr: float                 # nan when unbuffered
     occupancy_before: tuple
     occupancy_after: tuple
     reselections: int
@@ -338,11 +344,9 @@ class SlotMachine:
             sinr, reselections = float("nan"), 0
 
         occ_before = self.bank.occupancies()
-        errors, notes, bits = (0,) * len(self.lanes), ("",) * len(self.lanes), 0
-        if hop is None:
-            action = "idle"
-        elif hop == Hop.SOURCE_RELAY:
+        if hop == Hop.SOURCE_RELAY:
             action = "receive"
+            errors, notes, bits = (0,) * len(self.lanes), ("",) * len(self.lanes), 0
             group_id = pair_id if self._pairs_are_groups else self._next_group()
             packet = PairPacket(uid=self.receive_slots, group_id=group_id,
                                 relays=relays, created_slot=self.slot)
@@ -367,8 +371,8 @@ class SlotMachine:
             bits = cfg.group_size * cfg.packet_length
             self.transmit_slots += 1
         outcome = SlotOutcome(slot=self.slot, action=action, pair_id=pair_id,
-                              relays=relays, hop="" if hop is None else hop.value,
-                              sinr=sinr, occupancy_before=occ_before,
+                              relays=relays, hop=hop.value, sinr=sinr,
+                              occupancy_before=occ_before,
                               occupancy_after=self.bank.occupancies(),
                               reselections=reselections, decoded_bits=bits,
                               bit_errors=errors, note=notes)
@@ -398,7 +402,7 @@ class SlotMachine:
         noise_var = sigma2 * np.sum(np.abs(filters) ** 2, axis=-1)
         return filters, rx.effective_gains(filters, rows), noise_var
 
-    def _designs(self, state, users, relays, filters_sr):
+    def _designs(self, state, users, filters_sr):
         """Every lane's encoders for the stacked receptions, (R, m, m)
         each, None for XOR.  The ml and mmse designs read the pair's
         relay-destination statistics; mmse also reads the relays'
@@ -412,7 +416,7 @@ class SlotMachine:
                 encoders.append(None)
                 continue
             if lane.scheme == Scheme.RANDOM:
-                encoders.append(nc.design_G_random(m, lane.design, len(relays)))
+                encoders.append(nc.design_G_random(m, lane.design, len(users)))
                 continue
             if gains is None:
                 _, gains, noise_var = self._stream_stats(state.h_eff_rd)
@@ -421,14 +425,14 @@ class SlotMachine:
                     gains, noise_var, cfg.ml_training_len, lane.design)[0])
                 continue
             if flips is None:
-                flips = rx.detection_error_probs(users, relays, state, filters_sr,
+                flips = rx.detection_error_probs(users, state, filters_sr,
                                                  cfg.noise_var)
             # per reception: the (candidates, 2^(m^2), m, 2^m) slicer errors
             # and the distinct ones they are gathered from, under twice that
             scores = 2 * len(nc.enumerate_invertible_binary(m)) * 2 ** (m * m + m) * m
             encoders.append(np.concatenate([
                 nc.select_G_mmse(gains[s], noise_var[s], flip_probs=flips[s])[0]
-                for s in _slices(len(relays), scores)]))
+                for s in _slices(len(users), scores)]))
         return encoders
 
     def _settle_receptions(self):
@@ -447,11 +451,9 @@ class SlotMachine:
         else:
             filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         users = self.group_users[[p.group_id for p in packets]]
-        relays = np.broadcast_to(np.arange(m), users.shape)   # the pair's, in order
-        encoders = self._designs(state, users, relays, filters_sr)
+        encoders = self._designs(state, users, filters_sr)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
-        gains, colour = sm.first_phase_maps(state, users, relays, filters_sd,
-                                            filters_sr)
+        gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
         # the data, and the normals, samples and outputs of (1 + m) m streams
         for s in _slices(len(packets), (cfg.num_users + 8 * (m + 1) * m) * P):
             symbols = rx.hard_decision(self.rng.data.standard_normal(

@@ -32,7 +32,6 @@ class BerPoint:
     bits_total: int = 0
     bit_errors: int = 0
     slots: int = 0
-    idle_slots: int = 0
     receive_slots: int = 0
     transmit_slots: int = 0
 
@@ -42,7 +41,6 @@ class BerPoint:
         self.bits_total += sum(o.decoded_bits for o in log)
         self.bit_errors += sum(o.bit_errors[lane] for o in log)
         self.slots += len(log)
-        self.idle_slots += actions["idle"]
         self.receive_slots += actions["receive"]
         self.transmit_slots += actions["transmit"]
         return self
@@ -73,7 +71,6 @@ class RunReport:
         """Slot counts per point, keyed '<label>@<snr>dB'."""
         return {f"{p.scheme_label}@{p.snr_db:g}dB": {
                     "slots": p.slots,
-                    "idle_fraction": p.idle_slots / p.slots if p.slots else 0.0,
                     "receive_slots": p.receive_slots,
                     "transmit_slots": p.transmit_slots}
                 for p in self.points}
@@ -99,27 +96,22 @@ def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
     return f"{scheme.value}-{mode}-{receiver.value}"
 
 
-def run_lanes(config: SystemConfig, seed, n_packets, schemes) -> list:
-    """Simulate slots until n_packets complete the full pipeline, with
-    one lane per scheme, counting bit errors against the stored ground
-    truth.  seed is an int or a SeedSequence; it is split into the
-    per-purpose streams.  Returns the machine's slot log."""
-    machine = SlotMachine(config, seed, schemes=schemes)
-    return machine.run_until(n_packets).log
-
-
 def run_trial(config: SystemConfig, seed, n_packets) -> BerPoint:
-    """The counts of run_lanes with the single lane config.nc_design."""
+    """Simulate slots until n_packets complete the full pipeline, with
+    the single lane config.nc_design, counting bit errors against the
+    stored ground truth.  seed is an int or a SeedSequence; it is split
+    into the per-purpose streams."""
     point = BerPoint(scheme_label(config.nc_design, config.buffers_enabled,
                                   config.receiver), config.snr_db)
-    return point.add(run_lanes(config, seed, n_packets, [config.nc_design]))
+    return point.add(SlotMachine(config, seed).run_until(n_packets).log)
 
 
 def _run_chunk(task):
-    """Worker entry point; must stay top-level so it pickles."""
+    """Worker entry point, one lane per scheme; must stay top-level so it
+    pickles.  Returns the task's key and the machine's slot log."""
     key, config, entropy, spawn_key, n_packets, schemes = task
     seed = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    return key, run_lanes(config, seed, n_packets, schemes)
+    return key, SlotMachine(config, seed, schemes=schemes).run_until(n_packets).log
 
 
 def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
@@ -218,8 +210,11 @@ def emit_report(report: RunReport, path):
                 fh.write(f"{key} = {value}\n")
             fh.write(f"wall_clock_s = {report.wall_clock_s:.3f}\n")
             for key, stats in report.slot_summary.items():
+                # every slot receives or transmits: idle_fraction reads 0
+                # and stays for the line format
+                idle = stats["slots"] - stats["receive_slots"] - stats["transmit_slots"]
                 fh.write(f"slots[{key}] = total={stats['slots']} "
-                         f"idle_fraction={stats['idle_fraction']:.4f} "
+                         f"idle_fraction={idle / max(stats['slots'], 1):.4f} "
                          f"receive={stats['receive_slots']} "
                          f"transmit={stats['transmit_slots']}\n")
     except OSError as exc:

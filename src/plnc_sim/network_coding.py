@@ -218,12 +218,14 @@ def design_G_ml_for_channel(gains, noise_var, training_len, rng):
 # closed-form MMSE design
 # ---------------------------------------------------------------------------
 
-def _mmse_decoders(encoders, gains, noise_var):
-    """Closed-form MMSE refinement P_ab R_b^-1 for a stack of encoders
-    (..., m, m) on relay streams with gains and noise_var (..., m); the
-    leading axes broadcast.
+def design_G_mmse(encoder, gains, noise_var):
+    """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
+    estimate at the destination; used in place of plain inversion.
 
-    With z_j = mu_j a_j + eta_j, a = G^T b the NCS symbols of unit-variance
+    encoder (..., m, m) may be a stack; gains and noise_var (..., m) are
+    the pair's relay-stream statistics mu_j = w_j^H h_j and
+    sigma2 ||w_j||^2, and the leading axes broadcast.  With
+    z_j = mu_j a_j + eta_j, a = G^T b the NCS symbols of unit-variance
     user symbols b, and noise eta_j ~ CN(0, noise_var_j) independent
     across the relay sub-slots:
         P_ab[k, j] = E[a_k conj(z_j)] = C[k, j] conj(mu_j)
@@ -231,8 +233,8 @@ def _mmse_decoders(encoders, gains, noise_var):
     with C = G^T G.  An encoder whose R_b is numerically singular
     (condition number above 1e12) gets plain gain normalization
     diag(1/mu) instead, and so does the whole stack if the solve still
-    fails.  Returns an MmseDecoder, unstacked for one (m, m) encoder on
-    (m,) streams.
+    fails.  Returns MmseDecoder(entries, fallback), unstacked for one
+    (m, m) encoder on (m,) streams.
 
     R_b is a positive semidefinite matrix plus diag(noise_var), so its
     condition number is below tr(R_b) / min_j noise_var_j; the condition
@@ -240,7 +242,7 @@ def _mmse_decoders(encoders, gains, noise_var):
     below the threshold, which the SVD's rounding (relative error about
     eps times the condition number) cannot bridge.
     """
-    g = np.asarray(encoders, dtype=np.float64)
+    g = np.asarray(encoder, dtype=np.float64)
     mu = np.asarray(gains)
     nvar = np.asarray(noise_var)
     eye = np.eye(g.shape[-1])
@@ -265,20 +267,6 @@ def _mmse_decoders(encoders, gains, noise_var):
         normalise = np.where(eye > 0, (1.0 / mu)[..., None, :], 0.0)
         entries = np.where(fallback[..., None, None], normalise, entries)
     return MmseDecoder(entries, fallback)
-
-
-def design_G_mmse(encoder, gains, noise_var):
-    """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
-    estimate at the destination; used in place of plain inversion.
-
-    gains and noise_var are the pair's relay-stream statistics
-    mu_j = w_j^H h_j and sigma2 ||w_j||^2; encoder (..., m, m) and the
-    statistics (..., m) may carry a leading packet axis.  Returns
-    MmseDecoder(entries, fallback); falls back to plain gain
-    normalization (diag(1/mu)) with the fallback flag set if R_b is
-    numerically singular.
-    """
-    return _mmse_decoders(encoder, gains, noise_var)
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +340,7 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs):
     mu = gains.reshape(per_encoder + (m,))
     nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
     p = np.asarray(flip_probs, dtype=np.float64)
-    decoders = _mmse_decoders(g, mu, nvar).entries
+    decoders = design_G_mmse(g, mu, nvar).entries
     A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
     per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]    # (..., m)
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))

@@ -74,18 +74,17 @@ def effective_gains(filters, h_eff):
     return np.sum(filters.conj() * h_eff, axis=-1)
 
 
-def detection_error_probs(users, relays, state, filters_sr, sigma2):
-    """Per-(user, relay) BPSK detection error probability at the relays,
-    from the post-filter SINR with residual interference treated as
-    Gaussian.  Returns an (m_users, m_relays) matrix; users and relays
-    (..., m), the state's arrays and the bank may carry leading reception
-    axes (...), which the result gains."""
-    users, relays = np.asarray(users), np.asarray(relays)
-    W = np.take_along_axis(filters_sr, users[..., :, None, None], axis=-3)
-    W = np.swapaxes(np.take_along_axis(W, relays[..., None, :, None], axis=-2),
-                    -3, -2)                                    # (relay, user, N)
-    h = np.take_along_axis(state.h_eff_sr, relays[..., None, :, None], axis=-2)
-    cross = W.conj() @ np.moveaxis(h, -3, -1)                  # (relay, user, K)
+def detection_error_probs(users, state, filters_sr, sigma2):
+    """Per-(user, relay) BPSK detection error probability at the pair's
+    relays, from the post-filter SINR with residual interference treated
+    as Gaussian.  state and filters_sr (K, relays, N) are the pair's,
+    its relays in order on the relay axis.  Returns an (m_users,
+    relays) matrix; users (..., m), the state's arrays and the bank may
+    carry leading reception axes (...), which the result gains."""
+    users = np.asarray(users)
+    W = np.swapaxes(np.take_along_axis(filters_sr, users[..., :, None, None],
+                                       axis=-3), -3, -2)      # (relay, user, N)
+    cross = W.conj() @ np.moveaxis(state.h_eff_sr, -3, -1)   # (relay, user, K)
     power = np.abs(cross) ** 2
     noise = sigma2 * np.sum(np.abs(W) ** 2, axis=-1)
     signal = np.take_along_axis(power, users[..., None, :, None], axis=-1)[..., 0]

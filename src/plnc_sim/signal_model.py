@@ -205,26 +205,24 @@ def filter_noise(colour, shape, sigma2, rng, call_axes=0):
     return colour @ white
 
 
-def first_phase_maps(state: ChannelState, users, relays, filters_sd,
-                     filters_sr):
+def first_phase_maps(state: ChannelState, users, filters_sd, filters_sr):
     """filter_output_maps of the first phase for the group users: the
     destination's direct filters, then each relay's, on the observations
     of all K users.
 
-    filters_sd (K, N) and filters_sr (K, L, N) are the destination's and
-    the relays' banks.  Every argument may carry leading reception axes
-    (users and relays (..., m), the state's arrays and the banks), which
-    the maps gain.
+    state is the pair's: its relay axis holds the pair's relays in
+    order.  filters_sd (K, N) and filters_sr (K, relays, N) are the
+    destination's and the pair's relay banks.  Every argument may carry
+    leading reception axes (users (..., m), the state's arrays and the
+    banks), which the maps gain.
     """
-    users, relays = np.asarray(users), np.asarray(relays)
+    users = np.asarray(users)
     sd = np.take_along_axis(filters_sd, users[..., :, None], axis=-2)
     sr = np.take_along_axis(filters_sr, users[..., :, None, None], axis=-3)
-    sr = np.take_along_axis(sr, relays[..., None, :, None], axis=-2)
     filters = np.concatenate([sd[..., None, :, :], np.swapaxes(sr, -3, -2)],
                              axis=-3)
-    h_sr = np.take_along_axis(state.h_eff_sr, relays[..., None, :, None], axis=-2)
     h_eff = np.concatenate([state.h_eff_sd[..., None, :, :],
-                            np.swapaxes(h_sr, -3, -2)], axis=-3)
+                            np.swapaxes(state.h_eff_sr, -3, -2)], axis=-3)
     return filter_output_maps(filters, h_eff)
 
 

@@ -7,13 +7,16 @@ against: the direct form of each computation, kept out of the package.
   condition number of every member.
 - chain_error_exhaustive: predicted_chain_error's slicer errors over all
   2^(m*m) relay-detection flip patterns and all 2^m data patterns.
+- pair_state: a slot's channel as pass 2 reads it, the pair's relays in
+  order on the relay axis.
 """
 
 from itertools import product
 
 import numpy as np
 
-from plnc_sim.network_coding import _mmse_decoders, _qfunc
+from plnc_sim.network_coding import _qfunc, design_G_mmse
+from plnc_sim.signal_model import ChannelState
 
 
 def random_designs_sequential(m, rng, count):
@@ -31,7 +34,7 @@ def random_designs_sequential(m, rng, count):
 
 def mmse_fallback_flags(encoders, gains, noise_var):
     """cond(R_b) > 1e12 for every member of a stack, R_b being the
-    refinement's output covariance (network_coding._mmse_decoders)."""
+    refinement's output covariance (network_coding.design_G_mmse)."""
     g = np.asarray(encoders, dtype=np.float64)
     mu = np.asarray(gains)
     C = np.swapaxes(g, -1, -2) @ g
@@ -52,7 +55,7 @@ def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
     mu = gains.reshape(per_encoder + (m,))
     nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
     p = np.asarray(flip_probs, dtype=np.float64)
-    decoders = _mmse_decoders(g, mu, nvar).entries
+    decoders = design_G_mmse(g, mu, nvar).entries
     A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
     per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
@@ -69,3 +72,10 @@ def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
     arg *= B
     arg /= sigma_real[..., None, :, None]
     return np.einsum("...n,...nup->...", weights, _qfunc(arg)) / (m * B.shape[1])
+
+
+def pair_state(state, relays):
+    """state with only the given relays, in that order, on its relay axis."""
+    r = list(relays)
+    return ChannelState(state.h_sd, state.h_sr[:, r], state.h_rd[r], state.h_eff_sd,
+                        state.h_eff_sr[:, r], state.h_eff_rd[r])

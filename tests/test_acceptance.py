@@ -305,9 +305,6 @@ class TestCriterion9BufferFuzz:
             pair_id, relays, hop, _, _ = decide_action(table, list(pairs.values()),
                                                        bank)
             before = bank.occupancies()
-            if hop is None:
-                violations.append((slot, "idle with symmetric pairs"))
-                continue
             if hop == Hop.SOURCE_RELAY:
                 bank.push_pair(relays, serial)
                 pushed[pair_id].append(serial)

@@ -111,16 +111,13 @@ class TestDecideAction:
         assert hop == Hop.RELAY_DEST and pair_id == 1 and sinr == 0.5
         assert reselections == 2
 
-    def test_exhaustion_idles(self):
-        # relay 1 holds a packet of pair (0, 1) and is full: pair (1, 2)
-        # can neither receive nor transmit
+    def test_exhaustion_raises(self):
+        # relay 1 holds a packet of pair (0, 1), no candidate, and is full:
+        # pair (1, 2) can neither receive nor transmit
         bank = BufferBank(3, capacity=1)
         push(bank, (0, 1), "a")
-        decision = decide_action(np.array([[3.0, 1.0]]), [(1, 2)], bank)
-        pair_id, relays, hop, sinr, reselections = decision
-        assert hop is None and pair_id == -1 and relays == ()
-        assert np.isnan(sinr)
-        assert reselections == 2
+        with pytest.raises(RuntimeError, match="no candidate pair can"):
+            decide_action(np.array([[3.0, 1.0]]), [(1, 2)], bank)
 
     def test_alternation_under_j1(self):
         # scripted SINR sequence always prefers reception; J = 1 forces
@@ -140,7 +137,8 @@ class TestDecideAction:
 
 def reference_decision(table, candidates, bank):
     """Brute force: order every entry by (-SINR, pair, hop) and take the
-    first one whose buffers allow it, feasibility read off the buffers."""
+    first one whose buffers allow it, feasibility read off the buffers;
+    (None, entries) when none does."""
     def feasible(relays, col):
         buffers = [bank.buffers[r] for r in relays]
         if col == SR:
@@ -186,28 +184,23 @@ class TestSelectionProperty:
     def test_decide_action_matches_brute_force(self, case):
         table, candidates, bank = case
         before = bank.occupancies()
-        pair_id, relays, hop, sinr, reselections = decide_action(table, candidates,
-                                                                 bank)
-        expected = reference_decision(table, candidates, bank)
-        if expected[0] is None:
-            assert (pair_id, relays, hop) == (-1, (), None) and np.isnan(sinr)
-            assert reselections == expected[1]
-        else:
-            assert (pair_id, relays, hop, sinr, reselections) == expected
+        # every buffered packet came from a candidate, so some entry is
+        # feasible
+        assert decide_action(table, candidates, bank) \
+            == reference_decision(table, candidates, bank)
         assert bank.occupancies() == before       # deciding changes nothing
 
-    def test_all_infeasible_table_idles(self):
-        # overlapping pairs at J = 1: (0, 1) holds a packet, (1, 2) and
-        # (0, 2) can neither receive nor transmit
+    def test_all_infeasible_table_raises(self):
+        # overlapping pairs at J = 1: (0, 1), no candidate, holds a packet,
+        # so (1, 2) and (0, 2) can neither receive nor transmit
         bank = BufferBank(3, capacity=1)
         bank.push_pair((0, 1), object())
         candidates = [(0, 2), (1, 2)]
         table = np.ones((2, 2))
         assert reference_decision(table, candidates, bank) == (None, 4)
-        pair_id, relays, hop, sinr, reselections = decide_action(table, candidates,
-                                                                 bank)
-        assert (pair_id, relays, hop, reselections) == (-1, (), None, 4)
-        assert np.isnan(sinr)
+        with pytest.raises(RuntimeError, match="no candidate pair can"):
+            decide_action(table, candidates, bank)
+        assert bank.occupancies() == (1, 1, 0)
 
 
 class TestStateMachineFuzz:
@@ -225,10 +218,6 @@ class TestStateMachineFuzz:
             pair_id, relays, hop, _, _ = decide_action(rng.random((2, 2)),
                                                        list(pairs.values()), bank)
             occ_before = bank.occupancies()
-            if hop is None:
-                # per-pair blocking is impossible here: empty implies
-                # receivable and full implies transmittable
-                raise AssertionError("idle cannot occur with uniform pairs")
             if hop == Hop.SOURCE_RELAY:
                 bank.push_pair(relays, serial)
                 pushed[pair_id].append(serial)
@@ -266,8 +255,7 @@ class TestSlotMachine:
         m = machine().run_until(n_packets=20)
         assert m.transmit_slots == 20
         assert m.transmit_slots <= m.receive_slots
-        idle = sum(o.action == "idle" for o in m.log)
-        assert m.receive_slots + m.transmit_slots + idle == m.slot
+        assert m.receive_slots + m.transmit_slots == m.slot
         assert len(m.log) == m.slot
 
     def test_unbuffered_alternation(self):
@@ -300,7 +288,7 @@ class TestSlotMachine:
     def test_all_pairs_mode_runs(self):
         m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15)
         assert m.transmit_slots == 15
-        pair_ids = {o.pair_id for o in m.log if o.action != "idle"}
+        pair_ids = {o.pair_id for o in m.log}
         assert len(pair_ids) > 2   # selection ranges over the C(4,2) pairs
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -480,17 +468,22 @@ class TestSlotMachine:
 
 @st.composite
 def machine_cases(draw):
-    """A small SlotMachine over every mode and scheme, and a slot count."""
+    """A small SlotMachine over every mode and scheme, K and L drawn
+    apart (K > L only where free-form pairs serve the groups, buffered
+    all-pairs), and a slot count."""
     m = draw(st.sampled_from([1, 2]))
     num_relays = m * draw(st.integers(1, 6 // m))
-    cfg = SystemConfig(num_users=num_relays, num_relays=num_relays,
+    buffered = draw(st.booleans())
+    pair_mode = draw(st.sampled_from(list(PairMode)))
+    most_users = 6 if buffered and pair_mode == PairMode.ALL_PAIRS else num_relays
+    cfg = SystemConfig(num_users=m * draw(st.integers(1, most_users // m)),
+                       num_relays=num_relays,
                        spreading_gain=8, buffer_size=draw(st.integers(1, 3)),
                        group_size=m, packet_length=draw(st.integers(1, 4)),
                        snr_db=draw(st.sampled_from([0.0, 10.0])),
                        nc_design=draw(st.sampled_from(list(Scheme))),
                        decoder=draw(st.sampled_from(list(DecoderKind))),
-                       buffers_enabled=draw(st.booleans()),
-                       pair_mode=draw(st.sampled_from(list(PairMode))),
+                       buffers_enabled=buffered, pair_mode=pair_mode,
                        ml_training_len=8, rng_seed=draw(st.integers(0, 99)))
     return cfg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40))
 
@@ -517,10 +510,11 @@ class TestSlotMachineProperty:
         for _ in range(n_slots):
             outcome = mach.advance()
             assert all(0 <= o <= cfg.buffer_size for o in outcome.occupancy_after)
-            # no slot idles: the oldest buffered packet heads every queue of
-            # its relay set (each queue is FIFO), so that pair can transmit,
-            # and an empty bank lets every pair receive
-            assert outcome.action != "idle"
+            # advance() raises rather than idle: the oldest buffered packet
+            # heads every queue of its relay set (each queue is FIFO), so
+            # that pair can transmit, and an empty bank lets every pair
+            # receive
+            assert outcome.action in ("receive", "transmit")
             if outcome.action == "transmit":
                 assert outcome.relays == popped[-1].relays
                 assert outcome.decoded_bits == cfg.group_size * cfg.packet_length

@@ -1,10 +1,12 @@
 """Trial running, sweep aggregation, CSV report and the CLI."""
 
 import hashlib
+import os
 import subprocess
 import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,6 @@ from plnc_sim import buffer_protocol
 from plnc_sim.buffer_protocol import TRACE_FIELDS
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
-from plnc_sim.harness import BerPoint
 
 
 def tiny_config(**kw):
@@ -311,25 +312,24 @@ class TestCountsReduceTheLog:
         for p in report.points:
             mine = rows[(p.scheme_label, p.snr_db)]
             actions = Counter(row[col["action"]] for row in mine)
-            assert (p.slots, p.idle_slots, p.receive_slots, p.transmit_slots) \
-                == (len(mine), actions["idle"], actions["receive"],
-                    actions["transmit"])
+            assert (p.slots, p.receive_slots, p.transmit_slots) \
+                == (len(mine), actions["receive"], actions["transmit"])
+            assert p.slots == p.receive_slots + p.transmit_slots
             assert p.bits_total == sum(row[col["decoded_bits"]] for row in mine)
             assert p.bit_errors == sum(row[col["bit_errors"]] for row in mine)
 
-    def test_idle_slots_counted_apart(self, monkeypatch):
-        # no run idles (the oldest buffered packet heads every relay of its
-        # pair), so every entry is made infeasible to log idle slots
+    def test_infeasible_slot_raises(self, monkeypatch):
+        # no run finds every entry infeasible (the oldest buffered packet
+        # heads every relay of its pair); forced, the slot fails loudly
+        # instead of logging an idle slot
         mach = SlotMachine(tiny_config(), 1,
                            schemes=[Scheme.XOR, Scheme.RANDOM]).run_until(3)
+        before = (len(mach.log), mach.slot, mach.bank.occupancies())
         monkeypatch.setattr(mach.bank, "can_receive", lambda relays: False)
         monkeypatch.setattr(mach.bank, "can_transmit", lambda relays: False)
-        assert [mach.advance().action for _ in range(2)] == ["idle"] * 2
-        point = BerPoint("random-buffered-mmse", 10.0).add(mach.log, lane=1)
-        assert (point.slots, point.idle_slots) == (len(mach.log), 2)
-        assert (point.receive_slots, point.transmit_slots) \
-            == (mach.receive_slots, mach.transmit_slots)
-        assert point.bit_errors == sum(o.bit_errors[1] for o in mach.log)
+        with pytest.raises(RuntimeError, match="no candidate pair can"):
+            mach.advance()
+        assert (len(mach.log), mach.slot, mach.bank.occupancies()) == before
 
 
 # (bits, errors, slots, idle slots) per variant of a fixed-seed sweep,
@@ -733,11 +733,15 @@ class TestCli:
         assert code == 2
 
     def test_console_script_installed(self, tmp_path):
+        # the package's src directory is on the path, as in a checkout
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "cli.csv"
         cmd = [sys.executable, "-m", "plnc_sim.cli", "sweep", "--snr", "10",
                "--bits", "200", "--schemes", "random", "--buffers-only",
                "--seed", "2", "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 

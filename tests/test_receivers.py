@@ -13,6 +13,8 @@ from plnc_sim.receivers import (_mmse_bank, detection_error_probs,
                                 effective_gains, rank_one_filters)
 from plnc_sim.signal_model import complex_gaussian
 
+from oracles import pair_state
+
 
 def rake(h):
     """RAKE filter of one stream: the rank-one bank's RAKE row."""
@@ -238,6 +240,7 @@ class TestDetectionErrorProbs:
         W = source_relay_filter_bank(state, cfg.noise_var, kind)
         users = [int(u) for u in rng.permutation(cfg.num_users)[:m]]
         relays = [int(r) for r in rng.permutation(cfg.num_relays)[:m]]
-        got = detection_error_probs(users, relays, state, W, cfg.noise_var)
+        got = detection_error_probs(users, pair_state(state, relays), W[:, relays],
+                                    cfg.noise_var)
         assert np.array_equal(got, oracle_detection_error_probs(
             users, relays, state, W, cfg.noise_var))

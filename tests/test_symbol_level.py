@@ -20,6 +20,8 @@ from plnc_sim.signal_model import (CodeBook, draw_channel, filter_output_maps,
                                    synthesize_first_phase,
                                    synthesize_second_phase)
 
+from oracles import pair_state
+
 T = 20_000          # noise realizations per case
 SIGMAS = 5.0        # tolerance in standard errors of the difference
 NOISELESS = 1e-30
@@ -63,7 +65,8 @@ def first_phase_pair(state, kind, sigma2, symbols, seed, noise_var=None):
     noise_var = sigma2 if noise_var is None else noise_var
     f_sd = source_dest_filter_bank(state, sigma2, kind)
     f_sr = source_relay_filter_bank(state, sigma2, kind)
-    maps = first_phase_maps(state, USERS, RELAYS, f_sd, f_sr)
+    maps = first_phase_maps(pair_state(state, RELAYS), USERS, f_sd,
+                            f_sr[:, list(RELAYS)])
     soft_sd, soft_sr = sample_first_phase(symbols, maps, noise_var,
                                           np.random.default_rng(seed))
     y_sd, y_sr = synthesize_first_phase(symbols, state, noise_var,
