@@ -20,7 +20,9 @@ print(f"codebook: {book.codes.shape[0]} user codes + "
 
 rng = np.random.default_rng(2)
 state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2], rng)
-print(f"fading draw: |h_sd| = {np.abs(state.h_sd).round(2)}")
+# unit-norm codes: an effective vector's norm is its link gain's modulus
+print(f"fading draw: |h_sd| = "
+      f"{np.linalg.norm(state.h_eff_sd, axis=-1).round(2)}")
 
 # one packet of BPSK symbols for everyone
 P = 2000
@@ -32,7 +34,7 @@ print(f"first phase: destination sees {y_sd.shape}, "
 
 # received energy must match the sum of link gains (unit-norm codes)
 measured = np.mean(np.sum(np.abs(y_sd) ** 2, axis=0))
-expected = np.sum(np.abs(state.h_sd) ** 2) + cfg.spreading_gain * cfg.noise_var
+expected = np.sum(np.abs(state.h_eff_sd) ** 2) + cfg.spreading_gain * cfg.noise_var
 print(f"destination energy/symbol: measured {measured:.3f}, "
       f"budget {expected:.3f}")
 

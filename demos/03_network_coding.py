@@ -28,11 +28,11 @@ G = np.array([[1.0, 1.0], [1.0, 0.0]])
 b = np.array([1.0, -1.0])
 ncs = encode_ncs(G, np.broadcast_to(b[:, None], (2, 2, 1)))[:, 0]  # both relays detect b
 print(f"user symbols {b}, matrix columns give [{ncs[0]:+.0f}, {ncs[1]:+.0f}]")
-z = (G.T @ b).astype(complex)
-print(f"joint solve recovers {decode_joint(G, z, np.ones(2))}")
+z = (G.T @ b[:, None]).astype(complex)      # the decoders take (m, P) columns
+print(f"joint solve recovers {decode_joint(G, z, np.ones(2))[:, 0]}")
 est = detect_ncs(G, z, np.ones(2))
 print(f"direct-aided (each user cancels the others' direct estimates) recovers "
-      f"{decode_with_direct(G, est, b)}")
+      f"{decode_with_direct(G, est, b[:, None])[:, 0]}")
 
 print("\n== the candidate pool and the three designs ==")
 pool = enumerate_invertible_binary(2)

@@ -9,11 +9,14 @@ axis: when buffered, the source-relay and relay-destination filter
 banks and the SINR table over the candidate pairs and both hops.
 advance() takes the slot's row of these and picks the best feasible
 action: the first entry of the table's ranking that the buffers allow;
-the unbuffered baseline serves its groups round robin.  A reception
-pushes a lean packet record (uid, group, relays, created slot) onto the
-pair's buffers and a transmission pops one; the slot's SlotOutcome is
+the unbuffered baseline serves its groups round robin.  A packet is its
+uid, the index of its reception: a reception pushes the uid onto the
+pair's buffers and a transmission pops it; the slot's SlotOutcome is
 logged at once.  No decision reads the physics of a packet, only the
 channel and the buffer occupancies, so this pass decides every slot.
+A reception keeps its group and the pair's slice of the slot's channel
+(and, buffered, of its source-relay bank) for pass 2, and a
+transmission the pair's relay-destination gains.
 
 Pass 2, settle(), runs the physics of every slot advanced since the
 last settle as arrays: for the receptions, one data block, the
@@ -25,6 +28,8 @@ slice for all lanes of a kind, then per lane the decode-time MMSE
 refinement, the decoders and the scoring, which fill the pending
 transmit outcomes' bit_errors and note.  Until then those
 two fields are None, so a reduction that reads them fails loudly.
+A packet's group, streams, direct-link decisions and ground truth wait
+under its uid from its reception's settle to its transmission's.
 run_until calls settle() once at the end.  Every random stream has one
 purpose and the same draw shape on every call, so one block of draws
 equals the per-slot draws bit for bit, whenever settle() runs.  The
@@ -42,7 +47,7 @@ system-wide.
 """
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,22 +74,10 @@ def _slices(n, item_elements):
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-@dataclass
-class PairPacket:
-    """One buffered transaction as the decisions see it.  The uid keys
-    the packet's encoded streams, direct-link decisions and ground truth
-    once pass 2 has run its reception."""
-
-    uid: int
-    group_id: int
-    relays: tuple
-    created_slot: int
-
-
 class BufferBank:
     """The L relay FIFO buffers of capacity J with the paired push/pop
     discipline: every relay of a pair stores and releases a packet
-    together."""
+    together.  A packet is its uid."""
 
     def __init__(self, num_relays, capacity):
         if capacity < 1:
@@ -107,20 +100,20 @@ class BufferBank:
             raise ValueError("empty relay tuple")
         queues = [self.buffers[r] for r in relays]
         # heads must be the same packet so the pair decodes jointly
-        return all(queues) and all(q[0] is queues[0][0] for q in queues)
+        return all(queues) and all(q[0] == queues[0][0] for q in queues)
 
-    def push_pair(self, relays, packet):
+    def push_pair(self, relays, uid):
         if not self.can_receive(relays):
             raise RuntimeError("pair reception with a full buffer")
         for r in relays:
-            self.buffers[r].append(packet)
+            self.buffers[r].append(uid)
 
     def pop_pair(self, relays):
         if not self.can_transmit(relays):
             raise RuntimeError("pair transmission without an aligned packet")
         for r in relays:
-            packet = self.buffers[r].popleft()
-        return packet
+            uid = self.buffers[r].popleft()
+        return uid
 
 
 _HOPS = (Hop.SOURCE_RELAY, Hop.RELAY_DEST)    # table columns
@@ -286,10 +279,11 @@ class SlotMachine:
         self.transmit_slots = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
-        self._channels = deque()     # (state, filters_sr, table) per slot ahead
-        self._receptions = []        # (packet, pair's state, pair's filters_sr)
-        self._transmissions = []     # (log index, packet, h_rd) to settle
-        self._coded = {}             # uid -> (direct, truth, ncs, encoders)
+        self._block = None       # (state, filters_sr, tables) of the slots ahead
+        self._row = 0            # the next slot's row of the block
+        self._receptions = []    # (uid, group, pair's state, pair's filters_sr)
+        self._transmissions = []  # (log index, uid, pair's h_rd) to settle
+        self._coded = {}         # uid -> (group, direct, truth, ncs, encoders)
 
     # -- pass 1: decisions, one slot at a time ----------------------------
 
@@ -301,38 +295,40 @@ class SlotMachine:
         return g
 
     def _next_channel(self):
-        """The slot's channel, source-relay filter bank and SINR table,
-        from a block of slots drawn ahead (sized by the slice budget on
-        the (K, L, N) source-relay vectors) whose banks and table are
-        computed for the whole block at once.  Unbuffered, no decision
-        reads them, so the bank and table are None and pass 2 computes
-        the bank for the receptions alone."""
-        if not self._channels:
+        """The channel block (state, filters_sr, tables) and the slot's
+        row of it.  A block of slots is drawn ahead (sized by the slice
+        budget on the (K, L, N) source-relay vectors), and its
+        source-relay bank and SINR table are computed for the whole block
+        at once.  Unbuffered, no decision reads them, so they are None
+        and pass 2 computes the bank for the receptions alone."""
+        if self._row == 0:
+            self._block = None       # freed before the next block is drawn
             cfg = self.config
             sigma2 = cfg.noise_var
             sr_elements = 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
-            n = max(1, _SLICE_ELEMENTS // sr_elements)
-            block = sm.draw_channels(cfg, self.codebook, self.relay_group_ids,
-                                     self.rng.channel, n)
-            filters_sr = tables = [None] * n
+            state = sm.draw_channels(cfg, self.codebook, self.relay_group_ids,
+                                     self.rng.channel,
+                                     max(1, _SLICE_ELEMENTS // sr_elements))
+            filters_sr = tables = None
             if cfg.buffers_enabled:
-                filters_sr = rx.source_relay_filter_bank(block, sigma2, cfg.receiver)
-                filters_rd = rx.relay_dest_filter_bank(block, sigma2, cfg.receiver)
-                tables = rs.build_sinr_table(block, filters_sr, filters_rd, sigma2,
+                filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
+                filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
+                tables = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
                                              self.candidates)
-            self._channels.extend(zip((block[i] for i in range(n)), filters_sr,
-                                      tables))
-        return self._channels.popleft()
+            self._block = (state, filters_sr, tables)
+        row = self._row
+        self._row = (row + 1) % len(self._block[0].h_rd)
+        return self._block, row
 
     def advance(self) -> SlotOutcome:
         """Pass 1 for one slot: take the channel, choose the action,
-        push or pop the packet record, and log the outcome (a transmit
+        push or pop the packet's uid, and log the outcome (a transmit
         outcome's bit_errors and note wait for settle())."""
         cfg = self.config
-        state, filters_sr, table = self._next_channel()
+        (state, filters_sr, tables), i = self._next_channel()
         if cfg.buffers_enabled:
             pair_id, relays, hop, sinr, reselections = decide_action(
-                table, self.candidates, self.bank)
+                tables[i], self.candidates, self.bank)
         else:
             # every reception slot is followed by the pair's transmission:
             # the group served last transmits while its relays hold a packet
@@ -344,29 +340,27 @@ class SlotMachine:
             sinr, reselections = float("nan"), 0
 
         occ_before = self.bank.occupancies()
+        # what pass 2 reads of the slot is the pair's slice, its relays in
+        # order on the relay axis
+        pair = list(relays)
         if hop == Hop.SOURCE_RELAY:
             action = "receive"
             errors, notes, bits = (0,) * len(self.lanes), ("",) * len(self.lanes), 0
-            group_id = pair_id if self._pairs_are_groups else self._next_group()
-            packet = PairPacket(uid=self.receive_slots, group_id=group_id,
-                                relays=relays, created_slot=self.slot)
-            self.bank.push_pair(relays, packet)
-            # what pass 2 reads of the slot: the channel and the relay bank
-            # (when buffered) as the pair sees them, its relays in order on
-            # the relay axis
-            pair = list(relays)
-            self._receptions.append((packet, sm.ChannelState(
-                state.h_sd, state.h_sr[:, pair], state.h_rd[pair], state.h_eff_sd,
-                state.h_eff_sr[:, pair], state.h_eff_rd[pair]),
-                None if filters_sr is None else filters_sr[:, pair]))
+            group = pair_id if self._pairs_are_groups else self._next_group()
+            uid = self.receive_slots
+            self.bank.push_pair(relays, uid)
+            self._receptions.append((uid, group, sm.ChannelState(
+                state.h_rd[i, pair], state.h_eff_sd[i], state.h_eff_sr[i][:, pair],
+                state.h_eff_rd[i, pair]),
+                None if filters_sr is None else filters_sr[i][:, pair]))
             self.receive_slots += 1
         else:
             action = "transmit"
-            packet = self.bank.pop_pair(relays)
-            if packet.uid <= self._last_scored_uid.get(packet.relays, -1):
+            uid = self.bank.pop_pair(relays)
+            if uid <= self._last_scored_uid.get(relays, -1):
                 raise RuntimeError("packet scored twice")
-            self._last_scored_uid[packet.relays] = packet.uid
-            self._transmissions.append((len(self.log), packet, state.h_rd))
+            self._last_scored_uid[relays] = uid
+            self._transmissions.append((len(self.log), uid, state.h_rd[i, pair]))
             errors = notes = None
             bits = cfg.group_size * cfg.packet_length
             self.transmit_slots += 1
@@ -442,22 +436,22 @@ class SlotMachine:
         ground truth are kept (as int8) until their transmission."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
-        pending, self._receptions = self._receptions, []
-        packets = [packet for packet, _, _ in pending]
+        uids, groups, states, filters_sr = zip(*self._receptions)
+        self._receptions = []
         state = sm.ChannelState(*(np.stack(arrays) for arrays in zip(
-            *(vars(state).values() for _, state, _ in pending))))
+            *(vars(state).values() for state in states))))
         if cfg.buffers_enabled:
-            filters_sr = np.stack([filters for _, _, filters in pending])
+            filters_sr = np.stack(filters_sr)
         else:
             filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
-        users = self.group_users[[p.group_id for p in packets]]
+        users = self.group_users[list(groups)]
         encoders = self._designs(state, users, filters_sr)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
         # the data, and the normals, samples and outputs of (1 + m) m streams
-        for s in _slices(len(packets), (cfg.num_users + 8 * (m + 1) * m) * P):
+        for s in _slices(len(uids), (cfg.num_users + 8 * (m + 1) * m) * P):
             symbols = rx.hard_decision(self.rng.data.standard_normal(
-                (len(packets[s]), cfg.num_users, P)))
+                (len(uids[s]), cfg.num_users, P)))
             soft_sd, soft_sr = sm.sample_first_phase(
                 symbols, (gains[s], colour[s]), cfg.noise_var, self.rng.first_phase)
             direct = rx.hard_decision(soft_sd).astype(np.int8)
@@ -467,10 +461,11 @@ class SlotMachine:
             ncs = np.stack([nc.xor_encode(detected) if G is None
                             else nc.encode_ncs(G[s], detected)
                             for G in encoders], axis=1).astype(np.int8)
-            coders = np.stack([np.zeros((len(packets[s]), m, m)) if G is None
+            coders = np.stack([np.zeros((len(uids[s]), m, m)) if G is None
                                else G[s] for G in encoders], axis=1)
-            for i, packet in enumerate(packets[s]):
-                self._coded[packet.uid] = (direct[i], truth[i], ncs[i], coders[i])
+            for i, uid in enumerate(uids[s]):
+                self._coded[uid] = (groups[s][i], direct[i], truth[i], ncs[i],
+                                    coders[i])
 
     def _settle_transmissions(self):
         """Second phase: send each popped packet's NCS streams in every
@@ -482,23 +477,21 @@ class SlotMachine:
         signal."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
-        pending, self._transmissions = self._transmissions, []
-        index, packets, h_rd = zip(*pending)
-        relays = np.array([p.relays for p in packets])
-        codes = self.codebook.ncs_codes[[p.group_id for p in packets]]
-        rows = (np.take_along_axis(np.array(h_rd), relays, axis=1)[:, :, None]
-                * codes[:, None, :])                      # (T, m, N)
-        direct, truth, ncs, coders = (np.stack(a) for a in zip(
-            *(self._coded.pop(p.uid) for p in packets)))
+        index, uids, h_rd = zip(*self._transmissions)
+        self._transmissions = []
+        groups, direct, truth, ncs, coders = (np.stack(a) for a in zip(
+            *(self._coded.pop(uid) for uid in uids)))
+        codes = self.codebook.ncs_codes[groups]
+        rows = np.array(h_rd)[:, :, None] * codes[:, None, :]     # (T, m, N)
         xor = [k for k, lane in enumerate(self.lanes) if lane.scheme == Scheme.XOR]
         linear = [k for k in range(len(self.lanes)) if k not in xor]
-        errors = np.zeros((len(self.lanes), len(packets)), dtype=int)
-        notes = [[""] * len(packets) for _ in self.lanes]
+        errors = np.zeros((len(self.lanes), len(uids)), dtype=int)
+        notes = [[""] * len(uids) for _ in self.lanes]
         if xor:
             (signal, colour), xor_notes = self._xor_streams(rows, codes)
             for k in xor:
                 notes[k] = xor_notes
-            for s in _slices(len(packets), 10 * P):
+            for s in _slices(len(uids), 10 * P):
                 noise = sm.filter_noise(colour[s], (len(truth[s]), 1, P), cfg.noise_var,
                                         self.lanes[xor[0]].noise, call_axes=1)
                 for k in xor:
@@ -513,7 +506,7 @@ class SlotMachine:
                     decoders[k], fallback = nc.design_G_mmse(coders[:, k], gains,
                                                              noise_var)
                     notes[k] = ["mmse fallback" if f else "" for f in fallback]
-            for s in _slices(len(packets), 10 * m * P):
+            for s in _slices(len(uids), 10 * m * P):
                 noise = sm.filter_noise(colour[s], (len(truth[s]), m, 1, P),
                                         cfg.noise_var, self.lanes[linear[0]].noise,
                                         call_axes=1)

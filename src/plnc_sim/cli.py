@@ -29,6 +29,10 @@ def parse_snr_spec(spec):
         value = start
         while value <= stop + 1e-9:
             out.append(round(value, 10))
+            # points rise, so a point that prints as the one before it
+            # (or does not advance) is the first repeat: stop there
+            if len(out) > 1 and f"{out[-1]:g}" == f"{out[-2]:g}":
+                break
             value += step
     else:
         out = [float(tok) for tok in spec.split(",") if tok.strip()]

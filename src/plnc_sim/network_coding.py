@@ -386,19 +386,11 @@ def select_G_mmse(gains, noise_var, flip_probs):
 def _refine(filter_outputs, gains, decoder):
     """The refinement step both decoders share: the MMSE decoder matrix
     if one is given, else gain normalization.  filter_outputs has shape
-    (m,), (m, P) or (..., m, P) for gains (..., m), and so has the
-    result."""
+    (..., m, P) for gains (..., m), and so has the result."""
     z = np.asarray(filter_outputs, dtype=np.complex128)
     if decoder is not None:
         return decoder @ z
-    return (z.T / np.asarray(gains).T).T
-
-
-def _as_columns(samples, encoder):
-    """samples as (..., m, P), and whether it was one (m,) vector."""
-    samples = np.asarray(samples)
-    vector = samples.ndim < np.ndim(encoder)
-    return (samples[..., None] if vector else samples), vector
+    return z / gains[..., None]
 
 
 def decode_joint(encoder, filter_outputs, gains, decoder=None):
@@ -406,9 +398,9 @@ def decode_joint(encoder, filter_outputs, gains, decoder=None):
 
     Without a decoder matrix the outputs are gain-normalized and the
     G^T-structured system is solved directly; with an MMSE decoder the
-    refinement is applied first.  filter_outputs has shape (m,) or
-    (m, P); with a leading packet axis, encoder is (..., m, m), the
-    outputs (..., m, P) and gains and decoder carry the same axis.
+    refinement is applied first.  filter_outputs has shape (..., m, P)
+    for encoder (..., m, m); gains and decoder carry the same leading
+    axes.
     """
     refined = _refine(filter_outputs, gains, decoder)
     return hard_decision(np.linalg.solve(np.swapaxes(encoder, -1, -2), refined))
@@ -425,17 +417,14 @@ def ncs_levels(G):
 def detect_ncs(encoder, filter_outputs, gains, decoder=None):
     """Per-relay discrete NCS estimates: gain-normalize (or MMSE-refine),
     then slice every stream to the nearest of its admissible levels;
-    ties go to the lower level.  filter_outputs has shape (m,) or
-    (m, P), or (..., m, P) for encoder (..., m, m), and so has the
-    result."""
-    refined, vector = _as_columns(_refine(filter_outputs, gains, decoder).real,
-                                  encoder)
+    ties go to the lower level.  filter_outputs has shape (..., m, P)
+    for encoder (..., m, m), and so has the result."""
+    refined = _refine(filter_outputs, gains, decoder).real
     soft = np.swapaxes(refined, -1, -2)                   # (..., P, relay)
     levels = ncs_levels(encoder)
     nearest = np.argmin(np.abs(soft[..., None, :] - levels[..., None, :, :]),
                         axis=-2)
-    est = np.swapaxes(np.take_along_axis(levels, nearest, axis=-2), -1, -2)
-    return est[..., 0] if vector else est
+    return np.swapaxes(np.take_along_axis(levels, nearest, axis=-2), -1, -2)
 
 
 def decode_with_direct(encoder, ncs_estimates, direct_estimates):
@@ -443,9 +432,9 @@ def decode_with_direct(encoder, ncs_estimates, direct_estimates):
     carries it: cancel the other users via their stored direct-link
     estimates, divide by the user's coefficient and slice.
 
-    ncs_estimates and direct_estimates have shape (m,) or (m, P), or
-    (..., m, P) for encoder (..., m, m), and so has the result.  A
-    user's own direct entry is never read.
+    ncs_estimates and direct_estimates have shape (..., m, P) for
+    encoder (..., m, m), and so has the result.  A user's own direct
+    entry is never read.
     """
     g = np.asarray(encoder)
     carried = g != 0.0
@@ -454,16 +443,15 @@ def decode_with_direct(encoder, ncs_estimates, direct_estimates):
     relay = np.argmax(carried, axis=-1)          # first carrying relay per user
     # [..., user, other]: g[..., other, relay[user]]
     coef = np.swapaxes(np.take_along_axis(g, relay[..., None, :], axis=-1), -1, -2)
-    ncs, vector = _as_columns(np.asarray(ncs_estimates, dtype=np.float64), g)
-    direct, _ = _as_columns(np.asarray(direct_estimates, dtype=np.float64), g)
+    ncs = np.asarray(ncs_estimates, dtype=np.float64)
+    direct = np.asarray(direct_estimates, dtype=np.float64)
     ncs = np.swapaxes(np.take_along_axis(ncs, relay[..., :, None], axis=-2),
                       -1, -2)                                     # (..., P, user)
     direct = np.swapaxes(direct, -1, -2)[..., None, :]            # (..., P, 1, other)
     others = ~np.eye(g.shape[-1], dtype=bool)    # never read a user's own entry
     known = np.where(others, coef[..., None, :, :] * direct, 0.0).sum(axis=-1)
     own = np.diagonal(coef, axis1=-2, axis2=-1)[..., None, :]
-    out = hard_decision(np.swapaxes((ncs - known) / own, -1, -2))
-    return out[..., 0] if vector else out
+    return hard_decision(np.swapaxes((ncs - known) / own, -1, -2))
 
 
 def xor_decode(ncs_symbols, direct_symbols):

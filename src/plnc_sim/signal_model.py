@@ -36,13 +36,12 @@ class CodeBook:
 
 @dataclass
 class ChannelState:
-    """One coherence block: scalar link gains plus the derived effective
-    signature vectors (code * coefficient; every amplitude is 1).  Every
-    array may carry the same leading axes, e.g. one slot per index;
-    state[i] indexes them all."""
+    """One coherence block: the relay-destination gains plus the
+    effective signature vectors of every link (code * coefficient; every
+    amplitude is 1).  The codes are unit norm, so an effective vector's
+    norm is its link gain's modulus.  Every array may carry the same
+    leading axes, e.g. one slot per index; state[i] indexes them all."""
 
-    h_sd: np.ndarray        # (K,) complex
-    h_sr: np.ndarray        # (K, L) complex
     h_rd: np.ndarray        # (L,) complex
     h_eff_sd: np.ndarray    # (K, N) complex
     h_eff_sr: np.ndarray    # (K, L, N) complex
@@ -87,7 +86,9 @@ def complex_gaussian(rng, shape, variance=1.0, calls=()):
 def draw_channels(config: SystemConfig, codebook: CodeBook,
                   relay_group_ids, rng, n):
     """n successive draw_channel calls in one block of normals: the same
-    ChannelStates, bit for bit, stacked on a leading slot axis."""
+    ChannelStates, bit for bit, stacked on a leading slot axis.  The
+    source-destination and source-relay gains are drawn first, in that
+    order, and kept only in the effective vectors."""
     K, L = config.num_users, config.num_relays
     sizes = (K, K, K * L, K * L, L, L)       # real, imaginary per link set
     normals = np.split(rng.standard_normal((n, sum(sizes))),
@@ -101,7 +102,7 @@ def draw_channels(config: SystemConfig, codebook: CodeBook,
     h_eff_sr = h_sr[..., None] * codebook.codes[:, None, :]
     rd_codes = codebook.ncs_codes[np.asarray(relay_group_ids, dtype=int)]
     h_eff_rd = h_rd[..., None] * rd_codes
-    return ChannelState(h_sd, h_sr, h_rd, h_eff_sd, h_eff_sr, h_eff_rd)
+    return ChannelState(h_rd, h_eff_sd, h_eff_sr, h_eff_rd)
 
 
 def draw_channel(config: SystemConfig, codebook: CodeBook,

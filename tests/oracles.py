@@ -9,8 +9,11 @@ against: the direct form of each computation, kept out of the package.
   2^(m*m) relay-detection flip patterns and all 2^m data patterns.
 - pair_state: a slot's channel as pass 2 reads it, the pair's relays in
   order on the relay axis.
+- rayleigh_bpsk_ber, relay_chain_ber, max_link_hop_ber: closed-form BER
+  of a one-user, one-relay chain, unbuffered and buffered.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -77,5 +80,31 @@ def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
 def pair_state(state, relays):
     """state with only the given relays, in that order, on its relay axis."""
     r = list(relays)
-    return ChannelState(state.h_sd, state.h_sr[:, r], state.h_rd[r], state.h_eff_sd,
-                        state.h_eff_sr[:, r], state.h_eff_rd[r])
+    return ChannelState(state.h_rd[r], state.h_eff_sd, state.h_eff_sr[:, r],
+                        state.h_eff_rd[r])
+
+
+def rayleigh_bpsk_ber(snr):
+    """Mean BPSK bit error probability of a Rayleigh-faded link at mean
+    SNR snr (linear): (1 - sqrt(snr / (1 + snr))) / 2 (Proakis, Digital
+    Communications, ch. 14)."""
+    return 0.5 * (1.0 - math.sqrt(snr / (1.0 + snr)))
+
+
+def max_link_hop_ber(snr, J):
+    """Mean BPSK bit error probability of a hop of the buffered chain
+    with one relay of capacity J.  The occupancy is a birth-death chain:
+    at 0 the slot receives, at J it transmits, and in between the better
+    of the two i.i.d. hops wins, each with probability 1/2.  So 1/J of
+    the hops are a single Rayleigh link and the rest the better of two,
+    whose mean error is 2 P(snr) - P(snr / 2)."""
+    single = rayleigh_bpsk_ber(snr)
+    better = 2.0 * single - rayleigh_bpsk_ber(snr / 2.0)
+    return single / J + (1.0 - 1.0 / J) * better
+
+
+def relay_chain_ber(hop_ber):
+    """BER of a decode-and-forward chain of two hops that each flip a
+    bit with probability hop_ber: the bit arrives flipped when exactly
+    one hop errs."""
+    return 2.0 * hop_ber * (1.0 - hop_ber)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from plnc_sim import (BufferBank, DecoderKind, Hop, ReceiverKind, Scheme,
-                      SystemConfig, build_sinr_table, decide_action,
+                      SlotMachine, SystemConfig, build_sinr_table, decide_action,
                       design_G_mmse, design_G_random, decode_joint,
                       decode_with_direct, detect_ncs, draw_channel,
                       enumerate_invertible_binary, generate_codebook,
@@ -23,6 +23,8 @@ from plnc_sim.network_coding import (argmin_with_ties, design_G_ml,
 from plnc_sim.receivers import (relay_dest_filter_bank,
                                 source_relay_filter_bank)
 from plnc_sim.signal_model import complex_gaussian
+
+from oracles import max_link_hop_ber, rayleigh_bpsk_ber, relay_chain_ber
 
 SNR_POINTS = [6.0, 10.0, 14.0]
 BITS_PER_POINT = 200_000
@@ -207,7 +209,7 @@ class TestCriterion7SmallInstanceBruteForce:
         bad = []
         for cand in enumerate_invertible_binary(2):
             for pattern in product((-1.0, 1.0), repeat=2):
-                b = np.array(pattern)
+                b = np.array(pattern)[:, None]              # one (m, 1) column
                 ncs = cand.T @ b
                 joint = decode_joint(cand, ncs.astype(complex), np.ones(2))
                 if not np.array_equal(joint, b):
@@ -215,7 +217,7 @@ class TestCriterion7SmallInstanceBruteForce:
                 est = detect_ncs(cand, ncs.astype(complex), np.ones(2))
                 got = decode_with_direct(cand, est, b)
                 for k in (0, 1):
-                    if got[k] != b[k]:
+                    if got[k, 0] != b[k, 0]:
                         bad.append(("direct", cand.tolist(), pattern, k))
         ok = not bad
         report_line(7, ok, "all 6 invertible encoders x 4 patterns decode "
@@ -342,3 +344,57 @@ class TestCriterion10Determinism:
         report_line(10, ok, "identical config+seed give bit-identical CSV "
                             "with 1 and 3 worker processes")
         assert ok
+
+
+# The one-user, one-relay chain (K = L = m = 1, N = 8, P = 16) has no
+# interference, so its end-to-end BER has a closed form: every stage
+# (SNR definition, fading, receivers, slicer, coding, buffer protocol,
+# scoring) is on the path.  One machine of 20000 packets per point, with
+# the xor and random lanes; a bit error count per packet is a cluster,
+# so z is taken over packets.
+ANCHOR_PACKETS = 20_000
+ANCHOR_Z = 4.0
+
+
+def chain_z(expected_ber, seed, **kw):
+    """Per lane (xor, random), the packet-level z of the chain's BER
+    against expected_ber."""
+    cfg = SystemConfig(num_users=1, num_relays=1, spreading_gain=8,
+                       group_size=1, packet_length=16, rng_seed=2017, **kw)
+    mach = SlotMachine(cfg, seed, schemes=[Scheme.XOR, Scheme.RANDOM])
+    mach.run_until(ANCHOR_PACKETS)
+    errors = np.array([o.bit_errors for o in mach.log if o.action == "transmit"],
+                      dtype=np.float64)                      # (packets, lanes)
+    stderr = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
+    return (errors.mean(axis=0) - expected_ber * cfg.packet_length) / stderr
+
+
+class TestCriterion11UnbufferedChainClosedForm:
+    @pytest.mark.parametrize("receiver", list(ReceiverKind))
+    @pytest.mark.parametrize("snr_db", [0.0, 6.0, 10.0, 14.0])
+    def test_ber_is_two_rayleigh_hops(self, snr_db, receiver):
+        # BER = 2 P (1 - P), P the Rayleigh BPSK error at mean SNR 1/sigma2
+        expected = relay_chain_ber(rayleigh_bpsk_ber(10.0 ** (snr_db / 10.0)))
+        z = chain_z(expected, [11, int(snr_db), receiver == ReceiverKind.MMSE],
+                    snr_db=snr_db, receiver=receiver, buffers_enabled=False)
+        ok = bool(np.all(np.abs(z) <= ANCHOR_Z))
+        report_line(11, ok, f"unbuffered K=L=m=1 chain at {snr_db:g} dB, "
+                            f"{receiver.value}: BER {expected:.4g}, packet-level "
+                            f"z (xor, random) = {np.round(z, 2).tolist()}")
+        assert ok, z
+
+
+class TestCriterion12BufferedChainClosedForm:
+    @pytest.mark.parametrize("receiver", list(ReceiverKind))
+    @pytest.mark.parametrize("J,snr_db", [(1, 6.0), (4, 10.0)])
+    def test_ber_is_two_max_link_hops(self, J, snr_db, receiver):
+        # one relay of capacity J: BER = 2 P_J (1 - P_J) with
+        # P_J = P / J + (1 - 1/J)(2 P(snr) - P(snr / 2))
+        expected = relay_chain_ber(max_link_hop_ber(10.0 ** (snr_db / 10.0), J))
+        z = chain_z(expected, [12, J, int(snr_db), receiver == ReceiverKind.MMSE],
+                    snr_db=snr_db, receiver=receiver, buffer_size=J)
+        ok = bool(np.all(np.abs(z) <= ANCHOR_Z))
+        report_line(12, ok, f"buffered K=L=m=1 chain, J={J}, at {snr_db:g} dB, "
+                            f"{receiver.value}: BER {expected:.4g}, packet-level "
+                            f"z (xor, random) = {np.round(z, 2).tolist()}")
+        assert ok, z

@@ -494,17 +494,17 @@ class TestSlotMachineProperty:
     def test_packets_conserved_and_scored_once_in_fifo_order(self, case):
         cfg, seed, n_slots = case
         mach = SlotMachine(cfg, np.random.default_rng(seed))
-        pushed, popped = [], []
+        pushed, popped = [], []          # (relays, uid) in bank order
         push_pair, pop_pair = mach.bank.push_pair, mach.bank.pop_pair
 
-        def record_push(relays, packet):
-            push_pair(relays, packet)
-            pushed.append(packet)
+        def record_push(relays, uid):
+            push_pair(relays, uid)
+            pushed.append((relays, uid))
 
         def record_pop(relays):
-            packet = pop_pair(relays)
-            popped.append(packet)
-            return packet
+            uid = pop_pair(relays)
+            popped.append((relays, uid))
+            return uid
 
         mach.bank.push_pair, mach.bank.pop_pair = record_push, record_pop
         for _ in range(n_slots):
@@ -516,17 +516,27 @@ class TestSlotMachineProperty:
             # receive
             assert outcome.action in ("receive", "transmit")
             if outcome.action == "transmit":
-                assert outcome.relays == popped[-1].relays
+                assert outcome.relays == popped[-1][0]
                 assert outcome.decoded_bits == cfg.group_size * cfg.packet_length
-        left = {id(p): p for queue in mach.bank.buffers for p in queue}
-        # every packet is scored at most once and the rest are still buffered
-        assert len({id(p) for p in popped}) == len(popped) == mach.transmit_slots
+            else:
+                assert outcome.relays == pushed[-1][0]
+        scored = [uid for _, uid in popped]
+        left = {uid for queue in mach.bank.buffers for uid in queue}
+        # every packet is scored at most once and the rest are still
+        # buffered, on every relay of its set
+        assert len(set(scored)) == len(scored) == mach.transmit_slots
         assert len(pushed) == mach.receive_slots
         assert mach.receive_slots == mach.transmit_slots + len(left)
-        assert {id(p) for p in popped} | set(left) == {id(p) for p in pushed}
+        assert set(scored) | left == {uid for _, uid in pushed}
+        for r, queue in enumerate(mach.bank.buffers):
+            assert list(queue) == [uid for relays, uid in pushed
+                                   if r in relays and uid in left]
+        # pass 2 keeps the coded streams of exactly the buffered packets
+        assert set(mach.settle()._coded) == left
         # FIFO per relay set: packets leave in the order they arrived
-        for relays in {p.relays for p in pushed}:
-            arrived = [p for p in pushed if p.relays == relays]
-            left_in_order = [p for p in popped if p.relays == relays]
+        for relays in {relays for relays, _ in pushed}:
+            arrived = [uid for r, uid in pushed if r == relays]
+            left_in_order = [uid for r, uid in popped if r == relays]
             assert left_in_order == arrived[:len(left_in_order)]
-        assert [p.uid for p in pushed] == list(range(len(pushed)))
+        # a packet's uid is the index of its reception
+        assert [uid for _, uid in pushed] == list(range(len(pushed)))

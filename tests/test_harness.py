@@ -456,6 +456,31 @@ GOLDEN_K4_L8 = {
 }
 GOLDEN_K4_L8_TRACE_SHA256 = \
     "54eaf4864635fdfbed6977ae879c7958453d889aee1f6c32cf76302156752d66"
+# A two-worker `plnc-sim sweep --trace` (30 packets per point, two chunks
+# each): the CSV, the sidecar without its wall_clock_s line, the trace.
+GOLDEN_CLI_CSV = """\
+scheme,snr_db,bits,errors,ber
+ml-buffered-mmse,4,1200,107,0.0891666666667
+ml-buffered-mmse,10,1200,47,0.0391666666667
+ml-unbuffered-mmse,4,1200,168,0.14
+ml-unbuffered-mmse,10,1200,60,0.05
+mmse-buffered-mmse,4,1200,84,0.07
+mmse-buffered-mmse,10,1200,10,0.00833333333333
+mmse-unbuffered-mmse,4,1200,152,0.126666666667
+mmse-unbuffered-mmse,10,1200,46,0.0383333333333
+random-buffered-mmse,4,1200,176,0.146666666667
+random-buffered-mmse,10,1200,48,0.04
+random-unbuffered-mmse,4,1200,212,0.176666666667
+random-unbuffered-mmse,10,1200,90,0.075
+xor-buffered-mmse,4,1200,275,0.229166666667
+xor-buffered-mmse,10,1200,114,0.095
+xor-unbuffered-mmse,4,1200,238,0.198333333333
+xor-unbuffered-mmse,10,1200,77,0.0641666666667
+"""
+GOLDEN_CLI_SIDECAR_SHA256 = \
+    "bad07bba16540ec5b6f2afc91be5c847dc753a86a2996257d74a60d7c728ef8e"
+GOLDEN_CLI_TRACE_SHA256 = \
+    "af898c367d4e70aea7085e02530d4a384a267249b5b689e6b3ba525c69ce5495"
 
 
 def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,
@@ -658,6 +683,8 @@ class TestCli:
                                       ["--workers", "0"], ["--workers", "-2"],
                                       ["--snr", "10,10,10.0000001"],
                                       ["--snr", "10:0.0000001:10.0000002"],
+                                      ["--snr", "1:1e-17:2"],
+                                      ["--snr", "0:1e-7:1"],
                                       ["--seed", "-1"],
                                       ["--seed", str(2**64)]])
     def test_bad_snr_or_workers_exit_code(self, tmp_path, capsys, args):
@@ -719,6 +746,23 @@ class TestCli:
         assert code == 1
         assert "m <= 3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_two_worker_traced_sweep_pinned(self, tmp_path):
+        # the CLI, the process pool and the three file writes together
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K = 4\nL = 4\nN = 8\nJ = 2\nm = 2\nP = 20\nseed = 11\n")
+        out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "4,10", "--bits",
+                     "1200", "--workers", "2", "--out", str(out),
+                     "--trace", str(trace)])
+        assert code == 0
+        assert out.read_text() == GOLDEN_CLI_CSV
+        sidecar = [line for line in Path(f"{out}.config.txt").read_text()
+                   .splitlines(keepends=True) if not line.startswith("wall_clock_s")]
+        assert hashlib.sha256("".join(sidecar).encode()).hexdigest() \
+            == GOLDEN_CLI_SIDECAR_SHA256
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() \
+            == GOLDEN_CLI_TRACE_SHA256
 
     def test_unknown_scheme_exit_code(self, tmp_path):
         assert main(["sweep", "--schemes", "nope",

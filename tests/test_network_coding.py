@@ -491,55 +491,55 @@ class TestDistinctWork:
 
 class TestJointDecoding:
     def test_identity_passthrough(self):
-        z = np.array([1.0, -1.0], dtype=complex)
+        z = np.array([[1.0], [-1.0]], dtype=complex)
         out = decode_joint(np.eye(2), z, gains=np.ones(2))
-        assert np.array_equal(out, [1.0, -1.0])
+        assert np.array_equal(out, [[1.0], [-1.0]])
 
     def test_worked_example(self):
         # NCS [0, 1] produced by G = [[1,1],[1,0]] from b = [+1, -1]
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        out = decode_joint(G, np.array([0.0, 1.0], dtype=complex), np.ones(2))
-        assert np.array_equal(out, [1.0, -1.0])
+        out = decode_joint(G, np.array([[0.0], [1.0]], dtype=complex), np.ones(2))
+        assert np.array_equal(out, [[1.0], [-1.0]])
 
     def test_bruteforce_all_encoders_and_patterns(self):
         # noiseless exact recovery for all 6 encoders x 4 patterns
         for cand in enumerate_invertible_binary(2):
             for b in all_patterns():
-                ncs = cand.T @ b
+                ncs = cand.T @ b[:, None]
                 out = decode_joint(cand, ncs.astype(complex), np.ones(2))
-                assert np.array_equal(out, b), f"failed for {cand} {b}"
+                assert np.array_equal(out[:, 0], b), f"failed for {cand} {b}"
 
     def test_gain_normalization(self):
         G = np.array([[1.0, 0.0], [1.0, 1.0]])
         gains = np.array([2.0 + 0j, 0.5 + 0j])
         for b in all_patterns():
-            z = gains * (G.T @ b)
+            z = gains[:, None] * (G.T @ b[:, None])
             out = decode_joint(G, z, gains)
-            assert np.array_equal(out, b)
+            assert np.array_equal(out[:, 0], b)
 
 
 class TestDirectAidedDecoding:
     def test_worked_example(self):
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        ncs = np.array([0.0, 1.0])
-        direct = np.array([123.0, -1.0])   # target slot is ignored
-        out = decode_with_direct(G, ncs, direct)[0]
+        ncs = np.array([[0.0], [1.0]])
+        direct = np.array([[123.0], [-1.0]])   # target slot is ignored
+        out = decode_with_direct(G, ncs, direct)[0, 0]
         assert out == 1.0
 
     def test_zero_coefficient_falls_back_to_other_relay(self):
         G = np.array([[0.0, 1.0], [1.0, 0.0]])   # user 0 absent from relay 0
-        b = np.array([-1.0, 1.0])
+        b = np.array([[-1.0], [1.0]])
         ncs = G.T @ b
-        out = decode_with_direct(G, ncs, np.array([0.0, b[1]]))[0]
-        assert out == b[0]
+        out = decode_with_direct(G, ncs, np.array([[0.0], b[1]]))[0, 0]
+        assert out == b[0, 0]
 
     def test_bruteforce_all_encoders_and_patterns(self):
         for cand in enumerate_invertible_binary(2):
             for b in all_patterns():
-                ncs = cand.T @ b
-                out = decode_with_direct(cand, ncs, b)
+                ncs = cand.T @ b[:, None]
+                out = decode_with_direct(cand, ncs, b[:, None])
                 for k in (0, 1):
-                    assert out[k] == b[k], f"failed for {cand} {b} user {k}"
+                    assert out[k, 0] == b[k], f"failed for {cand} {b} user {k}"
 
     def test_levels_and_slicing(self):
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -548,7 +548,7 @@ class TestDirectAidedDecoding:
         assert np.array_equal(np.unique(levels[:, 1]), [-1.0, 1.0])
 
         def slice_relay_0(x):
-            return detect_ncs(G, np.array([x, 1.0]), np.ones(2))[0]
+            return detect_ncs(G, np.array([[x], [1.0]]), np.ones(2))[0, 0]
         assert slice_relay_0(0.9) == 0.0
         assert slice_relay_0(1.1) == 2.0
         assert slice_relay_0(1.0) == 0.0   # tie goes to lower level
@@ -556,10 +556,10 @@ class TestDirectAidedDecoding:
 
     def test_detect_ncs_slices_to_admissible_values(self):
         G = np.array([[1.0, 1.0], [0.0, 1.0]])
-        z = np.array([1.8 + 0.2j, -0.7 - 0.1j])
+        z = np.array([[1.8 + 0.2j], [-0.7 - 0.1j]])
         est = detect_ncs(G, z, gains=np.ones(2))
-        assert est[0] in ncs_levels(G)[:, 0]
-        assert est[1] in ncs_levels(G)[:, 1]
+        assert est[0, 0] in ncs_levels(G)[:, 0]
+        assert est[1, 0] in ncs_levels(G)[:, 1]
 
 
 class TestRandomizedRoundtrips:
@@ -674,7 +674,8 @@ class TestArrayDecodersMatchLoopOracles:
             decoder = design_G_mmse(g, gains, 0.1 + rng.random(m)).entries
         est = detect_ncs(g, z, gains, decoder)
         assert np.array_equal(est, oracle_detect(g, z, gains, decoder))
-        assert np.array_equal(detect_ncs(g, z[:, 0], gains, decoder), est[:, 0])
+        # each column decodes alone, as its own (m, 1) stack
+        assert np.array_equal(detect_ncs(g, z[:, :1], gains, decoder), est[:, :1])
         # direct estimates that need not agree with the NCS estimates, so
         # a decode through any relay but the first carrying one differs
         direct = np.where(rng.random((m, P)) < 0.5, 1.0, -1.0)
@@ -685,8 +686,8 @@ class TestArrayDecodersMatchLoopOracles:
             own_nan = direct.copy()
             own_nan[k] = np.nan
             assert np.array_equal(decode_with_direct(g, est, own_nan)[k], got[k])
-        assert np.array_equal(decode_with_direct(g, est[:, 0], direct[:, 0]),
-                              got[:, 0])
+        assert np.array_equal(decode_with_direct(g, est[:, :1], direct[:, :1]),
+                              got[:, :1])
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.sampled_from([1, 2, 3]), P=st.integers(1, 5),

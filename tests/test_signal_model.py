@@ -16,6 +16,18 @@ def small_config(**kw):
     return SystemConfig(**defaults)
 
 
+def drawn_gains(cfg, seed):
+    """The link gains draw_channel(cfg, ..., default_rng(seed)) draws,
+    read from the normals directly: real then imaginary parts of the
+    source-destination, source-relay and relay-destination sets."""
+    K, L = cfg.num_users, cfg.num_relays
+    normals = np.random.default_rng(seed).standard_normal(2 * (K + K * L + L))
+    parts = np.split(normals, np.cumsum([K, K, K * L, K * L, L]))
+    h_sd, h_sr, h_rd = (np.sqrt(0.5) * (re + 1j * im)
+                        for re, im in zip(parts[::2], parts[1::2]))
+    return h_sd, h_sr.reshape(K, L), h_rd
+
+
 class TestCodebook:
     def test_counts_and_norms(self):
         cfg = small_config()
@@ -48,7 +60,9 @@ class TestChannel:
         cfg = small_config()
         book = generate_codebook(cfg)
         rng = np.random.default_rng(0)
-        draws = np.array([draw_channel(cfg, book, [0, 0, 1, 1, 2, 2], rng).h_sd[0]
+        # the unit-norm code projects an effective vector onto its gain
+        draws = np.array([draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
+                                       rng).h_eff_sd[0] @ book.codes[0]
                           for _ in range(100_000)])
         n = draws.size
         assert abs(draws.mean()) < 3.0 / np.sqrt(n)   # within 3 sigma of zero
@@ -59,24 +73,27 @@ class TestChannel:
         book = generate_codebook(cfg)
         state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
                              np.random.default_rng(1))
+        h_sd, h_sr, h_rd = drawn_gains(cfg, 1)
+        assert np.array_equal(state.h_rd, h_rd)
         # every link amplitude is 1: an effective vector's norm is |h|
         assert np.allclose(np.linalg.norm(state.h_eff_sd, axis=-1),
-                           np.abs(state.h_sd), atol=1e-12)
+                           np.abs(h_sd), atol=1e-12)
         assert np.allclose(np.linalg.norm(state.h_eff_sr, axis=-1),
-                           np.abs(state.h_sr), atol=1e-12)
+                           np.abs(h_sr), atol=1e-12)
         assert np.allclose(np.linalg.norm(state.h_eff_rd, axis=-1),
-                           np.abs(state.h_rd), atol=1e-12)
+                           np.abs(h_rd), atol=1e-12)
 
     def test_effective_vector_identity(self):
         cfg = small_config()
         book = generate_codebook(cfg)
         state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
                              np.random.default_rng(2))
+        _, h_sr, _ = drawn_gains(cfg, 2)
         for k in range(cfg.num_users):
             for l in range(cfg.num_relays):
-                expected = book.codes[k] * state.h_sr[k, l]
+                expected = book.codes[k] * h_sr[k, l]
                 assert np.allclose(state.h_eff_sr[k, l], expected, atol=1e-12)
-        ratio = state.h_eff_sr[2, 3] / state.h_sr[2, 3]
+        ratio = state.h_eff_sr[2, 3] / h_sr[2, 3]
         assert np.allclose(ratio, book.codes[2], atol=1e-12)
 
 
@@ -101,11 +118,12 @@ class TestFirstPhase:
         state = draw_channel(cfg, book, [0, 0], np.random.default_rng(6))
         # force orthogonal codes and rebuild the effective vectors
         codes = np.array([[1, 1, 1, 1], [1, -1, 1, -1]]) / 2.0
-        state.h_eff_sd = state.h_sd[:, None] * codes
+        h_sd = np.sum(state.h_eff_sd * book.codes, axis=-1)
+        state.h_eff_sd = h_sd[:, None] * codes
         y_sd, _ = synthesize_first_phase(np.array([1.0, -1.0]), state, 1e-30,
                                          np.random.default_rng(7))
         out = codes[0] @ y_sd
-        assert abs(out - state.h_sd[0] * 1.0) < 1e-10
+        assert abs(out - h_sd[0] * 1.0) < 1e-10
 
     def test_rejects_non_bpsk(self):
         with pytest.raises(ValueError):
@@ -126,7 +144,7 @@ class TestFirstPhase:
         b = np.where(rng.standard_normal((6, 2000)) >= 0, 1.0, -1.0)
         y_sd, _ = synthesize_first_phase(b, self.state, 1e-30, rng, relays=[])
         measured = np.mean(np.sum(np.abs(y_sd) ** 2, axis=0))
-        expected = np.sum(np.abs(self.state.h_sd) ** 2)  # codes are unit norm
+        expected = np.sum(np.abs(self.state.h_eff_sd) ** 2)  # unit-norm codes
         assert abs(measured - expected) < 0.05 * expected
 
 
