@@ -14,15 +14,19 @@ for _ in range(30):
     machine.advance()      # pass 1: decide the slot
 machine.settle()           # pass 2: the physics, which fills in the errors
 
+log = machine.log          # one record per slot, read by column
 print("slot action    pair hop          sinr    occupancies  resel errs")
-for o in machine.log:
-    sinr = f"{o.sinr:7.2f}" if np.isfinite(o.sinr) else "      -"
-    occ = "".join(str(x) for x in o.occupancy_after)
-    print(f"{o.slot:4d} {o.action:8s} {o.pair_id:4d} {o.hop:12s} {sinr}"
-          f"   {occ:>11s}  {o.reselections:4d} {o.bit_errors[0]:4d}")
+for slot, (transmit, pair_id, sinr, occupancy, resel, errs) in enumerate(zip(
+        log["transmit"], log["pair_id"], log["sinr"], log["occupancy"],
+        log["reselections"], log["bit_errors"][:, 0])):
+    action, hop = ("transmit", "relay_dest") if transmit else ("receive", "source_relay")
+    sinr = f"{sinr:7.2f}" if np.isfinite(sinr) else "      -"
+    occ = "".join(str(x) for x in occupancy)
+    print(f"{slot:4d} {action:8s} {pair_id:4d} {hop:12s} {sinr}"
+          f"   {occ:>11s}  {resel:4d} {errs:4d}")
 
-bits = sum(o.decoded_bits for o in machine.log)
-ber = sum(o.bit_errors[0] for o in machine.log) / bits if bits else 0
+bits = log["decoded_bits"].sum()
+ber = log["bit_errors"][:, 0].sum() / bits if bits else 0
 print(f"\n{machine.transmit_slots} packets decoded in {machine.slot} slots, "
       f"running ber {ber:.4f}")
 print("note how reception slots run ahead early (buffers filling) and the")

@@ -11,8 +11,8 @@ advance() takes the slot's row of these and picks the best feasible
 action: the first entry of the table's ranking that the buffers allow;
 the unbuffered baseline serves its groups round robin.  A packet is its
 uid, the index of its reception: a reception pushes the uid onto the
-pair's buffers and a transmission pops it; the slot's SlotOutcome is
-logged at once.  No decision reads the physics of a packet, only the
+pair's buffers and a transmission pops it; the slot's Decision becomes
+a plain row tuple.  No decision reads the physics of a packet, only the
 channel and the buffer occupancies, so this pass decides every slot.
 A reception keeps its group and the pair's slice of the slot's channel
 (and, buffered, of its source-relay bank) for pass 2, and a
@@ -25,9 +25,9 @@ source-relay banks), the first phase at symbol level
 (signal_model.sample_first_phase) and every lane's encoder designs and
 encodes; for the transmissions, the second phase, one noise draw per
 slice for all lanes of a kind, then per lane the decode-time MMSE
-refinement, the decoders and the scoring, which fill the pending
-transmit outcomes' bit_errors and note.  Until then those
-two fields are None, so a reduction that reads them fails loudly.
+refinement, the decoders and the scoring.  settle() turns the pending
+rows into log records in one np.array call and writes the transmissions'
+bit_errors and note codes into them; until then the log raises.
 A packet's group, streams, direct-link decisions and ground truth wait
 under its uid from its reception's settle to its transmission's.
 run_until calls settle() once at the end.  Every random stream has one
@@ -116,17 +116,25 @@ class BufferBank:
         return uid
 
 
-_HOPS = (Hop.SOURCE_RELAY, Hop.RELAY_DEST)    # table columns
+_ACTIONS = ("receive", "transmit")     # table columns: source-relay, relay-dest
+
+
+class Decision(NamedTuple):
+    """One slot's action, from which its hop follows."""
+
+    action: str                 # "receive" | "transmit"
+    pair_id: int                # the group id when unbuffered
+    relays: tuple
+    sinr: float                 # nan when unbuffered
+    reselections: int
 
 
 def decide_action(table, candidates, bank: BufferBank):
     """Max-SINR selection: the first entry of the table's ranking whose
     buffers allow it.
 
-    table is the (pairs, 2) array of rs.build_sinr_table over
-    candidates (relay tuples).  Returns (pair_id, relays, hop, sinr,
-    n_reselections): the chosen candidate's index and the chosen entry's
-    rank.
+    table is the (pairs, 2) array of rs.build_sinr_table over candidates
+    (relay tuples); the Decision's reselections is the entry's rank.
 
     Some entry is always feasible while every buffered packet came from
     a candidate: each relay queue is FIFO, so the oldest buffered packet
@@ -138,42 +146,36 @@ def decide_action(table, candidates, bank: BufferBank):
         relays = candidates[row]
         feasible = bank.can_transmit if col else bank.can_receive
         if feasible(relays):
-            return row, relays, _HOPS[col], float(table[row, col]), rank
+            return Decision(_ACTIONS[col], row, relays, float(table[row, col]), rank)
     raise RuntimeError("no candidate pair can receive or transmit at "
                        f"occupancies {bank.occupancies()}: a buffered packet "
                        "came from no candidate")
 
 
-class SlotOutcome(NamedTuple):
-    """What one slot did; a trial's counts and trace rows are read from
-    the machine's log of these."""
-
-    slot: int
-    action: str                 # "receive" | "transmit"
-    pair_id: int                # the group id when unbuffered
-    relays: tuple
-    hop: str                    # Hop value
-    sinr: float                 # nan when unbuffered
-    occupancy_before: tuple
-    occupancy_after: tuple
-    reselections: int
-    decoded_bits: int
-    bit_errors: tuple           # per lane
-    note: tuple                 # per lane
+# a log record's note codes, one per lane
+NOTES = ("", "mmse fallback", "degenerate combined channel")
+TRACE_FIELDS = ("slot", "action", "pair_id", "relays", "hop", "sinr",
+                "occupancy_before", "occupancy_after", "reselections",
+                "decoded_bits", "bit_errors", "note")
 
 
-TRACE_FIELDS = SlotOutcome._fields
+def trace_row(log, lane=0):
+    """The trace fields of every slot of a log as one lane saw it, one
+    row per record.  A slot's occupancy_before is the record before's
+    occupancy; a machine starts with an empty bank."""
+    def joined(rows):
+        return ["|".join(map(str, row)) for row in rows.tolist()]
 
-
-def trace_row(outcome: SlotOutcome, lane=0):
-    """The trace fields of one slot as one lane saw it."""
-    return [outcome.slot, outcome.action, outcome.pair_id,
-            "|".join(str(r) for r in outcome.relays), outcome.hop,
-            f"{outcome.sinr:.6g}" if np.isfinite(outcome.sinr) else "",
-            "|".join(str(o) for o in outcome.occupancy_before),
-            "|".join(str(o) for o in outcome.occupancy_after),
-            outcome.reselections, outcome.decoded_bits,
-            outcome.bit_errors[lane], outcome.note[lane]]
+    transmit, occupancy = log["transmit"].tolist(), log["occupancy"]
+    hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)
+    return list(map(list, zip(
+        range(len(log)), [_ACTIONS[t] for t in transmit], log["pair_id"].tolist(),
+        joined(log["relays"]), [hops[t] for t in transmit],
+        [f"{s:.6g}" if np.isfinite(s) else "" for s in log["sinr"].tolist()],
+        joined(np.concatenate((np.zeros_like(occupancy[:1]), occupancy[:-1]))),
+        joined(occupancy), log["reselections"].tolist(),
+        log["decoded_bits"].tolist(), log["bit_errors"][:, lane].tolist(),
+        [NOTES[n] for n in log["note"][:, lane].tolist()])))
 
 
 class RngStreams(NamedTuple):
@@ -216,11 +218,11 @@ class SlotMachine:
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
-    receive_slots and transmit_slots count packets too; log holds every
-    slot's SlotOutcome, complete once settle() has run.
+    receive_slots and transmit_slots count packets too; log holds one
+    record per slot, indexed by slot number, once settle() has run.
 
     schemes gives one lane per entry (default: config.nc_design alone);
-    a SlotOutcome holds each lane's errors and notes.  seed (an int, a
+    a record holds each lane's errors and notes.  seed (an int, a
     SeedSequence or a Generator) is spawned into the five RngStreams.
     A SeedSequence is copied first, so one object gives the same run
     every time; a Generator is consumed, as spawning advances it.
@@ -261,11 +263,6 @@ class SlotMachine:
         # the unbuffered baseline serves the fixed groups in every pair mode
         self._pairs_are_groups = (config.pair_mode == PairMode.FIXED_GROUPS
                                   or not config.buffers_enabled)
-        if self._pairs_are_groups and len(group_relays) < config.num_groups:
-            short = list(range(len(group_relays), config.num_groups))
-            raise ValueError(f"groups {short} have fewer than "
-                             f"m={config.group_size} relays (K > L): "
-                             "their users would never be served")
         # relays outside every group keep group 0's code
         self.relay_group_ids = np.zeros(config.num_relays, dtype=int)
         self.relay_group_ids[group_relays] = np.arange(len(group_relays))[:, None]
@@ -273,7 +270,12 @@ class SlotMachine:
             group_relays, config.num_relays, config.group_size,
             PairMode.FIXED_GROUPS if self._pairs_are_groups else config.pair_mode)
         self.bank = BufferBank(config.num_relays, config.buffer_size)
-        self.log = []
+        self._log = np.zeros(0, [          # occupancy after the slot, note in NOTES
+            ("transmit", bool), ("pair_id", int), ("relays", int, (config.group_size,)),
+            ("sinr", float), ("reselections", int), ("decoded_bits", int),
+            ("occupancy", int, (config.num_relays,)),
+            ("bit_errors", int, (len(schemes),)), ("note", np.int8, (len(schemes),))])
+        self._pending = []       # the log rows of the slots to settle
         self.slot = 0
         self.receive_slots = 0
         self.transmit_slots = 0
@@ -282,7 +284,7 @@ class SlotMachine:
         self._block = None       # (state, filters_sr, tables) of the slots ahead
         self._row = 0            # the next slot's row of the block
         self._receptions = []    # (uid, group, pair's state, pair's filters_sr)
-        self._transmissions = []  # (log index, uid, pair's h_rd) to settle
+        self._transmissions = []  # (uid, pair's h_rd) to settle
         self._coded = {}         # uid -> (group, direct, truth, ncs, encoders)
 
     # -- pass 1: decisions, one slot at a time ----------------------------
@@ -320,33 +322,35 @@ class SlotMachine:
         self._row = (row + 1) % len(self._block[0].h_rd)
         return self._block, row
 
-    def advance(self) -> SlotOutcome:
+    @property
+    def log(self):
+        """The slots' records; RuntimeError while a slot waits for settle()."""
+        if self._pending:
+            raise RuntimeError(f"{len(self._pending)} slots wait for settle()")
+        return self._log
+
+    def advance(self) -> Decision:
         """Pass 1 for one slot: take the channel, choose the action,
-        push or pop the packet's uid, and log the outcome (a transmit
-        outcome's bit_errors and note wait for settle())."""
+        push or pop the packet's uid, and append the slot's log row (a
+        transmission's bit_errors and note wait for settle())."""
         cfg = self.config
         (state, filters_sr, tables), i = self._next_channel()
         if cfg.buffers_enabled:
-            pair_id, relays, hop, sinr, reselections = decide_action(
-                tables[i], self.candidates, self.bank)
+            decision = decide_action(tables[i], self.candidates, self.bank)
         else:
             # every reception slot is followed by the pair's transmission:
             # the group served last transmits while its relays hold a packet
-            pair_id = (self._rr_group - 1) % cfg.num_groups
-            relays, hop = self.candidates[pair_id], Hop.RELAY_DEST
-            if not self.bank.can_transmit(relays):
-                pair_id = self._next_group()
-                relays, hop = self.candidates[pair_id], Hop.SOURCE_RELAY
-            sinr, reselections = float("nan"), 0
-
-        occ_before = self.bank.occupancies()
+            pair_id, action = (self._rr_group - 1) % cfg.num_groups, "transmit"
+            if not self.bank.can_transmit(self.candidates[pair_id]):
+                pair_id, action = self._next_group(), "receive"
+            decision = Decision(action, pair_id, self.candidates[pair_id],
+                                float("nan"), 0)
+        relays, transmit = decision.relays, decision.action == "transmit"
         # what pass 2 reads of the slot is the pair's slice, its relays in
         # order on the relay axis
         pair = list(relays)
-        if hop == Hop.SOURCE_RELAY:
-            action = "receive"
-            errors, notes, bits = (0,) * len(self.lanes), ("",) * len(self.lanes), 0
-            group = pair_id if self._pairs_are_groups else self._next_group()
+        if not transmit:
+            group = decision.pair_id if self._pairs_are_groups else self._next_group()
             uid = self.receive_slots
             self.bank.push_pair(relays, uid)
             self._receptions.append((uid, group, sm.ChannelState(
@@ -355,35 +359,33 @@ class SlotMachine:
                 None if filters_sr is None else filters_sr[i][:, pair]))
             self.receive_slots += 1
         else:
-            action = "transmit"
             uid = self.bank.pop_pair(relays)
             if uid <= self._last_scored_uid.get(relays, -1):
                 raise RuntimeError("packet scored twice")
             self._last_scored_uid[relays] = uid
-            self._transmissions.append((len(self.log), uid, state.h_rd[i, pair]))
-            errors = notes = None
-            bits = cfg.group_size * cfg.packet_length
+            self._transmissions.append((uid, state.h_rd[i, pair]))
             self.transmit_slots += 1
-        outcome = SlotOutcome(slot=self.slot, action=action, pair_id=pair_id,
-                              relays=relays, hop=hop.value, sinr=sinr,
-                              occupancy_before=occ_before,
-                              occupancy_after=self.bank.occupancies(),
-                              reselections=reselections, decoded_bits=bits,
-                              bit_errors=errors, note=notes)
+        bits = transmit * cfg.group_size * cfg.packet_length
+        # the record's fields: transmit, then the decision's, then the rest
+        self._pending.append((transmit, *decision[1:], bits,
+                              self.bank.occupancies(), 0, 0))
         self.slot += 1
-        self.log.append(outcome)
-        return outcome
+        return decision
 
     # -- pass 2: physics, as arrays over the pending slots -----------------
 
     def settle(self):
         """Pass 2: run every reception, then every transmission, advanced
-        since the last settle, and fill the transmit outcomes' errors
-        and notes.  Returns self."""
+        since the last settle, fill the transmissions' errors and notes
+        and append the slots' records to the log.  Returns self."""
+        records = np.array(self._pending, self._log.dtype)
         if self._receptions:
             self._settle_receptions()
         if self._transmissions:
-            self._settle_transmissions()
+            scored = records["transmit"]
+            records["bit_errors"][scored], records["note"][scored] = \
+                self._settle_transmissions()
+        self._log, self._pending = np.concatenate((self._log, records)), []
         return self
 
     def _stream_stats(self, rows):
@@ -469,15 +471,14 @@ class SlotMachine:
 
     def _settle_transmissions(self):
         """Second phase: send each popped packet's NCS streams in every
-        lane, decode at the destination and score against the truth; the
-        transmit outcomes get their per-lane errors and notes.  The lanes
+        lane, decode at the destination and score against the truth;
+        returns the (packets, lanes) bit errors and note codes.  The lanes
         of one kind (XOR, or linear) share a noise stream and draw equal
-        noise, so the kind runs slice by slice: each slice draws the
-        noise once, and every lane of the kind adds it to its own
-        signal."""
+        noise, so the kind runs slice by slice: each slice draws the noise
+        once, and every lane of the kind adds it to its own signal."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
-        index, uids, h_rd = zip(*self._transmissions)
+        uids, h_rd = zip(*self._transmissions)
         self._transmissions = []
         groups, direct, truth, ncs, coders = (np.stack(a) for a in zip(
             *(self._coded.pop(uid) for uid in uids)))
@@ -485,19 +486,17 @@ class SlotMachine:
         rows = np.array(h_rd)[:, :, None] * codes[:, None, :]     # (T, m, N)
         xor = [k for k, lane in enumerate(self.lanes) if lane.scheme == Scheme.XOR]
         linear = [k for k in range(len(self.lanes)) if k not in xor]
-        errors = np.zeros((len(self.lanes), len(uids)), dtype=int)
-        notes = [[""] * len(uids) for _ in self.lanes]
+        errors, notes = np.zeros((2, len(uids), len(self.lanes)), dtype=int)
         if xor:
-            (signal, colour), xor_notes = self._xor_streams(rows, codes)
-            for k in xor:
-                notes[k] = xor_notes
+            (signal, colour), degenerate = self._xor_streams(rows, codes)
+            notes[np.ix_(degenerate, xor)] = NOTES.index("degenerate combined channel")
             for s in _slices(len(uids), 10 * P):
                 noise = sm.filter_noise(colour[s], (len(truth[s]), 1, P), cfg.noise_var,
                                         self.lanes[xor[0]].noise, call_axes=1)
                 for k in xor:
                     soft = signal[s] @ ncs[s, k].astype(np.float64) + noise
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
-                    errors[k, s] = np.sum(decoded != truth[s], axis=(1, 2))
+                    errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         if linear:
             gains, noise_var, signal, colour = self._linear_streams(rows)
             decoders = dict.fromkeys(linear)
@@ -505,7 +504,7 @@ class SlotMachine:
                 if self.lanes[k].scheme == Scheme.MMSE_DESIGN:
                     decoders[k], fallback = nc.design_G_mmse(coders[:, k], gains,
                                                              noise_var)
-                    notes[k] = ["mmse fallback" if f else "" for f in fallback]
+                    notes[fallback, k] = NOTES.index("mmse fallback")
             for s in _slices(len(uids), 10 * m * P):
                 noise = sm.filter_noise(colour[s], (len(truth[s]), m, 1, P),
                                         cfg.noise_var, self.lanes[linear[0]].noise,
@@ -519,23 +518,19 @@ class SlotMachine:
                     else:
                         ncs_est = nc.detect_ncs(coders[s, k], z, gains[s], refine)
                         decoded = nc.decode_with_direct(coders[s, k], ncs_est, direct[s])
-                    errors[k, s] = np.sum(decoded != truth[s], axis=(1, 2))
-        for i, log_index in enumerate(index):
-            self.log[log_index] = self.log[log_index]._replace(
-                bit_errors=tuple(int(e) for e in errors[:, i]),
-                note=tuple(n[i] for n in notes))
+                    errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
+        return errors, notes
 
     def _xor_streams(self, rows, codes):
         """Both relays carry the same code and (nominally) the same
         symbol: the streams superpose on the combined channel.  Returns
-        the second-phase maps of every packet and the notes."""
+        the second-phase maps and which combined channels are degenerate."""
         cfg = self.config
         combined = rows.sum(axis=1)
         degenerate = np.sum(np.abs(combined) ** 2, axis=-1) < 1e-30
         combined = np.where(degenerate[:, None], codes, combined)
         w = rx.rank_one_filters(combined[:, None, :], cfg.noise_var, cfg.receiver)
-        return sm.filter_output_maps(w, rows), [
-            "degenerate combined channel" if d else "" for d in degenerate]
+        return sm.filter_output_maps(w, rows), degenerate
 
     def _linear_streams(self, rows):
         """One sub-slot per relay stream, independent noise each: the

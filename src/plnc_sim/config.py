@@ -85,6 +85,11 @@ class SystemConfig:
             raise ValueError("num_users must be divisible by group_size")
         if self.num_relays % self.group_size != 0:
             raise ValueError("num_relays must be divisible by group_size")
+        if self.num_users > self.num_relays and (     # pairs are the groups' relays
+                self.pair_mode == PairMode.FIXED_GROUPS or not self.buffers_enabled):
+            short = list(range(self.num_relays // self.group_size, self.num_groups))
+            raise ValueError(f"groups {short} have fewer than m={self.group_size} "
+                             "relays (K > L): their users would never be served")
         if self.nc_design == Scheme.MMSE_DESIGN and self.group_size > 3:
             # select_G_mmse gathers a reception's slicer errors of every
             # invertible binary encoder over all 2^(m^2) detection-flip and

@@ -13,7 +13,6 @@ import contextlib
 import csv
 import itertools
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -36,13 +35,13 @@ class BerPoint:
     transmit_slots: int = 0
 
     def add(self, log, lane=0):
-        """Add a slot log (SlotOutcomes) as lane saw it; returns self."""
-        actions = Counter(o.action for o in log)
-        self.bits_total += sum(o.decoded_bits for o in log)
-        self.bit_errors += sum(o.bit_errors[lane] for o in log)
+        """Add a slot log (SlotMachine.log) as lane saw it; returns self."""
+        transmits = int(log["transmit"].sum())
+        self.bits_total += int(log["decoded_bits"].sum())
+        self.bit_errors += int(log["bit_errors"][:, lane].sum())
         self.slots += len(log)
-        self.receive_slots += actions["receive"]
-        self.transmit_slots += actions["transmit"]
+        self.receive_slots += len(log) - transmits
+        self.transmit_slots += transmits
         return self
 
     @property
@@ -83,12 +82,13 @@ class RunReport:
 
 def _trace_rows(report: RunReport):
     """One trace row per slot of every chunk: scheme, snr_db, chunk, then
-    TRACE_FIELDS as the point's lane saw the slot."""
-    for point, (lane, logs) in zip(report.points, report.chunk_logs):
-        for c_idx, log in enumerate(logs):
-            for outcome in log:
-                yield [point.scheme_label, point.snr_db, c_idx] \
-                    + trace_row(outcome, lane)
+    TRACE_FIELDS as the point's lane saw the slot.  A report swept
+    without collect_trace keeps no logs and raises ValueError."""
+    if not report.chunk_logs:
+        raise ValueError("no slot logs: the report was swept without collect_trace")
+    return ([point.scheme_label, point.snr_db, c_idx, *row]
+            for point, (lane, logs) in zip(report.points, report.chunk_logs)
+            for c_idx, log in enumerate(logs) for row in trace_row(log, lane))
 
 
 def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
@@ -210,11 +210,9 @@ def emit_report(report: RunReport, path):
                 fh.write(f"{key} = {value}\n")
             fh.write(f"wall_clock_s = {report.wall_clock_s:.3f}\n")
             for key, stats in report.slot_summary.items():
-                # every slot receives or transmits: idle_fraction reads 0
-                # and stays for the line format
-                idle = stats["slots"] - stats["receive_slots"] - stats["transmit_slots"]
-                fh.write(f"slots[{key}] = total={stats['slots']} "
-                         f"idle_fraction={idle / max(stats['slots'], 1):.4f} "
+                # a log's slots are its receptions and transmissions, so
+                # idle_fraction reads 0; it stays for the line format
+                fh.write(f"slots[{key}] = total={stats['slots']} idle_fraction=0.0000 "
                          f"receive={stats['receive_slots']} "
                          f"transmit={stats['transmit_slots']}\n")
     except OSError as exc:
@@ -241,12 +239,13 @@ def parse_report(path):
 
 def write_trace(report: RunReport, path):
     """Slot trace CSV: one row per slot of every chunk in the sweep,
-    formatted row by row from the report's chunk logs."""
+    formatted log by log from the report's chunk logs."""
+    rows = _trace_rows(report)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("scheme", "snr_db", "chunk") + TRACE_FIELDS)
-            writer.writerows(_trace_rows(report))
+            writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path!r}: {exc}") from exc
     return path

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from plnc_sim import (BufferBank, DecoderKind, Hop, ReceiverKind, Scheme,
+from plnc_sim import (BufferBank, DecoderKind, ReceiverKind, Scheme,
                       SlotMachine, SystemConfig, build_sinr_table, decide_action,
                       design_G_mmse, design_G_random, decode_joint,
                       decode_with_direct, detect_ncs, draw_channel,
@@ -304,10 +304,10 @@ class TestCriterion9BufferFuzz:
                 if all(len(bank.buffers[r]) == J for r in relays):
                     if not bank.can_transmit(relays):
                         violations.append((slot, pid, "full not transmittable"))
-            pair_id, relays, hop, _, _ = decide_action(table, list(pairs.values()),
-                                                       bank)
+            action, pair_id, relays, _, _ = decide_action(table, list(pairs.values()),
+                                                          bank)
             before = bank.occupancies()
-            if hop == Hop.SOURCE_RELAY:
+            if action == "receive":
                 bank.push_pair(relays, serial)
                 pushed[pair_id].append(serial)
                 serial += 1
@@ -363,8 +363,8 @@ def chain_z(expected_ber, seed, **kw):
                        group_size=1, packet_length=16, rng_seed=2017, **kw)
     mach = SlotMachine(cfg, seed, schemes=[Scheme.XOR, Scheme.RANDOM])
     mach.run_until(ANCHOR_PACKETS)
-    errors = np.array([o.bit_errors for o in mach.log if o.action == "transmit"],
-                      dtype=np.float64)                      # (packets, lanes)
+    log = mach.log
+    errors = log["bit_errors"][log["transmit"]].astype(np.float64)   # (packets, lanes)
     stderr = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
     return (errors.mean(axis=0) - expected_ber * cfg.packet_length) / stderr
 

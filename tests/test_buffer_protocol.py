@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (BufferBank, DecoderKind, Hop, PairMode, Scheme,
-                      SlotMachine, SystemConfig, decide_action)
+from plnc_sim import (BufferBank, DecoderKind, PairMode, Scheme, SlotMachine,
+                      SystemConfig, decide_action)
 from plnc_sim import buffer_protocol as bp
 from plnc_sim import signal_model as sm
-from plnc_sim.buffer_protocol import TRACE_FIELDS, trace_row
+from plnc_sim.buffer_protocol import NOTES, TRACE_FIELDS, trace_row
 from plnc_sim.harness import BerPoint
 
 SR, RD = 0, 1                         # SINR table columns
@@ -97,8 +97,8 @@ class TestDecideAction:
         # best entry is second hop but nothing is buffered
         bank = BufferBank(4, capacity=2)
         table, pairs = table_for({(0, RD): 9.0, (0, SR): 1.0, (1, SR): 2.0})
-        pair_id, relays, hop, sinr, reselections = decide_action(table, pairs, bank)
-        assert hop == Hop.SOURCE_RELAY and pair_id == 1
+        action, pair_id, relays, sinr, reselections = decide_action(table, pairs, bank)
+        assert action == "receive" and pair_id == 1
         assert relays == (2, 3) and sinr == 2.0
         assert reselections == 1
 
@@ -107,8 +107,8 @@ class TestDecideAction:
         push(bank, (0, 1), "a")
         push(bank, (2, 3), "b")
         table, pairs = table_for({(0, SR): 9.0, (1, SR): 8.0, (1, RD): 0.5})
-        pair_id, _, hop, sinr, reselections = decide_action(table, pairs, bank)
-        assert hop == Hop.RELAY_DEST and pair_id == 1 and sinr == 0.5
+        action, pair_id, _, sinr, reselections = decide_action(table, pairs, bank)
+        assert action == "transmit" and pair_id == 1 and sinr == 0.5
         assert reselections == 2
 
     def test_exhaustion_raises(self):
@@ -126,13 +126,13 @@ class TestDecideAction:
         table, pairs = table_for({(0, SR): 5.0, (0, RD): 1.0}, n_pairs=1)
         actions = []
         for _ in range(6):
-            _, _, hop, _, _ = decide_action(table, pairs, bank)
-            actions.append(hop)
-            if hop == Hop.SOURCE_RELAY:
+            action = decide_action(table, pairs, bank).action
+            actions.append(action)
+            if action == "receive":
                 push(bank, (0, 1), "p")
             else:
                 bank.pop_pair((0, 1))
-        assert actions == [Hop.SOURCE_RELAY, Hop.RELAY_DEST] * 3
+        assert actions == ["receive", "transmit"] * 3
 
 
 def reference_decision(table, candidates, bank):
@@ -151,7 +151,7 @@ def reference_decision(table, candidates, bank):
                    for col in (SR, RD))
     for rank, (neg_sinr, pid, col, relays) in enumerate(order):
         if feasible(relays, col):
-            return pid, relays, (Hop.SOURCE_RELAY, Hop.RELAY_DEST)[col], -neg_sinr, rank
+            return ("receive", "transmit")[col], pid, relays, -neg_sinr, rank
     return None, len(order)
 
 
@@ -215,10 +215,10 @@ class TestStateMachineFuzz:
         popped = {0: [], 1: []}
         serial = 0
         for slot in range(10_000):
-            pair_id, relays, hop, _, _ = decide_action(rng.random((2, 2)),
-                                                       list(pairs.values()), bank)
+            action, pair_id, relays, _, _ = decide_action(rng.random((2, 2)),
+                                                          list(pairs.values()), bank)
             occ_before = bank.occupancies()
-            if hop == Hop.SOURCE_RELAY:
+            if action == "receive":
                 bank.push_pair(relays, serial)
                 pushed[pair_id].append(serial)
                 serial += 1
@@ -260,22 +260,20 @@ class TestSlotMachine:
 
     def test_unbuffered_alternation(self):
         m = machine(buffers_enabled=False).run_until(n_packets=10)
-        actions = [o.action for o in m.log]
-        assert actions == ["receive", "transmit"] * 10
-        assert max(max(o.occupancy_after) for o in m.log) <= 1
+        assert m.log["transmit"].tolist() == [False, True] * 10
+        assert m.log["occupancy"].max() <= 1
 
     def test_unbuffered_transmission_carries_group_id(self):
-        m = machine(buffers_enabled=False).run_until(n_packets=10)
-        for before, row in zip(m.log, m.log[1:]):
-            if row.action == "transmit":
-                assert before.action == "receive"
-                assert row.pair_id == before.pair_id >= 0
-                assert row.relays == before.relays
+        log = machine(buffers_enabled=False).run_until(n_packets=10).log
+        after = log["transmit"][1:]
+        assert not log["transmit"][:-1][after].any()
+        assert (log["pair_id"][1:][after] == log["pair_id"][:-1][after]).all()
+        assert (log["pair_id"] >= 0).all()
+        assert (log["relays"][1:][after] == log["relays"][:-1][after]).all()
 
     def test_occupancy_bounds_in_trace(self):
         m = machine(buffer_size=2).run_until(n_packets=30)
-        for outcome in m.log:
-            assert all(0 <= o <= 2 for o in outcome.occupancy_after)
+        assert ((0 <= m.log["occupancy"]) & (m.log["occupancy"] <= 2)).all()
 
     def test_direct_decoder_runs(self):
         m = machine(decoder=DecoderKind.DIRECT).run_until(n_packets=10)
@@ -288,7 +286,7 @@ class TestSlotMachine:
     def test_all_pairs_mode_runs(self):
         m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15)
         assert m.transmit_slots == 15
-        pair_ids = {o.pair_id for o in m.log}
+        pair_ids = set(m.log["pair_id"].tolist())
         assert len(pair_ids) > 2   # selection ranges over the C(4,2) pairs
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -301,7 +299,7 @@ class TestSlotMachine:
                            pair_mode=PairMode.ALL_PAIRS, nc_design=scheme,
                            decoder=decoder).run_until(n_packets=4)
             assert mach.transmit_slots == 4
-            assert [o.bit_errors for o in mach.log] == [(0,)] * mach.slot
+            assert mach.log["bit_errors"].tolist() == [[0]] * mach.slot
 
     @pytest.mark.parametrize("buffered", [True, False])
     @pytest.mark.parametrize("decoder", list(DecoderKind))
@@ -314,7 +312,8 @@ class TestSlotMachine:
         mach = SlotMachine(cfg, 3, schemes=list(Scheme))
         mach.run_until(n_packets=12)
         assert mach.transmit_slots == 12
-        assert {o.bit_errors for o in mach.log} == {(0,) * len(Scheme)}
+        assert mach.log["bit_errors"].shape == (mach.slot, len(Scheme))
+        assert not mach.log["bit_errors"].any()
 
     def test_lanes_need_their_own_streams(self):
         # one Generator is spawned into the five streams, so the lanes of
@@ -331,12 +330,12 @@ class TestSlotMachine:
                 for lane, scheme in enumerate(Scheme):
                     alone = SlotMachine(cfg, np.random.default_rng(0),
                                         schemes=[scheme]).run_until(6)
-                    assert [o.bit_errors[lane] for o in every.log] \
-                        == [o.bit_errors[0] for o in alone.log]
+                    assert every.log["bit_errors"][:, lane].tolist() \
+                        == alone.log["bit_errors"][:, 0].tolist()
                 backwards = SlotMachine(cfg, np.random.default_rng(0),
                                         schemes=list(Scheme)[::-1]).run_until(6)
-                assert [o.bit_errors[::-1] for o in backwards.log] \
-                    == [o.bit_errors for o in every.log]
+                assert backwards.log["bit_errors"][:, ::-1].tolist() \
+                    == every.log["bit_errors"].tolist()
         with pytest.raises(ValueError, match="at least one scheme"):
             SlotMachine(cfg, 0, schemes=[])
         with pytest.raises(ValueError, match="m <= 3"):
@@ -410,7 +409,7 @@ class TestSlotMachine:
         def flagged(machine):
             second_phase.append(1)
             try:
-                settle(machine)
+                return settle(machine)
             finally:
                 second_phase.pop()
 
@@ -420,19 +419,20 @@ class TestSlotMachine:
         assert len(draws) == slices
 
     def test_unsettled_transmission_fails_loudly(self):
-        # a transmit outcome's errors and notes wait for pass 2
+        # a transmission's errors and notes wait for pass 2: until then
+        # the log cannot be read, so no count or trace row reads them
         m = machine(buffers_enabled=False)
-        m.advance()                                      # receive
-        outcome = m.advance()                            # transmit
-        assert (outcome.action, outcome.bit_errors, outcome.note) \
-            == ("transmit", None, None)
-        with pytest.raises(TypeError):
+        assert m.advance().action == "receive"
+        assert m.advance().action == "transmit"
+        with pytest.raises(RuntimeError, match="2 slots wait for settle"):
             BerPoint("random-unbuffered-mmse", 10.0).add(m.log)
-        with pytest.raises(TypeError):
-            trace_row(outcome)
-        settled = m.settle().log[-1]
-        assert m.settle().log[-1] == settled             # nothing left to run
-        assert settled.bit_errors[0] >= 0 and settled.note == ("",)
+        with pytest.raises(RuntimeError, match="2 slots wait for settle"):
+            trace_row(m.log)
+        settled = m.settle().log
+        assert m.settle().log.tobytes() == settled.tobytes()   # nothing left to run
+        assert len(settled) == m.slot == 2
+        assert settled["transmit"].tolist() == [False, True]
+        assert settled["bit_errors"][1, 0] >= 0 and NOTES[settled["note"][1, 0]] == ""
 
     def test_rescoring_a_packet_raises(self):
         m = machine(buffers_enabled=False)
@@ -462,8 +462,9 @@ class TestSlotMachine:
 
     def test_trace_rows_match_header(self):
         m = machine().run_until(n_packets=5)
-        for outcome in m.log:
-            assert len(trace_row(outcome)) == len(TRACE_FIELDS)
+        rows = trace_row(m.log)
+        assert len(rows) == m.slot
+        assert all(len(row) == len(TRACE_FIELDS) for row in rows)
 
 
 @st.composite
@@ -508,18 +509,17 @@ class TestSlotMachineProperty:
 
         mach.bank.push_pair, mach.bank.pop_pair = record_push, record_pop
         for _ in range(n_slots):
-            outcome = mach.advance()
-            assert all(0 <= o <= cfg.buffer_size for o in outcome.occupancy_after)
+            decision = mach.advance()
+            assert all(0 <= o <= cfg.buffer_size for o in mach.bank.occupancies())
             # advance() raises rather than idle: the oldest buffered packet
             # heads every queue of its relay set (each queue is FIFO), so
             # that pair can transmit, and an empty bank lets every pair
             # receive
-            assert outcome.action in ("receive", "transmit")
-            if outcome.action == "transmit":
-                assert outcome.relays == popped[-1][0]
-                assert outcome.decoded_bits == cfg.group_size * cfg.packet_length
+            assert decision.action in ("receive", "transmit")
+            if decision.action == "transmit":
+                assert decision.relays == popped[-1][0]
             else:
-                assert outcome.relays == pushed[-1][0]
+                assert decision.relays == pushed[-1][0]
         scored = [uid for _, uid in popped]
         left = {uid for queue in mach.bank.buffers for uid in queue}
         # every packet is scored at most once and the rest are still
@@ -533,6 +533,9 @@ class TestSlotMachineProperty:
                                    if r in relays and uid in left]
         # pass 2 keeps the coded streams of exactly the buffered packets
         assert set(mach.settle()._coded) == left
+        log = mach.log
+        assert log["decoded_bits"].tolist() == [
+            t * cfg.group_size * cfg.packet_length for t in log["transmit"].tolist()]
         # FIFO per relay set: packets leave in the order they arrived
         for relays in {relays for relays, _ in pushed}:
             arrived = [uid for r, uid in pushed if r == relays]
@@ -540,3 +543,23 @@ class TestSlotMachineProperty:
             assert left_in_order == arrived[:len(left_in_order)]
         # a packet's uid is the index of its reception
         assert [uid for _, uid in pushed] == list(range(len(pushed)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(machine_cases())
+    def test_occupancy_steps_by_each_slots_relays(self, case):
+        # the log stores one occupancy per slot because the one before a
+        # slot is the previous record's (zeros first): a slot adds 1 on a
+        # reception's relays, takes 1 off a transmission's and leaves the
+        # others
+        cfg, seed, n_slots = case
+        mach = SlotMachine(cfg, np.random.default_rng(seed))
+        for _ in range(n_slots):
+            mach.advance()
+        log = mach.settle().log
+        occupancy = log["occupancy"]
+        step = np.diff(occupancy, axis=0, prepend=np.zeros((1, cfg.num_relays), int))
+        expected = np.zeros_like(occupancy)
+        np.put_along_axis(expected, log["relays"],
+                          np.where(log["transmit"], -1, 1)[:, None], axis=1)
+        assert np.array_equal(step, expected)
+        assert tuple(occupancy[-1].tolist()) == mach.bank.occupancies()

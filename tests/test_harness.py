@@ -1,5 +1,6 @@
 """Trial running, sweep aggregation, CSV report and the CLI."""
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from plnc_sim import (DecoderKind, PairMode, ReceiverKind, RunReport, Scheme,
                       SlotMachine, SystemConfig, emit_report, parse_report,
                       run_sweep, run_trial, scheme_label, write_trace)
-from plnc_sim import buffer_protocol
+from plnc_sim import buffer_protocol, harness, network_coding, signal_model
 from plnc_sim.buffer_protocol import TRACE_FIELDS
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
 from plnc_sim.config import read_config_file
@@ -209,6 +210,18 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="duplicate SNR point"):
             run_sweep(tiny_config(), snrs, 2)
 
+    def test_more_users_than_relays_rejected_before_any_chunk(self, monkeypatch):
+        # all-pairs serves K > L only buffered: the unbuffered baseline's
+        # pairs are the groups, so the sweep fails before the buffered
+        # chunks run
+        def no_chunk(task):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(harness, "_run_chunk", no_chunk)
+        cfg = tiny_config(num_users=8, num_relays=4, pair_mode=PairMode.ALL_PAIRS)
+        with pytest.raises(ValueError, match="fewer than m=2 relays"):
+            run_sweep(cfg, [8.0], 2, buffer_modes=[True, False])
+
     def test_parallel_settings_identical_counts(self):
         cfg = tiny_config()
         kw = dict(schemes=[Scheme.RANDOM], buffer_modes=[True, False],
@@ -294,7 +307,7 @@ class TestSettleInvariance:
         # repr compares every field, the unbuffered slots' nan SINR included
         assert repr(eager.log) == repr(once.log) == repr(driven.log) \
             == repr(sliced.log)
-        assert all(o.bit_errors is not None for o in driven.log)
+        assert len(driven.log) == driven.slot        # every slot settled
 
 
 class TestCountsReduceTheLog:
@@ -605,6 +618,68 @@ class TestReportIo:
         assert len(lines) > 2
 
 
+    def test_untraced_report_writes_no_trace(self, tmp_path):
+        # a sweep without collect_trace keeps no slot logs: a trace of it
+        # would be a header alone
+        report = run_sweep(tiny_config(), [8.0], 2, schemes=[Scheme.RANDOM],
+                           buffer_modes=[True])
+        path = tmp_path / "slots.csv"
+        with pytest.raises(ValueError, match="without collect_trace"):
+            write_trace(report, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="without collect_trace"):
+            report.trace_rows
+
+
+def trace_notes(report, path):
+    """(scheme, action, note) of every row of the report's trace file."""
+    write_trace(report, path)
+    with open(path, newline="") as fh:
+        return [(row["scheme"], row["action"], row["note"])
+                for row in csv.DictReader(fh)]
+
+
+class TestTraceNotes:
+    # no pinned sweep produces a note, so each is forced here and read
+    # back from the trace file, text for text
+
+    def test_mmse_fallback_note(self, tmp_path, monkeypatch):
+        design = network_coding.design_G_mmse
+
+        def forced(*args):
+            decoder = design(*args)
+            return decoder._replace(fallback=np.ones_like(decoder.fallback))
+
+        monkeypatch.setattr(network_coding, "design_G_mmse", forced)
+        report = run_sweep(tiny_config(packet_length=8), [8.0], 3,
+                           schemes=[Scheme.RANDOM, Scheme.MMSE_DESIGN],
+                           buffer_modes=[True, False], collect_trace=True)
+        rows = trace_notes(report, tmp_path / "t.csv")
+        assert {row for row in rows if row[2]} == {
+            ("mmse-buffered-mmse", "transmit", "mmse fallback"),
+            ("mmse-unbuffered-mmse", "transmit", "mmse fallback")}
+        assert all(note == "mmse fallback" for scheme, action, note in rows
+                   if scheme.startswith("mmse-") and action == "transmit")
+
+    def test_degenerate_combined_channel_note(self, tmp_path, monkeypatch):
+        draw = signal_model.draw_channels
+
+        def silent_relays(*args):
+            state = draw(*args)
+            state.h_rd[...] = 0        # every relay's gain to the destination
+            return state
+
+        monkeypatch.setattr(signal_model, "draw_channels", silent_relays)
+        report = run_sweep(tiny_config(packet_length=8), [8.0], 3,
+                           schemes=[Scheme.XOR], buffer_modes=[True, False],
+                           collect_trace=True)
+        rows = trace_notes(report, tmp_path / "t.csv")
+        assert {action for _, action, _ in rows} == {"receive", "transmit"}
+        for _, action, note in rows:
+            assert note == ("degenerate combined channel" if action == "transmit"
+                            else "")
+
+
 class TestConfigFile:
     def test_parse_and_reject_unknown(self, tmp_path):
         good = tmp_path / "good.cfg"
@@ -763,6 +838,19 @@ class TestCli:
             == GOLDEN_CLI_SIDECAR_SHA256
         assert hashlib.sha256(trace.read_bytes()).hexdigest() \
             == GOLDEN_CLI_TRACE_SHA256
+
+    def test_more_users_than_relays_exit_code(self, tmp_path, capsys):
+        # the CLI's pairs are the fixed groups: with K=8 > L=4, groups 2
+        # and 3 own no relays, a config error before any slot runs
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K = 8\nL = 4\nP = 8\n")
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "8",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "plnc-sim: config error: groups [2, 3] have fewer than m=2 relays")
+        assert not out.exists()
 
     def test_unknown_scheme_exit_code(self, tmp_path):
         assert main(["sweep", "--schemes", "nope",

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
                       design_G_ml, design_G_mmse, design_G_random, detect_ncs,
                       encode_ncs, enumerate_invertible_binary, hard_decision,
-                      ncs_levels, select_G_mmse, symbol_to_bit, SystemConfig,
-                      xor_decode, xor_encode)
+                      ncs_levels, PairMode, select_G_mmse, symbol_to_bit,
+                      SystemConfig, xor_decode, xor_encode)
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
                                      make_group_assignments,
@@ -42,9 +42,11 @@ def encode_same(G, b):
 
 @st.composite
 def group_cases(draw):
+    # K > L is a valid config only where free-form pairs serve the groups
     m = draw(st.integers(1, 3))
     cfg = SystemConfig(num_users=m * draw(st.integers(1, 5)),
-                       num_relays=m * draw(st.integers(1, 5)), group_size=m)
+                       num_relays=m * draw(st.integers(1, 5)), group_size=m,
+                       pair_mode=PairMode.ALL_PAIRS)
     return cfg, draw(st.integers(0, 2**32 - 1))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from plnc_sim import (ReceiverKind, SystemConfig, draw_channel,
+from plnc_sim import (PairMode, ReceiverKind, SystemConfig, draw_channel,
                       generate_codebook, hard_decision,
                       source_relay_filter_bank)
 from plnc_sim.receivers import (_mmse_bank, detection_error_probs,
@@ -180,9 +180,11 @@ class TestReceiverProperties:
             assert np.array_equal(detected, b), f"{kind} not exact"
 
     def test_mmse_dominates_rake_output_sinr(self):
-        # statistical test over 1000 channel draws with K = 4 users
+        # statistical test over 1000 channel draws with K = 4 users; K > L
+        # is a valid config only where free-form pairs serve the groups
         cfg = SystemConfig(num_users=4, num_relays=2, group_size=2,
-                           spreading_gain=8, snr_db=8.0, rng_seed=9)
+                           spreading_gain=8, snr_db=8.0, rng_seed=9,
+                           pair_mode=PairMode.ALL_PAIRS)
         book = generate_codebook(cfg)
         rng = np.random.default_rng(10)
         sigma2 = cfg.noise_var
