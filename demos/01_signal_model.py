@@ -1,8 +1,9 @@
 """Walkthrough of the chip-rate signal model.
 
 Builds the codebook and a fading realization for the default scenario,
-then synthesizes both transmission phases and checks the received
-energy against the link budget.
+then synthesizes both transmission phases at chip rate, checks the
+received energy against the link budget, and shows that the second
+phase's filter output depends on the relay-destination gains alone.
 """
 import numpy as np
 
@@ -14,12 +15,11 @@ print(f"scenario: K={cfg.num_users} users, L={cfg.num_relays} relays, "
       f"N={cfg.spreading_gain} chips/symbol, sigma2={cfg.noise_var:.3f}")
 
 book = generate_codebook(cfg)
-print(f"codebook: {book.codes.shape[0]} user codes + "
-      f"{book.ncs_codes.shape[0]} group codes, all unit norm "
+print(f"codebook: {book.codes.shape[0]} user codes, all unit norm "
       f"(max deviation {abs(np.linalg.norm(book.codes, axis=1) - 1).max():.1e})")
 
 rng = np.random.default_rng(2)
-state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2], rng)
+state = draw_channel(cfg, book, rng)
 # unit-norm codes: an effective vector's norm is its link gain's modulus
 print(f"fading draw: |h_sd| = "
       f"{np.linalg.norm(state.h_eff_sd, axis=-1).round(2)}")
@@ -38,7 +38,12 @@ expected = np.sum(np.abs(state.h_eff_sd) ** 2) + cfg.spreading_gain * cfg.noise_
 print(f"destination energy/symbol: measured {measured:.3f}, "
       f"budget {expected:.3f}")
 
-# second phase: the pair's network-coded symbols ride the group code
-ncs = np.array([[1.0], [-1.0]])
-y_rd = synthesize_second_phase(ncs, state, [0, 1], cfg.noise_var, rng)
-print(f"second phase: superposed pair transmission -> {y_rd.shape}")
+# second phase: the pair's network-coded symbols ride one unit-norm code,
+# so the code's matched filter leaves the scalar h_rd . b plus CN(0, sigma2)
+code = book.codes[0]
+ncs = np.where(rng.standard_normal((2, P)) >= 0, 1.0, -1.0)
+y_rd = synthesize_second_phase(ncs, state, [0, 1], code, cfg.noise_var, rng)
+residual = code @ y_rd - state.h_rd[[0, 1]] @ ncs
+print(f"second phase: superposed pair transmission -> {y_rd.shape}; "
+      f"filter output minus h_rd . b has variance {np.var(residual):.3f} "
+      f"(sigma2 {cfg.noise_var:.3f})")

@@ -14,7 +14,7 @@ from plnc_sim.receivers import source_relay_filter_bank
 cfg = SystemConfig(snr_db=8.0, rng_seed=3)
 book = generate_codebook(cfg)
 rng = np.random.default_rng(4)
-state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2], rng)
+state = draw_channel(cfg, book, rng)
 
 P = 20_000
 symbols = np.where(rng.standard_normal((cfg.num_users, P)) >= 0, 1.0, -1.0)

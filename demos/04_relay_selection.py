@@ -18,12 +18,11 @@ from plnc_sim.receivers import (relay_dest_filter_bank,
 cfg = SystemConfig(snr_db=10.0, rng_seed=6)
 book = generate_codebook(cfg)
 _, group_relays = make_group_assignments(cfg, np.random.default_rng([6, 0x6E0]))
-ids = np.zeros(cfg.num_relays, dtype=int)
-ids[group_relays] = np.arange(len(group_relays))[:, None]   # relay -> group
 
-state = draw_channel(cfg, book, ids, np.random.default_rng(7))
+state = draw_channel(cfg, book, np.random.default_rng(7))
 sigma2 = cfg.noise_var
 Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
+# a relay's stream holds its observation alone: one scalar filter per relay
 Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
 cands = candidate_pairs(group_relays, cfg.num_relays, cfg.group_size,
                         PairMode.FIXED_GROUPS)

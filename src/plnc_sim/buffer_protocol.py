@@ -12,11 +12,12 @@ action: the first entry of the table's ranking that the buffers allow;
 the unbuffered baseline serves its groups round robin.  A packet is its
 uid, the index of its reception: a reception pushes the uid onto the
 pair's buffers and a transmission pops it; the slot's Decision becomes
-a plain row tuple.  No decision reads the physics of a packet, only the
-channel and the buffer occupancies, so this pass decides every slot.
-A reception keeps its group and the pair's slice of the slot's channel
-(and, buffered, of its source-relay bank) for pass 2, and a
-transmission the pair's relay-destination gains.
+a plain row tuple.  Where pairs are not groups, reception uid serves
+group uid mod K/m, the same round robin.  No decision reads the physics
+of a packet, only the channel and the buffer occupancies, so this pass
+decides every slot.  A reception keeps its group and the pair's slice
+of the slot's channel (and, buffered, of its source-relay bank) for
+pass 2, and a transmission the pair's relay-destination gains.
 
 Pass 2, settle(), runs the physics of every slot advanced since the
 last settle as arrays: for the receptions, one data block, the
@@ -25,11 +26,13 @@ source-relay banks), the first phase at symbol level
 (signal_model.sample_first_phase) and every lane's encoder designs and
 encodes; for the transmissions, the second phase, one noise draw per
 slice for all lanes of a kind, then per lane the decode-time MMSE
-refinement, the decoders and the scoring.  settle() turns the pending
-rows into log records in one np.array call and writes the transmissions'
-bit_errors and note codes into them; until then the log raises.
-A packet's group, streams, direct-link decisions and ground truth wait
-under its uid from its reception's settle to its transmission's.
+refinement, the decoders and the scoring; the second phase and the
+designs read the relay-destination gains alone (rx.rank_one_filters).
+settle() turns the pending rows into log records in one np.array call
+and writes the transmissions' bit_errors and note codes into them;
+until then the log raises.  A packet's streams, encoders, direct-link
+decisions and ground truth wait under its uid from its reception's
+settle to its transmission's.
 run_until calls settle() once at the end.  Every random stream has one
 purpose and the same draw shape on every call, so one block of draws
 equals the per-slot draws bit for bit, whenever settle() runs.  The
@@ -263,38 +266,28 @@ class SlotMachine:
         # the unbuffered baseline serves the fixed groups in every pair mode
         self._pairs_are_groups = (config.pair_mode == PairMode.FIXED_GROUPS
                                   or not config.buffers_enabled)
-        # relays outside every group keep group 0's code
-        self.relay_group_ids = np.zeros(config.num_relays, dtype=int)
-        self.relay_group_ids[group_relays] = np.arange(len(group_relays))[:, None]
         self.candidates = rs.candidate_pairs(
             group_relays, config.num_relays, config.group_size,
             PairMode.FIXED_GROUPS if self._pairs_are_groups else config.pair_mode)
         self.bank = BufferBank(config.num_relays, config.buffer_size)
+        i4 = np.int32
         self._log = np.zeros(0, [          # occupancy after the slot, note in NOTES
-            ("transmit", bool), ("pair_id", int), ("relays", int, (config.group_size,)),
-            ("sinr", float), ("reselections", int), ("decoded_bits", int),
-            ("occupancy", int, (config.num_relays,)),
-            ("bit_errors", int, (len(schemes),)), ("note", np.int8, (len(schemes),))])
+            ("transmit", bool), ("pair_id", i4), ("relays", i4, (config.group_size,)),
+            ("sinr", float), ("reselections", i4), ("decoded_bits", i4),
+            ("occupancy", i4, (config.num_relays,)),
+            ("bit_errors", i4, (len(schemes),)), ("note", np.int8, (len(schemes),))])
         self._pending = []       # the log rows of the slots to settle
         self.slot = 0
         self.receive_slots = 0
         self.transmit_slots = 0
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
-        self._rr_group = 0       # round-robin pointer (unbuffered / all-pairs)
         self._block = None       # (state, filters_sr, tables) of the slots ahead
         self._row = 0            # the next slot's row of the block
         self._receptions = []    # (uid, group, pair's state, pair's filters_sr)
         self._transmissions = []  # (uid, pair's h_rd) to settle
-        self._coded = {}         # uid -> (group, direct, truth, ncs, encoders)
+        self._coded = {}         # uid -> (direct, truth, ncs, encoders)
 
     # -- pass 1: decisions, one slot at a time ----------------------------
-
-    def _next_group(self):
-        """Round robin over the groups: the unbuffered baseline's next
-        group, and the group a free-form pair serves."""
-        g = self._rr_group
-        self._rr_group = (g + 1) % self.config.num_groups
-        return g
 
     def _next_channel(self):
         """The channel block (state, filters_sr, tables) and the slot's
@@ -308,8 +301,7 @@ class SlotMachine:
             cfg = self.config
             sigma2 = cfg.noise_var
             sr_elements = 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
-            state = sm.draw_channels(cfg, self.codebook, self.relay_group_ids,
-                                     self.rng.channel,
+            state = sm.draw_channels(cfg, self.codebook, self.rng.channel,
                                      max(1, _SLICE_ELEMENTS // sr_elements))
             filters_sr = tables = None
             if cfg.buffers_enabled:
@@ -338,11 +330,12 @@ class SlotMachine:
         if cfg.buffers_enabled:
             decision = decide_action(tables[i], self.candidates, self.bank)
         else:
-            # every reception slot is followed by the pair's transmission:
-            # the group served last transmits while its relays hold a packet
-            pair_id, action = (self._rr_group - 1) % cfg.num_groups, "transmit"
+            # reception uid serves group uid mod K/m, and is followed by
+            # the group's transmission: the group served last transmits
+            # while its relays hold a packet
+            pair_id, action = (self.receive_slots - 1) % cfg.num_groups, "transmit"
             if not self.bank.can_transmit(self.candidates[pair_id]):
-                pair_id, action = self._next_group(), "receive"
+                pair_id, action = self.receive_slots % cfg.num_groups, "receive"
             decision = Decision(action, pair_id, self.candidates[pair_id],
                                 float("nan"), 0)
         relays, transmit = decision.relays, decision.action == "transmit"
@@ -350,12 +343,12 @@ class SlotMachine:
         # order on the relay axis
         pair = list(relays)
         if not transmit:
-            group = decision.pair_id if self._pairs_are_groups else self._next_group()
             uid = self.receive_slots
+            group = (decision.pair_id if self._pairs_are_groups
+                     else uid % cfg.num_groups)
             self.bank.push_pair(relays, uid)
             self._receptions.append((uid, group, sm.ChannelState(
-                state.h_rd[i, pair], state.h_eff_sd[i], state.h_eff_sr[i][:, pair],
-                state.h_eff_rd[i, pair]),
+                state.h_rd[i, pair], state.h_eff_sd[i], state.h_eff_sr[i][:, pair]),
                 None if filters_sr is None else filters_sr[i][:, pair]))
             self.receive_slots += 1
         else:
@@ -388,15 +381,14 @@ class SlotMachine:
         self._log, self._pending = np.concatenate((self._log, records)), []
         return self
 
-    def _stream_stats(self, rows):
-        """Filters for relay streams that each occupy a sub-slot alone,
-        one per row of rows (..., m, N), and the statistics every
-        coding-matrix design and decoder works from: the gains w^H h and
-        the noise powers sigma2 ||w||^2."""
+    def _stream_stats(self, h_rd):
+        """The outputs of relay streams that each occupy a sub-slot alone,
+        on relay-destination gains h_rd (..., m): the gains conj(f) h and
+        noise powers sigma2 |f|^2 every coding-matrix design and decoder
+        works from, and the noise colourings |f|."""
         sigma2 = self.config.noise_var
-        filters = rx.rank_one_filters(rows, sigma2, self.config.receiver)
-        noise_var = sigma2 * np.sum(np.abs(filters) ** 2, axis=-1)
-        return filters, rx.effective_gains(filters, rows), noise_var
+        filters = rx.rank_one_filters(h_rd, sigma2, self.config.receiver)
+        return rx.rank_one_outputs(filters, h_rd, sigma2)
 
     def _designs(self, state, users, filters_sr):
         """Every lane's encoders for the stacked receptions, (R, m, m)
@@ -415,7 +407,7 @@ class SlotMachine:
                 encoders.append(nc.design_G_random(m, lane.design, len(users)))
                 continue
             if gains is None:
-                _, gains, noise_var = self._stream_stats(state.h_eff_rd)
+                gains, noise_var, _ = self._stream_stats(state.h_rd)
             if lane.scheme == Scheme.ML:
                 encoders.append(nc.design_G_ml_for_channel(
                     gains, noise_var, cfg.ml_training_len, lane.design)[0])
@@ -466,8 +458,7 @@ class SlotMachine:
             coders = np.stack([np.zeros((len(uids[s]), m, m)) if G is None
                                else G[s] for G in encoders], axis=1)
             for i, uid in enumerate(uids[s]):
-                self._coded[uid] = (groups[s][i], direct[i], truth[i], ncs[i],
-                                    coders[i])
+                self._coded[uid] = (direct[i], truth[i], ncs[i], coders[i])
 
     def _settle_transmissions(self):
         """Second phase: send each popped packet's NCS streams in every
@@ -480,15 +471,14 @@ class SlotMachine:
         m, P = cfg.group_size, cfg.packet_length
         uids, h_rd = zip(*self._transmissions)
         self._transmissions = []
-        groups, direct, truth, ncs, coders = (np.stack(a) for a in zip(
+        h_rd = np.array(h_rd)                                      # (T, m)
+        direct, truth, ncs, coders = (np.stack(a) for a in zip(
             *(self._coded.pop(uid) for uid in uids)))
-        codes = self.codebook.ncs_codes[groups]
-        rows = np.array(h_rd)[:, :, None] * codes[:, None, :]     # (T, m, N)
         xor = [k for k, lane in enumerate(self.lanes) if lane.scheme == Scheme.XOR]
         linear = [k for k in range(len(self.lanes)) if k not in xor]
         errors, notes = np.zeros((2, len(uids), len(self.lanes)), dtype=int)
         if xor:
-            (signal, colour), degenerate = self._xor_streams(rows, codes)
+            signal, colour, degenerate = self._xor_streams(h_rd)
             notes[np.ix_(degenerate, xor)] = NOTES.index("degenerate combined channel")
             for s in _slices(len(uids), 10 * P):
                 noise = sm.filter_noise(colour[s], (len(truth[s]), 1, P), cfg.noise_var,
@@ -498,20 +488,19 @@ class SlotMachine:
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
                     errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         if linear:
-            gains, noise_var, signal, colour = self._linear_streams(rows)
+            gains, noise_var, colour = self._stream_stats(h_rd)
             decoders = dict.fromkeys(linear)
             for k in linear:
                 if self.lanes[k].scheme == Scheme.MMSE_DESIGN:
                     decoders[k], fallback = nc.design_G_mmse(coders[:, k], gains,
                                                              noise_var)
                     notes[fallback, k] = NOTES.index("mmse fallback")
-            for s in _slices(len(uids), 10 * m * P):
-                noise = sm.filter_noise(colour[s], (len(truth[s]), m, 1, P),
-                                        cfg.noise_var, self.lanes[linear[0]].noise,
-                                        call_axes=1)
+            for s in _slices(len(uids), 10 * m * P):     # a sub-slot per stream
+                noise = sm.filter_noise(
+                    colour[s, :, None, None], (len(truth[s]), m, 1, P), cfg.noise_var,
+                    self.lanes[linear[0]].noise, call_axes=1)[:, :, 0]
                 for k in linear:
-                    z = signal[s] @ ncs[s, k, :, None].astype(np.float64) + noise
-                    z = z[:, :, 0]
+                    z = gains[s, :, None] * ncs[s, k].astype(np.float64) + noise
                     refine = None if decoders[k] is None else decoders[k][s]
                     if cfg.decoder == DecoderKind.JOINT:
                         decoded = nc.decode_joint(coders[s, k], z, gains[s], refine)
@@ -521,24 +510,19 @@ class SlotMachine:
                     errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         return errors, notes
 
-    def _xor_streams(self, rows, codes):
-        """Both relays carry the same code and (nominally) the same
-        symbol: the streams superpose on the combined channel.  Returns
-        the second-phase maps and which combined channels are degenerate."""
+    def _xor_streams(self, h_rd):
+        """The relays of a pair send on one code and (nominally) the same
+        symbol, so one filter serves the combined channel, the sum of the
+        gains h_rd (T, m).  Returns its output's gains (T, 1, m) and
+        colourings (T, 1, 1), and which combined channels are degenerate
+        (their filter is the code's)."""
         cfg = self.config
-        combined = rows.sum(axis=1)
-        degenerate = np.sum(np.abs(combined) ** 2, axis=-1) < 1e-30
-        combined = np.where(degenerate[:, None], codes, combined)
-        w = rx.rank_one_filters(combined[:, None, :], cfg.noise_var, cfg.receiver)
-        return sm.filter_output_maps(w, rows), degenerate
-
-    def _linear_streams(self, rows):
-        """One sub-slot per relay stream, independent noise each: the
-        stream statistics and second-phase maps every linear lane shares
-        (one QR of each packet's stream filters)."""
-        filters, gains, noise_var = self._stream_stats(rows)
-        return (gains, noise_var) + sm.filter_output_maps(filters[:, :, None],
-                                                          rows[:, :, None])
+        combined = h_rd.sum(axis=1)
+        degenerate = np.abs(combined) ** 2 < 1e-30
+        f = rx.rank_one_filters(np.where(degenerate, 1.0, combined), cfg.noise_var,
+                                cfg.receiver)[:, None, None]
+        gains, _, colour = rx.rank_one_outputs(f, h_rd[:, None, :], cfg.noise_var)
+        return gains, colour, degenerate
 
     # -- slot driver -------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""RAKE and linear MMSE receive filter banks plus the BPSK slicer."""
+"""RAKE and linear MMSE receive filter banks, N-chip on the first hop
+and scalar on the second, plus the BPSK slicer."""
 
 import numpy as np
 from scipy.special import erfc
@@ -47,26 +48,38 @@ def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):
     return _mmse_bank(state.h_eff_sd, sigma2)
 
 
-def rank_one_filters(rows, sigma2, kind: ReceiverKind):
-    """Filters for streams that each occupy an observation alone, one
-    per row of rows (..., S, N).
+def rank_one_filters(h, sigma2, kind: ReceiverKind):
+    """Filters for streams that each occupy an observation alone on one
+    unit-norm code, as the coefficient f of the filter f * code, one per
+    channel coefficient of h (...).
 
     The second hop schedules one relay stream per sub-slot (or the XOR
-    pair's combined stream), so each MMSE covariance holds that stream
-    plus noise only: (h h^H + s I)^-1 h = h / (s + ||h||^2).
+    pair's combined stream), so each observation holds one code in white
+    noise: f = h for RAKE and, as the MMSE covariance holds that stream
+    plus noise only, (h h^H + s I)^-1 h code = h / (s + |h|^2) code.
     """
-    norms = np.sum(np.abs(rows) ** 2, axis=-1)
-    if not np.all(norms > 0):
-        raise ValueError("degenerate channel: effective vector is zero")
+    power = np.abs(h) ** 2
+    if not np.all(power > 0):
+        raise ValueError("degenerate channel: a stream's coefficient is zero")
     if kind == ReceiverKind.RAKE:
-        return rows.copy()
-    return rows / (sigma2 + norms)[..., None]
+        return h.copy()
+    return h / (sigma2 + power)
+
+
+def rank_one_outputs(filters, h, sigma2):
+    """What scalar filters f (rank_one_filters) make of streams h * code *
+    b + n on one unit-norm code, n ~ CN(0, sigma2 I_N): the output is
+    conj(f) h b + |f| CN(0, sigma2).  Returns the gains conj(f) h, the
+    noise powers sigma2 |f|^2 and the colourings |f|; filters broadcast
+    against h."""
+    colour = np.abs(filters)
+    return filters.conj() * h, sigma2 * colour ** 2, colour
 
 
 def relay_dest_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Second-hop filters, one per relay NCS stream, (..., L, N) for a
+    """Second-hop filters, one scalar per relay stream, (..., L) for a
     state whose arrays carry leading axes (...)."""
-    return rank_one_filters(state.h_eff_rd, sigma2, kind)
+    return rank_one_filters(state.h_rd, sigma2, kind)
 
 
 def effective_gains(filters, h_eff):

@@ -1,4 +1,5 @@
-"""Per-pair SINR metrics for both hops and their max-SINR ranking."""
+"""Per-pair SINR metrics for both hops and their max-SINR ranking; the
+second hop's metric reads the relay-destination gains alone."""
 
 from itertools import combinations
 
@@ -28,16 +29,17 @@ def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
     |w^H h|^2 over every user at the pair's relays; the denominator sums
     the same quantity at all non-selected relays plus the noise
     enhancement sigma2 ||w||^2 of each selected filter.  The second hop
-    mirrors this on the relay NCS streams, one filter per stream (a
-    per-user sum would scale numerator and denominator alike, so it is
-    dropped).
+    mirrors this with |conj(f) h|^2 and sigma2 |f|^2 on the relay NCS
+    streams, one scalar filter f per stream (a per-user sum would scale
+    numerator and denominator alike, so it is dropped).
     """
+    gains_rd, _, colour_rd = rx.rank_one_outputs(filters_rd, state.h_rd, sigma2)
     # per-relay sums, (..., L, 2): column 0 over the K users, column 1 the stream
     power = np.stack([
         (np.abs(rx.effective_gains(filters_sr, state.h_eff_sr)) ** 2).sum(axis=-2),
-        np.abs(rx.effective_gains(filters_rd, state.h_eff_rd)) ** 2], axis=-1)
+        np.abs(gains_rd) ** 2], axis=-1)
     wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=-2),
-                      np.sum(np.abs(filters_rd) ** 2, axis=-1)], axis=-1)
+                      colour_rd ** 2], axis=-1)
     member = np.zeros((len(candidates), power.shape[-2]))
     for row, relays in enumerate(candidates):
         member[row, list(relays)] = 1.0

@@ -1,6 +1,11 @@
 """Spreading codes, block-fading channels, and the two transmission
 phases: chip-rate synthesis, and direct sampling of filter outputs.
 
+The K users share every first-hop observation, which is modelled chip
+by chip.  A second-hop observation holds one code in white noise, so
+its filter output is a scalar statistic of the relay-destination gains
+and that hop keeps no codes (receivers.rank_one_filters).
+
 Conventions used throughout:
   * codes are random +-1/sqrt(N) chips, unit Euclidean norm
   * channel coefficients are zero-mean circularly-symmetric complex
@@ -21,51 +26,42 @@ from .config import SystemConfig
 
 @dataclass(frozen=True)
 class CodeBook:
-    """Per-user signature sequences plus one shared sequence per user
-    group for the network-coded symbol stream."""
+    """The users' signature sequences."""
 
     codes: np.ndarray       # (K, N) real, unit-norm rows
-    ncs_codes: np.ndarray   # (K/m, N) real, unit-norm rows
 
     def __post_init__(self):
-        for arr in (self.codes, self.ncs_codes):
-            norms = np.linalg.norm(arr, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-12):
-                raise ValueError("spreading codes must be unit norm")
+        if not np.allclose(np.linalg.norm(self.codes, axis=1), 1.0, atol=1e-12):
+            raise ValueError("spreading codes must be unit norm")
 
 
 @dataclass
 class ChannelState:
     """One coherence block: the relay-destination gains plus the
-    effective signature vectors of every link (code * coefficient; every
-    amplitude is 1).  The codes are unit norm, so an effective vector's
-    norm is its link gain's modulus.  Every array may carry the same
-    leading axes, e.g. one slot per index; state[i] indexes them all."""
+    effective signature vectors of every first-hop link (code *
+    coefficient; every amplitude is 1).  The codes are unit norm, so an
+    effective vector's norm is its link gain's modulus.  Every array may
+    carry the same leading axes, e.g. one slot per index; state[i]
+    indexes them all."""
 
     h_rd: np.ndarray        # (L,) complex
     h_eff_sd: np.ndarray    # (K, N) complex
     h_eff_sr: np.ndarray    # (K, L, N) complex
-    h_eff_rd: np.ndarray    # (L, N) complex, built with each relay's group code
 
     def __getitem__(self, index):
         return ChannelState(*(array[index] for array in vars(self).values()))
 
 
-def _unit_chip_rows(rng, rows, n):
-    chips = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
-    return (2.0 * chips - 1.0) / np.sqrt(n)
-
-
 def generate_codebook(config: SystemConfig) -> CodeBook:
-    """Draw the K user codes and the K/m group NCS codes.
+    """Draw the K user codes.
 
     Deterministic given config.rng_seed; the codebook is fixed for an
     entire simulation run.
     """
     rng = np.random.default_rng([config.rng_seed, 0x5EED])
-    codes = _unit_chip_rows(rng, config.num_users, config.spreading_gain)
-    ncs_codes = _unit_chip_rows(rng, config.num_groups, config.spreading_gain)
-    return CodeBook(codes=codes, ncs_codes=ncs_codes)
+    n = config.spreading_gain
+    chips = rng.integers(0, 2, size=(config.num_users, n)).astype(np.float64)
+    return CodeBook((2.0 * chips - 1.0) / np.sqrt(n))
 
 
 def complex_gaussian(rng, shape, variance=1.0, calls=()):
@@ -83,8 +79,7 @@ def complex_gaussian(rng, shape, variance=1.0, calls=()):
     return samples.reshape(tuple(calls) + shape)
 
 
-def draw_channels(config: SystemConfig, codebook: CodeBook,
-                  relay_group_ids, rng, n):
+def draw_channels(config: SystemConfig, codebook: CodeBook, rng, n):
     """n successive draw_channel calls in one block of normals: the same
     ChannelStates, bit for bit, stacked on a leading slot axis.  The
     source-destination and source-relay gains are drawn first, in that
@@ -100,20 +95,12 @@ def draw_channels(config: SystemConfig, codebook: CodeBook,
 
     h_eff_sd = h_sd[:, :, None] * codebook.codes
     h_eff_sr = h_sr[..., None] * codebook.codes[:, None, :]
-    rd_codes = codebook.ncs_codes[np.asarray(relay_group_ids, dtype=int)]
-    h_eff_rd = h_rd[..., None] * rd_codes
-    return ChannelState(h_rd, h_eff_sd, h_eff_sr, h_eff_rd)
+    return ChannelState(h_rd, h_eff_sd, h_eff_sr)
 
 
-def draw_channel(config: SystemConfig, codebook: CodeBook,
-                 relay_group_ids, rng) -> ChannelState:
-    """Draw fresh fading coefficients for every link of one packet slot.
-
-    relay_group_ids maps each relay index to its user-group index so
-    the relay-destination effective vectors can use that group's NCS
-    spreading code.
-    """
-    return draw_channels(config, codebook, relay_group_ids, rng, 1)[0]
+def draw_channel(config: SystemConfig, codebook: CodeBook, rng) -> ChannelState:
+    """Draw fresh fading coefficients for every link of one packet slot."""
+    return draw_channels(config, codebook, rng, 1)[0]
 
 
 def _check_bpsk(symbols):
@@ -146,10 +133,10 @@ def synthesize_first_phase(symbols, state: ChannelState, sigma2, rng,
     return y_sd, out_sr
 
 
-def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
+def synthesize_second_phase(ncs_symbols, state: ChannelState, relays, code,
                             sigma2, rng):
-    """Relay-set transmission of network-coded symbols on the shared
-    group code.
+    """Chip-rate reference of the relay-set transmission of network-coded
+    symbols on one unit-norm code (N,).
 
     ncs_symbols has shape (m,) or (m, P) and may be any real values
     (linear network coding produces multilevel symbols, including 0).
@@ -157,8 +144,11 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays,
     observation used by the linear schemes; passing the whole pair
     superposes the streams.  Returns the samples, (N,) or (N, P).
     """
+    code = np.asarray(code, dtype=np.float64)
+    if not np.isclose(np.linalg.norm(code), 1.0, rtol=0, atol=1e-12):
+        raise ValueError("the second-phase code must be unit norm")
     b = np.asarray(ncs_symbols, dtype=np.float64)
-    y = np.tensordot(state.h_eff_rd[list(relays)], b, axes=(0, 0))
+    y = np.multiply.outer(code, state.h_rd[list(relays)] @ b)
     return y + complex_gaussian(rng, y.shape, sigma2)
 
 
@@ -198,9 +188,10 @@ def sample_filter_outputs(maps, symbols, sigma2, rng, call_axes=0):
 
 def filter_noise(colour, shape, sigma2, rng, call_axes=0):
     """The noise part of sample_filter_outputs: colour @ CN(0, sigma2 I)
-    for filter outputs of shape (..., M, P), colour being the maps'
-    (..., M, min(N, M)) colouring; the first call_axes axes of shape
-    draw as separate calls."""
+    for filter outputs of shape (..., M, P), colour (..., M, C) being the
+    maps' (..., M, min(N, M)) colouring or a scalar filter's |f| as
+    (..., 1, 1); the first call_axes axes of shape draw as separate
+    calls."""
     white = complex_gaussian(rng, shape[call_axes:-2] + (colour.shape[-1], shape[-1]),
                              sigma2, calls=shape[:call_axes])
     return colour @ white

@@ -9,6 +9,9 @@ against: the direct form of each computation, kept out of the package.
   2^(m*m) relay-detection flip patterns and all 2^m data patterns.
 - pair_state: a slot's channel as pass 2 reads it, the pair's relays in
   order on the relay axis.
+- chip_rank_one_filters, chip_second_hop: the second hop's vector model,
+  N-chip filters on the streams' code with their QR noise colouring,
+  which the scalar filters of receivers.rank_one_filters reduce.
 - rayleigh_bpsk_ber, relay_chain_ber, max_link_hop_ber: closed-form BER
   of a one-user, one-relay chain, unbuffered and buffered.
 """
@@ -18,8 +21,9 @@ from itertools import product
 
 import numpy as np
 
+from plnc_sim.config import ReceiverKind
 from plnc_sim.network_coding import _qfunc, design_G_mmse
-from plnc_sim.signal_model import ChannelState
+from plnc_sim.signal_model import ChannelState, filter_output_maps
 
 
 def random_designs_sequential(m, rng, count):
@@ -80,8 +84,33 @@ def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
 def pair_state(state, relays):
     """state with only the given relays, in that order, on its relay axis."""
     r = list(relays)
-    return ChannelState(state.h_rd[r], state.h_eff_sd, state.h_eff_sr[:, r],
-                        state.h_eff_rd[r])
+    return ChannelState(state.h_rd[r], state.h_eff_sd, state.h_eff_sr[:, r])
+
+
+def chip_rank_one_filters(rows, sigma2, kind):
+    """N-chip filters for streams that each occupy an observation alone,
+    one per row of rows (..., S, N): the effective vector for RAKE and,
+    the MMSE covariance holding that stream plus noise only,
+    (h h^H + s I)^-1 h = h / (s + ||h||^2)."""
+    norms = np.sum(np.abs(rows) ** 2, axis=-1)
+    if not np.all(norms > 0):
+        raise ValueError("degenerate channel: effective vector is zero")
+    if kind == ReceiverKind.RAKE:
+        return rows.copy()
+    return rows / (sigma2 + norms)[..., None]
+
+
+def chip_second_hop(h, code, sigma2, kind):
+    """One second-hop observation in the vector model: streams of
+    coefficients h (..., S) on one unit-norm code (N,) and one N-chip
+    filter on their superposition (S = 1: a linear sub-slot, S = m: the
+    XOR pair).  Returns its output's gains (..., S), noise power sigma2
+    ||w||^2 (...) and the QR colouring of filter_output_maps (...)."""
+    rows = np.asarray(h)[..., None] * code                     # (..., S, N)
+    w = chip_rank_one_filters(rows.sum(axis=-2)[..., None, :], sigma2, kind)
+    gains, colour = filter_output_maps(w, rows)
+    noise_var = sigma2 * np.sum(np.abs(w[..., 0, :]) ** 2, axis=-1)
+    return gains[..., 0, :], noise_var, colour[..., 0, 0]
 
 
 def rayleigh_bpsk_ber(snr):

@@ -244,16 +244,17 @@ class TestCriterion8SinrOracle:
         return num / (interference + noise_power)
 
     @staticmethod
-    def empirical_rd(pair, state, W, sigma2, rng, T):
-        L, _ = state.h_eff_rd.shape
+    def empirical_rd(pair, state, W, code, sigma2, rng, T):
+        # chip-level relay streams h_rd * code and N-chip filters f * code
+        # on an explicit unit-norm code
         num = interference = noise_power = 0.0
-        for l in range(L):
-            w = W[l]
+        for l in range(len(state.h_rd)):
+            w = W[l] * code
             b = np.where(rng.standard_normal(T) >= 0, 1.0, -1.0)
-            power = np.mean(np.abs((np.conj(w) @ state.h_eff_rd[l]) * b) ** 2)
+            power = np.mean(np.abs((np.conj(w) @ (state.h_rd[l] * code)) * b) ** 2)
             if l in pair:
                 num += power
-                noise = complex_gaussian(rng, (T, W.shape[1]), sigma2)
+                noise = complex_gaussian(rng, (T, code.size), sigma2)
                 noise_power += np.mean(np.abs(noise @ np.conj(w)) ** 2)
             else:
                 interference += power
@@ -264,18 +265,18 @@ class TestCriterion8SinrOracle:
         book = generate_codebook(cfg)
         rng = np.random.default_rng(81)
         sigma2 = cfg.noise_var
-        ids = [0, 0, 1, 1, 2, 2]
+        code = book.codes[0]
         T = 100_000
         worst = 0.0
         for trial in range(20):
-            state = draw_channel(cfg, book, ids, rng)
+            state = draw_channel(cfg, book, rng)
             kind = (ReceiverKind.RAKE, ReceiverKind.MMSE)[trial % 2]
             Wsr = source_relay_filter_bank(state, sigma2, kind)
             Wrd = relay_dest_filter_bank(state, sigma2, kind)
             pair = (0, 1)
             an_sr, an_rd = build_sinr_table(state, Wsr, Wrd, sigma2, [pair])[0]
             em_sr = self.empirical_sr(pair, state, Wsr, sigma2, rng, T)
-            em_rd = self.empirical_rd(pair, state, Wrd, sigma2, rng, T)
+            em_rd = self.empirical_rd(pair, state, Wrd, code, sigma2, rng, T)
             worst = max(worst, abs(an_sr - em_sr) / em_sr,
                         abs(an_rd - em_rd) / em_rd)
         ok = worst <= 0.05

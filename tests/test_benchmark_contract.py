@@ -147,7 +147,7 @@ NOT_IN_A_JOINT_MACHINE = {"draw_channel", "synthesize_first_phase",
                           "synthesize_second_phase", "symbol_to_bit",
                           "trace_row", "detect_ncs", "decode_with_direct"}
 PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
-            "decide_action"}
+            "decide_action", "effective_gains"}
 
 
 @pytest.mark.parametrize("buffered", [True, False])

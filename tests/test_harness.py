@@ -354,28 +354,28 @@ GOLDEN = {
         "xor-buffered-mmse": (200, 46, 21, 0),
         "xor-unbuffered-mmse": (200, 28, 20, 0),
         "random-buffered-mmse": (200, 16, 21, 0),
-        "random-unbuffered-mmse": (200, 26, 20, 0),
+        "random-unbuffered-mmse": (200, 25, 20, 0),
         "ml-buffered-mmse": (200, 18, 21, 0),
-        "ml-unbuffered-mmse": (200, 26, 20, 0),
+        "ml-unbuffered-mmse": (200, 27, 20, 0),
         "mmse-buffered-mmse": (200, 10, 21, 0),
         "mmse-unbuffered-mmse": (200, 13, 20, 0),
     },
     PairMode.ALL_PAIRS: {
-        "xor-buffered-mmse": (200, 29, 22, 0),
+        "xor-buffered-mmse": (200, 27, 22, 0),
         "xor-unbuffered-mmse": (200, 28, 20, 0),
-        "random-buffered-mmse": (200, 31, 22, 0),
-        "random-unbuffered-mmse": (200, 26, 20, 0),
+        "random-buffered-mmse": (200, 28, 22, 0),
+        "random-unbuffered-mmse": (200, 25, 20, 0),
         "ml-buffered-mmse": (200, 12, 22, 0),
-        "ml-unbuffered-mmse": (200, 26, 20, 0),
-        "mmse-buffered-mmse": (200, 4, 22, 0),
+        "ml-unbuffered-mmse": (200, 27, 20, 0),
+        "mmse-buffered-mmse": (200, 5, 22, 0),
         "mmse-unbuffered-mmse": (200, 13, 20, 0),
     },
 }
 GOLDEN_TRACE_SHA256 = {
     PairMode.FIXED_GROUPS:
-        "7b3aafee3678b3935d10da6f7f91465131d51fa3865164ae557840f76f241674",
+        "b7f613907dcc64b16961943bba7f0a95887b99ce4fb54f900ec7d898a7a0b426",
     PairMode.ALL_PAIRS:
-        "d9d4baa7cdc4676b18d0ccac4e5a831b28009cb07e0cde41673afbb4502f81d3",
+        "d08daecd6bfd8253300436aa0ba6a7bb9a9e80c67919c0844e8c96d83613a6f1",
 }
 # All pairs with J = 3 and the direct-link decoder: overlapping pairs
 # share relay buffers, and every decode reads the stored direct estimates.
@@ -383,117 +383,117 @@ GOLDEN_DIRECT = {
     "xor-buffered-mmse": (200, 22, 28, 0),
     "xor-unbuffered-mmse": (200, 28, 20, 0),
     "random-buffered-mmse": (200, 13, 28, 0),
-    "random-unbuffered-mmse": (200, 23, 20, 0),
+    "random-unbuffered-mmse": (200, 24, 20, 0),
     "ml-buffered-mmse": (200, 5, 28, 0),
-    "ml-unbuffered-mmse": (200, 26, 20, 0),
+    "ml-unbuffered-mmse": (200, 27, 20, 0),
     "mmse-buffered-mmse": (200, 2, 28, 0),
-    "mmse-unbuffered-mmse": (200, 11, 20, 0),
+    "mmse-unbuffered-mmse": (200, 10, 20, 0),
 }
 GOLDEN_DIRECT_TRACE_SHA256 = \
-    "65849e276f86174d9f940e180146866a7c169bb4be1b0aacafafc12eaaa0ebc4"
+    "a388f1b29d766e6af773ecc7a841d75532356ca664a80a9e248d7b4947983bd9"
 # Group sizes 1 and 3: single-user groups (every encoder is [1], XOR
 # reads no direct estimate) and the direct-link decoder on one group of
 # three (4 packets: the mmse design scores 174 encoders per reception).
 GOLDEN_M1 = {
     "xor-buffered-mmse": (100, 1, 22, 0),
-    "xor-unbuffered-mmse": (100, 5, 20, 0),
+    "xor-unbuffered-mmse": (100, 6, 20, 0),
     "random-buffered-mmse": (100, 1, 22, 0),
-    "random-unbuffered-mmse": (100, 5, 20, 0),
+    "random-unbuffered-mmse": (100, 6, 20, 0),
     "ml-buffered-mmse": (100, 1, 22, 0),
-    "ml-unbuffered-mmse": (100, 5, 20, 0),
+    "ml-unbuffered-mmse": (100, 6, 20, 0),
     "mmse-buffered-mmse": (100, 1, 22, 0),
-    "mmse-unbuffered-mmse": (100, 5, 20, 0),
+    "mmse-unbuffered-mmse": (100, 6, 20, 0),
 }
 GOLDEN_M1_TRACE_SHA256 = \
-    "992406261b8f24f52226d9a683b06129c985396d44469f645eb5dbf88555f16d"
+    "a164a866281f0052738442db81cf646e20aab35260d16577d1f779a0deaf90af"
 GOLDEN_M3_DIRECT = {
     "xor-buffered-mmse": (120, 30, 8, 0),
     "xor-unbuffered-mmse": (120, 30, 8, 0),
     "random-buffered-mmse": (120, 17, 8, 0),
     "random-unbuffered-mmse": (120, 17, 8, 0),
-    "ml-buffered-mmse": (120, 13, 8, 0),
-    "ml-unbuffered-mmse": (120, 13, 8, 0),
-    "mmse-buffered-mmse": (120, 4, 8, 0),
-    "mmse-unbuffered-mmse": (120, 4, 8, 0),
+    "ml-buffered-mmse": (120, 12, 8, 0),
+    "ml-unbuffered-mmse": (120, 12, 8, 0),
+    "mmse-buffered-mmse": (120, 3, 8, 0),
+    "mmse-unbuffered-mmse": (120, 3, 8, 0),
 }
 GOLDEN_M3_DIRECT_TRACE_SHA256 = \
-    "4b5a8f25a7253172e185ed2225b58e60758dd8460fad47acaa9cc4cf0d23759e"
+    "27ce9ab08450005f24bcbf22880cdea069c58dc099e514f467629f340971fb5d"
 # The RAKE receiver (matched filters in every bank) at J = 2.
 GOLDEN_RAKE = {
-    "xor-buffered-rake": (200, 68, 21, 0),
+    "xor-buffered-rake": (200, 72, 21, 0),
     "xor-unbuffered-rake": (200, 61, 20, 0),
     "random-buffered-rake": (200, 47, 21, 0),
-    "random-unbuffered-rake": (200, 42, 20, 0),
+    "random-unbuffered-rake": (200, 41, 20, 0),
     "ml-buffered-rake": (200, 26, 21, 0),
-    "ml-unbuffered-rake": (200, 41, 20, 0),
+    "ml-unbuffered-rake": (200, 42, 20, 0),
     "mmse-buffered-rake": (200, 26, 21, 0),
-    "mmse-unbuffered-rake": (200, 17, 20, 0),
+    "mmse-unbuffered-rake": (200, 15, 20, 0),
 }
 GOLDEN_RAKE_TRACE_SHA256 = \
-    "2af652ebbbb7d9ed65bb88603f4d186165ccf4067b6bb278f9f4a3047bca2a7e"
+    "69c450f8f0d9f0cb81e06c533c85d2af5a4242b5618af87ad3a9c5841693e023"
 # Long packets in chunks of 3: pass 2 of the slot machine cuts every
 # chunk's receptions and transmissions into several slices.
 GOLDEN_SLICED = {
-    "xor-buffered-mmse": (48000, 6950, 19, 0),
-    "xor-unbuffered-mmse": (48000, 8186, 16, 0),
-    "random-buffered-mmse": (48000, 1793, 19, 0),
-    "random-unbuffered-mmse": (48000, 7364, 16, 0),
-    "ml-buffered-mmse": (48000, 1662, 19, 0),
-    "ml-unbuffered-mmse": (48000, 5185, 16, 0),
+    "xor-buffered-mmse": (48000, 6918, 19, 0),
+    "xor-unbuffered-mmse": (48000, 8196, 16, 0),
+    "random-buffered-mmse": (48000, 1790, 19, 0),
+    "random-unbuffered-mmse": (48000, 7334, 16, 0),
+    "ml-buffered-mmse": (48000, 1664, 19, 0),
+    "ml-unbuffered-mmse": (48000, 5255, 16, 0),
     "mmse-buffered-mmse": (48000, 427, 19, 0),
-    "mmse-unbuffered-mmse": (48000, 3969, 16, 0),
+    "mmse-unbuffered-mmse": (48000, 3985, 16, 0),
 }
 GOLDEN_SLICED_TRACE_SHA256 = \
-    "89616dcca43d3ab6ac1cb0c3a3e49eeffb9af76cd73df321be1ffa0f4068c3c5"
+    "d0ac38155032bb8129c74354ad59924300f18de138767874fd0eba2816757409"
 # More users than relays (K=8, L=4), all pairs, buffered only: two groups
 # own no relay and every group is served round robin on any relay pair.
 GOLDEN_K8_L4 = {
-    "xor-buffered-mmse": (200, 34, 23, 0),
-    "random-buffered-mmse": (200, 25, 23, 0),
+    "xor-buffered-mmse": (200, 38, 23, 0),
+    "random-buffered-mmse": (200, 24, 23, 0),
     "ml-buffered-mmse": (200, 13, 23, 0),
     "mmse-buffered-mmse": (200, 7, 23, 0),
 }
 GOLDEN_K8_L4_TRACE_SHA256 = \
-    "d4b7af58da6431ab3e130e8a8268617163f52366428a662d3ec9062aaa8fa277"
+    "7f5586fda28d2f99e6d104097a34bdaba4794eb02bfe0aed2c109002ab9af197"
 # More relays than users (K=4, L=8), fixed groups: the four relays
-# outside every group keep group 0's code and interfere in the SINR table.
+# outside every group interfere in the SINR table.
 GOLDEN_K4_L8 = {
     "xor-buffered-mmse": (200, 24, 21, 0),
-    "xor-unbuffered-mmse": (200, 50, 20, 0),
+    "xor-unbuffered-mmse": (200, 48, 20, 0),
     "random-buffered-mmse": (200, 15, 21, 0),
-    "random-unbuffered-mmse": (200, 19, 20, 0),
+    "random-unbuffered-mmse": (200, 21, 20, 0),
     "ml-buffered-mmse": (200, 10, 21, 0),
-    "ml-unbuffered-mmse": (200, 19, 20, 0),
+    "ml-unbuffered-mmse": (200, 16, 20, 0),
     "mmse-buffered-mmse": (200, 4, 21, 0),
-    "mmse-unbuffered-mmse": (200, 7, 20, 0),
+    "mmse-unbuffered-mmse": (200, 4, 20, 0),
 }
 GOLDEN_K4_L8_TRACE_SHA256 = \
-    "54eaf4864635fdfbed6977ae879c7958453d889aee1f6c32cf76302156752d66"
+    "f5cb1863f7662be6eeca0ce90053933773d3c6d5540b4d3f0c1c6b2ca8fa4fa5"
 # A two-worker `plnc-sim sweep --trace` (30 packets per point, two chunks
 # each): the CSV, the sidecar without its wall_clock_s line, the trace.
 GOLDEN_CLI_CSV = """\
 scheme,snr_db,bits,errors,ber
-ml-buffered-mmse,4,1200,107,0.0891666666667
+ml-buffered-mmse,4,1200,116,0.0966666666667
 ml-buffered-mmse,10,1200,47,0.0391666666667
 ml-unbuffered-mmse,4,1200,168,0.14
-ml-unbuffered-mmse,10,1200,60,0.05
-mmse-buffered-mmse,4,1200,84,0.07
+ml-unbuffered-mmse,10,1200,57,0.0475
+mmse-buffered-mmse,4,1200,92,0.0766666666667
 mmse-buffered-mmse,10,1200,10,0.00833333333333
-mmse-unbuffered-mmse,4,1200,152,0.126666666667
-mmse-unbuffered-mmse,10,1200,46,0.0383333333333
-random-buffered-mmse,4,1200,176,0.146666666667
+mmse-unbuffered-mmse,4,1200,153,0.1275
+mmse-unbuffered-mmse,10,1200,47,0.0391666666667
+random-buffered-mmse,4,1200,185,0.154166666667
 random-buffered-mmse,10,1200,48,0.04
-random-unbuffered-mmse,4,1200,212,0.176666666667
-random-unbuffered-mmse,10,1200,90,0.075
-xor-buffered-mmse,4,1200,275,0.229166666667
-xor-buffered-mmse,10,1200,114,0.095
-xor-unbuffered-mmse,4,1200,238,0.198333333333
-xor-unbuffered-mmse,10,1200,77,0.0641666666667
+random-unbuffered-mmse,4,1200,207,0.1725
+random-unbuffered-mmse,10,1200,88,0.0733333333333
+xor-buffered-mmse,4,1200,279,0.2325
+xor-buffered-mmse,10,1200,116,0.0966666666667
+xor-unbuffered-mmse,4,1200,232,0.193333333333
+xor-unbuffered-mmse,10,1200,79,0.0658333333333
 """
 GOLDEN_CLI_SIDECAR_SHA256 = \
     "bad07bba16540ec5b6f2afc91be5c847dc753a86a2996257d74a60d7c728ef8e"
 GOLDEN_CLI_TRACE_SHA256 = \
-    "af898c367d4e70aea7085e02530d4a384a267249b5b689e6b3ba525c69ce5495"
+    "2e1301dae74c5ae9ffe395805ff18739d51b3c85d3fcf25ab937302341978094"
 
 
 def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,
@@ -662,14 +662,19 @@ class TestTraceNotes:
                    if scheme.startswith("mmse-") and action == "transmit")
 
     def test_degenerate_combined_channel_note(self, tmp_path, monkeypatch):
+        # each group's second relay cancels the first one's gain to the
+        # destination: every relay link is sound, but the XOR pair's
+        # combined channel is zero
+        groups = SlotMachine(tiny_config(), 0).candidates
         draw = signal_model.draw_channels
 
-        def silent_relays(*args):
+        def cancelling_pairs(*args):
             state = draw(*args)
-            state.h_rd[...] = 0        # every relay's gain to the destination
+            for first, second in groups:
+                state.h_rd[..., second] = -state.h_rd[..., first]
             return state
 
-        monkeypatch.setattr(signal_model, "draw_channels", silent_relays)
+        monkeypatch.setattr(signal_model, "draw_channels", cancelling_pairs)
         report = run_sweep(tiny_config(packet_length=8), [8.0], 3,
                            schemes=[Scheme.XOR], buffer_modes=[True, False],
                            collect_trace=True)
@@ -678,6 +683,21 @@ class TestTraceNotes:
         for _, action, note in rows:
             assert note == ("degenerate combined channel" if action == "transmit"
                             else "")
+
+    def test_zero_relay_gain_fails_linear_lanes(self, monkeypatch):
+        # a linear lane's sub-slot on a zero gain has no filter: the chunk
+        # fails loudly rather than score the packet
+        draw = signal_model.draw_channels
+
+        def silent_relays(*args):
+            state = draw(*args)
+            state.h_rd[...] = 0
+            return state
+
+        monkeypatch.setattr(signal_model, "draw_channels", silent_relays)
+        with pytest.raises(ValueError, match="degenerate channel"):
+            run_sweep(tiny_config(packet_length=8), [8.0], 3,
+                      schemes=[Scheme.RANDOM], buffer_modes=[False])
 
 
 class TestConfigFile:

@@ -10,16 +10,18 @@ from plnc_sim import (PairMode, ReceiverKind, SystemConfig, draw_channel,
                       generate_codebook, hard_decision,
                       source_relay_filter_bank)
 from plnc_sim.receivers import (_mmse_bank, detection_error_probs,
-                                effective_gains, rank_one_filters)
-from plnc_sim.signal_model import complex_gaussian
+                                effective_gains, rank_one_filters,
+                                rank_one_outputs, source_dest_filter_bank)
+from plnc_sim.signal_model import ChannelState, complex_gaussian
 
-from oracles import pair_state
+from oracles import chip_second_hop, pair_state
 
 
 def rake(h):
-    """RAKE filter of one stream: the rank-one bank's RAKE row."""
-    return rank_one_filters(np.asarray(h, dtype=complex)[None, :], 1.0,
-                            ReceiverKind.RAKE)[0]
+    """RAKE filter of one stream: the destination bank's RAKE row for a
+    lone user of effective vector h."""
+    state = ChannelState(None, np.asarray(h, dtype=complex)[None, :], None)
+    return source_dest_filter_bank(state, 1.0, ReceiverKind.RAKE)[0]
 
 
 def output(w, y):
@@ -49,8 +51,8 @@ class TestRakeFilter:
 
     def test_zero_channel_rejected(self):
         for kind in ReceiverKind:
-            with pytest.raises(ValueError):
-                rank_one_filters(np.zeros((1, 8), dtype=complex), 1.0, kind)
+            with pytest.raises(ValueError, match="degenerate channel"):
+                rank_one_filters(np.array([0.5j, 0.0]), 1.0, kind)
 
 
 class TestMmseFilter:
@@ -59,8 +61,9 @@ class TestMmseFilter:
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
         assert np.allclose(_mmse_bank(e1[None, :], 1.0)[0], e1 / 2.0, atol=1e-12)
-        assert np.allclose(rank_one_filters(e1[None, :], 1.0, ReceiverKind.MMSE)[0],
-                           e1 / 2.0, atol=1e-12)
+        # the scalar filter of the code e1 with unit gain
+        f = rank_one_filters(np.array([1.0 + 0j]), 1.0, ReceiverKind.MMSE)[0]
+        assert np.allclose(f * e1, e1 / 2.0, atol=1e-12)
 
     def test_normal_equations_residual(self):
         # independent check: the weights must satisfy the linear system
@@ -73,17 +76,19 @@ class TestMmseFilter:
         assert np.linalg.norm(cov @ w - H[2]) < 1e-10
         oracle = np.linalg.solve(cov, H[2])
         assert np.allclose(w, oracle, atol=1e-10)
-        # the rank-one formula solves the single-stream system
-        r = rank_one_filters(H, sigma2, ReceiverKind.MMSE)[2]
-        cov1 = np.outer(H[2], H[2].conj()) + sigma2 * np.eye(16)
-        assert np.allclose(r, np.linalg.solve(cov1, H[2]), atol=1e-10)
+        # the rank-one formula solves the single-stream system of a
+        # coefficient h on a unit-norm code
+        code = np.where(rng.standard_normal(16) >= 0, 1.0, -1.0) / 4.0
+        h = complex_gaussian(rng, 3)
+        f = rank_one_filters(h, sigma2, ReceiverKind.MMSE)[2]
+        cov1 = np.outer(h[2] * code, (h[2] * code).conj()) + sigma2 * np.eye(16)
+        assert np.allclose(f * code, np.linalg.solve(cov1, h[2] * code), atol=1e-10)
 
     def test_relay_bank_matches_per_relay_solve(self):
         # one batched solve over all relays equals a dense solve of each
         # relay's own covariance, one relay and one user at a time
         cfg = SystemConfig(snr_db=4.0)
-        state = draw_channel(cfg, generate_codebook(cfg), [0, 0, 1, 1, 2, 2],
-                             np.random.default_rng(5))
+        state = draw_channel(cfg, generate_codebook(cfg), np.random.default_rng(5))
         sigma2 = cfg.noise_var
         W = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
         K, L, N = state.h_eff_sr.shape
@@ -122,6 +127,33 @@ class TestMmseFilter:
         assert W.shape == H.shape
         scale = np.max(np.abs(oracle), axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-9 * scale)
+
+
+class TestScalarSecondHop:
+    # the second hop's scalar filters against the N-chip vector model
+    # they reduce: rank-one filters on the streams' code, QR colouring
+
+    @settings(max_examples=120, deadline=None)
+    @given(N=st.integers(2, 32), m=st.integers(1, 3), lead=st.integers(1, 4),
+           kind=st.sampled_from(list(ReceiverKind)),
+           sigma2=st.floats(1e-3, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scalar_statistics_equal_chip_model(self, N, m, lead, kind, sigma2,
+                                                seed):
+        # m = 1 is a linear sub-slot; m > 1 the XOR superposition, one
+        # filter on the sum of the m coefficients
+        rng = np.random.default_rng(seed)
+        code = np.where(rng.standard_normal(N) >= 0, 1.0, -1.0) / np.sqrt(N)
+        h = complex_gaussian(rng, (lead, m))
+        f = rank_one_filters(h.sum(axis=-1), sigma2, kind)
+        gains, noise_var, colour = rank_one_outputs(f[:, None], h, sigma2)
+        chip_gains, chip_noise, chip_colour = chip_second_hop(h, code, sigma2, kind)
+
+        def close(a, b):
+            return np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+        assert close(gains, chip_gains)
+        assert close(noise_var[:, 0], chip_noise)
+        assert close(colour[:, 0], np.abs(chip_colour))
 
 
 class TestFilterOutput:
@@ -171,7 +203,7 @@ class TestReceiverProperties:
                            snr_db=120.0, rng_seed=7)
         book = generate_codebook(cfg)
         rng = np.random.default_rng(8)
-        state = draw_channel(cfg, book, [0], rng)
+        state = draw_channel(cfg, book, rng)
         b = np.where(rng.standard_normal(1000) >= 0, 1.0, -1.0)
         y = state.h_eff_sr[0, 0][:, None] * b
         for kind in (ReceiverKind.RAKE, ReceiverKind.MMSE):
@@ -196,7 +228,7 @@ class TestReceiverProperties:
 
         totals = {ReceiverKind.RAKE: 0.0, ReceiverKind.MMSE: 0.0}
         for _ in range(1000):
-            state = draw_channel(cfg, book, [0, 1], rng)
+            state = draw_channel(cfg, book, rng)
             for kind in totals:
                 W = source_relay_filter_bank(state, sigma2, kind)
                 totals[kind] += output_sinr(W[0, 0], state.h_eff_sr[:, 0, :], 0)
@@ -206,7 +238,7 @@ class TestReceiverProperties:
         cfg = SystemConfig(num_users=3, num_relays=3, group_size=3,
                            spreading_gain=8, snr_db=5.0, rng_seed=11)
         book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, [0, 0, 0], np.random.default_rng(12))
+        state = draw_channel(cfg, book, np.random.default_rng(12))
         w1 = source_relay_filter_bank(state, cfg.noise_var, ReceiverKind.MMSE)
         w2 = source_relay_filter_bank(state, cfg.noise_var, ReceiverKind.MMSE)
         assert np.array_equal(w1, w2)
@@ -237,8 +269,7 @@ class TestDetectionErrorProbs:
         rng = np.random.default_rng(seed)
         cfg = SystemConfig(num_users=m * groups, num_relays=m * groups,
                            spreading_gain=n, group_size=m, snr_db=snr_db)
-        state = draw_channel(cfg, generate_codebook(cfg),
-                             np.arange(cfg.num_relays) // m, rng)
+        state = draw_channel(cfg, generate_codebook(cfg), rng)
         W = source_relay_filter_bank(state, cfg.noise_var, kind)
         users = [int(u) for u in rng.permutation(cfg.num_users)[:m]]
         relays = [int(r) for r in rng.permutation(cfg.num_relays)[:m]]

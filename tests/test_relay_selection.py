@@ -21,9 +21,7 @@ def scenario(snr_db=10.0, seed=0, **kw):
     cfg = SystemConfig(**defaults)
     book = generate_codebook(cfg)
     _, groups = make_group_assignments(cfg, np.random.default_rng([seed, 0x6E0]))
-    ids = np.zeros(cfg.num_relays, dtype=int)
-    ids[groups] = np.arange(len(groups))[:, None]
-    state = draw_channel(cfg, book, ids, np.random.default_rng(seed + 1))
+    state = draw_channel(cfg, book, np.random.default_rng(seed + 1))
     return cfg, book, groups, state
 
 
@@ -59,7 +57,7 @@ class TestSinrFormulas:
         sigma2 = cfg.noise_var
         W = relay_dest_filter_bank(state, sigma2, ReceiverKind.RAKE)
         got = sinr_relay_destination((0,), state, W, sigma2)
-        expected = np.sum(np.abs(state.h_eff_rd[0]) ** 2) / sigma2
+        expected = np.abs(state.h_rd[0]) ** 2 / sigma2
         assert abs(got - expected) < 1e-9 * expected
 
     def test_monotone_in_noise(self):
@@ -72,8 +70,8 @@ class TestSinrFormulas:
     def test_stronger_pair_wins_second_hop(self):
         cfg, _, _, state = scenario()
         sigma2 = cfg.noise_var
-        state.h_eff_rd[2] = 3.0 * state.h_eff_rd[0]
-        state.h_eff_rd[3] = 3.0 * state.h_eff_rd[1]
+        state.h_rd[2] = 3.0 * state.h_rd[0]
+        state.h_rd[3] = 3.0 * state.h_rd[1]
         W = relay_dest_filter_bank(state, sigma2, ReceiverKind.RAKE)
         weak = sinr_relay_destination((0, 1), state, W, sigma2)
         strong = sinr_relay_destination((2, 3), state, W, sigma2)
@@ -220,17 +218,15 @@ class TestChannelBlock:
         cfg, book, groups, _ = scenario(seed=4, num_users=6, num_relays=6,
                                         spreading_gain=16, pair_mode=pair_mode)
         sigma2 = cfg.noise_var
-        ids = np.zeros(cfg.num_relays, dtype=int)
-        ids[groups] = np.arange(len(groups))[:, None]
         cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size, pair_mode)
-        block = draw_channels(cfg, book, ids, np.random.default_rng(9), 7)
+        block = draw_channels(cfg, book, np.random.default_rng(9), 7)
         Wsr = source_relay_filter_bank(block, sigma2, kind)
         Wrd = relay_dest_filter_bank(block, sigma2, kind)
         table = build_sinr_table(block, Wsr, Wrd, sigma2, cands)
         assert table.shape == (7, len(cands), 2)
         rng = np.random.default_rng(9)
         for i in range(7):
-            state = draw_channel(cfg, book, ids, rng)
+            state = draw_channel(cfg, book, rng)
             for name, array in vars(state).items():
                 assert np.array_equal(array, getattr(block[i], name)), name
             wsr = source_relay_filter_bank(state, sigma2, kind)

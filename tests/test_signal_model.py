@@ -33,9 +33,7 @@ class TestCodebook:
         cfg = small_config()
         book = generate_codebook(cfg)
         assert book.codes.shape == (6, 16)
-        assert book.ncs_codes.shape == (3, 16)
         assert np.allclose(np.linalg.norm(book.codes, axis=1), 1.0, atol=1e-12)
-        assert np.allclose(np.linalg.norm(book.ncs_codes, axis=1), 1.0, atol=1e-12)
 
     def test_single_chip_code(self):
         cfg = small_config(num_users=1, num_relays=1, group_size=1,
@@ -49,7 +47,6 @@ class TestCodebook:
         a = generate_codebook(cfg)
         b = generate_codebook(cfg)
         assert np.array_equal(a.codes, b.codes)
-        assert np.array_equal(a.ncs_codes, b.ncs_codes)
         other = generate_codebook(small_config(rng_seed=6))
         assert not np.array_equal(a.codes, other.codes)
 
@@ -61,8 +58,7 @@ class TestChannel:
         book = generate_codebook(cfg)
         rng = np.random.default_rng(0)
         # the unit-norm code projects an effective vector onto its gain
-        draws = np.array([draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
-                                       rng).h_eff_sd[0] @ book.codes[0]
+        draws = np.array([draw_channel(cfg, book, rng).h_eff_sd[0] @ book.codes[0]
                           for _ in range(100_000)])
         n = draws.size
         assert abs(draws.mean()) < 3.0 / np.sqrt(n)   # within 3 sigma of zero
@@ -71,8 +67,7 @@ class TestChannel:
     def test_equal_power_amplitudes(self):
         cfg = small_config()
         book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
-                             np.random.default_rng(1))
+        state = draw_channel(cfg, book, np.random.default_rng(1))
         h_sd, h_sr, h_rd = drawn_gains(cfg, 1)
         assert np.array_equal(state.h_rd, h_rd)
         # every link amplitude is 1: an effective vector's norm is |h|
@@ -80,14 +75,11 @@ class TestChannel:
                            np.abs(h_sd), atol=1e-12)
         assert np.allclose(np.linalg.norm(state.h_eff_sr, axis=-1),
                            np.abs(h_sr), atol=1e-12)
-        assert np.allclose(np.linalg.norm(state.h_eff_rd, axis=-1),
-                           np.abs(h_rd), atol=1e-12)
 
     def test_effective_vector_identity(self):
         cfg = small_config()
         book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2],
-                             np.random.default_rng(2))
+        state = draw_channel(cfg, book, np.random.default_rng(2))
         _, h_sr, _ = drawn_gains(cfg, 2)
         for k in range(cfg.num_users):
             for l in range(cfg.num_relays):
@@ -101,13 +93,12 @@ class TestFirstPhase:
     def setup_method(self):
         self.cfg = small_config()
         self.book = generate_codebook(self.cfg)
-        self.state = draw_channel(self.cfg, self.book, [0, 0, 1, 1, 2, 2],
-                                  np.random.default_rng(3))
+        self.state = draw_channel(self.cfg, self.book, np.random.default_rng(3))
 
     def test_noiseless_single_user(self):
         cfg = small_config(num_users=1, num_relays=1, group_size=1)
         book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, [0], np.random.default_rng(4))
+        state = draw_channel(cfg, book, np.random.default_rng(4))
         y_sd, _ = synthesize_first_phase(np.array([1.0]), state, 1e-30,
                                          np.random.default_rng(5))
         assert np.allclose(y_sd, state.h_eff_sd[0], atol=1e-12)
@@ -115,7 +106,7 @@ class TestFirstPhase:
     def test_orthogonal_codes_no_cross_term(self):
         cfg = small_config(num_users=2, num_relays=2, spreading_gain=4)
         book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, [0, 0], np.random.default_rng(6))
+        state = draw_channel(cfg, book, np.random.default_rng(6))
         # force orthogonal codes and rebuild the effective vectors
         codes = np.array([[1, 1, 1, 1], [1, -1, 1, -1]]) / 2.0
         h_sd = np.sum(state.h_eff_sd * book.codes, axis=-1)
@@ -152,18 +143,18 @@ class TestSecondPhase:
     def setup_method(self):
         self.cfg = small_config()
         self.book = generate_codebook(self.cfg)
-        self.state = draw_channel(self.cfg, self.book, [0, 0, 1, 1, 2, 2],
-                                  np.random.default_rng(11))
+        self.state = draw_channel(self.cfg, self.book, np.random.default_rng(11))
+        self.code = self.book.codes[0]      # any unit-norm code
 
     def test_single_relay_noiseless(self):
-        y = synthesize_second_phase(np.array([-1.0]), self.state, [1], 1e-30,
-                                    np.random.default_rng(12))
-        assert np.allclose(y, -self.state.h_eff_rd[1], atol=1e-12)
+        y = synthesize_second_phase(np.array([-1.0]), self.state, [1], self.code,
+                                    1e-30, np.random.default_rng(12))
+        assert np.allclose(y, -self.state.h_rd[1] * self.code, atol=1e-12)
 
     def test_zero_symbols_give_pure_noise(self):
         # the zero NCS value occurs for linear network coding
         y = synthesize_second_phase(np.array([0.0, 0.0]), self.state, [0, 1],
-                                    0.5, np.random.default_rng(13))
+                                    self.code, 0.5, np.random.default_rng(13))
         n = complex_gaussian(np.random.default_rng(13), 16, 0.5)
         assert np.allclose(y, n, atol=1e-12)
 
@@ -172,7 +163,7 @@ class TestSecondPhase:
         # noise draw
         b1 = np.array([1.0, -1.0])
         b2 = np.array([2.0, 0.0])
-        args = (self.state, [0, 1], 0.3)
+        args = (self.state, [0, 1], self.code, 0.3)
         y1 = synthesize_second_phase(b1, *args, np.random.default_rng(14))
         y2 = synthesize_second_phase(b2, *args, np.random.default_rng(14))
         y12 = synthesize_second_phase(b1 + b2, *args, np.random.default_rng(14))
@@ -182,8 +173,13 @@ class TestSecondPhase:
 
     def test_determinism(self):
         b = np.array([1.0, -1.0])
-        y1 = synthesize_second_phase(b, self.state, [0, 1], 0.2,
+        y1 = synthesize_second_phase(b, self.state, [0, 1], self.code, 0.2,
                                      np.random.default_rng(15))
-        y2 = synthesize_second_phase(b, self.state, [0, 1], 0.2,
+        y2 = synthesize_second_phase(b, self.state, [0, 1], self.code, 0.2,
                                      np.random.default_rng(15))
         assert np.array_equal(y1, y2)
+
+    def test_rejects_code_of_other_norm(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            synthesize_second_phase(np.array([1.0]), self.state, [0],
+                                    2.0 * self.code, 0.2, np.random.default_rng(16))

@@ -5,17 +5,17 @@ samples directly must have the conditional mean and covariance of
 chip-rate synthesis followed by the same filter bank: every relay's m
 correlated outputs, the destination's direct outputs, a linear
 sub-slot and the XOR combined stream, under both receivers, and with
-two group codes equal up to sign (parallel filters).
+two user codes equal up to sign (parallel filters).
 """
 
 import numpy as np
 import pytest
 
 from plnc_sim import ReceiverKind, SystemConfig
-from plnc_sim.receivers import (relay_dest_filter_bank, source_dest_filter_bank,
-                                source_relay_filter_bank)
-from plnc_sim.signal_model import (CodeBook, draw_channel, filter_output_maps,
-                                   first_phase_maps, generate_codebook,
+from plnc_sim.receivers import (rank_one_outputs, relay_dest_filter_bank,
+                                source_dest_filter_bank, source_relay_filter_bank)
+from plnc_sim.signal_model import (CodeBook, draw_channel, first_phase_maps,
+                                   generate_codebook,
                                    sample_filter_outputs, sample_first_phase,
                                    synthesize_first_phase,
                                    synthesize_second_phase)
@@ -33,7 +33,7 @@ KINDS = (ReceiverKind.RAKE, ReceiverKind.MMSE)
 def paper_state(seed, codebook=None):
     cfg = SystemConfig(snr_db=6.0, rng_seed=seed)
     book = generate_codebook(cfg) if codebook is None else codebook
-    state = draw_channel(cfg, book, [0, 0, 1, 1, 2, 2], np.random.default_rng(seed))
+    state = draw_channel(cfg, book, np.random.default_rng(seed))
     return cfg, book, state
 
 
@@ -109,8 +109,7 @@ class TestFirstPhase:
         book = generate_codebook(cfg)
         codes = book.codes.copy()
         codes[USERS[1]] = -codes[USERS[0]]
-        cfg, _, state = paper_state(37, CodeBook(codes=codes,
-                                                 ncs_codes=book.ncs_codes))
+        cfg, _, state = paper_state(37, CodeBook(codes=codes))
         f_sr = source_relay_filter_bank(state, cfg.noise_var, kind)
         assert np.linalg.matrix_rank(f_sr[USERS, RELAYS[0]], tol=1e-9) == 1
         symbols = fixed_symbols(cfg.num_users, 38)
@@ -122,37 +121,44 @@ class TestFirstPhase:
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 class TestSecondPhase:
+    # the symbol-level second hop works from the relay-destination gains
+    # alone; the chip-rate reference sends on an explicit unit-norm code
+    # and applies the N-chip filter f * code
+
     @staticmethod
     def _setup(kind, seed):
-        cfg, _, state = paper_state(seed)
-        rows = state.h_eff_rd[list(RELAYS)]
+        cfg, book, state = paper_state(seed)
+        h = state.h_rd[list(RELAYS)]
         filters = relay_dest_filter_bank(state, cfg.noise_var, kind)[list(RELAYS)]
-        return cfg, state, rows, filters
+        return cfg, state, book.codes[seed % cfg.num_users], h, filters
 
     def test_linear_sub_slots(self, kind):
         # one relay stream per sub-slot; multilevel NCS values, as G^T b
-        cfg, state, rows, filters = self._setup(kind, 41)
+        cfg, state, code, h, filters = self._setup(kind, 41)
         sigma2 = cfg.noise_var
         ncs = np.repeat(np.array([[2.0], [0.0]]), T, axis=1)
-        maps = filter_output_maps(filters[:, None], rows[:, None])
-        sampled = sample_filter_outputs(maps, ncs[:, None], sigma2,
+        gains, _, colour = rank_one_outputs(filters, h, sigma2)
+        sampled = sample_filter_outputs((gains[:, None, None], colour[:, None, None]),
+                                        ncs[:, None], sigma2,
                                         np.random.default_rng(42))[:, 0]
         rng = np.random.default_rng(43)
         for pos, relay in enumerate(RELAYS):
-            y = synthesize_second_phase(ncs[pos:pos + 1], state, [relay], sigma2, rng)
-            chip = filters[pos].conj() @ y
+            y = synthesize_second_phase(ncs[pos:pos + 1], state, [relay], code,
+                                        sigma2, rng)
+            chip = (filters[pos] * code).conj() @ y
             assert_same_moments(sampled[pos:pos + 1], chip[None])
 
     def test_xor_combined_stream(self, kind):
-        # both relays on the pair's code, one filter on the superposition
-        cfg, state, rows, _ = self._setup(kind, 44)
+        # both relays on one code, one filter on the superposition
+        cfg, state, code, h, _ = self._setup(kind, 44)
         sigma2 = cfg.noise_var
-        combined = rows.sum(axis=0)
-        w = combined if kind == ReceiverKind.RAKE else \
-            combined / (sigma2 + np.vdot(combined, combined).real)
+        combined = h.sum()
+        f = combined if kind == ReceiverKind.RAKE else \
+            combined / (sigma2 + abs(combined) ** 2)
         ncs = np.repeat(np.array([[1.0], [-1.0]]), T, axis=1)
-        sampled = sample_filter_outputs(filter_output_maps(w[None], rows), ncs,
-                                        sigma2, np.random.default_rng(45))
-        y = synthesize_second_phase(ncs, state, RELAYS, sigma2,
+        gains, _, colour = rank_one_outputs(np.array([[f]]), h, sigma2)
+        sampled = sample_filter_outputs((gains, colour), ncs, sigma2,
+                                        np.random.default_rng(45))
+        y = synthesize_second_phase(ncs, state, RELAYS, code, sigma2,
                                     np.random.default_rng(46))
-        assert_same_moments(sampled, (w.conj() @ y)[None])
+        assert_same_moments(sampled, ((f * code).conj() @ y)[None])
