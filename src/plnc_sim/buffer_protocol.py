@@ -30,9 +30,9 @@ refinement, the decoders and the scoring; the second phase and the
 designs read the relay-destination gains alone (rx.rank_one_filters).
 settle() turns the pending rows into log records in one np.array call
 and writes the transmissions' bit_errors and note codes into them;
-until then the log raises.  A packet's streams, encoders, direct-link
-decisions and ground truth wait under its uid from its reception's
-settle to its transmission's.
+until then the log raises.  A packet's streams, direct-link decisions,
+ground truth and encoder rows (int16, -1 for XOR) wait under its uid
+from its reception's settle to its transmission's.
 run_until calls settle() once at the end.  Every random stream has one
 purpose and the same draw shape on every call, so one block of draws
 equals the per-slot draws bit for bit, whenever settle() runs.  The
@@ -285,7 +285,7 @@ class SlotMachine:
         self._row = 0            # the next slot's row of the block
         self._receptions = []    # (uid, group, pair's state, pair's filters_sr)
         self._transmissions = []  # (uid, pair's h_rd) to settle
-        self._coded = {}         # uid -> (direct, truth, ncs, encoders)
+        self._coded = {}         # uid -> (direct, truth, ncs, encoder rows)
 
     # -- pass 1: decisions, one slot at a time ----------------------------
 
@@ -391,43 +391,43 @@ class SlotMachine:
         return rx.rank_one_outputs(filters, h_rd, sigma2)
 
     def _designs(self, state, users, filters_sr):
-        """Every lane's encoders for the stacked receptions, (R, m, m)
-        each, None for XOR.  The ml and mmse designs read the pair's
-        relay-destination statistics; mmse also reads the relays'
-        detection error probabilities."""
+        """Every lane's encoders for the stacked receptions as rows of
+        nc.encoder_table, (R, lanes) int16, -1 for XOR.  The ml and mmse
+        designs read the pair's relay-destination statistics; mmse also
+        reads the relays' detection error probabilities."""
         cfg = self.config
         m = cfg.group_size
         gains = noise_var = flips = None
-        encoders = []
-        for lane in self.lanes:
+        rows = np.full((len(users), len(self.lanes)), -1, dtype=np.int16)
+        for k, lane in enumerate(self.lanes):
             if lane.scheme == Scheme.XOR:
-                encoders.append(None)
                 continue
             if lane.scheme == Scheme.RANDOM:
-                encoders.append(nc.design_G_random(m, lane.design, len(users)))
+                rows[:, k] = nc.design_G_random(m, lane.design, len(users))
                 continue
             if gains is None:
                 gains, noise_var, _ = self._stream_stats(state.h_rd)
             if lane.scheme == Scheme.ML:
-                encoders.append(nc.design_G_ml_for_channel(
-                    gains, noise_var, cfg.ml_training_len, lane.design)[0])
+                rows[:, k] = nc.design_G_ml_for_channel(
+                    gains, noise_var, cfg.ml_training_len, lane.design)[0]
                 continue
             if flips is None:
                 flips = rx.detection_error_probs(users, state, filters_sr,
                                                  cfg.noise_var)
-            # per reception: the (candidates, 2^(m^2), m, 2^m) slicer errors
-            # and the distinct ones they are gathered from, under twice that
-            scores = 2 * len(nc.enumerate_invertible_binary(m)) * 2 ** (m * m + m) * m
-            encoders.append(np.concatenate([
+            # per reception: the (rows, 2^(m^2), m, 2^m) slicer errors and
+            # the distinct ones they are gathered from, under twice that
+            scores = 2 * len(nc.encoder_table(m).G) * 2 ** (m * m + m) * m
+            rows[:, k] = np.concatenate([
                 nc.select_G_mmse(gains[s], noise_var[s], flip_probs=flips[s])[0]
-                for s in _slices(len(users), scores)]))
-        return encoders
+                for s in _slices(len(users), scores)])
+        return rows
 
     def _settle_receptions(self):
         """First phase: all sources transmit, each selected pair detects
         its group; every lane designs its encoders and encodes, and the
         packets' streams, the destination's direct decisions and the
-        ground truth are kept (as int8) until their transmission."""
+        ground truth (as int8) and encoder rows are kept until their
+        transmission."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
         uids, groups, states, filters_sr = zip(*self._receptions)
@@ -439,7 +439,7 @@ class SlotMachine:
         else:
             filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         users = self.group_users[list(groups)]
-        encoders = self._designs(state, users, filters_sr)
+        rows = self._designs(state, users, filters_sr)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
         # the data, and the normals, samples and outputs of (1 + m) m streams
@@ -452,13 +452,11 @@ class SlotMachine:
             detected = rx.hard_decision(soft_sr)        # [..., relay, user, symbol]
             truth = np.take_along_axis(symbols, users[s][:, :, None],
                                        axis=1).astype(np.int8)
-            ncs = np.stack([nc.xor_encode(detected) if G is None
-                            else nc.encode_ncs(G[s], detected)
-                            for G in encoders], axis=1).astype(np.int8)
-            coders = np.stack([np.zeros((len(uids[s]), m, m)) if G is None
-                               else G[s] for G in encoders], axis=1)
+            ncs = np.stack([nc.xor_encode(detected) if lane.scheme == Scheme.XOR
+                            else nc.encode_ncs(rows[s, k], detected)
+                            for k, lane in enumerate(self.lanes)], axis=1).astype(np.int8)
             for i, uid in enumerate(uids[s]):
-                self._coded[uid] = (direct[i], truth[i], ncs[i], coders[i])
+                self._coded[uid] = (direct[i], truth[i], ncs[i], rows[s][i])
 
     def _settle_transmissions(self):
         """Second phase: send each popped packet's NCS streams in every
@@ -472,7 +470,7 @@ class SlotMachine:
         uids, h_rd = zip(*self._transmissions)
         self._transmissions = []
         h_rd = np.array(h_rd)                                      # (T, m)
-        direct, truth, ncs, coders = (np.stack(a) for a in zip(
+        direct, truth, ncs, rows = (np.stack(a) for a in zip(
             *(self._coded.pop(uid) for uid in uids)))
         xor = [k for k, lane in enumerate(self.lanes) if lane.scheme == Scheme.XOR]
         linear = [k for k in range(len(self.lanes)) if k not in xor]
@@ -492,7 +490,7 @@ class SlotMachine:
             decoders = dict.fromkeys(linear)
             for k in linear:
                 if self.lanes[k].scheme == Scheme.MMSE_DESIGN:
-                    decoders[k], fallback = nc.design_G_mmse(coders[:, k], gains,
+                    decoders[k], fallback = nc.design_G_mmse(rows[:, k], gains,
                                                              noise_var)
                     notes[fallback, k] = NOTES.index("mmse fallback")
             for s in _slices(len(uids), 10 * m * P):     # a sub-slot per stream
@@ -503,10 +501,10 @@ class SlotMachine:
                     z = gains[s, :, None] * ncs[s, k].astype(np.float64) + noise
                     refine = None if decoders[k] is None else decoders[k][s]
                     if cfg.decoder == DecoderKind.JOINT:
-                        decoded = nc.decode_joint(coders[s, k], z, gains[s], refine)
+                        decoded = nc.decode_joint(rows[s, k], z, gains[s], refine)
                     else:
-                        ncs_est = nc.detect_ncs(coders[s, k], z, gains[s], refine)
-                        decoded = nc.decode_with_direct(coders[s, k], ncs_est, direct[s])
+                        ncs_est = nc.detect_ncs(rows[s, k], z, gains[s], refine)
+                        decoded = nc.decode_with_direct(rows[s, k], ncs_est, direct[s])
                     errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         return errors, notes
 

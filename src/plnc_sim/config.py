@@ -22,7 +22,7 @@ class Scheme(str, Enum):
 class DecoderKind(str, Enum):
     """Destination decoding path for the linear schemes."""
 
-    JOINT = "joint"      # solve the m-equation system from the relay streams
+    JOINT = "joint"      # invert the m-equation system of the relay streams
     DIRECT = "direct"    # cancel known users via stored direct-link estimates
 
 

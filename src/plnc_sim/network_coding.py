@@ -2,14 +2,17 @@
 
 Covers the bit/symbol mappings, NCS generation at the relays, the three
 coding-matrix designs (random binary, exhaustive search, closed-form
-MMSE) and both destination decoders (joint system solve and
+MMSE) and both destination decoders (joint decoding and
 direct-link-aided cancellation).
 
-Every encoder is a plain (m, m) array: a row of the read-only pool
-`enumerate_invertible_binary(m)`, so it is binary and invertible by
-construction.  Entry [k, l] weights user k of the group in the
-combination transmitted by relay l, so the stacked NCS vector is G^T b
-for user symbols b.  The decode-time MMSE refinement is an
+An encoder is a row of the read-only per-m table encoder_table(m),
+whose pool holds every invertible binary (m, m) matrix G, so an encoder
+is binary and invertible by construction.  Entry [k, l] of G weights
+user k of the group in the combination transmitted by relay l, so the
+stacked NCS vector is G^T b for user symbols b.  The designs return
+rows; the encoder and the decoders take rows and gather what they read
+(G, (G^T)^-1, G^T G, the NCS levels, the carrying relays) from the
+table.  The decode-time MMSE refinement is an
 `MmseDecoder(entries, fallback)`.
 """
 
@@ -21,7 +24,6 @@ import numpy as np
 from scipy.special import erfc
 
 from .receivers import hard_decision
-from .signal_model import complex_gaussian
 
 
 def _qfunc(x):
@@ -57,6 +59,67 @@ def symbol_to_bit(b):
     return ((1.0 - np.asarray(b, dtype=np.float64)) / 2.0).astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _data_patterns(m):
+    """All 2^m user symbol patterns, shape (m, n)."""
+    return np.array(list(product((-1.0, 1.0), repeat=m))).T
+
+
+def _pattern_weights(m):
+    """The bit of each flattened entry of an (m, m) binary matrix in its
+    pattern: entry j is bit m*m-1-j, the lexicographic order."""
+    return 1 << np.arange(m * m)[::-1]
+
+
+@lru_cache(maxsize=None)
+def _binary_matrices(m):
+    """All 2^(m*m) binary (m, m) matrices, (n, m, m), matrix p the one of
+    bit pattern p: the encoder candidates, and the relay-detection error
+    patterns indexed [pattern, user, relay]."""
+    patterns = np.arange(2 ** (m * m))[:, None] & _pattern_weights(m)
+    return (patterns != 0).astype(np.float64).reshape(-1, m, m)
+
+
+class EncoderTable(NamedTuple):
+    """Every invertible binary (m, m) matrix, one row each, and what the
+    designs and decoders read of it."""
+
+    G: np.ndarray           # (n, m, m) in the order of their bit patterns
+    row: np.ndarray         # (2^(m*m),) int16: each pattern's row, -1 if singular
+    unmix: np.ndarray       # (n, m, m) (G^T)^-1
+    gram: np.ndarray        # (n, m, m) G^T G
+    recovery: np.ndarray    # (m*m, n) A^T A of A = (G^T)^-1, flattened: the ml costs
+    levels: np.ndarray      # (n, 2^m, m) [level, relay] noiseless NCS values, ascending
+    carrier: np.ndarray     # (n, m) each user's first carrying relay
+    cancel: np.ndarray      # (n, m, m) [user, other]: G[other, carrier[user]]
+
+
+@lru_cache(maxsize=None)
+def encoder_table(m):
+    """The read-only EncoderTable of group size m (6 rows for m = 2, 174
+    for m = 3, 22560 for m = 4).
+
+    A value reached by several data patterns repeats in levels.  A
+    user's first carrying relay holds it with coefficient 1, so the
+    direct decoder reads the other users' coefficients alone.
+    """
+    every = _binary_matrices(m)
+    invertible = np.abs(np.linalg.det(every)) > 1e-9
+    G = every[invertible]
+    row = np.full(len(every), -1, dtype=np.int16)
+    row[invertible] = np.arange(len(G))
+    unmix = np.linalg.inv(np.swapaxes(G, 1, 2))
+    carrier = np.argmax(G != 0, axis=-1)
+    table = EncoderTable(
+        G, row, unmix, np.swapaxes(G, 1, 2) @ G,
+        (np.swapaxes(unmix, 1, 2) @ unmix).reshape(len(G), m * m).T.copy(),
+        np.sort(_data_patterns(m).T @ G, axis=-2), carrier,
+        np.swapaxes(np.take_along_axis(G, carrier[:, None, :], axis=-1), -1, -2))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 def xor_encode(detected_by_relay):
     """XOR NCS packet for the whole pair: with b = 1 - 2c the modulo-2
     sum of bits is the product of +-1 symbols, so relay l sends the
@@ -66,80 +129,43 @@ def xor_encode(detected_by_relay):
     return np.prod(np.asarray(detected_by_relay, dtype=np.float64), axis=-2)
 
 
-def encode_ncs(G, detected_by_relay):
+def encode_ncs(rows, detected_by_relay):
     """NCS packet for the whole pair: relay l combines its own
-    detections with column l.  G is (..., m, m) and detected_by_relay
-    (..., m, m, P) indexed [..., relay, user, symbol]; returns
-    (..., m, P)."""
+    detections with column l of the encoder.  rows (...) index
+    encoder_table(m) and detected_by_relay is (..., m, m, P) indexed
+    [..., relay, user, symbol]; returns (..., m, P)."""
     det = np.asarray(detected_by_relay, dtype=np.float64)
+    G = encoder_table(det.shape[-2]).G[rows]
     return np.einsum("...kl,...lkp->...lp", G, det)
 
 
-@lru_cache(maxsize=None)
-def enumerate_invertible_binary(m):
-    """All invertible m x m binary matrices, (n, m, m) read-only, in a
-    fixed lexicographic order of their flattened entries (6 matrices for
-    m = 2)."""
-    every = np.array(list(product((0.0, 1.0), repeat=m * m))).reshape(-1, m, m)
-    out = every[np.abs(np.linalg.det(every)) > 1e-9]
-    out.setflags(write=False)
-    return out
-
-
-def _invertible(draws):
-    return np.abs(np.linalg.det(draws)) > 1e-9
-
-
 def design_G_random(m, rng, count):
-    """count uniform draws over the invertible binary matrices, (count,
-    m, m), each by rejection: (m, m) binary draws until one is
-    invertible.
+    """count uniform draws over the rows of encoder_table(m), (count,),
+    each by rejection: (m, m) binary draws until one is invertible.
 
     The draws run as blocks, then the stream is rewound and redrawn for
     exactly the draws that count sequential rejection loops consume, so
     it ends where they would leave it: Generator.integers(0, 2) takes
     one 32-bit word per entry whatever the size of the call.
     """
+    table = encoder_table(m)
+
+    def rows_of(n_draws):
+        draws = rng.integers(0, 2, size=(n_draws, m * m))
+        return table.row[draws @ _pattern_weights(m)]
+
     start = rng.bit_generator.state
-    rate = len(enumerate_invertible_binary(m)) / 2 ** (m * m)
+    rate = len(table.G) / 2 ** (m * m)
     blocks, accepted = [], 0
     while accepted < count:
-        block = rng.integers(0, 2, size=(int((count - accepted) / rate) + 4, m, m))
-        blocks.append(block)
-        accepted += np.count_nonzero(_invertible(block))
+        blocks.append(rows_of(int((count - accepted) / rate) + 4))
+        accepted += np.count_nonzero(blocks[-1] >= 0)
     if not blocks:
-        return np.empty((0, m, m))
-    used = np.flatnonzero(_invertible(np.concatenate(blocks)))[count - 1] + 1
+        return np.empty(0, dtype=table.row.dtype)
+    used = np.flatnonzero(np.concatenate(blocks) >= 0)[count - 1] + 1
     rng.bit_generator.state = start
-    draws = rng.integers(0, 2, size=(used, m, m)).astype(np.float64)
-    return draws[_invertible(draws)]
-
-
-# ---------------------------------------------------------------------------
-# exhaustive (training-based) design
-# ---------------------------------------------------------------------------
-
-def _training_block(training_symbols):
-    training = np.asarray(training_symbols, dtype=np.float64)
-    if training.ndim != 2 or training.shape[1] == 0:
-        raise ValueError("calibration block must be a non-empty (m, T) array")
-    return training
-
-
-def ml_calibration_outputs(gains, noise_var, training_symbols, rng):
-    """Filter outputs a calibration block would produce under each
-    candidate encoder.
-
-    The known training symbols are encoded with every candidate and
-    sent over relay streams with gains mu_j = w_j^H h_j and noise powers
-    noise_var_j = sigma2 ||w_j||^2; the same noise draw is shared by all
-    candidates so the comparison is deterministic given the stream.
-    Returns the outputs shaped (n_candidates, m, T).
-    """
-    training = _training_block(training_symbols)
-    eta = complex_gaussian(rng, training.shape) * np.sqrt(noise_var)[:, None]
-    ncs = np.swapaxes(enumerate_invertible_binary(training.shape[0]), 1, 2) @ training
-    return np.asarray(gains)[:, None] * ncs + eta
+    rows = rows_of(used)
+    return rows[rows >= 0]
 
 
 def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):
@@ -156,51 +182,24 @@ def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):
     return np.argmax(costs <= low + atol + rtol * np.abs(low), axis=-1)
 
 
-def design_G_ml(outputs_by_candidate, gains, training_symbols):
-    """Exhaustive search over the invertible binary candidates.
-
-    Each candidate decodes its own calibration outputs and is scored
-    by the squared distance between the recovered and the known
-    training symbols, summed over the block; ties break to the lowest
-    candidate index.  Returns (matrix, per-candidate costs).
-    """
-    training = _training_block(training_symbols)
-    candidates = enumerate_invertible_binary(training.shape[0])
-    z = np.asarray(outputs_by_candidate)
-    if z.shape[0] != len(candidates):
-        raise ValueError(f"expected outputs for {len(candidates)} candidates")
-    norm = z / np.asarray(gains)[None, :, None]
-    recovered = np.linalg.solve(np.swapaxes(candidates, 1, 2), norm)
-    costs = np.sum((np.abs(training - recovered) ** 2).reshape(len(candidates), -1),
-                   axis=1)
-    return candidates[argmin_with_ties(costs)], costs
-
-
-@lru_cache(maxsize=None)
-def _recovery_grams(m):
-    """A_c^T A_c for A_c = (G_c^T)^-1 of every candidate, flattened to
-    (m*m, n) read-only: the quadratic forms of the ml design's costs."""
-    A = np.linalg.inv(np.swapaxes(enumerate_invertible_binary(m), 1, 2))
-    grams = (np.swapaxes(A, 1, 2) @ A).reshape(len(A), m * m).T.copy()
-    grams.setflags(write=False)
-    return grams
-
+# ---------------------------------------------------------------------------
+# exhaustive (training-based) design
+# ---------------------------------------------------------------------------
 
 def design_G_ml_for_channel(gains, noise_var, training_len, rng):
-    """Simulate the calibration block on the pair's relay streams, then
-    search: the design_G_ml pick on ml_calibration_outputs, for every
-    reception of a stack at once.
+    """Simulate a calibration block on the pair's relay streams, then
+    search every row for the least recovery error, for every reception
+    of a stack at once.
 
-    gains and noise_var are (..., m).  Each reception draws what
-    ml_calibration_outputs would after its training symbols: m*T
-    training normals (for the hard-decided symbols), then the m*T real
+    gains and noise_var are (..., m).  Each reception draws m*T training
+    normals (for the hard-decided training symbols t), then the m*T real
     and the m*T imaginary noise normals, as one (..., 3, m, T) block.
-    Candidate c recovers t + A_c eps with A_c = (G_c^T)^-1 and the
-    normalized noise eps = eta / mu, whatever the training symbols t, so
-    its cost sum |A_c eps|^2 is the quadratic form Re tr(A_c S A_c^H) of
-    the noise Gram S = eps eps^H.  Ties break to the lowest candidate
-    index.  Returns (encoders (..., m, m), per-candidate costs
-    (..., n)).
+    A row's calibration outputs are its NCS of t on the streams,
+    mu_j a_j + eta_j with eta_j ~ CN(0, noise_var_j), and it recovers
+    t + A eps with A = (G^T)^-1 and the normalized noise eps = eta / mu,
+    whatever t, so its cost sum |A eps|^2 is the quadratic form
+    Re tr(A S A^H) of the noise Gram S = eps eps^H.  Ties break to the
+    lowest row.  Returns (rows (...), per-row costs (..., n)).
     """
     if training_len < 1:
         raise ValueError("calibration block must hold at least one symbol")
@@ -210,19 +209,19 @@ def design_G_ml_for_channel(gains, noise_var, training_len, rng):
     scale = np.sqrt(np.asarray(noise_var) / 2.0) / gains
     eps = scale[..., None] * (normals[..., 1, :, :] + 1j * normals[..., 2, :, :])
     gram = (eps @ np.swapaxes(eps.conj(), -1, -2)).real      # (..., m, m)
-    costs = gram.reshape(gram.shape[:-2] + (m * m,)) @ _recovery_grams(m)
-    return enumerate_invertible_binary(m)[argmin_with_ties(costs)], costs
+    costs = gram.reshape(gram.shape[:-2] + (m * m,)) @ encoder_table(m).recovery
+    return argmin_with_ties(costs), costs
 
 
 # ---------------------------------------------------------------------------
 # closed-form MMSE design
 # ---------------------------------------------------------------------------
 
-def design_G_mmse(encoder, gains, noise_var):
+def design_G_mmse(rows, gains, noise_var):
     """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
     estimate at the destination; used in place of plain inversion.
 
-    encoder (..., m, m) may be a stack; gains and noise_var (..., m) are
+    rows (...) index encoder_table(m); gains and noise_var (..., m) are
     the pair's relay-stream statistics mu_j = w_j^H h_j and
     sigma2 ||w_j||^2, and the leading axes broadcast.  With
     z_j = mu_j a_j + eta_j, a = G^T b the NCS symbols of unit-variance
@@ -234,7 +233,7 @@ def design_G_mmse(encoder, gains, noise_var):
     (condition number above 1e12) gets plain gain normalization
     diag(1/mu) instead, and so does the whole stack if the solve still
     fails.  Returns MmseDecoder(entries, fallback), unstacked for one
-    (m, m) encoder on (m,) streams.
+    row on (m,) streams.
 
     R_b is a positive semidefinite matrix plus diag(noise_var), so its
     condition number is below tr(R_b) / min_j noise_var_j; the condition
@@ -242,11 +241,10 @@ def design_G_mmse(encoder, gains, noise_var):
     below the threshold, which the SVD's rounding (relative error about
     eps times the condition number) cannot bridge.
     """
-    g = np.asarray(encoder, dtype=np.float64)
     mu = np.asarray(gains)
     nvar = np.asarray(noise_var)
-    eye = np.eye(g.shape[-1])
-    C = np.swapaxes(g, -1, -2) @ g
+    eye = np.eye(mu.shape[-1])
+    C = encoder_table(mu.shape[-1]).gram[rows]
     P_ab = C * mu.conj()[..., None, :]
     R_b = (mu[..., :, None] * mu.conj()[..., None, :]) * C + nvar[..., None, :] * eye
     least = np.min(nvar, axis=-1)
@@ -270,42 +268,29 @@ def design_G_mmse(encoder, gains, noise_var):
 
 
 @lru_cache(maxsize=None)
-def _flip_masks(m):
-    """All 2^(m*m) relay-detection error patterns, shape (n, m, m)
-    indexed [pattern, user, relay]."""
-    return np.array(list(product((0, 1), repeat=m * m)),
-                    dtype=np.float64).reshape(-1, m, m)
+def _distinct_ncs(m):
+    """The NCS of each row of encoder_table(m) under the flip patterns
+    that can change it, for the first half of the data patterns; only
+    the mmse design reads it, so it is built on first use.
 
-
-@lru_cache(maxsize=None)
-def _data_patterns(m):
-    """All 2^m user symbol patterns, shape (m, n)."""
-    return np.array(list(product((-1.0, 1.0), repeat=m))).T
-
-
-@lru_cache(maxsize=32)
-def _distinct_ncs(m, encoders):
-    """The NCS of each encoder under the flip patterns that can change
-    it, for the first half of the data patterns.
-
-    encoders holds the bytes of an (E, m, m) float64 stack.  A flip on a
-    zero entry of G changes no NCS, so mask n acts as n & support, where
-    support has bit j set when flattened entry j (weight 2^(m*m-1-j), as
-    in _flip_masks) is nonzero.  Returns (ncs (E, M, m, n_pat / 2), rows
-    (E * n_masks,)) read-only: encoder e keeps its masks n & support in
-    ascending order, the last repeated up to the largest count M, and
-    rows[e * n_masks + n] = e * M + the position of n & support.
+    A flip on a zero entry of G changes no NCS, so mask n acts as
+    n & support, where support has bit j set when flattened entry j
+    (weight 2^(m*m-1-j), as in _binary_matrices) is nonzero.  Returns (ncs
+    (n, M, m, n_pat / 2), rows (n * n_masks,)) read-only: row e keeps
+    its masks n & support in ascending order, the last repeated up to
+    the largest count M, and rows[e * n_masks + n] = e * M + the
+    position of n & support.
     """
-    g = np.frombuffer(encoders).reshape(-1, m, m)
+    g = encoder_table(m).G
     masks = np.arange(2 ** (m * m))
-    supports = (g != 0).reshape(len(g), -1) @ (1 << np.arange(m * m)[::-1])
+    supports = (g != 0).reshape(len(g), -1) @ _pattern_weights(m)
     kept = [np.flatnonzero((masks & ~support) == 0) for support in supports]
     width = max(len(k) for k in kept)
     rows = np.concatenate([e * width + np.searchsorted(k, masks & support)
                            for e, (k, support) in enumerate(zip(kept, supports))])
     kept = np.array([np.pad(k, (0, width - len(k)), mode="edge") for k in kept])
     B = _data_patterns(m)
-    signs = 1.0 - 2.0 * _flip_masks(m)[kept]                # (E, M, m_u, m_r)
+    signs = 1.0 - 2.0 * _binary_matrices(m)[kept]                # (n, M, m_u, m_r)
     detected = B[:, None, :B.shape[1] // 2] * signs[..., None]
     ncs = np.einsum("ekl,enklp->enlp", g, detected)
     ncs.setflags(write=False)
@@ -313,49 +298,47 @@ def _distinct_ncs(m, encoders):
     return ncs, rows
 
 
-def predicted_chain_error(encoders, gains, noise_var, flip_probs):
-    """Closed-form error probability of the full decode chain for each
-    encoder of a stack (E..., m, m).
+def select_G_mmse(gains, noise_var, flip_probs):
+    """Pick the row minimizing the predicted end-to-end error of the
+    refined decode chain; ties break to the lowest row.
 
-    Averages the per-user slicer error after the MMSE refinement over
-    all data patterns and all relay-detection error patterns, the
-    latter weighted by the given per-(user, relay) detection error
-    probabilities.  This is what lets the statistics-based design
-    account for interference and noise on both hops, which a
-    pilot-calibrated search cannot see.  gains and noise_var (R..., m)
-    and flip_probs (R..., m, m) may carry leading reception axes;
-    returns (R..., E...).
+    A row's score is the closed-form error probability of the full
+    decode chain: the per-user slicer error after the MMSE refinement,
+    averaged over all data patterns and all relay-detection error
+    patterns, the latter weighted by the given per-(user, relay)
+    detection error probabilities.  This is what lets the
+    statistics-based design account for interference and noise on both
+    hops, which a pilot-calibrated search cannot see.  gains and
+    noise_var (..., m) and flip_probs (..., m, m) may carry leading
+    reception axes.  Returns (rows (...), per-row scores (..., n)).
 
     The slicer arguments repeat bit for bit: a flip on a zero entry of
     G changes no NCS, and data pattern -b gives the argument of b.  So
-    Q is evaluated on each encoder's distinct flips (_distinct_ncs)
-    and the first half of the data patterns only, then gathered back,
+    Q is evaluated on each row's distinct flips (_distinct_ncs) and the
+    first half of the data patterns only, then gathered back,
     contiguous, for the weighted sum over every pattern.
     """
-    g = np.asarray(encoders, dtype=np.float64)
-    m = g.shape[-1]
     gains = np.asarray(gains)
-    lead = gains.shape[:-1]                     # reception axes, then E...
-    per_encoder = lead + (1,) * (g.ndim - 2)
-    mu = gains.reshape(per_encoder + (m,))
-    nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
+    m = gains.shape[-1]
+    table = encoder_table(m)
+    lead = gains.shape[:-1]                     # reception axes
+    mu = gains[..., None, :]                    # (..., 1, m) against every row
+    nvar = np.asarray(noise_var, dtype=np.float64)[..., None, :]
     p = np.asarray(flip_probs, dtype=np.float64)
-    decoders = design_G_mmse(g, mu, nvar).entries
-    A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
-    per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]    # (..., m)
+    decoders = design_G_mmse(np.arange(len(table.G)), mu, nvar).entries
+    A = table.unmix.astype(np.complex128) @ decoders
+    per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]    # (..., n, m)
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
 
-    masks = _flip_masks(m)                      # (n_masks, m, m)
+    masks = _binary_matrices(m)                 # (n_masks, m, m) flip patterns
     weights = np.prod(np.where(masks > 0, p[..., None, :, :],
                                1.0 - p[..., None, :, :]), axis=(-2, -1))
-    weights = weights.reshape(per_encoder + masks.shape[:1])
     B = _data_patterns(m)                       # (m, n_pat), B[:, ::-1] = -B
     half = B.shape[1] // 2
-    ncs, rows = _distinct_ncs(m, g.tobytes())
-    ncs = ncs.reshape(g.shape[:-2] + ncs.shape[1:])          # (E..., M, m, half)
-    # the (..., M, m, half) distinct slicer arguments, computed in place;
-    # summed in relay order, as the exhaustive form's einsum sums, so the
-    # scores equal it bit for bit
+    ncs, rows = _distinct_ncs(m)                # (n, M, m, half)
+    # the (..., n, M, m, half) distinct slicer arguments, computed in
+    # place; summed in relay order, as the exhaustive form's einsum sums,
+    # so the scores equal it bit for bit
     coef = (A * mu[..., None, :]).real[..., None, :, :, None]     # [..., user, relay]
     arg = coef[..., 0, :] * ncs[..., None, 0, :]
     for l in range(1, m):
@@ -365,18 +348,10 @@ def predicted_chain_error(encoders, gains, noise_var, flip_probs):
     pattern = np.arange(B.shape[1])
     q = _qfunc(arg)[..., np.minimum(pattern, pattern[::-1])]     # every data pattern
     q = np.take(q.reshape(lead + (-1, m, B.shape[1])), rows, axis=len(lead))
-    q = q.reshape(lead + g.shape[:-2] + masks.shape[:1] + q.shape[-2:])
-    return np.einsum("...n,...nup->...", weights, q) / (m * B.shape[1])
-
-
-def select_G_mmse(gains, noise_var, flip_probs):
-    """Pick the binary encoder minimizing the predicted end-to-end error
-    of the refined decode chain; ties break to the lowest candidate
-    index.  The statistics may carry leading reception axes (...).
-    Returns (encoder (..., m, m), per-candidate scores (..., n))."""
-    candidates = enumerate_invertible_binary(np.shape(gains)[-1])
-    scores = predicted_chain_error(candidates, gains, noise_var, flip_probs)
-    return candidates[argmin_with_ties(scores)], scores
+    q = q.reshape(lead + (len(table.G),) + masks.shape[:1] + q.shape[-2:])
+    scores = (np.einsum("...n,...nup->...", weights[..., None, :], q)
+              / (m * B.shape[1]))
+    return argmin_with_ties(scores), scores
 
 
 # ---------------------------------------------------------------------------
@@ -393,65 +368,48 @@ def _refine(filter_outputs, gains, decoder):
     return z / gains[..., None]
 
 
-def decode_joint(encoder, filter_outputs, gains, decoder=None):
-    """Recover the m user symbols from the m relay-stream filter outputs.
-
-    Without a decoder matrix the outputs are gain-normalized and the
-    G^T-structured system is solved directly; with an MMSE decoder the
-    refinement is applied first.  filter_outputs has shape (..., m, P)
-    for encoder (..., m, m); gains and decoder carry the same leading
-    axes.
+def decode_joint(rows, filter_outputs, gains, decoder=None):
+    """Recover the m user symbols from the m relay-stream filter outputs:
+    gain-normalize them (or MMSE-refine them with a decoder matrix),
+    unmix by (G^T)^-1 and slice.  filter_outputs has shape (..., m, P)
+    for rows (...); gains and decoder carry the same leading axes.
     """
-    refined = _refine(filter_outputs, gains, decoder)
-    return hard_decision(np.linalg.solve(np.swapaxes(encoder, -1, -2), refined))
+    refined = _refine(filter_outputs, gains, decoder).real
+    return hard_decision(encoder_table(refined.shape[-2]).unmix[rows] @ refined)
 
 
-def ncs_levels(G):
-    """Admissible noiseless NCS values of every relay's combination,
-    (..., 2^m, m) indexed [..., level, relay] for G (..., m, m), each
-    column sorted ascending (a value reached by several data patterns
-    repeats)."""
-    return np.sort(_data_patterns(np.shape(G)[-1]).T @ G, axis=-2)
-
-
-def detect_ncs(encoder, filter_outputs, gains, decoder=None):
+def detect_ncs(rows, filter_outputs, gains, decoder=None):
     """Per-relay discrete NCS estimates: gain-normalize (or MMSE-refine),
     then slice every stream to the nearest of its admissible levels;
     ties go to the lower level.  filter_outputs has shape (..., m, P)
-    for encoder (..., m, m), and so has the result."""
+    for rows (...), and so has the result."""
     refined = _refine(filter_outputs, gains, decoder).real
     soft = np.swapaxes(refined, -1, -2)                   # (..., P, relay)
-    levels = ncs_levels(encoder)
+    levels = encoder_table(refined.shape[-2]).levels[rows]
     nearest = np.argmin(np.abs(soft[..., None, :] - levels[..., None, :, :]),
                         axis=-2)
     return np.swapaxes(np.take_along_axis(levels, nearest, axis=-2), -1, -2)
 
 
-def decode_with_direct(encoder, ncs_estimates, direct_estimates):
+def decode_with_direct(rows, ncs_estimates, direct_estimates):
     """Every user of the group, each from the first relay whose column
     carries it: cancel the other users via their stored direct-link
-    estimates, divide by the user's coefficient and slice.
+    estimates and slice.
 
-    ncs_estimates and direct_estimates have shape (..., m, P) for
-    encoder (..., m, m), and so has the result.  A user's own direct
-    entry is never read.
+    ncs_estimates and direct_estimates have shape (..., m, P) for rows
+    (...), and so has the result.  A user's own direct entry is never
+    read.
     """
-    g = np.asarray(encoder)
-    carried = g != 0.0
-    if not np.all(np.any(carried, axis=-1)):
-        raise ValueError("no relay carries the target user (singular encoder)")
-    relay = np.argmax(carried, axis=-1)          # first carrying relay per user
-    # [..., user, other]: g[..., other, relay[user]]
-    coef = np.swapaxes(np.take_along_axis(g, relay[..., None, :], axis=-1), -1, -2)
     ncs = np.asarray(ncs_estimates, dtype=np.float64)
+    table = encoder_table(ncs.shape[-2])
+    ncs = np.swapaxes(np.take_along_axis(ncs, table.carrier[rows][..., :, None],
+                                         axis=-2), -1, -2)        # (..., P, user)
     direct = np.asarray(direct_estimates, dtype=np.float64)
-    ncs = np.swapaxes(np.take_along_axis(ncs, relay[..., :, None], axis=-2),
-                      -1, -2)                                     # (..., P, user)
     direct = np.swapaxes(direct, -1, -2)[..., None, :]            # (..., P, 1, other)
-    others = ~np.eye(g.shape[-1], dtype=bool)    # never read a user's own entry
-    known = np.where(others, coef[..., None, :, :] * direct, 0.0).sum(axis=-1)
-    own = np.diagonal(coef, axis1=-2, axis2=-1)[..., None, :]
-    return hard_decision(np.swapaxes((ncs - known) / own, -1, -2))
+    others = ~np.eye(ncs.shape[-1], dtype=bool)  # never read a user's own entry
+    known = np.where(others, table.cancel[rows][..., None, :, :] * direct,
+                     0.0).sum(axis=-1)
+    return hard_decision(np.swapaxes(ncs - known, -1, -2))
 
 
 def xor_decode(ncs_symbols, direct_symbols):

@@ -78,8 +78,13 @@ def rank_one_outputs(filters, h, sigma2):
 
 def relay_dest_filter_bank(state, sigma2, kind: ReceiverKind):
     """Second-hop filters, one scalar per relay stream, (..., L) for a
-    state whose arrays carry leading axes (...)."""
-    return rank_one_filters(state.h_rd, sigma2, kind)
+    state whose arrays carry leading axes (...).  A relay whose gain is
+    zero gets the zero filter, a stream of no power and no noise: the
+    bank serves every relay of a channel block, and only a lane that
+    sends on that relay fails (rank_one_filters)."""
+    live = np.abs(state.h_rd) ** 2 > 0
+    filters = rank_one_filters(np.where(live, state.h_rd, 1.0), sigma2, kind)
+    return np.where(live, filters, 0.0)
 
 
 def effective_gains(filters, h_eff):

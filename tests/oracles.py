@@ -1,12 +1,18 @@
 """Reference implementations the fast paths of plnc_sim are tested
 against: the direct form of each computation, kept out of the package.
 
+- invertible_binary: the pool of network_coding.encoder_table, by
+  enumeration and determinant.
 - random_designs_sequential: design_G_random's rejection loop, one
   reception at a time.
+- ml_calibration_outputs, design_G_ml: the explicit calibration block of
+  design_G_ml_for_channel and the search over its outputs.
 - mmse_fallback_flags: the MMSE refinement's fallback flags from the
   condition number of every member.
-- chain_error_exhaustive: predicted_chain_error's slicer errors over all
-  2^(m*m) relay-detection flip patterns and all 2^m data patterns.
+- chain_error_exhaustive: select_G_mmse's scores over all 2^(m*m)
+  relay-detection flip patterns and all 2^m data patterns.
+- solve_joint, sorted_levels, first_carrier: the joint decoder by a
+  linear solve, and the NCS levels and carrying relays per call.
 - pair_state: a slot's channel as pass 2 reads it, the pair's relays in
   order on the relay axis.
 - chip_rank_one_filters, chip_second_hop: the second hop's vector model,
@@ -14,6 +20,8 @@ against: the direct form of each computation, kept out of the package.
   which the scalar filters of receivers.rank_one_filters reduce.
 - rayleigh_bpsk_ber, relay_chain_ber, max_link_hop_ber: closed-form BER
   of a one-user, one-relay chain, unbuffered and buffered.
+
+Encoders are rows of encoder_table(m) where the package takes them.
 """
 
 import math
@@ -22,8 +30,17 @@ from itertools import product
 import numpy as np
 
 from plnc_sim.config import ReceiverKind
-from plnc_sim.network_coding import _qfunc, design_G_mmse
-from plnc_sim.signal_model import ChannelState, filter_output_maps
+from plnc_sim.network_coding import _qfunc, argmin_with_ties, design_G_mmse
+from plnc_sim.receivers import hard_decision
+from plnc_sim.signal_model import (ChannelState, complex_gaussian,
+                                   filter_output_maps)
+
+
+def invertible_binary(m):
+    """Every m x m 0/1 matrix with a nonzero determinant, (n, m, m), in
+    the lexicographic order of the flattened entries."""
+    every = np.array(list(product((0.0, 1.0), repeat=m * m))).reshape(-1, m, m)
+    return every[np.abs(np.linalg.det(every)) > 1e-9]
 
 
 def random_designs_sequential(m, rng, count):
@@ -39,30 +56,71 @@ def random_designs_sequential(m, rng, count):
     return np.array(out).reshape(count, m, m)
 
 
-def mmse_fallback_flags(encoders, gains, noise_var):
-    """cond(R_b) > 1e12 for every member of a stack, R_b being the
-    refinement's output covariance (network_coding.design_G_mmse)."""
-    g = np.asarray(encoders, dtype=np.float64)
+def _training_block(training_symbols):
+    training = np.asarray(training_symbols, dtype=np.float64)
+    if training.ndim != 2 or training.shape[1] == 0:
+        raise ValueError("calibration block must be a non-empty (m, T) array")
+    return training
+
+
+def ml_calibration_outputs(gains, noise_var, training_symbols, rng):
+    """Filter outputs a calibration block would produce under each
+    candidate encoder (invertible_binary order).
+
+    The known training symbols are encoded with every candidate and
+    sent over relay streams with gains mu_j = w_j^H h_j and noise powers
+    noise_var_j = sigma2 ||w_j||^2; the same noise draw is shared by all
+    candidates so the comparison is deterministic given the stream.
+    Returns the outputs shaped (n_candidates, m, T).
+    """
+    training = _training_block(training_symbols)
+    eta = complex_gaussian(rng, training.shape) * np.sqrt(noise_var)[:, None]
+    ncs = np.swapaxes(invertible_binary(training.shape[0]), 1, 2) @ training
+    return np.asarray(gains)[:, None] * ncs + eta
+
+
+def design_G_ml(outputs_by_candidate, gains, training_symbols):
+    """Exhaustive search over the invertible binary candidates.
+
+    Each candidate decodes its own calibration outputs and is scored
+    by the squared distance between the recovered and the known
+    training symbols, summed over the block; ties break to the lowest
+    candidate index.  Returns (row, per-candidate costs).
+    """
+    training = _training_block(training_symbols)
+    candidates = invertible_binary(training.shape[0])
+    z = np.asarray(outputs_by_candidate)
+    if z.shape[0] != len(candidates):
+        raise ValueError(f"expected outputs for {len(candidates)} candidates")
+    norm = z / np.asarray(gains)[None, :, None]
+    recovered = np.linalg.solve(np.swapaxes(candidates, 1, 2), norm)
+    costs = np.sum((np.abs(training - recovered) ** 2).reshape(len(candidates), -1),
+                   axis=1)
+    return argmin_with_ties(costs), costs
+
+
+def mmse_fallback_flags(rows, gains, noise_var):
+    """cond(R_b) > 1e12 for every member of a stack of rows, R_b being
+    the refinement's output covariance (network_coding.design_G_mmse)."""
     mu = np.asarray(gains)
+    g = invertible_binary(mu.shape[-1])[rows]
     C = np.swapaxes(g, -1, -2) @ g
     R_b = ((mu[..., :, None] * mu.conj()[..., None, :]) * C
            + np.asarray(noise_var)[..., None, :] * np.eye(g.shape[-1]))
     return np.linalg.cond(R_b) > 1e12
 
 
-def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
-    """predicted_chain_error evaluated on every flip and data pattern:
-    (R..., E...) for encoders (E..., m, m), statistics (R..., m) and
-    flip probabilities (R..., m, m)."""
-    g = np.asarray(encoders, dtype=np.float64)
-    m = g.shape[-1]
+def chain_error_exhaustive(gains, noise_var, flip_probs):
+    """select_G_mmse's scores evaluated on every flip and data pattern:
+    (R..., n) for statistics (R..., m) and flip probabilities
+    (R..., m, m)."""
     gains = np.asarray(gains)
-    lead = gains.shape[:-1]
-    per_encoder = lead + (1,) * (g.ndim - 2)
-    mu = gains.reshape(per_encoder + (m,))
-    nvar = np.asarray(noise_var, dtype=np.float64).reshape(per_encoder + (m,))
+    m = gains.shape[-1]
+    g = invertible_binary(m)
+    mu = gains[..., None, :]
+    nvar = np.asarray(noise_var, dtype=np.float64)[..., None, :]
     p = np.asarray(flip_probs, dtype=np.float64)
-    decoders = design_G_mmse(g, mu, nvar).entries
+    decoders = design_G_mmse(np.arange(len(g)), mu, nvar).entries
     A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
     per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
@@ -71,7 +129,7 @@ def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
                      dtype=np.float64).reshape(-1, m, m)      # [pattern, user, relay]
     weights = np.prod(np.where(masks > 0, p[..., None, :, :],
                                1.0 - p[..., None, :, :]), axis=(-2, -1))
-    weights = weights.reshape(per_encoder + masks.shape[:1])
+    weights = weights[..., None, :]
     B = np.array(list(product((-1.0, 1.0), repeat=m))).T      # (m, n_pat)
     detected = B[None, :, None, :] * (1.0 - 2.0 * masks)[:, :, :, None]
     ncs = np.einsum("...kl,nklp->...nlp", g, detected)
@@ -79,6 +137,24 @@ def chain_error_exhaustive(encoders, gains, noise_var, flip_probs):
     arg *= B
     arg /= sigma_real[..., None, :, None]
     return np.einsum("...n,...nup->...", weights, _qfunc(arg)) / (m * B.shape[1])
+
+
+def solve_joint(g, refined):
+    """The joint decoder's hard decisions by a linear solve of the
+    G^T-structured system: g (..., m, m), refined outputs (..., m, P)."""
+    return hard_decision(np.linalg.solve(np.swapaxes(g, -1, -2), refined))
+
+
+def sorted_levels(g):
+    """Every relay's noiseless NCS values, (2^m, m) [level, relay] for one
+    encoder g, each column sorted ascending."""
+    return np.sort(np.array(list(product((-1.0, 1.0), repeat=len(g)))) @ g, axis=0)
+
+
+def first_carrier(g):
+    """Each user's first relay with a nonzero coefficient, by a loop."""
+    return np.array([next(l for l in range(len(g)) if g[k, l] != 0)
+                     for k in range(len(g))])
 
 
 def pair_state(state, relays):

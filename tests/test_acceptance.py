@@ -15,16 +15,17 @@ from plnc_sim import (BufferBank, DecoderKind, ReceiverKind, Scheme,
                       SlotMachine, SystemConfig, build_sinr_table, decide_action,
                       design_G_mmse, design_G_random, decode_joint,
                       decode_with_direct, detect_ncs, draw_channel,
-                      enumerate_invertible_binary, generate_codebook,
+                      encoder_table, generate_codebook, hard_decision,
                       run_sweep, run_trial)
 from plnc_sim.cli import main
-from plnc_sim.network_coding import (argmin_with_ties, design_G_ml,
-                                     ml_calibration_outputs)
+from plnc_sim.network_coding import argmin_with_ties, design_G_ml_for_channel
 from plnc_sim.receivers import (relay_dest_filter_bank,
                                 source_relay_filter_bank)
 from plnc_sim.signal_model import complex_gaussian
 
-from oracles import max_link_hop_ber, rayleigh_bpsk_ber, relay_chain_ber
+from oracles import (invertible_binary, max_link_hop_ber,
+                     ml_calibration_outputs, rayleigh_bpsk_ber,
+                     relay_chain_ber)
 
 SNR_POINTS = [6.0, 10.0, 14.0]
 BITS_PER_POINT = 200_000
@@ -132,7 +133,8 @@ class TestCriterion4MmseDesignOracle:
         for _ in range(20):
             h = complex_gaussian(rng, (2, 16))
             w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
-            G = design_G_random(2, rng, 1)[0]
+            row = design_G_random(2, rng, 1)[0]
+            G = encoder_table(2).G[row]
             gains = np.sum(w.conj() * h, axis=1)
             nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
             T = 100_000
@@ -141,7 +143,7 @@ class TestCriterion4MmseDesignOracle:
             z = gains[:, None] * a + complex_gaussian(rng, (2, T)) \
                 * np.sqrt(nvar)[:, None]
             ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
-            dec = design_G_mmse(G, gains, nvar)
+            dec = design_G_mmse(row, gains, nvar)
             rel = np.linalg.norm(dec.entries - ls) / np.linalg.norm(dec.entries)
             worst = max(worst, rel)
         ok = worst <= 1e-2
@@ -153,18 +155,23 @@ class TestCriterion4MmseDesignOracle:
 
 class TestCriterion5MlDesignOracle:
     def test_exhaustive_matches_bruteforce(self):
+        # the design's search against plain loops over the explicit
+        # calibration block, drawn from a generator in the design's start
+        # state: hard-decided training symbols, then the block's noise
         rng = np.random.default_rng(51)
-        cands = enumerate_invertible_binary(2)
+        cands = invertible_binary(2)
         agree = 0
-        for _ in range(100):
+        for i in range(100):
             h = complex_gaussian(rng, (2, 16))
             sigma2 = float(rng.uniform(0.05, 0.5))
             w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
-            training = np.where(rng.standard_normal((2, 100)) >= 0, 1.0, -1.0)
             gains = np.sum(w.conj() * h, axis=1)
             nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
-            outs = ml_calibration_outputs(gains, nvar, training, rng)
-            G, costs = design_G_ml(outs, gains, training)
+            row, _ = design_G_ml_for_channel(gains, nvar, 100,
+                                             np.random.default_rng([51, i]))
+            calibration = np.random.default_rng([51, i])
+            training = hard_decision(calibration.standard_normal((2, 100)))
+            outs = ml_calibration_outputs(gains, nvar, training, calibration)
             oracle = []
             for j, cand in enumerate(cands):
                 total = 0.0
@@ -174,7 +181,7 @@ class TestCriterion5MlDesignOracle:
                     total += float(np.sum(np.abs(training[:, t] - rec) ** 2))
                 oracle.append(total)
             best = argmin_with_ties(oracle)
-            if np.array_equal(G, cands[best]):
+            if row == best:
                 agree += 1
         ok = agree == 100
         report_line(5, ok, f"exhaustive design equals independent brute-force "
@@ -207,15 +214,15 @@ class TestCriterion6NoiselessExactness:
 class TestCriterion7SmallInstanceBruteForce:
     def test_encode_decode_identities(self):
         bad = []
-        for cand in enumerate_invertible_binary(2):
+        for row, cand in enumerate(encoder_table(2).G):
             for pattern in product((-1.0, 1.0), repeat=2):
                 b = np.array(pattern)[:, None]              # one (m, 1) column
                 ncs = cand.T @ b
-                joint = decode_joint(cand, ncs.astype(complex), np.ones(2))
+                joint = decode_joint(row, ncs.astype(complex), np.ones(2))
                 if not np.array_equal(joint, b):
                     bad.append(("joint", cand.tolist(), pattern))
-                est = detect_ncs(cand, ncs.astype(complex), np.ones(2))
-                got = decode_with_direct(cand, est, b)
+                est = detect_ncs(row, ncs.astype(complex), np.ones(2))
+                got = decode_with_direct(row, est, b)
                 for k in (0, 1):
                     if got[k, 0] != b[k, 0]:
                         bad.append(("direct", cand.tolist(), pattern, k))

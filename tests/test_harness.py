@@ -469,6 +469,32 @@ GOLDEN_K4_L8 = {
 }
 GOLDEN_K4_L8_TRACE_SHA256 = \
     "f5cb1863f7662be6eeca0ce90053933773d3c6d5540b4d3f0c1c6b2ca8fa4fa5"
+# Group size 4 (22560 encoder rows, an int16 row index per lane), K=4,
+# L=8, J=2, in both buffer modes; the mmse design is limited to m <= 3.
+GOLDEN_M4 = {
+    DecoderKind.JOINT: {
+        "xor-buffered-mmse": (240, 56, 13, 0),
+        "xor-unbuffered-mmse": (240, 52, 12, 0),
+        "random-buffered-mmse": (240, 31, 13, 0),
+        "random-unbuffered-mmse": (240, 44, 12, 0),
+        "ml-buffered-mmse": (240, 35, 13, 0),
+        "ml-unbuffered-mmse": (240, 29, 12, 0),
+    },
+    DecoderKind.DIRECT: {
+        "xor-buffered-mmse": (240, 56, 13, 0),
+        "xor-unbuffered-mmse": (240, 52, 12, 0),
+        "random-buffered-mmse": (240, 24, 13, 0),
+        "random-unbuffered-mmse": (240, 33, 12, 0),
+        "ml-buffered-mmse": (240, 43, 13, 0),
+        "ml-unbuffered-mmse": (240, 46, 12, 0),
+    },
+}
+GOLDEN_M4_TRACE_SHA256 = {
+    DecoderKind.JOINT:
+        "4638ef196daaaac05c5420175dcd80ca5ef64f6ecabf12ca12af7d01b1290bb8",
+    DecoderKind.DIRECT:
+        "86950a604f46eaf3836049adb1fab570189c407d6152b515f8f45a7f931d91db",
+}
 # A two-worker `plnc-sim sweep --trace` (30 packets per point, two chunks
 # each): the CSV, the sidecar without its wall_clock_s line, the trace.
 GOLDEN_CLI_CSV = """\
@@ -497,13 +523,14 @@ GOLDEN_CLI_TRACE_SHA256 = \
 
 
 def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,
-                 buffer_modes=(True, False), **kw):
+                 buffer_modes=(True, False), schemes=tuple(Scheme), **kw):
     """Counts per variant and the trace file's SHA-256 of a fixed-seed
-    sweep over every scheme in both buffer modes (by default)."""
+    sweep over every scheme (by default) in both buffer modes (by
+    default)."""
     system = dict(num_users=6, num_relays=6, spreading_gain=8, group_size=2,
                   packet_length=10, rng_seed=2025)
     cfg = SystemConfig(**{**system, **kw})
-    report = run_sweep(cfg, [8.0], n_packets, schemes=list(Scheme),
+    report = run_sweep(cfg, [8.0], n_packets, schemes=list(schemes),
                        buffer_modes=list(buffer_modes), collect_trace=True,
                        chunk_packets=chunk_packets)
     got = {}
@@ -541,6 +568,15 @@ class TestGoldenCounts:
                                 decoder=DecoderKind.DIRECT)
         assert got == GOLDEN_M3_DIRECT
         assert sha == GOLDEN_M3_DIRECT_TRACE_SHA256
+
+    @pytest.mark.parametrize("decoder", list(DecoderKind))
+    def test_group_size_4_pinned(self, tmp_path, decoder):
+        got, sha = golden_sweep(tmp_path, n_packets=6, num_users=4,
+                                num_relays=8, group_size=4, buffer_size=2,
+                                decoder=decoder,
+                                schemes=(Scheme.XOR, Scheme.RANDOM, Scheme.ML))
+        assert got == GOLDEN_M4[decoder]
+        assert sha == GOLDEN_M4_TRACE_SHA256[decoder]
 
     def test_rake_receiver_pinned(self, tmp_path):
         got, sha = golden_sweep(tmp_path, buffer_size=2,
@@ -683,6 +719,60 @@ class TestTraceNotes:
         for _, action, note in rows:
             assert note == ("degenerate combined channel" if action == "transmit"
                             else "")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_zero_relay_gains_keep_xor_running(self, tmp_path, monkeypatch,
+                                               buffered):
+        # both relays of group 0 lose their path to the destination: the
+        # relay-destination bank and the SINR table take the zero gains,
+        # and exactly the XOR transmissions of group 0 are degenerate
+        silent = SlotMachine(tiny_config(), 0).candidates[0]
+        draw = signal_model.draw_channels
+
+        def silent_pair(*args):
+            state = draw(*args)
+            state.h_rd[..., list(silent)] = 0
+            return state
+
+        monkeypatch.setattr(signal_model, "draw_channels", silent_pair)
+        report = run_sweep(tiny_config(packet_length=8), [8.0], 6,
+                           schemes=[Scheme.XOR], buffer_modes=[buffered],
+                           collect_trace=True)
+        assert report.points[0].transmit_slots >= 6
+        write_trace(report, tmp_path / "t.csv")
+        with open(tmp_path / "t.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["action"] == "transmit"]
+        relays = "|".join(map(str, silent))
+        for row in rows:
+            assert row["note"] == ("degenerate combined channel"
+                                   if row["relays"] == relays else "")
+        # unbuffered, the groups transmit in turn; buffered, the silent
+        # pair's second hop scores 0 and the other pair serves every slot
+        assert any(row["relays"] == relays for row in rows) == (not buffered)
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("scheme", [Scheme.RANDOM, Scheme.ML, Scheme.MMSE_DESIGN])
+    def test_zero_relay_gain_fails_the_linear_lane_on_it(self, monkeypatch,
+                                                         scheme, buffered):
+        # one relay of group 0 loses its path: pass 1 runs, and the lane
+        # fails where it designs on that relay's sub-slot (ml, mmse) or
+        # decodes on it (random)
+        silent = SlotMachine(tiny_config(), 0).candidates[0][0]
+        draw = signal_model.draw_channels
+
+        def silent_relay(*args):
+            state = draw(*args)
+            state.h_rd[..., silent] = 0
+            return state
+
+        monkeypatch.setattr(signal_model, "draw_channels", silent_relay)
+        machine = SlotMachine(tiny_config(packet_length=8, nc_design=scheme,
+                                          buffers_enabled=buffered), 1)
+        decisions = [machine.advance() for _ in range(40)]
+        action = "transmit" if scheme == Scheme.RANDOM else "receive"
+        assert any(d.action == action and silent in d.relays for d in decisions)
+        with pytest.raises(ValueError, match="degenerate channel"):
+            machine.settle()
 
     def test_zero_relay_gain_fails_linear_lanes(self, monkeypatch):
         # a linear lane's sub-slot on a zero gain has no filter: the chunk

@@ -1,6 +1,7 @@
 """Mappings, NCS generation, matrix designs and destination decoding."""
 
-from itertools import product
+import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
-                      design_G_ml, design_G_mmse, design_G_random, detect_ncs,
-                      encode_ncs, enumerate_invertible_binary, hard_decision,
-                      ncs_levels, PairMode, select_G_mmse, symbol_to_bit,
-                      SystemConfig, xor_decode, xor_encode)
+                      design_G_mmse, design_G_random, detect_ncs, encode_ncs,
+                      encoder_table, hard_decision, PairMode, select_G_mmse,
+                      symbol_to_bit, SystemConfig, xor_decode, xor_encode)
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
-                                     make_group_assignments,
-                                     ml_calibration_outputs,
-                                     predicted_chain_error)
+                                     make_group_assignments)
 from plnc_sim.signal_model import complex_gaussian
 
-from oracles import (chain_error_exhaustive, mmse_fallback_flags,
-                     random_designs_sequential)
+from oracles import (chain_error_exhaustive, design_G_ml, first_carrier,
+                     invertible_binary, ml_calibration_outputs,
+                     mmse_fallback_flags, random_designs_sequential,
+                     solve_joint, sorted_levels)
 
 
 def all_patterns(m=2):
@@ -35,9 +35,15 @@ def mmse_stream_stats(rng, m, sigma2, n=16):
     return np.sum(w.conj() * h, axis=1), sigma2 * np.sum(np.abs(w) ** 2, axis=1)
 
 
+def row_of(G):
+    """The encoder_table row of a binary matrix."""
+    G = np.asarray(G, dtype=np.float64)
+    return int(np.flatnonzero(np.all(encoder_table(len(G)).G == G, axis=(1, 2)))[0])
+
+
 def encode_same(G, b):
     """Every relay's NCS symbol when all relays detected the symbols b."""
-    return encode_ncs(G, np.broadcast_to(b[:, None], (len(b), len(b), 1)))[:, 0]
+    return encode_ncs(row_of(G), np.broadcast_to(b[:, None], (len(b), len(b), 1)))[:, 0]
 
 
 @st.composite
@@ -137,7 +143,7 @@ class TestLinearEncode:
         det = np.zeros((2, 2, 3))
         det[0] = [[1, 1, 1], [-1, -1, -1]]       # relay 0 detections
         det[1] = [[1, -1, 1], [1, 1, -1]]        # relay 1 detections
-        ncs = encode_ncs(G, det)
+        ncs = encode_ncs(row_of(G), det)
         assert np.array_equal(ncs[0], G[:, 0] @ det[0])
         assert np.array_equal(ncs[1], G[:, 1] @ det[1])
 
@@ -150,21 +156,20 @@ class TestEnumerationAndRandomDesign:
             if abs(np.linalg.det(np.array(bits, float).reshape(2, 2))) > 1e-9:
                 count += 1
         assert count == 6
-        assert len(enumerate_invertible_binary(2)) == 6
+        assert len(encoder_table(2).G) == 6
 
     def test_m1_is_always_one(self):
-        cands = enumerate_invertible_binary(1)
+        cands = encoder_table(1).G
         assert len(cands) == 1 and cands[0][0, 0] == 1.0
-        G = design_G_random(1, np.random.default_rng(0), 1)[0]
-        assert G[0, 0] == 1.0
+        assert design_G_random(1, np.random.default_rng(0), 1)[0] == 0
 
     def test_random_design_invertible_and_covers_pool(self):
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(200):
-            G = design_G_random(2, rng, 1)[0]
-            assert abs(np.linalg.det(G)) >= 1.0 - 1e-9
-            seen.add(tuple(G.ravel().astype(int)))
+            row = design_G_random(2, rng, 1)[0]
+            assert abs(np.linalg.det(encoder_table(2).G[row])) >= 1.0 - 1e-9
+            seen.add(int(row))
         assert len(seen) == 6   # all pool members appear
 
     @settings(max_examples=60, deadline=None)
@@ -174,14 +179,14 @@ class TestEnumerationAndRandomDesign:
         # a pool row is binary and invertible by construction, so this
         # is the encoder invariant every design must keep
         rng = np.random.default_rng(seed)
-        pool = enumerate_invertible_binary(m)
         gains, nvar = mmse_stream_stats(rng, m, sigma2, n=8)
         flips = rng.uniform(0.0, 0.5, (m, m))
-        for G in (design_G_random(m, rng, 1)[0],
-                  design_G_ml_for_channel(gains, nvar, 8, rng)[0],
-                  select_G_mmse(gains, nvar, flip_probs=flips)[0]):
-            assert G.shape == (m, m)
-            assert np.any(np.all(pool == G, axis=(1, 2)))
+        for row in (design_G_random(m, rng, 1)[0],
+                    design_G_ml_for_channel(gains, nvar, 8, rng)[0],
+                    select_G_mmse(gains, nvar, flip_probs=flips)[0]):
+            assert np.shape(row) == ()
+            assert np.issubdtype(np.asarray(row).dtype, np.integer)
+            assert 0 <= row < len(encoder_table(m).G)
 
 
 class TestMlDesign:
@@ -203,18 +208,16 @@ class TestMlDesign:
         # calibration block exactly
         rng = np.random.default_rng(3)
         gains, outs, training = self._calibrate(rng, sigma2=1e-30)
-        G, costs = design_G_ml(outs, gains, training)
+        row, costs = design_G_ml(outs, gains, training)
         assert np.all(costs < 1e-20)
         # deterministic tie-break: lowest candidate index wins
-        assert np.array_equal(G, enumerate_invertible_binary(2)[0])
+        assert row == 0
 
     def test_returned_cost_not_above_identity(self):
         rng = np.random.default_rng(4)
         gains, outs, training = self._calibrate(rng, sigma2=0.5)
         _, costs = design_G_ml(outs, gains, training)
-        identity_idx = next(i for i, c in enumerate(enumerate_invertible_binary(2))
-                            if np.array_equal(c, np.eye(2)))
-        assert costs.min() <= costs[identity_idx]
+        assert costs.min() <= costs[row_of(np.eye(2))]
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
@@ -226,8 +229,8 @@ class TestMlDesign:
         for _ in range(25):
             gains, outs, training = self._calibrate(rng, sigma2=0.4,
                                                     gains=rng.uniform(0.5, 2.0, 2))
-            G, costs = design_G_ml(outs, gains, training)
-            cands = enumerate_invertible_binary(2)
+            row, costs = design_G_ml(outs, gains, training)
+            cands = invertible_binary(2)
             oracle_costs = []
             for j, cand in enumerate(cands):
                 total = 0.0
@@ -239,25 +242,25 @@ class TestMlDesign:
             oracle_best = argmin_with_ties(oracle_costs)
             assert oracle_best == argmin_with_ties(costs), \
                 "argmin disagrees with brute force"
-            assert np.array_equal(G, cands[oracle_best])
+            assert row == oracle_best
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_costs_match_per_candidate_solve(self, m):
         # oracle: one solve per candidate on its own calibration outputs
         rng = np.random.default_rng(50 + m)
-        cands = enumerate_invertible_binary(m)
+        cands = invertible_binary(m)
         for _ in range(10 if m == 2 else 2):
             gains, nvar = mmse_stream_stats(rng, m, float(rng.uniform(0.05, 0.5)))
             training = np.where(rng.standard_normal((m, 40)) >= 0, 1.0, -1.0)
             outs = ml_calibration_outputs(gains, nvar, training, rng)
-            G, costs = design_G_ml(outs, gains, training)
+            row, costs = design_G_ml(outs, gains, training)
             oracle = np.empty(len(cands))
             for j, cand in enumerate(cands):
                 rec = np.linalg.solve(cand.T.astype(complex),
                                       outs[j] / gains[:, None])
                 oracle[j] = np.sum(np.abs(training - rec) ** 2)
             assert np.allclose(costs, oracle, rtol=1e-12, atol=0)
-            assert np.array_equal(G, cands[argmin_with_ties(oracle)])
+            assert row == argmin_with_ties(oracle)
 
     @pytest.mark.parametrize("T", [1, 8, 100])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -272,14 +275,14 @@ class TestMlDesign:
         gains = np.array([g for g, _ in stats])
         nvar = np.array([v for _, v in stats])
         stacked, oracle = np.random.default_rng(T), np.random.default_rng(T)
-        G, costs = design_G_ml_for_channel(gains, nvar, T, stacked)
-        assert G.shape == (R, m, m)
-        assert costs.shape == (R, len(enumerate_invertible_binary(m)))
+        rows, costs = design_G_ml_for_channel(gains, nvar, T, stacked)
+        assert rows.shape == (R,)
+        assert costs.shape == (R, len(encoder_table(m).G))
         for r in range(R):
             training = hard_decision(oracle.standard_normal((m, T)))
             outs = ml_calibration_outputs(gains[r], nvar[r], training, oracle)
-            G_r, costs_r = design_G_ml(outs, gains[r], training)
-            assert np.array_equal(G[r], G_r)
+            row_r, costs_r = design_G_ml(outs, gains[r], training)
+            assert rows[r] == row_r
             assert np.allclose(costs[r], costs_r, rtol=1e-9, atol=0)
         assert stacked.standard_normal() == oracle.standard_normal()
 
@@ -290,7 +293,7 @@ class TestMlDesign:
 
 
 def oracle_chain_error(g, gains, nvar, p):
-    """predicted_chain_error for one encoder, from the closed-form
+    """select_G_mmse's score of one encoder matrix, from the closed-form
     P_ab R_b^-1 and the chain's mean outputs for every flip pattern
     (user, relay) and every data pattern."""
     m = len(gains)
@@ -314,14 +317,14 @@ def oracle_chain_error(g, gains, nvar, p):
 class TestMmseDesign:
     def _scenario(self, rng, sigma2=0.1):
         gains, nvar = mmse_stream_stats(rng, 2, sigma2, n=8)
-        G = design_G_random(2, rng, 1)[0]
-        return gains, nvar, G
+        row = design_G_random(2, rng, 1)[0]
+        return gains, nvar, row, encoder_table(2).G[row]
 
     def test_normal_equations(self):
         # G_mmse R_b = P_ab must hold to high relative accuracy
         rng = np.random.default_rng(6)
-        gains, nvar, G = self._scenario(rng)
-        dec = design_G_mmse(G, gains, nvar)
+        gains, nvar, row, G = self._scenario(rng)
+        dec = design_G_mmse(row, gains, nvar)
         C = G.T @ G
         P_ab = C * gains.conj()[None, :]
         R_b = np.outer(gains, gains.conj()) * C + np.diag(nvar)
@@ -331,7 +334,7 @@ class TestMmseDesign:
     def test_noiseless_perfect_equalization_recovers_ncs(self):
         # w^H h = 1 exactly
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        dec = design_G_mmse(G, np.ones(2, dtype=complex), np.full(2, 1e-30))
+        dec = design_G_mmse(row_of(G), np.ones(2, dtype=complex), np.full(2, 1e-30))
         for b in all_patterns():
             ncs = G.T @ b
             assert np.allclose((dec.entries @ ncs).real, ncs, atol=1e-9)
@@ -341,26 +344,26 @@ class TestMmseDesign:
         # on simulated (a, b) sample pairs
         rng = np.random.default_rng(7)
         sigma2 = 0.15
-        gains, nvar, G = self._scenario(rng, sigma2)
+        gains, nvar, row, G = self._scenario(rng, sigma2)
         T = 100_000
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
         a = G.T @ b
         eta = complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
         z = gains[:, None] * a + eta
         ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
-        dec = design_G_mmse(G, gains, nvar)
+        dec = design_G_mmse(row, gains, nvar)
         rel = np.linalg.norm(dec.entries - ls) / np.linalg.norm(dec.entries)
         assert rel < 1e-2
 
     def test_mse_not_worse_than_plain_inversion(self):
         rng = np.random.default_rng(8)
         sigma2 = 0.3
-        gains, nvar, G = self._scenario(rng, sigma2)
+        gains, nvar, row, G = self._scenario(rng, sigma2)
         T = 50_000
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
         a = G.T @ b
         z = gains[:, None] * a + complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
-        dec = design_G_mmse(G, gains, nvar)
+        dec = design_G_mmse(row, gains, nvar)
         mse_mmse = np.mean(np.abs(a - dec.entries @ z) ** 2)
         mse_plain = np.mean(np.abs(a - z / gains[:, None]) ** 2)
         assert mse_mmse <= mse_plain + 1e-12
@@ -369,31 +372,30 @@ class TestMmseDesign:
         # user 0 badly detected at relay 0: the chosen encoder must not
         # route that detection into relay 0's stream (unit-gain streams)
         flips = np.array([[0.4, 1e-4], [1e-4, 1e-4]])
-        G, scores = select_G_mmse(np.ones(2, dtype=complex), np.full(2, 0.05),
-                                  flip_probs=flips)
-        assert G[0, 0] == 0.0
+        row, scores = select_G_mmse(np.ones(2, dtype=complex), np.full(2, 0.05),
+                                    flip_probs=flips)
+        assert encoder_table(2).G[row][0, 0] == 0.0
         assert scores.shape == (6,)
 
     def test_chain_error_in_unit_interval(self):
         rng = np.random.default_rng(10)
-        gains, nvar, G = self._scenario(rng)
-        p = predicted_chain_error(G, gains, nvar,
-                                  flip_probs=np.full((2, 2), 0.01))
-        assert 0.0 <= p <= 1.0
+        gains, nvar, _, _ = self._scenario(rng)
+        _, scores = select_G_mmse(gains, nvar, flip_probs=np.full((2, 2), 0.01))
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     @pytest.mark.parametrize("m,draws", [(2, 30), (3, 2)])
     def test_selection_scores_match_per_candidate_oracle(self, m, draws):
         rng = np.random.default_rng(60 + m)
-        cands = enumerate_invertible_binary(m)
+        cands = invertible_binary(m)
         for _ in range(draws):
             gains, nvar = mmse_stream_stats(rng, m, float(rng.uniform(0.02, 1.0)))
             gains = gains * np.exp(2j * np.pi * rng.random(m))   # any phase
             p = rng.uniform(0.0, 0.3, (m, m))
-            G, scores = select_G_mmse(gains, nvar, flip_probs=p)
+            row, scores = select_G_mmse(gains, nvar, flip_probs=p)
             oracle = np.array([oracle_chain_error(c, gains, nvar, p)[0]
                                for c in cands])
             assert np.allclose(scores, oracle, rtol=1e-9, atol=1e-15)
-            assert np.array_equal(G, cands[argmin_with_ties(oracle)])
+            assert row == argmin_with_ties(oracle)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_stacked_receptions_equal_per_reception_calls(self, m):
@@ -404,11 +406,11 @@ class TestMmseDesign:
         gains = np.array([g for g, _ in stats])
         nvar = np.array([v for _, v in stats])
         p = rng.uniform(0.0, 0.3, (len(stats), m, m))
-        G, scores = select_G_mmse(gains, nvar, flip_probs=p)
-        assert G.shape == (len(stats), m, m)
+        rows, scores = select_G_mmse(gains, nvar, flip_probs=p)
+        assert rows.shape == (len(stats),)
         for r in range(len(stats)):
-            G_r, scores_r = select_G_mmse(gains[r], nvar[r], flip_probs=p[r])
-            assert np.array_equal(G[r], G_r)
+            row_r, scores_r = select_G_mmse(gains[r], nvar[r], flip_probs=p[r])
+            assert rows[r] == row_r
             assert np.allclose(scores[r], scores_r, rtol=0.0, atol=1e-12)
 
     def test_partial_fallback_matches_per_candidate_oracle(self):
@@ -417,20 +419,20 @@ class TestMmseDesign:
         gains = np.array([1.0 + 0.0j, 1.5e-6j])
         nvar = np.array([0.5, 1e-24])
         p = np.full((2, 2), 0.05)
-        cands = enumerate_invertible_binary(2)
+        cands = invertible_binary(2)
         oracle = [oracle_chain_error(c, gains, nvar, p) for c in cands]
         fallbacks = [fb for _, fb in oracle]
         assert any(fallbacks) and not all(fallbacks)
-        assert [design_G_mmse(c, gains, nvar).fallback for c in cands] == fallbacks
+        assert [design_G_mmse(row, gains, nvar).fallback
+                for row in range(len(cands))] == fallbacks
         _, scores = select_G_mmse(gains, nvar, flip_probs=p)
         assert np.allclose(scores, [e for e, _ in oracle], rtol=1e-9, atol=1e-15)
 
 
 @st.composite
 def chain_cases(draw):
-    """Stream statistics of R receptions (R = 0: no reception axis),
-    flip probabilities and an encoder stack: the whole pool, one pool
-    row, or a (2, 2) stack of rows."""
+    """Stream statistics of R receptions (R = 0: no reception axis) and
+    flip probabilities."""
     m = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     R = draw(st.integers(0, 3 if m == 2 else 1))
@@ -442,11 +444,7 @@ def chain_cases(draw):
     flips = draw(st.sampled_from(["zero", "half", "random"]))
     p = {"zero": np.zeros(lead + (m, m)), "half": np.full(lead + (m, m), 0.5),
          "random": rng.uniform(0.0, 0.5, lead + (m, m))}[flips]
-    pool = enumerate_invertible_binary(m)
-    rows = rng.integers(len(pool), size=4)
-    encoders = draw(st.sampled_from([pool, pool[rows[0]],
-                                     pool[rows].reshape(2, 2, m, m)]))
-    return encoders, gains, nvar, p
+    return gains, nvar, p
 
 
 class TestDistinctWork:
@@ -462,16 +460,17 @@ class TestDistinctWork:
         for rng in (batched, looped):
             rng.integers(0, 2, size=offset)
         got = design_G_random(m, batched, count)
-        assert got.shape == (count, m, m)
-        assert np.array_equal(got, random_designs_sequential(m, looped, count))
+        assert got.shape == (count,)
+        assert np.array_equal(encoder_table(m).G[got],
+                              random_designs_sequential(m, looped, count))
         assert batched.bit_generator.state == looped.bit_generator.state
 
     @settings(max_examples=40, deadline=None)
     @given(chain_cases())
     def test_chain_error_equals_exhaustive_oracle(self, case):
-        encoders, gains, nvar, p = case
-        got = predicted_chain_error(encoders, gains, nvar, p)
-        assert np.array_equal(got, chain_error_exhaustive(encoders, gains, nvar, p))
+        gains, nvar, p = case
+        _, got = select_G_mmse(gains, nvar, p)
+        assert np.array_equal(got, chain_error_exhaustive(gains, nvar, p))
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
@@ -481,7 +480,7 @@ class TestDistinctWork:
         # stream SNRs up to 1e18 and, optionally, a near-silent stream
         # leave R_b near singular for some encoders of the pool
         rng = np.random.default_rng(seed)
-        pool = enumerate_invertible_binary(m)
+        pool = np.arange(len(encoder_table(m).G))
         gains = complex_gaussian(rng, (5, m))
         if silent:
             gains[:, 0] *= 10.0 ** -rng.uniform(3, 9)
@@ -494,21 +493,22 @@ class TestDistinctWork:
 class TestJointDecoding:
     def test_identity_passthrough(self):
         z = np.array([[1.0], [-1.0]], dtype=complex)
-        out = decode_joint(np.eye(2), z, gains=np.ones(2))
+        out = decode_joint(row_of(np.eye(2)), z, gains=np.ones(2))
         assert np.array_equal(out, [[1.0], [-1.0]])
 
     def test_worked_example(self):
         # NCS [0, 1] produced by G = [[1,1],[1,0]] from b = [+1, -1]
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        out = decode_joint(G, np.array([[0.0], [1.0]], dtype=complex), np.ones(2))
+        out = decode_joint(row_of(G), np.array([[0.0], [1.0]], dtype=complex),
+                           np.ones(2))
         assert np.array_equal(out, [[1.0], [-1.0]])
 
     def test_bruteforce_all_encoders_and_patterns(self):
         # noiseless exact recovery for all 6 encoders x 4 patterns
-        for cand in enumerate_invertible_binary(2):
+        for row, cand in enumerate(encoder_table(2).G):
             for b in all_patterns():
                 ncs = cand.T @ b[:, None]
-                out = decode_joint(cand, ncs.astype(complex), np.ones(2))
+                out = decode_joint(row, ncs.astype(complex), np.ones(2))
                 assert np.array_equal(out[:, 0], b), f"failed for {cand} {b}"
 
     def test_gain_normalization(self):
@@ -516,7 +516,7 @@ class TestJointDecoding:
         gains = np.array([2.0 + 0j, 0.5 + 0j])
         for b in all_patterns():
             z = gains[:, None] * (G.T @ b[:, None])
-            out = decode_joint(G, z, gains)
+            out = decode_joint(row_of(G), z, gains)
             assert np.array_equal(out[:, 0], b)
 
 
@@ -525,43 +525,43 @@ class TestDirectAidedDecoding:
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
         ncs = np.array([[0.0], [1.0]])
         direct = np.array([[123.0], [-1.0]])   # target slot is ignored
-        out = decode_with_direct(G, ncs, direct)[0, 0]
+        out = decode_with_direct(row_of(G), ncs, direct)[0, 0]
         assert out == 1.0
 
     def test_zero_coefficient_falls_back_to_other_relay(self):
         G = np.array([[0.0, 1.0], [1.0, 0.0]])   # user 0 absent from relay 0
         b = np.array([[-1.0], [1.0]])
         ncs = G.T @ b
-        out = decode_with_direct(G, ncs, np.array([[0.0], b[1]]))[0, 0]
+        out = decode_with_direct(row_of(G), ncs, np.array([[0.0], b[1]]))[0, 0]
         assert out == b[0, 0]
 
     def test_bruteforce_all_encoders_and_patterns(self):
-        for cand in enumerate_invertible_binary(2):
+        for row, cand in enumerate(encoder_table(2).G):
             for b in all_patterns():
                 ncs = cand.T @ b[:, None]
-                out = decode_with_direct(cand, ncs, b[:, None])
+                out = decode_with_direct(row, ncs, b[:, None])
                 for k in (0, 1):
                     assert out[k, 0] == b[k], f"failed for {cand} {b} user {k}"
 
     def test_levels_and_slicing(self):
-        G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        levels = ncs_levels(G)
+        row = row_of([[1.0, 1.0], [1.0, 0.0]])
+        levels = encoder_table(2).levels[row]
         assert np.array_equal(np.unique(levels[:, 0]), [-2.0, 0.0, 2.0])
         assert np.array_equal(np.unique(levels[:, 1]), [-1.0, 1.0])
 
         def slice_relay_0(x):
-            return detect_ncs(G, np.array([[x], [1.0]]), np.ones(2))[0, 0]
+            return detect_ncs(row, np.array([[x], [1.0]]), np.ones(2))[0, 0]
         assert slice_relay_0(0.9) == 0.0
         assert slice_relay_0(1.1) == 2.0
         assert slice_relay_0(1.0) == 0.0   # tie goes to lower level
         assert slice_relay_0(-5.0) == -2.0
 
     def test_detect_ncs_slices_to_admissible_values(self):
-        G = np.array([[1.0, 1.0], [0.0, 1.0]])
+        row = row_of([[1.0, 1.0], [0.0, 1.0]])
         z = np.array([[1.8 + 0.2j], [-0.7 - 0.1j]])
-        est = detect_ncs(G, z, gains=np.ones(2))
-        assert est[0, 0] in ncs_levels(G)[:, 0]
-        assert est[1, 0] in ncs_levels(G)[:, 1]
+        est = detect_ncs(row, z, gains=np.ones(2))
+        assert est[0, 0] in encoder_table(2).levels[row][:, 0]
+        assert est[1, 0] in encoder_table(2).levels[row][:, 1]
 
 
 class TestRandomizedRoundtrips:
@@ -570,14 +570,15 @@ class TestRandomizedRoundtrips:
         # unequal complex gains, both decoders recover exactly
         rng = np.random.default_rng(11)
         for _ in range(50):
-            G = design_G_random(2, rng, 1)[0]
+            row = design_G_random(2, rng, 1)[0]
+            G = encoder_table(2).G[row]
             b = np.where(rng.standard_normal((2, 64)) >= 0, 1.0, -1.0)
             gains = (0.5 + rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
             z = gains[:, None] * (G.T @ b)
-            joint = decode_joint(G, z, gains)
+            joint = decode_joint(row, z, gains)
             assert np.array_equal(joint, b)
-            est = detect_ncs(G, z, gains)
-            direct_aided = decode_with_direct(G, est, b)
+            est = detect_ncs(row, z, gains)
+            direct_aided = decode_with_direct(row, est, b)
             for k in (0, 1):
                 assert np.array_equal(direct_aided[k], b[k])
 
@@ -592,16 +593,71 @@ class TestNoiselessExactness:
         gains = np.array([r * np.exp(1j * phi) for r, phi in polar[:m]])
         nvar = np.full(m, 1e-30)
         b = np.array(list(product((-1.0, 1.0), repeat=m))).T      # (m, 2^m)
-        for cand in enumerate_invertible_binary(m):
+        for row, cand in enumerate(encoder_table(m).G):
             z = gains[:, None] * (cand.T @ b)
-            assert np.array_equal(decode_joint(cand, z, gains), b)
-            dec = design_G_mmse(cand, gains, nvar)
+            assert np.array_equal(decode_joint(row, z, gains), b)
+            dec = design_G_mmse(row, gains, nvar)
             assert not dec.fallback
-            assert np.array_equal(decode_joint(cand, z, gains, dec.entries), b)
-            est = detect_ncs(cand, z, gains)
-            direct_aided = decode_with_direct(cand, est, b)
+            assert np.array_equal(decode_joint(row, z, gains, dec.entries), b)
+            est = detect_ncs(row, z, gains)
+            direct_aided = decode_with_direct(row, est, b)
             for k in range(m):
                 assert np.array_equal(direct_aided[k], b[k])
+
+
+def integer_det(g):
+    """The exact determinant of an integer matrix (Leibniz formula)."""
+    total = 0
+    for perm in permutations(range(len(g))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(g))
+                         for j in range(i + 1, len(g)))
+        total += (-1) ** inversions * math.prod(int(g[i, perm[i]])
+                                                for i in range(len(g)))
+    return total
+
+
+class TestEncoderTable:
+    """Every entry of encoder_table(m) equals its direct form."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lookup_inverts_the_enumeration(self, m):
+        table = encoder_table(m)
+        assert np.array_equal(table.G, invertible_binary(m))
+        assert table.row.dtype == np.int16
+        for pattern, row in enumerate(table.row.tolist()):
+            bits = [(pattern >> (m * m - 1 - j)) & 1 for j in range(m * m)]
+            g = np.array(bits).reshape(m, m)
+            assert (row == -1) == (integer_det(g) == 0)
+            if row >= 0:
+                assert np.array_equal(table.G[row], g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), pick=st.integers(0, 2 ** 16),
+           P=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           with_decoder=st.booleans())
+    def test_rows_equal_direct_forms(self, m, pick, P, seed, with_decoder):
+        table = encoder_table(m)
+        row = pick % len(table.G)
+        g = table.G[row]
+        assert np.array_equal(table.unmix[row] @ g.T, np.eye(m))
+        assert np.array_equal(table.gram[row], g.T @ g)
+        assert np.array_equal(table.recovery[:, row],
+                              (table.unmix[row].T @ table.unmix[row]).ravel())
+        assert np.array_equal(table.levels[row], sorted_levels(g))
+        carrier = first_carrier(g)
+        assert np.array_equal(table.carrier[row], carrier)
+        assert np.array_equal(table.cancel[row], g[:, carrier].T)
+        # the joint decoder's hard decisions equal a solve's, on noisy
+        # outputs of a stack of three rows
+        rng = np.random.default_rng(seed)
+        rows = np.array([row, *rng.integers(len(table.G), size=2)])
+        gains = (0.5 + rng.random((3, m))) * np.exp(2j * np.pi * rng.random((3, m)))
+        z = complex_gaussian(rng, (3, m, P)) * 2.0
+        decoder = (design_G_mmse(rows, gains, 0.1 + rng.random((3, m))).entries
+                   if with_decoder else None)
+        refined = decoder @ z if with_decoder else z / gains[..., None]
+        assert np.array_equal(decode_joint(rows, z, gains, decoder),
+                              solve_joint(table.G[rows], refined))
 
 
 # -- per-user and per-relay loop oracles of the array decoders ----------
@@ -655,40 +711,40 @@ soft_values = st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4).map(float))
 def decode_cases(draw):
     m = draw(st.sampled_from([1, 2, 3]))
     P = draw(st.integers(1, 5))
-    cands = enumerate_invertible_binary(m)
-    encoder = cands[draw(st.integers(0, len(cands) - 1))]
+    row = draw(st.integers(0, len(encoder_table(m).G) - 1))
     soft = np.array(draw(st.lists(soft_values, min_size=m * P, max_size=m * P)))
     unit_gains = draw(st.booleans())
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return m, P, encoder, soft.reshape(m, P), unit_gains, np.random.default_rng(seed)
+    return m, P, row, soft.reshape(m, P), unit_gains, np.random.default_rng(seed)
 
 
 class TestArrayDecodersMatchLoopOracles:
     @settings(max_examples=150, deadline=None)
     @given(decode_cases(), st.booleans())
     def test_detect_and_direct_decode(self, case, with_decoder):
-        m, P, g, soft, unit_gains, rng = case
+        m, P, row, soft, unit_gains, rng = case
+        g = encoder_table(m).G[row]
         gains = (np.ones(m, dtype=complex) if unit_gains else
                  (0.5 + rng.random(m)) * np.exp(2j * np.pi * rng.random(m)))
         z = gains[:, None] * soft
         decoder = None
         if with_decoder:
-            decoder = design_G_mmse(g, gains, 0.1 + rng.random(m)).entries
-        est = detect_ncs(g, z, gains, decoder)
+            decoder = design_G_mmse(row, gains, 0.1 + rng.random(m)).entries
+        est = detect_ncs(row, z, gains, decoder)
         assert np.array_equal(est, oracle_detect(g, z, gains, decoder))
         # each column decodes alone, as its own (m, 1) stack
-        assert np.array_equal(detect_ncs(g, z[:, :1], gains, decoder), est[:, :1])
+        assert np.array_equal(detect_ncs(row, z[:, :1], gains, decoder), est[:, :1])
         # direct estimates that need not agree with the NCS estimates, so
         # a decode through any relay but the first carrying one differs
         direct = np.where(rng.random((m, P)) < 0.5, 1.0, -1.0)
-        got = decode_with_direct(g, est, direct)
+        got = decode_with_direct(row, est, direct)
         assert got.shape == (m, P)
         for k in range(m):
             assert np.array_equal(got[k], oracle_direct(g, est, direct, k))
             own_nan = direct.copy()
             own_nan[k] = np.nan
-            assert np.array_equal(decode_with_direct(g, est, own_nan)[k], got[k])
-        assert np.array_equal(decode_with_direct(g, est[:, :1], direct[:, :1]),
+            assert np.array_equal(decode_with_direct(row, est, own_nan)[k], got[k])
+        assert np.array_equal(decode_with_direct(row, est[:, :1], direct[:, :1]),
                               got[:, :1])
 
     @settings(max_examples=100, deadline=None)
@@ -710,13 +766,7 @@ class TestArrayDecodersMatchLoopOracles:
 
     def test_midpoints_go_to_the_lower_level(self):
         for m in (1, 2, 3):
-            for g in enumerate_invertible_binary(m):
-                levels = ncs_levels(g)
+            for row, levels in enumerate(encoder_table(m).levels):
                 mid = (levels[:-1] + levels[1:]) / 2          # (2^m - 1, m)
-                est = detect_ncs(g, mid.T, np.ones(m))
+                est = detect_ncs(row, mid.T, np.ones(m))
                 assert np.array_equal(est, levels[:-1].T)
-
-    def test_no_carrying_relay_rejected(self):
-        with pytest.raises(ValueError, match="no relay carries"):
-            decode_with_direct(np.array([[1.0, 1.0], [0.0, 0.0]]),
-                               np.zeros((2, 1)), np.ones((2, 1)))

@@ -11,7 +11,8 @@ from plnc_sim import (PairMode, ReceiverKind, SystemConfig, draw_channel,
                       source_relay_filter_bank)
 from plnc_sim.receivers import (_mmse_bank, detection_error_probs,
                                 effective_gains, rank_one_filters,
-                                rank_one_outputs, source_dest_filter_bank)
+                                rank_one_outputs, relay_dest_filter_bank,
+                                source_dest_filter_bank)
 from plnc_sim.signal_model import ChannelState, complex_gaussian
 
 from oracles import chip_second_hop, pair_state
@@ -53,6 +54,20 @@ class TestRakeFilter:
         for kind in ReceiverKind:
             with pytest.raises(ValueError, match="degenerate channel"):
                 rank_one_filters(np.array([0.5j, 0.0]), 1.0, kind)
+
+    @pytest.mark.parametrize("kind", list(ReceiverKind))
+    def test_relay_dest_bank_takes_zero_gain(self, kind):
+        # a relay without a path to the destination gets the zero filter,
+        # a stream of no power and no noise; the others are unchanged
+        rng = np.random.default_rng(3)
+        h_rd = complex_gaussian(rng, (5, 4))
+        h_rd[[0, 2, 4], [1, 3, 1]] = 0.0
+        bank = relay_dest_filter_bank(ChannelState(h_rd, None, None), 0.3, kind)
+        live = h_rd != 0
+        assert np.all(bank[~live] == 0.0)
+        assert np.array_equal(bank[live], rank_one_filters(h_rd[live], 0.3, kind))
+        gains, noise_var, colour = rank_one_outputs(bank, h_rd, 0.3)
+        assert np.all(gains[~live] == 0) and np.all(noise_var[~live] == 0)
 
 
 class TestMmseFilter:

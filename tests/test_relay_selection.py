@@ -127,6 +127,33 @@ def empirical_sinr_source_relay(pair, state, W, sigma2, rng, T):
     return num / (interference + noise_power)
 
 
+class TestZeroRelayGain:
+    @pytest.mark.parametrize("kind", list(ReceiverKind))
+    def test_table_reads_silent_relays_as_streams_of_no_power(self, kind):
+        # relays 0 and 1 have no path to the destination: the table stays
+        # finite, the first hop is unchanged, and each pair's second hop
+        # counts its live relays against the other live ones
+        cfg, _, _, state = scenario(num_relays=6)
+        sigma2 = cfg.noise_var
+        candidates = list(combinations(range(6), 2))
+        Wsr = source_relay_filter_bank(state, sigma2, kind)
+        before = build_sinr_table(state, Wsr, relay_dest_filter_bank(
+            state, sigma2, kind), sigma2, candidates)
+        state.h_rd[:2] = 0.0
+        Wrd = relay_dest_filter_bank(state, sigma2, kind)
+        table = build_sinr_table(state, Wsr, Wrd, sigma2, candidates)
+        assert np.all(np.isfinite(table) & (table >= 0.0))
+        assert np.array_equal(table[:, 0], before[:, 0])
+        power = np.abs(Wrd.conj() * state.h_rd) ** 2
+        for row, pair in enumerate(candidates):
+            live = [r for r in pair if r > 1]
+            others = [r for r in range(2, 6) if r not in pair]
+            expected = power[live].sum() / (power[others].sum()
+                                            + sigma2 * np.sum(np.abs(Wrd[live]) ** 2))
+            assert table[row, 1] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert table[candidates.index((0, 1)), 1] == 0.0
+
+
 class TestSelection:
     def test_single_entry(self):
         assert select_best(np.array([[3.0, 0.0]]))[0] == (0, 0)
