@@ -163,6 +163,8 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
               in itertools.product(enumerate(schemes), enumerate(buffer_modes),
                                    enumerate(snr_list))}
     logs = {}                          # (b_idx, p_idx) -> log per chunk
+    # a fork pool starts every worker at once, so never more than the tasks
+    workers = min(workers, len(tasks))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         results = pool.map(_run_chunk, tasks) if pool else map(_run_chunk, tasks)

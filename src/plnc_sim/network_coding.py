@@ -21,9 +21,8 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
-from .receivers import hard_decision
+from .receivers import erfc, hard_decision
 
 
 def _qfunc(x):

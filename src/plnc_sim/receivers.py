@@ -1,10 +1,116 @@
 """RAKE and linear MMSE receive filter banks, N-chip on the first hop
-and scalar on the second, plus the BPSK slicer."""
+and scalar on the second, plus the BPSK slicer and the erfc kernel the
+error probabilities evaluate."""
 
 import numpy as np
-from scipy.special import erfc
 
 from .config import ReceiverKind
+
+
+# Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) as
+# tabulated in Cephes ndtr.c: erf x = x T(x^2) / U(x^2) on |x| < 1 and
+# erfc x = exp(-x^2) P(x) / Q(x) on 1 <= x < 8, exp(-x^2) R(x) / S(x)
+# beyond.  Each pair is kept as complex coefficients, highest power
+# first: the numerator in the real part, the monic denominator in the
+# imaginary part.
+def _pair(num, den):
+    den = (1.0,) + den
+    num = (0.0,) * (len(den) - len(num)) + num     # 0 t + c is exactly c
+    return tuple(complex(n, d) for n, d in zip(num, den))
+
+
+_ERF_TU = _pair((9.60497373987051638749e0, 9.00260197203842689217e1,
+                 2.23200534594684319226e3, 7.00332514112805075473e3,
+                 5.55923013010394962768e4),
+                (3.35617141647503099647e1, 5.21357949780152679795e2,
+                 4.59432382970980127987e3, 2.26290000613890934246e4,
+                 4.92673942608635921086e4))
+_ERFC_PQ = _pair((2.46196981473530512524e-10, 5.64189564831068821977e-1,
+                  7.46321056442269912687e0, 4.86371970985681366614e1,
+                  1.96520832956077098242e2, 5.26445194995477358631e2,
+                  9.34528527171957607540e2, 1.02755188689515710272e3,
+                  5.57535335369399327526e2),
+                 (1.32281951154744992508e1, 8.67072140885989742329e1,
+                  3.54937778887819891062e2, 9.75708501743205489753e2,
+                  1.82390916687909736289e3, 2.24633760818710981792e3,
+                  1.65666309194161350182e3, 5.57535340817727675546e2))
+_ERFC_RS = _pair((5.64189583547755073984e-1, 1.27536670759978104416e0,
+                  5.01905042251180477414e0, 6.16021097993053585195e0,
+                  7.40974269950448939160e0, 2.97886665372100240670e0),
+                 (2.26052863220117276590e0, 9.39603524938001434673e0,
+                  1.20489539808096656605e1, 1.70814450747565897222e1,
+                  9.60896809063285878198e0, 3.36907645100081516050e0))
+_MAXLOG = 7.09782712893383996843e2      # Cephes: exp(-x^2) is 0 beyond
+_BLOCK = 16384                          # elements per pass of erfc
+
+
+def _horner_pair(t, coefs):
+    """Numerator and denominator of a pair at real t, bit for bit as
+    Cephes' polevl and p1evl: one complex Horner's rule evaluates both,
+    since t's imaginary part is 0 and so is every cross term."""
+    t = t.astype(np.complex128)
+    r = t * coefs[0]
+    r += coefs[1]
+    for c in coefs[2:]:
+        r *= t
+        r += c
+    return r.real, r.imag
+
+
+def _erfc_block(x):
+    """erfc of a 1-D block.  The 1 <= |x| < 8 branch, which holds most
+    arguments, runs on every element; the other two are written over
+    their own elements only, since gathering every branch costs more than
+    the middle branch's wasted work."""
+    a = np.minimum(np.abs(x), 27.0)          # 27^2 > MAXLOG: same result
+    e = np.square(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p, q = _horner_pair(a, _ERFC_PQ)
+    y = np.multiply(e, p, out=e)
+    y /= q
+    tail = a >= 8.0
+    if tail.any():
+        at = a[tail]
+        sq = at * at
+        et = np.exp(-sq)
+        et[sq > _MAXLOG] = 0.0
+        p, q = _horner_pair(at, _ERFC_RS)
+        et *= p
+        et /= q
+        y[tail] = et
+    neg = x < 0.0
+    if neg.any():
+        y = np.where(neg, 2.0 - y, y)
+    small = a < 1.0
+    if small.any():
+        xs = x[small]
+        p, q = _horner_pair(xs * xs, _ERF_TU)
+        p = xs * p
+        p /= q
+        y[small] = np.subtract(1.0, p, out=p)
+    return y
+
+
+def erfc(x, out=None):
+    """Complementary error function, elementwise, by Cephes' branches in
+    its order of operations, so that values agree with
+    scipy.special.erfc to the last bit or two: 1 - erf x on |x| < 1,
+    erfc |x| beyond, and 2 - erfc |x| for x <= -1.  Beyond MAXLOG in x^2
+    the result is 0 (2 for negative x), so huge and infinite arguments
+    raise no warning.  Runs in blocks of _BLOCK elements, whose
+    temporaries stay in cache; out may be x itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    y = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        y[start:start + _BLOCK] = _erfc_block(flat[start:start + _BLOCK])
+    y = y.reshape(x.shape)
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
 def hard_decision(soft):

@@ -232,6 +232,41 @@ class TestRunSweep:
             assert (pa.scheme_label, pa.snr_db, pa.bits_total, pa.bit_errors) \
                 == (pb.scheme_label, pb.snr_db, pb.bits_total, pb.bit_errors)
 
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
+        # a fork pool launches all its workers at the first submit, so a
+        # wide --workers on a short sweep would fork idle processes
+        asked = []
+
+        class RecordingPool:
+            """Stands in for the process pool: runs the chunks here."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def counts(report):
+            return [(p.scheme_label, p.snr_db, p.bits_total, p.bit_errors)
+                    for p in report.points]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_config()
+        six = dict(schemes=[Scheme.RANDOM], buffer_modes=[True, False])
+        serial = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=1, **six)
+        wide = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=64, **six)
+        assert asked == [6] and counts(wide) == counts(serial)
+        one = dict(schemes=[Scheme.RANDOM], buffer_modes=[True])
+        alone = run_sweep(cfg, [8.0], 2, workers=2, **one)
+        assert asked == [6]
+        assert counts(alone) == counts(run_sweep(cfg, [8.0], 2, workers=1, **one))
+
 
 @st.composite
 def sweep_cases(draw):
@@ -973,6 +1008,25 @@ class TestCli:
                      "100", "--schemes", "random", "--buffers-only",
                      "--out", str(tmp_path / "missing_dir" / "r.csv")])
         assert code == 2
+
+    def test_runtime_imports_no_scipy(self):
+        # SciPy is a test dependency only: the CLI and an mmse design,
+        # which evaluates both error-probability call sites, run without it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "\n".join([
+            "import sys",
+            "import plnc_sim.cli",
+            "from plnc_sim import Scheme, SlotMachine, SystemConfig",
+            "cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,"
+            " buffer_size=2, group_size=2, packet_length=20, rng_seed=3,"
+            " nc_design=Scheme.MMSE_DESIGN)",
+            "SlotMachine(cfg, 3).run_until(2)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_installed(self, tmp_path):
         # the package's src directory is on the path, as in a checkout

@@ -2,6 +2,7 @@
 
 import math
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 
 from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
                       design_G_mmse, design_G_random, detect_ncs, encode_ncs,
-                      encoder_table, hard_decision, PairMode, select_G_mmse,
-                      symbol_to_bit, SystemConfig, xor_decode, xor_encode)
+                      encoder_table, generate_codebook, hard_decision,
+                      PairMode, ReceiverKind, select_G_mmse, symbol_to_bit,
+                      SystemConfig, xor_decode, xor_encode)
+from plnc_sim import network_coding, receivers
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
                                      make_group_assignments)
-from plnc_sim.signal_model import complex_gaussian
+from plnc_sim.receivers import (detection_error_probs, rank_one_filters,
+                                rank_one_outputs, source_relay_filter_bank)
+from plnc_sim.signal_model import complex_gaussian, draw_channels
 
 from oracles import (chain_error_exhaustive, design_G_ml, first_carrier,
                      invertible_binary, ml_calibration_outputs,
@@ -488,6 +493,45 @@ class TestDistinctWork:
         got = design_G_mmse(pool, gains[:, None], nvar[:, None]).fallback
         assert np.array_equal(got, mmse_fallback_flags(pool, gains[:, None],
                                                        nvar[:, None]))
+
+
+class TestErfcKernelInvariance:
+    """scipy.special.erfc in place of the package's kernel moves no
+    design: the kernel follows the same Cephes branches, and the scores
+    feed argmin_with_ties only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), receptions=st.integers(1, 3),
+           log_sigma2=st.floats(-3.0, 1.0),
+           kind=st.sampled_from(list(ReceiverKind)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scipy_erfc_gives_equal_designs(self, m, receptions, log_sigma2,
+                                            kind, seed):
+        from scipy.special import erfc as scipy_erfc
+        sigma2 = 10.0 ** log_sigma2
+        cfg = SystemConfig(num_users=m, num_relays=m, spreading_gain=8,
+                           group_size=m)
+        state = draw_channels(cfg, generate_codebook(cfg),
+                              np.random.default_rng(seed), receptions)
+        filters_sr = source_relay_filter_bank(state, sigma2, kind)
+        users = np.broadcast_to(np.arange(m), (receptions, m))
+        gains, nvar, _ = rank_one_outputs(
+            rank_one_filters(state.h_rd, sigma2, kind), state.h_rd, sigma2)
+
+        def design():
+            flips = detection_error_probs(users, state, filters_sr, sigma2)
+            return (flips,) + select_G_mmse(gains, nvar, flips)
+
+        flips, rows, scores = design()
+        with mock.patch.object(receivers, "erfc", scipy_erfc), \
+                mock.patch.object(network_coding, "erfc", scipy_erfc):
+            want_flips, want_rows, want_scores = design()
+        assert np.array_equal(rows, want_rows)
+        # relative where the values are normal doubles; below that a
+        # double holds an absolute precision only
+        tiny = np.finfo(np.float64).tiny
+        np.testing.assert_allclose(flips, want_flips, rtol=1e-15, atol=tiny)
+        np.testing.assert_allclose(scores, want_scores, rtol=1e-15, atol=tiny)
 
 
 class TestJointDecoding:

@@ -1,18 +1,21 @@
-"""Receive filter banks, effective gains and the slicer."""
+"""Receive filter banks, effective gains, the slicer and the erfc kernel."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
 
 from plnc_sim import (PairMode, ReceiverKind, SystemConfig, draw_channel,
                       generate_codebook, hard_decision,
                       source_relay_filter_bank)
 from plnc_sim.receivers import (_mmse_bank, detection_error_probs,
-                                effective_gains, rank_one_filters,
+                                effective_gains, erfc, rank_one_filters,
                                 rank_one_outputs, relay_dest_filter_bank,
                                 source_dest_filter_bank)
+from plnc_sim.network_coding import _qfunc
 from plnc_sim.signal_model import ChannelState, complex_gaussian
 
 from oracles import chip_second_hop, pair_state
@@ -208,6 +211,56 @@ class TestSlicer:
     def test_vectorized(self):
         out = hard_decision(np.array([0.1, -0.1, 0.0]))
         assert np.array_equal(out, [1.0, -1.0, 1.0])
+
+
+class TestErfc:
+    GRID = np.linspace(-30.0, 30.0, 120_001)
+    TINY = np.finfo(np.float64).tiny
+
+    def test_matches_math_erfc(self):
+        # to the precision of Cephes' exp(-x^2), which loses up to about
+        # 1e-13 relative near x = 23 (scipy.special.erfc shares it)
+        want = np.array([math.erfc(x) for x in self.GRID])
+        got = erfc(self.GRID)
+        normal = want >= self.TINY
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+        assert np.all(got[~normal] < self.TINY)
+
+    def test_matches_scipy_erfc(self):
+        from scipy.special import erfc as scipy_erfc
+        rng = np.random.default_rng(5)
+        x = np.concatenate([self.GRID, rng.normal(0.0, 6.0, 100_000),
+                            rng.choice([-1.0, 1.0], 100_000)
+                            * np.exp(rng.uniform(-40.0, 4.0, 100_000))])
+        want = scipy_erfc(x)
+        got = erfc(x)
+        normal = want >= self.TINY
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-15, atol=0)
+        # below the normal range a double holds an absolute precision only
+        np.testing.assert_allclose(got[~normal], want[~normal], rtol=0,
+                                   atol=4 * np.finfo(np.float64).smallest_subnormal)
+
+    def test_special_values_exact(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = erfc(x)
+        np.testing.assert_array_equal(got, [1.0, 1.0, 0.0, 2.0, np.nan, 0.0, 2.0])
+
+    def test_out_filled_in_place(self):
+        x = np.linspace(-12.0, 12.0, 60).reshape(3, 4, 5)
+        z = x.copy()
+        assert erfc(z, out=z) is z and np.array_equal(z, erfc(x))
+        strided = np.zeros((3, 4, 10))[..., ::2]
+        assert erfc(x, out=strided) is strided
+        assert np.array_equal(strided, erfc(x))
+
+    def test_qfunc_fills_its_own_buffer(self):
+        x = np.linspace(-12.0, 12.0, 60).reshape(3, 4, 5)
+        kept = x.copy()
+        q = _qfunc(x)
+        assert q is not x and np.array_equal(x, kept)
+        assert np.array_equal(q, 0.5 * erfc(x / np.sqrt(2.0)))
 
 
 class TestReceiverProperties:
