@@ -1,43 +1,58 @@
 """Relay buffers and the two-mode slot state machine.
 
-A slot machine runs in two passes.
+A slot machine runs one or more replicas: runs of the same system and
+SNR that differ in their seed and buffer mode, as the chunks of a sweep
+point do.  Each replica keeps its own random streams, lanes, bank,
+counters and log, so its log equals that of a one-replica machine built
+from its seed and mode; the codebook, the groups and the candidate
+pairs are built once per machine.  A machine runs in two passes.
 
-Pass 1, advance(), runs once per slot.  Block-fading channels are
-drawn a block of slots ahead, and everything that depends on the
-channel alone is computed once per block, as arrays with a leading slot
-axis: when buffered, the source-relay and relay-destination filter
-banks and the SINR table over the candidate pairs and both hops.
-advance() takes the slot's row of these and picks the best feasible
-action: the first entry of the table's ranking that the buffers allow;
-the unbuffered baseline serves its groups round robin.  A packet is its
-uid, the index of its reception: a reception pushes the uid onto the
-pair's buffers and a transmission pops it; the slot's Decision becomes
-a plain row tuple.  Where pairs are not groups, reception uid serves
-group uid mod K/m, the same round robin.  No decision reads the physics
-of a packet, only the channel and the buffer occupancies, so this pass
-decides every slot.  A reception keeps its group and the pair's slice
-of the slot's channel (and, buffered, of its source-relay bank) for
-pass 2, and a transmission the pair's relay-destination gains.
+Pass 1, advance(), runs once per slot of one replica.  Block-fading
+channels are drawn a block of slots ahead, and everything that depends
+on the channel alone is computed once per block, as arrays with a
+leading slot axis: when buffered, the source-relay and relay-destination
+filter banks, the SINR table over the candidate pairs and both hops,
+and its ranking (rs.select_best), the table going to Python lists.
+advance() walks the slot's ranking to the first entry the buffers allow
+(decide_action); the unbuffered baseline serves its groups round robin,
+reception u at slot 2u and its transmission at slot 2u + 1, and draws
+no table.  A packet is its uid, the index of its reception: a reception
+pushes the uid onto the pair's buffers and a transmission pops it; the
+slot's Decision becomes a plain row tuple.  Where pairs are not groups,
+reception uid serves group uid mod K/m, the same round robin.  No
+decision reads the physics of a packet, only the channel and the
+buffer occupancies, so this pass decides every slot and makes no NumPy
+call per slot: the block's receptions and transmissions are gathered
+once per block into the pairs' slices of the channel (and, buffered, of
+the source-relay bank) that pass 2 reads.  Within run_until an
+unbuffered block holds at most the slots its schedule still needs, and
+a replica's block is freed when its pass 1 ends, the channel stream
+taking back the rows no slot has read.
 
-Pass 2, settle(), runs the physics of every slot advanced since the
-last settle as arrays: for the receptions, one data block, the
-source-destination filter banks (and, unbuffered, the selected pairs'
-source-relay banks), the first phase at symbol level
-(signal_model.sample_first_phase) and every lane's encoder designs and
-encodes; for the transmissions, the second phase, one noise draw per
-slice for all lanes of a kind, then per lane the decode-time MMSE
-refinement, the decoders and the scoring; the second phase and the
+Pass 2, settle(), runs the physics of every slot of every replica
+advanced since the last settle as one set of arrays, the replicas'
+receptions and transmissions stacked in replica order: for the
+receptions, one data block, the source-destination filter banks (and,
+unbuffered, the selected pairs' source-relay banks), the first phase at
+symbol level (signal_model.sample_first_phase) and every lane's encoder
+designs and encodes; for the transmissions, the second phase, one noise
+draw per slice for all lanes of a kind, then per lane the decode-time
+MMSE refinement, the decoders and the scoring; the second phase and the
 designs read the relay-destination gains alone (rx.rank_one_filters).
-settle() turns the pending rows into log records in one np.array call
-and writes the transmissions' bit_errors and note codes into them;
-until then the log raises.  A packet's streams, direct-link decisions,
-ground truth and encoder rows (int16, -1 for XOR) wait under its uid
-from its reception's settle to its transmission's.
-run_until calls settle() once at the end.  Every random stream has one
-purpose and the same draw shape on every call, so one block of draws
-equals the per-slot draws bit for bit, whenever settle() runs.  The
-arrays run in slices whose transient arrays hold about _SLICE_ELEMENTS
-float64 elements.
+Each replica's run of a stacked draw comes from its own streams, in its
+own order.  settle() turns each replica's pending rows into log records
+in one np.array call and writes the transmissions' bit_errors and note
+codes into them; until then the log raises.  A packet's streams,
+direct-link decisions, ground truth and encoder rows (int16, -1 for
+XOR) wait under its uid from its reception's settle to its
+transmission's.  run_until settles whenever the replicas it has
+advanced since the last settle hold a slice's worth of receptions, and
+at the end, so a machine's pending state stays near one slice.  Every
+random stream has one purpose and the same draw shape on every call, so
+one block of draws equals the per-slot draws bit for bit, whenever
+settle() runs and however the replicas are stacked.  The arrays run in
+slices whose transient arrays hold about _SLICE_ELEMENTS float64
+elements.
 
 No coding scheme changes the channel stream or the bank occupancies, so
 one machine runs several schemes in lockstep, one lane each: the slot's
@@ -49,8 +64,10 @@ Half duplex is enforced by construction: one action per slot,
 system-wide.
 """
 
+import math
 from collections import deque
 from dataclasses import replace
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +94,14 @@ def _slices(n, item_elements):
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def reception_elements(config: SystemConfig):
+    """The elements a reception's first phase holds in pass 2: the data
+    of K users, and the normals, samples and outputs of (1 + m) m
+    streams, for P symbols."""
+    m = config.group_size
+    return (config.num_users + 8 * (m + 1) * m) * config.packet_length
+
+
 class BufferBank:
     """The L relay FIFO buffers of capacity J with the paired push/pop
     discipline: every relay of a pair stores and releases a packet
@@ -89,21 +114,31 @@ class BufferBank:
         self.buffers = [deque() for _ in range(num_relays)]
 
     def occupancies(self):
-        return tuple(len(b) for b in self.buffers)
+        return tuple(map(len, self.buffers))
 
     def can_receive(self, relays):
         """True iff every buffer of the pair has occupancy below capacity."""
         if not relays:
             raise ValueError("empty relay tuple")
-        return all(len(self.buffers[r]) < self.capacity for r in relays)
+        for r in relays:
+            if len(self.buffers[r]) >= self.capacity:
+                return False
+        return True
 
     def can_transmit(self, relays):
         """True iff every buffer of the pair holds the pair's next packet."""
         if not relays:
             raise ValueError("empty relay tuple")
-        queues = [self.buffers[r] for r in relays]
         # heads must be the same packet so the pair decodes jointly
-        return all(queues) and all(q[0] == queues[0][0] for q in queues)
+        head = self.buffers[relays[0]]
+        if not head:
+            return False
+        head = head[0]
+        for r in relays:
+            queue = self.buffers[r]
+            if not queue or queue[0] != head:
+                return False
+        return True
 
     def push_pair(self, relays, uid):
         if not self.can_receive(relays):
@@ -132,12 +167,14 @@ class Decision(NamedTuple):
     reselections: int
 
 
-def decide_action(table, candidates, bank: BufferBank):
+def decide_action(table, candidates, bank: BufferBank, ranking=None):
     """Max-SINR selection: the first entry of the table's ranking whose
     buffers allow it.
 
     table is the (pairs, 2) array of rs.build_sinr_table over candidates
-    (relay tuples); the Decision's reselections is the entry's rank.
+    (relay tuples), or its rows as lists; ranking is its rs.select_best
+    order, computed here when not given.  The Decision's reselections is
+    the entry's rank.
 
     Some entry is always feasible while every buffered packet came from
     a candidate: each relay queue is FIFO, so the oldest buffered packet
@@ -145,11 +182,13 @@ def decide_action(table, candidates, bank: BufferBank):
     empty bank lets every pair receive.  An exhausted ranking breaks
     that invariant and raises RuntimeError.
     """
-    for rank, (row, col) in enumerate(rs.select_best(table)):
+    if ranking is None:
+        ranking = rs.select_best(table)
+    for rank, (row, col) in enumerate(ranking):
         relays = candidates[row]
         feasible = bank.can_transmit if col else bank.can_receive
         if feasible(relays):
-            return Decision(_ACTIONS[col], row, relays, float(table[row, col]), rank)
+            return Decision(_ACTIONS[col], row, relays, float(table[row][col]), rank)
     raise RuntimeError("no candidate pair can receive or transmit at "
                        f"occupancies {bank.occupancies()}: a buffered packet "
                        "came from no candidate")
@@ -162,23 +201,32 @@ TRACE_FIELDS = ("slot", "action", "pair_id", "relays", "hop", "sinr",
                 "decoded_bits", "bit_errors", "note")
 
 
-def trace_row(log, lane=0):
-    """The trace fields of every slot of a log as one lane saw it, one
-    row per record.  A slot's occupancy_before is the record before's
-    occupancy; a machine starts with an empty bank."""
+def trace_columns(log):
+    """The trace fields every lane of a log shares, TRACE_FIELDS up to
+    decoded_bits, one tuple per record.  A slot's occupancy_before is
+    the record before's occupancy; a machine starts with an empty bank."""
     def joined(rows):
         return ["|".join(map(str, row)) for row in rows.tolist()]
 
     transmit, occupancy = log["transmit"].tolist(), log["occupancy"]
     hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)
-    return list(map(list, zip(
+    after = joined(occupancy)
+    return list(zip(
         range(len(log)), [_ACTIONS[t] for t in transmit], log["pair_id"].tolist(),
         joined(log["relays"]), [hops[t] for t in transmit],
-        [f"{s:.6g}" if np.isfinite(s) else "" for s in log["sinr"].tolist()],
-        joined(np.concatenate((np.zeros_like(occupancy[:1]), occupancy[:-1]))),
-        joined(occupancy), log["reselections"].tolist(),
-        log["decoded_bits"].tolist(), log["bit_errors"][:, lane].tolist(),
-        [NOTES[n] for n in log["note"][:, lane].tolist()])))
+        [f"{s:.6g}" if math.isfinite(s) else "" for s in log["sinr"].tolist()],
+        ["|".join(["0"] * occupancy.shape[1])] + after[:-1], after,
+        log["reselections"].tolist(), log["decoded_bits"].tolist()))
+
+
+def trace_row(log, lane=0, columns=None):
+    """The trace fields of every slot of a log as one lane saw it, one
+    row per record; columns are the log's trace_columns, computed here
+    when not given."""
+    if columns is None:
+        columns = trace_columns(log)
+    return [[*shared, errors, NOTES[note]] for shared, errors, note in zip(
+        columns, log["bit_errors"][:, lane].tolist(), log["note"][:, lane].tolist())]
 
 
 class RngStreams(NamedTuple):
@@ -212,35 +260,51 @@ def _twin(rng):
     return twin
 
 
-class SlotMachine:
-    """Sequential slot-level simulator for one Monte-Carlo trial.
+class _Runs:
+    """Stands in for a Generator over a stacked leading axis whose
+    consecutive runs belong to different replicas: each run draws from
+    its replica's generator, as that replica's own call would."""
 
-    With buffers disabled the machine degenerates to fixed two-phase
-    relaying: groups are served round robin and every reception slot is
-    immediately followed by the paired transmission slot.
+    def __init__(self, runs):
+        self.runs = runs             # (generator, items)
+
+    def standard_normal(self, shape):
+        shape = tuple(shape)
+        if shape[0] != sum(n for _, n in self.runs):
+            raise ValueError("a stacked draw must cover its runs")
+        return np.concatenate([rng.standard_normal((n,) + shape[1:])
+                               for rng, n in self.runs])
+
+
+def _stream(owners, pick):
+    """The generator of a stacked draw whose items belong to owners, the
+    replicas in runs, pick(replica) being a replica's generator of it."""
+    runs = [(pick(replica), len(list(items))) for replica, items in groupby(owners)]
+    return runs[0][0] if len(runs) == 1 else _Runs(runs)
+
+
+def _pair_slices(array, rows, relays):
+    """array[row][:, relays] for each (row, relays) of a block array
+    (slots, K, L, ...), stacked as (n, K, m, ...) in C order, as np.stack
+    of the per-slot slices would hold them."""
+    return np.ascontiguousarray(np.swapaxes(array[rows[:, None], :, relays], 1, 2))
+
+
+class Replica:
+    """One run of a slot machine: its config (which sets the buffer
+    mode), its random streams and lanes, bank, counters and log, and the
+    pass-1 state of its channel block.
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
     receive_slots and transmit_slots count packets too; log holds one
     record per slot, indexed by slot number, once settle() has run.
-
-    schemes gives one lane per entry (default: config.nc_design alone);
-    a record holds each lane's errors and notes.  seed (an int, a
-    SeedSequence or a Generator) is spawned into the five RngStreams.
-    A SeedSequence is copied first, so one object gives the same run
-    every time; a Generator is consumed, as spawning advances it.
-    Group g's users are row g of group_users; candidate pair i is the
-    relay tuple candidates[i], the groups' relay rows whenever pairs are
-    groups (fixed groups, or any unbuffered machine).
+    Candidate pair i is the relay tuple candidates[i], the groups' relay
+    rows whenever pairs are groups (fixed groups, or unbuffered).
     """
 
-    def __init__(self, config: SystemConfig, seed, schemes=None):
+    def __init__(self, config, candidates, pairs_are_groups, seed, schemes):
         self.config = config
-        schemes = (config.nc_design,) if schemes is None else tuple(schemes)
-        if not schemes:
-            raise ValueError("a slot machine needs at least one scheme")
-        for scheme in set(schemes) - {config.nc_design}:
-            replace(config, nc_design=scheme)     # the scheme's config checks
         if isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(
                 seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
@@ -259,16 +323,9 @@ class SlotMachine:
                 noise[kind] = _twin(rng.noise) if noise else rng.noise
             lanes.append(Lane(scheme, lane_design, noise[kind]))
         self.lanes = tuple(lanes)
-        self.codebook = sm.generate_codebook(config)
-        setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
-        self.group_users, group_relays = nc.make_group_assignments(config,
-                                                                   setup_rng)
-        # the unbuffered baseline serves the fixed groups in every pair mode
-        self._pairs_are_groups = (config.pair_mode == PairMode.FIXED_GROUPS
-                                  or not config.buffers_enabled)
-        self.candidates = rs.candidate_pairs(
-            group_relays, config.num_relays, config.group_size,
-            PairMode.FIXED_GROUPS if self._pairs_are_groups else config.pair_mode)
+        self.candidates = candidates
+        self.relay_rows = np.array(candidates, dtype=np.intp)
+        self.pairs_are_groups = pairs_are_groups
         self.bank = BufferBank(config.num_relays, config.buffer_size)
         i4 = np.int32
         self._log = np.zeros(0, [          # occupancy after the slot, note in NOTES
@@ -280,39 +337,17 @@ class SlotMachine:
         self.slot = 0
         self.receive_slots = 0
         self.transmit_slots = 0
+        self.wanted = None       # run_until's packet count, which sizes blocks
+        self._block_start = None  # the channel stream's state before the block
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
-        self._block = None       # (state, filters_sr, tables) of the slots ahead
+        self._block = None       # (state, filters_sr, table rows, ranking)
+        self._block_slots = 0
         self._row = 0            # the next slot's row of the block
-        self._receptions = []    # (uid, group, pair's state, pair's filters_sr)
-        self._transmissions = []  # (uid, pair's h_rd) to settle
+        self._block_receptions = []     # (row, pair_id, uid, group) to gather
+        self._block_transmissions = []  # (row, pair_id, uid) to gather
+        self._receptions = []    # (uids, groups, pairs' state, pairs' filters_sr)
+        self._transmissions = []  # (uids, pairs' h_rd) to settle
         self._coded = {}         # uid -> (direct, truth, ncs, encoder rows)
-
-    # -- pass 1: decisions, one slot at a time ----------------------------
-
-    def _next_channel(self):
-        """The channel block (state, filters_sr, tables) and the slot's
-        row of it.  A block of slots is drawn ahead (sized by the slice
-        budget on the (K, L, N) source-relay vectors), and its
-        source-relay bank and SINR table are computed for the whole block
-        at once.  Unbuffered, no decision reads them, so they are None
-        and pass 2 computes the bank for the receptions alone."""
-        if self._row == 0:
-            self._block = None       # freed before the next block is drawn
-            cfg = self.config
-            sigma2 = cfg.noise_var
-            sr_elements = 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
-            state = sm.draw_channels(cfg, self.codebook, self.rng.channel,
-                                     max(1, _SLICE_ELEMENTS // sr_elements))
-            filters_sr = tables = None
-            if cfg.buffers_enabled:
-                filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
-                filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
-                tables = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
-                                             self.candidates)
-            self._block = (state, filters_sr, tables)
-        row = self._row
-        self._row = (row + 1) % len(self._block[0].h_rd)
-        return self._block, row
 
     @property
     def log(self):
@@ -321,64 +356,201 @@ class SlotMachine:
             raise RuntimeError(f"{len(self._pending)} slots wait for settle()")
         return self._log
 
-    def advance(self) -> Decision:
-        """Pass 1 for one slot: take the channel, choose the action,
-        push or pop the packet's uid, and append the slot's log row (a
-        transmission's bit_errors and note wait for settle())."""
-        cfg = self.config
-        (state, filters_sr, tables), i = self._next_channel()
+
+class SlotMachine:
+    """Sequential slot-level simulator for one Monte-Carlo trial, or for
+    several replicas of one system and SNR that settle together.
+
+    With buffers disabled a replica degenerates to fixed two-phase
+    relaying: groups are served round robin and every reception slot is
+    immediately followed by the paired transmission slot.
+
+    schemes gives one lane per entry (default: config.nc_design alone);
+    a record holds each lane's errors and notes.  replicas lists
+    (buffers_enabled, seed) per replica; without it, seed gives the one
+    replica (config.buffers_enabled, seed).  A seed (an int, a
+    SeedSequence or a Generator) is spawned into the replica's five
+    RngStreams.  A SeedSequence is copied first, so one object gives the
+    same run every time; a Generator is consumed, as spawning advances
+    it.  Group g's users are row g of group_users.  A one-replica machine
+    reads as its replica: machine.log, .bank, .slot and the rest are
+    replicas[0]'s.
+    """
+
+    def __init__(self, config: SystemConfig, seed=None, schemes=None,
+                 replicas=None):
+        self.config = config
+        schemes = (config.nc_design,) if schemes is None else tuple(schemes)
+        if not schemes:
+            raise ValueError("a slot machine needs at least one scheme")
+        for scheme in set(schemes) - {config.nc_design}:
+            replace(config, nc_design=scheme)     # the scheme's config checks
+        self.schemes = schemes
+        if (seed is None) == (replicas is None):
+            raise ValueError("a slot machine takes a seed or replicas, "
+                             "one of the two")
+        if replicas is None:
+            replicas = [(config.buffers_enabled, seed)]
+        self.codebook = sm.generate_codebook(config)
+        setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
+        self.group_users, group_relays = nc.make_group_assignments(config,
+                                                                   setup_rng)
+        modes = {}
+        for buffered, _ in replicas:
+            if buffered in modes:
+                continue
+            # the unbuffered baseline serves the fixed groups in every pair mode
+            groups = config.pair_mode == PairMode.FIXED_GROUPS or not buffered
+            candidates = rs.candidate_pairs(
+                group_relays, config.num_relays, config.group_size,
+                PairMode.FIXED_GROUPS if groups else config.pair_mode)
+            modes[buffered] = (replace(config, buffers_enabled=buffered),
+                               candidates, groups)
+        self.replicas = tuple(Replica(*modes[buffered], seed, schemes)
+                              for buffered, seed in replicas)
+
+    def __getattr__(self, name):
+        replicas = self.__dict__.get("replicas", ())
+        if len(replicas) == 1:
+            return getattr(replicas[0], name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute "
+                             f"{name!r}; a machine of {len(replicas)} replicas "
+                             "keeps it per replica")
+
+    # -- pass 1: decisions, one slot of one replica at a time ---------------
+
+    def _next_block(self, replica):
+        """Draw the replica's next channel block and, buffered, compute
+        its source-relay bank, SINR table and ranking for the whole
+        block.  A block holds the slots the slice budget allows on the
+        (K, L, N) source-relay vectors; unbuffered, within run_until, no
+        more than the replica's fixed schedule still needs.  Unbuffered,
+        no decision reads the bank, so pass 2 computes it for the
+        receptions alone."""
+        self._gather(replica)
+        replica._block = None       # freed before the next block is drawn
+        cfg = replica.config
+        sigma2 = cfg.noise_var
+        size = max(1, _SLICE_ELEMENTS // (2 * cfg.num_users * cfg.num_relays
+                                          * cfg.spreading_gain))
+        n = replica.wanted
+        if n is not None and not cfg.buffers_enabled:
+            # two slots per packet: a reception, then its transmission
+            size = min(size, 2 * n - replica.receive_slots - replica.transmit_slots)
+        replica._block_start = replica.rng.channel.bit_generator.state
+        state = sm.draw_channels(cfg, self.codebook, replica.rng.channel, size)
+        filters_sr = tables = ranking = None
         if cfg.buffers_enabled:
-            decision = decide_action(tables[i], self.candidates, self.bank)
+            filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
+            filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
+            table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
+                                        replica.candidates)
+            ranking, tables = rs.select_best(table), table.tolist()
+        replica._block = (state, filters_sr, tables, ranking)
+        replica._block_slots, replica._row = size, 0
+
+    def _end_pass_one(self, replica):
+        """Free the replica's channel block, after gathering its slots
+        for pass 2.  The channel stream takes back the rows no slot has
+        read, so a later advance() draws the channels it would have."""
+        self._gather(replica)
+        if replica._row < replica._block_slots:
+            replica.rng.channel.bit_generator.state = replica._block_start
+            sm.draw_channels(replica.config, self.codebook, replica.rng.channel,
+                             replica._row)
+        replica._block, replica._block_slots, replica._row = None, 0, 0
+
+    def _gather(self, replica):
+        """Move the receptions and transmissions advanced in the block
+        since the last gather into arrays for pass 2, one index per
+        array: a reception's group and the pair's slice of its slot's
+        channel (and, buffered, of its source-relay bank), its relays in
+        order on the relay axis; a transmission's pair relay-destination
+        gains."""
+        if replica._block_receptions:
+            rows, pairs, uids, groups = map(np.array,
+                                            zip(*replica._block_receptions))
+            replica._block_receptions = []
+            state, filters_sr = replica._block[:2]
+            relays = replica.relay_rows[pairs]
+            replica._receptions.append((uids, groups, sm.ChannelState(
+                state.h_rd[rows[:, None], relays], state.h_eff_sd[rows],
+                _pair_slices(state.h_eff_sr, rows, relays)),
+                None if filters_sr is None else _pair_slices(filters_sr, rows, relays)))
+        if replica._block_transmissions:
+            rows, pairs, uids = map(np.array, zip(*replica._block_transmissions))
+            replica._block_transmissions = []
+            h_rd = replica._block[0].h_rd
+            replica._transmissions.append((uids, h_rd[rows[:, None],
+                                                      replica.relay_rows[pairs]]))
+
+    def advance(self, replica=0) -> Decision:
+        """Pass 1 for one slot of a replica: take the slot's row of the
+        channel block, choose the action, push or pop the packet's uid,
+        and append the slot's log row (a transmission's bit_errors and
+        note wait for settle())."""
+        rep = self.replicas[replica]
+        if rep._row == rep._block_slots:
+            self._next_block(rep)
+        cfg, bank, i = rep.config, rep.bank, rep._row
+        if cfg.buffers_enabled:
+            _, _, tables, ranking = rep._block
+            decision = decide_action(tables[i], rep.candidates, bank, ranking[i])
         else:
             # reception uid serves group uid mod K/m, and is followed by
             # the group's transmission: the group served last transmits
             # while its relays hold a packet
-            pair_id, action = (self.receive_slots - 1) % cfg.num_groups, "transmit"
-            if not self.bank.can_transmit(self.candidates[pair_id]):
-                pair_id, action = self.receive_slots % cfg.num_groups, "receive"
-            decision = Decision(action, pair_id, self.candidates[pair_id],
+            pair_id, action = (rep.receive_slots - 1) % cfg.num_groups, "transmit"
+            if not bank.can_transmit(rep.candidates[pair_id]):
+                pair_id, action = rep.receive_slots % cfg.num_groups, "receive"
+            decision = Decision(action, pair_id, rep.candidates[pair_id],
                                 float("nan"), 0)
-        relays, transmit = decision.relays, decision.action == "transmit"
-        # what pass 2 reads of the slot is the pair's slice, its relays in
-        # order on the relay axis
-        pair = list(relays)
+        pair_id, relays = decision.pair_id, decision.relays
+        transmit = decision.action == "transmit"
         if not transmit:
-            uid = self.receive_slots
-            group = (decision.pair_id if self._pairs_are_groups
-                     else uid % cfg.num_groups)
-            self.bank.push_pair(relays, uid)
-            self._receptions.append((uid, group, sm.ChannelState(
-                state.h_rd[i, pair], state.h_eff_sd[i], state.h_eff_sr[i][:, pair]),
-                None if filters_sr is None else filters_sr[i][:, pair]))
-            self.receive_slots += 1
+            uid = rep.receive_slots
+            bank.push_pair(relays, uid)
+            rep._block_receptions.append((i, pair_id, uid, pair_id if rep.pairs_are_groups
+                                          else uid % cfg.num_groups))
+            rep.receive_slots += 1
         else:
-            uid = self.bank.pop_pair(relays)
-            if uid <= self._last_scored_uid.get(relays, -1):
+            uid = bank.pop_pair(relays)
+            if uid <= rep._last_scored_uid.get(relays, -1):
                 raise RuntimeError("packet scored twice")
-            self._last_scored_uid[relays] = uid
-            self._transmissions.append((uid, state.h_rd[i, pair]))
-            self.transmit_slots += 1
+            rep._last_scored_uid[relays] = uid
+            rep._block_transmissions.append((i, pair_id, uid))
+            rep.transmit_slots += 1
+        rep._row = i + 1
         bits = transmit * cfg.group_size * cfg.packet_length
         # the record's fields: transmit, then the decision's, then the rest
-        self._pending.append((transmit, *decision[1:], bits,
-                              self.bank.occupancies(), 0, 0))
-        self.slot += 1
+        rep._pending.append((transmit, pair_id, relays, decision.sinr,
+                             decision.reselections, bits, bank.occupancies(), 0, 0))
+        rep.slot += 1
         return decision
 
-    # -- pass 2: physics, as arrays over the pending slots -----------------
+    # -- pass 2: physics, as arrays over every replica's pending slots -------
 
     def settle(self):
         """Pass 2: run every reception, then every transmission, advanced
-        since the last settle, fill the transmissions' errors and notes
-        and append the slots' records to the log.  Returns self."""
-        records = np.array(self._pending, self._log.dtype)
-        if self._receptions:
+        since the last settle in any replica, fill the transmissions'
+        errors and notes and append the slots' records to the replicas'
+        logs.  Returns self."""
+        for replica in self.replicas:
+            self._gather(replica)
+        records = [np.array(rep._pending, rep._log.dtype) for rep in self.replicas]
+        if any(rep._receptions for rep in self.replicas):
             self._settle_receptions()
-        if self._transmissions:
-            scored = records["transmit"]
-            records["bit_errors"][scored], records["note"][scored] = \
-                self._settle_transmissions()
-        self._log, self._pending = np.concatenate((self._log, records)), []
+        if any(rep._transmissions for rep in self.replicas):
+            errors, notes = self._settle_transmissions()
+            start = 0
+            for rec in records:
+                scored = rec["transmit"]
+                stop = start + np.count_nonzero(scored)
+                rec["bit_errors"][scored] = errors[start:stop]
+                rec["note"][scored] = notes[start:stop]
+                start = stop
+        for rep, rec in zip(self.replicas, records):
+            rep._log, rep._pending = np.concatenate((rep._log, rec)), []
         return self
 
     def _stream_stats(self, h_rd):
@@ -390,26 +562,30 @@ class SlotMachine:
         filters = rx.rank_one_filters(h_rd, sigma2, self.config.receiver)
         return rx.rank_one_outputs(filters, h_rd, sigma2)
 
-    def _designs(self, state, users, filters_sr):
+    def _designs(self, state, users, filters_sr, owners):
         """Every lane's encoders for the stacked receptions as rows of
-        nc.encoder_table, (R, lanes) int16, -1 for XOR.  The ml and mmse
+        nc.encoder_table, (R, lanes) int16, -1 for XOR; each reception
+        draws from its owner replica's design streams.  The ml and mmse
         designs read the pair's relay-destination statistics; mmse also
         reads the relays' detection error probabilities."""
         cfg = self.config
         m = cfg.group_size
         gains = noise_var = flips = None
-        rows = np.full((len(users), len(self.lanes)), -1, dtype=np.int16)
-        for k, lane in enumerate(self.lanes):
-            if lane.scheme == Scheme.XOR:
+        rows = np.full((len(users), len(self.schemes)), -1, dtype=np.int16)
+        for k, scheme in enumerate(self.schemes):
+            if scheme == Scheme.XOR:
                 continue
-            if lane.scheme == Scheme.RANDOM:
-                rows[:, k] = nc.design_G_random(m, lane.design, len(users))
+            if scheme == Scheme.RANDOM:
+                rows[:, k] = np.concatenate([
+                    nc.design_G_random(m, replica.lanes[k].design, len(list(items)))
+                    for replica, items in groupby(owners)])
                 continue
             if gains is None:
                 gains, noise_var, _ = self._stream_stats(state.h_rd)
-            if lane.scheme == Scheme.ML:
+            if scheme == Scheme.ML:
                 rows[:, k] = nc.design_G_ml_for_channel(
-                    gains, noise_var, cfg.ml_training_len, lane.design)[0]
+                    gains, noise_var, cfg.ml_training_len,
+                    _stream(owners, lambda r: r.lanes[k].design))[0]
                 continue
             if flips is None:
                 flips = rx.detection_error_probs(users, state, filters_sr,
@@ -422,65 +598,98 @@ class SlotMachine:
                 for s in _slices(len(users), scores)])
         return rows
 
+    def _stack(self):
+        """Take every replica's pending receptions, (uids, groups, pairs'
+        state, pairs' filters_sr or None) parts, and stack them, freeing
+        the parts: returns each reception's replica, then the stacked
+        uids, groups, pairs' state and source-relay banks.  Unbuffered,
+        the bank waits for pass 2: one call computes it for the stack's
+        unbuffered receptions."""
+        parts = []
+        for replica in self.replicas:
+            parts += [(replica, *part) for part in replica._receptions]
+            replica._receptions = []
+        cfg = self.config
+        _, uids, groups, states, banks = zip(*parts)
+        state = sm.ChannelState(*(np.concatenate(arrays) for arrays in zip(
+            *(vars(state).values() for state in states))))
+        computed = [bank is None for bank in banks]
+        if not any(computed):
+            filters_sr = np.concatenate(banks)
+        elif all(computed):
+            filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
+        else:
+            filters_sr = np.empty_like(state.h_eff_sr)
+            computed = np.repeat(computed, [len(part) for part in uids])
+            filters_sr[~computed] = np.concatenate([b for b in banks if b is not None])
+            filters_sr[computed] = rx.source_relay_filter_bank(
+                state[computed], cfg.noise_var, cfg.receiver)
+        return ([replica for replica, part, *_ in parts for _ in part],
+                np.concatenate(uids).tolist(), np.concatenate(groups), state,
+                filters_sr)
+
     def _settle_receptions(self):
         """First phase: all sources transmit, each selected pair detects
         its group; every lane designs its encoders and encodes, and the
         packets' streams, the destination's direct decisions and the
-        ground truth (as int8) and encoder rows are kept until their
-        transmission."""
+        ground truth (as int8) and encoder rows are kept in their
+        replica until their transmission."""
         cfg = self.config
-        m, P = cfg.group_size, cfg.packet_length
-        uids, groups, states, filters_sr = zip(*self._receptions)
-        self._receptions = []
-        state = sm.ChannelState(*(np.stack(arrays) for arrays in zip(
-            *(vars(state).values() for state in states))))
-        if cfg.buffers_enabled:
-            filters_sr = np.stack(filters_sr)
-        else:
-            filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
-        users = self.group_users[list(groups)]
-        rows = self._designs(state, users, filters_sr)
+        P = cfg.packet_length
+        owners, uids, groups, state, filters_sr = self._stack()
+        users = self.group_users[groups]
+        rows = self._designs(state, users, filters_sr, owners)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
-        # the data, and the normals, samples and outputs of (1 + m) m streams
-        for s in _slices(len(uids), (cfg.num_users + 8 * (m + 1) * m) * P):
-            symbols = rx.hard_decision(self.rng.data.standard_normal(
-                (len(uids[s]), cfg.num_users, P)))
+        for s in _slices(len(uids), reception_elements(cfg)):
+            symbols = rx.hard_decision(_stream(owners[s], lambda r: r.rng.data)
+                                       .standard_normal((len(uids[s]), cfg.num_users, P)))
             soft_sd, soft_sr = sm.sample_first_phase(
-                symbols, (gains[s], colour[s]), cfg.noise_var, self.rng.first_phase)
+                symbols, (gains[s], colour[s]), cfg.noise_var,
+                _stream(owners[s], lambda r: r.rng.first_phase))
             direct = rx.hard_decision(soft_sd).astype(np.int8)
             detected = rx.hard_decision(soft_sr)        # [..., relay, user, symbol]
             truth = np.take_along_axis(symbols, users[s][:, :, None],
                                        axis=1).astype(np.int8)
-            ncs = np.stack([nc.xor_encode(detected) if lane.scheme == Scheme.XOR
+            ncs = np.stack([nc.xor_encode(detected) if scheme == Scheme.XOR
                             else nc.encode_ncs(rows[s, k], detected)
-                            for k, lane in enumerate(self.lanes)], axis=1).astype(np.int8)
-            for i, uid in enumerate(uids[s]):
-                self._coded[uid] = (direct[i], truth[i], ncs[i], rows[s][i])
+                            for k, scheme in enumerate(self.schemes)],
+                           axis=1).astype(np.int8)
+            for i, (owner, uid) in enumerate(zip(owners[s], uids[s])):
+                owner._coded[uid] = (direct[i], truth[i], ncs[i], rows[s][i])
 
     def _settle_transmissions(self):
         """Second phase: send each popped packet's NCS streams in every
         lane, decode at the destination and score against the truth;
-        returns the (packets, lanes) bit errors and note codes.  The lanes
-        of one kind (XOR, or linear) share a noise stream and draw equal
-        noise, so the kind runs slice by slice: each slice draws the noise
-        once, and every lane of the kind adds it to its own signal."""
+        returns the (packets, lanes) bit errors and note codes, the
+        replicas' packets in replica order.  The lanes of one kind (XOR,
+        or linear) share a noise stream and draw equal noise, so the kind
+        runs slice by slice: each slice draws the noise once, each
+        replica's run from its own stream, and every lane of the kind
+        adds it to its own signal."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
-        uids, h_rd = zip(*self._transmissions)
-        self._transmissions = []
-        h_rd = np.array(h_rd)                                      # (T, m)
-        direct, truth, ncs, rows = (np.stack(a) for a in zip(
-            *(self._coded.pop(uid) for uid in uids)))
-        xor = [k for k, lane in enumerate(self.lanes) if lane.scheme == Scheme.XOR]
-        linear = [k for k in range(len(self.lanes)) if k not in xor]
-        errors, notes = np.zeros((2, len(uids), len(self.lanes)), dtype=int)
+        owners, coded, h_rd = [], [], []
+        for replica in self.replicas:
+            for uids, gains in replica._transmissions:
+                owners += [replica] * len(uids)
+                coded += [replica._coded.pop(uid) for uid in uids.tolist()]
+                h_rd.append(gains)
+            replica._transmissions = []
+        h_rd = np.concatenate(h_rd)                                # (T, m)
+        direct, truth, ncs, rows = (np.array(a) for a in zip(*coded))
+        schemes = self.schemes
+        xor = [k for k, scheme in enumerate(schemes) if scheme == Scheme.XOR]
+        linear = [k for k in range(len(schemes)) if k not in xor]
+        errors, notes = np.zeros((2, len(coded), len(schemes)), dtype=int)
         if xor:
             signal, colour, degenerate = self._xor_streams(h_rd)
             notes[np.ix_(degenerate, xor)] = NOTES.index("degenerate combined channel")
-            for s in _slices(len(uids), 10 * P):
-                noise = sm.filter_noise(colour[s], (len(truth[s]), 1, P), cfg.noise_var,
-                                        self.lanes[xor[0]].noise, call_axes=1)
+            for s in _slices(len(coded), 10 * P):
+                noise = sm.filter_noise(
+                    colour[s], (len(truth[s]), 1, P), cfg.noise_var,
+                    _stream(owners[s], lambda r: r.lanes[xor[0]].noise),
+                    call_axes=1)
                 for k in xor:
                     soft = signal[s] @ ncs[s, k].astype(np.float64) + noise
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
@@ -489,14 +698,15 @@ class SlotMachine:
             gains, noise_var, colour = self._stream_stats(h_rd)
             decoders = dict.fromkeys(linear)
             for k in linear:
-                if self.lanes[k].scheme == Scheme.MMSE_DESIGN:
+                if schemes[k] == Scheme.MMSE_DESIGN:
                     decoders[k], fallback = nc.design_G_mmse(rows[:, k], gains,
                                                              noise_var)
                     notes[fallback, k] = NOTES.index("mmse fallback")
-            for s in _slices(len(uids), 10 * m * P):     # a sub-slot per stream
+            for s in _slices(len(coded), 10 * m * P):     # a sub-slot per stream
                 noise = sm.filter_noise(
                     colour[s, :, None, None], (len(truth[s]), m, 1, P), cfg.noise_var,
-                    self.lanes[linear[0]].noise, call_axes=1)[:, :, 0]
+                    _stream(owners[s], lambda r: r.lanes[linear[0]].noise),
+                    call_axes=1)[:, :, 0]
                 for k in linear:
                     z = gains[s, :, None] * ncs[s, k].astype(np.float64) + noise
                     refine = None if decoders[k] is None else decoders[k][s]
@@ -525,16 +735,39 @@ class SlotMachine:
     # -- slot driver -------------------------------------------------------
 
     def run_until(self, n_packets, max_slots=None):
-        """Advance slots until n_packets have been decoded, then settle.
-        Raises RuntimeError when the slot cap (default 16 n_packets + 64,
-        so pathological configs cannot spin forever) is reached first."""
-        if max_slots is None:
-            max_slots = 16 * n_packets + 64
-        while self.transmit_slots < n_packets and self.slot < max_slots:
-            self.advance()
-        if self.transmit_slots < n_packets:
-            raise RuntimeError(f"decoded {self.transmit_slots} of {n_packets} "
-                               f"requested packets in {self.slot} slots")
-        if self.transmit_slots > self.receive_slots:
-            raise RuntimeError("decoded more packets than were pushed")
+        """Advance each replica in turn until it has decoded n_packets
+        (one count for every replica, or a sequence of one per replica),
+        freeing its channel block when its pass 1 ends.  The replicas
+        advanced since the last settle settle together once their
+        receptions' pair states fill a slice, and at the end.  Raises
+        RuntimeError when a replica reaches the slot cap (default
+        16 n_packets + 64, so pathological configs cannot spin forever)
+        first."""
+        counts = ([n_packets] * len(self.replicas) if np.ndim(n_packets) == 0
+                  else list(n_packets))
+        if len(counts) != len(self.replicas):
+            raise ValueError(f"{len(counts)} packet counts for "
+                             f"{len(self.replicas)} replicas")
+        cfg = self.config
+        # receptions whose pairs' states, (m + 1) K N complex elements
+        # each, fill a slice
+        stack = _SLICE_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
+                                    * cfg.spreading_gain)
+        for r, (replica, n) in enumerate(zip(self.replicas, counts)):
+            cap = 16 * n + 64 if max_slots is None else max_slots
+            replica.wanted = n
+            try:
+                while replica.transmit_slots < n and replica.slot < cap:
+                    self.advance(r)
+            finally:
+                replica.wanted = None
+            if replica.transmit_slots < n:
+                raise RuntimeError(f"decoded {replica.transmit_slots} of {n} "
+                                   f"requested packets in {replica.slot} slots")
+            if replica.transmit_slots > replica.receive_slots:
+                raise RuntimeError("decoded more packets than were pushed")
+            self._end_pass_one(replica)
+            if sum(len(part[0]) for rep in self.replicas
+                   for part in rep._receptions) >= stack:
+                self.settle()
         return self.settle()

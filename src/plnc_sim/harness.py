@@ -1,12 +1,17 @@
 """Monte-Carlo BER experiments: trials, SNR sweeps, CSV reports.
 
-Sweeps are split into tasks of (buffer mode, point, chunk): each task
-runs one slot machine with one lane per scheme over a fixed-size packet
-chunk.  Chunk seeds derive from (master seed, point index, chunk index),
-so the aggregate counts are bit-identical for any worker count.  The
-seed leaves out the variant: both buffer modes of a point run on the
-same random streams, and the lanes share the channels, symbols and
-first-phase noise and take the same actions.
+A sweep point is split into fixed-size packet chunks, and a task is a
+group of one point's chunks: one slot machine runs it, with one replica
+per (chunk, buffer mode) and one lane per scheme, and settles the
+replicas together.  A task holds every chunk of its point in one
+process, split evenly over the workers, unless one chunk's receptions
+already fill a pass-2 slice, where stacking chunks shares no fixed cost
+and a task holds one chunk.  Chunk seeds derive from (master seed,
+point index, chunk index), so the aggregate counts are bit-identical
+for any worker count and any grouping.  The seed leaves out the
+variant: both buffer modes of a point run on the same random streams,
+and the lanes share the channels, symbols and first-phase noise and
+take the same actions.
 """
 
 import contextlib
@@ -18,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_row
+from . import buffer_protocol as bp
+from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_columns, trace_row
 from .config import Scheme, SystemConfig
 
 
@@ -82,13 +88,23 @@ class RunReport:
 
 def _trace_rows(report: RunReport):
     """One trace row per slot of every chunk: scheme, snr_db, chunk, then
-    TRACE_FIELDS as the point's lane saw the slot.  A report swept
-    without collect_trace keeps no logs and raises ValueError."""
+    TRACE_FIELDS as the point's lane saw the slot.  The fields a log's
+    lanes share are formatted once per log.  A report swept without
+    collect_trace keeps no logs and raises ValueError."""
     if not report.chunk_logs:
         raise ValueError("no slot logs: the report was swept without collect_trace")
-    return ([point.scheme_label, point.snr_db, c_idx, *row]
-            for point, (lane, logs) in zip(report.points, report.chunk_logs)
-            for c_idx, log in enumerate(logs) for row in trace_row(log, lane))
+    shared = {}                  # id(log) -> its trace_columns
+
+    def rows(point, lane, c_idx, log):
+        if id(log) not in shared:
+            shared[id(log)] = trace_columns(log)
+        head = [point.scheme_label, point.snr_db, c_idx]
+        return (head + row for row in trace_row(log, lane, shared[id(log)]))
+
+    return itertools.chain.from_iterable(
+        rows(point, lane, c_idx, log)
+        for point, (lane, logs) in zip(report.points, report.chunk_logs)
+        for c_idx, log in enumerate(logs))
 
 
 def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
@@ -107,11 +123,26 @@ def run_trial(config: SystemConfig, seed, n_packets) -> BerPoint:
 
 
 def _run_chunk(task):
-    """Worker entry point, one lane per scheme; must stay top-level so it
-    pickles.  Returns the task's key and the machine's slot log."""
-    key, config, entropy, spawn_key, n_packets, schemes = task
-    seed = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    return key, SlotMachine(config, seed, schemes=schemes).run_until(n_packets).log
+    """Worker entry point: one machine with one replica per (chunk,
+    buffer mode) of the task, chunk-major, and one lane per scheme; must
+    stay top-level so it pickles.  Returns the task's key, (point index,
+    chunk indices), and the replicas' slot logs."""
+    key, config, entropy, sizes, buffer_modes, schemes = task
+    p_idx, c_range = key
+    machine = SlotMachine(config, schemes=schemes, replicas=[
+        (buffered, np.random.SeedSequence(entropy=entropy, spawn_key=(p_idx, c_idx)))
+        for c_idx in c_range for buffered in buffer_modes])
+    machine.run_until([n for n in sizes for _ in buffer_modes])
+    return key, [replica.log for replica in machine.replicas]
+
+
+def _chunks_per_task(config, chunk_packets, chunks, workers):
+    """How many of a point's chunks one task stacks: all of them, split
+    evenly over the workers, while a chunk's receptions fill less than a
+    pass-2 slice; otherwise stacking shares no fixed cost, and one."""
+    if chunk_packets * bp.reception_elements(config) >= bp._SLICE_ELEMENTS:
+        return 1
+    return -(-chunks // workers)
 
 
 def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
@@ -148,14 +179,16 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
         raise ValueError(f"chunk_packets must be >= 1, got {chunk_packets}")
     sizes = [min(chunk_packets, n - start) for start in range(0, n, chunk_packets)]
 
+    for buffered in buffer_modes:      # check every config before any task runs
+        replace(config, buffers_enabled=buffered)
+    per_task = _chunks_per_task(config, chunk_packets, len(sizes), workers)
     tasks = []
-    for b_idx, buffered in enumerate(buffer_modes):
-        for p_idx, snr in enumerate(snr_list):
-            cfg = replace(config, nc_design=schemes[0], buffers_enabled=buffered,
-                          snr_db=snr)
-            for c_idx, n_pkts in enumerate(sizes):
-                tasks.append(((b_idx, p_idx, c_idx), cfg, config.rng_seed,
-                              (p_idx, c_idx), n_pkts, schemes))
+    for p_idx, snr in enumerate(snr_list):
+        cfg = replace(config, nc_design=schemes[0], snr_db=snr)
+        for first in range(0, len(sizes), per_task):
+            c_range = range(first, min(first + per_task, len(sizes)))
+            tasks.append(((p_idx, c_range), cfg, config.rng_seed,
+                          sizes[c_range.start:c_range.stop], buffer_modes, schemes))
 
     points = {(s_idx, b_idx, p_idx): BerPoint(
                   scheme_label(scheme, buffered, config.receiver), snr)
@@ -168,11 +201,13 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         results = pool.map(_run_chunk, tasks) if pool else map(_run_chunk, tasks)
-        for (b_idx, p_idx, c_idx), log in results:
-            for s_idx in range(len(schemes)):
-                points[(s_idx, b_idx, p_idx)].add(log, s_idx)
-            if collect_trace:
-                logs.setdefault((b_idx, p_idx), [None] * len(sizes))[c_idx] = log
+        for (p_idx, c_range), task_logs in results:
+            replicas = itertools.product(c_range, enumerate(buffer_modes))
+            for (c_idx, (b_idx, _)), log in zip(replicas, task_logs):
+                for s_idx in range(len(schemes)):
+                    points[(s_idx, b_idx, p_idx)].add(log, s_idx)
+                if collect_trace:
+                    logs.setdefault((b_idx, p_idx), [None] * len(sizes))[c_idx] = log
 
     echo = {"K": config.num_users, "L": config.num_relays,
             "N": config.spreading_gain, "J": config.buffer_size,

@@ -49,12 +49,18 @@ def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
 
 def select_best(table):
     """Every (row, column) entry of a build_sinr_table array as a list of
-    int tuples, highest SINR first.
+    int tuples, highest SINR first; a (slots, pairs, 2) table gives one
+    such list per slot.
 
     The stable sort of the row-major table breaks ties to the lowest
     pair, then source-relay before relay-destination.
     """
+    table = np.asarray(table)
     if not np.all(np.isfinite(table) & (table >= 0.0)):
         raise ValueError("SINR must be finite and >= 0")
-    order = np.argsort(-table, axis=None, kind="stable")
-    return [divmod(int(i), table.shape[1]) for i in order]
+    order = np.argsort(-table.reshape(table.shape[:-2] + (-1,)), axis=-1,
+                       kind="stable")
+    rows, columns = (a.tolist() for a in np.divmod(order, table.shape[-1]))
+    if table.ndim == 2:
+        return list(zip(rows, columns))
+    return [list(zip(*entries)) for entries in zip(rows, columns)]

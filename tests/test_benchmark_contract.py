@@ -3,6 +3,7 @@ tracer wraps, the slot machine as its set-up probe builds it, the slot
 decision its traced runs read and the counts its hooks and rounds read.
 perfbench/ is read, never changed."""
 
+import functools
 import importlib.util
 from collections import Counter
 from dataclasses import replace
@@ -152,11 +153,11 @@ PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
 
 @pytest.mark.parametrize("buffered", [True, False])
 def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
-    # the banks and the table run once per block of slots drawn ahead, the
-    # ranking walk once per buffered slot, the random and ml designs once
-    # per settle; unbuffered, no decision reads the source-relay bank, so
-    # it runs once per settle, for the receptions; every traced name the
-    # machine uses is reached through its module
+    # the banks, the table and its ranking run once per block of slots
+    # drawn ahead, the ranking walk once per buffered slot, the random and
+    # ml designs once per settle; unbuffered, no decision reads the
+    # source-relay bank, so it runs once per settle, for the receptions;
+    # every traced name the machine uses is reached through its module
     K, L, N = SMALL.num_users, SMALL.num_relays, SMALL.spreading_gain
     monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * 2 * K * L * N)  # 3 slots
     full = tracer.Tracer(str(tmp_path))
@@ -175,7 +176,7 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
         == (blocks if buffered else 1)
     assert calls["receivers.relay_dest_filter_bank"] == blocks * buffered
     assert calls["relay_selection.build_sinr_table"] == blocks * buffered
-    assert calls["relay_selection.select_best"] == machine.slot * buffered
+    assert calls["relay_selection.select_best"] == blocks * buffered
     assert calls["buffer_protocol.decide_action"] == machine.slot * buffered
     assert calls["network_coding.design_G_ml_for_channel"] == 1
     assert calls["network_coding.design_G_random"] == 1
@@ -185,3 +186,40 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
             continue
         name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
         assert calls[name] > 0, name
+
+
+run = load("run")
+
+
+def test_worker_rss_hook_wraps_every_task(tmp_path):
+    # run.py's report_worker_rss wraps harness._run_chunk, the pool's
+    # entry point, and passes its result through: on a two-worker sweep
+    # the counts do not move, every chunk of every point runs through the
+    # wrapper, and the workers report their peak RSS
+    kw = dict(schemes=list(Scheme), buffer_modes=[True, False], chunk_packets=2)
+    plain = harness.run_sweep(SMALL, [6.0, 12.0], 5, workers=1, **kw)
+    spool, seen = tmp_path / "rss", tmp_path / "tasks"
+    spool.mkdir()
+    seen.mkdir()
+    undo = run.report_worker_rss(spool)
+    reporting = harness._run_chunk
+
+    @functools.wraps(reporting)        # so the pool pickles it by name
+    def counted(task):                 # one file per chunk, from the worker
+        (p_idx, c_range), *_ = task
+        for c_idx in c_range:
+            (seen / f"{p_idx}-{c_idx}").touch()
+        return reporting(task)
+
+    harness._run_chunk = counted
+    try:
+        wrapped = harness.run_sweep(SMALL, [6.0, 12.0], 5, workers=2, **kw)
+    finally:
+        tracer.uninstall(undo)
+    assert [(p.scheme_label, p.snr_db, p.bits_total, p.bit_errors) for p in wrapped.points] \
+        == [(p.scheme_label, p.snr_db, p.bits_total, p.bit_errors) for p in plain.points]
+    assert wrapped.slot_summary == plain.slot_summary
+    assert sorted(path.name for path in seen.iterdir()) \
+        == [f"{p}-{c}" for p in range(2) for c in range(3)]
+    assert run.take_worker_rss(spool) > 0
+    assert harness._run_chunk is reporting.__wrapped__

@@ -454,6 +454,13 @@ class TestSlotMachine:
         m = machine(num_users=4, num_relays=2, pair_mode=PairMode.ALL_PAIRS)
         assert m.run_until(n_packets=4).transmit_slots == 4
 
+    def test_seed_or_replicas_required(self):
+        # an unseeded machine would draw from OS entropy and never repeat
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
+        for kw in ({}, dict(seed=1, replicas=[(True, 1)])):
+            with pytest.raises(ValueError, match="a seed or replicas"):
+                SlotMachine(cfg, **kw)
+
     def test_run_until_slot_cap_raises(self):
         # 3 slots cannot decode 3 packets: the shortfall must not pass silently
         with pytest.raises(RuntimeError,

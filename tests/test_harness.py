@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -261,10 +262,11 @@ class TestRunSweep:
         six = dict(schemes=[Scheme.RANDOM], buffer_modes=[True, False])
         serial = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=1, **six)
         wide = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=64, **six)
-        assert asked == [6] and counts(wide) == counts(serial)
+        # a task is one point's chunk in both buffer modes: 3 tasks
+        assert asked == [3] and counts(wide) == counts(serial)
         one = dict(schemes=[Scheme.RANDOM], buffer_modes=[True])
         alone = run_sweep(cfg, [8.0], 2, workers=2, **one)
-        assert asked == [6]
+        assert asked == [3]
         assert counts(alone) == counts(run_sweep(cfg, [8.0], 2, workers=1, **one))
 
 
@@ -299,6 +301,33 @@ class TestWorkerInvariance:
         assert one.points == two.points
         assert one.slot_summary == two.slot_summary
         assert one.trace_rows == two.trace_rows
+
+
+class TestTaskGrouping:
+    # every example starts up to three pools of 2 worker processes
+    @settings(max_examples=10, deadline=None)
+    @given(sweep_cases())
+    def test_counts_and_trace_rows_independent_of_grouping(self, case):
+        # a task stacks some of a point's chunks in one machine: one chunk
+        # per task, all in one, and uneven splits give the same report,
+        # with any worker count
+        cfg, schemes, buffer_modes, n_packets, chunk_packets = case
+        chunks = -(-n_packets // chunk_packets)
+        kw = dict(schemes=schemes, buffer_modes=buffer_modes,
+                  chunk_packets=chunk_packets, collect_trace=True)
+
+        def sweep(per_task, workers):
+            with mock.patch.object(harness, "_chunks_per_task",
+                                   lambda *args: per_task):
+                return run_sweep(cfg, [6.0, 12.0], n_packets, workers=workers, **kw)
+
+        alone = sweep(1, 1)
+        for per_task in sorted({1, 2, max(1, chunks - 1), chunks}):
+            for workers in (1, 2):
+                report = sweep(per_task, workers)
+                assert report.points == alone.points
+                assert report.slot_summary == alone.slot_summary
+                assert report.trace_rows == alone.trace_rows
 
 
 @st.composite
@@ -343,6 +372,47 @@ class TestSettleInvariance:
         assert repr(eager.log) == repr(once.log) == repr(driven.log) \
             == repr(sliced.log)
         assert len(driven.log) == driven.slot        # every slot settled
+
+    @settings(max_examples=20, deadline=None)
+    @given(settle_cases(), st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1),
+                                              st.integers(1, 3)),
+                                    min_size=2, max_size=3))
+    def test_replicas_settle_as_one_replica_machines(self, case, replicas):
+        # the replicas of one machine, in either buffer mode, settle
+        # together after every slot, once, or one item per slice, and
+        # each replica's log is that of a one-replica machine of its seed
+        cfg = case[0]
+        counts = [n for _, _, n in replicas]
+
+        def machine():
+            return SlotMachine(cfg, schemes=list(Scheme), replicas=[
+                (buffered, seed) for buffered, seed, _ in replicas])
+
+        def unfinished(mach):
+            return [r for r, (replica, n) in enumerate(zip(mach.replicas, counts))
+                    if replica.transmit_slots < n]
+
+        eager, once = machine(), machine()
+        while unfinished(eager):             # the replicas' slots interleave
+            for r in unfinished(eager):
+                eager.advance(r)
+                eager.settle()
+        for r in unfinished(once):
+            while once.replicas[r].transmit_slots < counts[r]:
+                once.advance(r)
+        once.settle()
+        driven = machine().run_until(counts)
+        with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
+            sliced = machine().run_until(counts)
+        # run_until frees each replica's channel block and gives its unread
+        # slots back to the stream: a second run continues the first
+        stepped = machine().run_until(1).run_until(counts)
+        for r, (buffered, seed, n) in enumerate(replicas):
+            alone = SlotMachine(replace(cfg, buffers_enabled=buffered), seed,
+                                schemes=list(Scheme)).run_until(n)
+            assert repr(eager.replicas[r].log) == repr(once.replicas[r].log) \
+                == repr(driven.replicas[r].log) == repr(sliced.replicas[r].log) \
+                == repr(stepped.replicas[r].log) == repr(alone.log)
 
 
 class TestCountsReduceTheLog:
