@@ -22,20 +22,19 @@ slot's Decision becomes a plain row tuple.  Where pairs are not groups,
 reception uid serves group uid mod K/m, the same round robin.  No
 decision reads the physics of a packet, only the channel and the
 buffer occupancies, so this pass decides every slot and makes no NumPy
-call per slot: the block's receptions and transmissions are gathered
-once per block into the pairs' slices of the channel (and, buffered, of
-the source-relay bank) that pass 2 reads.  Within run_until an
-unbuffered block holds at most the slots its schedule still needs, and
-a replica's block is freed when its pass 1 ends, the channel stream
-taking back the rows no slot has read.
+call per slot: a block's receptions and transmissions are gathered once
+per block, when its last row is read, into the pairs' slices of the
+channel that pass 2 reads, and the block is freed.  Within run_until a
+block holds no more than the fewest slots its replica still needs, so
+every channel slot drawn there is read.
 
 Pass 2, settle(), runs the physics of every slot of every replica
 advanced since the last settle as one set of arrays, the replicas'
 receptions and transmissions stacked in replica order: for the
-receptions, one data block, the source-destination filter banks (and,
-unbuffered, the selected pairs' source-relay banks), the first phase at
-symbol level (signal_model.sample_first_phase) and every lane's encoder
-designs and encodes; for the transmissions, the second phase, one noise
+receptions, one data block, the source-destination and the selected
+pairs' source-relay filter banks, the first phase at symbol level
+(signal_model.sample_first_phase) and every lane's encoder designs and
+encodes; for the transmissions, the second phase, one noise
 draw per slice for all lanes of a kind, then per lane the decode-time
 MMSE refinement, the decoders and the scoring; the second phase and the
 designs read the relay-destination gains alone (rx.rank_one_filters).
@@ -76,7 +75,8 @@ from . import network_coding as nc
 from . import receivers as rx
 from . import relay_selection as rs
 from . import signal_model as sm
-from .config import DecoderKind, Hop, PairMode, Scheme, SystemConfig
+from .config import (DecoderKind, Hop, PairMode, Scheme, SystemConfig,
+                     check_count)
 
 # Pass 2 and the channel blocks run in slices whose transient arrays
 # hold about this many float64 elements (256 KB), a constant: a channel
@@ -254,10 +254,9 @@ class Lane(NamedTuple):
 
 
 def _twin(rng):
-    """A generator that draws what rng draws from its present state on."""
-    twin = np.random.Generator(type(rng.bit_generator)(0))
-    twin.bit_generator.state = rng.bit_generator.state
-    return twin
+    """A generator that draws what rng, a generator that has drawn
+    nothing yet, draws: one on the same seed sequence."""
+    return np.random.Generator(type(rng.bit_generator)(rng.bit_generator.seed_seq))
 
 
 class _Runs:
@@ -281,13 +280,6 @@ def _stream(owners, pick):
     replicas in runs, pick(replica) being a replica's generator of it."""
     runs = [(pick(replica), len(list(items))) for replica, items in groupby(owners)]
     return runs[0][0] if len(runs) == 1 else _Runs(runs)
-
-
-def _pair_slices(array, rows, relays):
-    """array[row][:, relays] for each (row, relays) of a block array
-    (slots, K, L, ...), stacked as (n, K, m, ...) in C order, as np.stack
-    of the per-slot slices would hold them."""
-    return np.ascontiguousarray(np.swapaxes(array[rows[:, None], :, relays], 1, 2))
 
 
 class Replica:
@@ -338,14 +330,13 @@ class Replica:
         self.receive_slots = 0
         self.transmit_slots = 0
         self.wanted = None       # run_until's packet count, which sizes blocks
-        self._block_start = None  # the channel stream's state before the block
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
-        self._block = None       # (state, filters_sr, table rows, ranking)
+        self._block = None       # (state, table rows, ranking), None once read
         self._block_slots = 0
         self._row = 0            # the next slot's row of the block
         self._block_receptions = []     # (row, pair_id, uid, group) to gather
         self._block_transmissions = []  # (row, pair_id, uid) to gather
-        self._receptions = []    # (uids, groups, pairs' state, pairs' filters_sr)
+        self._receptions = []    # (uids, groups, pairs' state) to settle
         self._transmissions = []  # (uids, pairs' h_rd) to settle
         self._coded = {}         # uid -> (direct, truth, ncs, encoder rows)
 
@@ -421,62 +412,47 @@ class SlotMachine:
 
     def _next_block(self, replica):
         """Draw the replica's next channel block and, buffered, compute
-        its source-relay bank, SINR table and ranking for the whole
+        its SINR table over both hops and its ranking for the whole
         block.  A block holds the slots the slice budget allows on the
-        (K, L, N) source-relay vectors; unbuffered, within run_until, no
-        more than the replica's fixed schedule still needs.  Unbuffered,
-        no decision reads the bank, so pass 2 computes it for the
-        receptions alone."""
-        self._gather(replica)
-        replica._block = None       # freed before the next block is drawn
+        (K, L, N) source-relay vectors and, within run_until, no more
+        than the fewest slots the replica still needs, (n - transmitted)
+        + max(0, n - received), so every slot drawn there is read."""
         cfg = replica.config
         sigma2 = cfg.noise_var
         size = max(1, _SLICE_ELEMENTS // (2 * cfg.num_users * cfg.num_relays
                                           * cfg.spreading_gain))
         n = replica.wanted
-        if n is not None and not cfg.buffers_enabled:
-            # two slots per packet: a reception, then its transmission
-            size = min(size, 2 * n - replica.receive_slots - replica.transmit_slots)
-        replica._block_start = replica.rng.channel.bit_generator.state
+        if n is not None:
+            size = min(size, n - replica.transmit_slots
+                       + max(0, n - replica.receive_slots))
         state = sm.draw_channels(cfg, self.codebook, replica.rng.channel, size)
-        filters_sr = tables = ranking = None
+        tables = ranking = None
         if cfg.buffers_enabled:
             filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
             filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
             table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
                                         replica.candidates)
             ranking, tables = rs.select_best(table), table.tolist()
-        replica._block = (state, filters_sr, tables, ranking)
+        replica._block = (state, tables, ranking)
         replica._block_slots, replica._row = size, 0
-
-    def _end_pass_one(self, replica):
-        """Free the replica's channel block, after gathering its slots
-        for pass 2.  The channel stream takes back the rows no slot has
-        read, so a later advance() draws the channels it would have."""
-        self._gather(replica)
-        if replica._row < replica._block_slots:
-            replica.rng.channel.bit_generator.state = replica._block_start
-            sm.draw_channels(replica.config, self.codebook, replica.rng.channel,
-                             replica._row)
-        replica._block, replica._block_slots, replica._row = None, 0, 0
 
     def _gather(self, replica):
         """Move the receptions and transmissions advanced in the block
         since the last gather into arrays for pass 2, one index per
         array: a reception's group and the pair's slice of its slot's
-        channel (and, buffered, of its source-relay bank), its relays in
-        order on the relay axis; a transmission's pair relay-destination
-        gains."""
+        channel, its relays in order on the relay axis, in C order as
+        np.stack of the per-slot slices would hold it; a transmission's
+        pair relay-destination gains."""
         if replica._block_receptions:
             rows, pairs, uids, groups = map(np.array,
                                             zip(*replica._block_receptions))
             replica._block_receptions = []
-            state, filters_sr = replica._block[:2]
-            relays = replica.relay_rows[pairs]
+            state, relays = replica._block[0], replica.relay_rows[pairs]
+            column = rows[:, None]
             replica._receptions.append((uids, groups, sm.ChannelState(
-                state.h_rd[rows[:, None], relays], state.h_eff_sd[rows],
-                _pair_slices(state.h_eff_sr, rows, relays)),
-                None if filters_sr is None else _pair_slices(filters_sr, rows, relays)))
+                state.h_rd[column, relays], state.h_eff_sd[rows],
+                np.ascontiguousarray(np.swapaxes(state.h_eff_sr[column, :, relays],
+                                                 1, 2)))))
         if replica._block_transmissions:
             rows, pairs, uids = map(np.array, zip(*replica._block_transmissions))
             replica._block_transmissions = []
@@ -488,13 +464,14 @@ class SlotMachine:
         """Pass 1 for one slot of a replica: take the slot's row of the
         channel block, choose the action, push or pop the packet's uid,
         and append the slot's log row (a transmission's bit_errors and
-        note wait for settle())."""
+        note wait for settle()).  The block is gathered and freed once
+        its last row is read."""
         rep = self.replicas[replica]
-        if rep._row == rep._block_slots:
+        if rep._block is None:
             self._next_block(rep)
         cfg, bank, i = rep.config, rep.bank, rep._row
         if cfg.buffers_enabled:
-            _, _, tables, ranking = rep._block
+            _, tables, ranking = rep._block
             decision = decide_action(tables[i], rep.candidates, bank, ranking[i])
         else:
             # reception uid serves group uid mod K/m, and is followed by
@@ -521,6 +498,9 @@ class SlotMachine:
             rep._block_transmissions.append((i, pair_id, uid))
             rep.transmit_slots += 1
         rep._row = i + 1
+        if rep._row == rep._block_slots:
+            self._gather(rep)
+            rep._block = None
         bits = transmit * cfg.group_size * cfg.packet_length
         # the record's fields: transmit, then the decision's, then the rest
         rep._pending.append((transmit, pair_id, relays, decision.sinr,
@@ -600,33 +580,18 @@ class SlotMachine:
 
     def _stack(self):
         """Take every replica's pending receptions, (uids, groups, pairs'
-        state, pairs' filters_sr or None) parts, and stack them, freeing
-        the parts: returns each reception's replica, then the stacked
-        uids, groups, pairs' state and source-relay banks.  Unbuffered,
-        the bank waits for pass 2: one call computes it for the stack's
-        unbuffered receptions."""
+        state) parts, and stack them, freeing the parts: returns each
+        reception's replica, then the stacked uids, groups and pairs'
+        state."""
         parts = []
         for replica in self.replicas:
             parts += [(replica, *part) for part in replica._receptions]
             replica._receptions = []
-        cfg = self.config
-        _, uids, groups, states, banks = zip(*parts)
+        _, uids, groups, states = zip(*parts)
         state = sm.ChannelState(*(np.concatenate(arrays) for arrays in zip(
             *(vars(state).values() for state in states))))
-        computed = [bank is None for bank in banks]
-        if not any(computed):
-            filters_sr = np.concatenate(banks)
-        elif all(computed):
-            filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
-        else:
-            filters_sr = np.empty_like(state.h_eff_sr)
-            computed = np.repeat(computed, [len(part) for part in uids])
-            filters_sr[~computed] = np.concatenate([b for b in banks if b is not None])
-            filters_sr[computed] = rx.source_relay_filter_bank(
-                state[computed], cfg.noise_var, cfg.receiver)
         return ([replica for replica, part, *_ in parts for _ in part],
-                np.concatenate(uids).tolist(), np.concatenate(groups), state,
-                filters_sr)
+                np.concatenate(uids).tolist(), np.concatenate(groups), state)
 
     def _settle_receptions(self):
         """First phase: all sources transmit, each selected pair detects
@@ -636,10 +601,11 @@ class SlotMachine:
         replica until their transmission."""
         cfg = self.config
         P = cfg.packet_length
-        owners, uids, groups, state, filters_sr = self._stack()
+        owners, uids, groups, state = self._stack()
         users = self.group_users[groups]
-        rows = self._designs(state, users, filters_sr, owners)
+        filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
+        rows = self._designs(state, users, filters_sr, owners)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
         for s in _slices(len(uids), reception_elements(cfg)):
             symbols = rx.hard_decision(_stream(owners[s], lambda r: r.rng.data)
@@ -736,15 +702,16 @@ class SlotMachine:
 
     def run_until(self, n_packets, max_slots=None):
         """Advance each replica in turn until it has decoded n_packets
-        (one count for every replica, or a sequence of one per replica),
-        freeing its channel block when its pass 1 ends.  The replicas
-        advanced since the last settle settle together once their
-        receptions' pair states fill a slice, and at the end.  Raises
-        RuntimeError when a replica reaches the slot cap (default
-        16 n_packets + 64, so pathological configs cannot spin forever)
-        first."""
+        (one count for every replica, or a sequence of one per replica;
+        each an integer >= 0, else ValueError), drawing no channel slot
+        it does not read.  The replicas advanced since the last settle
+        settle together once their receptions' pair states fill a slice,
+        and at the end.  Raises RuntimeError when a replica reaches the
+        slot cap (default 16 n_packets + 64, so pathological configs
+        cannot spin forever) first."""
         counts = ([n_packets] * len(self.replicas) if np.ndim(n_packets) == 0
-                  else list(n_packets))
+                  else n_packets)
+        counts = [check_count("a packet count", n, 0) for n in counts]
         if len(counts) != len(self.replicas):
             raise ValueError(f"{len(counts)} packet counts for "
                              f"{len(self.replicas)} replicas")
@@ -766,7 +733,6 @@ class SlotMachine:
                                    f"requested packets in {replica.slot} slots")
             if replica.transmit_slots > replica.receive_slots:
                 raise RuntimeError("decoded more packets than were pushed")
-            self._end_pass_one(replica)
             if sum(len(part[0]) for rep in self.replicas
                    for part in rep._receptions) >= stack:
                 self.settle()

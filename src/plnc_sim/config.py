@@ -107,6 +107,16 @@ class SystemConfig:
         return self.num_users // self.group_size
 
 
+def check_count(name, value, least):
+    """value as an int if it is an integer of at least least, a NumPy
+    integer too but never a bool; otherwise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise ValueError(f"{name} must be >= {least} (an integer, not a bool), "
+                         f"got {value!r}")
+    return int(value)
+
+
 # Keys accepted in the flat key=value config file consumed by the CLI.
 _FILE_KEYS = {
     "K": ("num_users", int),

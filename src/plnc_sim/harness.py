@@ -25,7 +25,7 @@ import numpy as np
 
 from . import buffer_protocol as bp
 from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_columns, trace_row
-from .config import Scheme, SystemConfig
+from .config import Scheme, SystemConfig, check_count
 
 
 @dataclass
@@ -170,13 +170,9 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate {name} in {labels}: its rows would "
                              "be reported twice")
-    n = n_packets_per_point
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n_packets_per_point must be a positive integer, got {n!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_packets < 1:
-        raise ValueError(f"chunk_packets must be >= 1, got {chunk_packets}")
+    n = n_packets_per_point = check_count("n_packets_per_point", n_packets_per_point, 1)
+    workers = check_count("workers", workers, 1)
+    chunk_packets = check_count("chunk_packets", chunk_packets, 1)
     sizes = [min(chunk_packets, n - start) for start in range(0, n, chunk_packets)]
 
     for buffered in buffer_modes:      # check every config before any task runs

@@ -15,6 +15,7 @@ import pytest
 from plnc_sim import SlotMachine, SystemConfig, harness
 from plnc_sim import buffer_protocol as bp
 from plnc_sim import network_coding as nc
+from plnc_sim import signal_model as sm
 from plnc_sim.config import DecoderKind, Scheme
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -155,11 +156,18 @@ PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
 def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     # the banks, the table and its ranking run once per block of slots
     # drawn ahead, the ranking walk once per buffered slot, the random and
-    # ml designs once per settle; unbuffered, no decision reads the
-    # source-relay bank, so it runs once per settle, for the receptions;
-    # every traced name the machine uses is reached through its module
+    # ml designs once per settle; the source-relay bank also runs once
+    # per settle, for the receptions, in either mode; every traced name
+    # the machine uses is reached through its module
     K, L, N = SMALL.num_users, SMALL.num_relays, SMALL.spreading_gain
     monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * 2 * K * L * N)  # 3 slots
+    draw, drawn = sm.draw_channels, []
+
+    def counted(*args):                # a block's last slots may be fewer
+        drawn.append(args[-1])
+        return draw(*args)
+
+    monkeypatch.setattr(sm, "draw_channels", counted)
     full = tracer.Tracer(str(tmp_path))
     undo = full.install(full=True)
     try:
@@ -170,10 +178,9 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
         tracer.uninstall(undo)
     stats, counts = full.take()
     calls = Counter({name: entry[0] for name, entry in stats.items()})
-    blocks = -(-machine.slot // 3)
+    blocks = len(drawn)
     assert counts["slots"] == machine.slot > 3
-    assert calls["receivers.source_relay_filter_bank"] \
-        == (blocks if buffered else 1)
+    assert calls["receivers.source_relay_filter_bank"] == blocks * buffered + 1
     assert calls["receivers.relay_dest_filter_bank"] == blocks * buffered
     assert calls["relay_selection.build_sinr_table"] == blocks * buffered
     assert calls["relay_selection.select_best"] == blocks * buffered

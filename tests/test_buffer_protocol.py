@@ -467,6 +467,25 @@ class TestSlotMachine:
                            match=r"decoded \d of 3 requested packets in 3 slots"):
             machine().run_until(n_packets=3, max_slots=3)
 
+    @pytest.mark.parametrize("count", [-1, 2.5, True, np.float64(2.0), "2", None,
+                                       [1, -1]])
+    def test_run_until_rejects_counts_that_are_not_counts(self, count):
+        # -1 would return with nothing done, 2.5 decode 3 packets and True
+        # 1; a float would reach the channel draw as a block size
+        m = SlotMachine(machine().config, replicas=[(True, 1), (False, 2)])
+        with pytest.raises(ValueError, match="a packet count must be >= 0"):
+            m.run_until(count)
+        assert [replica.slot for replica in m.replicas] == [0, 0]
+
+    def test_run_until_takes_numpy_and_zero_counts(self):
+        assert machine().run_until(0).slot == 0
+        numpy_count = machine().run_until(np.int64(3))
+        assert numpy_count.transmit_slots == 3
+        assert repr(numpy_count.log) == repr(machine().run_until(3).log)
+        pair = SlotMachine(machine().config, replicas=[(True, 1), (False, 2)])
+        assert [r.transmit_slots for r in pair.run_until(np.array([2, 0])).replicas] \
+            == [2, 0]
+
     def test_trace_rows_match_header(self):
         m = machine().run_until(n_packets=5)
         rows = trace_row(m.log)

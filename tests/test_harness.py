@@ -200,6 +200,38 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_sweep(tiny_config(), [8.0], 2, workers=workers)
 
+    @pytest.mark.parametrize("name,value", [("workers", 1.5), ("workers", True),
+                                            ("workers", "2"), ("chunk_packets", 1.5),
+                                            ("chunk_packets", True),
+                                            ("chunk_packets", np.float64(3.0))])
+    def test_workers_and_chunk_size_not_int_rejected(self, name, value, monkeypatch):
+        # chunk_packets=True would run and echo "chunk_packets = True" into
+        # the sidecar; a float would fail deep in the sweep
+        def no_slot(*args):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(SlotMachine, "advance", no_slot)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            run_sweep(tiny_config(), [8.0], 2, **{name: value})
+
+    def test_numpy_integer_counts_accepted(self, tmp_path):
+        # as the Python integers they equal, in the counts and the sidecar
+        kw = dict(schemes=[Scheme.RANDOM], buffer_modes=[True, False])
+        plain = run_sweep(tiny_config(), [8.0], 3, workers=1, chunk_packets=2, **kw)
+        numpy = run_sweep(tiny_config(), [8.0], np.int64(3), workers=np.int32(1),
+                          chunk_packets=np.uint8(2), **kw)
+        assert numpy.points == plain.points
+        assert numpy.config_echo == plain.config_echo
+        assert {type(numpy.config_echo[key]) for key in
+                ("packets_per_point", "chunk_packets")} == {int}
+        emit_report(plain, tmp_path / "plain.csv")
+        emit_report(numpy, tmp_path / "numpy.csv")
+        sidecars = [[line for line in (tmp_path / f"{name}.csv.config.txt")
+                     .read_text().splitlines() if not line.startswith("wall_clock_s")]
+                    for name in ("plain", "numpy")]
+        assert sidecars[0] == sidecars[1]
+        assert "chunk_packets = 2" in sidecars[0]
+
     @pytest.mark.parametrize("snrs", [[10, 10], [8.0, 10.0, 10.0000001]])
     def test_snr_points_printing_alike_rejected(self, snrs, monkeypatch):
         # the CSV prints each point with :g; two alike would give two rows
@@ -404,8 +436,8 @@ class TestSettleInvariance:
         driven = machine().run_until(counts)
         with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
             sliced = machine().run_until(counts)
-        # run_until frees each replica's channel block and gives its unread
-        # slots back to the stream: a second run continues the first
+        # run_until draws no channel slot that its replicas do not read,
+        # so a second run continues the first
         stepped = machine().run_until(1).run_until(counts)
         for r, (buffered, seed, n) in enumerate(replicas):
             alone = SlotMachine(replace(cfg, buffers_enabled=buffered), seed,
@@ -413,6 +445,34 @@ class TestSettleInvariance:
             assert repr(eager.replicas[r].log) == repr(once.replicas[r].log) \
                 == repr(driven.replicas[r].log) == repr(sliced.replicas[r].log) \
                 == repr(stepped.replicas[r].log) == repr(alone.log)
+
+    @settings(max_examples=20, deadline=None)
+    @given(settle_cases(), st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1),
+                                              st.integers(0, 3)),
+                                    min_size=1, max_size=3),
+           st.sampled_from([None, 1, 3]))
+    def test_every_channel_slot_drawn_is_read(self, case, replicas, block):
+        # within run_until a block holds no more slots than its replica
+        # still needs, so the channel rows drawn, in blocks of the slice
+        # budget (block slots when given) or fewer, add up to the slots
+        # run, in either buffer mode and over a second run
+        cfg = case[0]
+        draw, drawn = signal_model.draw_channels, []
+
+        def counted(config, codebook, rng, n):
+            drawn.append(n)
+            return draw(config, codebook, rng, n)
+
+        machine = SlotMachine(cfg, schemes=list(Scheme), replicas=[
+            (buffered, seed) for buffered, seed, _ in replicas])
+        budget = buffer_protocol._SLICE_ELEMENTS if block is None else \
+            block * 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
+        with mock.patch.object(signal_model, "draw_channels", counted), \
+                mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", budget):
+            for counts in ([n for *_, n in replicas], [n + 2 for *_, n in replicas]):
+                machine.run_until(counts)
+                assert sum(drawn) == sum(rep.slot for rep in machine.replicas)
+        assert block is None or max(drawn) <= block
 
 
 class TestCountsReduceTheLog:
