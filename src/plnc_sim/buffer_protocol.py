@@ -31,13 +31,16 @@ every channel slot drawn there is read.
 Pass 2, settle(), runs the physics of every slot of every replica
 advanced since the last settle as one set of arrays, the replicas'
 receptions and transmissions stacked in replica order: for the
-receptions, one data block, the source-destination and the selected
-pairs' source-relay filter banks, the first phase at symbol level
-(signal_model.sample_first_phase) and every lane's encoder designs and
-encodes; for the transmissions, the second phase, one noise
-draw per slice for all lanes of a kind, then per lane the decode-time
-MMSE refinement, the decoders and the scoring; the second phase and the
-designs read the relay-destination gains alone (rx.rank_one_filters).
+receptions, one block of data words (signal_model.data_symbols), the
+source-destination and the selected pairs' source-relay filter banks,
+the first phase at symbol level (signal_model.sample_first_phase) and
+every lane's encoder designs and encodes; for the transmissions, the
+second phase, one noise draw per slice for all lanes of a kind, then per
+lane the decode-time MMSE refinement, the decoders and the scoring; the
+second phase and the designs read the relay-destination gains alone
+(rx.rank_one_filters).  Every slicer reads the in-phase part of a
+filter output alone, so pass 2 samples real outputs only: real gains,
+and real noise of half the complex variance.
 Each replica's run of a stacked draw comes from its own streams, in its
 own order.  settle() turns each replica's pending rows into log records
 in one np.array call and writes the transmissions' bit_errors and note
@@ -96,10 +99,10 @@ def _slices(n, item_elements):
 
 def reception_elements(config: SystemConfig):
     """The elements a reception's first phase holds in pass 2: the data
-    of K users, and the normals, samples and outputs of (1 + m) m
-    streams, for P symbols."""
+    of K users, and the normals, noise, signal and outputs of (1 + m) m
+    real streams, for P symbols."""
     m = config.group_size
-    return (config.num_users + 8 * (m + 1) * m) * config.packet_length
+    return (config.num_users + 4 * (m + 1) * m) * config.packet_length
 
 
 class BufferBank:
@@ -239,7 +242,7 @@ class RngStreams(NamedTuple):
     scheme built from the same seed (common random numbers)."""
 
     channel: np.random.Generator   # fading, one draw per slot
-    data: np.random.Generator      # user symbols, one block per reception
+    data: np.random.Generator      # user bits, whole 64-bit words per reception
     noise: np.random.Generator     # second-phase receiver noise
     design: np.random.Generator    # encoder design: random draw, ML calibration
     first_phase: np.random.Generator   # first-phase receiver noise
@@ -265,13 +268,19 @@ class _Runs:
     its replica's generator, as that replica's own call would."""
 
     def __init__(self, runs):
-        self.runs = runs             # (generator, items)
+        self.runs = runs             # (generator or bit generator, items)
 
     def standard_normal(self, shape):
+        return self._draw("standard_normal", shape)
+
+    def random_raw(self, shape):
+        return self._draw("random_raw", shape)
+
+    def _draw(self, method, shape):
         shape = tuple(shape)
         if shape[0] != sum(n for _, n in self.runs):
             raise ValueError("a stacked draw must cover its runs")
-        return np.concatenate([rng.standard_normal((n,) + shape[1:])
+        return np.concatenate([getattr(rng, method)((n,) + shape[1:])
                                for rng, n in self.runs])
 
 
@@ -537,10 +546,13 @@ class SlotMachine:
         """The outputs of relay streams that each occupy a sub-slot alone,
         on relay-destination gains h_rd (..., m): the gains conj(f) h and
         noise powers sigma2 |f|^2 every coding-matrix design and decoder
-        works from, and the noise colourings |f|."""
+        works from, and the noise colourings |f|.  f is h scaled by a
+        positive number for both receivers, so the gains are real and
+        are returned as such."""
         sigma2 = self.config.noise_var
         filters = rx.rank_one_filters(h_rd, sigma2, self.config.receiver)
-        return rx.rank_one_outputs(filters, h_rd, sigma2)
+        gains, noise_var, colour = rx.rank_one_outputs(filters, h_rd, sigma2)
+        return gains.real, noise_var, colour
 
     def _designs(self, state, users, filters_sr, owners):
         """Every lane's encoders for the stacked receptions as rows of
@@ -608,8 +620,8 @@ class SlotMachine:
         rows = self._designs(state, users, filters_sr, owners)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
         for s in _slices(len(uids), reception_elements(cfg)):
-            symbols = rx.hard_decision(_stream(owners[s], lambda r: r.rng.data)
-                                       .standard_normal((len(uids[s]), cfg.num_users, P)))
+            symbols = sm.data_symbols(_stream(owners[s], lambda r: r.rng.data.bit_generator),
+                                      (len(uids[s]), cfg.num_users, P))
             soft_sd, soft_sr = sm.sample_first_phase(
                 symbols, (gains[s], colour[s]), cfg.noise_var,
                 _stream(owners[s], lambda r: r.rng.first_phase))
@@ -687,16 +699,17 @@ class SlotMachine:
     def _xor_streams(self, h_rd):
         """The relays of a pair send on one code and (nominally) the same
         symbol, so one filter serves the combined channel, the sum of the
-        gains h_rd (T, m).  Returns its output's gains (T, 1, m) and
-        colourings (T, 1, 1), and which combined channels are degenerate
-        (their filter is the code's)."""
+        gains h_rd (T, m).  Returns its output's real gains
+        Re(conj(f) h_l) (T, 1, m), the in-phase signal the slicer reads,
+        and colourings (T, 1, 1), and which combined channels are
+        degenerate (their filter is the code's)."""
         cfg = self.config
         combined = h_rd.sum(axis=1)
         degenerate = np.abs(combined) ** 2 < 1e-30
         f = rx.rank_one_filters(np.where(degenerate, 1.0, combined), cfg.noise_var,
                                 cfg.receiver)[:, None, None]
         gains, _, colour = rx.rank_one_outputs(f, h_rd[:, None, :], cfg.noise_var)
-        return gains, colour, degenerate
+        return gains.real, colour, degenerate
 
     # -- slot driver -------------------------------------------------------
 

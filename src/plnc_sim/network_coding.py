@@ -361,7 +361,7 @@ def _refine(filter_outputs, gains, decoder):
     """The refinement step both decoders share: the MMSE decoder matrix
     if one is given, else gain normalization.  filter_outputs has shape
     (..., m, P) for gains (..., m), and so has the result."""
-    z = np.asarray(filter_outputs, dtype=np.complex128)
+    z = np.asarray(filter_outputs)
     if decoder is not None:
         return decoder @ z
     return z / gains[..., None]

@@ -114,8 +114,9 @@ def erfc(x, out=None):
 
 
 def hard_decision(soft):
-    """BPSK slicer: +1 when Re(x) >= 0 else -1 (ties resolve to +1)."""
-    return np.where(np.asarray(soft).real >= 0.0, 1.0, -1.0)
+    """BPSK slicer: +1.0 when Re(x) >= 0 else -1.0, so 0 and -0.0 go to
+    +1 and NaN to -1."""
+    return (np.asarray(soft).real >= 0.0) * 2.0 - 1.0
 
 
 def _mmse_bank(H, sigma2):

@@ -14,6 +14,13 @@ Conventions used throughout:
     point is set through the noise variance sigma2 alone
   * sigma2 is the total variance per complex sample (sigma2/2 per
     real dimension)
+  * the chip-rate reference (synthesize_*) samples complex chips; the
+    slot machine samples filter outputs directly, and only their
+    in-phase parts, the one dimension every BPSK slicer reads: an
+    output's real part is its gain's real part times the symbols plus
+    N(0, sigma2/2)-per-dimension noise coloured by the filters
+  * data symbols are +-1 = 1 - 2c for the bits c of whole 64-bit words
+    of a bit generator, lowest bit first
 """
 
 import math
@@ -77,6 +84,32 @@ def complex_gaussian(rng, shape, variance=1.0, calls=()):
     normals = rng.standard_normal((math.prod(calls), 2) + shape)
     samples = np.sqrt(variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
     return samples.reshape(tuple(calls) + shape)
+
+
+def real_gaussian(rng, shape, variance=1.0, calls=()):
+    """Zero-mean real Gaussian samples of the given variance, the
+    in-phase parts of complex_gaussian samples of twice that variance;
+    calls gives leading axes of independent calls, as there."""
+    shape = tuple(np.atleast_1d(shape))
+    normals = rng.standard_normal((math.prod(calls),) + shape)
+    normals *= math.sqrt(variance)
+    return normals.reshape(tuple(calls) + shape)
+
+
+def data_symbols(source, shape):
+    """BPSK symbols +-1 = 1 - 2c of shape (R, ...), R independent draws
+    of prod(shape[1:]) bits c each: a draw reads the bits of
+    ceil(prod(shape[1:]) / 64) whole 64-bit words, lowest bit first, and
+    drops the rest of its last word.  source is a bit generator, or
+    anything whose random_raw((R, words)) equals R such calls of one
+    row each; a bit generator keeps no bits between calls, so one call
+    for R draws equals R calls of one."""
+    shape = tuple(shape)
+    count = math.prod(shape[1:])
+    words = source.random_raw((shape[0], -(-count // 64)))
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                         count=count, bitorder="little")
+    return (1.0 - 2.0 * bits).reshape(shape)
 
 
 def draw_channels(config: SystemConfig, codebook: CodeBook, rng, n):
@@ -153,80 +186,91 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays, code,
 
 
 def filter_output_maps(filters, h_eff):
-    """The maps from stream symbols and white noise to the outputs
-    conj(W) @ y of filter banks W on observations y = h_eff^T b + n,
-    n ~ CN(0, sigma2 I_N).
+    """The maps from stream symbols and white noise to the in-phase
+    parts of the outputs conj(W) @ y of filter banks W on observations
+    y = h_eff^T b + n, n ~ CN(0, sigma2 I_N).
 
     filters (..., M, N) hold one filter per row and h_eff (..., S, N)
     the effective vectors of the S streams on the hop; leading axes
     broadcast and index independent observations.  Every receiver is
     linear, so the outputs are the signal conj(W) h_eff^T b plus noise
-    CN(0, sigma2 conj(W) W^T).  With the reduced QR W^T = Q R that noise
-    is R^H times CN(0, sigma2 I), which holds even when two filter rows
-    are parallel (codes equal up to sign), where a Cholesky factor of
-    the covariance does not exist.  Returns (gains conj(W) h_eff^T
-    (..., M, S), colouring R^H (..., M, min(N, M))).
+    CN(0, sigma2 conj(W) W^T).  For real symbols b the outputs' real
+    parts are Re(conj(W) h_eff^T) b plus real noise of covariance
+    (sigma2 / 2) Re(conj(W) W^T), the Gram of the real (2N, M) matrix A
+    of the stacked [Re W^T; Im W^T], here with its rows interleaved (a
+    view of W's memory; a row order changes no Gram).  With the reduced
+    QR A = Q R that noise is R^T times N(0, sigma2 / 2 I), which holds
+    even when two filter rows are parallel (codes equal up to sign),
+    where a Cholesky factor of the covariance does not exist.  Returns
+    (gains conj(W) h_eff^T (..., M, S) complex, whose real parts act on
+    the real parts, and the real colouring R^T (..., M, min(2N, M))).
     """
     gains = filters.conj() @ np.swapaxes(h_eff, -1, -2)
-    r = np.linalg.qr(np.swapaxes(filters, -1, -2), mode="r")
-    return gains, np.swapaxes(r.conj(), -1, -2)
+    parts = np.asarray(filters, dtype=np.complex128).view(np.float64)
+    r = np.linalg.qr(np.swapaxes(parts, -1, -2), mode="r")
+    return gains, np.swapaxes(r, -1, -2)
 
 
 def sample_filter_outputs(maps, symbols, sigma2, rng, call_axes=0):
-    """Filter outputs sampled at symbol level, equal to chip-rate
-    synthesis followed by the filters in distribution.
+    """The in-phase parts of filter outputs sampled at symbol level,
+    equal to those of chip-rate synthesis followed by the filters in
+    distribution.
 
     maps are filter_output_maps and symbols (S, P) or (..., S, P) the
-    streams' symbols.  The first call_axes leading axes of the result
-    index separate observations that each draw their noise as one call
-    would.  Returns (..., M, P) complex.
+    streams' real symbols.  The first call_axes leading axes of the
+    result index separate observations that each draw their noise as
+    one call would.  Returns (..., M, P) real.
     """
     gains, colour = maps
-    signal = gains @ symbols
+    signal = gains.real @ symbols
     return signal + filter_noise(colour, signal.shape, sigma2, rng, call_axes)
 
 
 def filter_noise(colour, shape, sigma2, rng, call_axes=0):
-    """The noise part of sample_filter_outputs: colour @ CN(0, sigma2 I)
-    for filter outputs of shape (..., M, P), colour (..., M, C) being the
-    maps' (..., M, min(N, M)) colouring or a scalar filter's |f| as
-    (..., 1, 1); the first call_axes axes of shape draw as separate
-    calls."""
-    white = complex_gaussian(rng, shape[call_axes:-2] + (colour.shape[-1], shape[-1]),
-                             sigma2, calls=shape[:call_axes])
+    """The noise part of sample_filter_outputs: colour @ N(0, sigma2/2 I),
+    the in-phase part of complex noise of variance sigma2 per chip after
+    the filters, for outputs of shape (..., M, P), colour (..., M, C)
+    being the maps' (..., M, min(2N, M)) colouring or a scalar filter's
+    |f| as (..., 1, 1); the first call_axes axes of shape draw as
+    separate calls."""
+    white = real_gaussian(rng, shape[call_axes:-2] + (colour.shape[-1], shape[-1]),
+                          sigma2 / 2.0, calls=shape[:call_axes])
     return colour @ white
 
 
 def first_phase_maps(state: ChannelState, users, filters_sd, filters_sr):
-    """filter_output_maps of the first phase for the group users: the
-    destination's direct filters, then each relay's, on the observations
-    of all K users.
+    """filter_output_maps of the first phase for the group users, with
+    real gains: the destination's direct filters, then each relay's, on
+    the observations of all K users.
 
     state is the pair's: its relay axis holds the pair's relays in
     order.  filters_sd (K, N) and filters_sr (K, relays, N) are the
     destination's and the pair's relay banks.  Every argument may carry
     leading reception axes (users (..., m), the state's arrays and the
-    banks), which the maps gain.
+    banks), which the maps gain.  Returns (gains Re(conj(W) h_eff^T)
+    (..., 1 + relays, m, K), colouring R^T (..., 1 + relays, m, m)).
     """
     users = np.asarray(users)
     sd = np.take_along_axis(filters_sd, users[..., :, None], axis=-2)
     sr = np.take_along_axis(filters_sr, users[..., :, None, None], axis=-3)
-    filters = np.concatenate([sd[..., None, :, :], np.swapaxes(sr, -3, -2)],
-                             axis=-3)
-    h_eff = np.concatenate([state.h_eff_sd[..., None, :, :],
-                            np.swapaxes(state.h_eff_sr, -3, -2)], axis=-3)
-    return filter_output_maps(filters, h_eff)
+    maps = (filter_output_maps(sd[..., None, :, :], state.h_eff_sd[..., None, :, :]),
+            filter_output_maps(np.swapaxes(sr, -3, -2),
+                               np.swapaxes(state.h_eff_sr, -3, -2)))
+    (gains_sd, colour_sd), (gains_sr, colour_sr) = maps
+    return (np.concatenate([gains_sd.real, gains_sr.real], axis=-3),
+            np.concatenate([colour_sd, colour_sr], axis=-3))
 
 
 def sample_first_phase(symbols, maps, sigma2, rng):
     """Symbol-level counterpart of synthesize_first_phase followed by the
-    first-hop filter banks, for the group users only.
+    first-hop filter banks, for the group users only, in-phase parts
+    only: the real parts of the chip-rate outputs, in distribution.
 
     symbols (K, P) are every user's; maps are first_phase_maps.  Returns
     the destination's direct outputs (m, P) and every relay's m outputs,
-    (relays, m, P), each observation with independent noise.  With
-    leading reception axes on symbols (..., K, P) and the maps, each
-    reception draws its noise as one call would.
+    (relays, m, P), real, each observation with independent noise of m P
+    normals.  With leading reception axes on symbols (..., K, P) and the
+    maps, each reception draws its noise as one call would.
     """
     symbols = _check_bpsk(symbols)
     out = sample_filter_outputs(maps, symbols[..., None, :, :], sigma2, rng,

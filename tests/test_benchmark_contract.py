@@ -144,10 +144,13 @@ def test_decode_time_fallbacks_reach_the_fallback_counter(tmp_path, monkeypatch)
 
 # traced names a slot machine never calls: chip-rate synthesis and the
 # single-slot draw stay for tests and demos, trace rows are the harness's
-# and the direct-link decoders belong to the other decoder kind
+# and the direct-link decoders belong to the other decoder kind; pass 2
+# draws real noise (signal_model.real_gaussian, counted in the test), so
+# complex samples are the chip-rate reference's alone
 NOT_IN_A_JOINT_MACHINE = {"draw_channel", "synthesize_first_phase",
-                          "synthesize_second_phase", "symbol_to_bit",
-                          "trace_row", "detect_ncs", "decode_with_direct"}
+                          "synthesize_second_phase", "complex_gaussian",
+                          "symbol_to_bit", "trace_row", "detect_ncs",
+                          "decode_with_direct"}
 PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
             "decide_action", "effective_gains"}
 
@@ -168,6 +171,13 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
         return draw(*args)
 
     monkeypatch.setattr(sm, "draw_channels", counted)
+    noise, noise_draws = sm.real_gaussian, []
+
+    def noise_counted(*args, **kwargs):
+        noise_draws.append(1)
+        return noise(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "real_gaussian", noise_counted)
     full = tracer.Tracer(str(tmp_path))
     undo = full.install(full=True)
     try:
@@ -187,6 +197,7 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     assert calls["buffer_protocol.decide_action"] == machine.slot * buffered
     assert calls["network_coding.design_G_ml_for_channel"] == 1
     assert calls["network_coding.design_G_random"] == 1
+    assert noise_draws
     unused = NOT_IN_A_JOINT_MACHINE | (set() if buffered else PASS_ONE)
     for module, attr in set(tracer.FULL) - set(tracer.LIGHT):
         if attr in unused:

@@ -400,7 +400,7 @@ class TestSlotMachine:
         m, P = cfg.group_size, cfg.packet_length
         monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 2 * 10 * m * P)
         draws, second_phase = [], []
-        draw, settle = sm.complex_gaussian, bp.SlotMachine._settle_transmissions
+        draw, settle = sm.real_gaussian, bp.SlotMachine._settle_transmissions
 
         def counted(*args, **kwargs):
             draws.extend(second_phase)
@@ -413,7 +413,7 @@ class TestSlotMachine:
             finally:
                 second_phase.pop()
 
-        monkeypatch.setattr(sm, "complex_gaussian", counted)
+        monkeypatch.setattr(sm, "real_gaussian", counted)
         monkeypatch.setattr(bp.SlotMachine, "_settle_transmissions", flagged)
         SlotMachine(cfg, 1, schemes=schemes).run_until(7)
         assert len(draws) == slices
@@ -513,6 +513,26 @@ def machine_cases(draw):
                        buffers_enabled=buffered, pair_mode=pair_mode,
                        ml_training_len=8, rng_seed=draw(st.integers(0, 99)))
     return cfg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40))
+
+
+class TestStackedDataDraw:
+    @pytest.mark.parametrize("counts", [(1,), (2, 1, 3), (4, 4)])
+    def test_stacked_draw_equals_per_replica_draws(self, counts):
+        # one stacked data draw over runs of replicas equals each
+        # replica's per-reception draws bit for bit, and leaves every
+        # replica's stream where those draws leave it
+        K, P = 3, 70                  # 210 bits: 4 words, 46 bits dropped
+        stacked = [np.random.default_rng(seed) for seed in range(len(counts))]
+        single = [np.random.default_rng(seed) for seed in range(len(counts))]
+        runs = bp._Runs([(rng.bit_generator, n) for rng, n in zip(stacked, counts)])
+        got = sm.data_symbols(runs, (sum(counts), K, P))
+        expected = np.concatenate([sm.data_symbols(rng.bit_generator, (1, K, P))
+                                   for rng, n in zip(single, counts) for _ in range(n)])
+        assert np.array_equal(got, expected)
+        for a, b in zip(stacked, single):
+            assert a.bit_generator.state == b.bit_generator.state
+        with pytest.raises(ValueError, match="must cover its runs"):
+            runs.random_raw((sum(counts) + 1, 4))
 
 
 class TestSlotMachineProperty:

@@ -516,175 +516,175 @@ class TestCountsReduceTheLog:
 # only together with an intended RNG change.
 GOLDEN = {
     PairMode.FIXED_GROUPS: {
-        "xor-buffered-mmse": (200, 46, 21, 0),
-        "xor-unbuffered-mmse": (200, 28, 20, 0),
-        "random-buffered-mmse": (200, 16, 21, 0),
-        "random-unbuffered-mmse": (200, 25, 20, 0),
-        "ml-buffered-mmse": (200, 18, 21, 0),
-        "ml-unbuffered-mmse": (200, 27, 20, 0),
-        "mmse-buffered-mmse": (200, 10, 21, 0),
-        "mmse-unbuffered-mmse": (200, 13, 20, 0),
+        "xor-buffered-mmse": (200, 34, 21, 0),
+        "xor-unbuffered-mmse": (200, 39, 20, 0),
+        "random-buffered-mmse": (200, 12, 21, 0),
+        "random-unbuffered-mmse": (200, 24, 20, 0),
+        "ml-buffered-mmse": (200, 13, 21, 0),
+        "ml-unbuffered-mmse": (200, 19, 20, 0),
+        "mmse-buffered-mmse": (200, 8, 21, 0),
+        "mmse-unbuffered-mmse": (200, 7, 20, 0),
     },
     PairMode.ALL_PAIRS: {
-        "xor-buffered-mmse": (200, 27, 22, 0),
-        "xor-unbuffered-mmse": (200, 28, 20, 0),
-        "random-buffered-mmse": (200, 28, 22, 0),
-        "random-unbuffered-mmse": (200, 25, 20, 0),
-        "ml-buffered-mmse": (200, 12, 22, 0),
-        "ml-unbuffered-mmse": (200, 27, 20, 0),
-        "mmse-buffered-mmse": (200, 5, 22, 0),
-        "mmse-unbuffered-mmse": (200, 13, 20, 0),
+        "xor-buffered-mmse": (200, 28, 22, 0),
+        "xor-unbuffered-mmse": (200, 39, 20, 0),
+        "random-buffered-mmse": (200, 18, 22, 0),
+        "random-unbuffered-mmse": (200, 24, 20, 0),
+        "ml-buffered-mmse": (200, 6, 22, 0),
+        "ml-unbuffered-mmse": (200, 19, 20, 0),
+        "mmse-buffered-mmse": (200, 3, 22, 0),
+        "mmse-unbuffered-mmse": (200, 7, 20, 0),
     },
 }
 GOLDEN_TRACE_SHA256 = {
     PairMode.FIXED_GROUPS:
-        "b7f613907dcc64b16961943bba7f0a95887b99ce4fb54f900ec7d898a7a0b426",
+        "f59d9804325fde8c313fc2aba042bfb0a799152681ebbe7e9cde41119ef5a553",
     PairMode.ALL_PAIRS:
-        "d08daecd6bfd8253300436aa0ba6a7bb9a9e80c67919c0844e8c96d83613a6f1",
+        "d0784a22aa2b1fc6630844386f75df459b13c0f5321db9cb7910263a063fca34",
 }
 # All pairs with J = 3 and the direct-link decoder: overlapping pairs
 # share relay buffers, and every decode reads the stored direct estimates.
 GOLDEN_DIRECT = {
-    "xor-buffered-mmse": (200, 22, 28, 0),
-    "xor-unbuffered-mmse": (200, 28, 20, 0),
-    "random-buffered-mmse": (200, 13, 28, 0),
-    "random-unbuffered-mmse": (200, 24, 20, 0),
+    "xor-buffered-mmse": (200, 25, 28, 0),
+    "xor-unbuffered-mmse": (200, 39, 20, 0),
+    "random-buffered-mmse": (200, 11, 28, 0),
+    "random-unbuffered-mmse": (200, 25, 20, 0),
     "ml-buffered-mmse": (200, 5, 28, 0),
-    "ml-unbuffered-mmse": (200, 27, 20, 0),
-    "mmse-buffered-mmse": (200, 2, 28, 0),
-    "mmse-unbuffered-mmse": (200, 10, 20, 0),
+    "ml-unbuffered-mmse": (200, 19, 20, 0),
+    "mmse-buffered-mmse": (200, 1, 28, 0),
+    "mmse-unbuffered-mmse": (200, 7, 20, 0),
 }
 GOLDEN_DIRECT_TRACE_SHA256 = \
-    "a388f1b29d766e6af773ecc7a841d75532356ca664a80a9e248d7b4947983bd9"
+    "4b6e76e08feb27d2f1e4ff9416827516cbc7de716b7e4fdb5fd3516a29eea53b"
 # Group sizes 1 and 3: single-user groups (every encoder is [1], XOR
 # reads no direct estimate) and the direct-link decoder on one group of
 # three (4 packets: the mmse design scores 174 encoders per reception).
 GOLDEN_M1 = {
-    "xor-buffered-mmse": (100, 1, 22, 0),
-    "xor-unbuffered-mmse": (100, 6, 20, 0),
-    "random-buffered-mmse": (100, 1, 22, 0),
-    "random-unbuffered-mmse": (100, 6, 20, 0),
-    "ml-buffered-mmse": (100, 1, 22, 0),
-    "ml-unbuffered-mmse": (100, 6, 20, 0),
-    "mmse-buffered-mmse": (100, 1, 22, 0),
-    "mmse-unbuffered-mmse": (100, 6, 20, 0),
+    "xor-buffered-mmse": (100, 0, 22, 0),
+    "xor-unbuffered-mmse": (100, 5, 20, 0),
+    "random-buffered-mmse": (100, 0, 22, 0),
+    "random-unbuffered-mmse": (100, 5, 20, 0),
+    "ml-buffered-mmse": (100, 0, 22, 0),
+    "ml-unbuffered-mmse": (100, 5, 20, 0),
+    "mmse-buffered-mmse": (100, 0, 22, 0),
+    "mmse-unbuffered-mmse": (100, 5, 20, 0),
 }
 GOLDEN_M1_TRACE_SHA256 = \
-    "a164a866281f0052738442db81cf646e20aab35260d16577d1f779a0deaf90af"
+    "083400f44e677c0c62e85eee856d151bb115cf2f409c55ef0673af94ab635b62"
 GOLDEN_M3_DIRECT = {
-    "xor-buffered-mmse": (120, 30, 8, 0),
-    "xor-unbuffered-mmse": (120, 30, 8, 0),
-    "random-buffered-mmse": (120, 17, 8, 0),
-    "random-unbuffered-mmse": (120, 17, 8, 0),
-    "ml-buffered-mmse": (120, 12, 8, 0),
-    "ml-unbuffered-mmse": (120, 12, 8, 0),
-    "mmse-buffered-mmse": (120, 3, 8, 0),
-    "mmse-unbuffered-mmse": (120, 3, 8, 0),
+    "xor-buffered-mmse": (120, 28, 8, 0),
+    "xor-unbuffered-mmse": (120, 28, 8, 0),
+    "random-buffered-mmse": (120, 15, 8, 0),
+    "random-unbuffered-mmse": (120, 15, 8, 0),
+    "ml-buffered-mmse": (120, 16, 8, 0),
+    "ml-unbuffered-mmse": (120, 16, 8, 0),
+    "mmse-buffered-mmse": (120, 2, 8, 0),
+    "mmse-unbuffered-mmse": (120, 2, 8, 0),
 }
 GOLDEN_M3_DIRECT_TRACE_SHA256 = \
-    "27ce9ab08450005f24bcbf22880cdea069c58dc099e514f467629f340971fb5d"
+    "fbae36a1abd95d945974cb1de0685fec7dff097744f32b43272c6df6d351ca47"
 # The RAKE receiver (matched filters in every bank) at J = 2.
 GOLDEN_RAKE = {
-    "xor-buffered-rake": (200, 72, 21, 0),
-    "xor-unbuffered-rake": (200, 61, 20, 0),
-    "random-buffered-rake": (200, 47, 21, 0),
-    "random-unbuffered-rake": (200, 41, 20, 0),
-    "ml-buffered-rake": (200, 26, 21, 0),
-    "ml-unbuffered-rake": (200, 42, 20, 0),
-    "mmse-buffered-rake": (200, 26, 21, 0),
-    "mmse-unbuffered-rake": (200, 15, 20, 0),
+    "xor-buffered-rake": (200, 64, 21, 0),
+    "xor-unbuffered-rake": (200, 51, 20, 0),
+    "random-buffered-rake": (200, 46, 21, 0),
+    "random-unbuffered-rake": (200, 31, 20, 0),
+    "ml-buffered-rake": (200, 33, 21, 0),
+    "ml-unbuffered-rake": (200, 24, 20, 0),
+    "mmse-buffered-rake": (200, 18, 21, 0),
+    "mmse-unbuffered-rake": (200, 13, 20, 0),
 }
 GOLDEN_RAKE_TRACE_SHA256 = \
-    "69c450f8f0d9f0cb81e06c533c85d2af5a4242b5618af87ad3a9c5841693e023"
+    "138c0938f4e92ba27e618dc9351123e366d443345c3579000eab9753791a9dcc"
 # Long packets in chunks of 3: pass 2 of the slot machine cuts every
 # chunk's receptions and transmissions into several slices.
 GOLDEN_SLICED = {
-    "xor-buffered-mmse": (48000, 6918, 19, 0),
-    "xor-unbuffered-mmse": (48000, 8196, 16, 0),
-    "random-buffered-mmse": (48000, 1790, 19, 0),
-    "random-unbuffered-mmse": (48000, 7334, 16, 0),
-    "ml-buffered-mmse": (48000, 1664, 19, 0),
-    "ml-unbuffered-mmse": (48000, 5255, 16, 0),
-    "mmse-buffered-mmse": (48000, 427, 19, 0),
-    "mmse-unbuffered-mmse": (48000, 3985, 16, 0),
+    "xor-buffered-mmse": (48000, 6967, 19, 0),
+    "xor-unbuffered-mmse": (48000, 7902, 16, 0),
+    "random-buffered-mmse": (48000, 1802, 19, 0),
+    "random-unbuffered-mmse": (48000, 7317, 16, 0),
+    "ml-buffered-mmse": (48000, 1644, 19, 0),
+    "ml-unbuffered-mmse": (48000, 5096, 16, 0),
+    "mmse-buffered-mmse": (48000, 401, 19, 0),
+    "mmse-unbuffered-mmse": (48000, 3903, 16, 0),
 }
 GOLDEN_SLICED_TRACE_SHA256 = \
-    "d0ac38155032bb8129c74354ad59924300f18de138767874fd0eba2816757409"
+    "3fd48fdddc7efc8d61b09180a6ef75492fc72420558d32c5bfd2b7dae101ed0c"
 # More users than relays (K=8, L=4), all pairs, buffered only: two groups
 # own no relay and every group is served round robin on any relay pair.
 GOLDEN_K8_L4 = {
-    "xor-buffered-mmse": (200, 38, 23, 0),
-    "random-buffered-mmse": (200, 24, 23, 0),
-    "ml-buffered-mmse": (200, 13, 23, 0),
-    "mmse-buffered-mmse": (200, 7, 23, 0),
+    "xor-buffered-mmse": (200, 29, 23, 0),
+    "random-buffered-mmse": (200, 18, 23, 0),
+    "ml-buffered-mmse": (200, 11, 23, 0),
+    "mmse-buffered-mmse": (200, 8, 23, 0),
 }
 GOLDEN_K8_L4_TRACE_SHA256 = \
-    "7f5586fda28d2f99e6d104097a34bdaba4794eb02bfe0aed2c109002ab9af197"
+    "4665def888c44bb667e152b48682cb6e47b7fae7fd3bf41990905ae524c2229f"
 # More relays than users (K=4, L=8), fixed groups: the four relays
 # outside every group interfere in the SINR table.
 GOLDEN_K4_L8 = {
-    "xor-buffered-mmse": (200, 24, 21, 0),
-    "xor-unbuffered-mmse": (200, 48, 20, 0),
-    "random-buffered-mmse": (200, 15, 21, 0),
-    "random-unbuffered-mmse": (200, 21, 20, 0),
-    "ml-buffered-mmse": (200, 10, 21, 0),
-    "ml-unbuffered-mmse": (200, 16, 20, 0),
-    "mmse-buffered-mmse": (200, 4, 21, 0),
-    "mmse-unbuffered-mmse": (200, 4, 20, 0),
+    "xor-buffered-mmse": (200, 21, 21, 0),
+    "xor-unbuffered-mmse": (200, 47, 20, 0),
+    "random-buffered-mmse": (200, 14, 21, 0),
+    "random-unbuffered-mmse": (200, 26, 20, 0),
+    "ml-buffered-mmse": (200, 6, 21, 0),
+    "ml-unbuffered-mmse": (200, 24, 20, 0),
+    "mmse-buffered-mmse": (200, 3, 21, 0),
+    "mmse-unbuffered-mmse": (200, 12, 20, 0),
 }
 GOLDEN_K4_L8_TRACE_SHA256 = \
-    "f5cb1863f7662be6eeca0ce90053933773d3c6d5540b4d3f0c1c6b2ca8fa4fa5"
+    "103e494ec05f6e527cb50eccc636593d05e1d3f6f7ade543ab89d489a83c84fe"
 # Group size 4 (22560 encoder rows, an int16 row index per lane), K=4,
 # L=8, J=2, in both buffer modes; the mmse design is limited to m <= 3.
 GOLDEN_M4 = {
     DecoderKind.JOINT: {
-        "xor-buffered-mmse": (240, 56, 13, 0),
-        "xor-unbuffered-mmse": (240, 52, 12, 0),
-        "random-buffered-mmse": (240, 31, 13, 0),
-        "random-unbuffered-mmse": (240, 44, 12, 0),
-        "ml-buffered-mmse": (240, 35, 13, 0),
-        "ml-unbuffered-mmse": (240, 29, 12, 0),
+        "xor-buffered-mmse": (240, 69, 13, 0),
+        "xor-unbuffered-mmse": (240, 74, 12, 0),
+        "random-buffered-mmse": (240, 28, 13, 0),
+        "random-unbuffered-mmse": (240, 34, 12, 0),
+        "ml-buffered-mmse": (240, 25, 13, 0),
+        "ml-unbuffered-mmse": (240, 22, 12, 0),
     },
     DecoderKind.DIRECT: {
-        "xor-buffered-mmse": (240, 56, 13, 0),
-        "xor-unbuffered-mmse": (240, 52, 12, 0),
-        "random-buffered-mmse": (240, 24, 13, 0),
-        "random-unbuffered-mmse": (240, 33, 12, 0),
-        "ml-buffered-mmse": (240, 43, 13, 0),
-        "ml-unbuffered-mmse": (240, 46, 12, 0),
+        "xor-buffered-mmse": (240, 69, 13, 0),
+        "xor-unbuffered-mmse": (240, 74, 12, 0),
+        "random-buffered-mmse": (240, 34, 13, 0),
+        "random-unbuffered-mmse": (240, 36, 12, 0),
+        "ml-buffered-mmse": (240, 46, 13, 0),
+        "ml-unbuffered-mmse": (240, 34, 12, 0),
     },
 }
 GOLDEN_M4_TRACE_SHA256 = {
     DecoderKind.JOINT:
-        "4638ef196daaaac05c5420175dcd80ca5ef64f6ecabf12ca12af7d01b1290bb8",
+        "47c87bc19f32aa0aa7a5f99b5be17e8183618fe65628314064f71774835d25be",
     DecoderKind.DIRECT:
-        "86950a604f46eaf3836049adb1fab570189c407d6152b515f8f45a7f931d91db",
+        "07654c5f161046436d6818df377247a7b24d0c434378c3acb649e05a74fdb368",
 }
 # A two-worker `plnc-sim sweep --trace` (30 packets per point, two chunks
 # each): the CSV, the sidecar without its wall_clock_s line, the trace.
 GOLDEN_CLI_CSV = """\
 scheme,snr_db,bits,errors,ber
-ml-buffered-mmse,4,1200,116,0.0966666666667
-ml-buffered-mmse,10,1200,47,0.0391666666667
-ml-unbuffered-mmse,4,1200,168,0.14
-ml-unbuffered-mmse,10,1200,57,0.0475
-mmse-buffered-mmse,4,1200,92,0.0766666666667
-mmse-buffered-mmse,10,1200,10,0.00833333333333
-mmse-unbuffered-mmse,4,1200,153,0.1275
-mmse-unbuffered-mmse,10,1200,47,0.0391666666667
-random-buffered-mmse,4,1200,185,0.154166666667
-random-buffered-mmse,10,1200,48,0.04
-random-unbuffered-mmse,4,1200,207,0.1725
-random-unbuffered-mmse,10,1200,88,0.0733333333333
-xor-buffered-mmse,4,1200,279,0.2325
-xor-buffered-mmse,10,1200,116,0.0966666666667
-xor-unbuffered-mmse,4,1200,232,0.193333333333
+ml-buffered-mmse,4,1200,118,0.0983333333333
+ml-buffered-mmse,10,1200,50,0.0416666666667
+ml-unbuffered-mmse,4,1200,172,0.143333333333
+ml-unbuffered-mmse,10,1200,67,0.0558333333333
+mmse-buffered-mmse,4,1200,97,0.0808333333333
+mmse-buffered-mmse,10,1200,7,0.00583333333333
+mmse-unbuffered-mmse,4,1200,126,0.105
+mmse-unbuffered-mmse,10,1200,42,0.035
+random-buffered-mmse,4,1200,179,0.149166666667
+random-buffered-mmse,10,1200,45,0.0375
+random-unbuffered-mmse,4,1200,201,0.1675
+random-unbuffered-mmse,10,1200,87,0.0725
+xor-buffered-mmse,4,1200,246,0.205
+xor-buffered-mmse,10,1200,134,0.111666666667
+xor-unbuffered-mmse,4,1200,224,0.186666666667
 xor-unbuffered-mmse,10,1200,79,0.0658333333333
 """
 GOLDEN_CLI_SIDECAR_SHA256 = \
     "bad07bba16540ec5b6f2afc91be5c847dc753a86a2996257d74a60d7c728ef8e"
 GOLDEN_CLI_TRACE_SHA256 = \
-    "2e1301dae74c5ae9ffe395805ff18739d51b3c85d3fcf25ab937302341978094"
+    "9ec637dc9da2076450bae52d188a80df96f8ca0aa80ce35851a6002b12e3a7e7"
 
 
 def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,

@@ -173,6 +173,17 @@ class TestScalarSecondHop:
         assert close(noise_var[:, 0], chip_noise)
         assert close(colour[:, 0], np.abs(chip_colour))
 
+    @pytest.mark.parametrize("kind", list(ReceiverKind), ids=lambda k: k.value)
+    def test_own_stream_gains_are_real(self, kind):
+        # f is h times a positive number, so conj(f) h is real: its
+        # imaginary part is rounding, at most 4 eps |gain|, and pass 2
+        # drops it with nothing lost
+        rng = np.random.default_rng(31)
+        h = complex_gaussian(rng, 100_000) * 10.0 ** rng.uniform(-4, 4, 100_000)
+        for sigma2 in (1e-3, 0.1, 10.0):
+            gains, _, _ = rank_one_outputs(rank_one_filters(h, sigma2, kind), h, sigma2)
+            assert np.all(np.abs(gains.imag) <= 4 * np.finfo(float).eps * np.abs(gains))
+
 
 class TestFilterOutput:
     def test_unit_vector_identity(self):
@@ -211,6 +222,17 @@ class TestSlicer:
     def test_vectorized(self):
         out = hard_decision(np.array([0.1, -0.1, 0.0]))
         assert np.array_equal(out, [1.0, -1.0, 1.0])
+
+    def test_ties_map_as_where(self):
+        # 0 and -0.0 go to +1 and NaN to -1, as np.where(x >= 0, 1, -1)
+        # maps them, on real and complex input
+        soft = np.array([0.0, -0.0, np.nan, 5e-324, -5e-324, np.inf, -np.inf])
+        expected = np.where(soft >= 0.0, 1.0, -1.0)
+        assert np.array_equal(expected, [1, 1, -1, 1, -1, 1, -1])
+        for x in (soft, soft + 2j, soft.reshape(7, 1)):
+            out = hard_decision(x)
+            assert out.dtype == np.float64 and out.shape == x.shape
+            assert np.array_equal(out.ravel(), expected)
 
 
 class TestErfc:

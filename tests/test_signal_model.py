@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from plnc_sim import (SystemConfig, complex_gaussian, draw_channel,
+from plnc_sim import (ReceiverKind, SystemConfig, complex_gaussian, draw_channel,
                       generate_codebook, synthesize_first_phase,
                       synthesize_second_phase)
+from plnc_sim.receivers import source_relay_filter_bank
+from plnc_sim.signal_model import (CodeBook, data_symbols, draw_channels,
+                                   filter_output_maps, real_gaussian)
 
 
 def small_config(**kw):
@@ -183,3 +186,60 @@ class TestSecondPhase:
         with pytest.raises(ValueError, match="unit norm"):
             synthesize_second_phase(np.array([1.0]), self.state, [0],
                                     2.0 * self.code, 0.2, np.random.default_rng(16))
+
+
+class TestInPhaseSampling:
+    # pass 2 samples the real parts of the filter outputs alone: real
+    # noise coloured by R^T from a real QR, and data from raw words
+
+    @pytest.mark.parametrize("kind", list(ReceiverKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_colouring_gram_is_real_filter_gram(self, kind, parallel):
+        # R^T R = Re(conj(W) W^T) for every relay's pair of user filters
+        # of random banks, also when two codes are equal up to sign (the
+        # filters are parallel and the Gram is singular)
+        cfg = small_config()
+        book = generate_codebook(cfg)
+        if parallel:
+            codes = book.codes.copy()
+            codes[1] = -codes[0]
+            book = CodeBook(codes)
+        state = draw_channels(cfg, book, np.random.default_rng(21), 8)
+        bank = source_relay_filter_bank(state, cfg.noise_var, kind)
+        W = np.swapaxes(bank[:, :2], 1, 2)              # (slot, relay, 2, N)
+        if parallel:        # the complex covariance conj(W) W^T is singular
+            assert np.linalg.matrix_rank(W[0, 0], tol=1e-9) == 1
+            # and with a real ratio between the rows the real one is too
+            W = np.concatenate([W, W[..., :1, :] * np.array([1.0, -0.5])[:, None]])
+        _, colour = filter_output_maps(W, W)
+        assert colour.dtype == np.float64 and colour.shape == W.shape[:-1] + (2,)
+        gram = (W.conj() @ np.swapaxes(W, -1, -2)).real
+        # colour is R^T, so the noise covariance colour colour^T is R^T R
+        assert np.max(np.abs(colour @ np.swapaxes(colour, -1, -2) - gram)) < 1e-12
+
+    def test_real_gaussian_calls_and_variance(self):
+        # a stacked call equals one call per leading index; the samples
+        # are N(0, variance)
+        stacked = real_gaussian(np.random.default_rng(22), (2, 5), 0.3, calls=(3,))
+        rng = np.random.default_rng(22)
+        assert np.array_equal(stacked, np.stack(
+            [real_gaussian(rng, (2, 5), 0.3) for _ in range(3)]))
+        samples = real_gaussian(np.random.default_rng(23), 100_000, 0.3)
+        assert samples.dtype == np.float64
+        assert abs(np.var(samples) - 0.3) < 0.02 * 0.3
+
+    def test_data_symbols_read_whole_words_lowest_bit_first(self):
+        # 3 draws of 2 x 40 bits: two words each, the last 48 bits dropped
+        symbols = data_symbols(np.random.default_rng(24).bit_generator, (3, 2, 40))
+        words = np.random.default_rng(24).bit_generator.random_raw(6).tolist()
+        bits = [[(word >> j) & 1 for word in words[2 * r:2 * r + 2] for j in range(64)]
+                for r in range(3)]
+        expected = 1.0 - 2.0 * np.array([row[:80] for row in bits]).reshape(3, 2, 40)
+        assert symbols.dtype == np.float64 and np.array_equal(symbols, expected)
+
+    def test_data_bits_fair(self):
+        # 10^6 bits: their mean lies within 5 sigma of 1/2
+        symbols = data_symbols(np.random.default_rng(25).bit_generator, (1000, 1000))
+        assert set(np.unique(symbols)) == {-1.0, 1.0}
+        mean = np.mean(symbols == -1.0)
+        assert abs(mean - 0.5) <= 5 * 0.5 / np.sqrt(symbols.size)

@@ -1,8 +1,9 @@
 """Symbol-level filter outputs against the chip-rate oracle.
 
 For fixed channels and fixed symbols, the outputs the slot machine
-samples directly must have the conditional mean and covariance of
-chip-rate synthesis followed by the same filter bank: every relay's m
+samples directly, the in-phase parts every BPSK slicer reads, must have
+the conditional mean and covariance of the real parts of chip-rate
+synthesis followed by the same filter bank: every relay's m
 correlated outputs, the destination's direct outputs, a linear
 sub-slot and the XOR combined stream, under both receivers, and with
 two user codes equal up to sign (parallel filters).
@@ -38,24 +39,25 @@ def paper_state(seed, codebook=None):
 
 
 def assert_same_moments(z, oracle):
-    """Sample mean, covariance and pseudo-covariance of two (M, T)
-    output blocks agree within SIGMAS standard errors of the difference."""
+    """The symbol-level (M, T) outputs z are real, and their sample mean
+    and covariance agree with those of the real parts of the chip-rate
+    block oracle within SIGMAS standard errors of the difference."""
     assert z.shape == oracle.shape
+    assert np.isrealobj(z)
+    oracle = oracle.real
     n = z.shape[-1]
-    scale = np.sqrt(np.mean(np.abs(oracle - oracle.mean(axis=1, keepdims=True)) ** 2,
-                            axis=1))
+    scale = oracle.std(axis=1)
     tol = SIGMAS * np.sqrt(2.0 / n) * np.outer(scale, scale) + 1e-12
 
     def moments(x):
         mean = x.mean(axis=1)
         c = x - mean[:, None]
-        return mean, c @ c.conj().T / (n - 1), c @ c.T / (n - 1)
+        return mean, c @ c.T / (n - 1)
 
-    (mean_a, cov_a, pcov_a), (mean_b, cov_b, pcov_b) = moments(z), moments(oracle)
+    (mean_a, cov_a), (mean_b, cov_b) = moments(z), moments(oracle)
     assert np.all(np.abs(mean_a - mean_b)
                   <= SIGMAS * np.sqrt(2.0 / n) * scale + 1e-12), (mean_a, mean_b)
     assert np.all(np.abs(cov_a - cov_b) <= tol), (cov_a, cov_b)
-    assert np.all(np.abs(pcov_a - pcov_b) <= tol), (pcov_a, pcov_b)
 
 
 def first_phase_pair(state, kind, sigma2, symbols, seed, noise_var=None):
@@ -100,7 +102,7 @@ class TestFirstPhase:
         symbols = np.where(rng.standard_normal((cfg.num_users, 64)) >= 0, 1.0, -1.0)
         sampled, chip = first_phase_pair(state, kind, cfg.noise_var, symbols, 36,
                                          noise_var=NOISELESS)
-        np.testing.assert_allclose(sampled, chip, atol=1e-9)
+        np.testing.assert_allclose(sampled, chip.real, atol=1e-9)
 
     def test_codes_equal_up_to_sign(self, kind):
         """Parallel filter rows make the noise covariance singular; the
