@@ -9,24 +9,23 @@ every pair receive.
 import numpy as np
 
 from plnc_sim import (Hop, PairMode, ReceiverKind, SystemConfig,
-                      build_sinr_table, candidate_pairs, draw_channel,
-                      generate_codebook, select_best)
+                      build_sinr_table, candidate_pairs, generate_codebook,
+                      select_best)
 from plnc_sim.network_coding import make_group_assignments
-from plnc_sim.receivers import (relay_dest_filter_bank,
-                                source_relay_filter_bank)
+from plnc_sim.receivers import code_coordinates
+from plnc_sim.signal_model import draw_channels
 
 cfg = SystemConfig(snr_db=10.0, rng_seed=6)
 book = generate_codebook(cfg)
 _, group_relays = make_group_assignments(cfg, np.random.default_rng([6, 0x6E0]))
 
-state = draw_channel(cfg, book, np.random.default_rng(7))
-sigma2 = cfg.noise_var
-Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
-# a relay's stream holds its observation alone: one scalar filter per relay
-Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
+# one slot's link gains; the table reads them and the codes' K x K Gram
+# (through the codes' coordinates in a basis of their span) alone
+gains = draw_channels(cfg, np.random.default_rng(7), 1)[0]
 cands = candidate_pairs(group_relays, cfg.num_relays, cfg.group_size,
                         PairMode.FIXED_GROUPS)
-table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
+table = build_sinr_table(gains, code_coordinates(book.codes), cfg.noise_var,
+                         ReceiverKind.MMSE, cands)
 
 hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)     # table columns
 print("SINR table for this slot:")

@@ -8,11 +8,13 @@ from its seed and mode; the codebook, the groups and the candidate
 pairs are built once per machine.  A machine runs in two passes.
 
 Pass 1, advance(), runs once per slot of one replica.  Block-fading
-channels are drawn a block of slots ahead, and everything that depends
+link gains are drawn a block of slots ahead, and everything that depends
 on the channel alone is computed once per block, as arrays with a
-leading slot axis: when buffered, the source-relay and relay-destination
-filter banks, the SINR table over the candidate pairs and both hops,
-and its ranking (rs.select_best), the table going to Python lists.
+leading slot axis: when buffered, the SINR table over the candidate
+pairs and both hops and its ranking (rs.select_best), the table going to
+Python lists.  The table reads the gains and the codes' coordinates in
+a basis of their span alone, K x min(K, N), so pass 1 holds no N-chip
+array.
 advance() walks the slot's ranking to the first entry the buffers allow
 (decide_action); the unbuffered baseline serves its groups round robin,
 reception u at slot 2u and its transmission at slot 2u + 1, and draws
@@ -24,7 +26,8 @@ decision reads the physics of a packet, only the channel and the
 buffer occupancies, so this pass decides every slot and makes no NumPy
 call per slot: a block's receptions and transmissions are gathered once
 per block, when its last row is read, into the pairs' slices of the
-channel that pass 2 reads, and the block is freed.  Within run_until a
+channel that pass 2 reads, a reception's as the effective vectors of
+its pair's links, and the block is freed.  Within run_until a
 block holds no more than the fewest slots its replica still needs, so
 every channel slot drawn there is read.
 
@@ -83,7 +86,8 @@ from .config import (DecoderKind, Hop, PairMode, Scheme, SystemConfig,
 
 # Pass 2 and the channel blocks run in slices whose transient arrays
 # hold about this many float64 elements (256 KB), a constant: a channel
-# block holds 28 slots on the paper system; the first and second phase
+# block holds 151 slots on the paper system, whose L K x K MMSE systems
+# are the largest array pass 1 holds per slot; the first and second phase
 # of a chunk of 16-symbol packets run as one slice and 1000-symbol
 # packets one at a time; the m=2 mmse design scores 21 receptions at a
 # time and the m=3 one a single reception.
@@ -392,6 +396,7 @@ class SlotMachine:
         if replicas is None:
             replicas = [(config.buffers_enabled, seed)]
         self.codebook = sm.generate_codebook(config)
+        self.coords = rx.code_coordinates(self.codebook.codes)
         setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
         self.group_users, group_relays = nc.make_group_assignments(config,
                                                                    setup_rng)
@@ -420,48 +425,47 @@ class SlotMachine:
     # -- pass 1: decisions, one slot of one replica at a time ---------------
 
     def _next_block(self, replica):
-        """Draw the replica's next channel block and, buffered, compute
-        its SINR table over both hops and its ranking for the whole
-        block.  A block holds the slots the slice budget allows on the
-        (K, L, N) source-relay vectors and, within run_until, no more
-        than the fewest slots the replica still needs, (n - transmitted)
-        + max(0, n - received), so every slot drawn there is read."""
+        """Draw the replica's next block of link gains and, buffered,
+        compute its SINR table over both hops and its ranking for the
+        whole block.  A block holds the slots the slice budget allows on
+        the (L, K, K) first-hop MMSE systems and, within run_until, no
+        more than the fewest slots the replica still needs,
+        (n - transmitted) + max(0, n - received), so every slot drawn
+        there is read."""
         cfg = replica.config
-        sigma2 = cfg.noise_var
-        size = max(1, _SLICE_ELEMENTS // (2 * cfg.num_users * cfg.num_relays
-                                          * cfg.spreading_gain))
+        K = cfg.num_users
+        size = max(1, _SLICE_ELEMENTS // (cfg.num_relays * K * K))
         n = replica.wanted
         if n is not None:
             size = min(size, n - replica.transmit_slots
                        + max(0, n - replica.receive_slots))
-        state = sm.draw_channels(cfg, self.codebook, replica.rng.channel, size)
+        gains = sm.draw_channels(cfg, replica.rng.channel, size)
         tables = ranking = None
         if cfg.buffers_enabled:
-            filters_sr = rx.source_relay_filter_bank(state, sigma2, cfg.receiver)
-            filters_rd = rx.relay_dest_filter_bank(state, sigma2, cfg.receiver)
-            table = rs.build_sinr_table(state, filters_sr, filters_rd, sigma2,
-                                        replica.candidates)
+            table = rs.build_sinr_table(gains, self.coords, cfg.noise_var,
+                                        cfg.receiver, replica.candidates)
             ranking, tables = rs.select_best(table), table.tolist()
-        replica._block = (state, tables, ranking)
+        replica._block = (gains, tables, ranking)
         replica._block_slots, replica._row = size, 0
 
     def _gather(self, replica):
         """Move the receptions and transmissions advanced in the block
         since the last gather into arrays for pass 2, one index per
         array: a reception's group and the pair's slice of its slot's
-        channel, its relays in order on the relay axis, in C order as
-        np.stack of the per-slot slices would hold it; a transmission's
+        channel as effective vectors (sm.ChannelGains.effective), its
+        relays in order on the relay axis, in C order; a transmission's
         pair relay-destination gains."""
         if replica._block_receptions:
             rows, pairs, uids, groups = map(np.array,
                                             zip(*replica._block_receptions))
             replica._block_receptions = []
-            state, relays = replica._block[0], replica.relay_rows[pairs]
+            gains, relays = replica._block[0], replica.relay_rows[pairs]
             column = rows[:, None]
-            replica._receptions.append((uids, groups, sm.ChannelState(
-                state.h_rd[column, relays], state.h_eff_sd[rows],
-                np.ascontiguousarray(np.swapaxes(state.h_eff_sr[column, :, relays],
-                                                 1, 2)))))
+            h_sr = np.swapaxes(gains.h_sr[column, :, relays], 1, 2)
+            pair = sm.ChannelGains(gains.h_rd[column, relays], gains.h_sd[rows],
+                                   np.ascontiguousarray(h_sr))
+            replica._receptions.append((uids, groups,
+                                        pair.effective(self.codebook.codes)))
         if replica._block_transmissions:
             rows, pairs, uids = map(np.array, zip(*replica._block_transmissions))
             replica._block_transmissions = []

@@ -123,11 +123,12 @@ def _mmse_bank(H, sigma2):
     """MMSE filters W = (H H^H + sigma2 I_S)^-1 H for every leading index
     of H at once.
 
-    H is (..., S, N): one effective vector per stream sharing an
-    observation.  The row-stream form equals the textbook N x N one,
-    ((H^T conj(H) + sigma2 I_N)^-1 H^T)^T, by the push-through identity,
-    but solves an S x S system (6 x 6 instead of 16 x 16 on the paper
-    system); it is used for every S and N.  Returns (..., S, N) filters.
+    H is (..., S, N), complex or real: one effective vector per stream
+    sharing an observation.  The row-stream form equals the textbook
+    N x N one, ((H^T conj(H) + sigma2 I_N)^-1 H^T)^T, by the push-through
+    identity, but solves an S x S system (6 x 6 instead of 16 x 16 on the
+    paper system); it is used for every S and N.  Returns (..., S, N)
+    filters.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
@@ -145,6 +146,39 @@ def source_relay_filter_bank(state, sigma2, kind: ReceiverKind):
     if kind == ReceiverKind.RAKE:
         return state.h_eff_sr.copy()
     return _mmse_bank(state.h_eff_sr.swapaxes(-3, -2), sigma2).swapaxes(-3, -2)
+
+
+def code_coordinates(codes):
+    """The codes (K, N) in an orthonormal basis of their span, (K, r)
+    with r = min(K, N): real F with F F^T = C C^T, the codes' Gram, from
+    the QR of C^T."""
+    return np.linalg.qr(codes.T, mode="r").T
+
+
+def source_relay_outputs(h_sr, coords, sigma2, kind: ReceiverKind):
+    """What every filter of source_relay_filter_bank makes of its own
+    link, from the link gains h_sr (..., K, L) and the codes'
+    coordinates F (code_coordinates) alone, with no N-chip array: the
+    desired gains w^H h, real, and the filter energies ||w||^2, each
+    (..., K, L).
+
+    RAKE's w = h c gives |h|^2 for both.  At a relay the MMSE bank is
+    W = (D R D^H + sigma2 I)^-1 D C with D = diag(h) and R = C C^T; D's
+    phases cancel out of both numbers, and so does the basis of the
+    chip space, so they are those of the MMSE bank on the real
+    r-dimensional vectors A F, A = diag|h|, one K x K system
+    (A R A + sigma2 I) per relay (Verdu, Multiuser Detection, ch. 6).
+    Read from that bank, the numbers keep the chip-space precision even
+    when R is singular (two codes equal up to sign, or K > N), and a
+    zero gain gives a zero filter row, as in chip space.
+    """
+    a = np.abs(h_sr)
+    if kind == ReceiverKind.RAKE:
+        return a ** 2, a ** 2
+    H = np.swapaxes(a, -1, -2)[..., None] * coords             # (..., L, K, r)
+    W = _mmse_bank(H, sigma2)
+    return (np.swapaxes(np.sum(W * H, axis=-1), -1, -2),
+            np.swapaxes(np.sum(W * W, axis=-1), -1, -2))
 
 
 def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):

@@ -1,5 +1,6 @@
-"""Per-pair SINR metrics for both hops and their max-SINR ranking; the
-second hop's metric reads the relay-destination gains alone."""
+"""Per-pair SINR metrics for both hops and their max-SINR ranking.  Both
+hops' metrics read link gains alone: the first hop's with the codes'
+K x K Gram, the second hop's from the relay-destination gains."""
 
 from itertools import combinations
 
@@ -19,27 +20,29 @@ def candidate_pairs(group_relays, num_relays, group_size, mode: PairMode):
     return list(combinations(range(num_relays), group_size))
 
 
-def build_sinr_table(state, filters_sr, filters_rd, sigma2, candidates):
+def build_sinr_table(channel, coords, sigma2, kind, candidates):
     """SINR metric of every (candidate pair, hop) as a (..., pairs, 2)
-    array for a state and banks whose arrays carry leading slot axes
-    (...): row i for candidates[i], column 0 source-relay, column 1
-    relay-destination.
+    array for link gains (signal_model.ChannelGains) whose arrays carry
+    leading slot axes (...): row i for candidates[i], column 0
+    source-relay, column 1 relay-destination.  coords are the codes'
+    coordinates (rx.code_coordinates) and kind the receivers' kind, at
+    the relays and the destination.
 
     First hop: the numerator sums the desired-link output powers
     |w^H h|^2 over every user at the pair's relays; the denominator sums
     the same quantity at all non-selected relays plus the noise
-    enhancement sigma2 ||w||^2 of each selected filter.  The second hop
-    mirrors this with |conj(f) h|^2 and sigma2 |f|^2 on the relay NCS
-    streams, one scalar filter f per stream (a per-user sum would scale
-    numerator and denominator alike, so it is dropped).
+    enhancement sigma2 ||w||^2 of each selected filter, both read from
+    the gains and the codes' coordinates (rx.source_relay_outputs).  The
+    second hop mirrors this with |conj(f) h|^2 and sigma2 |f|^2 on the
+    relay NCS streams, one scalar filter f per stream (a per-user sum
+    would scale numerator and denominator alike, so it is dropped).
     """
-    gains_rd, _, colour_rd = rx.rank_one_outputs(filters_rd, state.h_rd, sigma2)
+    signal, energy = rx.source_relay_outputs(channel.h_sr, coords, sigma2, kind)
+    filters_rd = rx.relay_dest_filter_bank(channel, sigma2, kind)
+    gains_rd, _, colour_rd = rx.rank_one_outputs(filters_rd, channel.h_rd, sigma2)
     # per-relay sums, (..., L, 2): column 0 over the K users, column 1 the stream
-    power = np.stack([
-        (np.abs(rx.effective_gains(filters_sr, state.h_eff_sr)) ** 2).sum(axis=-2),
-        np.abs(gains_rd) ** 2], axis=-1)
-    wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=-2),
-                      colour_rd ** 2], axis=-1)
+    power = np.stack([(signal ** 2).sum(axis=-2), np.abs(gains_rd) ** 2], axis=-1)
+    wnorm = np.stack([energy.sum(axis=-2), colour_rd ** 2], axis=-1)
     member = np.zeros((len(candidates), power.shape[-2]))
     for row, relays in enumerate(candidates):
         member[row, list(relays)] = 1.0

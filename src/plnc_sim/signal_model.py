@@ -2,7 +2,10 @@
 phases: chip-rate synthesis, and direct sampling of filter outputs.
 
 The K users share every first-hop observation, which is modelled chip
-by chip.  A second-hop observation holds one code in white noise, so
+by chip.  Fading is drawn as link gains (ChannelGains), and a first-hop
+observation's effective vectors, code times gain (ChannelState), are
+formed only where an observation is synthesized or filtered.  A
+second-hop observation holds one code in white noise, so
 its filter output is a scalar statistic of the relay-destination gains
 and that hop keeps no codes (receivers.rank_one_filters).
 
@@ -43,20 +46,38 @@ class CodeBook:
 
 
 @dataclass
-class ChannelState:
-    """One coherence block: the relay-destination gains plus the
-    effective signature vectors of every first-hop link (code *
-    coefficient; every amplitude is 1).  The codes are unit norm, so an
-    effective vector's norm is its link gain's modulus.  Every array may
-    carry the same leading axes, e.g. one slot per index; state[i]
+class ChannelGains:
+    """The link gains of one coherence block, drawn a block of slots at a
+    time: pass 1 ranks the relay pairs from them alone.  Every array may
+    carry the same leading axes, e.g. one slot per index; gains[i]
     indexes them all."""
+
+    h_rd: np.ndarray        # (L,) complex, relay -> destination
+    h_sd: np.ndarray        # (K,) complex, source -> destination
+    h_sr: np.ndarray        # (K, L) complex, source -> relay
+
+    def __getitem__(self, index):
+        return ChannelGains(*(array[index] for array in vars(self).values()))
+
+    def effective(self, codes):
+        """The ChannelState of these gains on codes (K, N): every
+        first-hop gain times its user's code."""
+        return ChannelState(self.h_rd, self.h_sd[..., None] * codes,
+                            self.h_sr[..., None] * codes[:, None, :])
+
+
+@dataclass
+class ChannelState:
+    """One coherence block as the first hop sees it: the
+    relay-destination gains plus the effective signature vectors of
+    every first-hop link (code * coefficient; every amplitude is 1).
+    The codes are unit norm, so an effective vector's norm is its link
+    gain's modulus.  Every array may carry the same leading axes, e.g.
+    one reception per index."""
 
     h_rd: np.ndarray        # (L,) complex
     h_eff_sd: np.ndarray    # (K, N) complex
     h_eff_sr: np.ndarray    # (K, L, N) complex
-
-    def __getitem__(self, index):
-        return ChannelState(*(array[index] for array in vars(self).values()))
 
 
 def generate_codebook(config: SystemConfig) -> CodeBook:
@@ -71,25 +92,20 @@ def generate_codebook(config: SystemConfig) -> CodeBook:
     return CodeBook((2.0 * chips - 1.0) / np.sqrt(n))
 
 
-def complex_gaussian(rng, shape, variance=1.0, calls=()):
+def complex_gaussian(rng, shape, variance=1.0):
     """Zero-mean circularly-symmetric complex Gaussian samples with the
-    given total variance per sample.
-
-    calls gives leading axes of independent calls: the result, of shape
-    calls + shape, equals one call per leading index in C order, bit for
-    bit, because each call draws all its real parts, then all its
-    imaginary parts.
-    """
-    shape = tuple(np.atleast_1d(shape))
-    normals = rng.standard_normal((math.prod(calls), 2) + shape)
-    samples = np.sqrt(variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
-    return samples.reshape(tuple(calls) + shape)
+    given total variance per sample: all real parts are drawn, then all
+    imaginary parts."""
+    normals = rng.standard_normal((2,) + tuple(np.atleast_1d(shape)))
+    return np.sqrt(variance / 2.0) * (normals[0] + 1j * normals[1])
 
 
 def real_gaussian(rng, shape, variance=1.0, calls=()):
     """Zero-mean real Gaussian samples of the given variance, the
-    in-phase parts of complex_gaussian samples of twice that variance;
-    calls gives leading axes of independent calls, as there."""
+    in-phase parts of complex_gaussian samples of twice that variance.
+    calls gives leading axes of independent calls: the result, of shape
+    calls + shape, equals one call per leading index in C order, bit for
+    bit."""
     shape = tuple(np.atleast_1d(shape))
     normals = rng.standard_normal((math.prod(calls),) + shape)
     normals *= math.sqrt(variance)
@@ -112,11 +128,11 @@ def data_symbols(source, shape):
     return (1.0 - 2.0 * bits).reshape(shape)
 
 
-def draw_channels(config: SystemConfig, codebook: CodeBook, rng, n):
-    """n successive draw_channel calls in one block of normals: the same
-    ChannelStates, bit for bit, stacked on a leading slot axis.  The
-    source-destination and source-relay gains are drawn first, in that
-    order, and kept only in the effective vectors."""
+def draw_channels(config: SystemConfig, rng, n):
+    """n slots of fading in one block of normals, as ChannelGains with a
+    leading slot axis: per slot, the source-destination, source-relay
+    and relay-destination gains, in that order, each as its real then
+    its imaginary parts, so a block of n equals n blocks of one."""
     K, L = config.num_users, config.num_relays
     sizes = (K, K, K * L, K * L, L, L)       # real, imaginary per link set
     normals = np.split(rng.standard_normal((n, sum(sizes))),
@@ -125,15 +141,13 @@ def draw_channels(config: SystemConfig, codebook: CodeBook, rng, n):
     h_sd = scale * (normals[0] + 1j * normals[1])
     h_sr = (scale * (normals[2] + 1j * normals[3])).reshape(n, K, L)
     h_rd = scale * (normals[4] + 1j * normals[5])
-
-    h_eff_sd = h_sd[:, :, None] * codebook.codes
-    h_eff_sr = h_sr[..., None] * codebook.codes[:, None, :]
-    return ChannelState(h_rd, h_eff_sd, h_eff_sr)
+    return ChannelGains(h_rd, h_sd, h_sr)
 
 
 def draw_channel(config: SystemConfig, codebook: CodeBook, rng) -> ChannelState:
-    """Draw fresh fading coefficients for every link of one packet slot."""
-    return draw_channels(config, codebook, rng, 1)[0]
+    """Draw fresh fading coefficients for every link of one packet slot,
+    as the effective vectors on the codebook's codes."""
+    return draw_channels(config, rng, 1)[0].effective(codebook.codes)
 
 
 def _check_bpsk(symbols):

@@ -15,6 +15,8 @@ against: the direct form of each computation, kept out of the package.
   linear solve, and the NCS levels and carrying relays per call.
 - pair_state: a slot's channel as pass 2 reads it, the pair's relays in
   order on the relay axis.
+- chip_sinr_table: relay_selection.build_sinr_table in chip space, from
+  the N-chip filter banks on the effective vectors.
 - chip_rank_one_filters, chip_second_hop: the second hop's vector model,
   N-chip filters on the streams' code with their QR noise colouring,
   which the scalar filters of receivers.rank_one_filters reduce.
@@ -31,7 +33,9 @@ import numpy as np
 
 from plnc_sim.config import ReceiverKind
 from plnc_sim.network_coding import _qfunc, argmin_with_ties, design_G_mmse
-from plnc_sim.receivers import hard_decision
+from plnc_sim.receivers import (effective_gains, hard_decision,
+                                rank_one_outputs, relay_dest_filter_bank,
+                                source_relay_filter_bank)
 from plnc_sim.signal_model import (ChannelState, complex_gaussian,
                                    filter_output_maps)
 
@@ -161,6 +165,25 @@ def pair_state(state, relays):
     """state with only the given relays, in that order, on its relay axis."""
     r = list(relays)
     return ChannelState(state.h_rd[r], state.h_eff_sd, state.h_eff_sr[:, r])
+
+
+def chip_sinr_table(state, sigma2, kind, candidates):
+    """build_sinr_table's (..., pairs, 2) metric from a ChannelState's
+    effective vectors: the first hop's output powers |w^H h|^2 and
+    energies ||w||^2 from the N-chip filters of source_relay_filter_bank,
+    the second hop's from the relay-destination bank."""
+    filters_sr = source_relay_filter_bank(state, sigma2, kind)
+    filters_rd = relay_dest_filter_bank(state, sigma2, kind)
+    gains_rd, _, colour_rd = rank_one_outputs(filters_rd, state.h_rd, sigma2)
+    power = np.stack([
+        (np.abs(effective_gains(filters_sr, state.h_eff_sr)) ** 2).sum(axis=-2),
+        np.abs(gains_rd) ** 2], axis=-1)
+    wnorm = np.stack([np.sum(np.abs(filters_sr) ** 2, axis=-1).sum(axis=-2),
+                      colour_rd ** 2], axis=-1)
+    member = np.zeros((len(candidates), power.shape[-2]))
+    for row, relays in enumerate(candidates):
+        member[row, list(relays)] = 1.0
+    return member @ power / ((1.0 - member) @ power + sigma2 * (member @ wnorm))
 
 
 def chip_rank_one_filters(rows, sigma2, kind):

@@ -14,14 +14,13 @@ import pytest
 from plnc_sim import (BufferBank, DecoderKind, ReceiverKind, Scheme,
                       SlotMachine, SystemConfig, build_sinr_table, decide_action,
                       design_G_mmse, design_G_random, decode_joint,
-                      decode_with_direct, detect_ncs, draw_channel,
-                      encoder_table, generate_codebook, hard_decision,
-                      run_sweep, run_trial)
+                      decode_with_direct, detect_ncs, encoder_table,
+                      generate_codebook, hard_decision, run_sweep, run_trial)
 from plnc_sim.cli import main
 from plnc_sim.network_coding import argmin_with_ties, design_G_ml_for_channel
-from plnc_sim.receivers import (relay_dest_filter_bank,
+from plnc_sim.receivers import (code_coordinates, relay_dest_filter_bank,
                                 source_relay_filter_bank)
-from plnc_sim.signal_model import complex_gaussian
+from plnc_sim.signal_model import complex_gaussian, draw_channels
 
 from oracles import (invertible_binary, max_link_hop_ber,
                      ml_calibration_outputs, rayleigh_bpsk_ber,
@@ -275,13 +274,17 @@ class TestCriterion8SinrOracle:
         code = book.codes[0]
         T = 100_000
         worst = 0.0
+        coords = code_coordinates(book.codes)
         for trial in range(20):
-            state = draw_channel(cfg, book, rng)
+            # the gains as pass 1 reads them, and the chip-level channel
+            # the empirical estimates synthesize
+            gains = draw_channels(cfg, rng, 1)[0]
+            state = gains.effective(book.codes)
             kind = (ReceiverKind.RAKE, ReceiverKind.MMSE)[trial % 2]
             Wsr = source_relay_filter_bank(state, sigma2, kind)
             Wrd = relay_dest_filter_bank(state, sigma2, kind)
             pair = (0, 1)
-            an_sr, an_rd = build_sinr_table(state, Wsr, Wrd, sigma2, [pair])[0]
+            an_sr, an_rd = build_sinr_table(gains, coords, sigma2, kind, [pair])[0]
             em_sr = self.empirical_sr(pair, state, Wsr, sigma2, rng, T)
             em_rd = self.empirical_rd(pair, state, Wrd, code, sigma2, rng, T)
             worst = max(worst, abs(an_sr - em_sr) / em_sr,

@@ -146,24 +146,26 @@ def test_decode_time_fallbacks_reach_the_fallback_counter(tmp_path, monkeypatch)
 # single-slot draw stay for tests and demos, trace rows are the harness's
 # and the direct-link decoders belong to the other decoder kind; pass 2
 # draws real noise (signal_model.real_gaussian, counted in the test), so
-# complex samples are the chip-rate reference's alone
+# complex samples are the chip-rate reference's alone; pass 1 ranks from
+# the link gains, so the chip-space effective_gains is the tests' alone
 NOT_IN_A_JOINT_MACHINE = {"draw_channel", "synthesize_first_phase",
                           "synthesize_second_phase", "complex_gaussian",
                           "symbol_to_bit", "trace_row", "detect_ncs",
-                          "decode_with_direct"}
+                          "decode_with_direct", "effective_gains"}
 PASS_ONE = {"relay_dest_filter_bank", "build_sinr_table", "select_best",
-            "decide_action", "effective_gains"}
+            "decide_action"}
 
 
 @pytest.mark.parametrize("buffered", [True, False])
 def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
-    # the banks, the table and its ranking run once per block of slots
-    # drawn ahead, the ranking walk once per buffered slot, the random and
-    # ml designs once per settle; the source-relay bank also runs once
-    # per settle, for the receptions, in either mode; every traced name
-    # the machine uses is reached through its module
-    K, L, N = SMALL.num_users, SMALL.num_relays, SMALL.spreading_gain
-    monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * 2 * K * L * N)  # 3 slots
+    # the relay-destination bank, the table and its ranking run once per
+    # block of slots drawn ahead, the ranking walk once per buffered
+    # slot, the random and ml designs once per settle; the source-relay
+    # bank runs once per settle, for the receptions, in either mode, and
+    # never in pass 1; every traced name the machine uses is reached
+    # through its module
+    K, L = SMALL.num_users, SMALL.num_relays
+    monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * L * K * K)  # 3 slots
     draw, drawn = sm.draw_channels, []
 
     def counted(*args):                # a block's last slots may be fewer
@@ -190,7 +192,7 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     calls = Counter({name: entry[0] for name, entry in stats.items()})
     blocks = len(drawn)
     assert counts["slots"] == machine.slot > 3
-    assert calls["receivers.source_relay_filter_bank"] == blocks * buffered + 1
+    assert calls["receivers.source_relay_filter_bank"] == 1
     assert calls["receivers.relay_dest_filter_bank"] == blocks * buffered
     assert calls["relay_selection.build_sinr_table"] == blocks * buffered
     assert calls["relay_selection.select_best"] == blocks * buffered

@@ -1,5 +1,6 @@
 """Buffer bank feasibility rules and the slot state machine."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (BufferBank, DecoderKind, PairMode, Scheme, SlotMachine,
-                      SystemConfig, decide_action)
+from plnc_sim import (BufferBank, DecoderKind, PairMode, ReceiverKind, Scheme,
+                      SlotMachine, SystemConfig, decide_action)
 from plnc_sim import buffer_protocol as bp
+from plnc_sim import relay_selection as rs
 from plnc_sim import signal_model as sm
 from plnc_sim.buffer_protocol import NOTES, TRACE_FIELDS, trace_row
 from plnc_sim.harness import BerPoint
+
+from oracles import chip_sinr_table
 
 SR, RD = 0, 1                         # SINR table columns
 
@@ -491,6 +495,40 @@ class TestSlotMachine:
         rows = trace_row(m.log)
         assert len(rows) == m.slot
         assert all(len(row) == len(TRACE_FIELDS) for row in rows)
+
+
+class TestChipSpaceTableDecides:
+    @pytest.mark.parametrize("pair_mode", list(PairMode))
+    @pytest.mark.parametrize("kind", list(ReceiverKind))
+    def test_same_log_as_the_chip_space_table(self, monkeypatch, kind, pair_mode):
+        # pass 1 ranks from the link gains; with the table of the N-chip
+        # filter banks in its place, buffered machines of all four
+        # schemes log the same decisions, bits and errors, and the same
+        # SINR to 1e-12 relative
+        cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=16,
+                           buffer_size=4, group_size=2, packet_length=8,
+                           receiver=kind, pair_mode=pair_mode, rng_seed=5)
+        codes = sm.generate_codebook(cfg).codes
+
+        def chip_table(channel, coords, sigma2, receiver, candidates):
+            return chip_sinr_table(channel.effective(codes), sigma2, receiver,
+                                   candidates)
+
+        def logs():
+            return [SlotMachine(replace(cfg, snr_db=snr), seed,
+                                schemes=list(Scheme)).run_until(40).log
+                    for seed, snr in ((3, 0.0), (4, 20.0))]
+
+        production = logs()
+        monkeypatch.setattr(rs, "build_sinr_table", chip_table)
+        for got, want in zip(production, logs()):
+            assert got["transmit"].any() and (~got["transmit"]).any()
+            for name in got.dtype.names:
+                if name == "sinr":
+                    np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                               atol=0)
+                else:
+                    assert np.array_equal(got[name], want[name]), name
 
 
 @st.composite

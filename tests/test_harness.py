@@ -459,14 +459,14 @@ class TestSettleInvariance:
         cfg = case[0]
         draw, drawn = signal_model.draw_channels, []
 
-        def counted(config, codebook, rng, n):
+        def counted(config, rng, n):
             drawn.append(n)
-            return draw(config, codebook, rng, n)
+            return draw(config, rng, n)
 
         machine = SlotMachine(cfg, schemes=list(Scheme), replicas=[
             (buffered, seed) for buffered, seed, _ in replicas])
         budget = buffer_protocol._SLICE_ELEMENTS if block is None else \
-            block * 2 * cfg.num_users * cfg.num_relays * cfg.spreading_gain
+            block * cfg.num_relays * cfg.num_users ** 2
         with mock.patch.object(signal_model, "draw_channels", counted), \
                 mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", budget):
             for counts in ([n for *_, n in replicas], [n + 2 for *_, n in replicas]):

@@ -511,8 +511,8 @@ class TestErfcKernelInvariance:
         sigma2 = 10.0 ** log_sigma2
         cfg = SystemConfig(num_users=m, num_relays=m, spreading_gain=8,
                            group_size=m)
-        state = draw_channels(cfg, generate_codebook(cfg),
-                              np.random.default_rng(seed), receptions)
+        state = draw_channels(cfg, np.random.default_rng(seed),
+                              receptions).effective(generate_codebook(cfg).codes)
         filters_sr = source_relay_filter_bank(state, sigma2, kind)
         users = np.broadcast_to(np.arange(m), (receptions, m))
         gains, nvar, _ = rank_one_outputs(

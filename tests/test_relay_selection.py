@@ -4,77 +4,72 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plnc_sim import (PairMode, ReceiverKind, SystemConfig, build_sinr_table,
                       candidate_pairs, draw_channel, generate_codebook,
                       select_best)
 from plnc_sim.network_coding import make_group_assignments
-from plnc_sim.receivers import (relay_dest_filter_bank,
+from plnc_sim.receivers import (code_coordinates, relay_dest_filter_bank,
                                 source_relay_filter_bank)
 from plnc_sim.signal_model import complex_gaussian, draw_channels
 
+from oracles import chip_sinr_table
+
 
 def scenario(snr_db=10.0, seed=0, **kw):
+    """A small system, its codebook and groups, and one slot's gains,
+    drawn as draw_channel draws them."""
     defaults = dict(num_users=4, num_relays=4, spreading_gain=8,
                     buffer_size=2, group_size=2, snr_db=snr_db, rng_seed=seed)
     defaults.update(kw)
     cfg = SystemConfig(**defaults)
     book = generate_codebook(cfg)
     _, groups = make_group_assignments(cfg, np.random.default_rng([seed, 0x6E0]))
-    state = draw_channel(cfg, book, np.random.default_rng(seed + 1))
-    return cfg, book, groups, state
+    gains = draw_channels(cfg, np.random.default_rng(seed + 1), 1)[0]
+    return cfg, book, groups, gains
 
 
-def pair_sinr(pair, state, Wsr, Wrd, sigma2):
+def sinr_table(gains, codes, sigma2, kind, candidates):
+    return build_sinr_table(gains, code_coordinates(codes), sigma2, kind, candidates)
+
+
+def pair_sinr(pair, gains, book, sigma2, kind=ReceiverKind.RAKE):
     """(source-relay, relay-destination) metric of one relay pair, read
     from its row of the array table."""
-    return build_sinr_table(state, Wsr, Wrd, sigma2, [tuple(pair)])[0]
-
-
-# one hop's column; the other hop's filters do not enter it
-def sinr_source_relay(pair, state, Wsr, sigma2):
-    Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.RAKE)
-    return pair_sinr(pair, state, Wsr, Wrd, sigma2)[0]
-
-
-def sinr_relay_destination(pair, state, Wrd, sigma2):
-    Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.RAKE)
-    return pair_sinr(pair, state, Wsr, Wrd, sigma2)[1]
+    return sinr_table(gains, book.codes, sigma2, kind, [tuple(pair)])[0]
 
 
 class TestSinrFormulas:
     def test_single_user_single_relay_reduction(self):
-        # K = 1, L = m = 1, RAKE: the metric collapses to ||h||^2/sigma2
-        cfg, _, _, state = scenario(num_users=1, num_relays=1, group_size=1)
-        sigma2 = cfg.noise_var
-        W = source_relay_filter_bank(state, sigma2, ReceiverKind.RAKE)
-        got = sinr_source_relay((0,), state, W, sigma2)
-        expected = np.sum(np.abs(state.h_eff_sr[0, 0]) ** 2) / sigma2
-        assert abs(got - expected) < 1e-9 * expected
+        # K = 1, L = m = 1: either receiver's metric collapses to
+        # |h|^2 / sigma2
+        cfg, book, _, gains = scenario(num_users=1, num_relays=1, group_size=1)
+        expected = np.abs(gains.h_sr[0, 0]) ** 2 / cfg.noise_var
+        for kind in ReceiverKind:
+            got = pair_sinr((0,), gains, book, cfg.noise_var, kind)[0]
+            assert abs(got - expected) < 1e-12 * expected
 
     def test_single_relay_destination_reduction(self):
-        cfg, _, _, state = scenario(num_users=1, num_relays=1, group_size=1)
-        sigma2 = cfg.noise_var
-        W = relay_dest_filter_bank(state, sigma2, ReceiverKind.RAKE)
-        got = sinr_relay_destination((0,), state, W, sigma2)
-        expected = np.abs(state.h_rd[0]) ** 2 / sigma2
-        assert abs(got - expected) < 1e-9 * expected
+        cfg, book, _, gains = scenario(num_users=1, num_relays=1, group_size=1)
+        expected = np.abs(gains.h_rd[0]) ** 2 / cfg.noise_var
+        for kind in ReceiverKind:
+            got = pair_sinr((0,), gains, book, cfg.noise_var, kind)[1]
+            assert abs(got - expected) < 1e-12 * expected
 
     def test_monotone_in_noise(self):
-        cfg, _, _, state = scenario()
-        W = source_relay_filter_bank(state, 0.1, ReceiverKind.RAKE)
-        low = sinr_source_relay((0, 1), state, W, 0.1)
-        high = sinr_source_relay((0, 1), state, W, 0.2)
+        _, book, _, gains = scenario()
+        low = pair_sinr((0, 1), gains, book, 0.1)[0]
+        high = pair_sinr((0, 1), gains, book, 0.2)[0]
         assert high < low
 
     def test_stronger_pair_wins_second_hop(self):
-        cfg, _, _, state = scenario()
-        sigma2 = cfg.noise_var
-        state.h_rd[2] = 3.0 * state.h_rd[0]
-        state.h_rd[3] = 3.0 * state.h_rd[1]
-        W = relay_dest_filter_bank(state, sigma2, ReceiverKind.RAKE)
-        weak = sinr_relay_destination((0, 1), state, W, sigma2)
-        strong = sinr_relay_destination((2, 3), state, W, sigma2)
+        cfg, book, _, gains = scenario()
+        gains.h_rd[2] = 3.0 * gains.h_rd[0]
+        gains.h_rd[3] = 3.0 * gains.h_rd[1]
+        weak = pair_sinr((0, 1), gains, book, cfg.noise_var)[1]
+        strong = pair_sinr((2, 3), gains, book, cfg.noise_var)[1]
         assert strong > weak
 
     @pytest.mark.parametrize("kind", [ReceiverKind.RAKE, ReceiverKind.MMSE])
@@ -85,23 +80,23 @@ class TestSinrFormulas:
         # denominator aggregates terms across filters, so no dominance
         # between receiver kinds is asserted here; the per-filter
         # output-SINR dominance lives in the receiver tests.)
-        cfg, _, _, state = scenario(seed=8)
-        sigma2 = cfg.noise_var
-        state.h_eff_sr[:, 2, :] = 3.0 * state.h_eff_sr[:, 0, :]
-        state.h_eff_sr[:, 3, :] = 3.0 * state.h_eff_sr[:, 1, :]
-        W = source_relay_filter_bank(state, sigma2, kind)
-        weak = sinr_source_relay((0, 1), state, W, sigma2)
-        strong = sinr_source_relay((2, 3), state, W, sigma2)
+        cfg, book, _, gains = scenario(seed=8)
+        gains.h_sr[:, 2] = 3.0 * gains.h_sr[:, 0]
+        gains.h_sr[:, 3] = 3.0 * gains.h_sr[:, 1]
+        weak = pair_sinr((0, 1), gains, book, cfg.noise_var, kind)[0]
+        strong = pair_sinr((2, 3), gains, book, cfg.noise_var, kind)[0]
         assert strong > weak
 
     @pytest.mark.parametrize("kind", [ReceiverKind.RAKE, ReceiverKind.MMSE])
     def test_empirical_oracle_small(self, kind):
-        # sample-average estimate of each constituent term (desk scale;
+        # sample-average estimate of each constituent term of the table
+        # pass 1 computes, from chip-level filter outputs (desk scale;
         # the acceptance suite runs the 1e5-symbol version)
-        cfg, _, _, state = scenario(seed=3)
+        cfg, book, _, gains = scenario(seed=3)
         sigma2 = cfg.noise_var
+        state = gains.effective(book.codes)
         W = source_relay_filter_bank(state, sigma2, kind)
-        analytic = sinr_source_relay((0, 1), state, W, sigma2)
+        analytic = pair_sinr((0, 1), gains, book, sigma2, kind)[0]
         empirical = empirical_sinr_source_relay((0, 1), state, W, sigma2,
                                                 np.random.default_rng(4), 20000)
         assert abs(analytic - empirical) < 0.05 * analytic
@@ -127,24 +122,81 @@ def empirical_sinr_source_relay(pair, state, W, sigma2, rng, T):
     return num / (interference + noise_power)
 
 
+@st.composite
+def table_cases(draw):
+    """A small system in either pair mode and receiver kind, at -10 to
+    30 dB, a block of slots, and its codes; some blocks hold an exactly
+    zero source-relay gain, and some codebooks two codes equal up to
+    sign."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    mode = draw(st.sampled_from(list(PairMode)))
+    L = m * draw(st.integers(1, 6 // m))
+    K = m * draw(st.integers(1, (L if mode == PairMode.FIXED_GROUPS else 6) // m))
+    cfg = SystemConfig(num_users=K, num_relays=L, group_size=m,
+                       spreading_gain=draw(st.integers(2, 16)),
+                       snr_db=draw(st.floats(-10.0, 30.0)),
+                       receiver=draw(st.sampled_from(list(ReceiverKind))),
+                       pair_mode=mode, rng_seed=draw(st.integers(0, 999)))
+    slots = draw(st.integers(1, 5))
+    gains = draw_channels(cfg, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                          slots)
+    # another user keeps the zeroed relay's filter energy positive
+    if K > 1 and draw(st.booleans()):
+        gains.h_sr[draw(st.integers(0, slots - 1)), draw(st.integers(0, K - 1)),
+                   draw(st.integers(0, L - 1))] = 0.0
+    codes = generate_codebook(cfg).codes
+    if K > 1 and draw(st.booleans()):
+        codes[1] = draw(st.sampled_from([1.0, -1.0])) * codes[0]
+    return cfg, gains, codes
+
+
+class TestChipOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(table_cases())
+    def test_table_equals_chip_space_table(self, case):
+        # the table read from the gains and the codes' Gram is the one
+        # the N-chip filter banks give, to 1e-12 relative, and it ranks
+        # the (pair, hop) entries alike
+        cfg, gains, codes = case
+        _, groups = make_group_assignments(cfg, np.random.default_rng(0))
+        cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
+                                cfg.pair_mode)
+        got = sinr_table(gains, codes, cfg.noise_var, cfg.receiver, cands)
+        want = chip_sinr_table(gains.effective(codes), cfg.noise_var, cfg.receiver,
+                               cands)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert select_best(got) == select_best(want)
+
+    @pytest.mark.parametrize("kind", list(ReceiverKind))
+    def test_zero_gain_gives_the_zero_filter_terms(self, kind):
+        # a zero source-relay gain contributes exactly nothing to its
+        # relay's sums, as the bank's zero filter row does: with K = 1 the
+        # pair's first-hop entry is exactly 0 in both tables
+        cfg, book, _, gains = scenario(num_users=1, num_relays=2, group_size=1)
+        gains.h_sr[0, 0] = 0.0
+        table = sinr_table(gains, book.codes, cfg.noise_var, kind, [(0,), (1,)])
+        want = chip_sinr_table(gains.effective(book.codes), cfg.noise_var, kind,
+                               [(0,), (1,)])
+        assert table[0, 0] == want[0, 0] == 0.0
+        assert table[1, 0] > 0.0
+
+
 class TestZeroRelayGain:
     @pytest.mark.parametrize("kind", list(ReceiverKind))
     def test_table_reads_silent_relays_as_streams_of_no_power(self, kind):
         # relays 0 and 1 have no path to the destination: the table stays
         # finite, the first hop is unchanged, and each pair's second hop
         # counts its live relays against the other live ones
-        cfg, _, _, state = scenario(num_relays=6)
+        cfg, book, _, gains = scenario(num_relays=6)
         sigma2 = cfg.noise_var
         candidates = list(combinations(range(6), 2))
-        Wsr = source_relay_filter_bank(state, sigma2, kind)
-        before = build_sinr_table(state, Wsr, relay_dest_filter_bank(
-            state, sigma2, kind), sigma2, candidates)
-        state.h_rd[:2] = 0.0
-        Wrd = relay_dest_filter_bank(state, sigma2, kind)
-        table = build_sinr_table(state, Wsr, Wrd, sigma2, candidates)
+        before = sinr_table(gains, book.codes, sigma2, kind, candidates)
+        gains.h_rd[:2] = 0.0
+        Wrd = relay_dest_filter_bank(gains, sigma2, kind)
+        table = sinr_table(gains, book.codes, sigma2, kind, candidates)
         assert np.all(np.isfinite(table) & (table >= 0.0))
         assert np.array_equal(table[:, 0], before[:, 0])
-        power = np.abs(Wrd.conj() * state.h_rd) ** 2
+        power = np.abs(Wrd.conj() * gains.h_rd) ** 2
         for row, pair in enumerate(candidates):
             live = [r for r in pair if r > 1]
             others = [r for r in range(2, 6) if r not in pair]
@@ -222,43 +274,38 @@ class TestCandidates:
         assert pairs == list(combinations(range(6), m))
 
     def test_table_covers_both_hops(self):
-        cfg, _, groups, state = scenario()
+        cfg, book, groups, gains = scenario()
         sigma2 = cfg.noise_var
-        Wsr = source_relay_filter_bank(state, sigma2, ReceiverKind.MMSE)
-        Wrd = relay_dest_filter_bank(state, sigma2, ReceiverKind.MMSE)
         cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
                                 PairMode.FIXED_GROUPS)
-        table = build_sinr_table(state, Wsr, Wrd, sigma2, cands)
+        table = sinr_table(gains, book.codes, sigma2, ReceiverKind.MMSE, cands)
         assert table.shape == (len(cands), 2)   # column 0 first hop, 1 second
         assert np.all(np.isfinite(table) & (table > 0))
         for row, relays in enumerate(cands):
-            assert np.array_equal(table[row], pair_sinr(relays, state, Wsr, Wrd,
-                                                        sigma2))
+            assert np.array_equal(table[row], pair_sinr(relays, gains, book, sigma2,
+                                                        ReceiverKind.MMSE))
 
 
 class TestChannelBlock:
     @pytest.mark.parametrize("pair_mode", list(PairMode))
     @pytest.mark.parametrize("kind", list(ReceiverKind))
     def test_block_calls_equal_per_slot_calls(self, kind, pair_mode):
-        # a slot machine computes the banks and the table once per block
-        # of slots drawn ahead; row for row they must be the per-slot calls
+        # a slot machine draws the gains and computes the table once per
+        # block of slots drawn ahead, and pass 2 stacks its receptions'
+        # banks; row for row they must be the per-slot calls
         cfg, book, groups, _ = scenario(seed=4, num_users=6, num_relays=6,
                                         spreading_gain=16, pair_mode=pair_mode)
         sigma2 = cfg.noise_var
         cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size, pair_mode)
-        block = draw_channels(cfg, book, np.random.default_rng(9), 7)
-        Wsr = source_relay_filter_bank(block, sigma2, kind)
-        Wrd = relay_dest_filter_bank(block, sigma2, kind)
-        table = build_sinr_table(block, Wsr, Wrd, sigma2, cands)
+        block = draw_channels(cfg, np.random.default_rng(9), 7)
+        Wsr = source_relay_filter_bank(block.effective(book.codes), sigma2, kind)
+        table = sinr_table(block, book.codes, sigma2, kind, cands)
         assert table.shape == (7, len(cands), 2)
         rng = np.random.default_rng(9)
         for i in range(7):
             state = draw_channel(cfg, book, rng)
-            for name, array in vars(state).items():
-                assert np.array_equal(array, getattr(block[i], name)), name
-            wsr = source_relay_filter_bank(state, sigma2, kind)
-            wrd = relay_dest_filter_bank(state, sigma2, kind)
-            assert np.array_equal(Wsr[i], wsr)
-            assert np.array_equal(Wrd[i], wrd)
-            assert np.array_equal(table[i],
-                                  build_sinr_table(state, wsr, wrd, sigma2, cands))
+            for name, array in vars(block[i].effective(book.codes)).items():
+                assert np.array_equal(array, getattr(state, name)), name
+            assert np.array_equal(Wsr[i], source_relay_filter_bank(state, sigma2, kind))
+            assert np.array_equal(table[i], sinr_table(block[i], book.codes, sigma2,
+                                                       kind, cands))

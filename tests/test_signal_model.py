@@ -79,6 +79,13 @@ class TestChannel:
         assert np.allclose(np.linalg.norm(state.h_eff_sr, axis=-1),
                            np.abs(h_sr), atol=1e-12)
 
+    def test_block_gains_are_the_normals(self):
+        # a block of one slot holds the drawn gains themselves, bit for bit
+        gains = draw_channels(small_config(), np.random.default_rng(2), 1)[0]
+        for got, want in zip((gains.h_sd, gains.h_sr, gains.h_rd),
+                             drawn_gains(small_config(), 2)):
+            assert np.array_equal(got, want)
+
     def test_effective_vector_identity(self):
         cfg = small_config()
         book = generate_codebook(cfg)
@@ -130,6 +137,15 @@ class TestFirstPhase:
         rng = np.random.default_rng(9)
         samples = complex_gaussian(rng, 100_000, sigma2)
         assert abs(np.mean(np.abs(samples) ** 2) - sigma2) < 0.02 * sigma2
+
+    def test_complex_gaussian_reference_draw(self):
+        # all real parts, then all imaginary parts, of the stream: the
+        # draw the chip-rate reference and the ml calibration oracle read
+        got = complex_gaussian(np.random.default_rng(31), (2, 3), 0.5)
+        normals = np.random.default_rng(31).standard_normal((2, 2, 3))
+        assert np.array_equal(got, 0.5 * (normals[0] + 1j * normals[1]))
+        assert got[0, 0] == complex(-0.197650644293285, 0.39148993531504506)
+        assert got[1, 2] == complex(0.12752906088716978, 0.6011949220676437)
 
     def test_energy_conservation(self):
         # E||y - n||^2 equals the sum of a^2 |h|^2 over active links
@@ -204,7 +220,7 @@ class TestInPhaseSampling:
             codes = book.codes.copy()
             codes[1] = -codes[0]
             book = CodeBook(codes)
-        state = draw_channels(cfg, book, np.random.default_rng(21), 8)
+        state = draw_channels(cfg, np.random.default_rng(21), 8).effective(book.codes)
         bank = source_relay_filter_bank(state, cfg.noise_var, kind)
         W = np.swapaxes(bank[:, :2], 1, 2)              # (slot, relay, 2, N)
         if parallel:        # the complex covariance conj(W) W^T is singular
