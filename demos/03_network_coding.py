@@ -7,10 +7,9 @@ encoder and the decoders take them.
 """
 import numpy as np
 
-from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
-                      design_G_mmse, design_G_random, detect_ncs, encode_ncs,
-                      encoder_table, select_G_mmse, symbol_to_bit, xor_decode,
-                      xor_encode)
+from plnc_sim import (decode_joint, decode_with_direct, design_G_mmse,
+                      design_G_random, detect_ncs, encode_ncs, encoder_table,
+                      select_G_mmse, symbol_to_bit, xor_decode, xor_encode)
 from plnc_sim.network_coding import design_G_ml_for_channel
 from plnc_sim.signal_model import complex_gaussian
 
@@ -18,10 +17,11 @@ rng = np.random.default_rng(5)
 
 print("== XOR mapping ==")
 bits = np.array([1, 0])
+symbols = 1.0 - 2.0 * bits                      # BPSK: bit c is the symbol 1 - 2c
 # both relays detect the bits; XOR of bits is the product of +-1 symbols
-ncs = xor_encode(np.broadcast_to(bit_to_symbol(bits)[:, None], (2, 2, 1)))
+ncs = xor_encode(np.broadcast_to(symbols[:, None], (2, 2, 1)))
 print(f"relay bits {bits} -> xor symbols {ncs[:, 0]}")
-direct = bit_to_symbol(bits)[:, None]          # the destination's direct estimates
+direct = symbols[:, None]                       # the destination's direct estimates
 recovered = xor_decode(ncs[0], direct)
 print(f"destination recovers the user bits {symbol_to_bit(recovered[:, 0])}")
 

@@ -8,9 +8,8 @@ every pair receive.
 """
 import numpy as np
 
-from plnc_sim import (Hop, PairMode, ReceiverKind, SystemConfig,
-                      build_sinr_table, candidate_pairs, generate_codebook,
-                      select_best)
+from plnc_sim import (PairMode, ReceiverKind, SystemConfig, build_sinr_table,
+                      candidate_pairs, generate_codebook, select_best)
 from plnc_sim.network_coding import make_group_assignments
 from plnc_sim.receivers import code_coordinates
 from plnc_sim.signal_model import draw_channels
@@ -27,7 +26,7 @@ cands = candidate_pairs(group_relays, cfg.num_relays, cfg.group_size,
 table = build_sinr_table(gains, code_coordinates(book.codes), cfg.noise_var,
                          ReceiverKind.MMSE, cands)
 
-hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)     # table columns
+hops = ("source_relay", "relay_dest")     # table columns
 print("SINR table for this slot:")
 for pid, (relays, row) in enumerate(zip(cands, table)):   # pair id = index
     for hop, sinr in zip(hops, row):

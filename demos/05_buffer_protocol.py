@@ -14,7 +14,8 @@ for _ in range(30):
     machine.advance()      # pass 1: decide the slot
 machine.settle()           # pass 2: the physics, which fills in the errors
 
-log = machine.log          # one record per slot, read by column
+replica = machine.replicas[0]   # the one run: its log, bank and counters
+log = replica.log          # one record per slot, read by column
 print("slot action    pair hop          sinr    occupancies  resel errs")
 for slot, (transmit, pair_id, sinr, occupancy, resel, errs) in enumerate(zip(
         log["transmit"], log["pair_id"], log["sinr"], log["occupancy"],
@@ -27,7 +28,7 @@ for slot, (transmit, pair_id, sinr, occupancy, resel, errs) in enumerate(zip(
 
 bits = log["decoded_bits"].sum()
 ber = log["bit_errors"][:, 0].sum() / bits if bits else 0
-print(f"\n{machine.transmit_slots} packets decoded in {machine.slot} slots, "
+print(f"\n{replica.transmit_slots} packets decoded in {replica.slot} slots, "
       f"running ber {ber:.4f}")
 print("note how reception slots run ahead early (buffers filling) and the")
 print("selection then alternates hops based on the per-slot SINR tables")

@@ -81,8 +81,7 @@ from . import network_coding as nc
 from . import receivers as rx
 from . import relay_selection as rs
 from . import signal_model as sm
-from .config import (DecoderKind, Hop, PairMode, Scheme, SystemConfig,
-                     check_count)
+from .config import DecoderKind, PairMode, Scheme, SystemConfig, check_count
 
 # Pass 2 and the channel blocks run in slices whose transient arrays
 # hold about this many float64 elements (256 KB), a constant: a channel
@@ -162,6 +161,7 @@ class BufferBank:
 
 
 _ACTIONS = ("receive", "transmit")     # table columns: source-relay, relay-dest
+_HOPS = ("source_relay", "relay_dest")  # the trace's hop column, per action
 
 
 class Decision(NamedTuple):
@@ -216,11 +216,10 @@ def trace_columns(log):
         return ["|".join(map(str, row)) for row in rows.tolist()]
 
     transmit, occupancy = log["transmit"].tolist(), log["occupancy"]
-    hops = (Hop.SOURCE_RELAY.value, Hop.RELAY_DEST.value)
     after = joined(occupancy)
     return list(zip(
         range(len(log)), [_ACTIONS[t] for t in transmit], log["pair_id"].tolist(),
-        joined(log["relays"]), [hops[t] for t in transmit],
+        joined(log["relays"]), [_HOPS[t] for t in transmit],
         [f"{s:.6g}" if math.isfinite(s) else "" for s in log["sinr"].tolist()],
         ["|".join(["0"] * occupancy.shape[1])] + after[:-1], after,
         log["reselections"].tolist(), log["decoded_bits"].tolist()))
@@ -376,9 +375,9 @@ class SlotMachine:
     SeedSequence or a Generator) is spawned into the replica's five
     RngStreams.  A SeedSequence is copied first, so one object gives the
     same run every time; a Generator is consumed, as spawning advances
-    it.  Group g's users are row g of group_users.  A one-replica machine
-    reads as its replica: machine.log, .bank, .slot and the rest are
-    replicas[0]'s.
+    it.  Group g's users are row g of group_users.  The log, bank, slot
+    counters and streams are per replica: a one-replica machine's are
+    machine.replicas[0]'s.
     """
 
     def __init__(self, config: SystemConfig, seed=None, schemes=None,
@@ -413,14 +412,6 @@ class SlotMachine:
                                candidates, groups)
         self.replicas = tuple(Replica(*modes[buffered], seed, schemes)
                               for buffered, seed in replicas)
-
-    def __getattr__(self, name):
-        replicas = self.__dict__.get("replicas", ())
-        if len(replicas) == 1:
-            return getattr(replicas[0], name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute "
-                             f"{name!r}; a machine of {len(replicas)} replicas "
-                             "keeps it per replica")
 
     # -- pass 1: decisions, one slot of one replica at a time ---------------
 
@@ -670,8 +661,7 @@ class SlotMachine:
             for s in _slices(len(coded), 10 * P):
                 noise = sm.filter_noise(
                     colour[s], (len(truth[s]), 1, P), cfg.noise_var,
-                    _stream(owners[s], lambda r: r.lanes[xor[0]].noise),
-                    call_axes=1)
+                    _stream(owners[s], lambda r: r.lanes[xor[0]].noise))
                 for k in xor:
                     soft = signal[s] @ ncs[s, k].astype(np.float64) + noise
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
@@ -687,8 +677,7 @@ class SlotMachine:
             for s in _slices(len(coded), 10 * m * P):     # a sub-slot per stream
                 noise = sm.filter_noise(
                     colour[s, :, None, None], (len(truth[s]), m, 1, P), cfg.noise_var,
-                    _stream(owners[s], lambda r: r.lanes[linear[0]].noise),
-                    call_axes=1)[:, :, 0]
+                    _stream(owners[s], lambda r: r.lanes[linear[0]].noise))[:, :, 0]
                 for k in linear:
                     z = gains[s, :, None] * ncs[s, k].astype(np.float64) + noise
                     refine = None if decoders[k] is None else decoders[k][s]

@@ -26,11 +26,6 @@ class DecoderKind(str, Enum):
     DIRECT = "direct"    # cancel known users via stored direct-link estimates
 
 
-class Hop(str, Enum):
-    SOURCE_RELAY = "source_relay"
-    RELAY_DEST = "relay_dest"
-
-
 class PairMode(str, Enum):
     FIXED_GROUPS = "fixed"   # L/m disjoint relay pairs, one per user group
     ALL_PAIRS = "all"        # every unordered relay pair is a candidate

@@ -119,7 +119,7 @@ def run_trial(config: SystemConfig, seed, n_packets) -> BerPoint:
     into the per-purpose streams."""
     point = BerPoint(scheme_label(config.nc_design, config.buffers_enabled,
                                   config.receiver), config.snr_db)
-    return point.add(SlotMachine(config, seed).run_until(n_packets).log)
+    return point.add(SlotMachine(config, seed).run_until(n_packets).replicas[0].log)
 
 
 def _run_chunk(task):
@@ -251,23 +251,6 @@ def emit_report(report: RunReport, path):
     except OSError as exc:
         raise OSError(f"cannot write report to {path!r}: {exc}") from exc
     return path
-
-
-def parse_report(path):
-    """Read back an emitted CSV into a list of row dicts."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for row in reader:
-                rows.append({"scheme": row["scheme"],
-                             "snr_db": float(row["snr_db"]),
-                             "bits": int(row["bits"]),
-                             "errors": int(row["errors"]),
-                             "ber": float(row["ber"])})
-            return rows
-    except OSError as exc:
-        raise OSError(f"cannot read report from {path!r}: {exc}") from exc
 
 
 def write_trace(report: RunReport, path):

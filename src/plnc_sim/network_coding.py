@@ -48,13 +48,8 @@ class MmseDecoder(NamedTuple):
     fallback: np.ndarray    # (...,) bool
 
 
-def bit_to_symbol(c):
-    """BPSK map b = 1 - 2c."""
-    return 1.0 - 2.0 * np.asarray(c, dtype=np.float64)
-
-
 def symbol_to_bit(b):
-    """Inverse map c = (1 - b) / 2."""
+    """The bit c of a BPSK symbol b = 1 - 2c: c = (1 - b) / 2."""
     return ((1.0 - np.asarray(b, dtype=np.float64)) / 2.0).astype(np.int64)
 
 

@@ -22,6 +22,9 @@ Conventions used throughout:
     in-phase parts, the one dimension every BPSK slicer reads: an
     output's real part is its gain's real part times the symbols plus
     N(0, sigma2/2)-per-dimension noise coloured by the filters
+  * filter_noise draws that noise for both phases; a draw fills its
+    array in C order, so one draw over leading observation axes equals
+    one draw per observation
   * data symbols are +-1 = 1 - 2c for the bits c of whole 64-bit words
     of a bit generator, lowest bit first
 """
@@ -100,16 +103,12 @@ def complex_gaussian(rng, shape, variance=1.0):
     return np.sqrt(variance / 2.0) * (normals[0] + 1j * normals[1])
 
 
-def real_gaussian(rng, shape, variance=1.0, calls=()):
+def real_gaussian(rng, shape, variance=1.0):
     """Zero-mean real Gaussian samples of the given variance, the
-    in-phase parts of complex_gaussian samples of twice that variance.
-    calls gives leading axes of independent calls: the result, of shape
-    calls + shape, equals one call per leading index in C order, bit for
-    bit."""
-    shape = tuple(np.atleast_1d(shape))
-    normals = rng.standard_normal((math.prod(calls),) + shape)
+    in-phase parts of complex_gaussian samples of twice that variance."""
+    normals = rng.standard_normal(tuple(np.atleast_1d(shape)))
     normals *= math.sqrt(variance)
-    return normals.reshape(tuple(calls) + shape)
+    return normals
 
 
 def data_symbols(source, shape):
@@ -225,30 +224,14 @@ def filter_output_maps(filters, h_eff):
     return gains, np.swapaxes(r, -1, -2)
 
 
-def sample_filter_outputs(maps, symbols, sigma2, rng, call_axes=0):
-    """The in-phase parts of filter outputs sampled at symbol level,
-    equal to those of chip-rate synthesis followed by the filters in
-    distribution.
-
-    maps are filter_output_maps and symbols (S, P) or (..., S, P) the
-    streams' real symbols.  The first call_axes leading axes of the
-    result index separate observations that each draw their noise as
-    one call would.  Returns (..., M, P) real.
-    """
-    gains, colour = maps
-    signal = gains.real @ symbols
-    return signal + filter_noise(colour, signal.shape, sigma2, rng, call_axes)
-
-
-def filter_noise(colour, shape, sigma2, rng, call_axes=0):
-    """The noise part of sample_filter_outputs: colour @ N(0, sigma2/2 I),
-    the in-phase part of complex noise of variance sigma2 per chip after
-    the filters, for outputs of shape (..., M, P), colour (..., M, C)
-    being the maps' (..., M, min(2N, M)) colouring or a scalar filter's
-    |f| as (..., 1, 1); the first call_axes axes of shape draw as
-    separate calls."""
-    white = real_gaussian(rng, shape[call_axes:-2] + (colour.shape[-1], shape[-1]),
-                          sigma2 / 2.0, calls=shape[:call_axes])
+def filter_noise(colour, shape, sigma2, rng):
+    """colour @ N(0, sigma2/2 I), the in-phase part of complex noise of
+    variance sigma2 per chip after the filters, for outputs of shape
+    (..., M, P), colour (..., M, C) being filter_output_maps'
+    (..., M, min(2N, M)) colouring or a scalar filter's |f| as
+    (..., 1, 1)."""
+    white = real_gaussian(rng, shape[:-2] + (colour.shape[-1], shape[-1]),
+                          sigma2 / 2.0)
     return colour @ white
 
 
@@ -286,7 +269,7 @@ def sample_first_phase(symbols, maps, sigma2, rng):
     normals.  With leading reception axes on symbols (..., K, P) and the
     maps, each reception draws its noise as one call would.
     """
-    symbols = _check_bpsk(symbols)
-    out = sample_filter_outputs(maps, symbols[..., None, :, :], sigma2, rng,
-                                call_axes=symbols.ndim - 2)
+    gains, colour = maps
+    signal = gains @ _check_bpsk(symbols)[..., None, :, :]
+    out = signal + filter_noise(colour, signal.shape, sigma2, rng)
     return out[..., 0, :, :], out[..., 1:, :, :]

@@ -373,8 +373,7 @@ def chain_z(expected_ber, seed, **kw):
     cfg = SystemConfig(num_users=1, num_relays=1, spreading_gain=8,
                        group_size=1, packet_length=16, rng_seed=2017, **kw)
     mach = SlotMachine(cfg, seed, schemes=[Scheme.XOR, Scheme.RANDOM])
-    mach.run_until(ANCHOR_PACKETS)
-    log = mach.log
+    log = mach.run_until(ANCHOR_PACKETS).replicas[0].log
     errors = log["bit_errors"][log["transmit"]].astype(np.float64)   # (packets, lanes)
     stderr = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
     return (errors.mean(axis=0) - expected_ber * cfg.packet_length) / stderr

@@ -134,12 +134,12 @@ def test_decode_time_fallbacks_reach_the_fallback_counter(tmp_path, monkeypatch)
     full = tracer.Tracer(str(tmp_path))
     undo = full.install(full=True)
     try:
-        machine = SlotMachine(replace(SMALL, nc_design=Scheme.MMSE_DESIGN),
-                              np.random.default_rng(4)).run_until(3)
+        replica = SlotMachine(replace(SMALL, nc_design=Scheme.MMSE_DESIGN),
+                              np.random.default_rng(4)).run_until(3).replicas[0]
     finally:
         tracer.uninstall(undo)
-    notes = np.count_nonzero(machine.log["note"] == bp.NOTES.index("mmse fallback"))
-    assert notes == machine.transmit_slots > 0
+    notes = np.count_nonzero(replica.log["note"] == bp.NOTES.index("mmse fallback"))
+    assert notes == replica.transmit_slots > 0
 
 
 # traced names a slot machine never calls: chip-rate synthesis and the
@@ -183,20 +183,20 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     full = tracer.Tracer(str(tmp_path))
     undo = full.install(full=True)
     try:
-        machine = SlotMachine(replace(SMALL, buffers_enabled=buffered),
+        replica = SlotMachine(replace(SMALL, buffers_enabled=buffered),
                               np.random.default_rng(5),
-                              schemes=list(Scheme)).run_until(8)
+                              schemes=list(Scheme)).run_until(8).replicas[0]
     finally:
         tracer.uninstall(undo)
     stats, counts = full.take()
     calls = Counter({name: entry[0] for name, entry in stats.items()})
     blocks = len(drawn)
-    assert counts["slots"] == machine.slot > 3
+    assert counts["slots"] == replica.slot > 3
     assert calls["receivers.source_relay_filter_bank"] == 1
     assert calls["receivers.relay_dest_filter_bank"] == blocks * buffered
     assert calls["relay_selection.build_sinr_table"] == blocks * buffered
     assert calls["relay_selection.select_best"] == blocks * buffered
-    assert calls["buffer_protocol.decide_action"] == machine.slot * buffered
+    assert calls["buffer_protocol.decide_action"] == replica.slot * buffered
     assert calls["network_coding.design_G_ml_for_channel"] == 1
     assert calls["network_coding.design_G_random"] == 1
     assert noise_draws

@@ -256,19 +256,19 @@ def machine(**kw):
 
 class TestSlotMachine:
     def test_buffered_run_counts_consistent(self):
-        m = machine().run_until(n_packets=20)
+        m = machine().run_until(n_packets=20).replicas[0]
         assert m.transmit_slots == 20
         assert m.transmit_slots <= m.receive_slots
         assert m.receive_slots + m.transmit_slots == m.slot
         assert len(m.log) == m.slot
 
     def test_unbuffered_alternation(self):
-        m = machine(buffers_enabled=False).run_until(n_packets=10)
+        m = machine(buffers_enabled=False).run_until(n_packets=10).replicas[0]
         assert m.log["transmit"].tolist() == [False, True] * 10
         assert m.log["occupancy"].max() <= 1
 
     def test_unbuffered_transmission_carries_group_id(self):
-        log = machine(buffers_enabled=False).run_until(n_packets=10).log
+        log = machine(buffers_enabled=False).run_until(n_packets=10).replicas[0].log
         after = log["transmit"][1:]
         assert not log["transmit"][:-1][after].any()
         assert (log["pair_id"][1:][after] == log["pair_id"][:-1][after]).all()
@@ -276,19 +276,19 @@ class TestSlotMachine:
         assert (log["relays"][1:][after] == log["relays"][:-1][after]).all()
 
     def test_occupancy_bounds_in_trace(self):
-        m = machine(buffer_size=2).run_until(n_packets=30)
+        m = machine(buffer_size=2).run_until(n_packets=30).replicas[0]
         assert ((0 <= m.log["occupancy"]) & (m.log["occupancy"] <= 2)).all()
 
     def test_direct_decoder_runs(self):
-        m = machine(decoder=DecoderKind.DIRECT).run_until(n_packets=10)
+        m = machine(decoder=DecoderKind.DIRECT).run_until(n_packets=10).replicas[0]
         assert m.transmit_slots == 10
 
     def test_xor_scheme_runs(self):
-        m = machine(nc_design=Scheme.XOR).run_until(n_packets=10)
+        m = machine(nc_design=Scheme.XOR).run_until(n_packets=10).replicas[0]
         assert m.transmit_slots == 10
 
     def test_all_pairs_mode_runs(self):
-        m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15)
+        m = machine(pair_mode=PairMode.ALL_PAIRS).run_until(n_packets=15).replicas[0]
         assert m.transmit_slots == 15
         pair_ids = set(m.log["pair_id"].tolist())
         assert len(pair_ids) > 2   # selection ranges over the C(4,2) pairs
@@ -301,7 +301,7 @@ class TestSlotMachine:
             mach = machine(num_users=num_relays, num_relays=num_relays,
                            group_size=m, packet_length=8, snr_db=120.0,
                            pair_mode=PairMode.ALL_PAIRS, nc_design=scheme,
-                           decoder=decoder).run_until(n_packets=4)
+                           decoder=decoder).run_until(n_packets=4).replicas[0]
             assert mach.transmit_slots == 4
             assert mach.log["bit_errors"].tolist() == [[0]] * mach.slot
 
@@ -313,8 +313,8 @@ class TestSlotMachine:
                            buffer_size=2, group_size=2, packet_length=16,
                            snr_db=120.0, decoder=decoder,
                            buffers_enabled=buffered, rng_seed=5)
-        mach = SlotMachine(cfg, 3, schemes=list(Scheme))
-        mach.run_until(n_packets=12)
+        run = SlotMachine(cfg, 3, schemes=list(Scheme)).run_until(n_packets=12)
+        mach = run.replicas[0]
         assert mach.transmit_slots == 12
         assert mach.log["bit_errors"].shape == (mach.slot, len(Scheme))
         assert not mach.log["bit_errors"].any()
@@ -330,15 +330,15 @@ class TestSlotMachine:
                                    packet_length=20, ml_training_len=8,
                                    decoder=decoder, buffers_enabled=buffered)
                 every = SlotMachine(cfg, np.random.default_rng(0),
-                                    schemes=list(Scheme)).run_until(6)
+                                    schemes=list(Scheme)).run_until(6).replicas[0]
                 for lane, scheme in enumerate(Scheme):
                     alone = SlotMachine(cfg, np.random.default_rng(0),
-                                        schemes=[scheme]).run_until(6)
+                                        schemes=[scheme]).run_until(6).replicas[0]
                     assert every.log["bit_errors"][:, lane].tolist() \
                         == alone.log["bit_errors"][:, 0].tolist()
                 backwards = SlotMachine(cfg, np.random.default_rng(0),
                                         schemes=list(Scheme)[::-1]).run_until(6)
-                assert backwards.log["bit_errors"][:, ::-1].tolist() \
+                assert backwards.replicas[0].log["bit_errors"][:, ::-1].tolist() \
                     == every.log["bit_errors"].tolist()
         with pytest.raises(ValueError, match="at least one scheme"):
             SlotMachine(cfg, 0, schemes=[])
@@ -358,8 +358,8 @@ class TestSlotMachine:
                     for seed in (21, np.random.SeedSequence(21),
                                  np.random.default_rng(21))]
         for mach in machines:
-            assert [g.bit_generator.state for g in mach.rng] == expected
-        logs = [repr(mach.run_until(4).log) for mach in machines]
+            assert [g.bit_generator.state for g in mach.replicas[0].rng] == expected
+        logs = [repr(mach.run_until(4).replicas[0].log) for mach in machines]
         assert logs[0] == logs[1] == logs[2]
 
     def test_one_seed_sequence_repeats_its_run(self):
@@ -368,21 +368,24 @@ class TestSlotMachine:
         # today's streams; a Generator seed is consumed
         cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
                            packet_length=10, ml_training_len=8)
+
+        def log(seed, schemes=tuple(Scheme)):
+            return repr(SlotMachine(cfg, seed, schemes=schemes).run_until(4)
+                        .replicas[0].log)
+
         seq = np.random.SeedSequence(5)
-        logs = [repr(SlotMachine(cfg, seq, schemes=list(Scheme)).run_until(4).log)
-                for _ in range(2)]
+        logs = [log(seq) for _ in range(2)]
         assert seq.n_children_spawned == 0
-        assert logs[0] == logs[1] == repr(
-            SlotMachine(cfg, 5, schemes=list(Scheme)).run_until(4).log)
+        assert logs[0] == logs[1] == log(5)
         gen = np.random.default_rng(5)
-        first = SlotMachine(cfg, gen).run_until(4).log
-        assert repr(SlotMachine(cfg, gen).run_until(4).log) != repr(first)
+        first = log(gen, None)
+        assert log(gen, None) != first
 
     def test_lanes_copy_only_the_streams_they_draw(self):
         # random and ml draw designs, each from its own stream; the linear
         # lanes share one noise stream and XOR has its own
         cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
-        mach = SlotMachine(cfg, 0, schemes=list(Scheme))
+        mach = SlotMachine(cfg, 0, schemes=list(Scheme)).replicas[0]
         xor, rand, ml, mmse = mach.lanes
         assert xor.design is None and mmse.design is None
         assert rand.design is mach.rng.design and ml.design is not rand.design
@@ -426,24 +429,27 @@ class TestSlotMachine:
         # a transmission's errors and notes wait for pass 2: until then
         # the log cannot be read, so no count or trace row reads them
         m = machine(buffers_enabled=False)
+        replica = m.replicas[0]
         assert m.advance().action == "receive"
         assert m.advance().action == "transmit"
         with pytest.raises(RuntimeError, match="2 slots wait for settle"):
-            BerPoint("random-unbuffered-mmse", 10.0).add(m.log)
+            BerPoint("random-unbuffered-mmse", 10.0).add(replica.log)
         with pytest.raises(RuntimeError, match="2 slots wait for settle"):
-            trace_row(m.log)
-        settled = m.settle().log
-        assert m.settle().log.tobytes() == settled.tobytes()   # nothing left to run
-        assert len(settled) == m.slot == 2
+            trace_row(replica.log)
+        settled = m.settle().replicas[0].log
+        m.settle()                                       # nothing left to run
+        assert replica.log.tobytes() == settled.tobytes()
+        assert len(settled) == replica.slot == 2
         assert settled["transmit"].tolist() == [False, True]
         assert settled["bit_errors"][1, 0] >= 0 and NOTES[settled["note"][1, 0]] == ""
 
     def test_rescoring_a_packet_raises(self):
         m = machine(buffers_enabled=False)
+        bank = m.replicas[0].bank
         relays = m.advance().relays                      # receive
-        packet = m.bank.buffers[relays[0]][0]
+        packet = bank.buffers[relays[0]][0]
         m.advance()                                      # transmit, scored
-        m.bank.push_pair(relays, packet)                 # the scored packet again
+        bank.push_pair(relays, packet)                   # the scored packet again
         with pytest.raises(RuntimeError, match="packet scored twice"):
             m.advance()
 
@@ -456,7 +462,7 @@ class TestSlotMachine:
                     buffers_enabled=False)
         # free-form pairs serve the groups round robin on any relay pair
         m = machine(num_users=4, num_relays=2, pair_mode=PairMode.ALL_PAIRS)
-        assert m.run_until(n_packets=4).transmit_slots == 4
+        assert m.run_until(n_packets=4).replicas[0].transmit_slots == 4
 
     def test_seed_or_replicas_required(self):
         # an unseeded machine would draw from OS entropy and never repeat
@@ -481,17 +487,23 @@ class TestSlotMachine:
             m.run_until(count)
         assert [replica.slot for replica in m.replicas] == [0, 0]
 
+    def test_run_until_needs_one_count_per_replica(self):
+        m = SlotMachine(machine().config, replicas=[(True, 1), (False, 2), (True, 3)])
+        with pytest.raises(ValueError, match="2 packet counts for 3 replicas"):
+            m.run_until([1, 1])
+        assert [replica.slot for replica in m.replicas] == [0, 0, 0]
+
     def test_run_until_takes_numpy_and_zero_counts(self):
-        assert machine().run_until(0).slot == 0
-        numpy_count = machine().run_until(np.int64(3))
+        assert machine().run_until(0).replicas[0].slot == 0
+        numpy_count = machine().run_until(np.int64(3)).replicas[0]
         assert numpy_count.transmit_slots == 3
-        assert repr(numpy_count.log) == repr(machine().run_until(3).log)
+        assert repr(numpy_count.log) == repr(machine().run_until(3).replicas[0].log)
         pair = SlotMachine(machine().config, replicas=[(True, 1), (False, 2)])
         assert [r.transmit_slots for r in pair.run_until(np.array([2, 0])).replicas] \
             == [2, 0]
 
     def test_trace_rows_match_header(self):
-        m = machine().run_until(n_packets=5)
+        m = machine().run_until(n_packets=5).replicas[0]
         rows = trace_row(m.log)
         assert len(rows) == m.slot
         assert all(len(row) == len(TRACE_FIELDS) for row in rows)
@@ -516,7 +528,7 @@ class TestChipSpaceTableDecides:
 
         def logs():
             return [SlotMachine(replace(cfg, snr_db=snr), seed,
-                                schemes=list(Scheme)).run_until(40).log
+                                schemes=list(Scheme)).run_until(40).replicas[0].log
                     for seed, snr in ((3, 0.0), (4, 20.0))]
 
         production = logs()
@@ -579,8 +591,9 @@ class TestSlotMachineProperty:
     def test_packets_conserved_and_scored_once_in_fifo_order(self, case):
         cfg, seed, n_slots = case
         mach = SlotMachine(cfg, np.random.default_rng(seed))
+        rep = mach.replicas[0]
         pushed, popped = [], []          # (relays, uid) in bank order
-        push_pair, pop_pair = mach.bank.push_pair, mach.bank.pop_pair
+        push_pair, pop_pair = rep.bank.push_pair, rep.bank.pop_pair
 
         def record_push(relays, uid):
             push_pair(relays, uid)
@@ -591,10 +604,10 @@ class TestSlotMachineProperty:
             popped.append((relays, uid))
             return uid
 
-        mach.bank.push_pair, mach.bank.pop_pair = record_push, record_pop
+        rep.bank.push_pair, rep.bank.pop_pair = record_push, record_pop
         for _ in range(n_slots):
             decision = mach.advance()
-            assert all(0 <= o <= cfg.buffer_size for o in mach.bank.occupancies())
+            assert all(0 <= o <= cfg.buffer_size for o in rep.bank.occupancies())
             # advance() raises rather than idle: the oldest buffered packet
             # heads every queue of its relay set (each queue is FIFO), so
             # that pair can transmit, and an empty bank lets every pair
@@ -605,19 +618,19 @@ class TestSlotMachineProperty:
             else:
                 assert decision.relays == pushed[-1][0]
         scored = [uid for _, uid in popped]
-        left = {uid for queue in mach.bank.buffers for uid in queue}
+        left = {uid for queue in rep.bank.buffers for uid in queue}
         # every packet is scored at most once and the rest are still
         # buffered, on every relay of its set
-        assert len(set(scored)) == len(scored) == mach.transmit_slots
-        assert len(pushed) == mach.receive_slots
-        assert mach.receive_slots == mach.transmit_slots + len(left)
+        assert len(set(scored)) == len(scored) == rep.transmit_slots
+        assert len(pushed) == rep.receive_slots
+        assert rep.receive_slots == rep.transmit_slots + len(left)
         assert set(scored) | left == {uid for _, uid in pushed}
-        for r, queue in enumerate(mach.bank.buffers):
+        for r, queue in enumerate(rep.bank.buffers):
             assert list(queue) == [uid for relays, uid in pushed
                                    if r in relays and uid in left]
         # pass 2 keeps the coded streams of exactly the buffered packets
-        assert set(mach.settle()._coded) == left
-        log = mach.log
+        assert set(mach.settle().replicas[0]._coded) == left
+        log = rep.log
         assert log["decoded_bits"].tolist() == [
             t * cfg.group_size * cfg.packet_length for t in log["transmit"].tolist()]
         # FIFO per relay set: packets leave in the order they arrived
@@ -639,11 +652,11 @@ class TestSlotMachineProperty:
         mach = SlotMachine(cfg, np.random.default_rng(seed))
         for _ in range(n_slots):
             mach.advance()
-        log = mach.settle().log
+        log = mach.settle().replicas[0].log
         occupancy = log["occupancy"]
         step = np.diff(occupancy, axis=0, prepend=np.zeros((1, cfg.num_relays), int))
         expected = np.zeros_like(occupancy)
         np.put_along_axis(expected, log["relays"],
                           np.where(log["transmit"], -1, 1)[:, None], axis=1)
         assert np.array_equal(step, expected)
-        assert tuple(occupancy[-1].tolist()) == mach.bank.occupancies()
+        assert tuple(occupancy[-1].tolist()) == mach.replicas[0].bank.occupancies()

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plnc_sim import (DecoderKind, PairMode, ReceiverKind, RunReport, Scheme,
-                      SlotMachine, SystemConfig, emit_report, parse_report,
-                      run_sweep, run_trial, scheme_label, write_trace)
+                      SlotMachine, SystemConfig, emit_report, run_sweep,
+                      run_trial, scheme_label, write_trace)
 from plnc_sim import buffer_protocol, harness, network_coding, signal_model
 from plnc_sim.buffer_protocol import TRACE_FIELDS
 from plnc_sim.cli import main, parse_schemes, parse_snr_spec
@@ -62,6 +62,9 @@ class TestRunTrial:
             tiny_config(snr_db=float("inf"))
         with pytest.raises(ValueError, match="m <= 3"):
             tiny_config(group_size=4, nc_design=Scheme.MMSE_DESIGN)
+        with pytest.raises(ValueError,
+                           match="num_relays must be divisible by group_size"):
+            tiny_config(num_relays=5)
         # bool is an int subclass: True must not pass as 1
         with pytest.raises(ValueError, match="num_users must be a positive"):
             tiny_config(num_users=True, num_relays=1, group_size=1)
@@ -391,15 +394,17 @@ class TestSettleInvariance:
             return SlotMachine(cfg, seed, schemes=list(Scheme))
 
         eager, once = machine(), machine()
-        while eager.transmit_slots < n_packets:
+        while eager.replicas[0].transmit_slots < n_packets:
             eager.advance()
             eager.settle()
-        while once.transmit_slots < n_packets:
+        while once.replicas[0].transmit_slots < n_packets:
             once.advance()
         once.settle()
         driven = machine().run_until(n_packets)
         with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
             sliced = machine().run_until(n_packets)     # one item per slice
+        eager, once, driven, sliced = (mach.replicas[0]
+                                       for mach in (eager, once, driven, sliced))
         # repr compares every field, the unbuffered slots' nan SINR included
         assert repr(eager.log) == repr(once.log) == repr(driven.log) \
             == repr(sliced.log)
@@ -444,7 +449,7 @@ class TestSettleInvariance:
                                 schemes=list(Scheme)).run_until(n)
             assert repr(eager.replicas[r].log) == repr(once.replicas[r].log) \
                 == repr(driven.replicas[r].log) == repr(sliced.replicas[r].log) \
-                == repr(stepped.replicas[r].log) == repr(alone.log)
+                == repr(stepped.replicas[r].log) == repr(alone.replicas[0].log)
 
     @settings(max_examples=20, deadline=None)
     @given(settle_cases(), st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1),
@@ -502,12 +507,13 @@ class TestCountsReduceTheLog:
         # instead of logging an idle slot
         mach = SlotMachine(tiny_config(), 1,
                            schemes=[Scheme.XOR, Scheme.RANDOM]).run_until(3)
-        before = (len(mach.log), mach.slot, mach.bank.occupancies())
-        monkeypatch.setattr(mach.bank, "can_receive", lambda relays: False)
-        monkeypatch.setattr(mach.bank, "can_transmit", lambda relays: False)
+        rep = mach.replicas[0]
+        before = (len(rep.log), rep.slot, rep.bank.occupancies())
+        monkeypatch.setattr(rep.bank, "can_receive", lambda relays: False)
+        monkeypatch.setattr(rep.bank, "can_transmit", lambda relays: False)
         with pytest.raises(RuntimeError, match="no candidate pair can"):
             mach.advance()
-        assert (len(mach.log), mach.slot, mach.bank.occupancies()) == before
+        assert (len(rep.log), rep.slot, rep.bank.occupancies()) == before
 
 
 # (bits, errors, slots, idle slots) per variant of a fixed-seed sweep,
@@ -769,6 +775,12 @@ class TestGoldenCounts:
         assert sha == GOLDEN_K4_L8_TRACE_SHA256
 
 
+def csv_rows(path):
+    """The rows of a CSV file as dicts of its header's fields."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestReportIo:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()
@@ -776,14 +788,14 @@ class TestReportIo:
                            buffer_modes=[True])
         path = tmp_path / "out.csv"
         emit_report(report, path)
-        rows = parse_report(path)
+        rows = csv_rows(path)
         assert len(rows) == len(report.points)
         by_key = {(p.scheme_label, p.snr_db): p for p in report.points}
         for row in rows:
-            p = by_key[(row["scheme"], row["snr_db"])]
-            assert row["bits"] == p.bits_total
-            assert row["errors"] == p.bit_errors
-            assert row["ber"] == float(f"{p.ber:.12g}")
+            p = by_key[(row["scheme"], float(row["snr_db"]))]
+            assert int(row["bits"]) == p.bits_total
+            assert int(row["errors"]) == p.bit_errors
+            assert float(row["ber"]) == float(f"{p.ber:.12g}")
         assert (tmp_path / "out.csv.config.txt").exists()
 
     def test_empty_sweep_header_only(self, tmp_path):
@@ -835,9 +847,7 @@ class TestReportIo:
 def trace_notes(report, path):
     """(scheme, action, note) of every row of the report's trace file."""
     write_trace(report, path)
-    with open(path, newline="") as fh:
-        return [(row["scheme"], row["action"], row["note"])
-                for row in csv.DictReader(fh)]
+    return [(row["scheme"], row["action"], row["note"]) for row in csv_rows(path)]
 
 
 class TestTraceNotes:
@@ -866,7 +876,7 @@ class TestTraceNotes:
         # each group's second relay cancels the first one's gain to the
         # destination: every relay link is sound, but the XOR pair's
         # combined channel is zero
-        groups = SlotMachine(tiny_config(), 0).candidates
+        groups = SlotMachine(tiny_config(), 0).replicas[0].candidates
         draw = signal_model.draw_channels
 
         def cancelling_pairs(*args):
@@ -891,7 +901,7 @@ class TestTraceNotes:
         # both relays of group 0 lose their path to the destination: the
         # relay-destination bank and the SINR table take the zero gains,
         # and exactly the XOR transmissions of group 0 are degenerate
-        silent = SlotMachine(tiny_config(), 0).candidates[0]
+        silent = SlotMachine(tiny_config(), 0).replicas[0].candidates[0]
         draw = signal_model.draw_channels
 
         def silent_pair(*args):
@@ -905,8 +915,8 @@ class TestTraceNotes:
                            collect_trace=True)
         assert report.points[0].transmit_slots >= 6
         write_trace(report, tmp_path / "t.csv")
-        with open(tmp_path / "t.csv", newline="") as fh:
-            rows = [row for row in csv.DictReader(fh) if row["action"] == "transmit"]
+        rows = [row for row in csv_rows(tmp_path / "t.csv")
+                if row["action"] == "transmit"]
         relays = "|".join(map(str, silent))
         for row in rows:
             assert row["note"] == ("degenerate combined channel"
@@ -922,7 +932,7 @@ class TestTraceNotes:
         # one relay of group 0 loses its path: pass 1 runs, and the lane
         # fails where it designs on that relay's sub-slot (ml, mmse) or
         # decodes on it (random)
-        silent = SlotMachine(tiny_config(), 0).candidates[0][0]
+        silent = SlotMachine(tiny_config(), 0).replicas[0].candidates[0][0]
         draw = signal_model.draw_channels
 
         def silent_relay(*args):
@@ -981,6 +991,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"twice.cfg:3: key 'm' given twice"):
             read_config_file(bad)
 
+    def test_line_without_equals_reported_with_line(self, tmp_path):
+        bad = tmp_path / "bare.cfg"
+        bad.write_text("K = 4\nL 4\n")
+        with pytest.raises(ValueError,
+                           match=r"bare.cfg:2: expected key=value, got 'L 4'"):
+            read_config_file(bad)
+
 
 class TestCli:
     def test_snr_specs(self):
@@ -1006,8 +1023,8 @@ class TestCli:
                      "400", "--schemes", "random", "--buffers-only",
                      "--out", str(out)])
         assert code == 0
-        rows = parse_report(out)
-        assert len(rows) == 1 and rows[0]["bits"] >= 400
+        rows = csv_rows(out)
+        assert len(rows) == 1 and int(rows[0]["bits"]) >= 400
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -1062,7 +1079,7 @@ class TestCli:
         code = main(["sweep", "--config", str(cfg), "--snr", "8", "--bits", "20",
                      "--buffers-only", "--out", str(out)] + flag)
         assert code == 0
-        assert {row["scheme"].split("-")[0] for row in parse_report(out)} == expected
+        assert {row["scheme"].split("-")[0] for row in csv_rows(out)} == expected
 
     @pytest.mark.parametrize("file_line,flag", [
         ("", ["--schemes", "xor,xor"]),
@@ -1130,6 +1147,43 @@ class TestCli:
     def test_unknown_scheme_exit_code(self, tmp_path):
         assert main(["sweep", "--schemes", "nope",
                      "--out", str(tmp_path / "r.csv")]) == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (["--no-buffers", "--buffers-only"],
+         "--no-buffers and --buffers-only are exclusive"),
+        (["--bits", "0"], "--bits must be >= 1"),
+        (["--snr", "1:2"], "bad SNR range '1:2', expected start:step:stop"),
+        (["--schemes", ","], "empty scheme list"),
+    ])
+    def test_bad_flags_exit_code(self, tmp_path, capsys, args, message):
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--snr", "8", "--out", str(out)] + args)
+        assert code == 1
+        assert capsys.readouterr().err == f"plnc-sim: config error: {message}\n"
+        assert not out.exists()
+
+    def test_receiver_flag_overrides_and_is_echoed(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K=4\nL=4\nN=8\nJ=2\nm=2\nP=10\nreceiver=mmse\n")
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "8", "--bits", "20",
+                     "--schemes", "xor", "--receiver", "rake", "--out", str(out)])
+        assert code == 0
+        assert "receiver = rake\n" in Path(f"{out}.config.txt").read_text()
+        assert {row["scheme"] for row in csv_rows(out)} \
+            == {"xor-buffered-rake", "xor-unbuffered-rake"}
+
+    def test_no_buffers_runs_the_unbuffered_baseline_alone(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("K=4\nL=4\nN=8\nJ=2\nm=2\nP=10\n")
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--config", str(cfg), "--snr", "4,8", "--bits", "20",
+                     "--schemes", "xor,random", "--no-buffers", "--out", str(out)])
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 4
+        assert {row["scheme"] for row in rows} \
+            == {"xor-unbuffered-mmse", "random-unbuffered-mmse"}
 
     def test_io_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnc_sim import (bit_to_symbol, decode_joint, decode_with_direct,
-                      design_G_mmse, design_G_random, detect_ncs, encode_ncs,
-                      encoder_table, generate_codebook, hard_decision,
-                      PairMode, ReceiverKind, select_G_mmse, symbol_to_bit,
-                      SystemConfig, xor_decode, xor_encode)
+from plnc_sim import (decode_joint, decode_with_direct, design_G_mmse,
+                      design_G_random, detect_ncs, encode_ncs, encoder_table,
+                      generate_codebook, hard_decision, PairMode, ReceiverKind,
+                      select_G_mmse, symbol_to_bit, SystemConfig, xor_decode,
+                      xor_encode)
 from plnc_sim import network_coding, receivers
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
@@ -84,17 +84,17 @@ class TestGroupPartition:
 
 
 class TestMappings:
-    def test_bit_to_symbol(self):
-        assert bit_to_symbol(0) == 1.0
-        assert bit_to_symbol(1) == -1.0
+    def test_symbol_to_bit(self):
+        assert symbol_to_bit(1.0) == 0
+        assert symbol_to_bit(-1.0) == 1
 
     def test_roundtrip(self):
         for c in (0, 1):
-            assert symbol_to_bit(bit_to_symbol(c)) == c
+            assert symbol_to_bit(1.0 - 2.0 * c) == c
 
     def test_vectorized(self):
         bits = np.array([0, 1, 1, 0])
-        assert np.array_equal(symbol_to_bit(bit_to_symbol(bits)), bits)
+        assert np.array_equal(symbol_to_bit(1.0 - 2.0 * bits), bits)
 
 
 class TestXor:
@@ -102,14 +102,14 @@ class TestXor:
         ([0, 0], 1.0), ([1, 0], -1.0), ([0, 1], -1.0), ([1, 1], 1.0),
     ])
     def test_encode(self, bits, expected):
-        assert xor_encode(bit_to_symbol(bits)[None, :, None]) == expected
+        assert xor_encode((1.0 - 2.0 * np.array(bits))[None, :, None]) == expected
 
     @pytest.mark.parametrize("ncs_bit,other_bit,expected_bit", [
         (1, 1, 0), (0, 1, 1), (0, 0, 0), (1, 0, 1),
     ])
     def test_decode(self, ncs_bit, other_bit, expected_bit):
-        ncs = bit_to_symbol(ncs_bit)
-        direct = np.array([np.nan, bit_to_symbol(other_bit)])
+        ncs = 1.0 - 2.0 * ncs_bit
+        direct = np.array([np.nan, 1.0 - 2.0 * other_bit])
         direct[0] = 1.0  # target user's own slot is ignored
         out = xor_decode(np.array([ncs]), direct[:, None])
         assert symbol_to_bit(float(out[0, 0])) == expected_bit
@@ -118,7 +118,7 @@ class TestXor:
         # brute force over all four input patterns
         for b in all_patterns():
             bits = np.array([symbol_to_bit(x) for x in b])
-            ncs = xor_encode(bit_to_symbol(bits)[None, :, None])[0]
+            ncs = xor_encode((1.0 - 2.0 * bits)[None, :, None])[0]
             got = xor_decode(ncs, b[:, None])
             for k in (0, 1):
                 assert float(got[k, 0]) == b[k]
@@ -417,6 +417,24 @@ class TestMmseDesign:
             row_r, scores_r = select_G_mmse(gains[r], nvar[r], flip_probs=p[r])
             assert rows[r] == row_r
             assert np.allclose(scores[r], scores_r, rtol=0.0, atol=1e-12)
+
+    def test_failed_solve_falls_back_for_every_member(self, monkeypatch):
+        # should the batched solve fail although no member is flagged
+        # singular, the whole stack gets plain gain normalization diag(1/mu)
+        rng = np.random.default_rng(12)
+        stats = [mmse_stream_stats(rng, 2, 0.1) for _ in range(3)]
+        gains = np.array([g for g, _ in stats])
+        nvar = np.array([v for _, v in stats])
+        rows = design_G_random(2, rng, 3)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        dec = design_G_mmse(rows, gains, nvar)
+        assert dec.fallback.tolist() == [True] * 3
+        for entries, mu in zip(dec.entries, gains):
+            assert np.array_equal(entries, np.diag(1.0 / mu))
 
     def test_partial_fallback_matches_per_candidate_oracle(self):
         # one nearly silent stream leaves R_b singular for some encoders
@@ -733,7 +751,7 @@ def oracle_direct(g, ncs, direct, k):
 
 def oracle_xor_encode(detected):
     """Each relay's detections to bits, XOR over the users, back to +-1."""
-    return np.stack([bit_to_symbol(np.bitwise_xor.reduce(symbol_to_bit(d), axis=0))
+    return np.stack([1.0 - 2.0 * np.bitwise_xor.reduce(symbol_to_bit(d), axis=0)
                      for d in detected])
 
 
@@ -743,7 +761,7 @@ def oracle_xor_decode(ncs, direct, k):
     for j in range(direct.shape[0]):
         if j != k:
             acc = np.bitwise_xor(acc, symbol_to_bit(direct[j]))
-    return bit_to_symbol(acc)
+    return 1.0 - 2.0 * acc
 
 
 # soft values: arbitrary, or integers, which include every midpoint

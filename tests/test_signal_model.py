@@ -234,9 +234,10 @@ class TestInPhaseSampling:
         assert np.max(np.abs(colour @ np.swapaxes(colour, -1, -2) - gram)) < 1e-12
 
     def test_real_gaussian_calls_and_variance(self):
-        # a stacked call equals one call per leading index; the samples
-        # are N(0, variance)
-        stacked = real_gaussian(np.random.default_rng(22), (2, 5), 0.3, calls=(3,))
+        # one draw over a leading axis equals one draw per leading index,
+        # as a draw fills its array in C order; the samples are
+        # N(0, variance)
+        stacked = real_gaussian(np.random.default_rng(22), (3, 2, 5), 0.3)
         rng = np.random.default_rng(22)
         assert np.array_equal(stacked, np.stack(
             [real_gaussian(rng, (2, 5), 0.3) for _ in range(3)]))

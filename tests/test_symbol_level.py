@@ -15,9 +15,9 @@ import pytest
 from plnc_sim import ReceiverKind, SystemConfig
 from plnc_sim.receivers import (rank_one_outputs, relay_dest_filter_bank,
                                 source_dest_filter_bank, source_relay_filter_bank)
-from plnc_sim.signal_model import (CodeBook, draw_channel, first_phase_maps,
-                                   generate_codebook,
-                                   sample_filter_outputs, sample_first_phase,
+from plnc_sim.signal_model import (CodeBook, draw_channel, filter_noise,
+                                   first_phase_maps, generate_codebook,
+                                   sample_first_phase,
                                    synthesize_first_phase,
                                    synthesize_second_phase)
 
@@ -140,9 +140,9 @@ class TestSecondPhase:
         sigma2 = cfg.noise_var
         ncs = np.repeat(np.array([[2.0], [0.0]]), T, axis=1)
         gains, _, colour = rank_one_outputs(filters, h, sigma2)
-        sampled = sample_filter_outputs((gains[:, None, None], colour[:, None, None]),
-                                        ncs[:, None], sigma2,
-                                        np.random.default_rng(42))[:, 0]
+        noise = filter_noise(colour[:, None, None], (len(ncs), 1, T), sigma2,
+                             np.random.default_rng(42))
+        sampled = gains.real[:, None] * ncs + noise[:, 0]
         rng = np.random.default_rng(43)
         for pos, relay in enumerate(RELAYS):
             y = synthesize_second_phase(ncs[pos:pos + 1], state, [relay], code,
@@ -159,8 +159,8 @@ class TestSecondPhase:
             combined / (sigma2 + abs(combined) ** 2)
         ncs = np.repeat(np.array([[1.0], [-1.0]]), T, axis=1)
         gains, _, colour = rank_one_outputs(np.array([[f]]), h, sigma2)
-        sampled = sample_filter_outputs((gains, colour), ncs, sigma2,
-                                        np.random.default_rng(45))
+        sampled = gains.real @ ncs + filter_noise(colour, (1, T), sigma2,
+                                                  np.random.default_rng(45))
         y = synthesize_second_phase(ncs, state, RELAYS, code, sigma2,
                                     np.random.default_rng(46))
         assert_same_moments(sampled, ((f * code).conj() @ y)[None])
