@@ -17,19 +17,18 @@ a basis of their span alone, K x min(K, N), so pass 1 holds no N-chip
 array.
 advance() walks the slot's ranking to the first entry the buffers allow
 (decide_action); the unbuffered baseline serves its groups round robin,
-reception u at slot 2u and its transmission at slot 2u + 1, and draws
-no table.  A packet is its uid, the index of its reception: a reception
-pushes the uid onto the pair's buffers and a transmission pops it; the
-slot's Decision becomes a plain row tuple.  Where pairs are not groups,
-reception uid serves group uid mod K/m, the same round robin.  No
-decision reads the physics of a packet, only the channel and the
+reception u at slot 2u and its transmission at slot 2u + 1, and draws no
+table.  A packet is its uid, the index of its reception: a reception
+pushes the uid onto the pair's buffers and a transmission pops it, and
+the slot's log row, a plain tuple, carries it, so a packet's delay is
+its transmission's slot minus its reception's.  Where pairs are not
+groups, reception uid serves group uid mod K/m, the same round robin.
+No decision reads the physics of a packet, only the channel and the
 buffer occupancies, so this pass decides every slot and makes no NumPy
-call per slot: a block's receptions and transmissions are gathered once
-per block, when its last row is read, into the pairs' slices of the
-channel that pass 2 reads, a reception's as the effective vectors of
-its pair's links, and the block is freed.  Within run_until a
-block holds no more than the fewest slots its replica still needs, so
-every channel slot drawn there is read.
+call per slot.  The pending log rows are its only record of a slot: a
+block's gains wait beside them for settle(), and its table is freed
+after its last row.  Within run_until a block holds no more than the
+fewest slots its replica still needs, so every slot drawn there is read.
 
 Pass 2, settle(), runs the physics of every slot of every replica
 advanced since the last settle as one set of arrays, the replicas'
@@ -46,18 +45,19 @@ filter output alone, so pass 2 samples real outputs only: real gains,
 and real noise of half the complex variance.
 Each replica's run of a stacked draw comes from its own streams, in its
 own order.  settle() turns each replica's pending rows into log records
-in one np.array call and writes the transmissions' bit_errors and note
-codes into them; until then the log raises.  A packet's streams,
-direct-link decisions, ground truth and encoder rows (int16, -1 for
-XOR) wait under its uid from its reception's settle to its
-transmission's.  run_until settles whenever the replicas it has
-advanced since the last settle hold a slice's worth of receptions, and
-at the end, so a machine's pending state stays near one slice.  Every
-random stream has one purpose and the same draw shape on every call, so
-one block of draws equals the per-slot draws bit for bit, whenever
-settle() runs and however the replicas are stacked.  The arrays run in
-slices whose transient arrays hold about _SLICE_ELEMENTS float64
-elements.
+in one np.array call, reads its inputs from their columns and their
+slots' gains, a reception's as its pair's effective vectors, and writes
+the transmissions' bit_errors and note codes into the records; until
+then the log raises.  A packet's streams, direct-link decisions, ground
+truth and encoder rows (int16, -1 for XOR) wait under its uid from its
+reception's settle to its transmission's.  run_until settles whenever
+the replicas it has advanced since the last settle hold a slice's worth
+of receptions, and at the end, so the stack that settle() forms stays
+near one slice.  Every random stream has one purpose and the same draw
+shape on every call, so one block of draws equals the per-slot draws bit
+for bit, whenever settle() runs and however the replicas are stacked.
+The arrays run in slices whose transient arrays hold about
+_SLICE_ELEMENTS float64 elements.
 
 No coding scheme changes the channel stream or the bank occupancies, so
 one machine runs several schemes in lockstep, one lane each: the slot's
@@ -72,7 +72,7 @@ system-wide.
 import math
 from collections import deque
 from dataclasses import replace
-from itertools import groupby
+from itertools import compress, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -287,6 +287,12 @@ class _Runs:
                                for rng, n in self.runs])
 
 
+def _concat(parts):
+    """One sm.ChannelGains of parts of it, concatenated on the leading axis."""
+    return sm.ChannelGains(*map(np.concatenate, zip(*(vars(part).values()
+                                                      for part in parts))))
+
+
 def _stream(owners, pick):
     """The generator of a stacked draw whose items belong to owners, the
     replicas in runs, pick(replica) being a replica's generator of it."""
@@ -296,8 +302,9 @@ def _stream(owners, pick):
 
 class Replica:
     """One run of a slot machine: its config (which sets the buffer
-    mode), its random streams and lanes, bank, counters and log, and the
-    pass-1 state of its channel block.
+    mode), its random streams and lanes, bank, counters and log, the
+    pass-1 state of its channel block, and the pending slots' log rows
+    and channel blocks that settle() reads.
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
@@ -328,13 +335,12 @@ class Replica:
             lanes.append(Lane(scheme, lane_design, noise[kind]))
         self.lanes = tuple(lanes)
         self.candidates = candidates
-        self.relay_rows = np.array(candidates, dtype=np.intp)
         self.pairs_are_groups = pairs_are_groups
         self.bank = BufferBank(config.num_relays, config.buffer_size)
         i4 = np.int32
         self._log = np.zeros(0, [          # occupancy after the slot, note in NOTES
             ("transmit", bool), ("pair_id", i4), ("relays", i4, (config.group_size,)),
-            ("sinr", float), ("reselections", i4), ("decoded_bits", i4),
+            ("sinr", float), ("reselections", i4), ("uid", i4), ("decoded_bits", i4),
             ("occupancy", i4, (config.num_relays,)),
             ("bit_errors", i4, (len(schemes),)), ("note", np.int8, (len(schemes),))])
         self._pending = []       # the log rows of the slots to settle
@@ -343,13 +349,10 @@ class Replica:
         self.transmit_slots = 0
         self.wanted = None       # run_until's packet count, which sizes blocks
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
-        self._block = None       # (state, table rows, ranking), None once read
+        self._block = None       # (table rows, ranking), None once read
         self._block_slots = 0
         self._row = 0            # the next slot's row of the block
-        self._block_receptions = []     # (row, pair_id, uid, group) to gather
-        self._block_transmissions = []  # (row, pair_id, uid) to gather
-        self._receptions = []    # (uids, groups, pairs' state) to settle
-        self._transmissions = []  # (uids, pairs' h_rd) to settle
+        self._blocks = []        # ChannelGains from the first pending slot on
         self._coded = {}         # uid -> (direct, truth, ncs, encoder rows)
 
     @property
@@ -416,13 +419,13 @@ class SlotMachine:
     # -- pass 1: decisions, one slot of one replica at a time ---------------
 
     def _next_block(self, replica):
-        """Draw the replica's next block of link gains and, buffered,
-        compute its SINR table over both hops and its ranking for the
-        whole block.  A block holds the slots the slice budget allows on
-        the (L, K, K) first-hop MMSE systems and, within run_until, no
-        more than the fewest slots the replica still needs,
-        (n - transmitted) + max(0, n - received), so every slot drawn
-        there is read."""
+        """Draw the replica's next block of link gains, which wait in its
+        blocks for settle(), and, buffered, compute its SINR table over
+        both hops and its ranking for the whole block.  A block holds the
+        slots the slice budget allows on the (L, K, K) first-hop MMSE
+        systems and, within run_until, no more than the fewest slots the
+        replica still needs, (n - transmitted) + max(0, n - received), so
+        every slot drawn there is read."""
         cfg = replica.config
         K = cfg.num_users
         size = max(1, _SLICE_ELEMENTS // (cfg.num_relays * K * K))
@@ -436,46 +439,23 @@ class SlotMachine:
             table = rs.build_sinr_table(gains, self.coords, cfg.noise_var,
                                         cfg.receiver, replica.candidates)
             ranking, tables = rs.select_best(table), table.tolist()
-        replica._block = (gains, tables, ranking)
+        replica._blocks.append(gains)
+        replica._block = (tables, ranking)
         replica._block_slots, replica._row = size, 0
-
-    def _gather(self, replica):
-        """Move the receptions and transmissions advanced in the block
-        since the last gather into arrays for pass 2, one index per
-        array: a reception's group and the pair's slice of its slot's
-        channel as effective vectors (sm.ChannelGains.effective), its
-        relays in order on the relay axis, in C order; a transmission's
-        pair relay-destination gains."""
-        if replica._block_receptions:
-            rows, pairs, uids, groups = map(np.array,
-                                            zip(*replica._block_receptions))
-            replica._block_receptions = []
-            gains, relays = replica._block[0], replica.relay_rows[pairs]
-            column = rows[:, None]
-            h_sr = np.swapaxes(gains.h_sr[column, :, relays], 1, 2)
-            pair = sm.ChannelGains(gains.h_rd[column, relays], gains.h_sd[rows],
-                                   np.ascontiguousarray(h_sr))
-            replica._receptions.append((uids, groups,
-                                        pair.effective(self.codebook.codes)))
-        if replica._block_transmissions:
-            rows, pairs, uids = map(np.array, zip(*replica._block_transmissions))
-            replica._block_transmissions = []
-            h_rd = replica._block[0].h_rd
-            replica._transmissions.append((uids, h_rd[rows[:, None],
-                                                      replica.relay_rows[pairs]]))
 
     def advance(self, replica=0) -> Decision:
         """Pass 1 for one slot of a replica: take the slot's row of the
         channel block, choose the action, push or pop the packet's uid,
         and append the slot's log row (a transmission's bit_errors and
-        note wait for settle()).  The block is gathered and freed once
-        its last row is read."""
+        note wait for settle()).  The block's gains wait for settle() in
+        the replica's blocks; its table and ranking are freed once its
+        last row is read."""
         rep = self.replicas[replica]
         if rep._block is None:
             self._next_block(rep)
         cfg, bank, i = rep.config, rep.bank, rep._row
         if cfg.buffers_enabled:
-            _, tables, ranking = rep._block
+            tables, ranking = rep._block
             decision = decide_action(tables[i], rep.candidates, bank, ranking[i])
         else:
             # reception uid serves group uid mod K/m, and is followed by
@@ -491,24 +471,19 @@ class SlotMachine:
         if not transmit:
             uid = rep.receive_slots
             bank.push_pair(relays, uid)
-            rep._block_receptions.append((i, pair_id, uid, pair_id if rep.pairs_are_groups
-                                          else uid % cfg.num_groups))
             rep.receive_slots += 1
         else:
             uid = bank.pop_pair(relays)
             if uid <= rep._last_scored_uid.get(relays, -1):
                 raise RuntimeError("packet scored twice")
             rep._last_scored_uid[relays] = uid
-            rep._block_transmissions.append((i, pair_id, uid))
             rep.transmit_slots += 1
         rep._row = i + 1
         if rep._row == rep._block_slots:
-            self._gather(rep)
             rep._block = None
         bits = transmit * cfg.group_size * cfg.packet_length
         # the record's fields: transmit, then the decision's, then the rest
-        rep._pending.append((transmit, pair_id, relays, decision.sinr,
-                             decision.reselections, bits, bank.occupancies(), 0, 0))
+        rep._pending.append((transmit, *decision[1:], uid, bits, bank.occupancies(), 0, 0))
         rep.slot += 1
         return decision
 
@@ -519,13 +494,14 @@ class SlotMachine:
         since the last settle in any replica, fill the transmissions'
         errors and notes and append the slots' records to the replicas'
         logs.  Returns self."""
-        for replica in self.replicas:
-            self._gather(replica)
+        if not any(rep._pending for rep in self.replicas):
+            return self
         records = [np.array(rep._pending, rep._log.dtype) for rep in self.replicas]
-        if any(rep._receptions for rep in self.replicas):
-            self._settle_receptions()
-        if any(rep._transmissions for rep in self.replicas):
-            errors, notes = self._settle_transmissions()
+        receptions, transmissions = self._inputs(records)
+        if receptions[0]:
+            self._settle_receptions(*receptions)
+        if transmissions[0]:
+            errors, notes = self._settle_transmissions(*transmissions)
             start = 0
             for rec in records:
                 scored = rec["transmit"]
@@ -536,6 +512,32 @@ class SlotMachine:
         for rep, rec in zip(self.replicas, records):
             rep._log, rep._pending = np.concatenate((rep._log, rec)), []
         return self
+
+    def _inputs(self, records):
+        """Pass 2's inputs from the pending records and their slots' gains,
+        stacked in replica order: each reception's replica, uid, group and
+        pair's gains (relays in order on the relay axis), and each
+        transmission's replica, popped uid and pair's relay-destination gains.
+        A replica keeps only the block it still reads, from the row reached."""
+        owners, groups, gains = [], [], []
+        for rep, rec in zip(self.replicas, records):
+            owners += [rep] * len(rec)
+            groups.append(rec["pair_id"] if rep.pairs_are_groups
+                          else rec["uid"] % rep.config.num_groups)
+            if rep._blocks:
+                block = _concat(rep._blocks)
+                gains.append(block[:len(rec)])
+                rep._blocks = [block[len(rec):]] if rep._block is not None else []
+        transmit, relays, uids = (np.concatenate([rec[name] for rec in records])
+                                  for name in ("transmit", "relays", "uid"))
+        gains, received = _concat(gains), ~transmit
+        h_rd = np.take_along_axis(gains.h_rd, relays, axis=1)
+        h_sr = np.take_along_axis(gains.h_sr[received], relays[received, None], axis=2)
+        pairs = sm.ChannelGains(h_rd[received], gains.h_sd[received], h_sr)
+        receptions = (list(compress(owners, received)), uids[received].tolist(),
+                      np.concatenate(groups)[received], pairs)
+        return receptions, (list(compress(owners, transmit)), uids[transmit].tolist(),
+                            h_rd[transmit])
 
     def _stream_stats(self, h_rd):
         """The outputs of relay streams that each occupy a sub-slot alone,
@@ -585,30 +587,16 @@ class SlotMachine:
                 for s in _slices(len(users), scores)])
         return rows
 
-    def _stack(self):
-        """Take every replica's pending receptions, (uids, groups, pairs'
-        state) parts, and stack them, freeing the parts: returns each
-        reception's replica, then the stacked uids, groups and pairs'
-        state."""
-        parts = []
-        for replica in self.replicas:
-            parts += [(replica, *part) for part in replica._receptions]
-            replica._receptions = []
-        _, uids, groups, states = zip(*parts)
-        state = sm.ChannelState(*(np.concatenate(arrays) for arrays in zip(
-            *(vars(state).values() for state in states))))
-        return ([replica for replica, part, *_ in parts for _ in part],
-                np.concatenate(uids).tolist(), np.concatenate(groups), state)
-
-    def _settle_receptions(self):
-        """First phase: all sources transmit, each selected pair detects
-        its group; every lane designs its encoders and encodes, and the
-        packets' streams, the destination's direct decisions and the
-        ground truth (as int8) and encoder rows are kept in their
-        replica until their transmission."""
+    def _settle_receptions(self, owners, uids, groups, pairs):
+        """First phase of the stacked receptions, each with its owner
+        replica, uid, group and pair's gains: all sources transmit, each
+        selected pair detects its group; every lane designs its encoders
+        and encodes, and the packets' streams, the destination's direct
+        decisions and the ground truth (as int8) and encoder rows are kept
+        in their replica until their transmission."""
         cfg = self.config
         P = cfg.packet_length
-        owners, uids, groups, state = self._stack()
+        state = pairs.effective(self.codebook.codes)
         users = self.group_users[groups]
         filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
@@ -631,25 +619,19 @@ class SlotMachine:
             for i, (owner, uid) in enumerate(zip(owners[s], uids[s])):
                 owner._coded[uid] = (direct[i], truth[i], ncs[i], rows[s][i])
 
-    def _settle_transmissions(self):
-        """Second phase: send each popped packet's NCS streams in every
-        lane, decode at the destination and score against the truth;
-        returns the (packets, lanes) bit errors and note codes, the
-        replicas' packets in replica order.  The lanes of one kind (XOR,
-        or linear) share a noise stream and draw equal noise, so the kind
+    def _settle_transmissions(self, owners, uids, h_rd):
+        """Second phase of the stacked transmissions, each with its owner
+        replica, popped uid and pair's relay-destination gains (T, m):
+        send each packet's NCS streams in every lane, decode at the
+        destination and score against the truth; returns the (packets,
+        lanes) bit errors and note codes.  The lanes of one kind (XOR, or
+        linear) share a noise stream and draw equal noise, so the kind
         runs slice by slice: each slice draws the noise once, each
         replica's run from its own stream, and every lane of the kind
         adds it to its own signal."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
-        owners, coded, h_rd = [], [], []
-        for replica in self.replicas:
-            for uids, gains in replica._transmissions:
-                owners += [replica] * len(uids)
-                coded += [replica._coded.pop(uid) for uid in uids.tolist()]
-                h_rd.append(gains)
-            replica._transmissions = []
-        h_rd = np.concatenate(h_rd)                                # (T, m)
+        coded = [owner._coded.pop(uid) for owner, uid in zip(owners, uids)]
         direct, truth, ncs, rows = (np.array(a) for a in zip(*coded))
         schemes = self.schemes
         xor = [k for k, scheme in enumerate(schemes) if scheme == Scheme.XOR]
@@ -711,10 +693,10 @@ class SlotMachine:
         (one count for every replica, or a sequence of one per replica;
         each an integer >= 0, else ValueError), drawing no channel slot
         it does not read.  The replicas advanced since the last settle
-        settle together once their receptions' pair states fill a slice,
-        and at the end.  Raises RuntimeError when a replica reaches the
-        slot cap (default 16 n_packets + 64, so pathological configs
-        cannot spin forever) first."""
+        settle together once their pending receptions' pair states fill a
+        slice of settle()'s stack, and at the end.  Raises RuntimeError
+        when a replica reaches the slot cap (default 16 n_packets + 64, so
+        pathological configs cannot spin forever) first."""
         counts = ([n_packets] * len(self.replicas) if np.ndim(n_packets) == 0
                   else n_packets)
         counts = [check_count("a packet count", n, 0) for n in counts]
@@ -722,8 +704,8 @@ class SlotMachine:
             raise ValueError(f"{len(counts)} packet counts for "
                              f"{len(self.replicas)} replicas")
         cfg = self.config
-        # receptions whose pairs' states, (m + 1) K N complex elements
-        # each, fill a slice
+        # the pending receptions whose pairs' states, (m + 1) K N complex
+        # elements each, fill a slice in the stack settle() forms
         stack = _SLICE_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
                                     * cfg.spreading_gain)
         for r, (replica, n) in enumerate(zip(self.replicas, counts)):
@@ -739,7 +721,7 @@ class SlotMachine:
                                    f"requested packets in {replica.slot} slots")
             if replica.transmit_slots > replica.receive_slots:
                 raise RuntimeError("decoded more packets than were pushed")
-            if sum(len(part[0]) for rep in self.replicas
-                   for part in rep._receptions) >= stack:
+            if sum(not row[0] for rep in self.replicas
+                   for row in rep._pending) >= stack:      # row[0]: transmit
                 self.settle()
         return self.settle()

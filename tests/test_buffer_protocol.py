@@ -413,10 +413,10 @@ class TestSlotMachine:
             draws.extend(second_phase)
             return draw(*args, **kwargs)
 
-        def flagged(machine):
+        def flagged(machine, *args):
             second_phase.append(1)
             try:
-                return settle(machine)
+                return settle(machine, *args)
             finally:
                 second_phase.pop()
 
@@ -640,6 +640,42 @@ class TestSlotMachineProperty:
             assert left_in_order == arrived[:len(left_in_order)]
         # a packet's uid is the index of its reception
         assert [uid for _, uid in pushed] == list(range(len(pushed)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(machine_cases(), st.integers(1, 8))
+    def test_uid_column_gives_each_packets_delay(self, case, settle_every):
+        # a reception logs the uid it pushes and a transmission the uid it
+        # pops, whenever settle() runs, so a packet's delay is its
+        # transmission's slot minus its reception's
+        cfg, seed, n_slots = case
+        mach = SlotMachine(cfg, np.random.default_rng(seed))
+        rep = mach.replicas[0]
+        pushed_at, delays = {}, []          # the bank's own bookkeeping
+        push_pair, pop_pair = rep.bank.push_pair, rep.bank.pop_pair
+
+        def record_push(relays, uid):
+            push_pair(relays, uid)
+            pushed_at[uid] = rep.slot
+
+        def record_pop(relays):
+            uid = pop_pair(relays)
+            delays.append(rep.slot - pushed_at[uid])
+            return uid
+
+        rep.bank.push_pair, rep.bank.pop_pair = record_push, record_pop
+        for slot in range(n_slots):
+            mach.advance()
+            if slot % settle_every == 0:
+                mach.settle()
+        log = mach.settle().replicas[0].log
+        received, sent = np.flatnonzero(~log["transmit"]), np.flatnonzero(log["transmit"])
+        assert log["uid"][received].tolist() == list(range(len(received)))
+        arrival = received[log["uid"][sent]]     # each sent packet's reception slot
+        assert np.all(arrival < sent)
+        assert np.array_equal(log["relays"][arrival], log["relays"][sent])
+        if not cfg.buffers_enabled:
+            assert np.array_equal(arrival, sent - 1)
+        assert (sent - arrival).tolist() == delays
 
     @settings(max_examples=200, deadline=None)
     @given(machine_cases())

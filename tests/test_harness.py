@@ -393,16 +393,25 @@ class TestSettleInvariance:
         def machine():
             return SlotMachine(cfg, seed, schemes=list(Scheme))
 
+        def holds_the_block_it_reads(mach):
+            # a settled replica holds the unread rows of the channel block
+            # it is still reading, and no other block
+            rep = mach.replicas[0]
+            unread = 0 if rep._block is None else rep._block_slots - rep._row
+            assert [len(block.h_sd) for block in rep._blocks] == [unread] * bool(unread)
+
         eager, once = machine(), machine()
         while eager.replicas[0].transmit_slots < n_packets:
             eager.advance()
-            eager.settle()
+            holds_the_block_it_reads(eager.settle())
         while once.replicas[0].transmit_slots < n_packets:
             once.advance()
-        once.settle()
+        holds_the_block_it_reads(once.settle())
         driven = machine().run_until(n_packets)
         with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
             sliced = machine().run_until(n_packets)     # one item per slice
+        for mach in (driven, sliced):
+            holds_the_block_it_reads(mach)
         eager, once, driven, sliced = (mach.replicas[0]
                                        for mach in (eager, once, driven, sliced))
         # repr compares every field, the unbuffered slots' nan SINR included
@@ -773,6 +782,47 @@ class TestGoldenCounts:
                                 buffer_size=2, pair_mode=PairMode.FIXED_GROUPS)
         assert got == GOLDEN_K4_L8
         assert sha == GOLDEN_K4_L8_TRACE_SHA256
+
+
+# One SHA-256 over the CSV, the sidecar (less its wall_clock_s line) and
+# the --trace file of each sweep of byte_grid(), in order.  Pinned like
+# GOLDEN: a refactor that moves any output byte fails here.
+GOLDEN_GRID_SHA256 = \
+    "26bfa16856ff3168cdd67e81c847225dcd788f91af974ea6448a5097d762ae53"
+
+
+def byte_grid():
+    """(config, SNR list, packets a point) of 34 sweeps over every scheme
+    and both buffer modes: the paper system (K = L = 6, N = 16, J = 4,
+    m = 2) over seeds 0-1, both pair modes, P in {16, 200}, both
+    receivers and both decoders at 0, 6, 10 and 20 dB, 6 packets a point;
+    then two m = 3 systems at P = 16, 4 and 12 dB, 5 packets a point."""
+    for seed, pair_mode, length, receiver, decoder in product(
+            range(2), PairMode, (16, 200), ReceiverKind, DecoderKind):
+        yield (SystemConfig(packet_length=length, receiver=receiver, decoder=decoder,
+                            pair_mode=pair_mode, rng_seed=seed),
+               [0.0, 6.0, 10.0, 20.0], 6)
+    for pair_mode, decoder in ((PairMode.FIXED_GROUPS, DecoderKind.JOINT),
+                               (PairMode.ALL_PAIRS, DecoderKind.DIRECT)):
+        yield (SystemConfig(group_size=3, packet_length=16, pair_mode=pair_mode,
+                            decoder=decoder), [4.0, 12.0], 5)
+
+
+def test_byte_grid_pinned(tmp_path):
+    digest = hashlib.sha256()
+    csv_path, trace_path = tmp_path / "grid.csv", tmp_path / "slots.csv"
+    for cfg, snrs, n_packets in byte_grid():
+        report = run_sweep(cfg, snrs, n_packets, schemes=list(Scheme),
+                           buffer_modes=[True, False], collect_trace=True,
+                           chunk_packets=4)
+        emit_report(report, csv_path)
+        write_trace(report, trace_path)
+        sidecar = Path(f"{csv_path}.config.txt").read_text().splitlines(keepends=True)
+        digest.update(csv_path.read_bytes())
+        digest.update("".join(line for line in sidecar
+                              if not line.startswith("wall_clock_s =")).encode())
+        digest.update(trace_path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_GRID_SHA256
 
 
 def csv_rows(path):
