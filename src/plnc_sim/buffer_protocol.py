@@ -100,7 +100,7 @@ def _slices(n, item_elements):
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def reception_elements(config: SystemConfig):
+def _reception_elements(config: SystemConfig):
     """The elements a reception's first phase holds in pass 2: the data
     of K users, and the normals, noise, signal and outputs of (1 + m) m
     real streams, for P symbols."""
@@ -347,6 +347,7 @@ class Replica:
         self.slot = 0
         self.receive_slots = 0
         self.transmit_slots = 0
+        self._settled_receptions = 0     # receive_slots at the last settle
         self.wanted = None       # run_until's packet count, which sizes blocks
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
         self._block = None       # (table rows, ranking), None once read
@@ -511,6 +512,7 @@ class SlotMachine:
                 start = stop
         for rep, rec in zip(self.replicas, records):
             rep._log, rep._pending = np.concatenate((rep._log, rec)), []
+            rep._settled_receptions = rep.receive_slots
         return self
 
     def _inputs(self, records):
@@ -591,9 +593,10 @@ class SlotMachine:
         """First phase of the stacked receptions, each with its owner
         replica, uid, group and pair's gains: all sources transmit, each
         selected pair detects its group; every lane designs its encoders
-        and encodes, and the packets' streams, the destination's direct
-        decisions and the ground truth (as int8) and encoder rows are kept
-        in their replica until their transmission."""
+        and encodes, and the packets' streams (the linear lanes' NCS levels
+        stored as int8), the destination's direct decisions, the ground
+        truth and encoder rows are kept in their replica until their
+        transmission."""
         cfg = self.config
         P = cfg.packet_length
         state = pairs.effective(self.codebook.codes)
@@ -602,16 +605,15 @@ class SlotMachine:
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
         rows = self._designs(state, users, filters_sr, owners)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
-        for s in _slices(len(uids), reception_elements(cfg)):
+        for s in _slices(len(uids), _reception_elements(cfg)):
             symbols = sm.data_symbols(_stream(owners[s], lambda r: r.rng.data.bit_generator),
                                       (len(uids[s]), cfg.num_users, P))
             soft_sd, soft_sr = sm.sample_first_phase(
                 symbols, (gains[s], colour[s]), cfg.noise_var,
                 _stream(owners[s], lambda r: r.rng.first_phase))
-            direct = rx.hard_decision(soft_sd).astype(np.int8)
+            direct = rx.hard_decision(soft_sd)
             detected = rx.hard_decision(soft_sr)        # [..., relay, user, symbol]
-            truth = np.take_along_axis(symbols, users[s][:, :, None],
-                                       axis=1).astype(np.int8)
+            truth = np.take_along_axis(symbols, users[s][:, :, None], axis=1)
             ncs = np.stack([nc.xor_encode(detected) if scheme == Scheme.XOR
                             else nc.encode_ncs(rows[s, k], detected)
                             for k, scheme in enumerate(self.schemes)],
@@ -645,7 +647,7 @@ class SlotMachine:
                     colour[s], (len(truth[s]), 1, P), cfg.noise_var,
                     _stream(owners[s], lambda r: r.lanes[xor[0]].noise))
                 for k in xor:
-                    soft = signal[s] @ ncs[s, k].astype(np.float64) + noise
+                    soft = signal[s] @ ncs[s, k] + noise
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
                     errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         if linear:
@@ -661,7 +663,7 @@ class SlotMachine:
                     colour[s, :, None, None], (len(truth[s]), m, 1, P), cfg.noise_var,
                     _stream(owners[s], lambda r: r.lanes[linear[0]].noise))[:, :, 0]
                 for k in linear:
-                    z = gains[s, :, None] * ncs[s, k].astype(np.float64) + noise
+                    z = gains[s, :, None] * ncs[s, k] + noise
                     refine = None if decoders[k] is None else decoders[k][s]
                     if cfg.decoder == DecoderKind.JOINT:
                         decoded = nc.decode_joint(rows[s, k], z, gains[s], refine)
@@ -721,7 +723,7 @@ class SlotMachine:
                                    f"requested packets in {replica.slot} slots")
             if replica.transmit_slots > replica.receive_slots:
                 raise RuntimeError("decoded more packets than were pushed")
-            if sum(not row[0] for rep in self.replicas
-                   for row in rep._pending) >= stack:      # row[0]: transmit
+            if sum(rep.receive_slots - rep._settled_receptions
+                   for rep in self.replicas) >= stack:
                 self.settle()
         return self.settle()

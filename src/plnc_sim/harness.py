@@ -3,15 +3,13 @@
 A sweep point is split into fixed-size packet chunks, and a task is a
 group of one point's chunks: one slot machine runs it, with one replica
 per (chunk, buffer mode) and one lane per scheme, and settles the
-replicas together.  A task holds every chunk of its point in one
-process, split evenly over the workers, unless one chunk's receptions
-already fill a pass-2 slice, where stacking chunks shares no fixed cost
-and a task holds one chunk.  Chunk seeds derive from (master seed,
-point index, chunk index), so the aggregate counts are bit-identical
-for any worker count and any grouping.  The seed leaves out the
-variant: both buffer modes of a point run on the same random streams,
-and the lanes share the channels, symbols and first-phase noise and
-take the same actions.
+replicas together.  A point's chunks are split evenly over the
+workers, one task each, whatever the packet length.  Chunk seeds derive
+from (master seed, point index, chunk index), so the aggregate counts
+are bit-identical for any worker count and any grouping.  The seed
+leaves out the variant: both buffer modes of a point run on the same
+random streams, and the lanes share the channels, symbols and
+first-phase noise and take the same actions.
 """
 
 import contextlib
@@ -23,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import buffer_protocol as bp
 from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_columns, trace_row
 from .config import Scheme, SystemConfig, check_count
 
@@ -136,12 +133,9 @@ def _run_chunk(task):
     return key, [replica.log for replica in machine.replicas]
 
 
-def _chunks_per_task(config, chunk_packets, chunks, workers):
+def _chunks_per_task(chunks, workers):
     """How many of a point's chunks one task stacks: all of them, split
-    evenly over the workers, while a chunk's receptions fill less than a
-    pass-2 slice; otherwise stacking shares no fixed cost, and one."""
-    if chunk_packets * bp.reception_elements(config) >= bp._SLICE_ELEMENTS:
-        return 1
+    evenly over the workers."""
     return -(-chunks // workers)
 
 
@@ -177,7 +171,7 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
 
     for buffered in buffer_modes:      # check every config before any task runs
         replace(config, buffers_enabled=buffered)
-    per_task = _chunks_per_task(config, chunk_packets, len(sizes), workers)
+    per_task = _chunks_per_task(len(sizes), workers)
     tasks = []
     for p_idx, snr in enumerate(snr_list):
         cfg = replace(config, nc_design=schemes[0], snr_db=snr)

@@ -119,16 +119,17 @@ def xor_encode(detected_by_relay):
     sum of bits is the product of +-1 symbols, so relay l sends the
     product of its detections over the users.  detected_by_relay is
     (..., m, m, P) indexed [..., relay, user, symbol], as for
-    encode_ncs; returns (..., m, P)."""
-    return np.prod(np.asarray(detected_by_relay, dtype=np.float64), axis=-2)
+    encode_ncs; returns int8 (..., m, P)."""
+    return np.prod(detected_by_relay, axis=-2, dtype=np.int8)
 
 
 def encode_ncs(rows, detected_by_relay):
     """NCS packet for the whole pair: relay l combines its own
     detections with column l of the encoder.  rows (...) index
     encoder_table(m) and detected_by_relay is (..., m, m, P) indexed
-    [..., relay, user, symbol]; returns (..., m, P)."""
-    det = np.asarray(detected_by_relay, dtype=np.float64)
+    [..., relay, user, symbol], +-1; returns the float NCS levels
+    (..., m, P)."""
+    det = np.asarray(detected_by_relay)
     G = encoder_table(det.shape[-2]).G[rows]
     return np.einsum("...kl,...lkp->...lp", G, det)
 
@@ -365,8 +366,9 @@ def _refine(filter_outputs, gains, decoder):
 def decode_joint(rows, filter_outputs, gains, decoder=None):
     """Recover the m user symbols from the m relay-stream filter outputs:
     gain-normalize them (or MMSE-refine them with a decoder matrix),
-    unmix by (G^T)^-1 and slice.  filter_outputs has shape (..., m, P)
-    for rows (...); gains and decoder carry the same leading axes.
+    unmix by (G^T)^-1 and slice to int8 +-1.  filter_outputs has shape
+    (..., m, P) for rows (...); gains and decoder carry the same leading
+    axes.
     """
     refined = _refine(filter_outputs, gains, decoder).real
     return hard_decision(encoder_table(refined.shape[-2]).unmix[rows] @ refined)
@@ -388,17 +390,17 @@ def detect_ncs(rows, filter_outputs, gains, decoder=None):
 def decode_with_direct(rows, ncs_estimates, direct_estimates):
     """Every user of the group, each from the first relay whose column
     carries it: cancel the other users via their stored direct-link
-    estimates and slice.
+    estimates and slice to int8 +-1.
 
     ncs_estimates and direct_estimates have shape (..., m, P) for rows
     (...), and so has the result.  A user's own direct entry is never
     read.
     """
-    ncs = np.asarray(ncs_estimates, dtype=np.float64)
+    ncs = np.asarray(ncs_estimates)
     table = encoder_table(ncs.shape[-2])
     ncs = np.swapaxes(np.take_along_axis(ncs, table.carrier[rows][..., :, None],
                                          axis=-2), -1, -2)        # (..., P, user)
-    direct = np.asarray(direct_estimates, dtype=np.float64)
+    direct = np.asarray(direct_estimates)
     direct = np.swapaxes(direct, -1, -2)[..., None, :]            # (..., P, 1, other)
     others = ~np.eye(ncs.shape[-1], dtype=bool)  # never read a user's own entry
     known = np.where(others, table.cancel[rows][..., None, :, :] * direct,
@@ -411,11 +413,11 @@ def xor_decode(ncs_symbols, direct_symbols):
     direct-link symbols (XOR of bits as a product of +-1 symbols).
 
     ncs_symbols is the destination's (..., P) estimate of the pair's
-    common XOR stream and direct_symbols is (..., m, P); returns
+    common XOR stream and direct_symbols is (..., m, P); returns int8
     (..., m, P).  A user's own direct entry is never read.
     """
-    direct = np.swapaxes(np.asarray(direct_symbols, dtype=np.float64), -1, -2)
+    direct = np.swapaxes(np.asarray(direct_symbols), -1, -2)
     m = direct.shape[-1]
-    others = np.where(~np.eye(m, dtype=bool), direct[..., None, :], 1.0)
-    return (np.asarray(ncs_symbols, dtype=np.float64)[..., None, :]
-            * np.swapaxes(np.prod(others, axis=-1), -1, -2))
+    others = np.where(~np.eye(m, dtype=bool), direct[..., None, :], np.int8(1))
+    return (np.asarray(ncs_symbols, dtype=np.int8)[..., None, :]
+            * np.swapaxes(np.prod(others, axis=-1, dtype=np.int8), -1, -2))

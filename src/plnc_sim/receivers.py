@@ -114,9 +114,9 @@ def erfc(x, out=None):
 
 
 def hard_decision(soft):
-    """BPSK slicer: +1.0 when Re(x) >= 0 else -1.0, so 0 and -0.0 go to
+    """BPSK slicer: int8 +1 when Re(x) >= 0 else -1, so 0 and -0.0 go to
     +1 and NaN to -1."""
-    return (np.asarray(soft).real >= 0.0) * 2.0 - 1.0
+    return (np.asarray(soft).real >= 0.0).view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def _mmse_bank(H, sigma2):

@@ -25,8 +25,9 @@ Conventions used throughout:
   * filter_noise draws that noise for both phases; a draw fills its
     array in C order, so one draw over leading observation axes equals
     one draw per observation
-  * data symbols are +-1 = 1 - 2c for the bits c of whole 64-bit words
-    of a bit generator, lowest bit first
+  * data symbols are int8 +-1 = 1 - 2c for the bits c of whole 64-bit
+    words of a bit generator, lowest bit first; every hard value of the
+    slot machine (a slicer's decision, an XOR NCS symbol) is int8 +-1 too
 """
 
 import math
@@ -112,7 +113,7 @@ def real_gaussian(rng, shape, variance=1.0):
 
 
 def data_symbols(source, shape):
-    """BPSK symbols +-1 = 1 - 2c of shape (R, ...), R independent draws
+    """int8 BPSK symbols +-1 = 1 - 2c of shape (R, ...), R independent draws
     of prod(shape[1:]) bits c each: a draw reads the bits of
     ceil(prod(shape[1:]) / 64) whole 64-bit words, lowest bit first, and
     drops the rest of its last word.  source is a bit generator, or
@@ -124,7 +125,7 @@ def data_symbols(source, shape):
     words = source.random_raw((shape[0], -(-count // 64)))
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
                          count=count, bitorder="little")
-    return (1.0 - 2.0 * bits).reshape(shape)
+    return (1 - 2 * bits.view(np.int8)).reshape(shape)
 
 
 def draw_channels(config: SystemConfig, rng, n):

@@ -93,6 +93,28 @@ SMALL = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
                      packet_length=8, ml_training_len=8)
 
 
+@pytest.mark.parametrize("decoder", list(DecoderKind))
+def test_decoders_return_int8_symbols_that_negation_flips(monkeypatch, decoder):
+    # the out-of-band test corrupts decode_joint's output by negating it:
+    # every decoder returns int8 +-1, so a negated output flips every
+    # decision, with all four schemes in one machine
+    outputs = {}
+    for name in ("decode_joint", "decode_with_direct", "xor_decode"):
+        def kept(*args, _name=name, _fn=getattr(nc, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            outputs.setdefault(_name, []).append(out)
+            return out
+        monkeypatch.setattr(nc, name, kept)
+    SlotMachine(replace(SMALL, decoder=decoder), np.random.default_rng(6),
+                schemes=list(Scheme)).run_until(3)
+    linear = "decode_joint" if decoder == DecoderKind.JOINT else "decode_with_direct"
+    assert sorted(outputs) == sorted([linear, "xor_decode"])
+    for out in (out for outs in outputs.values() for out in outs):
+        assert out.dtype == np.int8 and out.size > 0
+        assert set(np.unique(out).tolist()) <= {-1, 1}
+        assert not np.any(-out == out)
+
+
 def test_trial_slots_reach_the_variant_counter(tmp_path):
     # the light trace's run_trial hook reads .slots from the trial
     light = tracer.Tracer(str(tmp_path))

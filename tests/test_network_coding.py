@@ -814,17 +814,20 @@ class TestArrayDecodersMatchLoopOracles:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_xor_encode_and_decode(self, m, P, seed):
         rng = np.random.default_rng(seed)
-        detected = np.where(rng.random((m, m, P)) < 0.5, 1.0, -1.0)
+        # int8 +-1, as the slot machine's slicers give them; 0 in a user's
+        # own direct entry shows that entry is never read
+        detected = np.where(rng.random((m, m, P)) < 0.5, 1, -1).astype(np.int8)
         ncs = xor_encode(detected)
+        assert ncs.dtype == np.int8
         assert np.array_equal(ncs, oracle_xor_encode(detected))
-        direct = np.where(rng.random((m, P)) < 0.5, 1.0, -1.0)
+        direct = np.where(rng.random((m, P)) < 0.5, 1, -1).astype(np.int8)
         got = xor_decode(ncs[0], direct)
-        assert got.shape == (m, P)
+        assert got.shape == (m, P) and got.dtype == np.int8
         for k in range(m):
             assert np.array_equal(got[k], oracle_xor_decode(ncs[0], direct, k))
-            own_nan = direct.copy()
-            own_nan[k] = np.nan
-            assert np.array_equal(xor_decode(ncs[0], own_nan)[k], got[k])
+            own_zero = direct.copy()
+            own_zero[k] = 0
+            assert np.array_equal(xor_decode(ncs[0], own_zero)[k], got[k])
 
     def test_midpoints_go_to_the_lower_level(self):
         for m in (1, 2, 3):

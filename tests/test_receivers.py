@@ -231,7 +231,7 @@ class TestSlicer:
         assert np.array_equal(expected, [1, 1, -1, 1, -1, 1, -1])
         for x in (soft, soft + 2j, soft.reshape(7, 1)):
             out = hard_decision(x)
-            assert out.dtype == np.float64 and out.shape == x.shape
+            assert out.dtype == np.int8 and out.shape == x.shape
             assert np.array_equal(out.ravel(), expected)
 
 

@@ -252,7 +252,7 @@ class TestInPhaseSampling:
         bits = [[(word >> j) & 1 for word in words[2 * r:2 * r + 2] for j in range(64)]
                 for r in range(3)]
         expected = 1.0 - 2.0 * np.array([row[:80] for row in bits]).reshape(3, 2, 40)
-        assert symbols.dtype == np.float64 and np.array_equal(symbols, expected)
+        assert symbols.dtype == np.int8 and np.array_equal(symbols, expected)
 
     def test_data_bits_fair(self):
         # 10^6 bits: their mean lies within 5 sigma of 1/2
