@@ -51,13 +51,16 @@ the transmissions' bit_errors and note codes into the records; until
 then the log raises.  A packet's streams, direct-link decisions, ground
 truth and encoder rows (int16, -1 for XOR) wait under its uid from its
 reception's settle to its transmission's.  run_until settles whenever
-the replicas it has advanced since the last settle hold a slice's worth
-of receptions, and at the end, so the stack that settle() forms stays
-near one slice.  Every random stream has one purpose and the same draw
-shape on every call, so one block of draws equals the per-slot draws bit
-for bit, whenever settle() runs and however the replicas are stacked.
-The arrays run in slices whose transient arrays hold about
-_SLICE_ELEMENTS float64 elements.
+the replicas it has advanced since the last settle hold the stack
+threshold's worth of receptions (_STACK_ELEMENTS of pair states), and at
+the end, so the N-chip arrays settle() holds whole stay near that size.
+Every random stream has one purpose and the same draw shape on every
+call, so one block of draws equals the per-slot draws bit for bit,
+whenever settle() runs and however the replicas are stacked.  Within a
+settle the arrays run in slices whose transient arrays hold about the
+slice budget, _SLICE_ELEMENTS float64 elements: each slice pays a fixed
+cost in NumPy calls, so the budget is sized for throughput against the
+L2 cache, not for the smallest footprint.
 
 No coding scheme changes the channel stream or the bank occupancies, so
 one machine runs several schemes in lockstep, one lane each: the slot's
@@ -83,19 +86,36 @@ from . import relay_selection as rs
 from . import signal_model as sm
 from .config import DecoderKind, PairMode, Scheme, SystemConfig, check_count
 
-# Pass 2 and the channel blocks run in slices whose transient arrays
-# hold about this many float64 elements (256 KB), a constant: a channel
-# block holds 151 slots on the paper system, whose L K x K MMSE systems
-# are the largest array pass 1 holds per slot; the first and second phase
-# of a chunk of 16-symbol packets run as one slice and 1000-symbol
-# packets one at a time; the m=2 mmse design scores 21 receptions at a
-# time and the m=3 one a single reception.
-_SLICE_ELEMENTS = 1 << 15
+# The slice budget: pass 2's loops run in slices whose transient arrays
+# hold about this many float64 elements (1 MB), a constant.  Each slice
+# pays a fixed cost of about 40 NumPy calls whatever its size, so the
+# budget is sized for throughput, not for the smallest footprint: half
+# of a 2 MB per-core L2.  Paper-system rounds ran fastest at it among 1/4
+# to 4 times it; twice it was no faster and held more.  The first phase
+# of a chunk of 16-symbol packets runs as one slice and of 1000-symbol
+# packets 4 at a time, their second phase 10 at a time in the linear
+# lanes and 32 in the XOR lane; the m=2 mmse design scores 85 receptions
+# at a time and the m=3 one a single reception.
+_SLICE_ELEMENTS = 1 << 17
+
+# The block budget: pass 1 draws its channel blocks so that their L K x K
+# first-hop MMSE systems, the largest array it holds per slot, hold about
+# this many float64 elements (256 KB): 151 slots on the paper system.
+# Within run_until the slots still needed cap a block anyway; outside it,
+# every slot of a block is drawn and ranked, run or not.
+_BLOCK_ELEMENTS = 1 << 15
+
+# The stack threshold: run_until settles once the pending receptions'
+# pair states hold about this many float64 elements (256 KB), 56
+# receptions on the paper system.  settle() holds the stack's N-chip
+# arrays whole, whatever the slices.
+_STACK_ELEMENTS = 1 << 15
 
 
 def _slices(n, item_elements):
-    """Consecutive slices of range(n), each of at most _SLICE_ELEMENTS
-    elements at item_elements per item (at least one item)."""
+    """Consecutive slices of range(n), each of at most the slice budget,
+    _SLICE_ELEMENTS elements, at item_elements per item (at least one
+    item)."""
     step = max(1, _SLICE_ELEMENTS // item_elements)
     return [slice(start, start + step) for start in range(0, n, step)]
 
@@ -106,6 +126,18 @@ def _reception_elements(config: SystemConfig):
     real streams, for P symbols."""
     m = config.group_size
     return (config.num_users + 4 * (m + 1) * m) * config.packet_length
+
+
+def _transmission_elements(config: SystemConfig, xor):
+    """The elements a transmission's second phase holds in pass 2 for one
+    kind of lane, per symbol of each stream its relays send (the pair's
+    one for XOR, m sub-slots for the linear lanes), P symbols each: the
+    normals and the noise the kind's lanes share, then one lane's signal
+    and filter output, and for a linear lane its refined and unmixed
+    outputs."""
+    if xor:
+        return 4 * config.packet_length
+    return 6 * config.group_size * config.packet_length
 
 
 class BufferBank:
@@ -423,13 +455,14 @@ class SlotMachine:
         """Draw the replica's next block of link gains, which wait in its
         blocks for settle(), and, buffered, compute its SINR table over
         both hops and its ranking for the whole block.  A block holds the
-        slots the slice budget allows on the (L, K, K) first-hop MMSE
-        systems and, within run_until, no more than the fewest slots the
-        replica still needs, (n - transmitted) + max(0, n - received), so
-        every slot drawn there is read."""
+        slots the block budget, _BLOCK_ELEMENTS, allows on the (L, K, K)
+        first-hop MMSE systems (151 on the paper system) and, within
+        run_until, no more than the fewest slots the replica still needs,
+        (n - transmitted) + max(0, n - received), so every slot drawn
+        there is read."""
         cfg = replica.config
         K = cfg.num_users
-        size = max(1, _SLICE_ELEMENTS // (cfg.num_relays * K * K))
+        size = max(1, _BLOCK_ELEMENTS // (cfg.num_relays * K * K))
         n = replica.wanted
         if n is not None:
             size = min(size, n - replica.transmit_slots
@@ -633,16 +666,18 @@ class SlotMachine:
         adds it to its own signal."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
-        coded = [owner._coded.pop(uid) for owner, uid in zip(owners, uids)]
-        direct, truth, ncs, rows = (np.array(a) for a in zip(*coded))
+        # stacked copies only: a packet's arrays are views that keep its
+        # reception's slice alive
+        direct, truth, ncs, rows = map(np.array, zip(*[
+            owner._coded.pop(uid) for owner, uid in zip(owners, uids)]))
         schemes = self.schemes
         xor = [k for k, scheme in enumerate(schemes) if scheme == Scheme.XOR]
         linear = [k for k in range(len(schemes)) if k not in xor]
-        errors, notes = np.zeros((2, len(coded), len(schemes)), dtype=int)
+        errors, notes = np.zeros((2, len(uids), len(schemes)), dtype=int)
         if xor:
             signal, colour, degenerate = self._xor_streams(h_rd)
             notes[np.ix_(degenerate, xor)] = NOTES.index("degenerate combined channel")
-            for s in _slices(len(coded), 10 * P):
+            for s in _slices(len(uids), _transmission_elements(cfg, xor=True)):
                 noise = sm.filter_noise(
                     colour[s], (len(truth[s]), 1, P), cfg.noise_var,
                     _stream(owners[s], lambda r: r.lanes[xor[0]].noise))
@@ -658,7 +693,7 @@ class SlotMachine:
                     decoders[k], fallback = nc.design_G_mmse(rows[:, k], gains,
                                                              noise_var)
                     notes[fallback, k] = NOTES.index("mmse fallback")
-            for s in _slices(len(coded), 10 * m * P):     # a sub-slot per stream
+            for s in _slices(len(uids), _transmission_elements(cfg, xor=False)):
                 noise = sm.filter_noise(
                     colour[s, :, None, None], (len(truth[s]), m, 1, P), cfg.noise_var,
                     _stream(owners[s], lambda r: r.lanes[linear[0]].noise))[:, :, 0]
@@ -695,10 +730,13 @@ class SlotMachine:
         (one count for every replica, or a sequence of one per replica;
         each an integer >= 0, else ValueError), drawing no channel slot
         it does not read.  The replicas advanced since the last settle
-        settle together once their pending receptions' pair states fill a
-        slice of settle()'s stack, and at the end.  Raises RuntimeError
-        when a replica reaches the slot cap (default 16 n_packets + 64, so
-        pathological configs cannot spin forever) first."""
+        settle together once their pending receptions' pair states reach
+        the stack threshold, _STACK_ELEMENTS (56 receptions on the paper
+        system), and at the end: settle() holds the stack's N-chip arrays
+        whole, so the threshold, not the slice budget, bounds them.
+        Raises RuntimeError when a replica reaches the slot cap (default
+        16 n_packets + 64, so pathological configs cannot spin forever)
+        first."""
         counts = ([n_packets] * len(self.replicas) if np.ndim(n_packets) == 0
                   else n_packets)
         counts = [check_count("a packet count", n, 0) for n in counts]
@@ -707,8 +745,8 @@ class SlotMachine:
                              f"{len(self.replicas)} replicas")
         cfg = self.config
         # the pending receptions whose pairs' states, (m + 1) K N complex
-        # elements each, fill a slice in the stack settle() forms
-        stack = _SLICE_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
+        # elements each, reach the stack threshold
+        stack = _STACK_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
                                     * cfg.spreading_gain)
         for r, (replica, n) in enumerate(zip(self.replicas, counts)):
             cap = 16 * n + 64 if max_slots is None else max_slots

@@ -187,7 +187,7 @@ def test_pass_one_runs_once_per_channel_block(tmp_path, monkeypatch, buffered):
     # never in pass 1; every traced name the machine uses is reached
     # through its module
     K, L = SMALL.num_users, SMALL.num_relays
-    monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 3 * L * K * K)  # 3 slots
+    monkeypatch.setattr(bp, "_BLOCK_ELEMENTS", 3 * L * K * K)  # 3 slots
     draw, drawn = sm.draw_channels, []
 
     def counted(*args):                # a block's last slots may be fewer

@@ -1,5 +1,6 @@
 """Buffer bank feasibility rules and the slot state machine."""
 
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -394,8 +395,8 @@ class TestSlotMachine:
         for copied, source in ((ml.design, rand.design), (xor.noise, rand.noise)):
             assert copied.bit_generator.state == source.bit_generator.state
 
-    # 7 packets: linear slices of 2 packets (10 m P elements each), XOR
-    # slices of 4 (10 P each)
+    # 7 packets: linear slices of 2 packets, XOR slices of 6 (a third of
+    # a linear packet's elements: one stream, no refined or unmixed outputs)
     @pytest.mark.parametrize("schemes,slices", [(list(Scheme), 4 + 2),
                                                 (list(Scheme)[1:], 4)])
     def test_second_phase_draws_noise_once_per_slice_and_kind(
@@ -404,8 +405,8 @@ class TestSlotMachine:
         cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
                            packet_length=10, ml_training_len=8,
                            buffers_enabled=False)
-        m, P = cfg.group_size, cfg.packet_length
-        monkeypatch.setattr(bp, "_SLICE_ELEMENTS", 2 * 10 * m * P)
+        monkeypatch.setattr(bp, "_SLICE_ELEMENTS",
+                            2 * bp._transmission_elements(cfg, xor=False))
         draws, second_phase = [], []
         draw, settle = sm.real_gaussian, bp.SlotMachine._settle_transmissions
 
@@ -424,6 +425,38 @@ class TestSlotMachine:
         monkeypatch.setattr(bp.SlotMachine, "_settle_transmissions", flagged)
         SlotMachine(cfg, 1, schemes=schemes).run_until(7)
         assert len(draws) == slices
+
+    def test_paper_task_peak_stays_within_the_budgets(self):
+        # one paper-system sweep task at P = 1000: a buffered and an
+        # unbuffered replica, every scheme, 25 packets each, settled as one
+        # stack of 54 receptions.  Its traced peak falls in the last first
+        # phase slice, and is bounded by what settle() holds whole for the
+        # stack (its pair states, their two filter banks and the first
+        # phase maps: under three stack thresholds of float64 elements),
+        # the packets that wait for their transmission (int8 direct
+        # decisions, truth and a stream per lane: (2 + lanes) m P bytes
+        # each) and one slice's transients (at most the slice budget's
+        # float64 elements): 2.4 MB.  The peak is 1.9 MB, so no float64
+        # array of one value per stream symbol of the stack (54 x 2 x
+        # 1000: 0.8 MB) fits beside them.
+        cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=16,
+                           buffer_size=4, group_size=2, packet_length=1000,
+                           receiver=ReceiverKind.MMSE, rng_seed=1)
+
+        def task():
+            return SlotMachine(cfg, schemes=list(Scheme),
+                               replicas=[(True, 2), (False, 2)])
+
+        task().run_until(1)         # fills the encoder tables' caches
+        tracemalloc.start()
+        try:
+            machine = task().run_until(25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packets = sum(replica.receive_slots for replica in machine.replicas)
+        waiting = packets * (2 + len(Scheme)) * cfg.group_size * cfg.packet_length
+        assert peak < 8 * (3 * bp._STACK_ELEMENTS + bp._SLICE_ELEMENTS) + waiting
 
     def test_unsettled_transmission_fails_loudly(self):
         # a transmission's errors and notes wait for pass 2: until then

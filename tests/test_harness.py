@@ -1,5 +1,6 @@
 """Trial running, sweep aggregation, CSV report and the CLI."""
 
+import contextlib
 import csv
 import hashlib
 import os
@@ -383,6 +384,23 @@ def settle_cases(draw):
     return cfg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4 if m < 3 else 2))
 
 
+@contextlib.contextmanager
+def one_item_per_slice():
+    # every pass-2 loop and channel block one item at a time, and a
+    # settle after every replica's run
+    with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1), \
+            mock.patch.object(buffer_protocol, "_BLOCK_ELEMENTS", 1), \
+            mock.patch.object(buffer_protocol, "_STACK_ELEMENTS", 1):
+        yield
+
+
+@contextlib.contextmanager
+def one_slice_per_loop():
+    # every pass-2 loop in a single slice
+    with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1 << 40):
+        yield
+
+
 class TestSettleInvariance:
     # pass 2 may run after every slot or once at the end
     @settings(max_examples=30, deadline=None)
@@ -408,15 +426,17 @@ class TestSettleInvariance:
             once.advance()
         holds_the_block_it_reads(once.settle())
         driven = machine().run_until(n_packets)
-        with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
-            sliced = machine().run_until(n_packets)     # one item per slice
-        for mach in (driven, sliced):
+        with one_item_per_slice():
+            sliced = machine().run_until(n_packets)
+        with one_slice_per_loop():
+            whole = machine().run_until(n_packets)
+        for mach in (driven, sliced, whole):
             holds_the_block_it_reads(mach)
-        eager, once, driven, sliced = (mach.replicas[0]
-                                       for mach in (eager, once, driven, sliced))
+        eager, once, driven, sliced, whole = (
+            mach.replicas[0] for mach in (eager, once, driven, sliced, whole))
         # repr compares every field, the unbuffered slots' nan SINR included
         assert repr(eager.log) == repr(once.log) == repr(driven.log) \
-            == repr(sliced.log)
+            == repr(sliced.log) == repr(whole.log)
         assert len(driven.log) == driven.slot        # every slot settled
 
     @settings(max_examples=20, deadline=None)
@@ -425,8 +445,9 @@ class TestSettleInvariance:
                                     min_size=2, max_size=3))
     def test_replicas_settle_as_one_replica_machines(self, case, replicas):
         # the replicas of one machine, in either buffer mode, settle
-        # together after every slot, once, or one item per slice, and
-        # each replica's log is that of a one-replica machine of its seed
+        # together after every slot, once, one item per slice or one
+        # slice per loop, and each replica's log is that of a one-replica
+        # machine of its seed
         cfg = case[0]
         counts = [n for _, _, n in replicas]
 
@@ -448,8 +469,10 @@ class TestSettleInvariance:
                 once.advance(r)
         once.settle()
         driven = machine().run_until(counts)
-        with mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", 1):
+        with one_item_per_slice():
             sliced = machine().run_until(counts)
+        with one_slice_per_loop():
+            whole = machine().run_until(counts)
         # run_until draws no channel slot that its replicas do not read,
         # so a second run continues the first
         stepped = machine().run_until(1).run_until(counts)
@@ -458,7 +481,8 @@ class TestSettleInvariance:
                                 schemes=list(Scheme)).run_until(n)
             assert repr(eager.replicas[r].log) == repr(once.replicas[r].log) \
                 == repr(driven.replicas[r].log) == repr(sliced.replicas[r].log) \
-                == repr(stepped.replicas[r].log) == repr(alone.replicas[0].log)
+                == repr(whole.replicas[r].log) == repr(stepped.replicas[r].log) \
+                == repr(alone.replicas[0].log)
 
     @settings(max_examples=20, deadline=None)
     @given(settle_cases(), st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1),
@@ -467,7 +491,7 @@ class TestSettleInvariance:
            st.sampled_from([None, 1, 3]))
     def test_every_channel_slot_drawn_is_read(self, case, replicas, block):
         # within run_until a block holds no more slots than its replica
-        # still needs, so the channel rows drawn, in blocks of the slice
+        # still needs, so the channel rows drawn, in blocks of the block
         # budget (block slots when given) or fewer, add up to the slots
         # run, in either buffer mode and over a second run
         cfg = case[0]
@@ -479,10 +503,10 @@ class TestSettleInvariance:
 
         machine = SlotMachine(cfg, schemes=list(Scheme), replicas=[
             (buffered, seed) for buffered, seed, _ in replicas])
-        budget = buffer_protocol._SLICE_ELEMENTS if block is None else \
+        budget = buffer_protocol._BLOCK_ELEMENTS if block is None else \
             block * cfg.num_relays * cfg.num_users ** 2
         with mock.patch.object(signal_model, "draw_channels", counted), \
-                mock.patch.object(buffer_protocol, "_SLICE_ELEMENTS", budget):
+                mock.patch.object(buffer_protocol, "_BLOCK_ELEMENTS", budget):
             for counts in ([n for *_, n in replicas], [n + 2 for *_, n in replicas]):
                 machine.run_until(counts)
                 assert sum(drawn) == sum(rep.slot for rep in machine.replicas)
