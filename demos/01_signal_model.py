@@ -14,12 +14,12 @@ cfg = SystemConfig(snr_db=10.0, rng_seed=1)
 print(f"scenario: K={cfg.num_users} users, L={cfg.num_relays} relays, "
       f"N={cfg.spreading_gain} chips/symbol, sigma2={cfg.noise_var:.3f}")
 
-book = generate_codebook(cfg)
-print(f"codebook: {book.codes.shape[0]} user codes, all unit norm "
-      f"(max deviation {abs(np.linalg.norm(book.codes, axis=1) - 1).max():.1e})")
+codes = generate_codebook(cfg)
+print(f"codebook: {codes.shape[0]} user codes, all unit norm "
+      f"(max deviation {abs(np.linalg.norm(codes, axis=1) - 1).max():.1e})")
 
 rng = np.random.default_rng(2)
-state = draw_channel(cfg, book, rng)
+state = draw_channel(cfg, codes, rng)
 # unit-norm codes: an effective vector's norm is its link gain's modulus
 print(f"fading draw: |h_sd| = "
       f"{np.linalg.norm(state.h_eff_sd, axis=-1).round(2)}")
@@ -40,7 +40,7 @@ print(f"destination energy/symbol: measured {measured:.3f}, "
 
 # second phase: the pair's network-coded symbols ride one unit-norm code,
 # so the code's matched filter leaves the scalar h_rd . b plus CN(0, sigma2)
-code = book.codes[0]
+code = codes[0]
 ncs = np.where(rng.standard_normal((2, P)) >= 0, 1.0, -1.0)
 y_rd = synthesize_second_phase(ncs, state, [0, 1], code, cfg.noise_var, rng)
 residual = code @ y_rd - state.h_rd[[0, 1]] @ ncs

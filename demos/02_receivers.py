@@ -12,9 +12,9 @@ from plnc_sim import (ReceiverKind, SystemConfig, draw_channel,
 from plnc_sim.receivers import source_relay_filter_bank
 
 cfg = SystemConfig(snr_db=8.0, rng_seed=3)
-book = generate_codebook(cfg)
+codes = generate_codebook(cfg)
 rng = np.random.default_rng(4)
-state = draw_channel(cfg, book, rng)
+state = draw_channel(cfg, codes, rng)
 
 P = 20_000
 symbols = np.where(rng.standard_normal((cfg.num_users, P)) >= 0, 1.0, -1.0)

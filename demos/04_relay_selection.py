@@ -15,7 +15,7 @@ from plnc_sim.receivers import code_coordinates
 from plnc_sim.signal_model import draw_channels
 
 cfg = SystemConfig(snr_db=10.0, rng_seed=6)
-book = generate_codebook(cfg)
+codes = generate_codebook(cfg)
 _, group_relays = make_group_assignments(cfg, np.random.default_rng([6, 0x6E0]))
 
 # one slot's link gains; the table reads them and the codes' K x K Gram
@@ -23,7 +23,7 @@ _, group_relays = make_group_assignments(cfg, np.random.default_rng([6, 0x6E0]))
 gains = draw_channels(cfg, np.random.default_rng(7), 1)[0]
 cands = candidate_pairs(group_relays, cfg.num_relays, cfg.group_size,
                         PairMode.FIXED_GROUPS)
-table = build_sinr_table(gains, code_coordinates(book.codes), cfg.noise_var,
+table = build_sinr_table(gains, code_coordinates(codes), cfg.noise_var,
                          ReceiverKind.MMSE, cands)
 
 hops = ("source_relay", "relay_dest")     # table columns

@@ -4,8 +4,8 @@ A slot machine runs one or more replicas: runs of the same system and
 SNR that differ in their seed and buffer mode, as the chunks of a sweep
 point do.  Each replica keeps its own random streams, lanes, bank,
 counters and log, so its log equals that of a one-replica machine built
-from its seed and mode; the codebook, the groups and the candidate
-pairs are built once per machine.  A machine runs in two passes.
+from its seed and mode; the codes' coordinates, the groups and the
+candidate pairs are built once per machine.  A machine runs in two passes.
 
 Pass 1, advance(), runs once per slot of one replica.  Block-fading
 link gains are drawn a block of slots ahead, and everything that depends
@@ -13,8 +13,8 @@ on the channel alone is computed once per block, as arrays with a
 leading slot axis: when buffered, the SINR table over the candidate
 pairs and both hops and its ranking (rs.select_best), the table going to
 Python lists.  The table reads the gains and the codes' coordinates in
-a basis of their span alone, K x min(K, N), so pass 1 holds no N-chip
-array.
+a basis of their span alone, K x min(K, N), so neither pass holds an
+N-chip array.
 advance() walks the slot's ranking to the first entry the buffers allow
 (decide_action); the unbuffered baseline serves its groups round robin,
 reception u at slot 2u and its transmission at slot 2u + 1, and draws no
@@ -34,13 +34,14 @@ Pass 2, settle(), runs the physics of every slot of every replica
 advanced since the last settle as one set of arrays, the replicas'
 receptions and transmissions stacked in replica order: for the
 receptions, one block of data words (signal_model.data_symbols), the
-source-destination and the selected pairs' source-relay filter banks,
-the first phase at symbol level (signal_model.sample_first_phase) and
-every lane's encoder designs and encodes; for the transmissions, the
-second phase, one noise draw per slice for all lanes of a kind, then per
-lane the decode-time MMSE refinement, the decoders and the scoring; the
-second phase and the designs read the relay-destination gains alone
-(rx.rank_one_filters).  Every slicer reads the in-phase part of a
+source-destination and the selected pairs' source-relay filter banks on
+the coordinates, whose output maps are those of the N-chip banks
+(sm.filter_output_maps), the first phase at symbol level
+(signal_model.sample_first_phase) and every lane's encoder designs and
+encodes; for the transmissions, the second phase, one noise draw per
+slice for all lanes of a kind, then per lane the decode-time MMSE
+refinement, the decoders and the scoring; the second phase and the
+designs read the relay-destination gains alone (rx.rank_one_filters).  Every slicer reads the in-phase part of a
 filter output alone, so pass 2 samples real outputs only: real gains,
 and real noise of half the complex variance.
 Each replica's run of a stacked draw comes from its own streams, in its
@@ -52,8 +53,8 @@ then the log raises.  A packet's streams, direct-link decisions, ground
 truth and encoder rows (int16, -1 for XOR) wait under its uid from its
 reception's settle to its transmission's.  run_until settles whenever
 the replicas it has advanced since the last settle hold the stack
-threshold's worth of receptions (_STACK_ELEMENTS of pair states), and at
-the end, so the N-chip arrays settle() holds whole stay near that size.
+threshold's count of receptions, and at the end, so the pair states,
+banks and maps settle() holds whole stay near that size.
 Every random stream has one purpose and the same draw shape on every
 call, so one block of draws equals the per-slot draws bit for bit,
 whenever settle() runs and however the replicas are stacked.  Within a
@@ -105,10 +106,10 @@ _SLICE_ELEMENTS = 1 << 17
 # every slot of a block is drawn and ranked, run or not.
 _BLOCK_ELEMENTS = 1 << 15
 
-# The stack threshold: run_until settles once the pending receptions'
-# pair states hold about this many float64 elements (256 KB), 56
-# receptions on the paper system.  settle() holds the stack's N-chip
-# arrays whole, whatever the slices.
+# The stack threshold: run_until settles once the pending receptions
+# number this over 2 K (m + 1) N, the float64 elements of a pair state
+# on N chips: 56 on the paper system.  settle() holds the stack's pair
+# states, banks and maps (on the coordinates) whole, whatever the slices.
 _STACK_ELEMENTS = 1 << 15
 
 
@@ -430,8 +431,7 @@ class SlotMachine:
                              "one of the two")
         if replicas is None:
             replicas = [(config.buffers_enabled, seed)]
-        self.codebook = sm.generate_codebook(config)
-        self.coords = rx.code_coordinates(self.codebook.codes)
+        self.coords = rx.code_coordinates(sm.generate_codebook(config))
         setup_rng = np.random.default_rng([config.rng_seed, 0x6E0])
         self.group_users, group_relays = nc.make_group_assignments(config,
                                                                    setup_rng)
@@ -632,7 +632,7 @@ class SlotMachine:
         transmission."""
         cfg = self.config
         P = cfg.packet_length
-        state = pairs.effective(self.codebook.codes)
+        state = pairs.effective(self.coords)
         users = self.group_users[groups]
         filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
@@ -730,10 +730,10 @@ class SlotMachine:
         (one count for every replica, or a sequence of one per replica;
         each an integer >= 0, else ValueError), drawing no channel slot
         it does not read.  The replicas advanced since the last settle
-        settle together once their pending receptions' pair states reach
-        the stack threshold, _STACK_ELEMENTS (56 receptions on the paper
-        system), and at the end: settle() holds the stack's N-chip arrays
-        whole, so the threshold, not the slice budget, bounds them.
+        settle together once their pending receptions reach the stack
+        threshold (_STACK_ELEMENTS; 56 receptions on the paper system),
+        and at the end: settle() holds the stack's pair states, banks and
+        maps whole, so the threshold, not the slice budget, bounds them.
         Raises RuntimeError when a replica reaches the slot cap (default
         16 n_packets + 64, so pathological configs cannot spin forever)
         first."""
@@ -744,8 +744,6 @@ class SlotMachine:
             raise ValueError(f"{len(counts)} packet counts for "
                              f"{len(self.replicas)} replicas")
         cfg = self.config
-        # the pending receptions whose pairs' states, (m + 1) K N complex
-        # elements each, reach the stack threshold
         stack = _STACK_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
                                     * cfg.spreading_gain)
         for r, (replica, n) in enumerate(zip(self.replicas, counts)):

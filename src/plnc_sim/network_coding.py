@@ -186,9 +186,9 @@ def design_G_ml_for_channel(gains, noise_var, training_len, rng):
     search every row for the least recovery error, for every reception
     of a stack at once.
 
-    gains and noise_var are (..., m).  Each reception draws m*T training
-    normals (for the hard-decided training symbols t), then the m*T real
-    and the m*T imaginary noise normals, as one (..., 3, m, T) block.
+    gains and noise_var are (..., m).  Each reception draws the m*T real
+    and the m*T imaginary noise normals, as one (..., 2, m, T) block, and
+    no training symbols t: no cost depends on them.
     A row's calibration outputs are its NCS of t on the streams,
     mu_j a_j + eta_j with eta_j ~ CN(0, noise_var_j), and it recovers
     t + A eps with A = (G^T)^-1 and the normalized noise eps = eta / mu,
@@ -200,9 +200,9 @@ def design_G_ml_for_channel(gains, noise_var, training_len, rng):
         raise ValueError("calibration block must hold at least one symbol")
     gains = np.asarray(gains)
     m = gains.shape[-1]
-    normals = rng.standard_normal(gains.shape[:-1] + (3, m, training_len))
+    normals = rng.standard_normal(gains.shape[:-1] + (2, m, training_len))
     scale = np.sqrt(np.asarray(noise_var) / 2.0) / gains
-    eps = scale[..., None] * (normals[..., 1, :, :] + 1j * normals[..., 2, :, :])
+    eps = scale[..., None] * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
     gram = (eps @ np.swapaxes(eps.conj(), -1, -2)).real      # (..., m, m)
     costs = gram.reshape(gram.shape[:-2] + (m * m,)) @ encoder_table(m).recovery
     return argmin_with_ties(costs), costs

@@ -1,6 +1,6 @@
-"""RAKE and linear MMSE receive filter banks, N-chip on the first hop
-and scalar on the second, plus the BPSK slicer and the erfc kernel the
-error probabilities evaluate."""
+"""RAKE and linear MMSE receive filter banks, D-dimensional on the first
+hop (D = N chips, or r code coordinates) and scalar on the second, plus
+the BPSK slicer and the erfc kernel the error probabilities evaluate."""
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def _mmse_bank(H, sigma2):
 
 
 def source_relay_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Filters for every (user, relay) link of the first hop, (..., K, L, N)
+    """Filters for every (user, relay) link of the first hop, (..., K, L, D)
     for a state whose arrays carry leading axes (...).
 
     The MMSE covariance at a relay sums over all K users observed
@@ -182,7 +182,7 @@ def source_relay_outputs(h_sr, coords, sigma2, kind: ReceiverKind):
 
 
 def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):
-    """Direct-link filters for every user at the destination, (..., K, N)
+    """Direct-link filters for every user at the destination, (..., K, D)
     for a state whose arrays carry leading axes (...)."""
     if kind == ReceiverKind.RAKE:
         return state.h_eff_sd.copy()
@@ -236,13 +236,13 @@ def effective_gains(filters, h_eff):
 def detection_error_probs(users, state, filters_sr, sigma2):
     """Per-(user, relay) BPSK detection error probability at the pair's
     relays, from the post-filter SINR with residual interference treated
-    as Gaussian.  state and filters_sr (K, relays, N) are the pair's,
+    as Gaussian.  state and filters_sr (K, relays, D) are the pair's,
     its relays in order on the relay axis.  Returns an (m_users,
     relays) matrix; users (..., m), the state's arrays and the bank may
     carry leading reception axes (...), which the result gains."""
     users = np.asarray(users)
     W = np.swapaxes(np.take_along_axis(filters_sr, users[..., :, None, None],
-                                       axis=-3), -3, -2)      # (relay, user, N)
+                                       axis=-3), -3, -2)      # (relay, user, D)
     cross = W.conj() @ np.moveaxis(state.h_eff_sr, -3, -1)   # (relay, user, K)
     power = np.abs(cross) ** 2
     noise = sigma2 * np.sum(np.abs(W) ** 2, axis=-1)

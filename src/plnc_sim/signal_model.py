@@ -1,13 +1,16 @@
 """Spreading codes, block-fading channels, and the two transmission
 phases: chip-rate synthesis, and direct sampling of filter outputs.
 
-The K users share every first-hop observation, which is modelled chip
-by chip.  Fading is drawn as link gains (ChannelGains), and a first-hop
-observation's effective vectors, code times gain (ChannelState), are
-formed only where an observation is synthesized or filtered.  A
-second-hop observation holds one code in white noise, so
-its filter output is a scalar statistic of the relay-destination gains
-and that hop keeps no codes (receivers.rank_one_filters).
+The K users share every first-hop observation.  Fading is drawn as
+link gains (ChannelGains), and a first-hop observation's effective
+vectors, code times gain (ChannelState), are formed only where an
+observation is synthesized or filtered, in D dimensions: the N chips
+for the chip-rate reference, the codes' r = min(K, N) coordinates
+(receivers.code_coordinates) for the slot machine, whose draws are the
+same in either basis (filter_output_maps).  A second-hop observation
+holds one code in white noise, so its filter output is a scalar
+statistic of the relay-destination gains and that hop keeps no codes
+(receivers.rank_one_filters).
 
 Conventions used throughout:
   * codes are random +-1/sqrt(N) chips, unit Euclidean norm
@@ -38,17 +41,6 @@ import numpy as np
 from .config import SystemConfig
 
 
-@dataclass(frozen=True)
-class CodeBook:
-    """The users' signature sequences."""
-
-    codes: np.ndarray       # (K, N) real, unit-norm rows
-
-    def __post_init__(self):
-        if not np.allclose(np.linalg.norm(self.codes, axis=1), 1.0, atol=1e-12):
-            raise ValueError("spreading codes must be unit norm")
-
-
 @dataclass
 class ChannelGains:
     """The link gains of one coherence block, drawn a block of slots at a
@@ -64,7 +56,7 @@ class ChannelGains:
         return ChannelGains(*(array[index] for array in vars(self).values()))
 
     def effective(self, codes):
-        """The ChannelState of these gains on codes (K, N): every
+        """The ChannelState of these gains on codes (K, D): every
         first-hop gain times its user's code."""
         return ChannelState(self.h_rd, self.h_sd[..., None] * codes,
                             self.h_sr[..., None] * codes[:, None, :])
@@ -80,12 +72,12 @@ class ChannelState:
     one reception per index."""
 
     h_rd: np.ndarray        # (L,) complex
-    h_eff_sd: np.ndarray    # (K, N) complex
-    h_eff_sr: np.ndarray    # (K, L, N) complex
+    h_eff_sd: np.ndarray    # (K, D) complex
+    h_eff_sr: np.ndarray    # (K, L, D) complex
 
 
-def generate_codebook(config: SystemConfig) -> CodeBook:
-    """Draw the K user codes.
+def generate_codebook(config: SystemConfig) -> np.ndarray:
+    """Draw the K user codes, (K, N) real with unit-norm rows.
 
     Deterministic given config.rng_seed; the codebook is fixed for an
     entire simulation run.
@@ -93,7 +85,7 @@ def generate_codebook(config: SystemConfig) -> CodeBook:
     rng = np.random.default_rng([config.rng_seed, 0x5EED])
     n = config.spreading_gain
     chips = rng.integers(0, 2, size=(config.num_users, n)).astype(np.float64)
-    return CodeBook((2.0 * chips - 1.0) / np.sqrt(n))
+    return (2.0 * chips - 1.0) / np.sqrt(n)
 
 
 def complex_gaussian(rng, shape, variance=1.0):
@@ -144,10 +136,10 @@ def draw_channels(config: SystemConfig, rng, n):
     return ChannelGains(h_rd, h_sd, h_sr)
 
 
-def draw_channel(config: SystemConfig, codebook: CodeBook, rng) -> ChannelState:
+def draw_channel(config: SystemConfig, codes, rng) -> ChannelState:
     """Draw fresh fading coefficients for every link of one packet slot,
-    as the effective vectors on the codebook's codes."""
-    return draw_channels(config, rng, 1)[0].effective(codebook.codes)
+    as the effective vectors on the codes (K, N)."""
+    return draw_channels(config, rng, 1)[0].effective(codes)
 
 
 def _check_bpsk(symbols):
@@ -202,26 +194,31 @@ def synthesize_second_phase(ncs_symbols, state: ChannelState, relays, code,
 def filter_output_maps(filters, h_eff):
     """The maps from stream symbols and white noise to the in-phase
     parts of the outputs conj(W) @ y of filter banks W on observations
-    y = h_eff^T b + n, n ~ CN(0, sigma2 I_N).
+    y = h_eff^T b + n, n ~ CN(0, sigma2 I_D).
 
-    filters (..., M, N) hold one filter per row and h_eff (..., S, N)
+    filters (..., M, D) hold one filter per row and h_eff (..., S, D)
     the effective vectors of the S streams on the hop; leading axes
     broadcast and index independent observations.  Every receiver is
     linear, so the outputs are the signal conj(W) h_eff^T b plus noise
     CN(0, sigma2 conj(W) W^T).  For real symbols b the outputs' real
     parts are Re(conj(W) h_eff^T) b plus real noise of covariance
-    (sigma2 / 2) Re(conj(W) W^T), the Gram of the real (2N, M) matrix A
+    (sigma2 / 2) Re(conj(W) W^T), the Gram of the real (2D, M) matrix A
     of the stacked [Re W^T; Im W^T], here with its rows interleaved (a
     view of W's memory; a row order changes no Gram).  With the reduced
     QR A = Q R that noise is R^T times N(0, sigma2 / 2 I), which holds
     even when two filter rows are parallel (codes equal up to sign),
-    where a Cholesky factor of the covariance does not exist.  Returns
-    (gains conj(W) h_eff^T (..., M, S) complex, whose real parts act on
-    the real parts, and the real colouring R^T (..., M, min(2N, M))).
+    where a Cholesky factor of the covariance does not exist.  R's rows
+    are negated where its diagonal is negative, which changes no law (a
+    white normal's sign) but makes R, where the Gram is nonsingular, a
+    function of it alone, the same for W B and h_eff B in any basis B
+    (B B^T = I).  Returns (gains conj(W) h_eff^T (..., M, S) complex,
+    whose real parts act on the real parts, and the real colouring R^T
+    (..., M, min(2D, M))).
     """
     gains = filters.conj() @ np.swapaxes(h_eff, -1, -2)
     parts = np.asarray(filters, dtype=np.complex128).view(np.float64)
     r = np.linalg.qr(np.swapaxes(parts, -1, -2), mode="r")
+    r *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[..., None]
     return gains, np.swapaxes(r, -1, -2)
 
 
@@ -229,7 +226,7 @@ def filter_noise(colour, shape, sigma2, rng):
     """colour @ N(0, sigma2/2 I), the in-phase part of complex noise of
     variance sigma2 per chip after the filters, for outputs of shape
     (..., M, P), colour (..., M, C) being filter_output_maps'
-    (..., M, min(2N, M)) colouring or a scalar filter's |f| as
+    (..., M, min(2D, M)) colouring or a scalar filter's |f| as
     (..., 1, 1)."""
     white = real_gaussian(rng, shape[:-2] + (colour.shape[-1], shape[-1]),
                           sigma2 / 2.0)
@@ -242,7 +239,7 @@ def first_phase_maps(state: ChannelState, users, filters_sd, filters_sr):
     the observations of all K users.
 
     state is the pair's: its relay axis holds the pair's relays in
-    order.  filters_sd (K, N) and filters_sr (K, relays, N) are the
+    order.  filters_sd (K, D) and filters_sr (K, relays, D) are the
     destination's and the pair's relay banks.  Every argument may carry
     leading reception axes (users (..., m), the state's arrays and the
     banks), which the maps gain.  Returns (gains Re(conj(W) h_eff^T)

@@ -268,18 +268,18 @@ class TestCriterion8SinrOracle:
 
     def test_analytic_within_five_percent(self):
         cfg = paper_config(snr_db=10.0)
-        book = generate_codebook(cfg)
+        codes = generate_codebook(cfg)
         rng = np.random.default_rng(81)
         sigma2 = cfg.noise_var
-        code = book.codes[0]
+        code = codes[0]
         T = 100_000
         worst = 0.0
-        coords = code_coordinates(book.codes)
+        coords = code_coordinates(codes)
         for trial in range(20):
             # the gains as pass 1 reads them, and the chip-level channel
             # the empirical estimates synthesize
             gains = draw_channels(cfg, rng, 1)[0]
-            state = gains.effective(book.codes)
+            state = gains.effective(codes)
             kind = (ReceiverKind.RAKE, ReceiverKind.MMSE)[trial % 2]
             Wsr = source_relay_filter_bank(state, sigma2, kind)
             Wrd = relay_dest_filter_bank(state, sigma2, kind)

@@ -542,6 +542,15 @@ class TestSlotMachine:
         assert all(len(row) == len(TRACE_FIELDS) for row in rows)
 
 
+def assert_same_log(got, want):
+    """Every field of two slot logs equal, the SINR to 1e-12 relative."""
+    for name in got.dtype.names:
+        if name == "sinr":
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(got[name], want[name]), name
+
+
 class TestChipSpaceTableDecides:
     @pytest.mark.parametrize("pair_mode", list(PairMode))
     @pytest.mark.parametrize("kind", list(ReceiverKind))
@@ -553,7 +562,7 @@ class TestChipSpaceTableDecides:
         cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=16,
                            buffer_size=4, group_size=2, packet_length=8,
                            receiver=kind, pair_mode=pair_mode, rng_seed=5)
-        codes = sm.generate_codebook(cfg).codes
+        codes = sm.generate_codebook(cfg)
 
         def chip_table(channel, coords, sigma2, receiver, candidates):
             return chip_sinr_table(channel.effective(codes), sigma2, receiver,
@@ -568,12 +577,40 @@ class TestChipSpaceTableDecides:
         monkeypatch.setattr(rs, "build_sinr_table", chip_table)
         for got, want in zip(production, logs()):
             assert got["transmit"].any() and (~got["transmit"]).any()
-            for name in got.dtype.names:
-                if name == "sinr":
-                    np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
-                                               atol=0)
-                else:
-                    assert np.array_equal(got[name], want[name]), name
+            assert_same_log(got, want)
+
+
+class TestFirstHopBasis:
+    # pass 2 forms its pair states on the codes' coordinates; with the N
+    # chips or a rotated copy of the coordinates in their place, every
+    # lane of both buffer modes logs the same slots, bits and errors,
+    # and the same SINR to 1e-12 relative
+    VARIANTS = {"paper": {}, "rake": dict(receiver=ReceiverKind.RAKE),
+                "direct": dict(decoder=DecoderKind.DIRECT),
+                "N=4<K": dict(spreading_gain=4), "m=3": dict(group_size=3),
+                "all pairs": dict(pair_mode=PairMode.ALL_PAIRS),
+                "P=200": dict(packet_length=200)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_logs_independent_of_the_basis(self, variant, seed):
+        cfg = SystemConfig(**{"packet_length": 16, "rng_seed": seed,
+                              **self.VARIANTS[variant]})
+        rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+            (min(cfg.num_users, cfg.spreading_gain),) * 2))[0]
+
+        def logs(basis=None):
+            machine = SlotMachine(cfg, schemes=list(Scheme),
+                                  replicas=[(True, seed), (False, seed)])
+            if basis is not None:
+                machine.coords = basis(machine.coords)
+            return [rep.log for rep in machine.run_until(12).replicas]
+
+        coordinates = logs()
+        for basis in (lambda _: sm.generate_codebook(cfg),
+                      lambda coords: coords @ rotation):
+            for got, want in zip(logs(basis), coordinates):
+                assert_same_log(got, want)
 
 
 @st.composite

@@ -556,45 +556,45 @@ class TestCountsReduceTheLog:
 GOLDEN = {
     PairMode.FIXED_GROUPS: {
         "xor-buffered-mmse": (200, 34, 21, 0),
-        "xor-unbuffered-mmse": (200, 39, 20, 0),
-        "random-buffered-mmse": (200, 12, 21, 0),
-        "random-unbuffered-mmse": (200, 24, 20, 0),
-        "ml-buffered-mmse": (200, 13, 21, 0),
-        "ml-unbuffered-mmse": (200, 19, 20, 0),
-        "mmse-buffered-mmse": (200, 8, 21, 0),
-        "mmse-unbuffered-mmse": (200, 7, 20, 0),
+        "xor-unbuffered-mmse": (200, 40, 20, 0),
+        "random-buffered-mmse": (200, 16, 21, 0),
+        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "ml-buffered-mmse": (200, 14, 21, 0),
+        "ml-unbuffered-mmse": (200, 16, 20, 0),
+        "mmse-buffered-mmse": (200, 11, 21, 0),
+        "mmse-unbuffered-mmse": (200, 8, 20, 0),
     },
     PairMode.ALL_PAIRS: {
-        "xor-buffered-mmse": (200, 28, 22, 0),
-        "xor-unbuffered-mmse": (200, 39, 20, 0),
-        "random-buffered-mmse": (200, 18, 22, 0),
-        "random-unbuffered-mmse": (200, 24, 20, 0),
-        "ml-buffered-mmse": (200, 6, 22, 0),
-        "ml-unbuffered-mmse": (200, 19, 20, 0),
-        "mmse-buffered-mmse": (200, 3, 22, 0),
-        "mmse-unbuffered-mmse": (200, 7, 20, 0),
+        "xor-buffered-mmse": (200, 22, 22, 0),
+        "xor-unbuffered-mmse": (200, 40, 20, 0),
+        "random-buffered-mmse": (200, 16, 22, 0),
+        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "ml-buffered-mmse": (200, 5, 22, 0),
+        "ml-unbuffered-mmse": (200, 16, 20, 0),
+        "mmse-buffered-mmse": (200, 6, 22, 0),
+        "mmse-unbuffered-mmse": (200, 8, 20, 0),
     },
 }
 GOLDEN_TRACE_SHA256 = {
     PairMode.FIXED_GROUPS:
-        "f59d9804325fde8c313fc2aba042bfb0a799152681ebbe7e9cde41119ef5a553",
+        "3f80d633417aa95d9cce6302a35cb58c0c00522588aa78b87549c8aa9cad1c67",
     PairMode.ALL_PAIRS:
-        "d0784a22aa2b1fc6630844386f75df459b13c0f5321db9cb7910263a063fca34",
+        "910a3c6dee0032df393747810e2b081a0dd292b08ecdb4a6e8d916dd549691df",
 }
 # All pairs with J = 3 and the direct-link decoder: overlapping pairs
 # share relay buffers, and every decode reads the stored direct estimates.
 GOLDEN_DIRECT = {
-    "xor-buffered-mmse": (200, 25, 28, 0),
-    "xor-unbuffered-mmse": (200, 39, 20, 0),
-    "random-buffered-mmse": (200, 11, 28, 0),
-    "random-unbuffered-mmse": (200, 25, 20, 0),
-    "ml-buffered-mmse": (200, 5, 28, 0),
-    "ml-unbuffered-mmse": (200, 19, 20, 0),
-    "mmse-buffered-mmse": (200, 1, 28, 0),
-    "mmse-unbuffered-mmse": (200, 7, 20, 0),
+    "xor-buffered-mmse": (200, 21, 28, 0),
+    "xor-unbuffered-mmse": (200, 40, 20, 0),
+    "random-buffered-mmse": (200, 10, 28, 0),
+    "random-unbuffered-mmse": (200, 24, 20, 0),
+    "ml-buffered-mmse": (200, 4, 28, 0),
+    "ml-unbuffered-mmse": (200, 16, 20, 0),
+    "mmse-buffered-mmse": (200, 2, 28, 0),
+    "mmse-unbuffered-mmse": (200, 8, 20, 0),
 }
 GOLDEN_DIRECT_TRACE_SHA256 = \
-    "4b6e76e08feb27d2f1e4ff9416827516cbc7de716b7e4fdb5fd3516a29eea53b"
+    "1f626deb043bfa8512163157cdb1fd5b7480f0f682c3f306d5157e1d10c34545"
 # Group sizes 1 and 3: single-user groups (every encoder is [1], XOR
 # reads no direct estimate) and the direct-link decoder on one group of
 # three (4 packets: the mmse design scores 174 encoders per reception).
@@ -611,119 +611,119 @@ GOLDEN_M1 = {
 GOLDEN_M1_TRACE_SHA256 = \
     "083400f44e677c0c62e85eee856d151bb115cf2f409c55ef0673af94ab635b62"
 GOLDEN_M3_DIRECT = {
-    "xor-buffered-mmse": (120, 28, 8, 0),
-    "xor-unbuffered-mmse": (120, 28, 8, 0),
+    "xor-buffered-mmse": (120, 32, 8, 0),
+    "xor-unbuffered-mmse": (120, 32, 8, 0),
     "random-buffered-mmse": (120, 15, 8, 0),
     "random-unbuffered-mmse": (120, 15, 8, 0),
-    "ml-buffered-mmse": (120, 16, 8, 0),
-    "ml-unbuffered-mmse": (120, 16, 8, 0),
-    "mmse-buffered-mmse": (120, 2, 8, 0),
-    "mmse-unbuffered-mmse": (120, 2, 8, 0),
+    "ml-buffered-mmse": (120, 15, 8, 0),
+    "ml-unbuffered-mmse": (120, 15, 8, 0),
+    "mmse-buffered-mmse": (120, 1, 8, 0),
+    "mmse-unbuffered-mmse": (120, 1, 8, 0),
 }
 GOLDEN_M3_DIRECT_TRACE_SHA256 = \
-    "fbae36a1abd95d945974cb1de0685fec7dff097744f32b43272c6df6d351ca47"
+    "0cfbb4bc9b4310b3526b9df14f7e1acbf4c0df35242e82d73b9b3ce95360daa9"
 # The RAKE receiver (matched filters in every bank) at J = 2.
 GOLDEN_RAKE = {
-    "xor-buffered-rake": (200, 64, 21, 0),
-    "xor-unbuffered-rake": (200, 51, 20, 0),
-    "random-buffered-rake": (200, 46, 21, 0),
-    "random-unbuffered-rake": (200, 31, 20, 0),
-    "ml-buffered-rake": (200, 33, 21, 0),
+    "xor-buffered-rake": (200, 59, 21, 0),
+    "xor-unbuffered-rake": (200, 63, 20, 0),
+    "random-buffered-rake": (200, 44, 21, 0),
+    "random-unbuffered-rake": (200, 34, 20, 0),
+    "ml-buffered-rake": (200, 31, 21, 0),
     "ml-unbuffered-rake": (200, 24, 20, 0),
-    "mmse-buffered-rake": (200, 18, 21, 0),
-    "mmse-unbuffered-rake": (200, 13, 20, 0),
+    "mmse-buffered-rake": (200, 21, 21, 0),
+    "mmse-unbuffered-rake": (200, 19, 20, 0),
 }
 GOLDEN_RAKE_TRACE_SHA256 = \
-    "138c0938f4e92ba27e618dc9351123e366d443345c3579000eab9753791a9dcc"
+    "e8ae01fe983eb62a4c7b80804c7605a061f05761cda731090aef1974efe0e052"
 # Long packets in chunks of 3: pass 2 of the slot machine cuts every
 # chunk's receptions and transmissions into several slices.
 GOLDEN_SLICED = {
-    "xor-buffered-mmse": (48000, 6967, 19, 0),
-    "xor-unbuffered-mmse": (48000, 7902, 16, 0),
-    "random-buffered-mmse": (48000, 1802, 19, 0),
-    "random-unbuffered-mmse": (48000, 7317, 16, 0),
-    "ml-buffered-mmse": (48000, 1644, 19, 0),
-    "ml-unbuffered-mmse": (48000, 5096, 16, 0),
-    "mmse-buffered-mmse": (48000, 401, 19, 0),
-    "mmse-unbuffered-mmse": (48000, 3903, 16, 0),
+    "xor-buffered-mmse": (48000, 6932, 19, 0),
+    "xor-unbuffered-mmse": (48000, 7975, 16, 0),
+    "random-buffered-mmse": (48000, 1861, 19, 0),
+    "random-unbuffered-mmse": (48000, 7318, 16, 0),
+    "ml-buffered-mmse": (48000, 1698, 19, 0),
+    "ml-unbuffered-mmse": (48000, 5113, 16, 0),
+    "mmse-buffered-mmse": (48000, 405, 19, 0),
+    "mmse-unbuffered-mmse": (48000, 3931, 16, 0),
 }
 GOLDEN_SLICED_TRACE_SHA256 = \
-    "3fd48fdddc7efc8d61b09180a6ef75492fc72420558d32c5bfd2b7dae101ed0c"
+    "6419bb46cc597e01ad1f7d015a751ae277348b97a1e11c0bec563c160bc8f39d"
 # More users than relays (K=8, L=4), all pairs, buffered only: two groups
 # own no relay and every group is served round robin on any relay pair.
 GOLDEN_K8_L4 = {
-    "xor-buffered-mmse": (200, 29, 23, 0),
-    "random-buffered-mmse": (200, 18, 23, 0),
+    "xor-buffered-mmse": (200, 40, 23, 0),
+    "random-buffered-mmse": (200, 23, 23, 0),
     "ml-buffered-mmse": (200, 11, 23, 0),
-    "mmse-buffered-mmse": (200, 8, 23, 0),
+    "mmse-buffered-mmse": (200, 5, 23, 0),
 }
 GOLDEN_K8_L4_TRACE_SHA256 = \
-    "4665def888c44bb667e152b48682cb6e47b7fae7fd3bf41990905ae524c2229f"
+    "daca01da3bfdbfbd097f612da86562e33ba86b03e05c7ea25918f4f74fdeaead"
 # More relays than users (K=4, L=8), fixed groups: the four relays
 # outside every group interfere in the SINR table.
 GOLDEN_K4_L8 = {
-    "xor-buffered-mmse": (200, 21, 21, 0),
-    "xor-unbuffered-mmse": (200, 47, 20, 0),
-    "random-buffered-mmse": (200, 14, 21, 0),
-    "random-unbuffered-mmse": (200, 26, 20, 0),
-    "ml-buffered-mmse": (200, 6, 21, 0),
-    "ml-unbuffered-mmse": (200, 24, 20, 0),
-    "mmse-buffered-mmse": (200, 3, 21, 0),
+    "xor-buffered-mmse": (200, 20, 21, 0),
+    "xor-unbuffered-mmse": (200, 38, 20, 0),
+    "random-buffered-mmse": (200, 20, 21, 0),
+    "random-unbuffered-mmse": (200, 22, 20, 0),
+    "ml-buffered-mmse": (200, 11, 21, 0),
+    "ml-unbuffered-mmse": (200, 20, 20, 0),
+    "mmse-buffered-mmse": (200, 5, 21, 0),
     "mmse-unbuffered-mmse": (200, 12, 20, 0),
 }
 GOLDEN_K4_L8_TRACE_SHA256 = \
-    "103e494ec05f6e527cb50eccc636593d05e1d3f6f7ade543ab89d489a83c84fe"
+    "ce8a2208bea474452916e5c7892526423762c8106475239f774150af1e0b2ad1"
 # Group size 4 (22560 encoder rows, an int16 row index per lane), K=4,
 # L=8, J=2, in both buffer modes; the mmse design is limited to m <= 3.
 GOLDEN_M4 = {
     DecoderKind.JOINT: {
-        "xor-buffered-mmse": (240, 69, 13, 0),
-        "xor-unbuffered-mmse": (240, 74, 12, 0),
-        "random-buffered-mmse": (240, 28, 13, 0),
-        "random-unbuffered-mmse": (240, 34, 12, 0),
-        "ml-buffered-mmse": (240, 25, 13, 0),
-        "ml-unbuffered-mmse": (240, 22, 12, 0),
+        "xor-buffered-mmse": (240, 100, 13, 0),
+        "xor-unbuffered-mmse": (240, 63, 12, 0),
+        "random-buffered-mmse": (240, 24, 13, 0),
+        "random-unbuffered-mmse": (240, 33, 12, 0),
+        "ml-buffered-mmse": (240, 24, 13, 0),
+        "ml-unbuffered-mmse": (240, 16, 12, 0),
     },
     DecoderKind.DIRECT: {
-        "xor-buffered-mmse": (240, 69, 13, 0),
-        "xor-unbuffered-mmse": (240, 74, 12, 0),
-        "random-buffered-mmse": (240, 34, 13, 0),
-        "random-unbuffered-mmse": (240, 36, 12, 0),
-        "ml-buffered-mmse": (240, 46, 13, 0),
-        "ml-unbuffered-mmse": (240, 34, 12, 0),
+        "xor-buffered-mmse": (240, 100, 13, 0),
+        "xor-unbuffered-mmse": (240, 63, 12, 0),
+        "random-buffered-mmse": (240, 27, 13, 0),
+        "random-unbuffered-mmse": (240, 32, 12, 0),
+        "ml-buffered-mmse": (240, 39, 13, 0),
+        "ml-unbuffered-mmse": (240, 29, 12, 0),
     },
 }
 GOLDEN_M4_TRACE_SHA256 = {
     DecoderKind.JOINT:
-        "47c87bc19f32aa0aa7a5f99b5be17e8183618fe65628314064f71774835d25be",
+        "83b057a36e1a3d50fb90144a1603173e679d96a923af5e64fbb3c33ef042209a",
     DecoderKind.DIRECT:
-        "07654c5f161046436d6818df377247a7b24d0c434378c3acb649e05a74fdb368",
+        "c94109f0d46d1270fb0dec89f408128628237e4a2a25e07fd7e34fb98177cd0e",
 }
 # A two-worker `plnc-sim sweep --trace` (30 packets per point, two chunks
 # each): the CSV, the sidecar without its wall_clock_s line, the trace.
 GOLDEN_CLI_CSV = """\
 scheme,snr_db,bits,errors,ber
-ml-buffered-mmse,4,1200,118,0.0983333333333
-ml-buffered-mmse,10,1200,50,0.0416666666667
-ml-unbuffered-mmse,4,1200,172,0.143333333333
-ml-unbuffered-mmse,10,1200,67,0.0558333333333
-mmse-buffered-mmse,4,1200,97,0.0808333333333
-mmse-buffered-mmse,10,1200,7,0.00583333333333
-mmse-unbuffered-mmse,4,1200,126,0.105
-mmse-unbuffered-mmse,10,1200,42,0.035
-random-buffered-mmse,4,1200,179,0.149166666667
-random-buffered-mmse,10,1200,45,0.0375
-random-unbuffered-mmse,4,1200,201,0.1675
-random-unbuffered-mmse,10,1200,87,0.0725
-xor-buffered-mmse,4,1200,246,0.205
-xor-buffered-mmse,10,1200,134,0.111666666667
-xor-unbuffered-mmse,4,1200,224,0.186666666667
-xor-unbuffered-mmse,10,1200,79,0.0658333333333
+ml-buffered-mmse,4,1200,116,0.0966666666667
+ml-buffered-mmse,10,1200,41,0.0341666666667
+ml-unbuffered-mmse,4,1200,180,0.15
+ml-unbuffered-mmse,10,1200,69,0.0575
+mmse-buffered-mmse,4,1200,92,0.0766666666667
+mmse-buffered-mmse,10,1200,5,0.00416666666667
+mmse-unbuffered-mmse,4,1200,121,0.100833333333
+mmse-unbuffered-mmse,10,1200,40,0.0333333333333
+random-buffered-mmse,4,1200,170,0.141666666667
+random-buffered-mmse,10,1200,36,0.03
+random-unbuffered-mmse,4,1200,211,0.175833333333
+random-unbuffered-mmse,10,1200,84,0.07
+xor-buffered-mmse,4,1200,268,0.223333333333
+xor-buffered-mmse,10,1200,105,0.0875
+xor-unbuffered-mmse,4,1200,230,0.191666666667
+xor-unbuffered-mmse,10,1200,87,0.0725
 """
 GOLDEN_CLI_SIDECAR_SHA256 = \
     "bad07bba16540ec5b6f2afc91be5c847dc753a86a2996257d74a60d7c728ef8e"
 GOLDEN_CLI_TRACE_SHA256 = \
-    "9ec637dc9da2076450bae52d188a80df96f8ca0aa80ce35851a6002b12e3a7e7"
+    "f0cf8604a8c39733aeaa5f19b738ccf5f1a3deb4ced550631142e2d771a3c96c"
 
 
 def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,
@@ -812,7 +812,7 @@ class TestGoldenCounts:
 # the --trace file of each sweep of byte_grid(), in order.  Pinned like
 # GOLDEN: a refactor that moves any output byte fails here.
 GOLDEN_GRID_SHA256 = \
-    "26bfa16856ff3168cdd67e81c847225dcd788f91af974ea6448a5097d762ae53"
+    "d21ff3825290f08a9ca7f8e120706dedce56920852cb6e4034b4297448a0c8b8"
 
 
 def byte_grid():

@@ -270,9 +270,11 @@ class TestMlDesign:
     @pytest.mark.parametrize("T", [1, 8, 100])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_stacked_design_equals_calibration_search(self, m, T):
-        # oracle: per reception, hard-decided training symbols, then the
+        # oracle: per reception, hard-decided training symbols from a
+        # generator of their own (no cost depends on them), then the
         # calibration outputs of every candidate and the search over them,
-        # all drawn from a generator in the stacked design's start state
+        # their noise drawn from a generator in the stacked design's start
+        # state
         rng = np.random.default_rng(70 + 10 * m + T)
         R = 5
         stats = [mmse_stream_stats(rng, m, float(rng.uniform(0.05, 0.8)))
@@ -284,7 +286,7 @@ class TestMlDesign:
         assert rows.shape == (R,)
         assert costs.shape == (R, len(encoder_table(m).G))
         for r in range(R):
-            training = hard_decision(oracle.standard_normal((m, T)))
+            training = hard_decision(rng.standard_normal((m, T)))
             outs = ml_calibration_outputs(gains[r], nvar[r], training, oracle)
             row_r, costs_r = design_G_ml(outs, gains[r], training)
             assert rows[r] == row_r
@@ -530,7 +532,7 @@ class TestErfcKernelInvariance:
         cfg = SystemConfig(num_users=m, num_relays=m, spreading_gain=8,
                            group_size=m)
         state = draw_channels(cfg, np.random.default_rng(seed),
-                              receptions).effective(generate_codebook(cfg).codes)
+                              receptions).effective(generate_codebook(cfg))
         filters_sr = source_relay_filter_bank(state, sigma2, kind)
         users = np.broadcast_to(np.arange(m), (receptions, m))
         gains, nvar, _ = rank_one_outputs(

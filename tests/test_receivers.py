@@ -291,9 +291,9 @@ class TestReceiverProperties:
         cfg = SystemConfig(num_users=1, num_relays=1, group_size=1,
                            spreading_gain=16, packet_length=1000,
                            snr_db=120.0, rng_seed=7)
-        book = generate_codebook(cfg)
+        codes = generate_codebook(cfg)
         rng = np.random.default_rng(8)
-        state = draw_channel(cfg, book, rng)
+        state = draw_channel(cfg, codes, rng)
         b = np.where(rng.standard_normal(1000) >= 0, 1.0, -1.0)
         y = state.h_eff_sr[0, 0][:, None] * b
         for kind in (ReceiverKind.RAKE, ReceiverKind.MMSE):
@@ -307,7 +307,7 @@ class TestReceiverProperties:
         cfg = SystemConfig(num_users=4, num_relays=2, group_size=2,
                            spreading_gain=8, snr_db=8.0, rng_seed=9,
                            pair_mode=PairMode.ALL_PAIRS)
-        book = generate_codebook(cfg)
+        codes = generate_codebook(cfg)
         rng = np.random.default_rng(10)
         sigma2 = cfg.noise_var
 
@@ -318,7 +318,7 @@ class TestReceiverProperties:
 
         totals = {ReceiverKind.RAKE: 0.0, ReceiverKind.MMSE: 0.0}
         for _ in range(1000):
-            state = draw_channel(cfg, book, rng)
+            state = draw_channel(cfg, codes, rng)
             for kind in totals:
                 W = source_relay_filter_bank(state, sigma2, kind)
                 totals[kind] += output_sinr(W[0, 0], state.h_eff_sr[:, 0, :], 0)
@@ -327,8 +327,8 @@ class TestReceiverProperties:
     def test_filters_independent_of_data(self):
         cfg = SystemConfig(num_users=3, num_relays=3, group_size=3,
                            spreading_gain=8, snr_db=5.0, rng_seed=11)
-        book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, np.random.default_rng(12))
+        codes = generate_codebook(cfg)
+        state = draw_channel(cfg, codes, np.random.default_rng(12))
         w1 = source_relay_filter_bank(state, cfg.noise_var, ReceiverKind.MMSE)
         w2 = source_relay_filter_bank(state, cfg.noise_var, ReceiverKind.MMSE)
         assert np.array_equal(w1, w2)

@@ -25,51 +25,51 @@ def scenario(snr_db=10.0, seed=0, **kw):
                     buffer_size=2, group_size=2, snr_db=snr_db, rng_seed=seed)
     defaults.update(kw)
     cfg = SystemConfig(**defaults)
-    book = generate_codebook(cfg)
+    codes = generate_codebook(cfg)
     _, groups = make_group_assignments(cfg, np.random.default_rng([seed, 0x6E0]))
     gains = draw_channels(cfg, np.random.default_rng(seed + 1), 1)[0]
-    return cfg, book, groups, gains
+    return cfg, codes, groups, gains
 
 
 def sinr_table(gains, codes, sigma2, kind, candidates):
     return build_sinr_table(gains, code_coordinates(codes), sigma2, kind, candidates)
 
 
-def pair_sinr(pair, gains, book, sigma2, kind=ReceiverKind.RAKE):
+def pair_sinr(pair, gains, codes, sigma2, kind=ReceiverKind.RAKE):
     """(source-relay, relay-destination) metric of one relay pair, read
     from its row of the array table."""
-    return sinr_table(gains, book.codes, sigma2, kind, [tuple(pair)])[0]
+    return sinr_table(gains, codes, sigma2, kind, [tuple(pair)])[0]
 
 
 class TestSinrFormulas:
     def test_single_user_single_relay_reduction(self):
         # K = 1, L = m = 1: either receiver's metric collapses to
         # |h|^2 / sigma2
-        cfg, book, _, gains = scenario(num_users=1, num_relays=1, group_size=1)
+        cfg, codes, _, gains = scenario(num_users=1, num_relays=1, group_size=1)
         expected = np.abs(gains.h_sr[0, 0]) ** 2 / cfg.noise_var
         for kind in ReceiverKind:
-            got = pair_sinr((0,), gains, book, cfg.noise_var, kind)[0]
+            got = pair_sinr((0,), gains, codes, cfg.noise_var, kind)[0]
             assert abs(got - expected) < 1e-12 * expected
 
     def test_single_relay_destination_reduction(self):
-        cfg, book, _, gains = scenario(num_users=1, num_relays=1, group_size=1)
+        cfg, codes, _, gains = scenario(num_users=1, num_relays=1, group_size=1)
         expected = np.abs(gains.h_rd[0]) ** 2 / cfg.noise_var
         for kind in ReceiverKind:
-            got = pair_sinr((0,), gains, book, cfg.noise_var, kind)[1]
+            got = pair_sinr((0,), gains, codes, cfg.noise_var, kind)[1]
             assert abs(got - expected) < 1e-12 * expected
 
     def test_monotone_in_noise(self):
-        _, book, _, gains = scenario()
-        low = pair_sinr((0, 1), gains, book, 0.1)[0]
-        high = pair_sinr((0, 1), gains, book, 0.2)[0]
+        _, codes, _, gains = scenario()
+        low = pair_sinr((0, 1), gains, codes, 0.1)[0]
+        high = pair_sinr((0, 1), gains, codes, 0.2)[0]
         assert high < low
 
     def test_stronger_pair_wins_second_hop(self):
-        cfg, book, _, gains = scenario()
+        cfg, codes, _, gains = scenario()
         gains.h_rd[2] = 3.0 * gains.h_rd[0]
         gains.h_rd[3] = 3.0 * gains.h_rd[1]
-        weak = pair_sinr((0, 1), gains, book, cfg.noise_var)[1]
-        strong = pair_sinr((2, 3), gains, book, cfg.noise_var)[1]
+        weak = pair_sinr((0, 1), gains, codes, cfg.noise_var)[1]
+        strong = pair_sinr((2, 3), gains, codes, cfg.noise_var)[1]
         assert strong > weak
 
     @pytest.mark.parametrize("kind", [ReceiverKind.RAKE, ReceiverKind.MMSE])
@@ -80,11 +80,11 @@ class TestSinrFormulas:
         # denominator aggregates terms across filters, so no dominance
         # between receiver kinds is asserted here; the per-filter
         # output-SINR dominance lives in the receiver tests.)
-        cfg, book, _, gains = scenario(seed=8)
+        cfg, codes, _, gains = scenario(seed=8)
         gains.h_sr[:, 2] = 3.0 * gains.h_sr[:, 0]
         gains.h_sr[:, 3] = 3.0 * gains.h_sr[:, 1]
-        weak = pair_sinr((0, 1), gains, book, cfg.noise_var, kind)[0]
-        strong = pair_sinr((2, 3), gains, book, cfg.noise_var, kind)[0]
+        weak = pair_sinr((0, 1), gains, codes, cfg.noise_var, kind)[0]
+        strong = pair_sinr((2, 3), gains, codes, cfg.noise_var, kind)[0]
         assert strong > weak
 
     @pytest.mark.parametrize("kind", [ReceiverKind.RAKE, ReceiverKind.MMSE])
@@ -92,11 +92,11 @@ class TestSinrFormulas:
         # sample-average estimate of each constituent term of the table
         # pass 1 computes, from chip-level filter outputs (desk scale;
         # the acceptance suite runs the 1e5-symbol version)
-        cfg, book, _, gains = scenario(seed=3)
+        cfg, codes, _, gains = scenario(seed=3)
         sigma2 = cfg.noise_var
-        state = gains.effective(book.codes)
+        state = gains.effective(codes)
         W = source_relay_filter_bank(state, sigma2, kind)
-        analytic = pair_sinr((0, 1), gains, book, sigma2, kind)[0]
+        analytic = pair_sinr((0, 1), gains, codes, sigma2, kind)[0]
         empirical = empirical_sinr_source_relay((0, 1), state, W, sigma2,
                                                 np.random.default_rng(4), 20000)
         assert abs(analytic - empirical) < 0.05 * analytic
@@ -144,7 +144,7 @@ def table_cases(draw):
     if K > 1 and draw(st.booleans()):
         gains.h_sr[draw(st.integers(0, slots - 1)), draw(st.integers(0, K - 1)),
                    draw(st.integers(0, L - 1))] = 0.0
-    codes = generate_codebook(cfg).codes
+    codes = generate_codebook(cfg)
     if K > 1 and draw(st.booleans()):
         codes[1] = draw(st.sampled_from([1.0, -1.0])) * codes[0]
     return cfg, gains, codes
@@ -172,10 +172,10 @@ class TestChipOracle:
         # a zero source-relay gain contributes exactly nothing to its
         # relay's sums, as the bank's zero filter row does: with K = 1 the
         # pair's first-hop entry is exactly 0 in both tables
-        cfg, book, _, gains = scenario(num_users=1, num_relays=2, group_size=1)
+        cfg, codes, _, gains = scenario(num_users=1, num_relays=2, group_size=1)
         gains.h_sr[0, 0] = 0.0
-        table = sinr_table(gains, book.codes, cfg.noise_var, kind, [(0,), (1,)])
-        want = chip_sinr_table(gains.effective(book.codes), cfg.noise_var, kind,
+        table = sinr_table(gains, codes, cfg.noise_var, kind, [(0,), (1,)])
+        want = chip_sinr_table(gains.effective(codes), cfg.noise_var, kind,
                                [(0,), (1,)])
         assert table[0, 0] == want[0, 0] == 0.0
         assert table[1, 0] > 0.0
@@ -187,13 +187,13 @@ class TestZeroRelayGain:
         # relays 0 and 1 have no path to the destination: the table stays
         # finite, the first hop is unchanged, and each pair's second hop
         # counts its live relays against the other live ones
-        cfg, book, _, gains = scenario(num_relays=6)
+        cfg, codes, _, gains = scenario(num_relays=6)
         sigma2 = cfg.noise_var
         candidates = list(combinations(range(6), 2))
-        before = sinr_table(gains, book.codes, sigma2, kind, candidates)
+        before = sinr_table(gains, codes, sigma2, kind, candidates)
         gains.h_rd[:2] = 0.0
         Wrd = relay_dest_filter_bank(gains, sigma2, kind)
-        table = sinr_table(gains, book.codes, sigma2, kind, candidates)
+        table = sinr_table(gains, codes, sigma2, kind, candidates)
         assert np.all(np.isfinite(table) & (table >= 0.0))
         assert np.array_equal(table[:, 0], before[:, 0])
         power = np.abs(Wrd.conj() * gains.h_rd) ** 2
@@ -274,15 +274,15 @@ class TestCandidates:
         assert pairs == list(combinations(range(6), m))
 
     def test_table_covers_both_hops(self):
-        cfg, book, groups, gains = scenario()
+        cfg, codes, groups, gains = scenario()
         sigma2 = cfg.noise_var
         cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size,
                                 PairMode.FIXED_GROUPS)
-        table = sinr_table(gains, book.codes, sigma2, ReceiverKind.MMSE, cands)
+        table = sinr_table(gains, codes, sigma2, ReceiverKind.MMSE, cands)
         assert table.shape == (len(cands), 2)   # column 0 first hop, 1 second
         assert np.all(np.isfinite(table) & (table > 0))
         for row, relays in enumerate(cands):
-            assert np.array_equal(table[row], pair_sinr(relays, gains, book, sigma2,
+            assert np.array_equal(table[row], pair_sinr(relays, gains, codes, sigma2,
                                                         ReceiverKind.MMSE))
 
 
@@ -293,19 +293,19 @@ class TestChannelBlock:
         # a slot machine draws the gains and computes the table once per
         # block of slots drawn ahead, and pass 2 stacks its receptions'
         # banks; row for row they must be the per-slot calls
-        cfg, book, groups, _ = scenario(seed=4, num_users=6, num_relays=6,
+        cfg, codes, groups, _ = scenario(seed=4, num_users=6, num_relays=6,
                                         spreading_gain=16, pair_mode=pair_mode)
         sigma2 = cfg.noise_var
         cands = candidate_pairs(groups, cfg.num_relays, cfg.group_size, pair_mode)
         block = draw_channels(cfg, np.random.default_rng(9), 7)
-        Wsr = source_relay_filter_bank(block.effective(book.codes), sigma2, kind)
-        table = sinr_table(block, book.codes, sigma2, kind, cands)
+        Wsr = source_relay_filter_bank(block.effective(codes), sigma2, kind)
+        table = sinr_table(block, codes, sigma2, kind, cands)
         assert table.shape == (7, len(cands), 2)
         rng = np.random.default_rng(9)
         for i in range(7):
-            state = draw_channel(cfg, book, rng)
-            for name, array in vars(block[i].effective(book.codes)).items():
+            state = draw_channel(cfg, codes, rng)
+            for name, array in vars(block[i].effective(codes)).items():
                 assert np.array_equal(array, getattr(state, name)), name
             assert np.array_equal(Wsr[i], source_relay_filter_bank(state, sigma2, kind))
-            assert np.array_equal(table[i], sinr_table(block[i], book.codes, sigma2,
+            assert np.array_equal(table[i], sinr_table(block[i], codes, sigma2,
                                                        kind, cands))

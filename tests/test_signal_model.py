@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plnc_sim import (ReceiverKind, SystemConfig, complex_gaussian, draw_channel,
                       generate_codebook, synthesize_first_phase,
                       synthesize_second_phase)
 from plnc_sim.receivers import source_relay_filter_bank
-from plnc_sim.signal_model import (CodeBook, data_symbols, draw_channels,
+from plnc_sim.signal_model import (data_symbols, draw_channels,
                                    filter_output_maps, real_gaussian)
 
 
@@ -34,34 +36,34 @@ def drawn_gains(cfg, seed):
 class TestCodebook:
     def test_counts_and_norms(self):
         cfg = small_config()
-        book = generate_codebook(cfg)
-        assert book.codes.shape == (6, 16)
-        assert np.allclose(np.linalg.norm(book.codes, axis=1), 1.0, atol=1e-12)
+        codes = generate_codebook(cfg)
+        assert codes.shape == (6, 16)
+        assert np.allclose(np.linalg.norm(codes, axis=1), 1.0, atol=1e-12)
 
     def test_single_chip_code(self):
         cfg = small_config(num_users=1, num_relays=1, group_size=1,
                            spreading_gain=1)
-        book = generate_codebook(cfg)
-        assert book.codes.shape == (1, 1)
-        assert abs(abs(book.codes[0, 0]) - 1.0) < 1e-12
+        codes = generate_codebook(cfg)
+        assert codes.shape == (1, 1)
+        assert abs(abs(codes[0, 0]) - 1.0) < 1e-12
 
     def test_deterministic_per_seed(self):
         cfg = small_config()
         a = generate_codebook(cfg)
         b = generate_codebook(cfg)
-        assert np.array_equal(a.codes, b.codes)
+        assert np.array_equal(a, b)
         other = generate_codebook(small_config(rng_seed=6))
-        assert not np.array_equal(a.codes, other.codes)
+        assert not np.array_equal(a, other)
 
 
 class TestChannel:
     def test_fading_statistics(self):
         # law of large numbers on the declared CN(0,1) distribution
         cfg = small_config()
-        book = generate_codebook(cfg)
+        codes = generate_codebook(cfg)
         rng = np.random.default_rng(0)
         # the unit-norm code projects an effective vector onto its gain
-        draws = np.array([draw_channel(cfg, book, rng).h_eff_sd[0] @ book.codes[0]
+        draws = np.array([draw_channel(cfg, codes, rng).h_eff_sd[0] @ codes[0]
                           for _ in range(100_000)])
         n = draws.size
         assert abs(draws.mean()) < 3.0 / np.sqrt(n)   # within 3 sigma of zero
@@ -69,8 +71,8 @@ class TestChannel:
 
     def test_equal_power_amplitudes(self):
         cfg = small_config()
-        book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, np.random.default_rng(1))
+        codes = generate_codebook(cfg)
+        state = draw_channel(cfg, codes, np.random.default_rng(1))
         h_sd, h_sr, h_rd = drawn_gains(cfg, 1)
         assert np.array_equal(state.h_rd, h_rd)
         # every link amplitude is 1: an effective vector's norm is |h|
@@ -88,38 +90,38 @@ class TestChannel:
 
     def test_effective_vector_identity(self):
         cfg = small_config()
-        book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, np.random.default_rng(2))
+        codes = generate_codebook(cfg)
+        state = draw_channel(cfg, codes, np.random.default_rng(2))
         _, h_sr, _ = drawn_gains(cfg, 2)
         for k in range(cfg.num_users):
             for l in range(cfg.num_relays):
-                expected = book.codes[k] * h_sr[k, l]
+                expected = codes[k] * h_sr[k, l]
                 assert np.allclose(state.h_eff_sr[k, l], expected, atol=1e-12)
         ratio = state.h_eff_sr[2, 3] / h_sr[2, 3]
-        assert np.allclose(ratio, book.codes[2], atol=1e-12)
+        assert np.allclose(ratio, codes[2], atol=1e-12)
 
 
 class TestFirstPhase:
     def setup_method(self):
         self.cfg = small_config()
-        self.book = generate_codebook(self.cfg)
-        self.state = draw_channel(self.cfg, self.book, np.random.default_rng(3))
+        self.codes = generate_codebook(self.cfg)
+        self.state = draw_channel(self.cfg, self.codes, np.random.default_rng(3))
 
     def test_noiseless_single_user(self):
         cfg = small_config(num_users=1, num_relays=1, group_size=1)
-        book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, np.random.default_rng(4))
+        codes = generate_codebook(cfg)
+        state = draw_channel(cfg, codes, np.random.default_rng(4))
         y_sd, _ = synthesize_first_phase(np.array([1.0]), state, 1e-30,
                                          np.random.default_rng(5))
         assert np.allclose(y_sd, state.h_eff_sd[0], atol=1e-12)
 
     def test_orthogonal_codes_no_cross_term(self):
         cfg = small_config(num_users=2, num_relays=2, spreading_gain=4)
-        book = generate_codebook(cfg)
-        state = draw_channel(cfg, book, np.random.default_rng(6))
+        drawn = generate_codebook(cfg)
+        state = draw_channel(cfg, drawn, np.random.default_rng(6))
         # force orthogonal codes and rebuild the effective vectors
         codes = np.array([[1, 1, 1, 1], [1, -1, 1, -1]]) / 2.0
-        h_sd = np.sum(state.h_eff_sd * book.codes, axis=-1)
+        h_sd = np.sum(state.h_eff_sd * drawn, axis=-1)
         state.h_eff_sd = h_sd[:, None] * codes
         y_sd, _ = synthesize_first_phase(np.array([1.0, -1.0]), state, 1e-30,
                                          np.random.default_rng(7))
@@ -161,9 +163,9 @@ class TestFirstPhase:
 class TestSecondPhase:
     def setup_method(self):
         self.cfg = small_config()
-        self.book = generate_codebook(self.cfg)
-        self.state = draw_channel(self.cfg, self.book, np.random.default_rng(11))
-        self.code = self.book.codes[0]      # any unit-norm code
+        self.codes = generate_codebook(self.cfg)
+        self.state = draw_channel(self.cfg, self.codes, np.random.default_rng(11))
+        self.code = self.codes[0]      # any unit-norm code
 
     def test_single_relay_noiseless(self):
         y = synthesize_second_phase(np.array([-1.0]), self.state, [1], self.code,
@@ -215,12 +217,10 @@ class TestInPhaseSampling:
         # of random banks, also when two codes are equal up to sign (the
         # filters are parallel and the Gram is singular)
         cfg = small_config()
-        book = generate_codebook(cfg)
+        codes = generate_codebook(cfg)
         if parallel:
-            codes = book.codes.copy()
             codes[1] = -codes[0]
-            book = CodeBook(codes)
-        state = draw_channels(cfg, np.random.default_rng(21), 8).effective(book.codes)
+        state = draw_channels(cfg, np.random.default_rng(21), 8).effective(codes)
         bank = source_relay_filter_bank(state, cfg.noise_var, kind)
         W = np.swapaxes(bank[:, :2], 1, 2)              # (slot, relay, 2, N)
         if parallel:        # the complex covariance conj(W) W^T is singular
@@ -229,9 +229,37 @@ class TestInPhaseSampling:
             W = np.concatenate([W, W[..., :1, :] * np.array([1.0, -0.5])[:, None]])
         _, colour = filter_output_maps(W, W)
         assert colour.dtype == np.float64 and colour.shape == W.shape[:-1] + (2,)
+        assert np.all(np.diagonal(colour, axis1=-2, axis2=-1) >= 0)
         gram = (W.conj() @ np.swapaxes(W, -1, -2)).real
         # colour is R^T, so the noise covariance colour colour^T is R^T R
         assert np.max(np.abs(colour @ np.swapaxes(colour, -1, -2) - gram)) < 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.integers(1, 5),
+           extra=st.integers(0, 3), filters=st.integers(1, 4),
+           streams=st.integers(1, 3), parallel=st.booleans())
+    def test_maps_independent_of_the_basis(self, seed, dims, extra, filters,
+                                           streams, parallel):
+        # banks W and streams H on D dimensions, and the same in E >= D
+        # dimensions through a real B with orthonormal rows, have the same
+        # gains and colouring; M <= 2D filters, so that both colourings
+        # have M columns, as the chips' and the coordinates' do.  A filter
+        # that is a real multiple of an earlier one comes last, as the
+        # third of three filters on codes equal up to sign does: a
+        # singular Gram fixes only the rows of R before the dependent one
+        rng = np.random.default_rng(seed)
+        M = min(filters, 2 * dims)
+
+        def complex_normals(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        W, H = complex_normals(2, M, dims), complex_normals(2, streams, dims)
+        if parallel and M > 1:
+            W[:, -1] = rng.standard_normal() * W[:, rng.integers(M - 1)]
+        B = np.linalg.qr(rng.standard_normal((dims + extra, dims)))[0].T
+        for got, want in zip(filter_output_maps(W @ B, H @ B),
+                             filter_output_maps(W, H)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_real_gaussian_calls_and_variance(self):
         # one draw over a leading axis equals one draw per leading index,

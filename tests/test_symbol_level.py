@@ -15,7 +15,7 @@ import pytest
 from plnc_sim import ReceiverKind, SystemConfig
 from plnc_sim.receivers import (rank_one_outputs, relay_dest_filter_bank,
                                 source_dest_filter_bank, source_relay_filter_bank)
-from plnc_sim.signal_model import (CodeBook, draw_channel, filter_noise,
+from plnc_sim.signal_model import (draw_channel, filter_noise,
                                    first_phase_maps, generate_codebook,
                                    sample_first_phase,
                                    synthesize_first_phase,
@@ -31,11 +31,11 @@ RELAYS = (2, 5)
 KINDS = (ReceiverKind.RAKE, ReceiverKind.MMSE)
 
 
-def paper_state(seed, codebook=None):
+def paper_state(seed, codes=None):
     cfg = SystemConfig(snr_db=6.0, rng_seed=seed)
-    book = generate_codebook(cfg) if codebook is None else codebook
-    state = draw_channel(cfg, book, np.random.default_rng(seed))
-    return cfg, book, state
+    codes = generate_codebook(cfg) if codes is None else codes
+    state = draw_channel(cfg, codes, np.random.default_rng(seed))
+    return cfg, codes, state
 
 
 def assert_same_moments(z, oracle):
@@ -108,10 +108,9 @@ class TestFirstPhase:
         """Parallel filter rows make the noise covariance singular; the
         QR factor still samples it."""
         cfg = SystemConfig(rng_seed=37)
-        book = generate_codebook(cfg)
-        codes = book.codes.copy()
+        codes = generate_codebook(cfg)
         codes[USERS[1]] = -codes[USERS[0]]
-        cfg, _, state = paper_state(37, CodeBook(codes=codes))
+        cfg, _, state = paper_state(37, codes)
         f_sr = source_relay_filter_bank(state, cfg.noise_var, kind)
         assert np.linalg.matrix_rank(f_sr[USERS, RELAYS[0]], tol=1e-9) == 1
         symbols = fixed_symbols(cfg.num_users, 38)
@@ -129,10 +128,10 @@ class TestSecondPhase:
 
     @staticmethod
     def _setup(kind, seed):
-        cfg, book, state = paper_state(seed)
+        cfg, codes, state = paper_state(seed)
         h = state.h_rd[list(RELAYS)]
         filters = relay_dest_filter_bank(state, cfg.noise_var, kind)[list(RELAYS)]
-        return cfg, state, book.codes[seed % cfg.num_users], h, filters
+        return cfg, state, codes[seed % cfg.num_users], h, filters
 
     def test_linear_sub_slots(self, kind):
         # one relay stream per sub-slot; multilevel NCS values, as G^T b
