@@ -40,36 +40,38 @@ print("\n== linear combination ==")
 b = np.array([1.0, -1.0])
 ncs = encode_ncs(row, np.broadcast_to(b[:, None], (2, 2, 1)))[:, 0]  # both relays detect b
 print(f"user symbols {b}, matrix columns give [{ncs[0]:+.0f}, {ncs[1]:+.0f}]")
-z = (G.T @ b[:, None]).astype(complex)      # the decoders take (m, P) columns
+z = G.T @ b[:, None]         # noiseless unit-gain streams, as (m, P) columns
 print(f"joint decode ((G^T)^-1 on the outputs) recovers "
-      f"{decode_joint(row, z, np.ones(2))[:, 0]}")
-est = detect_ncs(row, z, np.ones(2))
+      f"{decode_joint(row, z)[:, 0]}")
+est = detect_ncs(row, z)
 print(f"direct-aided (each user cancels the others' direct estimates) recovers "
       f"{decode_with_direct(row, est, b[:, None])[:, 0]}")
 
 print("\n== the three designs ==")
 
 sigma2 = 0.1
-h = complex_gaussian(rng, (2, 16))
-w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
-# every design works from the per-stream gains w^H h and noise powers
-gains = np.sum(w.conj() * h, axis=1)
-noise_var = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
+h = complex_gaussian(rng, 2)                    # the relays' gains to the destination
+# a relay's sub-slot output, divided by its gain, is a unit-gain stream
+# of noise variance nu = sigma2 / |h|^2, whatever the receive filter:
+# every design and decoder reads nu alone
+noise_var = sigma2 / np.abs(h) ** 2
+print(f"stream noise variances nu = {noise_var.round(4)}")
 
 r_rand = design_G_random(2, rng, 1)[0]
 print(f"random draw, row {r_rand}:\n{table.G[r_rand]}")
 
 # each row's recovery error depends only on the calibration noise
-r_ml, costs = design_G_ml_for_channel(gains, noise_var, 100, rng)
+r_ml, costs = design_G_ml_for_channel(noise_var, 100, rng)
 print(f"exhaustive search on a 100-symbol calibration block, row {r_ml}:\n"
       f"{table.G[r_ml]}")
 print(f"calibration cost per row: {costs.round(3)}")
 
 flips = np.array([[0.2, 1e-3], [1e-3, 1e-3]])   # user 0 badly detected at relay 0
-r_mmse, scores = select_G_mmse(gains, noise_var, flip_probs=flips)
+r_mmse, scores = select_G_mmse(noise_var, flip_probs=flips)
 print(f"statistics-based pick (knows relay 0 misdetects user 0), row {r_mmse}:\n"
       f"{table.G[r_mmse]}")
 print(f"predicted chain error per row: {scores.round(4)}")
 
-dec, fallback = design_G_mmse(r_mmse, gains, noise_var)
-print(f"closed-form decode refinement matrix (fallback {fallback}):\n{dec.round(3)}")
+dec, fallback = design_G_mmse(r_mmse, noise_var)
+print(f"closed-form decode refinement C (C + diag nu)^-1, real "
+      f"(fallback {fallback}):\n{dec.round(3)}")

@@ -40,10 +40,14 @@ the coordinates, whose output maps are those of the N-chip banks
 (signal_model.sample_first_phase) and every lane's encoder designs and
 encodes; for the transmissions, the second phase, one noise draw per
 slice for all lanes of a kind, then per lane the decode-time MMSE
-refinement, the decoders and the scoring; the second phase and the
-designs read the relay-destination gains alone (rx.rank_one_filters).  Every slicer reads the in-phase part of a
-filter output alone, so pass 2 samples real outputs only: real gains,
-and real noise of half the complex variance.
+refinement, the decoders and the scoring.  The second phase and the
+designs read the relay-destination gains alone, and no receive filter:
+a linear sub-slot's stream is scaled to unit gain, its NCS levels plus
+noise of variance nu = sigma2 / |h|^2, and the XOR stream is filtered
+by the combined gain, a positive multiple of either receiver's filter.
+Every slicer reads the in-phase part of a filter output alone, so
+pass 2 samples real outputs only: real gains, and real noise of half
+the complex variance.
 Each replica's run of a stacked draw comes from its own streams, in its
 own order.  settle() turns each replica's pending rows into log records
 in one np.array call, reads its inputs from their columns and their
@@ -94,9 +98,10 @@ from .config import DecoderKind, PairMode, Scheme, SystemConfig, check_count
 # of a 2 MB per-core L2.  Paper-system rounds ran fastest at it among 1/4
 # to 4 times it; twice it was no faster and held more.  The first phase
 # of a chunk of 16-symbol packets runs as one slice and of 1000-symbol
-# packets 4 at a time, their second phase 10 at a time in the linear
+# packets 4 at a time, their second phase 13 at a time in the linear
 # lanes and 32 in the XOR lane; the m=2 mmse design scores 85 receptions
-# at a time and the m=3 one a single reception.
+# at a time and the m=3 one a single reception, and the ml design
+# calibrates 163 receptions at a time on 100-symbol blocks.
 _SLICE_ELEMENTS = 1 << 17
 
 # The block budget: pass 1 draws its channel blocks so that their L K x K
@@ -133,12 +138,12 @@ def _transmission_elements(config: SystemConfig, xor):
     """The elements a transmission's second phase holds in pass 2 for one
     kind of lane, per symbol of each stream its relays send (the pair's
     one for XOR, m sub-slots for the linear lanes), P symbols each: the
-    normals and the noise the kind's lanes share, then one lane's signal
-    and filter output, and for a linear lane its refined and unmixed
-    outputs."""
+    normals and the noise the kind's lanes share, then one lane's filter
+    output, for XOR with its signal, and for a linear lane with its
+    refined and unmixed outputs."""
     if xor:
         return 4 * config.packet_length
-    return 6 * config.group_size * config.packet_length
+    return 5 * config.group_size * config.packet_length
 
 
 class BufferBank:
@@ -575,16 +580,18 @@ class SlotMachine:
                             h_rd[transmit])
 
     def _stream_stats(self, h_rd):
-        """The outputs of relay streams that each occupy a sub-slot alone,
-        on relay-destination gains h_rd (..., m): the gains conj(f) h and
-        noise powers sigma2 |f|^2 every coding-matrix design and decoder
-        works from, and the noise colourings |f|.  f is h scaled by a
-        positive number for both receivers, so the gains are real and
-        are returned as such."""
-        sigma2 = self.config.noise_var
-        filters = rx.rank_one_filters(h_rd, sigma2, self.config.receiver)
-        gains, noise_var, colour = rx.rank_one_outputs(filters, h_rd, sigma2)
-        return gains.real, noise_var, colour
+        """The noise variances nu = sigma2 / |h|^2 (..., m) of relay
+        streams that each occupy a sub-slot alone, on relay-destination
+        gains h_rd (..., m), scaled to unit gain (either receiver's
+        filter is h times a positive number): all that the coding-matrix
+        designs and decoders read.  A gain whose nu is not finite (zero,
+        or |h|^2 underflowing) raises ValueError."""
+        with np.errstate(divide="ignore", over="ignore"):
+            nu = self.config.noise_var / np.abs(h_rd) ** 2
+        if not np.all(np.isfinite(nu)):
+            raise ValueError("degenerate channel: a stream's gain is zero "
+                             "or underflows")
+        return nu
 
     def _designs(self, state, users, filters_sr, owners):
         """Every lane's encoders for the stacked receptions as rows of
@@ -594,7 +601,7 @@ class SlotMachine:
         reads the relays' detection error probabilities."""
         cfg = self.config
         m = cfg.group_size
-        gains = noise_var = flips = None
+        nu = flips = None
         rows = np.full((len(users), len(self.schemes)), -1, dtype=np.int16)
         for k, scheme in enumerate(self.schemes):
             if scheme == Scheme.XOR:
@@ -604,12 +611,15 @@ class SlotMachine:
                     nc.design_G_random(m, replica.lanes[k].design, len(list(items)))
                     for replica, items in groupby(owners)])
                 continue
-            if gains is None:
-                gains, noise_var, _ = self._stream_stats(state.h_rd)
+            if nu is None:
+                nu = self._stream_stats(state.h_rd)
             if scheme == Scheme.ML:
-                rows[:, k] = nc.design_G_ml_for_channel(
-                    gains, noise_var, cfg.ml_training_len,
-                    _stream(owners, lambda r: r.lanes[k].design))[0]
+                # per reception: the calibration normals and their noise
+                rows[:, k] = np.concatenate([
+                    nc.design_G_ml_for_channel(
+                        nu[s], cfg.ml_training_len,
+                        _stream(owners[s], lambda r: r.lanes[k].design))[0]
+                    for s in _slices(len(users), 4 * m * cfg.ml_training_len)])
                 continue
             if flips is None:
                 flips = rx.detection_error_probs(users, state, filters_sr,
@@ -618,7 +628,7 @@ class SlotMachine:
             # the distinct ones they are gathered from, under twice that
             scores = 2 * len(nc.encoder_table(m).G) * 2 ** (m * m + m) * m
             rows[:, k] = np.concatenate([
-                nc.select_G_mmse(gains[s], noise_var[s], flip_probs=flips[s])[0]
+                nc.select_G_mmse(nu[s], flip_probs=flips[s])[0]
                 for s in _slices(len(users), scores)])
         return rows
 
@@ -686,24 +696,24 @@ class SlotMachine:
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
                     errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         if linear:
-            gains, noise_var, colour = self._stream_stats(h_rd)
+            nu = self._stream_stats(h_rd)
+            colour = np.sqrt(nu)[:, :, None, None]     # sqrt(nu) CN(0, 1) per stream
             decoders = dict.fromkeys(linear)
             for k in linear:
                 if schemes[k] == Scheme.MMSE_DESIGN:
-                    decoders[k], fallback = nc.design_G_mmse(rows[:, k], gains,
-                                                             noise_var)
+                    decoders[k], fallback = nc.design_G_mmse(rows[:, k], nu)
                     notes[fallback, k] = NOTES.index("mmse fallback")
             for s in _slices(len(uids), _transmission_elements(cfg, xor=False)):
                 noise = sm.filter_noise(
-                    colour[s, :, None, None], (len(truth[s]), m, 1, P), cfg.noise_var,
+                    colour[s], (len(truth[s]), m, 1, P), 1.0,
                     _stream(owners[s], lambda r: r.lanes[linear[0]].noise))[:, :, 0]
                 for k in linear:
-                    z = gains[s, :, None] * ncs[s, k] + noise
+                    z = ncs[s, k] + noise
                     refine = None if decoders[k] is None else decoders[k][s]
                     if cfg.decoder == DecoderKind.JOINT:
-                        decoded = nc.decode_joint(rows[s, k], z, gains[s], refine)
+                        decoded = nc.decode_joint(rows[s, k], z, refine)
                     else:
-                        ncs_est = nc.detect_ncs(rows[s, k], z, gains[s], refine)
+                        ncs_est = nc.detect_ncs(rows[s, k], z, refine)
                         decoded = nc.decode_with_direct(rows[s, k], ncs_est, direct[s])
                     errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         return errors, notes
@@ -711,16 +721,16 @@ class SlotMachine:
     def _xor_streams(self, h_rd):
         """The relays of a pair send on one code and (nominally) the same
         symbol, so one filter serves the combined channel, the sum of the
-        gains h_rd (T, m).  Returns its output's real gains
+        gains h_rd (T, m).  Either receiver's filter is the combined gain
+        f times a positive number, which moves no sign the slicer reads,
+        so f serves both.  Returns its output's real gains
         Re(conj(f) h_l) (T, 1, m), the in-phase signal the slicer reads,
-        and colourings (T, 1, 1), and which combined channels are
+        and colourings |f| (T, 1, 1), and which combined channels are
         degenerate (their filter is the code's)."""
-        cfg = self.config
         combined = h_rd.sum(axis=1)
         degenerate = np.abs(combined) ** 2 < 1e-30
-        f = rx.rank_one_filters(np.where(degenerate, 1.0, combined), cfg.noise_var,
-                                cfg.receiver)[:, None, None]
-        gains, _, colour = rx.rank_one_outputs(f, h_rd[:, None, :], cfg.noise_var)
+        f = np.where(degenerate, 1.0, combined)[:, None, None]
+        gains, _, colour = rx.rank_one_outputs(f, h_rd[:, None, :], self.config.noise_var)
         return gains.real, colour, degenerate
 
     # -- slot driver -------------------------------------------------------

@@ -13,7 +13,10 @@ stacked NCS vector is G^T b for user symbols b.  The designs return
 rows; the encoder and the decoders take rows and gather what they read
 (G, (G^T)^-1, G^T G, the NCS levels, the carrying relays) from the
 table.  The decode-time MMSE refinement is an
-`MmseDecoder(entries, fallback)`.
+`MmseDecoder(entries, fallback)`.  Designs and decoders read unit-gain
+relay streams z_j = a_j + eps_j, eps_j ~ CN(0, nu_j), a stream's output
+divided by its gain: none changes when a stream is scaled by a positive
+factor, so nu is all they read of it, and the refinement is real.
 """
 
 from functools import lru_cache
@@ -41,10 +44,10 @@ def make_group_assignments(config, rng):
 
 
 class MmseDecoder(NamedTuple):
-    """MMSE refinement matrix (or a stack of them) and whether it fell
-    back to plain gain normalization."""
+    """MMSE refinement matrix of unit-gain streams (or a stack of them)
+    and whether it fell back to the identity, no refinement."""
 
-    entries: np.ndarray     # (..., m, m) complex
+    entries: np.ndarray     # (..., m, m) real
     fallback: np.ndarray    # (...,) bool
 
 
@@ -181,29 +184,28 @@ def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):
 # exhaustive (training-based) design
 # ---------------------------------------------------------------------------
 
-def design_G_ml_for_channel(gains, noise_var, training_len, rng):
-    """Simulate a calibration block on the pair's relay streams, then
-    search every row for the least recovery error, for every reception
-    of a stack at once.
+def design_G_ml_for_channel(noise_var, training_len, rng):
+    """Simulate a calibration block on the pair's unit-gain relay
+    streams, then search every row for the least recovery error, for
+    every reception of a stack at once.
 
-    gains and noise_var are (..., m).  Each reception draws the m*T real
-    and the m*T imaginary noise normals, as one (..., 2, m, T) block, and
-    no training symbols t: no cost depends on them.
-    A row's calibration outputs are its NCS of t on the streams,
-    mu_j a_j + eta_j with eta_j ~ CN(0, noise_var_j), and it recovers
-    t + A eps with A = (G^T)^-1 and the normalized noise eps = eta / mu,
-    whatever t, so its cost sum |A eps|^2 is the quadratic form
-    Re tr(A S A^H) of the noise Gram S = eps eps^H.  Ties break to the
-    lowest row.  Returns (rows (...), per-row costs (..., n)).
+    noise_var is (..., m), each stream's nu.  Each reception draws the
+    m*T real and the m*T imaginary noise normals, as one (..., 2, m, T)
+    block, and no training symbols t: no cost depends on them.  A row's
+    calibration outputs are its NCS of t on the streams, a_j + eps_j
+    with eps_j ~ CN(0, nu_j), and it recovers t + A eps with
+    A = (G^T)^-1, whatever t, so its cost sum |A eps|^2 is the quadratic
+    form tr(A S A^T) of the real noise Gram S = Re(eps eps^H).  Ties
+    break to the lowest row.  Returns (rows (...), per-row costs
+    (..., n)).
     """
     if training_len < 1:
         raise ValueError("calibration block must hold at least one symbol")
-    gains = np.asarray(gains)
-    m = gains.shape[-1]
-    normals = rng.standard_normal(gains.shape[:-1] + (2, m, training_len))
-    scale = np.sqrt(np.asarray(noise_var) / 2.0) / gains
-    eps = scale[..., None] * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
-    gram = (eps @ np.swapaxes(eps.conj(), -1, -2)).real      # (..., m, m)
+    nu = np.asarray(noise_var)
+    m = nu.shape[-1]
+    normals = rng.standard_normal(nu.shape[:-1] + (2, m, training_len))
+    eps = np.sqrt(nu / 2.0)[..., None, :, None] * normals      # real, imaginary
+    gram = (eps @ np.swapaxes(eps, -1, -2)).sum(axis=-3)       # (..., m, m)
     costs = gram.reshape(gram.shape[:-2] + (m * m,)) @ encoder_table(m).recovery
     return argmin_with_ties(costs), costs
 
@@ -212,53 +214,47 @@ def design_G_ml_for_channel(gains, noise_var, training_len, rng):
 # closed-form MMSE design
 # ---------------------------------------------------------------------------
 
-def design_G_mmse(rows, gains, noise_var):
-    """Closed-form MMSE refinement matrix P_ab R_b^-1 for the NCS
-    estimate at the destination; used in place of plain inversion.
+def design_G_mmse(rows, noise_var):
+    """Closed-form MMSE refinement matrix for the NCS estimate at the
+    destination; used in place of plain inversion.
 
-    rows (...) index encoder_table(m); gains and noise_var (..., m) are
-    the pair's relay-stream statistics mu_j = w_j^H h_j and
-    sigma2 ||w_j||^2, and the leading axes broadcast.  With
-    z_j = mu_j a_j + eta_j, a = G^T b the NCS symbols of unit-variance
-    user symbols b, and noise eta_j ~ CN(0, noise_var_j) independent
-    across the relay sub-slots:
-        P_ab[k, j] = E[a_k conj(z_j)] = C[k, j] conj(mu_j)
-        R_b[j, i]  = mu_j conj(mu_i) C[j, i] + delta_ji noise_var_j
-    with C = G^T G.  An encoder whose R_b is numerically singular
-    (condition number above 1e12) gets plain gain normalization
-    diag(1/mu) instead, and so does the whole stack if the solve still
+    rows (...) index encoder_table(m) and noise_var (..., m) holds the
+    pair's stream variances nu; the leading axes broadcast.  With
+    z_j = a_j + eps_j, a = G^T b the NCS symbols of unit-variance user
+    symbols b, and eps_j ~ CN(0, nu_j) independent across the relay
+    sub-slots, E[a z^H] = C = G^T G and E[z z^H] = M = C + diag(nu), so
+    the refinement is the real C M^-1: the textbook P_ab R_b^-1 on the
+    outputs mu_j z_j is C M^-1 diag(1/mu).  An encoder whose M is
+    numerically singular (condition number above 1e12) gets the
+    identity instead, and so does the whole stack if the solve still
     fails.  Returns MmseDecoder(entries, fallback), unstacked for one
     row on (m,) streams.
 
-    R_b is a positive semidefinite matrix plus diag(noise_var), so its
-    condition number is below tr(R_b) / min_j noise_var_j; the condition
-    number is computed only where that bound exceeds 1e10, two orders
-    below the threshold, which the SVD's rounding (relative error about
-    eps times the condition number) cannot bridge.
+    M is a positive semidefinite matrix plus diag(nu), so its condition
+    number is below tr(M) / min_j nu_j; the condition number is computed
+    only where that bound exceeds 1e10, two orders below the threshold,
+    which the SVD's rounding (relative error about eps times the
+    condition number) cannot bridge.
     """
-    mu = np.asarray(gains)
-    nvar = np.asarray(noise_var)
-    eye = np.eye(mu.shape[-1])
-    C = encoder_table(mu.shape[-1]).gram[rows]
-    P_ab = C * mu.conj()[..., None, :]
-    R_b = (mu[..., :, None] * mu.conj()[..., None, :]) * C + nvar[..., None, :] * eye
-    least = np.min(nvar, axis=-1)
-    bounded = (least > 0) & (np.trace(R_b.real, axis1=-2, axis2=-1) <= 1e10 * least)
+    nu = np.asarray(noise_var)
+    eye = np.eye(nu.shape[-1])
+    C = encoder_table(nu.shape[-1]).gram[rows]
+    M = C + nu[..., None, :] * eye
+    least = np.min(nu, axis=-1)
+    bounded = (least > 0) & (np.trace(M, axis1=-2, axis2=-1) <= 1e10 * least)
     fallback = np.zeros(bounded.shape, dtype=bool)
     if not np.all(bounded):
-        fallback[~bounded] = np.linalg.cond(R_b[~bounded]) > 1e12
+        fallback[~bounded] = np.linalg.cond(M[~bounded]) > 1e12
     if np.any(fallback):        # swap singular members out of the batched solve
-        R_b = np.where(fallback[..., None, None], eye, R_b)
+        M = np.where(fallback[..., None, None], eye, M)
     try:
-        entries = np.linalg.solve(np.swapaxes(R_b.conj(), -1, -2),
-                                  np.swapaxes(P_ab.conj(), -1, -2))
-        entries = np.swapaxes(entries, -1, -2).conj()
+        # C and M are symmetric: C M^-1 = (M^-1 C)^T
+        entries = np.swapaxes(np.linalg.solve(M, C), -1, -2)
     except np.linalg.LinAlgError:
-        entries = np.zeros(R_b.shape, dtype=np.complex128)
+        entries = np.zeros(M.shape)
         fallback = np.ones_like(fallback)
     if np.any(fallback):
-        normalise = np.where(eye > 0, (1.0 / mu)[..., None, :], 0.0)
-        entries = np.where(fallback[..., None, None], normalise, entries)
+        entries = np.where(fallback[..., None, None], eye, entries)
     return MmseDecoder(entries, fallback)
 
 
@@ -293,7 +289,7 @@ def _distinct_ncs(m):
     return ncs, rows
 
 
-def select_G_mmse(gains, noise_var, flip_probs):
+def select_G_mmse(noise_var, flip_probs):
     """Pick the row minimizing the predicted end-to-end error of the
     refined decode chain; ties break to the lowest row.
 
@@ -303,9 +299,10 @@ def select_G_mmse(gains, noise_var, flip_probs):
     patterns, the latter weighted by the given per-(user, relay)
     detection error probabilities.  This is what lets the
     statistics-based design account for interference and noise on both
-    hops, which a pilot-calibrated search cannot see.  gains and
-    noise_var (..., m) and flip_probs (..., m, m) may carry leading
-    reception axes.  Returns (rows (...), per-row scores (..., n)).
+    hops, which a pilot-calibrated search cannot see.  noise_var
+    (..., m), the streams' nu, and flip_probs (..., m, m) may carry
+    leading reception axes.  Returns (rows (...), per-row scores
+    (..., n)).
 
     The slicer arguments repeat bit for bit: a flip on a zero entry of
     G changes no NCS, and data pattern -b gives the argument of b.  So
@@ -313,16 +310,14 @@ def select_G_mmse(gains, noise_var, flip_probs):
     first half of the data patterns only, then gathered back,
     contiguous, for the weighted sum over every pattern.
     """
-    gains = np.asarray(gains)
-    m = gains.shape[-1]
+    nu = np.asarray(noise_var, dtype=np.float64)
+    m = nu.shape[-1]
     table = encoder_table(m)
-    lead = gains.shape[:-1]                     # reception axes
-    mu = gains[..., None, :]                    # (..., 1, m) against every row
-    nvar = np.asarray(noise_var, dtype=np.float64)[..., None, :]
+    lead = nu.shape[:-1]                        # reception axes
+    nu = nu[..., None, :]                       # (..., 1, m) against every row
     p = np.asarray(flip_probs, dtype=np.float64)
-    decoders = design_G_mmse(np.arange(len(table.G)), mu, nvar).entries
-    A = table.unmix.astype(np.complex128) @ decoders
-    per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]    # (..., n, m)
+    A = table.unmix @ design_G_mmse(np.arange(len(table.G)), nu).entries
+    per_user_noise = (A ** 2 @ nu[..., None])[..., 0]              # (..., n, m)
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
 
     masks = _binary_matrices(m)                 # (n_masks, m, m) flip patterns
@@ -334,7 +329,7 @@ def select_G_mmse(gains, noise_var, flip_probs):
     # the (..., n, M, m, half) distinct slicer arguments, computed in
     # place; summed in relay order, as the exhaustive form's einsum sums,
     # so the scores equal it bit for bit
-    coef = (A * mu[..., None, :]).real[..., None, :, :, None]     # [..., user, relay]
+    coef = A[..., None, :, :, None]                             # [..., user, relay]
     arg = coef[..., 0, :] * ncs[..., None, 0, :]
     for l in range(1, m):
         arg += coef[..., l, :] * ncs[..., None, l, :]
@@ -353,33 +348,30 @@ def select_G_mmse(gains, noise_var, flip_probs):
 # destination decoding
 # ---------------------------------------------------------------------------
 
-def _refine(filter_outputs, gains, decoder):
-    """The refinement step both decoders share: the MMSE decoder matrix
-    if one is given, else gain normalization.  filter_outputs has shape
-    (..., m, P) for gains (..., m), and so has the result."""
-    z = np.asarray(filter_outputs)
-    if decoder is not None:
-        return decoder @ z
-    return z / gains[..., None]
+def _refine(filter_outputs, decoder):
+    """The in-phase parts of unit-gain stream outputs (..., m, P), MMSE
+    refined by a decoder matrix if one is given: the step both decoders
+    share."""
+    z = np.asarray(filter_outputs).real
+    return z if decoder is None else decoder @ z
 
 
-def decode_joint(rows, filter_outputs, gains, decoder=None):
-    """Recover the m user symbols from the m relay-stream filter outputs:
-    gain-normalize them (or MMSE-refine them with a decoder matrix),
-    unmix by (G^T)^-1 and slice to int8 +-1.  filter_outputs has shape
-    (..., m, P) for rows (...); gains and decoder carry the same leading
-    axes.
+def decode_joint(rows, filter_outputs, decoder=None):
+    """Recover the m user symbols from the m unit-gain relay streams:
+    MMSE-refine them with a decoder matrix, if one is given, unmix by
+    (G^T)^-1 and slice to int8 +-1.  filter_outputs has shape (..., m, P)
+    for rows (...); decoder carries the same leading axes.
     """
-    refined = _refine(filter_outputs, gains, decoder).real
+    refined = _refine(filter_outputs, decoder)
     return hard_decision(encoder_table(refined.shape[-2]).unmix[rows] @ refined)
 
 
-def detect_ncs(rows, filter_outputs, gains, decoder=None):
-    """Per-relay discrete NCS estimates: gain-normalize (or MMSE-refine),
-    then slice every stream to the nearest of its admissible levels;
-    ties go to the lower level.  filter_outputs has shape (..., m, P)
-    for rows (...), and so has the result."""
-    refined = _refine(filter_outputs, gains, decoder).real
+def detect_ncs(rows, filter_outputs, decoder=None):
+    """Per-relay discrete NCS estimates of unit-gain streams: MMSE-refine
+    them if a decoder is given, then slice every stream to the nearest of
+    its admissible levels; ties go to the lower level.  filter_outputs
+    has shape (..., m, P) for rows (...), and so has the result."""
+    refined = _refine(filter_outputs, decoder)
     soft = np.swapaxes(refined, -1, -2)                   # (..., P, relay)
     levels = encoder_table(refined.shape[-2]).levels[rows]
     nearest = np.argmin(np.abs(soft[..., None, :] - levels[..., None, :, :]),

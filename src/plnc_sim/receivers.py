@@ -189,43 +189,31 @@ def source_dest_filter_bank(state, sigma2, kind: ReceiverKind):
     return _mmse_bank(state.h_eff_sd, sigma2)
 
 
-def rank_one_filters(h, sigma2, kind: ReceiverKind):
-    """Filters for streams that each occupy an observation alone on one
-    unit-norm code, as the coefficient f of the filter f * code, one per
-    channel coefficient of h (...).
-
-    The second hop schedules one relay stream per sub-slot (or the XOR
-    pair's combined stream), so each observation holds one code in white
-    noise: f = h for RAKE and, as the MMSE covariance holds that stream
-    plus noise only, (h h^H + s I)^-1 h code = h / (s + |h|^2) code.
-    """
-    power = np.abs(h) ** 2
-    if not np.all(power > 0):
-        raise ValueError("degenerate channel: a stream's coefficient is zero")
-    if kind == ReceiverKind.RAKE:
-        return h.copy()
-    return h / (sigma2 + power)
-
-
 def rank_one_outputs(filters, h, sigma2):
-    """What scalar filters f (rank_one_filters) make of streams h * code *
-    b + n on one unit-norm code, n ~ CN(0, sigma2 I_N): the output is
-    conj(f) h b + |f| CN(0, sigma2).  Returns the gains conj(f) h, the
-    noise powers sigma2 |f|^2 and the colourings |f|; filters broadcast
-    against h."""
+    """What scalar filters f (relay_dest_filter_bank) make of streams
+    h * code * b + n on one unit-norm code, n ~ CN(0, sigma2 I_N): the
+    output is conj(f) h b + |f| CN(0, sigma2).  Returns the gains
+    conj(f) h, the noise powers sigma2 |f|^2 and the colourings |f|;
+    filters broadcast against h."""
     colour = np.abs(filters)
     return filters.conj() * h, sigma2 * colour ** 2, colour
 
 
 def relay_dest_filter_bank(state, sigma2, kind: ReceiverKind):
     """Second-hop filters, one scalar per relay stream, (..., L) for a
-    state whose arrays carry leading axes (...).  A relay whose gain is
-    zero gets the zero filter, a stream of no power and no noise: the
-    bank serves every relay of a channel block, and only a lane that
-    sends on that relay fails (rank_one_filters)."""
-    live = np.abs(state.h_rd) ** 2 > 0
-    filters = rank_one_filters(np.where(live, state.h_rd, 1.0), sigma2, kind)
-    return np.where(live, filters, 0.0)
+    state whose arrays carry leading axes (...), as the coefficient f of
+    the filter f * code.
+
+    The second hop schedules one relay stream per sub-slot (or the XOR
+    pair's combined stream), so each observation holds one code in white
+    noise: f = h for RAKE and, as the MMSE covariance holds that stream
+    plus noise only, (h h^H + s I)^-1 h code = h / (s + |h|^2) code.  A
+    relay whose gain is zero gets the zero filter, a stream of no power
+    and no noise: the bank serves every relay of a channel block."""
+    h = state.h_rd
+    if kind == ReceiverKind.RAKE:
+        return h.copy()
+    return h / (sigma2 + np.abs(h) ** 2)
 
 
 def effective_gains(filters, h_eff):

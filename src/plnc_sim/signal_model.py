@@ -10,7 +10,9 @@ for the chip-rate reference, the codes' r = min(K, N) coordinates
 same in either basis (filter_output_maps).  A second-hop observation
 holds one code in white noise, so its filter output is a scalar
 statistic of the relay-destination gains and that hop keeps no codes
-(receivers.rank_one_filters).
+(receivers.relay_dest_filter_bank); the slot machine scales each
+linear sub-slot stream to unit gain, so its second phase reads no
+filter at all.
 
 Conventions used throughout:
   * codes are random +-1/sqrt(N) chips, unit Euclidean norm

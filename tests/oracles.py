@@ -7,10 +7,17 @@ against: the direct form of each computation, kept out of the package.
   reception at a time.
 - ml_calibration_outputs, design_G_ml: the explicit calibration block of
   design_G_ml_for_channel and the search over its outputs.
-- mmse_fallback_flags: the MMSE refinement's fallback flags from the
-  condition number of every member.
+- mmse_refinement, mmse_fallback_flags: the textbook MMSE refinement
+  P_ab R_b^-1 and its fallback flags from the condition number of every
+  member.
 - chain_error_exhaustive: select_G_mmse's scores over all 2^(m*m)
   relay-detection flip patterns and all 2^m data patterns.
+
+The designs and decoders of the package read unit-gain streams, each
+by its one noise variance nu; these references keep the streams'
+physical outputs mu_j a_j + eta_j, with gains mu and noise powers
+noise_var = sigma2 |f|^2, for which nu = noise_var / |mu|^2.  At unit
+real gains they follow the package's arithmetic, bit for bit.
 - solve_joint, sorted_levels, first_carrier: the joint decoder by a
   linear solve, and the NCS levels and carrying relays per call.
 - pair_state: a slot's channel as pass 2 reads it, the pair's relays in
@@ -19,7 +26,7 @@ against: the direct form of each computation, kept out of the package.
   the N-chip filter banks on the effective vectors.
 - chip_rank_one_filters, chip_second_hop: the second hop's vector model,
   N-chip filters on the streams' code with their QR noise colouring,
-  which the scalar filters of receivers.rank_one_filters reduce.
+  which the scalar filters of receivers.relay_dest_filter_bank reduce.
 - rayleigh_bpsk_ber, relay_chain_ber, max_link_hop_ber: closed-form BER
   of a one-user, one-relay chain, unbuffered and buffered.
 
@@ -32,7 +39,7 @@ from itertools import product
 import numpy as np
 
 from plnc_sim.config import ReceiverKind
-from plnc_sim.network_coding import _qfunc, argmin_with_ties, design_G_mmse
+from plnc_sim.network_coding import _qfunc, argmin_with_ties
 from plnc_sim.receivers import (effective_gains, hard_decision,
                                 rank_one_outputs, relay_dest_filter_bank,
                                 source_relay_filter_bank)
@@ -103,15 +110,35 @@ def design_G_ml(outputs_by_candidate, gains, training_symbols):
     return argmin_with_ties(costs), costs
 
 
+def mmse_refinement(g, gains, noise_var):
+    """The MMSE refinement P_ab R_b^-1 of relay-stream outputs
+    z_j = mu_j a_j + eta_j, eta_j ~ CN(0, noise_var_j), for encoders g
+    (..., m, m) and NCS symbols a = g^T b:
+        P_ab[k, j] = C[k, j] conj(mu_j)
+        R_b[j, i]  = mu_j conj(mu_i) C[j, i] + delta_ji noise_var_j
+    with C = g^T g, or plain gain normalization diag(1/mu) where
+    cond(R_b) > 1e12.  Leading axes broadcast, and real gains give real
+    matrices.  Returns (refinement (..., m, m), fallback (...))."""
+    mu = np.asarray(gains)
+    nvar = np.asarray(noise_var)
+    eye = np.eye(g.shape[-1])
+    C = np.swapaxes(g, -1, -2) @ g
+    P_ab = C * mu.conj()[..., None, :]
+    R_b = (mu[..., :, None] * mu.conj()[..., None, :]) * C + nvar[..., None, :] * eye
+    fallback = np.linalg.cond(R_b) > 1e12
+    R_b = np.where(fallback[..., None, None], eye, R_b)
+    refinement = np.linalg.solve(np.swapaxes(R_b.conj(), -1, -2),
+                                 np.swapaxes(P_ab.conj(), -1, -2))
+    refinement = np.swapaxes(refinement, -1, -2).conj()
+    normalise = np.where(eye > 0, (1.0 / mu)[..., None, :], 0.0)
+    return np.where(fallback[..., None, None], normalise, refinement), fallback
+
+
 def mmse_fallback_flags(rows, gains, noise_var):
     """cond(R_b) > 1e12 for every member of a stack of rows, R_b being
-    the refinement's output covariance (network_coding.design_G_mmse)."""
-    mu = np.asarray(gains)
-    g = invertible_binary(mu.shape[-1])[rows]
-    C = np.swapaxes(g, -1, -2) @ g
-    R_b = ((mu[..., :, None] * mu.conj()[..., None, :]) * C
-           + np.asarray(noise_var)[..., None, :] * np.eye(g.shape[-1]))
-    return np.linalg.cond(R_b) > 1e12
+    the refinement's output covariance (mmse_refinement)."""
+    g = invertible_binary(np.shape(gains)[-1])[rows]
+    return mmse_refinement(g, gains, noise_var)[1]
 
 
 def chain_error_exhaustive(gains, noise_var, flip_probs):
@@ -124,8 +151,7 @@ def chain_error_exhaustive(gains, noise_var, flip_probs):
     mu = gains[..., None, :]
     nvar = np.asarray(noise_var, dtype=np.float64)[..., None, :]
     p = np.asarray(flip_probs, dtype=np.float64)
-    decoders = design_G_mmse(np.arange(len(g)), mu, nvar).entries
-    A = np.linalg.inv(np.swapaxes(g, -1, -2)).astype(np.complex128) @ decoders
+    A = np.linalg.inv(np.swapaxes(g, -1, -2)) @ mmse_refinement(g, mu, nvar)[0]
     per_user_noise = (np.abs(A) ** 2 @ nvar[..., None])[..., 0]
     sigma_real = np.sqrt(np.maximum(per_user_noise / 2.0, 1e-300))
 

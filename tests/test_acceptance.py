@@ -141,8 +141,9 @@ class TestCriterion4MmseDesignOracle:
             a = G.T @ b
             z = gains[:, None] * a + complex_gaussian(rng, (2, T)) \
                 * np.sqrt(nvar)[:, None]
+            z = z / gains[:, None]          # the streams scaled to unit gain
             ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
-            dec = design_G_mmse(row, gains, nvar)
+            dec = design_G_mmse(row, nvar / np.abs(gains) ** 2)
             rel = np.linalg.norm(dec.entries - ls) / np.linalg.norm(dec.entries)
             worst = max(worst, rel)
         ok = worst <= 1e-2
@@ -166,7 +167,7 @@ class TestCriterion5MlDesignOracle:
             w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
             gains = np.sum(w.conj() * h, axis=1)
             nvar = sigma2 * np.sum(np.abs(w) ** 2, axis=1)
-            row, _ = design_G_ml_for_channel(gains, nvar, 100,
+            row, _ = design_G_ml_for_channel(nvar / np.abs(gains) ** 2, 100,
                                              np.random.default_rng([51, i]))
             calibration = np.random.default_rng([51, i])
             training = hard_decision(calibration.standard_normal((2, 100)))
@@ -217,10 +218,10 @@ class TestCriterion7SmallInstanceBruteForce:
             for pattern in product((-1.0, 1.0), repeat=2):
                 b = np.array(pattern)[:, None]              # one (m, 1) column
                 ncs = cand.T @ b
-                joint = decode_joint(row, ncs.astype(complex), np.ones(2))
+                joint = decode_joint(row, ncs.astype(complex))
                 if not np.array_equal(joint, b):
                     bad.append(("joint", cand.tolist(), pattern))
-                est = detect_ncs(row, ncs.astype(complex), np.ones(2))
+                est = detect_ncs(row, ncs.astype(complex))
                 got = decode_with_direct(row, est, b)
                 for k in (0, 1):
                     if got[k, 0] != b[k, 0]:

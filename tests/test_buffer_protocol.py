@@ -426,6 +426,34 @@ class TestSlotMachine:
         SlotMachine(cfg, 1, schemes=schemes).run_until(7)
         assert len(draws) == slices
 
+    def test_ml_design_runs_once_per_slice(self, monkeypatch):
+        # the calibration blocks of a settle's receptions run in slices of
+        # the slice budget, here two receptions each, and each reception
+        # draws from its own replica's design stream, in its order
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           packet_length=10, ml_training_len=8,
+                           nc_design=Scheme.ML, buffers_enabled=False)
+
+        def logs():
+            machine = SlotMachine(cfg, replicas=[(False, 1), (False, 2)])
+            return [replica.log for replica in machine.run_until(7).replicas]
+
+        whole = logs()
+        monkeypatch.setattr(bp, "_SLICE_ELEMENTS",
+                            2 * 4 * cfg.group_size * cfg.ml_training_len)
+        calls = []
+        design = bp.nc.design_G_ml_for_channel
+
+        def counted(noise_var, *args):
+            calls.append(len(noise_var))
+            return design(noise_var, *args)
+
+        monkeypatch.setattr(bp.nc, "design_G_ml_for_channel", counted)
+        sliced = logs()
+        assert calls == [2] * 7           # 14 receptions in one settle
+        for got, want in zip(sliced, whole):
+            assert_same_log(got, want)
+
     def test_paper_task_peak_stays_within_the_budgets(self):
         # one paper-system sweep task at P = 1000: a buffered and an
         # unbuffered replica, every scheme, 25 packets each, settled as one

@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -1037,6 +1038,28 @@ class TestTraceNotes:
         with pytest.raises(ValueError, match="degenerate channel"):
             run_sweep(tiny_config(packet_length=8), [8.0], 3,
                       schemes=[Scheme.RANDOM], buffer_modes=[False])
+
+    @pytest.mark.parametrize("receiver", list(ReceiverKind))
+    def test_underflowing_relay_gain_fails_linear_lanes(self, monkeypatch,
+                                                        receiver):
+        # |h|^2 = 1e-320 underflows to a subnormal, and the stream's noise
+        # variance sigma2 / |h|^2 overflows: the linear lanes fail loudly
+        # before any overflow warning, fallback note or plausible count
+        draw = signal_model.draw_channels
+
+        def faint_relays(*args):
+            state = draw(*args)
+            state.h_rd[...] = 1e-160
+            return state
+
+        monkeypatch.setattr(signal_model, "draw_channels", faint_relays)
+        for scheme in (Scheme.RANDOM, Scheme.ML, Scheme.MMSE_DESIGN):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="degenerate channel"):
+                    run_sweep(tiny_config(packet_length=8, receiver=receiver),
+                              [8.0], 3, schemes=[scheme],
+                              buffer_modes=[True, False])
 
 
 class TestConfigFile:

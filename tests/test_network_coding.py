@@ -18,14 +18,13 @@ from plnc_sim import network_coding, receivers
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
                                      make_group_assignments)
-from plnc_sim.receivers import (detection_error_probs, rank_one_filters,
-                                rank_one_outputs, source_relay_filter_bank)
+from plnc_sim.receivers import detection_error_probs, source_relay_filter_bank
 from plnc_sim.signal_model import complex_gaussian, draw_channels
 
 from oracles import (chain_error_exhaustive, design_G_ml, first_carrier,
                      invertible_binary, ml_calibration_outputs,
-                     mmse_fallback_flags, random_designs_sequential,
-                     solve_joint, sorted_levels)
+                     mmse_fallback_flags, mmse_refinement,
+                     random_designs_sequential, solve_joint, sorted_levels)
 
 
 def all_patterns(m=2):
@@ -38,6 +37,12 @@ def mmse_stream_stats(rng, m, sigma2, n=16):
     h = complex_gaussian(rng, (m, n))
     w = h / (sigma2 + np.sum(np.abs(h) ** 2, axis=1))[:, None]
     return np.sum(w.conj() * h, axis=1), sigma2 * np.sum(np.abs(w) ** 2, axis=1)
+
+
+def unit_gain(gains, nvar):
+    """The noise variances nu = nvar / |mu|^2 of the streams of gains mu
+    and noise powers nvar, scaled to unit gain: what the designs read."""
+    return np.asarray(nvar) / np.abs(gains) ** 2
 
 
 def row_of(G):
@@ -184,11 +189,11 @@ class TestEnumerationAndRandomDesign:
         # a pool row is binary and invertible by construction, so this
         # is the encoder invariant every design must keep
         rng = np.random.default_rng(seed)
-        gains, nvar = mmse_stream_stats(rng, m, sigma2, n=8)
+        nu = unit_gain(*mmse_stream_stats(rng, m, sigma2, n=8))
         flips = rng.uniform(0.0, 0.5, (m, m))
         for row in (design_G_random(m, rng, 1)[0],
-                    design_G_ml_for_channel(gains, nvar, 8, rng)[0],
-                    select_G_mmse(gains, nvar, flip_probs=flips)[0]):
+                    design_G_ml_for_channel(nu, 8, rng)[0],
+                    select_G_mmse(nu, flip_probs=flips)[0]):
             assert np.shape(row) == ()
             assert np.issubdtype(np.asarray(row).dtype, np.integer)
             assert 0 <= row < len(encoder_table(m).G)
@@ -282,7 +287,7 @@ class TestMlDesign:
         gains = np.array([g for g, _ in stats])
         nvar = np.array([v for _, v in stats])
         stacked, oracle = np.random.default_rng(T), np.random.default_rng(T)
-        rows, costs = design_G_ml_for_channel(gains, nvar, T, stacked)
+        rows, costs = design_G_ml_for_channel(unit_gain(gains, nvar), T, stacked)
         assert rows.shape == (R,)
         assert costs.shape == (R, len(encoder_table(m).G))
         for r in range(R):
@@ -295,8 +300,7 @@ class TestMlDesign:
 
     def test_stacked_design_rejects_empty_block(self):
         with pytest.raises(ValueError):
-            design_G_ml_for_channel(np.ones(2), np.ones(2), 0,
-                                    np.random.default_rng(0))
+            design_G_ml_for_channel(np.ones(2), 0, np.random.default_rng(0))
 
 
 def oracle_chain_error(g, gains, nvar, p):
@@ -328,23 +332,23 @@ class TestMmseDesign:
         return gains, nvar, row, encoder_table(2).G[row]
 
     def test_normal_equations(self):
-        # G_mmse R_b = P_ab must hold to high relative accuracy
+        # G_mmse R_b = P_ab must hold to high relative accuracy, G_mmse
+        # being the refinement of the streams divided by their gains
         rng = np.random.default_rng(6)
         gains, nvar, row, G = self._scenario(rng)
-        dec = design_G_mmse(row, gains, nvar)
+        dec = design_G_mmse(row, unit_gain(gains, nvar))
         C = G.T @ G
         P_ab = C * gains.conj()[None, :]
         R_b = np.outer(gains, gains.conj()) * C + np.diag(nvar)
-        residual = np.linalg.norm(dec.entries @ R_b - P_ab)
+        residual = np.linalg.norm(dec.entries / gains[None, :] @ R_b - P_ab)
         assert residual < 1e-9 * max(np.linalg.norm(P_ab), 1.0)
 
     def test_noiseless_perfect_equalization_recovers_ncs(self):
-        # w^H h = 1 exactly
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        dec = design_G_mmse(row_of(G), np.ones(2, dtype=complex), np.full(2, 1e-30))
+        dec = design_G_mmse(row_of(G), np.full(2, 1e-30))
         for b in all_patterns():
             ncs = G.T @ b
-            assert np.allclose((dec.entries @ ncs).real, ncs, atol=1e-9)
+            assert np.allclose(dec.entries @ ncs, ncs, atol=1e-9)
 
     def test_sample_ls_oracle(self):
         # the closed form must match the least-squares minimizer fitted
@@ -356,9 +360,9 @@ class TestMmseDesign:
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
         a = G.T @ b
         eta = complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
-        z = gains[:, None] * a + eta
+        z = a + eta / gains[:, None]        # the streams scaled to unit gain
         ls = np.linalg.solve((z @ z.conj().T).T, (a @ z.conj().T).T).T
-        dec = design_G_mmse(row, gains, nvar)
+        dec = design_G_mmse(row, unit_gain(gains, nvar))
         rel = np.linalg.norm(dec.entries - ls) / np.linalg.norm(dec.entries)
         assert rel < 1e-2
 
@@ -370,24 +374,25 @@ class TestMmseDesign:
         b = np.where(rng.standard_normal((2, T)) >= 0, 1.0, -1.0)
         a = G.T @ b
         z = gains[:, None] * a + complex_gaussian(rng, (2, T)) * np.sqrt(nvar)[:, None]
-        dec = design_G_mmse(row, gains, nvar)
+        z = z / gains[:, None]              # plain inversion
+        dec = design_G_mmse(row, unit_gain(gains, nvar))
         mse_mmse = np.mean(np.abs(a - dec.entries @ z) ** 2)
-        mse_plain = np.mean(np.abs(a - z / gains[:, None]) ** 2)
+        mse_plain = np.mean(np.abs(a - z) ** 2)
         assert mse_mmse <= mse_plain + 1e-12
 
     def test_selection_prefers_reliable_detections(self):
         # user 0 badly detected at relay 0: the chosen encoder must not
         # route that detection into relay 0's stream (unit-gain streams)
         flips = np.array([[0.4, 1e-4], [1e-4, 1e-4]])
-        row, scores = select_G_mmse(np.ones(2, dtype=complex), np.full(2, 0.05),
-                                    flip_probs=flips)
+        row, scores = select_G_mmse(np.full(2, 0.05), flip_probs=flips)
         assert encoder_table(2).G[row][0, 0] == 0.0
         assert scores.shape == (6,)
 
     def test_chain_error_in_unit_interval(self):
         rng = np.random.default_rng(10)
         gains, nvar, _, _ = self._scenario(rng)
-        _, scores = select_G_mmse(gains, nvar, flip_probs=np.full((2, 2), 0.01))
+        _, scores = select_G_mmse(unit_gain(gains, nvar),
+                                  flip_probs=np.full((2, 2), 0.01))
         assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     @pytest.mark.parametrize("m,draws", [(2, 30), (3, 2)])
@@ -398,7 +403,7 @@ class TestMmseDesign:
             gains, nvar = mmse_stream_stats(rng, m, float(rng.uniform(0.02, 1.0)))
             gains = gains * np.exp(2j * np.pi * rng.random(m))   # any phase
             p = rng.uniform(0.0, 0.3, (m, m))
-            row, scores = select_G_mmse(gains, nvar, flip_probs=p)
+            row, scores = select_G_mmse(unit_gain(gains, nvar), flip_probs=p)
             oracle = np.array([oracle_chain_error(c, gains, nvar, p)[0]
                                for c in cands])
             assert np.allclose(scores, oracle, rtol=1e-9, atol=1e-15)
@@ -410,66 +415,64 @@ class TestMmseDesign:
         rng = np.random.default_rng(70 + m)
         stats = [mmse_stream_stats(rng, m, float(rng.uniform(0.02, 1.0)))
                  for _ in range(2 if m == 3 else 5)]
-        gains = np.array([g for g, _ in stats])
-        nvar = np.array([v for _, v in stats])
+        nu = np.array([unit_gain(g, v) for g, v in stats])
         p = rng.uniform(0.0, 0.3, (len(stats), m, m))
-        rows, scores = select_G_mmse(gains, nvar, flip_probs=p)
+        rows, scores = select_G_mmse(nu, flip_probs=p)
         assert rows.shape == (len(stats),)
         for r in range(len(stats)):
-            row_r, scores_r = select_G_mmse(gains[r], nvar[r], flip_probs=p[r])
+            row_r, scores_r = select_G_mmse(nu[r], flip_probs=p[r])
             assert rows[r] == row_r
             assert np.allclose(scores[r], scores_r, rtol=0.0, atol=1e-12)
 
     def test_failed_solve_falls_back_for_every_member(self, monkeypatch):
         # should the batched solve fail although no member is flagged
-        # singular, the whole stack gets plain gain normalization diag(1/mu)
+        # singular, the whole stack gets the identity, no refinement
         rng = np.random.default_rng(12)
-        stats = [mmse_stream_stats(rng, 2, 0.1) for _ in range(3)]
-        gains = np.array([g for g, _ in stats])
-        nvar = np.array([v for _, v in stats])
+        nu = np.array([unit_gain(*mmse_stream_stats(rng, 2, 0.1)) for _ in range(3)])
         rows = design_G_random(2, rng, 3)
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        dec = design_G_mmse(rows, gains, nvar)
+        dec = design_G_mmse(rows, nu)
         assert dec.fallback.tolist() == [True] * 3
-        for entries, mu in zip(dec.entries, gains):
-            assert np.array_equal(entries, np.diag(1.0 / mu))
+        for entries in dec.entries:
+            assert np.array_equal(entries, np.eye(2))
 
     def test_partial_fallback_matches_per_candidate_oracle(self):
-        # one nearly silent stream leaves R_b singular for some encoders
-        # only; each must fall back on its own
-        gains = np.array([1.0 + 0.0j, 1.5e-6j])
-        nvar = np.array([0.5, 1e-24])
+        # one unit-gain stream whose noise dwarfs it leaves M = C +
+        # diag(nu) singular for some encoders only; each must fall back
+        # on its own.  At unit gains R_b is M, so the oracle's flags are
+        # M's
+        gains = np.ones(2)
+        nvar = np.array([2e12, 0.5])
         p = np.full((2, 2), 0.05)
         cands = invertible_binary(2)
         oracle = [oracle_chain_error(c, gains, nvar, p) for c in cands]
         fallbacks = [fb for _, fb in oracle]
         assert any(fallbacks) and not all(fallbacks)
-        assert [design_G_mmse(row, gains, nvar).fallback
+        assert [design_G_mmse(row, nvar).fallback
                 for row in range(len(cands))] == fallbacks
-        _, scores = select_G_mmse(gains, nvar, flip_probs=p)
+        _, scores = select_G_mmse(nvar, flip_probs=p)
         assert np.allclose(scores, [e for e, _ in oracle], rtol=1e-9, atol=1e-15)
 
 
 @st.composite
 def chain_cases(draw):
-    """Stream statistics of R receptions (R = 0: no reception axis) and
-    flip probabilities."""
+    """Unit-gain stream variances nu of R receptions (R = 0: no
+    reception axis) and flip probabilities."""
     m = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     R = draw(st.integers(0, 3 if m == 2 else 1))
     lead = (R,) if R else ()
     sigma2 = draw(st.floats(0.01, 1.0))
-    stats = [mmse_stream_stats(rng, m, sigma2, n=8) for _ in range(max(R, 1))]
-    gains = np.array([g for g, _ in stats]).reshape(lead + (m,))
-    nvar = np.array([v for _, v in stats]).reshape(lead + (m,))
+    nu = np.array([unit_gain(*mmse_stream_stats(rng, m, sigma2, n=8))
+                   for _ in range(max(R, 1))]).reshape(lead + (m,))
     flips = draw(st.sampled_from(["zero", "half", "random"]))
     p = {"zero": np.zeros(lead + (m, m)), "half": np.full(lead + (m, m), 0.5),
          "random": rng.uniform(0.0, 0.5, lead + (m, m))}[flips]
-    return gains, nvar, p
+    return nu, p
 
 
 class TestDistinctWork:
@@ -493,26 +496,79 @@ class TestDistinctWork:
     @settings(max_examples=40, deadline=None)
     @given(chain_cases())
     def test_chain_error_equals_exhaustive_oracle(self, case):
-        gains, nvar, p = case
-        _, got = select_G_mmse(gains, nvar, p)
-        assert np.array_equal(got, chain_error_exhaustive(gains, nvar, p))
+        # at unit real gains the oracle's arithmetic is the package's
+        nu, p = case
+        _, got = select_G_mmse(nu, p)
+        assert np.array_equal(got, chain_error_exhaustive(np.ones_like(nu), nu, p))
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
            log_snr=st.floats(0.0, 18.0), silent=st.booleans())
     def test_cond_screen_flags_equal_condition_number(self, m, seed, log_snr,
                                                      silent):
-        # stream SNRs up to 1e18 and, optionally, a near-silent stream
-        # leave R_b near singular for some encoders of the pool
+        # stream SNRs 1/nu up to 1e18 and, optionally, a near-silent
+        # stream (nu from 1e9 to 1e15) leave M = C + diag(nu) near
+        # singular for some encoders of the pool; at unit gains the
+        # oracle's R_b is M
         rng = np.random.default_rng(seed)
         pool = np.arange(len(encoder_table(m).G))
-        gains = complex_gaussian(rng, (5, m))
+        nu = 10.0 ** -rng.uniform(-1.0, log_snr, (5, m))
         if silent:
-            gains[:, 0] *= 10.0 ** -rng.uniform(3, 9)
-        nvar = np.abs(gains) ** 2 * 10.0 ** -rng.uniform(-1.0, log_snr, (5, m))
-        got = design_G_mmse(pool, gains[:, None], nvar[:, None]).fallback
-        assert np.array_equal(got, mmse_fallback_flags(pool, gains[:, None],
-                                                       nvar[:, None]))
+            nu[:, 0] = 10.0 ** rng.uniform(9, 15, 5)
+        got = design_G_mmse(pool, nu[:, None]).fallback
+        assert np.array_equal(got, mmse_fallback_flags(pool, np.ones((5, 1, m)),
+                                                       nu[:, None]))
+
+
+@st.composite
+def physical_streams(draw):
+    """m <= 3 relay streams' positive gains mu and noise powers
+    sigma2 |f|^2, an encoder row, flip probabilities and a seed."""
+    m = draw(st.integers(1, 3))
+    mu = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=m, max_size=m)))
+    nvar = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m)))
+    row = draw(st.integers(0, len(encoder_table(m).G) - 1))
+    p = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=m * m,
+                               max_size=m * m))).reshape(m, m)
+    return mu, nvar, row, p, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestUnitGainStreams:
+    """The package on the unit-gain streams' nu = sigma2 |f|^2 / mu^2
+    equals the physical references on the outputs mu a + eta, and those
+    are unchanged when mu scales by c and sigma2 |f|^2 by c^2."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(physical_streams(), st.floats(0.01, 100.0))
+    def test_package_on_nu_equals_physical_oracles(self, case, c):
+        mu, nvar, row, p, seed = case
+        m, T = len(mu), 8
+        nu = nvar / mu ** 2
+        g = encoder_table(m).G[row]
+        z = np.random.default_rng(seed).standard_normal((m, 5))
+        dec = design_G_mmse(row, nu)
+        rows, scores = select_G_mmse(nu, p)
+        ml_rows, ml_costs = design_G_ml_for_channel(nu, T, np.random.default_rng(seed))
+        training = hard_decision(np.random.default_rng(seed + 1).standard_normal((m, T)))
+        assert not dec.fallback
+        for scale in (1.0, c):
+            gains, noise = scale * mu, scale ** 2 * nvar
+            # the refinement of z / mu is P_ab R_b^-1 z
+            refinement, fallback = mmse_refinement(g, gains, noise)
+            want = refinement @ (scale * z)
+            assert not fallback
+            assert np.abs(dec.entries @ (z / mu[:, None]) - want).max() \
+                <= 1e-12 * np.abs(want).max()
+            # the chain scores of every row
+            want = chain_error_exhaustive(gains, noise, p)
+            assert np.allclose(scores, want, rtol=1e-12, atol=0)
+            assert rows == argmin_with_ties(want)
+            # the calibration search on the same draws
+            outs = ml_calibration_outputs(gains, noise, training,
+                                          np.random.default_rng(seed))
+            want_row, want_costs = design_G_ml(outs, gains, training)
+            assert ml_rows == want_row
+            assert np.allclose(ml_costs, want_costs, rtol=1e-9, atol=0)
 
 
 class TestErfcKernelInvariance:
@@ -535,12 +591,11 @@ class TestErfcKernelInvariance:
                               receptions).effective(generate_codebook(cfg))
         filters_sr = source_relay_filter_bank(state, sigma2, kind)
         users = np.broadcast_to(np.arange(m), (receptions, m))
-        gains, nvar, _ = rank_one_outputs(
-            rank_one_filters(state.h_rd, sigma2, kind), state.h_rd, sigma2)
+        nu = sigma2 / np.abs(state.h_rd) ** 2
 
         def design():
             flips = detection_error_probs(users, state, filters_sr, sigma2)
-            return (flips,) + select_G_mmse(gains, nvar, flips)
+            return (flips,) + select_G_mmse(nu, flips)
 
         flips, rows, scores = design()
         with mock.patch.object(receivers, "erfc", scipy_erfc), \
@@ -557,14 +612,13 @@ class TestErfcKernelInvariance:
 class TestJointDecoding:
     def test_identity_passthrough(self):
         z = np.array([[1.0], [-1.0]], dtype=complex)
-        out = decode_joint(row_of(np.eye(2)), z, gains=np.ones(2))
+        out = decode_joint(row_of(np.eye(2)), z)
         assert np.array_equal(out, [[1.0], [-1.0]])
 
     def test_worked_example(self):
         # NCS [0, 1] produced by G = [[1,1],[1,0]] from b = [+1, -1]
         G = np.array([[1.0, 1.0], [1.0, 0.0]])
-        out = decode_joint(row_of(G), np.array([[0.0], [1.0]], dtype=complex),
-                           np.ones(2))
+        out = decode_joint(row_of(G), np.array([[0.0], [1.0]], dtype=complex))
         assert np.array_equal(out, [[1.0], [-1.0]])
 
     def test_bruteforce_all_encoders_and_patterns(self):
@@ -572,15 +626,16 @@ class TestJointDecoding:
         for row, cand in enumerate(encoder_table(2).G):
             for b in all_patterns():
                 ncs = cand.T @ b[:, None]
-                out = decode_joint(row, ncs.astype(complex), np.ones(2))
+                out = decode_joint(row, ncs.astype(complex))
                 assert np.array_equal(out[:, 0], b), f"failed for {cand} {b}"
 
     def test_gain_normalization(self):
+        # streams divided by their gains are unit-gain streams
         G = np.array([[1.0, 0.0], [1.0, 1.0]])
         gains = np.array([2.0 + 0j, 0.5 + 0j])
         for b in all_patterns():
             z = gains[:, None] * (G.T @ b[:, None])
-            out = decode_joint(row_of(G), z, gains)
+            out = decode_joint(row_of(G), z / gains[:, None])
             assert np.array_equal(out[:, 0], b)
 
 
@@ -614,7 +669,7 @@ class TestDirectAidedDecoding:
         assert np.array_equal(np.unique(levels[:, 1]), [-1.0, 1.0])
 
         def slice_relay_0(x):
-            return detect_ncs(row, np.array([[x], [1.0]]), np.ones(2))[0, 0]
+            return detect_ncs(row, np.array([[x], [1.0]]))[0, 0]
         assert slice_relay_0(0.9) == 0.0
         assert slice_relay_0(1.1) == 2.0
         assert slice_relay_0(1.0) == 0.0   # tie goes to lower level
@@ -623,7 +678,7 @@ class TestDirectAidedDecoding:
     def test_detect_ncs_slices_to_admissible_values(self):
         row = row_of([[1.0, 1.0], [0.0, 1.0]])
         z = np.array([[1.8 + 0.2j], [-0.7 - 0.1j]])
-        est = detect_ncs(row, z, gains=np.ones(2))
+        est = detect_ncs(row, z)
         assert est[0, 0] in encoder_table(2).levels[row][:, 0]
         assert est[1, 0] in encoder_table(2).levels[row][:, 1]
 
@@ -638,10 +693,10 @@ class TestRandomizedRoundtrips:
             G = encoder_table(2).G[row]
             b = np.where(rng.standard_normal((2, 64)) >= 0, 1.0, -1.0)
             gains = (0.5 + rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
-            z = gains[:, None] * (G.T @ b)
-            joint = decode_joint(row, z, gains)
+            z = gains[:, None] * (G.T @ b) / gains[:, None]
+            joint = decode_joint(row, z)
             assert np.array_equal(joint, b)
-            est = detect_ncs(row, z, gains)
+            est = detect_ncs(row, z)
             direct_aided = decode_with_direct(row, est, b)
             for k in (0, 1):
                 assert np.array_equal(direct_aided[k], b[k])
@@ -654,16 +709,17 @@ class TestNoiselessExactness:
                           min_size=3, max_size=3))
     def test_every_candidate_and_decoder_recovers_symbols(self, m, polar):
         # sigma2 -> 0: every invertible encoder, unequal complex gains
+        # divided out
         gains = np.array([r * np.exp(1j * phi) for r, phi in polar[:m]])
-        nvar = np.full(m, 1e-30)
+        nu = unit_gain(gains, np.full(m, 1e-30))
         b = np.array(list(product((-1.0, 1.0), repeat=m))).T      # (m, 2^m)
         for row, cand in enumerate(encoder_table(m).G):
-            z = gains[:, None] * (cand.T @ b)
-            assert np.array_equal(decode_joint(row, z, gains), b)
-            dec = design_G_mmse(row, gains, nvar)
+            z = gains[:, None] * (cand.T @ b) / gains[:, None]
+            assert np.array_equal(decode_joint(row, z), b)
+            dec = design_G_mmse(row, nu)
             assert not dec.fallback
-            assert np.array_equal(decode_joint(row, z, gains, dec.entries), b)
-            est = detect_ncs(row, z, gains)
+            assert np.array_equal(decode_joint(row, z, dec.entries), b)
+            est = detect_ncs(row, z)
             direct_aided = decode_with_direct(row, est, b)
             for k in range(m):
                 assert np.array_equal(direct_aided[k], b[k])
@@ -715,12 +771,11 @@ class TestEncoderTable:
         # outputs of a stack of three rows
         rng = np.random.default_rng(seed)
         rows = np.array([row, *rng.integers(len(table.G), size=2)])
-        gains = (0.5 + rng.random((3, m))) * np.exp(2j * np.pi * rng.random((3, m)))
         z = complex_gaussian(rng, (3, m, P)) * 2.0
-        decoder = (design_G_mmse(rows, gains, 0.1 + rng.random((3, m))).entries
+        decoder = (design_G_mmse(rows, 0.1 + rng.random((3, m))).entries
                    if with_decoder else None)
-        refined = decoder @ z if with_decoder else z / gains[..., None]
-        assert np.array_equal(decode_joint(rows, z, gains, decoder),
+        refined = decoder @ z if with_decoder else z
+        assert np.array_equal(decode_joint(rows, z, decoder),
                               solve_joint(table.G[rows], refined))
 
 
@@ -733,9 +788,9 @@ def oracle_levels(g, relay):
                             for p in product((-1.0, 1.0), repeat=m)}))
 
 
-def oracle_detect(g, z, gains, decoder):
+def oracle_detect(g, z, decoder):
     """Refine, then slice one relay at a time; ties to the lower level."""
-    refined = decoder @ z if decoder is not None else z / gains[:, None]
+    refined = decoder @ z if decoder is not None else z
     est = np.empty(refined.shape)
     for l in range(g.shape[0]):
         levels = oracle_levels(g, l)
@@ -777,27 +832,23 @@ def decode_cases(draw):
     P = draw(st.integers(1, 5))
     row = draw(st.integers(0, len(encoder_table(m).G) - 1))
     soft = np.array(draw(st.lists(soft_values, min_size=m * P, max_size=m * P)))
-    unit_gains = draw(st.booleans())
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return m, P, row, soft.reshape(m, P), unit_gains, np.random.default_rng(seed)
+    return m, P, row, soft.reshape(m, P), np.random.default_rng(seed)
 
 
 class TestArrayDecodersMatchLoopOracles:
     @settings(max_examples=150, deadline=None)
     @given(decode_cases(), st.booleans())
     def test_detect_and_direct_decode(self, case, with_decoder):
-        m, P, row, soft, unit_gains, rng = case
+        m, P, row, z, rng = case
         g = encoder_table(m).G[row]
-        gains = (np.ones(m, dtype=complex) if unit_gains else
-                 (0.5 + rng.random(m)) * np.exp(2j * np.pi * rng.random(m)))
-        z = gains[:, None] * soft
         decoder = None
         if with_decoder:
-            decoder = design_G_mmse(row, gains, 0.1 + rng.random(m)).entries
-        est = detect_ncs(row, z, gains, decoder)
-        assert np.array_equal(est, oracle_detect(g, z, gains, decoder))
+            decoder = design_G_mmse(row, 0.1 + rng.random(m)).entries
+        est = detect_ncs(row, z, decoder)
+        assert np.array_equal(est, oracle_detect(g, z, decoder))
         # each column decodes alone, as its own (m, 1) stack
-        assert np.array_equal(detect_ncs(row, z[:, :1], gains, decoder), est[:, :1])
+        assert np.array_equal(detect_ncs(row, z[:, :1], decoder), est[:, :1])
         # direct estimates that need not agree with the NCS estimates, so
         # a decode through any relay but the first carrying one differs
         direct = np.where(rng.random((m, P)) < 0.5, 1.0, -1.0)
@@ -835,5 +886,5 @@ class TestArrayDecodersMatchLoopOracles:
         for m in (1, 2, 3):
             for row, levels in enumerate(encoder_table(m).levels):
                 mid = (levels[:-1] + levels[1:]) / 2          # (2^m - 1, m)
-                est = detect_ncs(row, mid.T, np.ones(m))
+                est = detect_ncs(row, mid.T)
                 assert np.array_equal(est, levels[:-1].T)
