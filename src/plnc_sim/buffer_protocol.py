@@ -28,11 +28,11 @@ buffer occupancies, so this pass decides every slot and makes no NumPy
 call per slot.  The pending log rows are its only record of a slot: a
 block's gains wait beside them for settle(), and its table is freed
 after its last row.  Within run_until a block holds no more than the
-fewest slots its replica still needs, so every slot drawn there is read.
+fewest slots its replica still needs, so every slot drawn there is read;
+outside it a replica's blocks grow from one slot, each twice the last.
 
 Pass 2, settle(), runs the physics of every slot of every replica
-advanced since the last settle as one set of arrays, the replicas'
-receptions and transmissions stacked in replica order: for the
+advanced since the last settle as one set of arrays: for the
 receptions, one block of data words (signal_model.data_symbols), the
 source-destination and the selected pairs' source-relay filter banks on
 the coordinates, whose output maps are those of the N-chip banks
@@ -48,24 +48,32 @@ by the combined gain, a positive multiple of either receiver's filter.
 Every slicer reads the in-phase part of a filter output alone, so
 pass 2 samples real outputs only: real gains, and real noise of half
 the complex variance.
-Each replica's run of a stacked draw comes from its own streams, in its
-own order.  settle() turns each replica's pending rows into log records
-in one np.array call, reads its inputs from their columns and their
-slots' gains, a reception's as its pair's effective vectors, and writes
-the transmissions' bit_errors and note codes into the records; until
-then the log raises.  A packet's streams, direct-link decisions, ground
-truth and encoder rows (int16, -1 for XOR) wait under its uid from its
-reception's settle to its transmission's.  run_until settles whenever
-the replicas it has advanced since the last settle hold the stack
-threshold's count of receptions, and at the end, so the pair states,
-banks and maps settle() holds whole stay near that size.
-Every random stream has one purpose and the same draw shape on every
-call, so one block of draws equals the per-slot draws bit for bit,
-whenever settle() runs and however the replicas are stacked.  Within a
-settle the arrays run in slices whose transient arrays hold about the
-slice budget, _SLICE_ELEMENTS float64 elements: each slice pays a fixed
-cost in NumPy calls, so the budget is sized for throughput against the
-L2 cache, not for the smallest footprint.
+Every random stream has one purpose and draws one shape per item, so a
+stream position is an item's index among its replica's receptions (its
+uid) or transmissions, and one block of draws equals the per-item
+draws bit for bit, whenever settle() runs and however the items are
+stacked.  Twins, replicas whose streams stand in one state at
+construction (equal int seeds or SeedSequences, as the buffer modes of
+one chunk are), draw the same numbers at the same position, so pass 2
+stacks the items position-major within a twin group, the receptions by
+(twins, uid, replica) and the transmissions by (twins, transmission
+ordinal, replica), and draws each position of a slice once for every
+twin that needs it (_Shared).  settle() turns each replica's pending
+rows into log records in one np.array call, reads its inputs from their
+columns and their slots' gains, a reception's as its pair's effective
+vectors, and writes the transmissions' bit_errors and note codes back
+in record order; until then the log raises.  A packet's streams,
+direct-link decisions, ground truth and encoder rows (int16, -1 for
+XOR) wait under its uid from its reception's settle to its
+transmission's.  run_until settles, after the last replica of a twin
+group, whenever the replicas it has advanced since the last settle hold
+the stack threshold's count of receptions, and at the end, so twins
+settle together and the pair states, banks and maps settle() holds
+whole stay near that size.  Within a settle the arrays run in slices
+whose transient arrays hold about the slice budget, _SLICE_ELEMENTS
+float64 elements: each slice pays a fixed cost in NumPy calls, so the
+budget is sized for throughput against the L2 cache, not for the
+smallest footprint.
 
 No coding scheme changes the channel stream or the bank occupancies, so
 one machine runs several schemes in lockstep, one lane each: the slot's
@@ -80,7 +88,7 @@ system-wide.
 import math
 from collections import deque
 from dataclasses import replace
-from itertools import compress, groupby
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +107,8 @@ from .config import DecoderKind, PairMode, Scheme, SystemConfig, check_count
 # to 4 times it; twice it was no faster and held more.  The first phase
 # of a chunk of 16-symbol packets runs as one slice and of 1000-symbol
 # packets 4 at a time, their second phase 13 at a time in the linear
-# lanes and 32 in the XOR lane; the m=2 mmse design scores 85 receptions
+# lanes (12 for a twin pair, whose slices end on a whole position) and
+# 32 in the XOR lane; the m=2 mmse design scores 85 receptions
 # at a time and the m=3 one a single reception, and the ml design
 # calibrates 163 receptions at a time on 100-symbol blocks.
 _SLICE_ELEMENTS = 1 << 17
@@ -108,7 +117,8 @@ _SLICE_ELEMENTS = 1 << 17
 # first-hop MMSE systems, the largest array it holds per slot, hold about
 # this many float64 elements (256 KB): 151 slots on the paper system.
 # Within run_until the slots still needed cap a block anyway; outside it,
-# every slot of a block is drawn and ranked, run or not.
+# a replica's first block holds one slot and each later one twice the
+# last, so a few advance() calls draw and rank no full block.
 _BLOCK_ELEMENTS = 1 << 15
 
 # The stack threshold: run_until settles once the pending receptions
@@ -118,12 +128,20 @@ _BLOCK_ELEMENTS = 1 << 15
 _STACK_ELEMENTS = 1 << 15
 
 
-def _slices(n, item_elements):
+def _slices(n, item_elements, starts=None):
     """Consecutive slices of range(n), each of at most the slice budget,
     _SLICE_ELEMENTS elements, at item_elements per item (at least one
-    item)."""
+    item).  Given starts, the ascending indices at which a slice may
+    start (0 first), every slice starts at one: it holds fewer items, or
+    where none fits, as few more as reach the next."""
     step = max(1, _SLICE_ELEMENTS // item_elements)
-    return [slice(start, start + step) for start in range(0, n, step)]
+    if starts is None:
+        return [slice(start, start + step) for start in range(0, n, step)]
+    starts, bounds = np.append(starts, n), [0]
+    while bounds[-1] < n:
+        i = np.searchsorted(starts, bounds[-1] + step, "right") - 1
+        bounds.append(int(starts[i] if starts[i] > bounds[-1] else starts[i + 1]))
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 def _reception_elements(config: SystemConfig):
@@ -303,39 +321,76 @@ def _twin(rng):
     return np.random.Generator(type(rng.bit_generator)(rng.bit_generator.seed_seq))
 
 
-class _Runs:
-    """Stands in for a Generator over a stacked leading axis whose
-    consecutive runs belong to different replicas: each run draws from
-    its replica's generator, as that replica's own call would."""
+class _Shared:
+    """Stands in for the generators of one slice of a stack whose items
+    are stream positions of replicas, stacked by twin group, position and
+    replica as pass 2 stacks them: a replica's items in the slice are
+    consecutive positions from where its stream stands.
 
-    def __init__(self, runs):
-        self.runs = runs             # (generator or bit generator, items)
+    Twins stand on one sequence of states, so the twins of a group whose
+    streams stand at one position draw each position once: the one that
+    needs the most positions draws them, in pieces that end where
+    another twin's positions end, and hands that twin its state there.
+    A twin that stands elsewhere draws its own.  A Generator keeps no
+    normals between calls and its state carries a buffered 32-bit word,
+    so the handed state is the one the twin's own draws leave.  Every
+    item gets a copy, never a view of a twin's draw, so a caller may
+    scale its draw in place."""
 
-    def standard_normal(self, shape):
-        return self._draw("standard_normal", shape)
+    def __init__(self, owners, positions):
+        first, count = {}, {}
+        for owner, position in zip(owners, positions):
+            first.setdefault(owner, position)
+            count[owner] = count.get(owner, 0) + 1
+        runs = {}          # (twins, first position) -> owners
+        for owner, position in first.items():
+            runs.setdefault((owner.twins, position), []).append(owner)
+        # each run is drawn in turn, [(owner, its count)] by count
+        self.runs, offset, rows = [], {}, 0
+        for (_, start), members in runs.items():
+            members.sort(key=count.get)
+            self.runs.append([(owner, count[owner]) for owner in members])
+            offset.update(dict.fromkeys(members, rows - start))
+            rows += count[members[-1]]
+        self.size = len(owners)
+        index = [offset[owner] + position for owner, position in zip(owners, positions)]
+        self.index = None if index == list(range(rows)) else np.array(index)
 
-    def random_raw(self, shape):
-        return self._draw("random_raw", shape)
+    def draw(self, pick, draw):
+        """Every item's draw, stacked: draw(generator, n) draws n
+        positions on a leading axis, and pick(replica) is a replica's
+        generator."""
+        parts = []
+        for run in self.runs:
+            leader, done = pick(run[-1][0]), 0
+            for owner, n in run:
+                if n > done:
+                    parts.append(draw(leader, n - done))
+                    done = n
+                if owner is not run[-1][0]:
+                    pick(owner).bit_generator.state = leader.bit_generator.state
+        drawn = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return drawn if self.index is None else drawn[self.index]
 
-    def _draw(self, method, shape):
-        shape = tuple(shape)
-        if shape[0] != sum(n for _, n in self.runs):
-            raise ValueError("a stacked draw must cover its runs")
-        return np.concatenate([getattr(rng, method)((n,) + shape[1:])
-                               for rng, n in self.runs])
+    def stream(self, pick):
+        """A stand-in for the generators pick(replica) gives, for
+        standard_normal and random_raw calls whose leading axis is the
+        slice's items."""
+        def method(bound):
+            def call(shape):
+                if shape[0] != self.size:
+                    raise ValueError("a stacked draw must cover its items")
+                return self.draw(pick, lambda rng, n: bound(rng)((n, *shape[1:])))
+            return call
+        return SimpleNamespace(
+            standard_normal=method(lambda rng: rng.standard_normal),
+            random_raw=method(lambda rng: rng.bit_generator.random_raw))
 
 
 def _concat(parts):
     """One sm.ChannelGains of parts of it, concatenated on the leading axis."""
     return sm.ChannelGains(*map(np.concatenate, zip(*(vars(part).values()
                                                       for part in parts))))
-
-
-def _stream(owners, pick):
-    """The generator of a stacked draw whose items belong to owners, the
-    replicas in runs, pick(replica) being a replica's generator of it."""
-    runs = [(pick(replica), len(list(items))) for replica, items in groupby(owners)]
-    return runs[0][0] if len(runs) == 1 else _Runs(runs)
 
 
 class Replica:
@@ -393,6 +448,7 @@ class Replica:
         self._row = 0            # the next slot's row of the block
         self._blocks = []        # ChannelGains from the first pending slot on
         self._coded = {}         # uid -> (direct, truth, ncs, encoder rows)
+        self.twins = None        # the machine's index of its twin group
 
     @property
     def log(self):
@@ -419,7 +475,10 @@ class SlotMachine:
     same run every time; a Generator is consumed, as spawning advances
     it.  Group g's users are row g of group_users.  The log, bank, slot
     counters and streams are per replica: a one-replica machine's are
-    machine.replicas[0]'s.
+    machine.replicas[0]'s.  Replicas whose streams stand in one state at
+    construction, as equal int seeds or SeedSequences give them and two
+    replicas built from one Generator do not, are twins: pass 2 draws
+    their equal numbers once.
     """
 
     def __init__(self, config: SystemConfig, seed=None, schemes=None,
@@ -453,6 +512,12 @@ class SlotMachine:
                                candidates, groups)
         self.replicas = tuple(Replica(*modes[buffered], seed, schemes)
                               for buffered, seed in replicas)
+        # twins: replicas whose five streams stand in one state (every
+        # lane's stream is one of them or a copy of one)
+        twins = {}
+        for rep in self.replicas:
+            rep.twins = twins.setdefault(
+                repr([rng.bit_generator.state for rng in rep.rng]), len(twins))
 
     # -- pass 1: decisions, one slot of one replica at a time ---------------
 
@@ -464,12 +529,16 @@ class SlotMachine:
         first-hop MMSE systems (151 on the paper system) and, within
         run_until, no more than the fewest slots the replica still needs,
         (n - transmitted) + max(0, n - received), so every slot drawn
-        there is read."""
+        there is read; outside it, one slot if the replica has drawn no
+        block, else twice its last block's.  A block of n slots draws and
+        ranks what n blocks of one do."""
         cfg = replica.config
         K = cfg.num_users
         size = max(1, _BLOCK_ELEMENTS // (cfg.num_relays * K * K))
         n = replica.wanted
-        if n is not None:
+        if n is None:
+            size = min(size, max(1, 2 * replica._block_slots))
+        else:
             size = min(size, n - replica.transmit_slots
                        + max(0, n - replica.receive_slots))
         gains = sm.draw_channels(cfg, replica.rng.channel, size)
@@ -536,18 +605,14 @@ class SlotMachine:
         if not any(rep._pending for rep in self.replicas):
             return self
         records = [np.array(rep._pending, rep._log.dtype) for rep in self.replicas]
-        receptions, transmissions = self._inputs(records)
+        receptions, transmissions, sent = self._inputs(records)
         if receptions[0]:
             self._settle_receptions(*receptions)
         if transmissions[0]:
-            errors, notes = self._settle_transmissions(*transmissions)
-            start = 0
-            for rec in records:
-                scored = rec["transmit"]
-                stop = start + np.count_nonzero(scored)
-                rec["bit_errors"][scored] = errors[start:stop]
-                rec["note"][scored] = notes[start:stop]
-                start = stop
+            stacked = np.concatenate(records)
+            stacked["bit_errors"][sent], stacked["note"][sent] = \
+                self._settle_transmissions(*transmissions)
+            records = np.split(stacked, np.cumsum([len(rec) for rec in records[:-1]]))
         for rep, rec in zip(self.replicas, records):
             rep._log, rep._pending = np.concatenate((rep._log, rec)), []
             rep._settled_receptions = rep.receive_slots
@@ -555,29 +620,50 @@ class SlotMachine:
 
     def _inputs(self, records):
         """Pass 2's inputs from the pending records and their slots' gains,
-        stacked in replica order: each reception's replica, uid, group and
-        pair's gains (relays in order on the relay axis), and each
-        transmission's replica, popped uid and pair's relay-destination gains.
-        A replica keeps only the block it still reads, from the row reached."""
-        owners, groups, gains = [], [], []
+        stacked position-major within twin groups.  The receptions, by
+        (twin group, uid, replica): each one's replica, uid, group and
+        pair's gains (relays in order on the relay axis).  The
+        transmissions, by (twin group, ordinal among its replica's
+        transmissions, replica): each one's replica, popped uid, ordinal
+        and pair's relay-destination gains.  Each stack ends with the
+        indices of its items that start a twin group's position, where
+        its slices may start.  Last come the transmissions' indices in the
+        records, concatenated.  A replica keeps only the block it still
+        reads, from the row reached."""
+        groups, ordinals, gains = [], [], []
         for rep, rec in zip(self.replicas, records):
-            owners += [rep] * len(rec)
+            transmit = rec["transmit"]
             groups.append(rec["pair_id"] if rep.pairs_are_groups
                           else rec["uid"] % rep.config.num_groups)
+            ordinals.append(np.cumsum(transmit)
+                            + (rep.transmit_slots - np.count_nonzero(transmit) - 1))
             if rep._blocks:
                 block = _concat(rep._blocks)
                 gains.append(block[:len(rec)])
                 rep._blocks = [block[len(rec):]] if rep._block is not None else []
         transmit, relays, uids = (np.concatenate([rec[name] for rec in records])
                                   for name in ("transmit", "relays", "uid"))
-        gains, received = _concat(gains), ~transmit
+        replica = np.repeat(np.arange(len(records)), [len(rec) for rec in records])
+        twins = np.array([rep.twins for rep in self.replicas])[replica]
+        positions = np.where(transmit, np.concatenate(ordinals), uids)
+        order = np.lexsort((replica, positions, twins, transmit))
+        received, sent = np.split(order, [len(order) - np.count_nonzero(transmit)])
+        gains = _concat(gains)
         h_rd = np.take_along_axis(gains.h_rd, relays, axis=1)
         h_sr = np.take_along_axis(gains.h_sr[received], relays[received, None], axis=2)
         pairs = sm.ChannelGains(h_rd[received], gains.h_sd[received], h_sr)
-        receptions = (list(compress(owners, received)), uids[received].tolist(),
-                      np.concatenate(groups)[received], pairs)
-        return receptions, (list(compress(owners, transmit)), uids[transmit].tolist(),
-                            h_rd[transmit])
+
+        def owners(items):
+            return [self.replicas[r] for r in replica[items].tolist()]
+
+        def starts(items):
+            return np.flatnonzero(np.diff(twins[items], prepend=-1)
+                                  | np.diff(positions[items], prepend=-1))
+
+        receptions = (owners(received), uids[received].tolist(),
+                      np.concatenate(groups)[received], pairs, starts(received))
+        return receptions, (owners(sent), uids[sent].tolist(), positions[sent].tolist(),
+                            h_rd[sent], starts(sent)), sent
 
     def _stream_stats(self, h_rd):
         """The noise variances nu = sigma2 / |h|^2 (..., m) of relay
@@ -593,10 +679,11 @@ class SlotMachine:
                              "or underflows")
         return nu
 
-    def _designs(self, state, users, filters_sr, owners):
+    def _designs(self, state, users, filters_sr, owners, uids, starts):
         """Every lane's encoders for the stacked receptions as rows of
         nc.encoder_table, (R, lanes) int16, -1 for XOR; each reception
-        draws from its owner replica's design streams.  The ml and mmse
+        draws from its owner replica's design streams at its uid, and the
+        ml design's slices start where starts allow.  The ml and mmse
         designs read the pair's relay-destination statistics; mmse also
         reads the relays' detection error probabilities."""
         cfg = self.config
@@ -607,9 +694,9 @@ class SlotMachine:
             if scheme == Scheme.XOR:
                 continue
             if scheme == Scheme.RANDOM:
-                rows[:, k] = np.concatenate([
-                    nc.design_G_random(m, replica.lanes[k].design, len(list(items)))
-                    for replica, items in groupby(owners)])
+                rows[:, k] = _Shared(owners, uids).draw(
+                    lambda r: r.lanes[k].design,
+                    lambda rng, n: nc.design_G_random(m, rng, n))
                 continue
             if nu is None:
                 nu = self._stream_stats(state.h_rd)
@@ -618,8 +705,9 @@ class SlotMachine:
                 rows[:, k] = np.concatenate([
                     nc.design_G_ml_for_channel(
                         nu[s], cfg.ml_training_len,
-                        _stream(owners[s], lambda r: r.lanes[k].design))[0]
-                    for s in _slices(len(users), 4 * m * cfg.ml_training_len)])
+                        _Shared(owners[s], uids[s]).stream(
+                            lambda r: r.lanes[k].design))[0]
+                    for s in _slices(len(users), 4 * m * cfg.ml_training_len, starts)])
                 continue
             if flips is None:
                 flips = rx.detection_error_probs(users, state, filters_sr,
@@ -632,9 +720,10 @@ class SlotMachine:
                 for s in _slices(len(users), scores)])
         return rows
 
-    def _settle_receptions(self, owners, uids, groups, pairs):
+    def _settle_receptions(self, owners, uids, groups, pairs, starts):
         """First phase of the stacked receptions, each with its owner
-        replica, uid, group and pair's gains: all sources transmit, each
+        replica, uid (its streams' position), group and pair's gains, in
+        slices that start where starts allow: all sources transmit, each
         selected pair detects its group; every lane designs its encoders
         and encodes, and the packets' streams (the linear lanes' NCS levels
         stored as int8), the destination's direct decisions, the ground
@@ -646,14 +735,15 @@ class SlotMachine:
         users = self.group_users[groups]
         filters_sr = rx.source_relay_filter_bank(state, cfg.noise_var, cfg.receiver)
         filters_sd = rx.source_dest_filter_bank(state, cfg.noise_var, cfg.receiver)
-        rows = self._designs(state, users, filters_sr, owners)
+        rows = self._designs(state, users, filters_sr, owners, uids, starts)
         gains, colour = sm.first_phase_maps(state, users, filters_sd, filters_sr)
-        for s in _slices(len(uids), _reception_elements(cfg)):
-            symbols = sm.data_symbols(_stream(owners[s], lambda r: r.rng.data.bit_generator),
+        for s in _slices(len(uids), _reception_elements(cfg), starts):
+            shared = _Shared(owners[s], uids[s])
+            symbols = sm.data_symbols(shared.stream(lambda r: r.rng.data),
                                       (len(uids[s]), cfg.num_users, P))
             soft_sd, soft_sr = sm.sample_first_phase(
                 symbols, (gains[s], colour[s]), cfg.noise_var,
-                _stream(owners[s], lambda r: r.rng.first_phase))
+                shared.stream(lambda r: r.rng.first_phase))
             direct = rx.hard_decision(soft_sd)
             detected = rx.hard_decision(soft_sr)        # [..., relay, user, symbol]
             truth = np.take_along_axis(symbols, users[s][:, :, None], axis=1)
@@ -664,16 +754,18 @@ class SlotMachine:
             for i, (owner, uid) in enumerate(zip(owners[s], uids[s])):
                 owner._coded[uid] = (direct[i], truth[i], ncs[i], rows[s][i])
 
-    def _settle_transmissions(self, owners, uids, h_rd):
+    def _settle_transmissions(self, owners, uids, ordinals, h_rd, starts):
         """Second phase of the stacked transmissions, each with its owner
-        replica, popped uid and pair's relay-destination gains (T, m):
-        send each packet's NCS streams in every lane, decode at the
-        destination and score against the truth; returns the (packets,
-        lanes) bit errors and note codes.  The lanes of one kind (XOR, or
+        replica, popped uid, ordinal among the replica's transmissions
+        (its noise streams' position) and pair's relay-destination gains
+        (T, m), in slices that start where starts allow: send each
+        packet's NCS streams in every lane, decode at the destination and
+        score against the truth; returns the (packets, lanes) bit errors
+        and note codes.  The lanes of one kind (XOR, or
         linear) share a noise stream and draw equal noise, so the kind
-        runs slice by slice: each slice draws the noise once, each
-        replica's run from its own stream, and every lane of the kind
-        adds it to its own signal."""
+        runs slice by slice: each slice draws the noise once, a twin
+        group's positions once, and every lane of the kind adds it to its
+        own signal."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
         # stacked copies only: a packet's arrays are views that keep its
@@ -687,10 +779,11 @@ class SlotMachine:
         if xor:
             signal, colour, degenerate = self._xor_streams(h_rd)
             notes[np.ix_(degenerate, xor)] = NOTES.index("degenerate combined channel")
-            for s in _slices(len(uids), _transmission_elements(cfg, xor=True)):
+            for s in _slices(len(uids), _transmission_elements(cfg, xor=True), starts):
                 noise = sm.filter_noise(
                     colour[s], (len(truth[s]), 1, P), cfg.noise_var,
-                    _stream(owners[s], lambda r: r.lanes[xor[0]].noise))
+                    _Shared(owners[s], ordinals[s]).stream(
+                        lambda r: r.lanes[xor[0]].noise))
                 for k in xor:
                     soft = signal[s] @ ncs[s, k] + noise
                     decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
@@ -703,10 +796,11 @@ class SlotMachine:
                 if schemes[k] == Scheme.MMSE_DESIGN:
                     decoders[k], fallback = nc.design_G_mmse(rows[:, k], nu)
                     notes[fallback, k] = NOTES.index("mmse fallback")
-            for s in _slices(len(uids), _transmission_elements(cfg, xor=False)):
+            for s in _slices(len(uids), _transmission_elements(cfg, xor=False), starts):
                 noise = sm.filter_noise(
                     colour[s], (len(truth[s]), m, 1, P), 1.0,
-                    _stream(owners[s], lambda r: r.lanes[linear[0]].noise))[:, :, 0]
+                    _Shared(owners[s], ordinals[s]).stream(
+                        lambda r: r.lanes[linear[0]].noise))[:, :, 0]
                 for k in linear:
                     z = ncs[s, k] + noise
                     refine = None if decoders[k] is None else decoders[k][s]
@@ -742,8 +836,10 @@ class SlotMachine:
         it does not read.  The replicas advanced since the last settle
         settle together once their pending receptions reach the stack
         threshold (_STACK_ELEMENTS; 56 receptions on the paper system),
-        and at the end: settle() holds the stack's pair states, banks and
-        maps whole, so the threshold, not the slice budget, bounds them.
+        checked after the last replica of each twin group, so twins settle
+        together and pass 2 draws their shared positions once, and at the
+        end: settle() holds the stack's pair states, banks and maps whole,
+        so the threshold, not the slice budget, bounds them.
         Raises RuntimeError when a replica reaches the slot cap (default
         16 n_packets + 64, so pathological configs cannot spin forever)
         first."""
@@ -756,6 +852,7 @@ class SlotMachine:
         cfg = self.config
         stack = _STACK_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
                                     * cfg.spreading_gain)
+        last = {rep.twins: r for r, rep in enumerate(self.replicas)}
         for r, (replica, n) in enumerate(zip(self.replicas, counts)):
             cap = 16 * n + 64 if max_slots is None else max_slots
             replica.wanted = n
@@ -769,7 +866,8 @@ class SlotMachine:
                                    f"requested packets in {replica.slot} slots")
             if replica.transmit_slots > replica.receive_slots:
                 raise RuntimeError("decoded more packets than were pushed")
-            if sum(rep.receive_slots - rep._settled_receptions
-                   for rep in self.replicas) >= stack:
+            if last[replica.twins] == r and sum(
+                    rep.receive_slots - rep._settled_receptions
+                    for rep in self.replicas) >= stack:
                 self.settle()
         return self.settle()

@@ -7,9 +7,10 @@ replicas together.  A point's chunks are split evenly over the
 workers, one task each, whatever the packet length.  Chunk seeds derive
 from (master seed, point index, chunk index), so the aggregate counts
 are bit-identical for any worker count and any grouping.  The seed
-leaves out the variant: both buffer modes of a point run on the same
-random streams, and the lanes share the channels, symbols and
-first-phase noise and take the same actions.
+leaves out the variant: both buffer modes of a chunk run on the same
+random streams, so their replicas are twins, whose equal draws pass 2
+makes once, and the lanes share the channels, symbols and first-phase
+noise and take the same actions.
 """
 
 import contextlib

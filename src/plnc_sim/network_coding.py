@@ -370,13 +370,25 @@ def detect_ncs(rows, filter_outputs, decoder=None):
     """Per-relay discrete NCS estimates of unit-gain streams: MMSE-refine
     them if a decoder is given, then slice every stream to the nearest of
     its admissible levels; ties go to the lower level.  filter_outputs
-    has shape (..., m, P) for rows (...), and so has the result."""
+    has shape (..., m, P) for rows (...), and so has the result.
+
+    The levels are scanned in ascending order with a running nearest
+    level, which a later level replaces only where its distance is
+    strictly smaller (argmin's first minimum on the same distances), so
+    no array holds more than one value per output."""
     refined = _refine(filter_outputs, decoder)
-    soft = np.swapaxes(refined, -1, -2)                   # (..., P, relay)
-    levels = encoder_table(refined.shape[-2]).levels[rows]
-    nearest = np.argmin(np.abs(soft[..., None, :] - levels[..., None, :, :]),
-                        axis=-2)
-    return np.swapaxes(np.take_along_axis(levels, nearest, axis=-2), -1, -2)
+    levels = encoder_table(refined.shape[-2]).levels[rows][..., None]  # (..., 2^m, m, 1)
+    nearest = np.broadcast_to(levels[..., 0, :, :], refined.shape).copy()
+    best = refined - nearest
+    np.abs(best, out=best)
+    distance, closer = np.empty_like(best), np.empty(best.shape, dtype=bool)
+    for j in range(1, levels.shape[-3]):
+        level = levels[..., j, :, :]
+        np.abs(np.subtract(refined, level, out=distance), out=distance)
+        np.less(distance, best, out=closer)
+        np.copyto(best, distance, where=closer)
+        np.copyto(nearest, level, where=closer)
+    return nearest
 
 
 def decode_with_direct(rows, ncs_estimates, direct_estimates):

@@ -1,12 +1,13 @@
 """Buffer bank feasibility rules and the slot state machine."""
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plnc_sim import (BufferBank, DecoderKind, PairMode, ReceiverKind, Scheme,
@@ -454,6 +455,10 @@ class TestSlotMachine:
         for got, want in zip(sliced, whole):
             assert_same_log(got, want)
 
+    PAPER_TASK = SystemConfig(num_users=6, num_relays=6, spreading_gain=16,
+                              buffer_size=4, group_size=2, packet_length=1000,
+                              receiver=ReceiverKind.MMSE, rng_seed=1)
+
     def test_paper_task_peak_stays_within_the_budgets(self):
         # one paper-system sweep task at P = 1000: a buffered and an
         # unbuffered replica, every scheme, 25 packets each, settled as one
@@ -467,9 +472,7 @@ class TestSlotMachine:
         # float64 elements): 2.4 MB.  The peak is 1.9 MB, so no float64
         # array of one value per stream symbol of the stack (54 x 2 x
         # 1000: 0.8 MB) fits beside them.
-        cfg = SystemConfig(num_users=6, num_relays=6, spreading_gain=16,
-                           buffer_size=4, group_size=2, packet_length=1000,
-                           receiver=ReceiverKind.MMSE, rng_seed=1)
+        cfg = self.PAPER_TASK
 
         def task():
             return SlotMachine(cfg, schemes=list(Scheme),
@@ -485,6 +488,62 @@ class TestSlotMachine:
         packets = sum(replica.receive_slots for replica in machine.replicas)
         waiting = packets * (2 + len(Scheme)) * cfg.group_size * cfg.packet_length
         assert peak < 8 * (3 * bp._STACK_ELEMENTS + bp._SLICE_ELEMENTS) + waiting
+
+    def test_paper_task_twins_draw_each_position_once(self, monkeypatch):
+        # the paper task's two replicas share one seed, so they are twins:
+        # counted through proxy generators, its first-phase, second-phase
+        # and ml calibration normals and its random design rows are what
+        # the replica that needs the most draws alone, not the sum of both
+        class Counted:
+            def __init__(self, rng, counts, key):
+                self.rng, self.counts, self.key = rng, counts, key
+
+            @property
+            def bit_generator(self):
+                return self.rng.bit_generator
+
+            def standard_normal(self, shape):
+                normals = self.rng.standard_normal(shape)
+                self.counts[self.key] += normals.size
+                return normals
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+        design = bp.nc.design_G_random
+
+        def rows_counted(m, rng, count):
+            rng.counts["random rows"] += count
+            return design(m, rng, count)
+
+        monkeypatch.setattr(bp.nc, "design_G_random", rows_counted)
+
+        def counts(replicas):
+            counted = Counter()
+            machine = SlotMachine(self.PAPER_TASK, schemes=list(Scheme),
+                                  replicas=replicas)
+            for rep in machine.replicas:
+                proxies = {}
+
+                def proxy(rng, key):
+                    return proxies.setdefault(id(rng), Counted(rng, counted, key))
+
+                rep.rng = rep.rng._replace(first_phase=proxy(rep.rng.first_phase,
+                                                             "first phase"))
+                rep.lanes = tuple(lane._replace(
+                    design=lane.design and proxy(lane.design, lane.scheme.value),
+                    noise=proxy(lane.noise, "noise")) for lane in rep.lanes)
+            logs = [rep.log for rep in machine.run_until(25).replicas]
+            return counted, logs
+
+        twins, logs = counts([(True, 2), (False, 2)])
+        alone = [counts([replica]) for replica in ((True, 2), (False, 2))]
+        for log, (_, (want,)) in zip(logs, alone):
+            assert log.tobytes() == want.tobytes()
+        assert set(twins) == {"first phase", "noise", "ml", "random rows"}
+        for key, count in twins.items():
+            needs = [once[key] for once, _ in alone]
+            assert count == max(needs) < sum(needs), key
 
     def test_unsettled_transmission_fails_loudly(self):
         # a transmission's errors and notes wait for pass 2: until then
@@ -663,24 +722,179 @@ def machine_cases(draw):
     return cfg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40))
 
 
+class Owner:
+    """A replica as bp._Shared reads it: its twin group, and here one
+    generator."""
+
+    def __init__(self, twins, rng):
+        self.twins, self.rng = twins, rng
+
+
+# per kind: n consecutive items' draws from a generator, and the shape
+# of an item's draw where _Shared.stream stands in for the call
+DRAWS = {
+    "random_raw": lambda rng, n: rng.bit_generator.random_raw((n, 3)),
+    "standard_normal": lambda rng, n: rng.standard_normal((n, 2, 3)),
+    "design_G_random": lambda rng, n: bp.nc.design_G_random(2, rng, n),
+}
+ITEM_SHAPES = {"random_raw": (3,), "standard_normal": (2, 3)}
+
+
+@st.composite
+def shared_cases(draw):
+    """1-3 twin groups of 1-3 replicas each, each replica at a start
+    position (all 0 when aligned) and with its item count in each of 1-4
+    consecutive calls, and a kind of draw."""
+    calls = draw(st.integers(1, 4))
+    aligned = draw(st.booleans())
+    replicas = [(group, 0 if aligned else draw(st.integers(0, 3)),
+                 draw(st.lists(st.integers(0, 4), min_size=calls, max_size=calls)))
+                for group, size in enumerate(draw(st.lists(st.integers(1, 3),
+                                                           min_size=1, max_size=3)))
+                for _ in range(size)]
+    return replicas, draw(st.sampled_from(sorted(DRAWS)))
+
+
 class TestStackedDataDraw:
     @pytest.mark.parametrize("counts", [(1,), (2, 1, 3), (4, 4)])
     def test_stacked_draw_equals_per_replica_draws(self, counts):
-        # one stacked data draw over runs of replicas equals each
-        # replica's per-reception draws bit for bit, and leaves every
+        # one stacked data draw over replicas that are not twins equals
+        # each replica's per-reception draws bit for bit, and leaves every
         # replica's stream where those draws leave it
         K, P = 3, 70                  # 210 bits: 4 words, 46 bits dropped
-        stacked = [np.random.default_rng(seed) for seed in range(len(counts))]
+        owners = [Owner(seed, np.random.default_rng(seed))
+                  for seed in range(len(counts))]
         single = [np.random.default_rng(seed) for seed in range(len(counts))]
-        runs = bp._Runs([(rng.bit_generator, n) for rng, n in zip(stacked, counts)])
-        got = sm.data_symbols(runs, (sum(counts), K, P))
+        shared = bp._Shared([owner for owner, n in zip(owners, counts)
+                             for _ in range(n)],
+                            [p for n in counts for p in range(n)])
+        stream = shared.stream(lambda owner: owner.rng)
+        got = sm.data_symbols(stream, (sum(counts), K, P))
         expected = np.concatenate([sm.data_symbols(rng.bit_generator, (1, K, P))
                                    for rng, n in zip(single, counts) for _ in range(n)])
         assert np.array_equal(got, expected)
-        for a, b in zip(stacked, single):
-            assert a.bit_generator.state == b.bit_generator.state
-        with pytest.raises(ValueError, match="must cover its runs"):
-            runs.random_raw((sum(counts) + 1, 4))
+        for a, b in zip(owners, single):
+            assert a.rng.bit_generator.state == b.bit_generator.state
+        with pytest.raises(ValueError, match="must cover its items"):
+            stream.random_raw((sum(counts) + 1, 4))
+
+
+class TestSharedDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_cases())
+    def test_stacked_draw_equals_per_item_draws(self, case):
+        # items stacked by (group, position, replica), as pass 2 stacks
+        # them: the stacked draw equals each replica's own per-item draws
+        # bit for bit, and leaves every replica's generator where those
+        # draws leave it
+        replicas, kind = case
+        draw = DRAWS[kind]
+        owners = [Owner(group, np.random.default_rng(group))
+                  for group, _, _ in replicas]
+        alone = [np.random.default_rng(group) for group, _, _ in replicas]
+        positions = []
+        for owner, rng, (_, start, _) in zip(owners, alone, replicas):
+            for generator in (owner.rng, rng):
+                for _ in range(start):
+                    draw(generator, 1)
+            positions.append(start)
+        for call in range(len(replicas[0][2])):
+            items = sorted((group, positions[r] + i, r)
+                           for r, (group, _, counts) in enumerate(replicas)
+                           for i in range(counts[call]))
+            if not items:
+                continue
+            own = {(r, p): draw(alone[r], 1)[0] for _, p, r in sorted(
+                items, key=lambda item: (item[2], item[1]))}
+            shared = bp._Shared([owners[r] for *_, r in items],
+                                [p for _, p, _ in items])
+            if kind == "design_G_random":
+                got = shared.draw(lambda owner: owner.rng, draw)
+            else:
+                stream = getattr(shared.stream(lambda owner: owner.rng), kind)
+                with pytest.raises(ValueError, match="must cover its items"):
+                    stream((len(items) + 1, *ITEM_SHAPES[kind]))
+                got = stream((len(items), *ITEM_SHAPES[kind]))
+            assert np.array_equal(got, [own[r, p] for _, p, r in items])
+            for r, (_, _, counts) in enumerate(replicas):
+                positions[r] += counts[call]
+        for owner, rng in zip(owners, alone):
+            assert owner.rng.bit_generator.state == rng.bit_generator.state
+
+
+class TestTwins:
+    @settings(max_examples=60, deadline=None)
+    @given(machine_cases(), st.integers(1, 40),
+           st.sampled_from(["buffered twin alone", "every k slots", "at the end"]),
+           st.integers(1, 6))
+    def test_twin_logs_equal_one_replica_machines(self, case, unbuffered_slots,
+                                                  schedule, k):
+        # a buffered and an unbuffered replica of one seed are twins, so
+        # pass 2 draws their shared positions once; however their settles
+        # fall, each logs what a one-replica machine of its seed and mode
+        # logs
+        cfg, seed, buffered_slots = case
+        assume(cfg.num_users <= cfg.num_relays)      # both modes serve the groups
+        slots = (buffered_slots, unbuffered_slots)
+        machine = SlotMachine(cfg, schemes=list(Scheme),
+                              replicas=[(True, seed), (False, seed)])
+        assert [rep.twins for rep in machine.replicas] == [0, 0]
+        if schedule == "buffered twin alone":
+            for r, n in enumerate(slots):
+                for _ in range(n):
+                    machine.advance(r)
+                machine.settle()
+        else:
+            for i in range(max(slots)):
+                for r, n in enumerate(slots):
+                    if i < n:
+                        machine.advance(r)
+                if schedule == "every k slots" and (i + 1) % k == 0:
+                    machine.settle()
+            machine.settle()
+        for rep, buffered, n in zip(machine.replicas, (True, False), slots):
+            alone = SlotMachine(replace(cfg, buffers_enabled=buffered), seed,
+                                schemes=list(Scheme))
+            for _ in range(n):
+                alone.advance()
+            assert_same_log(rep.log, alone.settle().replicas[0].log)
+
+    def test_twins_are_replicas_whose_streams_are_equal(self):
+        # equal int seeds or equal SeedSequences make twins in either
+        # buffer mode; two replicas built from one Generator do not
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8)
+
+        def twins(*seeds):
+            machine = SlotMachine(cfg, schemes=list(Scheme), replicas=[
+                (i % 2 == 0, seed) for i, seed in enumerate(seeds)])
+            return [rep.twins for rep in machine.replicas]
+
+        sequence = np.random.SeedSequence(3, spawn_key=(1, 2))
+        assert twins(1, 2, 1, 1) == [0, 1, 0, 0]
+        assert twins(sequence, np.random.SeedSequence(3, spawn_key=(1, 2)),
+                     np.random.SeedSequence(3, spawn_key=(1, 3))) == [0, 0, 1]
+        generator = np.random.default_rng(1)
+        assert twins(generator, generator) == [0, 1]
+
+    def test_twins_settle_together(self, monkeypatch):
+        # run_until checks the stack threshold after the last replica of a
+        # twin group alone, so a group's twins settle in one stack
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           packet_length=10, ml_training_len=8)
+        machine = SlotMachine(cfg, schemes=list(Scheme),
+                              replicas=[(True, 1), (False, 1), (True, 2), (False, 2)])
+        stacks, settle = [], machine.settle
+
+        def recorded():
+            stacks.append([len(rep._pending) for rep in machine.replicas])
+            return settle()
+
+        machine.settle = recorded
+        monkeypatch.setattr(bp, "_STACK_ELEMENTS", 1)
+        machine.run_until(3)
+        assert [[n > 0 for n in stack] for stack in stacks] \
+            == [[True, True, False, False], [False, False, True, True],
+                [False, False, False, False]]
 
 
 class TestSlotMachineProperty:

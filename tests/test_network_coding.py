@@ -1,6 +1,7 @@
 """Mappings, NCS generation, matrix designs and destination decoding."""
 
 import math
+import tracemalloc
 from itertools import permutations, product
 from unittest import mock
 
@@ -14,7 +15,7 @@ from plnc_sim import (decode_joint, decode_with_direct, design_G_mmse,
                       generate_codebook, hard_decision, PairMode, ReceiverKind,
                       select_G_mmse, symbol_to_bit, SystemConfig, xor_decode,
                       xor_encode)
-from plnc_sim import network_coding, receivers
+from plnc_sim import buffer_protocol, network_coding, receivers
 from plnc_sim.network_coding import (_qfunc, argmin_with_ties,
                                      design_G_ml_for_channel,
                                      make_group_assignments)
@@ -821,6 +822,16 @@ def oracle_xor_decode(ncs, direct, k):
     return 1.0 - 2.0 * acc
 
 
+def broadcast_detect(rows, z, decoder):
+    """detect_ncs as one argmin over every level at once, a (..., P,
+    2^m, m) array of distances."""
+    refined = z.real if decoder is None else decoder @ z.real
+    soft = np.swapaxes(refined, -1, -2)
+    levels = encoder_table(refined.shape[-2]).levels[rows]
+    nearest = np.argmin(np.abs(soft[..., None, :] - levels[..., None, :, :]), axis=-2)
+    return np.swapaxes(np.take_along_axis(levels, nearest, axis=-2), -1, -2)
+
+
 # soft values: arbitrary, or integers, which include every midpoint
 # between two adjacent levels of any m <= 3 encoder column
 soft_values = st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4).map(float))
@@ -881,6 +892,49 @@ class TestArrayDecodersMatchLoopOracles:
             own_zero = direct.copy()
             own_zero[k] = 0
             assert np.array_equal(xor_decode(ncs[0], own_zero)[k], got[k])
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3]), T=st.integers(1, 4), P=st.integers(1, 6),
+           midpoints=st.booleans(), with_decoder=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_running_nearest_equals_the_broadcast_argmin(
+            self, m, T, P, midpoints, with_decoder, seed):
+        # a stack of rows on random outputs, or on exact levels and
+        # midpoints between adjacent ones, with or without a refinement
+        rng = np.random.default_rng(seed)
+        table = encoder_table(m)
+        rows = rng.integers(0, len(table.G), T)
+        if midpoints:
+            levels = table.levels[rows]                   # (T, 2^m, m)
+            midway = (levels[:, :-1] + levels[:, 1:]) / 2
+            points = np.concatenate([levels, midway], axis=1)
+            pick = rng.integers(0, points.shape[1], (T, P, m))
+            z = np.swapaxes(np.take_along_axis(points, pick, axis=1), -1, -2)
+        else:
+            z = 3.0 * rng.standard_normal((T, m, P))
+        decoder = design_G_mmse(rows, 0.1 + rng.random((T, m))).entries \
+            if with_decoder else None
+        got = detect_ncs(rows, z, decoder)
+        assert got.dtype == table.levels.dtype
+        assert np.array_equal(got, broadcast_detect(rows, z, decoder))
+
+    @pytest.mark.parametrize("m,packets", [(2, 13), (3, 8)])
+    def test_slice_holds_the_slice_budget(self, m, packets):
+        # a linear second-phase slice of 1000-symbol packets (13 to a
+        # slice at m = 2, 8 at m = 3) holds under the slice budget; the
+        # broadcast form held 1829 and 3189 KB
+        rng = np.random.default_rng(m)
+        rows = rng.integers(0, len(encoder_table(m).G), packets)
+        z = rng.standard_normal((packets, m, 1000))
+        decoder = design_G_mmse(rows, 0.1 + rng.random((packets, m))).entries
+        detect_ncs(rows, z[:, :, :1], decoder)
+        tracemalloc.start()
+        try:
+            detect_ncs(rows, z, decoder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * buffer_protocol._SLICE_ELEMENTS
 
     def test_midpoints_go_to_the_lower_level(self):
         for m in (1, 2, 3):
