@@ -268,8 +268,9 @@ def trace_columns(log):
     """The trace fields every lane of a log shares, TRACE_FIELDS up to
     decoded_bits, one tuple per record.  A slot's occupancy_before is
     the record before's occupancy; a machine starts with an empty bank."""
-    def joined(rows):
-        return ["|".join(map(str, row)) for row in rows.tolist()]
+    def joined(rows):           # one template per log, not a join per row
+        template = "|".join(["{}"] * rows.shape[1])
+        return [template.format(*row) for row in rows.tolist()]
 
     transmit, occupancy = log["transmit"].tolist(), log["occupancy"]
     after = joined(occupancy)

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from itertools import product
@@ -134,6 +135,12 @@ def main(argv=None) -> int:
             raise ValueError("--bits must be >= 1")
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
+        # the trace is written last: naming the report or its sidecar
+        # would overwrite it
+        if args.trace and os.path.realpath(args.trace) in {
+                os.path.realpath(path) for path in (args.out, f"{args.out}.config.txt")}:
+            raise ValueError(f"--trace {args.trace!r} names the report "
+                             f"{args.out!r} or its sidecar")
     except (ValueError, OSError) as exc:
         print(f"plnc-sim: config error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .buffer_protocol import TRACE_FIELDS, SlotMachine, trace_columns, trace_row
+from .buffer_protocol import NOTES, TRACE_FIELDS, SlotMachine, trace_columns, trace_row
 from .config import Scheme, SystemConfig, check_count
 
 
@@ -80,29 +80,34 @@ class RunReport:
 
     @property
     def trace_rows(self):
-        """Every trace row in one list; write_trace streams them instead."""
-        return list(_trace_rows(self))
+        """Every trace row in one list: scheme, snr_db, chunk, then
+        TRACE_FIELDS as the point's lane saw the slot; write_trace
+        formats the same walk straight to text instead."""
+        walk = _trace_walk(self, trace_columns)
+        return [[point.scheme_label, point.snr_db, c_idx] + row
+                for point, lane, c_idx, log, columns in walk
+                for row in trace_row(log, lane, columns)]
 
 
-def _trace_rows(report: RunReport):
-    """One trace row per slot of every chunk: scheme, snr_db, chunk, then
-    TRACE_FIELDS as the point's lane saw the slot.  The fields a log's
-    lanes share are formatted once per log.  A report swept without
-    collect_trace keeps no logs and raises ValueError."""
+def _trace_walk(report: RunReport, per_log):
+    """(point, lane, chunk index, log, per_log(log)) of every chunk log
+    in trace order: points as the report lists them, then chunks.  A
+    log serves one point per scheme, so per_log runs once per log and
+    its value is kept for the others.  A report swept without
+    collect_trace keeps no logs and raises ValueError here, before the
+    walk starts."""
     if not report.chunk_logs:
         raise ValueError("no slot logs: the report was swept without collect_trace")
-    shared = {}                  # id(log) -> its trace_columns
+    shared = {}                  # id(log) -> per_log(log)
 
-    def rows(point, lane, c_idx, log):
+    def once(log):
         if id(log) not in shared:
-            shared[id(log)] = trace_columns(log)
-        head = [point.scheme_label, point.snr_db, c_idx]
-        return (head + row for row in trace_row(log, lane, shared[id(log)]))
+            shared[id(log)] = per_log(log)
+        return shared[id(log)]
 
-    return itertools.chain.from_iterable(
-        rows(point, lane, c_idx, log)
-        for point, (lane, logs) in zip(report.points, report.chunk_logs)
-        for c_idx, log in enumerate(logs))
+    return ((point, lane, c_idx, log, once(log))
+            for point, (lane, logs) in zip(report.points, report.chunk_logs)
+            for c_idx, log in enumerate(logs))
 
 
 def scheme_label(scheme: Scheme, buffered: bool, receiver) -> str:
@@ -248,15 +253,32 @@ def emit_report(report: RunReport, path):
     return path
 
 
+def _text_prefixes(log):
+    """The log's trace_columns as CSV text, one prefix per record.  The
+    columns are ints and strs, which format as str() writes them."""
+    template = ",".join(["{}"] * TRACE_FIELDS.index("bit_errors"))
+    return [template.format(*row) for row in trace_columns(log)]
+
+
 def write_trace(report: RunReport, path):
-    """Slot trace CSV: one row per slot of every chunk in the sweep,
-    formatted log by log from the report's chunk logs."""
-    rows = _trace_rows(report)
+    """Slot trace CSV: the rows of report.trace_rows, written as text.
+    Each record's shared fields become one text prefix per log, and a
+    lane's rows of a chunk are one string.  No field can need quoting:
+    the fields are ints, float reprs, enum-value labels, "|"-joined
+    ints, "%.6g" text or empty, and NOTES entries, none of which holds
+    a comma, a quote or a line break; so the bytes equal csv.writer's,
+    which writes the header here."""
+    walk = _trace_walk(report, _text_prefixes)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("scheme", "snr_db", "chunk") + TRACE_FIELDS)
-            writer.writerows(rows)
+            csv.writer(fh).writerow(("scheme", "snr_db", "chunk") + TRACE_FIELDS)
+            for point, lane, c_idx, log, prefixes in walk:
+                head = f"{point.scheme_label},{point.snr_db},{c_idx},"
+                fh.write("".join([
+                    f"{head}{prefix},{errors},{NOTES[note]}\r\n"
+                    for prefix, errors, note in zip(
+                        prefixes, log["bit_errors"][:, lane].tolist(),
+                        log["note"][:, lane].tolist())]))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path!r}: {exc}") from exc
     return path

@@ -1062,6 +1062,102 @@ class TestTraceNotes:
                               buffer_modes=[True, False])
 
 
+def csv_writer_trace(report, path):
+    """The trace as csv.writer writes the header and report.trace_rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("scheme", "snr_db", "chunk") + TRACE_FIELDS)
+        writer.writerows(report.trace_rows)
+    return path.read_bytes()
+
+
+@contextlib.contextmanager
+def forced_notes(cfg, note):
+    """Force one of TestTraceNotes's notes: every decode-time mmse
+    design falls back, or each candidate's second relay cancels its
+    first one's gain to the destination."""
+    design, draw = network_coding.design_G_mmse, signal_model.draw_channels
+    candidates = SlotMachine(cfg, 0).replicas[0].candidates
+
+    def fallback(*args):
+        decoder = design(*args)
+        return decoder._replace(fallback=np.ones_like(decoder.fallback))
+
+    def cancelling(*args):
+        state = draw(*args)
+        for relays in candidates:
+            if len(relays) > 1:
+                state.h_rd[..., relays[1]] = -state.h_rd[..., relays[0]]
+        return state
+
+    patches = {"mmse fallback": (network_coding, "design_G_mmse", fallback),
+               "degenerate combined channel": (signal_model, "draw_channels",
+                                               cancelling)}
+    with (mock.patch.object(*patches[note]) if note
+          else contextlib.nullcontext()):
+        yield
+
+
+@st.composite
+def trace_cases(draw):
+    """A sweep_cases() system, an m = 3 one or one with K != L, swept
+    over every scheme in both buffer modes (K > L only buffered), with
+    no note forced or one of TestTraceNotes's."""
+    cfg, _, _, n_packets, chunk_packets = draw(sweep_cases())
+    cfg = draw(st.sampled_from([
+        cfg,
+        replace(cfg, num_users=3, num_relays=3, group_size=3, buffer_size=1),
+        replace(cfg, num_users=4, num_relays=8, group_size=2),
+        replace(cfg, num_users=8, num_relays=4, group_size=2,
+                pair_mode=PairMode.ALL_PAIRS)]))
+    buffer_modes = [True] if cfg.num_users > cfg.num_relays else [True, False]
+    note = draw(st.sampled_from(buffer_protocol.NOTES))
+    return cfg, buffer_modes, n_packets, chunk_packets, note
+
+
+class TestTraceWriter:
+    @settings(max_examples=25, deadline=None)
+    @given(trace_cases())
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, case):
+        # write_trace formats the rows itself; csv.writer over the same
+        # rows is the oracle, byte for byte
+        cfg, buffer_modes, n_packets, chunk_packets, note = case
+        with forced_notes(cfg, note):
+            report = run_sweep(cfg, [0.0, 8.0], n_packets, schemes=list(Scheme),
+                               buffer_modes=buffer_modes, collect_trace=True,
+                               chunk_packets=chunk_packets)
+        tmp = tmp_path_factory.mktemp("trace")
+        written = write_trace(report, tmp / "written.csv").read_bytes()
+        assert written == csv_writer_trace(report, tmp / "oracle.csv")
+        sinr = [row[3 + TRACE_FIELDS.index("sinr")] for row in report.trace_rows]
+        assert ("" in sinr) == (False in buffer_modes)
+        if note == "mmse fallback" or (note and cfg.group_size == 2
+                                       and cfg.pair_mode == PairMode.FIXED_GROUPS):
+            assert f",{note}\r\n".encode() in written
+
+    def test_trace_columns_once_per_log(self, tmp_path, monkeypatch):
+        # a log serves one point per scheme: its shared fields are
+        # formatted once, not once per lane
+        report = run_sweep(tiny_config(packet_length=8), [6.0, 10.0], 4,
+                           schemes=list(Scheme), buffer_modes=[True, False],
+                           collect_trace=True, chunk_packets=2)
+        logs = {id(log) for _, chunk_logs in report.chunk_logs for log in chunk_logs}
+        assert len(logs) == 2 * 2 * 2          # buffer modes x SNRs x chunks
+        calls = Counter()
+        columns = buffer_protocol.trace_columns
+
+        def counted(log):
+            calls[id(log)] += 1
+            return columns(log)
+
+        monkeypatch.setattr(harness, "trace_columns", counted)
+        write_trace(report, tmp_path / "t.csv")
+        assert calls == Counter(dict.fromkeys(logs, 1))
+        calls.clear()
+        report.trace_rows
+        assert calls == Counter(dict.fromkeys(logs, 1))
+
+
 class TestConfigFile:
     def test_parse_and_reject_unknown(self, tmp_path):
         good = tmp_path / "good.cfg"
@@ -1227,6 +1323,20 @@ class TestCli:
             == GOLDEN_CLI_SIDECAR_SHA256
         assert hashlib.sha256(trace.read_bytes()).hexdigest() \
             == GOLDEN_CLI_TRACE_SHA256
+
+    @pytest.mark.parametrize("name", ["r.csv", "r.csv.config.txt"])
+    def test_trace_naming_the_report_rejected(self, tmp_path, capsys,
+                                              monkeypatch, name):
+        # the trace is written after the report and its sidecar: a trace
+        # path naming either, spelt another way, is a config error
+        # before any file is written
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", "--snr", "8", "--bits", "200", "--schemes", "xor",
+                     "--out", "r.csv", "--trace", str(tmp_path / name)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"plnc-sim: config error: --trace {str(tmp_path / name)!r} names the report")
+        assert list(tmp_path.iterdir()) == []
 
     def test_more_users_than_relays_exit_code(self, tmp_path, capsys):
         # the CLI's pairs are the fixed groups: with K=8 > L=4, groups 2
