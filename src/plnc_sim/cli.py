@@ -96,7 +96,8 @@ def build_parser():
     sweep.add_argument("--seed", type=int, help="master RNG seed")
     sweep.add_argument("--trace", help="write a per-slot trace CSV here")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="process count for chunk execution")
+                       help="processes in all, this one included: process "
+                            "w runs task w of every SNR point")
     return parser
 
 
@@ -137,10 +138,17 @@ def main(argv=None) -> int:
             raise ValueError("--workers must be >= 1")
         # the trace is written last: naming the report or its sidecar
         # would overwrite it
-        if args.trace and os.path.realpath(args.trace) in {
-                os.path.realpath(path) for path in (args.out, f"{args.out}.config.txt")}:
-            raise ValueError(f"--trace {args.trace!r} names the report "
-                             f"{args.out!r} or its sidecar")
+        outputs = {os.path.realpath(path)
+                   for path in (args.out, f"{args.out}.config.txt")}
+        if args.trace:
+            if os.path.realpath(args.trace) in outputs:
+                raise ValueError(f"--trace {args.trace!r} names the report "
+                                 f"{args.out!r} or its sidecar")
+            outputs.add(os.path.realpath(args.trace))
+        # and no output may replace the config file it was made from
+        if args.config and os.path.realpath(args.config) in outputs:
+            raise ValueError(f"--config {args.config!r} names an output: the "
+                             f"report {args.out!r}, its sidecar or the trace")
     except (ValueError, OSError) as exc:
         print(f"plnc-sim: config error: {exc}", file=sys.stderr)
         return 1

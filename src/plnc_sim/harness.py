@@ -4,20 +4,26 @@ A sweep point is split into fixed-size packet chunks, and a task is a
 group of one point's chunks: one slot machine runs it, with one replica
 per (chunk, buffer mode) and one lane per scheme, and settles the
 replicas together.  A point's chunks are split evenly over the
-workers, one task each, whatever the packet length.  Chunk seeds derive
-from (master seed, point index, chunk index), so the aggregate counts
-are bit-identical for any worker count and any grouping.  The seed
-leaves out the variant: both buffer modes of a chunk run on the same
-random streams, so their replicas are twins, whose equal draws pass 2
-makes once, and the lanes share the channels, symbols and first-phase
-noise and take the same actions.
+workers, one task each, whatever the packet length.  workers=N means N
+processes in all, this one included: process w runs task w of every
+point, and the N - 1 forked children send their results back through
+pipes.  Chunk seeds derive from (master seed, point index, chunk
+index), so the aggregate counts are bit-identical for any worker count
+and any grouping.  The seed leaves out the variant: both buffer modes
+of a chunk run on the same random streams, so their replicas are
+twins, whose equal draws pass 2 makes once, and the lanes share the
+channels, symbols and first-phase noise and take the same actions.
 """
 
-import contextlib
 import csv
 import itertools
+import multiprocessing
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+# unused here: perfbench's tracer patches harness.ProcessPoolExecutor by
+# name in every traced round
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,6 +145,39 @@ def _run_chunk(task):
     return key, [replica.log for replica in machine.replicas]
 
 
+def _run_stripe(conn, tasks):
+    """Child process body: run the tasks through _run_chunk, then send
+    their results, or the exception one of them raised, as one message.
+    An exception that does not survive pickling is sent as a
+    RuntimeError holding its traceback."""
+    try:
+        message = [_run_chunk(task) for task in tasks]
+    except Exception as exc:
+        message = exc
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            message = RuntimeError("a worker process raised:\n"
+                                   + "".join(traceback.format_exception(exc)))
+    conn.send(message)
+    conn.close()
+
+
+def _receive(child, conn):
+    """The results a child sent; re-raises the exception it sent, and
+    raises RuntimeError if it exited without sending."""
+    try:
+        message = conn.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"worker process {child.pid} exited with code "
+                           f"{child.exitcode} before sending its results") from None
+    child.join()
+    if isinstance(message, BaseException):
+        raise message
+    return message
+
+
 def _chunks_per_task(chunks, workers):
     """How many of a point's chunks one task stacks: all of them, split
     evenly over the workers."""
@@ -152,7 +191,9 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
     order or process count without changing the counts.  Every variant
     reports the slot counts its lane shared with the other schemes.
     Each chunk's log is added to the points as it arrives and kept only
-    with collect_trace."""
+    with collect_trace.  workers is the process count, this one
+    included: process w of them runs task w of every point, and a
+    child's results arrive once this process has run its own."""
     t0 = time.perf_counter()
     snr_list = [float(s) for s in snr_list]
     schemes = list(schemes) if schemes is not None else [config.nc_design]
@@ -192,11 +233,8 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
               in itertools.product(enumerate(schemes), enumerate(buffer_modes),
                                    enumerate(snr_list))}
     logs = {}                          # (b_idx, p_idx) -> log per chunk
-    # a fork pool starts every worker at once, so never more than the tasks
-    workers = min(workers, len(tasks))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        results = pool.map(_run_chunk, tasks) if pool else map(_run_chunk, tasks)
+
+    def fold(results):
         for (p_idx, c_range), task_logs in results:
             replicas = itertools.product(c_range, enumerate(buffer_modes))
             for (c_idx, (b_idx, _)), log in zip(replicas, task_logs):
@@ -204,6 +242,31 @@ def run_sweep(config: SystemConfig, snr_list, n_packets_per_point,
                     points[(s_idx, b_idx, p_idx)].add(log, s_idx)
                 if collect_trace:
                     logs.setdefault((b_idx, p_idx), [None] * len(sizes))[c_idx] = log
+
+    # process w runs the stripe tasks[w::processes]; this one is process
+    # 0, and none is idle, so never more processes than tasks.  Each
+    # child sends its stripe's results in one message after its last
+    # task, and this process reads them once its own stripe is folded:
+    # no thread here competes with the stripe for the interpreter.
+    processes = min(workers, len(tasks))
+    children = []
+    try:
+        for w in range(1, processes):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_stripe,
+                                            args=(writer, tasks[w::processes]))
+            child.start()
+            writer.close()             # so a child that dies gives EOFError
+            children.append((child, reader))
+        fold(map(_run_chunk, tasks[0::processes]))
+        for child, reader in children:
+            fold(_receive(child, reader))
+    finally:                           # after an error, stop every child
+        for child, reader in children:
+            if child.exitcode is None:
+                child.terminate()
+            child.join()
+            reader.close()
 
     echo = {"K": config.num_users, "L": config.num_relays,
             "N": config.spreading_gain, "J": config.buffer_size,

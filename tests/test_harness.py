@@ -3,9 +3,12 @@
 import contextlib
 import csv
 import hashlib
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plnc_sim import (DecoderKind, PairMode, ReceiverKind, RunReport, Scheme,
@@ -270,41 +273,130 @@ class TestRunSweep:
             assert (pa.scheme_label, pa.snr_db, pa.bits_total, pa.bit_errors) \
                 == (pb.scheme_label, pb.snr_db, pb.bits_total, pb.bit_errors)
 
-    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
-        # a fork pool launches all its workers at the first submit, so a
-        # wide --workers on a short sweep would fork idle processes
-        asked = []
-
-        class RecordingPool:
-            """Stands in for the process pool: runs the chunks here."""
-
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch, tmp_path):
+        # this process runs stripe 0 and every child forks for a stripe of
+        # its own, so a wide --workers on a short sweep must not fork
+        # idle processes
         def counts(report):
             return [(p.scheme_label, p.snr_db, p.bits_total, p.bit_errors)
                     for p in report.points]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         cfg = tiny_config()
         six = dict(schemes=[Scheme.RANDOM], buffer_modes=[True, False])
         serial = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=1, **six)
-        wide = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=64, **six)
+        with chunk_pids(monkeypatch, tmp_path / "wide") as pids:
+            wide = run_sweep(cfg, [6.0, 10.0, 14.0], 2, workers=64, **six)
         # a task is one point's chunk in both buffer modes: 3 tasks
-        assert asked == [3] and counts(wide) == counts(serial)
+        assert len(set(pids)) == 3 and os.getpid() in pids
+        assert counts(wide) == counts(serial)
         one = dict(schemes=[Scheme.RANDOM], buffer_modes=[True])
-        alone = run_sweep(cfg, [8.0], 2, workers=2, **one)
-        assert asked == [3]
+        with chunk_pids(monkeypatch, tmp_path / "alone") as pids:
+            alone = run_sweep(cfg, [8.0], 2, workers=2, **one)
+        assert pids == [os.getpid()]
         assert counts(alone) == counts(run_sweep(cfg, [8.0], 2, workers=1, **one))
+
+
+@contextlib.contextmanager
+def chunk_pids(monkeypatch, spool):
+    """Yields a list that fills, on exit, with the pid of the process
+    that ran each chunk and of each child started; they report through
+    files in spool."""
+    spool.mkdir()
+    run, stripe = harness._run_chunk, harness._run_stripe
+
+    def recorded(task):
+        (p_idx, c_range), *_ = task
+        (spool / f"{os.getpid()}-{p_idx}-{c_range.start}").touch()
+        return run(task)
+
+    def started(*args):
+        (spool / f"{os.getpid()}-started").touch()
+        return stripe(*args)
+
+    pids = []
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_run_chunk", recorded)
+        patch.setattr(harness, "_run_stripe", started)
+        yield pids
+    pids += [int(path.name.split("-")[0]) for path in spool.iterdir()]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """A TimeoutError in this process if the block outlives seconds, so
+    a sweep waiting on a child that never answers fails instead of
+    hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerProcesses:
+    """A failing stripe, in a child or in this process, ends the sweep
+    with its error and leaves no process running."""
+
+    @staticmethod
+    def sweep(monkeypatch, in_child=None, in_parent=None):
+        # two tasks, one point each: this process runs the first, one
+        # child the second
+        parent = os.getpid()
+        run = harness._run_chunk
+
+        def chunk(task):
+            act = in_parent if os.getpid() == parent else in_child
+            if act is not None:
+                act()
+            return run(task)
+
+        monkeypatch.setattr(harness, "_run_chunk", chunk)
+        try:
+            with deadline(60):
+                return run_sweep(tiny_config(), [6.0, 10.0], 2, workers=2,
+                                 buffer_modes=[True])
+        finally:
+            assert multiprocessing.active_children() == []
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("boom in a child")
+
+        with pytest.raises(ZeroDivisionError, match="boom in a child"):
+            self.sweep(monkeypatch, in_child=fail)
+
+    def test_unpicklable_child_exception_sent_as_its_traceback(self, monkeypatch):
+        class Local(Exception):        # a local class does not pickle
+            pass
+
+        def fail():
+            raise Local("boom in a child")
+
+        with pytest.raises(RuntimeError, match=r"(?s)a worker process raised:.*"
+                           r"Local: boom in a child"):
+            self.sweep(monkeypatch, in_child=fail)
+
+    def test_child_exiting_without_results_named_by_exit_code(self, monkeypatch):
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
+            self.sweep(monkeypatch, in_child=lambda: os._exit(3))
+        assert time.perf_counter() - t0 < 30
+
+    def test_error_in_this_process_terminates_the_children(self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("boom in the parent")
+
+        # the child would sleep past the deadline: only a terminate ends
+        # it in time
+        t0 = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="boom in the parent"):
+            self.sweep(monkeypatch, in_child=lambda: time.sleep(120), in_parent=fail)
+        assert time.perf_counter() - t0 < 30
 
 
 @st.composite
@@ -325,19 +417,37 @@ def sweep_cases(draw):
             draw(st.sampled_from([1, 2, 3])))
 
 
+def report_bytes(report, directory):
+    """The CSV, its sidecar without the wall_clock_s line, and the trace
+    of a report, as bytes."""
+    out, trace = directory / "r.csv", directory / "t.csv"
+    emit_report(report, out)
+    write_trace(report, trace)
+    sidecar = [line for line in Path(f"{out}.config.txt").read_bytes()
+               .splitlines(keepends=True) if not line.startswith(b"wall_clock_s")]
+    return out.read_bytes(), b"".join(sidecar), trace.read_bytes()
+
+
 class TestWorkerInvariance:
-    # every example starts one pool of 2 worker processes
+    # every example forks 1 + 2 + 3 child processes at most; with fewer
+    # chunks than workers the stripes differ in length (the example: 4
+    # tasks over 3 processes)
     @settings(max_examples=12, deadline=None)
     @given(sweep_cases())
-    def test_counts_and_trace_rows_independent_of_workers(self, case):
+    @example((tiny_config(packet_length=4), [Scheme.XOR], [True, False], 4, 2))
+    def test_counts_and_trace_rows_independent_of_workers(self, tmp_path_factory,
+                                                          case):
         cfg, schemes, buffer_modes, n_packets, chunk_packets = case
         kw = dict(schemes=schemes, buffer_modes=buffer_modes,
                   chunk_packets=chunk_packets, collect_trace=True)
         one = run_sweep(cfg, [6.0, 12.0], n_packets, workers=1, **kw)
-        two = run_sweep(cfg, [6.0, 12.0], n_packets, workers=2, **kw)
-        assert one.points == two.points
-        assert one.slot_summary == two.slot_summary
-        assert one.trace_rows == two.trace_rows
+        one_bytes = report_bytes(one, tmp_path_factory.mktemp("one"))
+        for workers in (2, 3, 4):
+            many = run_sweep(cfg, [6.0, 12.0], n_packets, workers=workers, **kw)
+            assert one.points == many.points
+            assert one.slot_summary == many.slot_summary
+            assert one.trace_rows == many.trace_rows
+            assert report_bytes(many, tmp_path_factory.mktemp("many")) == one_bytes
 
 
 class TestTaskGrouping:
@@ -1337,6 +1447,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"plnc-sim: config error: --trace {str(tmp_path / name)!r} names the report")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config,args", [
+        ("c.cfg", ["--out", "c.cfg"]),
+        ("c.cfg", ["--out", "r.csv", "--trace", "c.cfg"]),
+        ("x.config.txt", ["--out", "x"])])
+    def test_output_naming_the_config_rejected(self, tmp_path, capsys,
+                                               monkeypatch, config, args):
+        # the report, its sidecar or the trace would replace the config
+        # file the sweep was read from: a config error before any slot
+        monkeypatch.chdir(tmp_path)
+        text = b"K = 4\nL = 4\nN = 8\nP = 10\n"
+        (tmp_path / config).write_bytes(text)
+        code = main(["sweep", "--config", str(tmp_path / config), "--snr", "8",
+                     "--bits", "200", "--schemes", "xor"] + args)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"plnc-sim: config error: --config {str(tmp_path / config)!r} names an output")
+        assert (tmp_path / config).read_bytes() == text
+        assert [path.name for path in tmp_path.iterdir()] == [config]
 
     def test_more_users_than_relays_exit_code(self, tmp_path, capsys):
         # the CLI's pairs are the fixed groups: with K=8 > L=4, groups 2
