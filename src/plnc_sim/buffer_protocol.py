@@ -2,10 +2,10 @@
 
 A slot machine runs one or more replicas: runs of the same system and
 SNR that differ in their seed and buffer mode, as the chunks of a sweep
-point do.  Each replica keeps its own random streams, lanes, bank,
-counters and log, so its log equals that of a one-replica machine built
-from its seed and mode; the codes' coordinates, the groups and the
-candidate pairs are built once per machine.  A machine runs in two passes.
+point do.  Each replica keeps its own random streams, bank, counters
+and log, so its log equals that of a one-replica machine built from its
+seed and mode; the codes' coordinates, the groups and the candidate
+pairs are built once per machine.  A machine runs in two passes.
 
 Pass 1, advance(), runs once per slot of one replica.  Block-fading
 link gains are drawn a block of slots ahead, and everything that depends
@@ -39,7 +39,7 @@ the coordinates, whose output maps are those of the N-chip banks
 (sm.filter_output_maps), the first phase at symbol level
 (signal_model.sample_first_phase) and every lane's encoder designs and
 encodes; for the transmissions, the second phase, one noise draw per
-slice for all lanes of a kind, then per lane the decode-time MMSE
+slice that every lane reads, then per lane the decode-time MMSE
 refinement, the decoders and the scoring.  The second phase and the
 designs read the relay-destination gains alone, and no receive filter:
 a linear sub-slot's stream is scaled to unit gain, its NCS levels plus
@@ -48,17 +48,17 @@ by the combined gain, a positive multiple of either receiver's filter.
 Every slicer reads the in-phase part of a filter output alone, so
 pass 2 samples real outputs only: real gains, and real noise of half
 the complex variance.
-Every random stream has one purpose and draws one shape per item, so a
-stream position is an item's index among its replica's receptions (its
-uid) or transmissions, and one block of draws equals the per-item
-draws bit for bit, whenever settle() runs and however the items are
-stacked.  Twins, replicas whose streams stand in one state at
-construction (equal int seeds or SeedSequences, as the buffer modes of
-one chunk are), draw the same numbers at the same position, so pass 2
-stacks the items position-major within a twin group, the receptions by
-(twins, uid, replica) and the transmissions by (twins, transmission
-ordinal, replica), and draws each position of a slice once for every
-twin that needs it (_Shared).  settle() turns each replica's pending
+Every random stream has one purpose and draws one shape per item,
+whichever lanes run, so a stream position is an item's index among its
+replica's receptions (its uid) or transmissions, and one block of draws
+equals the per-item draws bit for bit, whenever settle() runs and
+however the items are stacked.  Twins, replicas whose streams stand in
+one state at construction (equal int seeds or SeedSequences, as the
+buffer modes of one chunk are), draw the same numbers at the same
+position, so pass 2 stacks the items position-major within a twin
+group, the receptions by (twins, uid, replica) and the transmissions by
+(twins, transmission ordinal, replica), and draws each position of a
+slice once for every twin that needs it (_Shared).  settle() turns each replica's pending
 rows into log records in one np.array call, reads its inputs from their
 columns and their slots' gains, a reception's as its pair's effective
 vectors, and writes the transmissions' bit_errors and note codes back
@@ -106,11 +106,10 @@ from .config import DecoderKind, PairMode, Scheme, SystemConfig, check_count
 # of a 2 MB per-core L2.  Paper-system rounds ran fastest at it among 1/4
 # to 4 times it; twice it was no faster and held more.  The first phase
 # of a chunk of 16-symbol packets runs as one slice and of 1000-symbol
-# packets 4 at a time, their second phase 13 at a time in the linear
-# lanes (12 for a twin pair, whose slices end on a whole position) and
-# 32 in the XOR lane; the m=2 mmse design scores 85 receptions
-# at a time and the m=3 one a single reception, and the ml design
-# calibrates 163 receptions at a time on 100-symbol blocks.
+# packets 4 at a time, their second phase 13 at a time (12 for a twin
+# pair, whose slices end on a whole position); the m=2 mmse design scores
+# 85 receptions at a time and the m=3 one a single reception, and the ml
+# design calibrates 163 receptions at a time on 100-symbol blocks.
 _SLICE_ELEMENTS = 1 << 17
 
 # The block budget: pass 1 draws its channel blocks so that their L K x K
@@ -152,15 +151,12 @@ def _reception_elements(config: SystemConfig):
     return (config.num_users + 4 * (m + 1) * m) * config.packet_length
 
 
-def _transmission_elements(config: SystemConfig, xor):
-    """The elements a transmission's second phase holds in pass 2 for one
-    kind of lane, per symbol of each stream its relays send (the pair's
-    one for XOR, m sub-slots for the linear lanes), P symbols each: the
-    normals and the noise the kind's lanes share, then one lane's filter
-    output, for XOR with its signal, and for a linear lane with its
-    refined and unmixed outputs."""
-    if xor:
-        return 4 * config.packet_length
+def _transmission_elements(config: SystemConfig):
+    """The elements a transmission's second phase holds in pass 2, per
+    symbol of its m sub-slot streams, P symbols each: the noise block
+    every lane reads and the linear lanes' noise, then one linear lane's
+    filter output with its refined and unmixed outputs; the XOR lane's
+    noise, signal and output, P symbols each, hold no more than that."""
     return 5 * config.group_size * config.packet_length
 
 
@@ -293,33 +289,21 @@ def trace_row(log, lane=0, columns=None):
 
 
 class RngStreams(NamedTuple):
-    """One generator per purpose.  The lanes of a slot machine share the
-    channel, data and first-phase streams.  The random and ml lanes each
-    draw their encoder designs from their own copy of the design stream;
-    the linear lanes draw equal second-phase noise, so they share one
-    noise stream, and the XOR lanes, whose draws differ in shape, share
-    a copy.  So a lane's counts equal those of a one-lane machine of its
-    scheme built from the same seed (common random numbers)."""
+    """One generator per purpose, spawned from a replica's seed in this
+    order.  Every lane of a slot machine reads the streams it needs
+    straight from its replica: all lanes share the channel, data,
+    first-phase and second-phase noise streams, the ml design reads the
+    calibration stream and the random design its own.  No stream's
+    draws depend on which lanes run, so a lane's counts equal those of a
+    one-lane machine of its scheme built from the same seed (common
+    random numbers)."""
 
     channel: np.random.Generator   # fading, one draw per slot
     data: np.random.Generator      # user bits, whole 64-bit words per reception
-    noise: np.random.Generator     # second-phase receiver noise
-    design: np.random.Generator    # encoder design: random draw, ML calibration
+    noise: np.random.Generator     # second-phase receiver noise, every lane's
+    calibration: np.random.Generator   # ml design's calibration noise
     first_phase: np.random.Generator   # first-phase receiver noise
-
-
-class Lane(NamedTuple):
-    """One coding scheme of a slot machine, with its streams."""
-
-    scheme: Scheme
-    design: np.random.Generator     # None for the schemes that draw no design
-    noise: np.random.Generator      # shared by the lanes of one kind
-
-
-def _twin(rng):
-    """A generator that draws what rng, a generator that has drawn
-    nothing yet, draws: one on the same seed sequence."""
-    return np.random.Generator(type(rng.bit_generator)(rng.bit_generator.seed_seq))
+    random_design: np.random.Generator     # random design, one row per reception
 
 
 class _Shared:
@@ -396,9 +380,10 @@ def _concat(parts):
 
 class Replica:
     """One run of a slot machine: its config (which sets the buffer
-    mode), its random streams and lanes, bank, counters and log, the
-    pass-1 state of its channel block, and the pending slots' log rows
-    and channel blocks that settle() reads.
+    mode), its random streams, bank, counters and log (bit errors and
+    notes for each of its lanes), the pass-1 state of its channel block,
+    and the pending slots' log rows and channel blocks that settle()
+    reads.
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
@@ -408,26 +393,13 @@ class Replica:
     rows whenever pairs are groups (fixed groups, or unbuffered).
     """
 
-    def __init__(self, config, candidates, pairs_are_groups, seed, schemes):
+    def __init__(self, config, candidates, pairs_are_groups, seed, lanes):
         self.config = config
         if isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(
                 seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
                 n_children_spawned=seed.n_children_spawned)
-        self.rng = rng = RngStreams(*np.random.default_rng(seed).spawn(5))
-        # every lane starts from the streams' state at construction, as a
-        # one-lane machine of its scheme would: a stream's first user takes
-        # it, later users a twin
-        design, noise, lanes = [rng.design], {}, []
-        for scheme in schemes:
-            lane_design = None
-            if scheme in (Scheme.RANDOM, Scheme.ML):
-                lane_design = design.pop() if design else _twin(rng.design)
-            kind = scheme == Scheme.XOR
-            if kind not in noise:
-                noise[kind] = _twin(rng.noise) if noise else rng.noise
-            lanes.append(Lane(scheme, lane_design, noise[kind]))
-        self.lanes = tuple(lanes)
+        self.rng = RngStreams(*np.random.default_rng(seed).spawn(len(RngStreams._fields)))
         self.candidates = candidates
         self.pairs_are_groups = pairs_are_groups
         self.bank = BufferBank(config.num_relays, config.buffer_size)
@@ -436,7 +408,7 @@ class Replica:
             ("transmit", bool), ("pair_id", i4), ("relays", i4, (config.group_size,)),
             ("sinr", float), ("reselections", i4), ("uid", i4), ("decoded_bits", i4),
             ("occupancy", i4, (config.num_relays,)),
-            ("bit_errors", i4, (len(schemes),)), ("note", np.int8, (len(schemes),))])
+            ("bit_errors", i4, (lanes,)), ("note", np.int8, (lanes,))])
         self._pending = []       # the log rows of the slots to settle
         self.slot = 0
         self.receive_slots = 0
@@ -471,7 +443,7 @@ class SlotMachine:
     a record holds each lane's errors and notes.  replicas lists
     (buffers_enabled, seed) per replica; without it, seed gives the one
     replica (config.buffers_enabled, seed).  A seed (an int, a
-    SeedSequence or a Generator) is spawned into the replica's five
+    SeedSequence or a Generator) is spawned into the replica's six
     RngStreams.  A SeedSequence is copied first, so one object gives the
     same run every time; a Generator is consumed, as spawning advances
     it.  Group g's users are row g of group_users.  The log, bank, slot
@@ -511,10 +483,9 @@ class SlotMachine:
                 PairMode.FIXED_GROUPS if groups else config.pair_mode)
             modes[buffered] = (replace(config, buffers_enabled=buffered),
                                candidates, groups)
-        self.replicas = tuple(Replica(*modes[buffered], seed, schemes)
+        self.replicas = tuple(Replica(*modes[buffered], seed, len(schemes))
                               for buffered, seed in replicas)
-        # twins: replicas whose five streams stand in one state (every
-        # lane's stream is one of them or a copy of one)
+        # twins: replicas whose streams stand in one state
         twins = {}
         for rep in self.replicas:
             rep.twins = twins.setdefault(
@@ -683,10 +654,11 @@ class SlotMachine:
     def _designs(self, state, users, filters_sr, owners, uids, starts):
         """Every lane's encoders for the stacked receptions as rows of
         nc.encoder_table, (R, lanes) int16, -1 for XOR; each reception
-        draws from its owner replica's design streams at its uid, and the
-        ml design's slices start where starts allow.  The ml and mmse
-        designs read the pair's relay-destination statistics; mmse also
-        reads the relays' detection error probabilities."""
+        draws from its owner replica's random design and calibration
+        streams at its uid, and the ml design's slices start where starts
+        allow.  The ml and mmse designs read the pair's relay-destination
+        statistics; mmse also reads the relays' detection error
+        probabilities."""
         cfg = self.config
         m = cfg.group_size
         nu = flips = None
@@ -696,7 +668,7 @@ class SlotMachine:
                 continue
             if scheme == Scheme.RANDOM:
                 rows[:, k] = _Shared(owners, uids).draw(
-                    lambda r: r.lanes[k].design,
+                    lambda r: r.rng.random_design,
                     lambda rng, n: nc.design_G_random(m, rng, n))
                 continue
             if nu is None:
@@ -707,7 +679,7 @@ class SlotMachine:
                     nc.design_G_ml_for_channel(
                         nu[s], cfg.ml_training_len,
                         _Shared(owners[s], uids[s]).stream(
-                            lambda r: r.lanes[k].design))[0]
+                            lambda r: r.rng.calibration))[0]
                     for s in _slices(len(users), 4 * m * cfg.ml_training_len, starts)])
                 continue
             if flips is None:
@@ -758,15 +730,15 @@ class SlotMachine:
     def _settle_transmissions(self, owners, uids, ordinals, h_rd, starts):
         """Second phase of the stacked transmissions, each with its owner
         replica, popped uid, ordinal among the replica's transmissions
-        (its noise streams' position) and pair's relay-destination gains
+        (its noise stream's position) and pair's relay-destination gains
         (T, m), in slices that start where starts allow: send each
         packet's NCS streams in every lane, decode at the destination and
         score against the truth; returns the (packets, lanes) bit errors
-        and note codes.  The lanes of one kind (XOR, or
-        linear) share a noise stream and draw equal noise, so the kind
-        runs slice by slice: each slice draws the noise once, a twin
-        group's positions once, and every lane of the kind adds it to its
-        own signal."""
+        and note codes.  Each slice draws one block of N(0, 1/2) normals,
+        m streams of P symbols per packet and a twin group's positions
+        once, and every lane reads it: a linear lane's unit-gain stream j
+        adds sqrt(nu_j) times row j, and the XOR stream adds |f|
+        sqrt(sigma2) times row 0."""
         cfg = self.config
         m, P = cfg.group_size, cfg.packet_length
         # stacked copies only: a packet's arrays are views that keep its
@@ -778,39 +750,35 @@ class SlotMachine:
         linear = [k for k in range(len(schemes)) if k not in xor]
         errors, notes = np.zeros((2, len(uids), len(schemes)), dtype=int)
         if xor:
-            signal, colour, degenerate = self._xor_streams(h_rd)
+            signal, scale, degenerate = self._xor_streams(h_rd)
             notes[np.ix_(degenerate, xor)] = NOTES.index("degenerate combined channel")
-            for s in _slices(len(uids), _transmission_elements(cfg, xor=True), starts):
-                noise = sm.filter_noise(
-                    colour[s], (len(truth[s]), 1, P), cfg.noise_var,
-                    _Shared(owners[s], ordinals[s]).stream(
-                        lambda r: r.lanes[xor[0]].noise))
-                for k in xor:
-                    soft = signal[s] @ ncs[s, k] + noise
-                    decoded = nc.xor_decode(rx.hard_decision(soft[:, 0]), direct[s])
-                    errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         if linear:
             nu = self._stream_stats(h_rd)
-            colour = np.sqrt(nu)[:, :, None, None]     # sqrt(nu) CN(0, 1) per stream
+            colour = np.sqrt(nu)[:, :, None]
             decoders = dict.fromkeys(linear)
             for k in linear:
                 if schemes[k] == Scheme.MMSE_DESIGN:
                     decoders[k], fallback = nc.design_G_mmse(rows[:, k], nu)
                     notes[fallback, k] = NOTES.index("mmse fallback")
-            for s in _slices(len(uids), _transmission_elements(cfg, xor=False), starts):
-                noise = sm.filter_noise(
-                    colour[s], (len(truth[s]), m, 1, P), 1.0,
-                    _Shared(owners[s], ordinals[s]).stream(
-                        lambda r: r.lanes[linear[0]].noise))[:, :, 0]
-                for k in linear:
-                    z = ncs[s, k] + noise
-                    refine = None if decoders[k] is None else decoders[k][s]
-                    if cfg.decoder == DecoderKind.JOINT:
-                        decoded = nc.decode_joint(rows[s, k], z, refine)
-                    else:
-                        ncs_est = nc.detect_ncs(rows[s, k], z, refine)
-                        decoded = nc.decode_with_direct(rows[s, k], ncs_est, direct[s])
-                    errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
+        for s in _slices(len(uids), _transmission_elements(cfg), starts):
+            normals = sm.real_gaussian(
+                _Shared(owners[s], ordinals[s]).stream(lambda r: r.rng.noise),
+                (len(uids[s]), m, P), 0.5)
+            for k in xor:
+                soft = (signal[s] @ ncs[s, k])[:, 0] + scale[s] * normals[:, 0]
+                decoded = nc.xor_decode(rx.hard_decision(soft), direct[s])
+                errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
+            if linear:
+                noise = colour[s] * normals
+            for k in linear:
+                z = ncs[s, k] + noise
+                refine = None if decoders[k] is None else decoders[k][s]
+                if cfg.decoder == DecoderKind.JOINT:
+                    decoded = nc.decode_joint(rows[s, k], z, refine)
+                else:
+                    ncs_est = nc.detect_ncs(rows[s, k], z, refine)
+                    decoded = nc.decode_with_direct(rows[s, k], ncs_est, direct[s])
+                errors[s, k] = np.sum(decoded != truth[s], axis=(1, 2))
         return errors, notes
 
     def _xor_streams(self, h_rd):
@@ -820,13 +788,15 @@ class SlotMachine:
         f times a positive number, which moves no sign the slicer reads,
         so f serves both.  Returns its output's real gains
         Re(conj(f) h_l) (T, 1, m), the in-phase signal the slicer reads,
-        and colourings |f| (T, 1, 1), and which combined channels are
-        degenerate (their filter is the code's)."""
+        the scales |f| sqrt(sigma2) (T, 1) of its N(0, 1/2) noise, and
+        which combined channels are degenerate (their filter is the
+        code's)."""
         combined = h_rd.sum(axis=1)
         degenerate = np.abs(combined) ** 2 < 1e-30
         f = np.where(degenerate, 1.0, combined)[:, None, None]
-        gains, _, colour = rx.rank_one_outputs(f, h_rd[:, None, :], self.config.noise_var)
-        return gains.real, colour, degenerate
+        sigma2 = self.config.noise_var
+        gains, _, colour = rx.rank_one_outputs(f, h_rd[:, None, :], sigma2)
+        return gains.real, colour[:, 0] * math.sqrt(sigma2), degenerate
 
     # -- slot driver -------------------------------------------------------
 

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error.
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -101,6 +102,27 @@ def build_parser():
     return parser
 
 
+def _check_outputs(args):
+    """Raise the OSError that writing the report, its sidecar or the
+    trace would raise after the sweep for want of a directory: where an
+    output's directory is missing or an output names a directory."""
+    outputs = [("report", args.out, args.out),
+               ("report", args.out, f"{args.out}.config.txt")]
+    if args.trace:
+        outputs.append(("trace", args.trace, args.trace))
+    for what, path, file in outputs:
+        folder = os.path.dirname(file) or "."
+        if os.path.isdir(file):
+            code, culprit = errno.EISDIR, file
+        elif not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            culprit = folder
+        else:
+            continue
+        raise OSError(f"cannot write {what} to {path!r}: "
+                      f"{OSError(code, os.strerror(code), culprit)}")
+
+
 def _build_config(args):
     overrides = {}
     file_schemes = None
@@ -152,6 +174,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"plnc-sim: config error: {exc}", file=sys.stderr)
         return 1
+    try:
+        _check_outputs(args)
+    except OSError as exc:
+        print(f"plnc-sim: {exc}", file=sys.stderr)
+        return 2
 
     bits_per_packet = config.group_size * config.packet_length
     n_packets = max(1, -(-args.bits // bits_per_packet))

@@ -12,7 +12,7 @@ index), so the aggregate counts are bit-identical for any worker count
 and any grouping.  The seed leaves out the variant: both buffer modes
 of a chunk run on the same random streams, so their replicas are
 twins, whose equal draws pass 2 makes once, and the lanes share the
-channels, symbols and first-phase noise and take the same actions.
+channels, symbols and both phases' noise and take the same actions.
 """
 
 import csv

@@ -138,32 +138,11 @@ def encode_ncs(rows, detected_by_relay):
 
 
 def design_G_random(m, rng, count):
-    """count uniform draws over the rows of encoder_table(m), (count,),
-    each by rejection: (m, m) binary draws until one is invertible.
-
-    The draws run as blocks, then the stream is rewound and redrawn for
-    exactly the draws that count sequential rejection loops consume, so
-    it ends where they would leave it: Generator.integers(0, 2) takes
-    one 32-bit word per entry whatever the size of the call.
-    """
-    table = encoder_table(m)
-
-    def rows_of(n_draws):
-        draws = rng.integers(0, 2, size=(n_draws, m * m))
-        return table.row[draws @ _pattern_weights(m)]
-
-    start = rng.bit_generator.state
-    rate = len(table.G) / 2 ** (m * m)
-    blocks, accepted = [], 0
-    while accepted < count:
-        blocks.append(rows_of(int((count - accepted) / rate) + 4))
-        accepted += np.count_nonzero(blocks[-1] >= 0)
-    if not blocks:
-        return np.empty(0, dtype=table.row.dtype)
-    used = np.flatnonzero(np.concatenate(blocks) >= 0)[count - 1] + 1
-    rng.bit_generator.state = start
-    rows = rows_of(used)
-    return rows[rows >= 0]
+    """count uniform draws over the rows of encoder_table(m), (count,):
+    the law of drawing (m, m) binary matrices until one is invertible.
+    Each row is one bounded draw, so count draws in one call equal count
+    calls of one and leave rng where they leave it."""
+    return rng.integers(len(encoder_table(m).G), size=count)
 
 
 def argmin_with_ties(costs, rtol=1e-9, atol=1e-12):

@@ -27,9 +27,11 @@ Conventions used throughout:
     in-phase parts, the one dimension every BPSK slicer reads: an
     output's real part is its gain's real part times the symbols plus
     N(0, sigma2/2)-per-dimension noise coloured by the filters
-  * filter_noise draws that noise for both phases; a draw fills its
-    array in C order, so one draw over leading observation axes equals
-    one draw per observation
+  * filter_noise draws that noise for the first phase, and
+    real_gaussian the second phase's N(0, 1/2) block, which each lane
+    scales by its stream's noise; a draw fills its array in C order, so
+    one draw over leading observation axes equals one draw per
+    observation
   * data symbols are int8 +-1 = 1 - 2c for the bits c of whole 64-bit
     words of a bit generator, lowest bit first; every hard value of the
     slot machine (a slicer's decision, an XOR NCS symbol) is int8 +-1 too
@@ -228,8 +230,7 @@ def filter_noise(colour, shape, sigma2, rng):
     """colour @ N(0, sigma2/2 I), the in-phase part of complex noise of
     variance sigma2 per chip after the filters, for outputs of shape
     (..., M, P), colour (..., M, C) being filter_output_maps'
-    (..., M, min(2D, M)) colouring or a scalar filter's |f| as
-    (..., 1, 1)."""
+    (..., M, min(2D, M)) colouring."""
     white = real_gaussian(rng, shape[:-2] + (colour.shape[-1], shape[-1]),
                           sigma2 / 2.0)
     return colour @ white

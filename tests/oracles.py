@@ -3,8 +3,8 @@ against: the direct form of each computation, kept out of the package.
 
 - invertible_binary: the pool of network_coding.encoder_table, by
   enumeration and determinant.
-- random_designs_sequential: design_G_random's rejection loop, one
-  reception at a time.
+- random_designs_sequential: rejection loops over binary matrices, the
+  law design_G_random draws from, one reception at a time.
 - ml_calibration_outputs, design_G_ml: the explicit calibration block of
   design_G_ml_for_channel and the search over its outputs.
 - mmse_refinement, mmse_fallback_flags: the textbook MMSE refinement

@@ -666,20 +666,20 @@ class TestCountsReduceTheLog:
 # only together with an intended RNG change.
 GOLDEN = {
     PairMode.FIXED_GROUPS: {
-        "xor-buffered-mmse": (200, 34, 21, 0),
-        "xor-unbuffered-mmse": (200, 40, 20, 0),
-        "random-buffered-mmse": (200, 16, 21, 0),
-        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "xor-buffered-mmse": (200, 32, 21, 0),
+        "xor-unbuffered-mmse": (200, 38, 20, 0),
+        "random-buffered-mmse": (200, 15, 21, 0),
+        "random-unbuffered-mmse": (200, 12, 20, 0),
         "ml-buffered-mmse": (200, 14, 21, 0),
         "ml-unbuffered-mmse": (200, 16, 20, 0),
         "mmse-buffered-mmse": (200, 11, 21, 0),
         "mmse-unbuffered-mmse": (200, 8, 20, 0),
     },
     PairMode.ALL_PAIRS: {
-        "xor-buffered-mmse": (200, 22, 22, 0),
-        "xor-unbuffered-mmse": (200, 40, 20, 0),
-        "random-buffered-mmse": (200, 16, 22, 0),
-        "random-unbuffered-mmse": (200, 25, 20, 0),
+        "xor-buffered-mmse": (200, 24, 22, 0),
+        "xor-unbuffered-mmse": (200, 38, 20, 0),
+        "random-buffered-mmse": (200, 12, 22, 0),
+        "random-unbuffered-mmse": (200, 12, 20, 0),
         "ml-buffered-mmse": (200, 5, 22, 0),
         "ml-unbuffered-mmse": (200, 16, 20, 0),
         "mmse-buffered-mmse": (200, 6, 22, 0),
@@ -688,24 +688,24 @@ GOLDEN = {
 }
 GOLDEN_TRACE_SHA256 = {
     PairMode.FIXED_GROUPS:
-        "3f80d633417aa95d9cce6302a35cb58c0c00522588aa78b87549c8aa9cad1c67",
+        "3fd028b8e4795870c7ceaad79e64d11289f5df47fe8b278fb59b9a50defe5735",
     PairMode.ALL_PAIRS:
-        "910a3c6dee0032df393747810e2b081a0dd292b08ecdb4a6e8d916dd549691df",
+        "301feed4fd69142cf18426ca37793bc9ef2dc243cf0f2980b71ff21bc0731d00",
 }
 # All pairs with J = 3 and the direct-link decoder: overlapping pairs
 # share relay buffers, and every decode reads the stored direct estimates.
 GOLDEN_DIRECT = {
-    "xor-buffered-mmse": (200, 21, 28, 0),
-    "xor-unbuffered-mmse": (200, 40, 20, 0),
-    "random-buffered-mmse": (200, 10, 28, 0),
-    "random-unbuffered-mmse": (200, 24, 20, 0),
+    "xor-buffered-mmse": (200, 19, 28, 0),
+    "xor-unbuffered-mmse": (200, 38, 20, 0),
+    "random-buffered-mmse": (200, 14, 28, 0),
+    "random-unbuffered-mmse": (200, 27, 20, 0),
     "ml-buffered-mmse": (200, 4, 28, 0),
     "ml-unbuffered-mmse": (200, 16, 20, 0),
     "mmse-buffered-mmse": (200, 2, 28, 0),
     "mmse-unbuffered-mmse": (200, 8, 20, 0),
 }
 GOLDEN_DIRECT_TRACE_SHA256 = \
-    "1f626deb043bfa8512163157cdb1fd5b7480f0f682c3f306d5157e1d10c34545"
+    "41b6010d42d36b6773213640529d7a5dacc55d9ca3c6b801550b5967ac8286d7"
 # Group sizes 1 and 3: single-user groups (every encoder is [1], XOR
 # reads no direct estimate) and the direct-link decoder on one group of
 # three (4 packets: the mmse design scores 174 encoders per reception).
@@ -722,93 +722,93 @@ GOLDEN_M1 = {
 GOLDEN_M1_TRACE_SHA256 = \
     "083400f44e677c0c62e85eee856d151bb115cf2f409c55ef0673af94ab635b62"
 GOLDEN_M3_DIRECT = {
-    "xor-buffered-mmse": (120, 32, 8, 0),
-    "xor-unbuffered-mmse": (120, 32, 8, 0),
-    "random-buffered-mmse": (120, 15, 8, 0),
-    "random-unbuffered-mmse": (120, 15, 8, 0),
+    "xor-buffered-mmse": (120, 27, 8, 0),
+    "xor-unbuffered-mmse": (120, 27, 8, 0),
+    "random-buffered-mmse": (120, 8, 8, 0),
+    "random-unbuffered-mmse": (120, 8, 8, 0),
     "ml-buffered-mmse": (120, 15, 8, 0),
     "ml-unbuffered-mmse": (120, 15, 8, 0),
     "mmse-buffered-mmse": (120, 1, 8, 0),
     "mmse-unbuffered-mmse": (120, 1, 8, 0),
 }
 GOLDEN_M3_DIRECT_TRACE_SHA256 = \
-    "0cfbb4bc9b4310b3526b9df14f7e1acbf4c0df35242e82d73b9b3ce95360daa9"
+    "3985fc11a346cc19edc61a5d3e106689b60f2f3f3200af39ff3ec9b6d00f6bb6"
 # The RAKE receiver (matched filters in every bank) at J = 2.
 GOLDEN_RAKE = {
     "xor-buffered-rake": (200, 59, 21, 0),
     "xor-unbuffered-rake": (200, 63, 20, 0),
-    "random-buffered-rake": (200, 44, 21, 0),
-    "random-unbuffered-rake": (200, 34, 20, 0),
+    "random-buffered-rake": (200, 24, 21, 0),
+    "random-unbuffered-rake": (200, 27, 20, 0),
     "ml-buffered-rake": (200, 31, 21, 0),
     "ml-unbuffered-rake": (200, 24, 20, 0),
     "mmse-buffered-rake": (200, 21, 21, 0),
     "mmse-unbuffered-rake": (200, 19, 20, 0),
 }
 GOLDEN_RAKE_TRACE_SHA256 = \
-    "e8ae01fe983eb62a4c7b80804c7605a061f05761cda731090aef1974efe0e052"
+    "8197f5ad7cef39bb1a00f63053e94bb4d9b6ca4090c95a3ec31403c77ad79936"
 # Long packets in chunks of 3: pass 2 of the slot machine cuts every
 # chunk's receptions and transmissions into several slices.
 GOLDEN_SLICED = {
-    "xor-buffered-mmse": (48000, 6932, 19, 0),
-    "xor-unbuffered-mmse": (48000, 7975, 16, 0),
-    "random-buffered-mmse": (48000, 1861, 19, 0),
-    "random-unbuffered-mmse": (48000, 7318, 16, 0),
+    "xor-buffered-mmse": (48000, 6962, 19, 0),
+    "xor-unbuffered-mmse": (48000, 8073, 16, 0),
+    "random-buffered-mmse": (48000, 2207, 19, 0),
+    "random-unbuffered-mmse": (48000, 5171, 16, 0),
     "ml-buffered-mmse": (48000, 1698, 19, 0),
     "ml-unbuffered-mmse": (48000, 5113, 16, 0),
     "mmse-buffered-mmse": (48000, 405, 19, 0),
     "mmse-unbuffered-mmse": (48000, 3931, 16, 0),
 }
 GOLDEN_SLICED_TRACE_SHA256 = \
-    "6419bb46cc597e01ad1f7d015a751ae277348b97a1e11c0bec563c160bc8f39d"
+    "42a741307fe22fb86467a9781f7ea9a6bcb4d64ab41827113f5e515cd45fa4d8"
 # More users than relays (K=8, L=4), all pairs, buffered only: two groups
 # own no relay and every group is served round robin on any relay pair.
 GOLDEN_K8_L4 = {
-    "xor-buffered-mmse": (200, 40, 23, 0),
-    "random-buffered-mmse": (200, 23, 23, 0),
+    "xor-buffered-mmse": (200, 44, 23, 0),
+    "random-buffered-mmse": (200, 22, 23, 0),
     "ml-buffered-mmse": (200, 11, 23, 0),
     "mmse-buffered-mmse": (200, 5, 23, 0),
 }
 GOLDEN_K8_L4_TRACE_SHA256 = \
-    "daca01da3bfdbfbd097f612da86562e33ba86b03e05c7ea25918f4f74fdeaead"
+    "0c3ce827e203f3b2402cdbfc1c2b612536dc095d780187576f6109933d8a4cb5"
 # More relays than users (K=4, L=8), fixed groups: the four relays
 # outside every group interfere in the SINR table.
 GOLDEN_K4_L8 = {
     "xor-buffered-mmse": (200, 20, 21, 0),
-    "xor-unbuffered-mmse": (200, 38, 20, 0),
-    "random-buffered-mmse": (200, 20, 21, 0),
-    "random-unbuffered-mmse": (200, 22, 20, 0),
+    "xor-unbuffered-mmse": (200, 44, 20, 0),
+    "random-buffered-mmse": (200, 13, 21, 0),
+    "random-unbuffered-mmse": (200, 24, 20, 0),
     "ml-buffered-mmse": (200, 11, 21, 0),
     "ml-unbuffered-mmse": (200, 20, 20, 0),
     "mmse-buffered-mmse": (200, 5, 21, 0),
     "mmse-unbuffered-mmse": (200, 12, 20, 0),
 }
 GOLDEN_K4_L8_TRACE_SHA256 = \
-    "ce8a2208bea474452916e5c7892526423762c8106475239f774150af1e0b2ad1"
+    "8912cbf0aa1e9e7397396917e356f04d1b2061f157e7c02121a70704dc779e75"
 # Group size 4 (22560 encoder rows, an int16 row index per lane), K=4,
 # L=8, J=2, in both buffer modes; the mmse design is limited to m <= 3.
 GOLDEN_M4 = {
     DecoderKind.JOINT: {
-        "xor-buffered-mmse": (240, 100, 13, 0),
-        "xor-unbuffered-mmse": (240, 63, 12, 0),
-        "random-buffered-mmse": (240, 24, 13, 0),
-        "random-unbuffered-mmse": (240, 33, 12, 0),
+        "xor-buffered-mmse": (240, 96, 13, 0),
+        "xor-unbuffered-mmse": (240, 59, 12, 0),
+        "random-buffered-mmse": (240, 20, 13, 0),
+        "random-unbuffered-mmse": (240, 23, 12, 0),
         "ml-buffered-mmse": (240, 24, 13, 0),
         "ml-unbuffered-mmse": (240, 16, 12, 0),
     },
     DecoderKind.DIRECT: {
-        "xor-buffered-mmse": (240, 100, 13, 0),
-        "xor-unbuffered-mmse": (240, 63, 12, 0),
-        "random-buffered-mmse": (240, 27, 13, 0),
-        "random-unbuffered-mmse": (240, 32, 12, 0),
+        "xor-buffered-mmse": (240, 96, 13, 0),
+        "xor-unbuffered-mmse": (240, 59, 12, 0),
+        "random-buffered-mmse": (240, 25, 13, 0),
+        "random-unbuffered-mmse": (240, 26, 12, 0),
         "ml-buffered-mmse": (240, 39, 13, 0),
         "ml-unbuffered-mmse": (240, 29, 12, 0),
     },
 }
 GOLDEN_M4_TRACE_SHA256 = {
     DecoderKind.JOINT:
-        "83b057a36e1a3d50fb90144a1603173e679d96a923af5e64fbb3c33ef042209a",
+        "061bd7ac2d07bdb1db94e93dff0f50aa4b3d636bed62d719d4733ae1e293a25d",
     DecoderKind.DIRECT:
-        "c94109f0d46d1270fb0dec89f408128628237e4a2a25e07fd7e34fb98177cd0e",
+        "4b101e622af74c3c020c8ce19d42fe96947f65122e37e2e9191caf181352e3f0",
 }
 # A two-worker `plnc-sim sweep --trace` (30 packets per point, two chunks
 # each): the CSV, the sidecar without its wall_clock_s line, the trace.
@@ -822,19 +822,19 @@ mmse-buffered-mmse,4,1200,92,0.0766666666667
 mmse-buffered-mmse,10,1200,5,0.00416666666667
 mmse-unbuffered-mmse,4,1200,121,0.100833333333
 mmse-unbuffered-mmse,10,1200,40,0.0333333333333
-random-buffered-mmse,4,1200,170,0.141666666667
-random-buffered-mmse,10,1200,36,0.03
-random-unbuffered-mmse,4,1200,211,0.175833333333
-random-unbuffered-mmse,10,1200,84,0.07
-xor-buffered-mmse,4,1200,268,0.223333333333
-xor-buffered-mmse,10,1200,105,0.0875
-xor-unbuffered-mmse,4,1200,230,0.191666666667
+random-buffered-mmse,4,1200,151,0.125833333333
+random-buffered-mmse,10,1200,42,0.035
+random-unbuffered-mmse,4,1200,197,0.164166666667
+random-unbuffered-mmse,10,1200,87,0.0725
+xor-buffered-mmse,4,1200,256,0.213333333333
+xor-buffered-mmse,10,1200,111,0.0925
+xor-unbuffered-mmse,4,1200,234,0.195
 xor-unbuffered-mmse,10,1200,87,0.0725
 """
 GOLDEN_CLI_SIDECAR_SHA256 = \
     "bad07bba16540ec5b6f2afc91be5c847dc753a86a2996257d74a60d7c728ef8e"
 GOLDEN_CLI_TRACE_SHA256 = \
-    "f0cf8604a8c39733aeaa5f19b738ccf5f1a3deb4ced550631142e2d771a3c96c"
+    "6bb6dd03335c6f98daf6d1edd5d90bceebb5ae037453a2dc92c8436e92053f4d"
 
 
 def golden_sweep(tmp_path, n_packets=10, chunk_packets=25,
@@ -923,7 +923,7 @@ class TestGoldenCounts:
 # the --trace file of each sweep of byte_grid(), in order.  Pinned like
 # GOLDEN: a refactor that moves any output byte fails here.
 GOLDEN_GRID_SHA256 = \
-    "d21ff3825290f08a9ca7f8e120706dedce56920852cb6e4034b4297448a0c8b8"
+    "8150c3d027bfed5ddd677c49d5878899adb0baa12713b378ead6f9fa85592090"
 
 
 def byte_grid():
@@ -1528,6 +1528,29 @@ class TestCli:
                      "100", "--schemes", "random", "--buffers-only",
                      "--out", str(tmp_path / "missing_dir" / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("args,folders,what,path,culprit", [
+        (["--out", "nodir/r.csv"], [], "report", "nodir/r.csv", "nodir"),
+        (["--out", "r.csv"], ["r.csv.config.txt"], "report", "r.csv",
+         "r.csv.config.txt"),
+        (["--out", "r.csv", "--trace", "nodir/t.csv"], [], "trace", "nodir/t.csv",
+         "nodir")])
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys,
+                                                      monkeypatch, args, folders,
+                                                      what, path, culprit):
+        # the report, its sidecar (here a directory) or the trace could not
+        # be written: exit 2 with the I/O message before the sweep runs,
+        # and no file is written
+        monkeypatch.chdir(tmp_path)
+        for folder in folders:
+            (tmp_path / folder).mkdir()
+        monkeypatch.setattr("plnc_sim.cli.run_sweep", None)
+        code = main(["sweep", "--snr", "8", "--bits", "200", "--schemes", "xor"] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"plnc-sim: cannot write {what} to {path!r}: [Errno ")
+        assert err.endswith(f": {culprit!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == folders
 
     def test_runtime_imports_no_scipy(self):
         # SciPy is a test dependency only: the CLI and an mmse design,

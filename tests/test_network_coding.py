@@ -482,17 +482,30 @@ class TestDistinctWork:
     @settings(max_examples=60, deadline=None)
     @given(m=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
            count=st.integers(0, 40), offset=st.integers(0, 3))
-    def test_batched_random_design_equals_sequential_loops(self, m, seed,
-                                                          count, offset):
-        # an odd offset leaves half of a 64-bit output buffered
+    def test_batched_random_design_equals_per_reception_draws(self, m, seed,
+                                                              count, offset):
+        # one call for count receptions equals count calls of one and
+        # leaves the stream where they leave it; an odd offset leaves half
+        # of a 64-bit output buffered
         batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (batched, looped):
             rng.integers(0, 2, size=offset)
         got = design_G_random(m, batched, count)
         assert got.shape == (count,)
-        assert np.array_equal(encoder_table(m).G[got],
-                              random_designs_sequential(m, looped, count))
+        assert got.tolist() == [design_G_random(m, looped, 1)[0] for _ in range(count)]
         assert batched.bit_generator.state == looped.bit_generator.state
+
+    @pytest.mark.parametrize("m,draws", [(2, 6000), (3, 17400)])
+    def test_random_design_has_the_rejection_loops_law(self, m, draws):
+        # a uniform row of the pool is what a rejection loop over binary
+        # matrices gives: the two samples' row counts are homogeneous
+        from scipy.stats import chi2_contingency
+        pool = {g.tobytes(): row for row, g in enumerate(encoder_table(m).G)}
+        looped = [pool[g.tobytes()] for g in
+                  random_designs_sequential(m, np.random.default_rng(1), draws)]
+        drawn = design_G_random(m, np.random.default_rng(2), draws)
+        counts = [np.bincount(rows, minlength=len(pool)) for rows in (looped, drawn)]
+        assert chi2_contingency(counts)[1] > 1e-3
 
     @settings(max_examples=40, deadline=None)
     @given(chain_cases())

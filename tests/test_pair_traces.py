@@ -53,8 +53,8 @@ def test_null_pair_passes(tmp_path, capsys):
     rows_a, rows_b = pair(shift=False)
     lines, passed = pair_traces.check(rows_a, rows_b)
     assert passed
-    assert len(lines) == 1 + 4 + 1            # header, 4 points, pooled
-    assert "inside" in lines[-1]
+    assert len(lines) == 1 + 4 + 2 + 1        # header, 4 points, 2 schemes, all
+    assert all("inside" in line for line in lines[-3:])
     paths = write(tmp_path / "a.csv", rows_a), write(tmp_path / "b.csv", rows_b)
     assert pair_traces.main(list(paths)) == 0
     assert capsys.readouterr().out.endswith("PASS\n")
@@ -64,10 +64,24 @@ def test_extra_flipped_bit_per_50_errors_fails(tmp_path):
     rows_a, rows_b = pair(shift=True)
     lines, passed = pair_traces.check(rows_a, rows_b)
     assert not passed
-    assert all("|z| > 3.3" in line for line in lines[1:-1])
-    assert "outside" in lines[-1]
+    assert all("|z| > 3.3" in line for line in lines[1:5])
+    assert all("outside" in line for line in lines[5:])
     paths = write(tmp_path / "a.csv", rows_a), write(tmp_path / "b.csv", rows_b)
     assert pair_traces.main(list(paths)) == 1
+
+
+def test_each_scheme_pools_its_own_points():
+    # a 2 % shift in one scheme's packets shows outside the margin in that
+    # scheme's pool alone; the gate reads the points and the pool of all
+    rows_a, rows_b = pair(shift=False)
+    _, shifted = pair(shift=True)
+    rows_b[:2000] = shifted[:2000]           # the first scheme's rows
+    lines, passed = pair_traces.check(rows_a, rows_b)
+    assert lines[5].startswith("xor-buffered-mmse pooled") and "outside" in lines[5]
+    assert lines[6].startswith("mmse-unbuffered-mmse pooled") and "inside" in lines[6]
+    assert lines[7].startswith("pooled relative difference")
+    assert not passed
+    assert "|z| > 3.3" in lines[1] and "|z|" not in lines[3]
 
 
 def test_point_and_pooled_statistics():
