@@ -26,10 +26,10 @@ groups, reception uid serves group uid mod K/m, the same round robin.
 No decision reads the physics of a packet, only the channel and the
 buffer occupancies, so this pass decides every slot and makes no NumPy
 call per slot.  The pending log rows are its only record of a slot: a
-block's gains wait beside them for settle(), and its table is freed
-after its last row.  Within run_until a block holds no more than the
-fewest slots its replica still needs, so every slot drawn there is read;
-outside it a replica's blocks grow from one slot, each twice the last.
+block's gains wait beside them for settle(), and a replica queues its
+block's unread table rows and rankings.  run_until draws a block of no
+more than the fewest slots its replica still needs, so every slot drawn
+there is read; a bare advance() draws one slot.
 
 Pass 2, settle(), runs the physics of every slot of every replica
 advanced since the last settle as one set of arrays: for the
@@ -55,25 +55,24 @@ equals the per-item draws bit for bit, whenever settle() runs and
 however the items are stacked.  Twins, replicas whose streams stand in
 one state at construction (equal int seeds or SeedSequences, as the
 buffer modes of one chunk are), draw the same numbers at the same
-position, so pass 2 stacks the items position-major within a twin
-group, the receptions by (twins, uid, replica) and the transmissions by
-(twins, transmission ordinal, replica), and draws each position of a
-slice once for every twin that needs it (_Shared).  settle() turns each replica's pending
-rows into log records in one np.array call, reads its inputs from their
-columns and their slots' gains, a reception's as its pair's effective
-vectors, and writes the transmissions' bit_errors and note codes back
-in record order; until then the log raises.  A packet's streams,
-direct-link decisions, ground truth and encoder rows (int16, -1 for
-XOR) wait under its uid from its reception's settle to its
+position, so pass 2 stacks the items position-major within a twin group,
+the receptions by (twins, uid, replica) and the transmissions by (twins,
+transmission ordinal, replica), and draws each position of a slice once
+for every twin that needs it (_Shared).  settle() turns each replica's
+pending rows into log records in one np.array call, reads its inputs
+from their columns and their slots' gains, a reception's as its pair's
+effective vectors, and writes the transmissions' bit_errors and note
+codes back in record order; until then the log raises.  A packet's
+streams, direct-link decisions, ground truth and encoder rows (int16, -1
+for XOR) wait under its uid from its reception's settle to its
 transmission's.  run_until settles, after the last replica of a twin
-group, whenever the replicas it has advanced since the last settle hold
-the stack threshold's count of receptions, and at the end, so twins
-settle together and the pair states, banks and maps settle() holds
-whole stay near that size.  Within a settle the arrays run in slices
-whose transient arrays hold about the slice budget, _SLICE_ELEMENTS
-float64 elements: each slice pays a fixed cost in NumPy calls, so the
-budget is sized for throughput against the L2 cache, not for the
-smallest footprint.
+group, whenever the receptions it has advanced since its last settle
+reach the stack threshold's count, and at the end, so twins settle
+together and the pair states, banks and maps settle() holds whole stay
+near that size.  Within a settle the arrays run in slices whose transient
+arrays hold about the slice budget, _SLICE_ELEMENTS float64 elements:
+each slice pays a fixed cost in NumPy calls, so the budget is sized for
+throughput against the L2 cache, not for the smallest footprint.
 
 No coding scheme changes the channel stream or the bank occupancies, so
 one machine runs several schemes in lockstep, one lane each: the slot's
@@ -115,15 +114,13 @@ _SLICE_ELEMENTS = 1 << 17
 # The block budget: pass 1 draws its channel blocks so that their L K x K
 # first-hop MMSE systems, the largest array it holds per slot, hold about
 # this many float64 elements (256 KB): 151 slots on the paper system.
-# Within run_until the slots still needed cap a block anyway; outside it,
-# a replica's first block holds one slot and each later one twice the
-# last, so a few advance() calls draw and rank no full block.
+# run_until caps a block at the slots a replica still needs anyway.
 _BLOCK_ELEMENTS = 1 << 15
 
-# The stack threshold: run_until settles once the pending receptions
-# number this over 2 K (m + 1) N, the float64 elements of a pair state
-# on N chips: 56 on the paper system.  settle() holds the stack's pair
-# states, banks and maps (on the coordinates) whole, whatever the slices.
+# The stack threshold: run_until settles once the receptions it has
+# advanced number this over 2 K (m + 1) N, the float64 elements of a pair
+# state on N chips: 56 on the paper system.  settle() holds the stack's
+# pair states, banks and maps (on the coordinates) whole, whatever the slices.
 _STACK_ELEMENTS = 1 << 15
 
 
@@ -381,9 +378,9 @@ def _concat(parts):
 class Replica:
     """One run of a slot machine: its config (which sets the buffer
     mode), its random streams, bank, counters and log (bit errors and
-    notes for each of its lanes), the pass-1 state of its channel block,
-    and the pending slots' log rows and channel blocks that settle()
-    reads.
+    notes for each of its lanes), the queue of its channel block's
+    unread slots, and the pending slots' log rows and channel blocks
+    that settle() reads.
 
     The bank is the only record of buffered packets.  Each reception
     slot pushes one packet and each transmission slot decodes one, so
@@ -413,12 +410,8 @@ class Replica:
         self.slot = 0
         self.receive_slots = 0
         self.transmit_slots = 0
-        self._settled_receptions = 0     # receive_slots at the last settle
-        self.wanted = None       # run_until's packet count, which sizes blocks
         self._last_scored_uid = {}   # relay pair -> uid; rises under FIFO
-        self._block = None       # (table rows, ranking), None once read
-        self._block_slots = 0
-        self._row = 0            # the next slot's row of the block
+        self._block = deque()    # unread block slots: (table row, ranking) or None
         self._blocks = []        # ChannelGains from the first pending slot on
         self._coded = {}         # uid -> (direct, truth, ncs, encoder rows)
         self.twins = None        # the machine's index of its twin group
@@ -493,50 +486,40 @@ class SlotMachine:
 
     # -- pass 1: decisions, one slot of one replica at a time ---------------
 
-    def _next_block(self, replica):
-        """Draw the replica's next block of link gains, which wait in its
-        blocks for settle(), and, buffered, compute its SINR table over
-        both hops and its ranking for the whole block.  A block holds the
-        slots the block budget, _BLOCK_ELEMENTS, allows on the (L, K, K)
-        first-hop MMSE systems (151 on the paper system) and, within
-        run_until, no more than the fewest slots the replica still needs,
-        (n - transmitted) + max(0, n - received), so every slot drawn
-        there is read; outside it, one slot if the replica has drawn no
-        block, else twice its last block's.  A block of n slots draws and
-        ranks what n blocks of one do."""
+    def _next_block(self, replica, need):
+        """Draw the replica's next block of link gains, need slots or the
+        block budget's, _BLOCK_ELEMENTS, on the (L, K, K) first-hop MMSE
+        systems (151 on the paper system), whichever is fewer.  The gains
+        wait in the replica's blocks for settle(); its block queues one
+        entry per slot, buffered the slot's SINR table row over both hops
+        and its ranking, computed for the whole block, else None.  A
+        block of n slots draws and ranks what n blocks of one do."""
         cfg = replica.config
         K = cfg.num_users
-        size = max(1, _BLOCK_ELEMENTS // (cfg.num_relays * K * K))
-        n = replica.wanted
-        if n is None:
-            size = min(size, max(1, 2 * replica._block_slots))
-        else:
-            size = min(size, n - replica.transmit_slots
-                       + max(0, n - replica.receive_slots))
+        size = min(need, max(1, _BLOCK_ELEMENTS // (cfg.num_relays * K * K)))
         gains = sm.draw_channels(cfg, replica.rng.channel, size)
-        tables = ranking = None
         if cfg.buffers_enabled:
             table = rs.build_sinr_table(gains, self.coords, cfg.noise_var,
                                         cfg.receiver, replica.candidates)
-            ranking, tables = rs.select_best(table), table.tolist()
+            replica._block.extend(zip(table.tolist(), rs.select_best(table)))
+        else:
+            replica._block.extend([None] * size)
         replica._blocks.append(gains)
-        replica._block = (tables, ranking)
-        replica._block_slots, replica._row = size, 0
 
     def advance(self, replica=0) -> Decision:
-        """Pass 1 for one slot of a replica: take the slot's row of the
-        channel block, choose the action, push or pop the packet's uid,
-        and append the slot's log row (a transmission's bit_errors and
-        note wait for settle()).  The block's gains wait for settle() in
-        the replica's blocks; its table and ranking are freed once its
-        last row is read."""
+        """Pass 1 for one slot of a replica: take the slot from the
+        replica's block, drawing a one-slot block when none is left,
+        choose the action, push or pop the packet's uid, and append the
+        slot's log row (a transmission's bit_errors and note wait for
+        settle()).  The slot's gains wait for settle() in the replica's
+        blocks."""
         rep = self.replicas[replica]
-        if rep._block is None:
-            self._next_block(rep)
-        cfg, bank, i = rep.config, rep.bank, rep._row
+        if not rep._block:
+            self._next_block(rep, 1)
+        cfg, bank = rep.config, rep.bank
         if cfg.buffers_enabled:
-            tables, ranking = rep._block
-            decision = decide_action(tables[i], rep.candidates, bank, ranking[i])
+            row, ranking = rep._block[0]
+            decision = decide_action(row, rep.candidates, bank, ranking)
         else:
             # reception uid serves group uid mod K/m, and is followed by
             # the group's transmission: the group served last transmits
@@ -558,9 +541,7 @@ class SlotMachine:
                 raise RuntimeError("packet scored twice")
             rep._last_scored_uid[relays] = uid
             rep.transmit_slots += 1
-        rep._row = i + 1
-        if rep._row == rep._block_slots:
-            rep._block = None
+        rep._block.popleft()
         bits = transmit * cfg.group_size * cfg.packet_length
         # the record's fields: transmit, then the decision's, then the rest
         rep._pending.append((transmit, *decision[1:], uid, bits, bank.occupancies(), 0, 0))
@@ -587,7 +568,6 @@ class SlotMachine:
             records = np.split(stacked, np.cumsum([len(rec) for rec in records[:-1]]))
         for rep, rec in zip(self.replicas, records):
             rep._log, rep._pending = np.concatenate((rep._log, rec)), []
-            rep._settled_receptions = rep.receive_slots
         return self
 
     def _inputs(self, records):
@@ -600,8 +580,8 @@ class SlotMachine:
         and pair's relay-destination gains.  Each stack ends with the
         indices of its items that start a twin group's position, where
         its slices may start.  Last come the transmissions' indices in the
-        records, concatenated.  A replica keeps only the block it still
-        reads, from the row reached."""
+        records, concatenated.  A replica keeps only its block's unread
+        slots' gains."""
         groups, ordinals, gains = [], [], []
         for rep, rec in zip(self.replicas, records):
             transmit = rec["transmit"]
@@ -612,7 +592,7 @@ class SlotMachine:
             if rep._blocks:
                 block = _concat(rep._blocks)
                 gains.append(block[:len(rec)])
-                rep._blocks = [block[len(rec):]] if rep._block is not None else []
+                rep._blocks = [block[len(rec):]] if rep._block else []
         transmit, relays, uids = (np.concatenate([rec[name] for rec in records])
                                   for name in ("transmit", "relays", "uid"))
         replica = np.repeat(np.arange(len(records)), [len(rec) for rec in records])
@@ -803,14 +783,15 @@ class SlotMachine:
     def run_until(self, n_packets, max_slots=None):
         """Advance each replica in turn until it has decoded n_packets
         (one count for every replica, or a sequence of one per replica;
-        each an integer >= 0, else ValueError), drawing no channel slot
-        it does not read.  The replicas advanced since the last settle
-        settle together once their pending receptions reach the stack
-        threshold (_STACK_ELEMENTS; 56 receptions on the paper system),
-        checked after the last replica of each twin group, so twins settle
-        together and pass 2 draws their shared positions once, and at the
-        end: settle() holds the stack's pair states, banks and maps whole,
-        so the threshold, not the slice budget, bounds them.
+        each an integer >= 0, else ValueError), in blocks of at most
+        (n - transmitted) + max(0, n - received) slots, so it draws no
+        channel slot it does not read.  The replicas settle together once
+        the receptions advanced here since the last settle reach the stack
+        threshold (_STACK_ELEMENTS; 56 on the paper system), checked after
+        the last replica of each twin group, so twins settle together and
+        pass 2 draws their shared positions once, and at the end: settle()
+        holds the stack's pair states, banks and maps whole, so the
+        threshold, not the slice budget, bounds them.
         Raises RuntimeError when a replica reaches the slot cap (default
         16 n_packets + 64, so pathological configs cannot spin forever)
         first."""
@@ -824,21 +805,22 @@ class SlotMachine:
         stack = _STACK_ELEMENTS // (2 * cfg.num_users * (cfg.group_size + 1)
                                     * cfg.spreading_gain)
         last = {rep.twins: r for r, rep in enumerate(self.replicas)}
+        stacked = 0              # receptions advanced since the last settle
         for r, (replica, n) in enumerate(zip(self.replicas, counts)):
             cap = 16 * n + 64 if max_slots is None else max_slots
-            replica.wanted = n
-            try:
-                while replica.transmit_slots < n and replica.slot < cap:
-                    self.advance(r)
-            finally:
-                replica.wanted = None
+            received = replica.receive_slots
+            while replica.transmit_slots < n and replica.slot < cap:
+                if not replica._block:
+                    self._next_block(replica, n - replica.transmit_slots
+                                     + max(0, n - replica.receive_slots))
+                self.advance(r)
             if replica.transmit_slots < n:
                 raise RuntimeError(f"decoded {replica.transmit_slots} of {n} "
                                    f"requested packets in {replica.slot} slots")
             if replica.transmit_slots > replica.receive_slots:
                 raise RuntimeError("decoded more packets than were pushed")
-            if last[replica.twins] == r and sum(
-                    rep.receive_slots - rep._settled_receptions
-                    for rep in self.replicas) >= stack:
+            stacked += replica.receive_slots - received
+            if last[replica.twins] == r and stacked >= stack:
                 self.settle()
+                stacked = 0
         return self.settle()

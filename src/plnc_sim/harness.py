@@ -60,7 +60,9 @@ class BerPoint:
 
     @property
     def stderr(self):
-        """Monte-Carlo standard error of the BER estimate."""
+        """The BER's bit-level binomial error, as if bits erred alone; errors
+        cluster by packet, so at 100 packets of 1000 symbols per point it
+        is 4.2-16.6 times below the packet-level error."""
         if not self.bits_total:
             return float("nan")
         p = self.ber

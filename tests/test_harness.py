@@ -526,7 +526,7 @@ class TestSettleInvariance:
             # a settled replica holds the unread rows of the channel block
             # it is still reading, and no other block
             rep = mach.replicas[0]
-            unread = 0 if rep._block is None else rep._block_slots - rep._row
+            unread = len(rep._block)
             assert [len(block.h_sd) for block in rep._blocks] == [unread] * bool(unread)
 
         eager, once = machine(), machine()
@@ -597,14 +597,15 @@ class TestSettleInvariance:
 
     @settings(max_examples=20, deadline=None)
     @given(settle_cases(), st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1),
-                                              st.integers(0, 3)),
+                                              st.integers(0, 3), st.integers(0, 3)),
                                     min_size=1, max_size=3),
            st.sampled_from([None, 1, 3]))
     def test_every_channel_slot_drawn_is_read(self, case, replicas, block):
-        # within run_until a block holds no more slots than its replica
-        # still needs, so the channel rows drawn, in blocks of the block
-        # budget (block slots when given) or fewer, add up to the slots
-        # run, in either buffer mode and over a second run
+        # a bare advance() draws one channel row, and within run_until a
+        # block holds no more slots than its replica still needs, so the
+        # channel rows drawn, in blocks of the block budget (block slots
+        # when given) or fewer, add up to the slots run, in either buffer
+        # mode, after a few bare advance() calls and over a second run
         cfg = case[0]
         draw, drawn = signal_model.draw_channels, []
 
@@ -613,15 +614,46 @@ class TestSettleInvariance:
             return draw(config, rng, n)
 
         machine = SlotMachine(cfg, schemes=list(Scheme), replicas=[
-            (buffered, seed) for buffered, seed, _ in replicas])
+            (buffered, seed) for buffered, seed, *_ in replicas])
         budget = buffer_protocol._BLOCK_ELEMENTS if block is None else \
             block * cfg.num_relays * cfg.num_users ** 2
         with mock.patch.object(signal_model, "draw_channels", counted), \
                 mock.patch.object(buffer_protocol, "_BLOCK_ELEMENTS", budget):
+            for r, (*_, steps, _) in enumerate(replicas):
+                for _ in range(steps):
+                    before = len(drawn)
+                    machine.advance(r)
+                    assert drawn[before:] == [1]
+            assert sum(drawn) == sum(rep.slot for rep in machine.replicas)
             for counts in ([n for *_, n in replicas], [n + 2 for *_, n in replicas]):
                 machine.run_until(counts)
                 assert sum(drawn) == sum(rep.slot for rep in machine.replicas)
         assert block is None or max(drawn) <= block
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 11))
+    @pytest.mark.parametrize("modes", [[True], [False], [True, False]])
+    def test_run_resumes_after_its_slot_cap(self, modes, seed, cap):
+        # a run stopped by its slot cap leaves its replicas where they
+        # stand, unread block slots included, so a second run on the same
+        # machine gives the log of a run that was never stopped; six
+        # packets take at least twelve slots, so every cap stops the first
+        # replica
+        cfg = SystemConfig(num_users=4, num_relays=4, spreading_gain=8,
+                           buffer_size=2, group_size=2, packet_length=8,
+                           snr_db=6.0, rng_seed=7)
+
+        def machine():      # one replica per mode, twins when both run
+            return SlotMachine(cfg, schemes=list(Scheme),
+                               replicas=[(buffered, seed) for buffered in modes])
+
+        capped = machine()
+        with pytest.raises(RuntimeError, match="requested packets"):
+            capped.run_until(6, max_slots=cap)
+        capped.run_until(6)
+        fresh = machine().run_until(6)
+        for resumed, alone in zip(capped.replicas, fresh.replicas):
+            assert repr(resumed.log) == repr(alone.log)
 
 
 class TestCountsReduceTheLog:
